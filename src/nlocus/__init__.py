@@ -32,7 +32,6 @@ from .localization import (
     DegreeResult,
     contribution,
     degree_nl,
-    degree_nl_d4,
     degree_range,
     ed_weights,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "compare",
     "contribution",
     "degree_nl",
-    "degree_nl_d4",
     "degree_part_dim",
     "degree_range",
     "ed_weights",

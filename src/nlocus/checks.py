@@ -1,0 +1,144 @@
+"""The acceptance checks, shared by `nlocus verify` and the test suite.
+
+Each check takes (points, spec, workers), raises AssertionError with a
+message naming the fixed point, d or weight spec at fault, and returns the
+value it verified so that tests can pin it.  CHECKS lists them in the order
+`nlocus verify` runs them.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import random
+
+from . import fixpoints as fx
+from . import localization as loc
+from .formula import closed_form
+from .ideals import Ideal, hilbert_polynomial, kbase, reduce_gb, saturate_t
+from .poly import parse
+from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, check_generic, elem_sym
+
+CENSUS = (21, 180, 324)  # G2, G2E1, E2
+QUARTIC_DEGREE = 38475  # deg NL(W,4)
+
+
+def _require(ok, message):
+    if not ok:
+        raise AssertionError(message)
+
+
+def euler_census(points, spec, workers):
+    """The stratum counts, checked against CENSUS and the blow-up Euler count."""
+    counts = fx.stratum_counts(points)
+    _require(counts == CENSUS, f"counts {counts} != {CENSUS}")
+    _require(
+        sum(counts) == fx.euler_characteristic_oracle(),
+        "census disagrees with the blow-up Euler count",
+    )
+    return counts
+
+
+def rank_invariants(points, spec, workers):
+    """19 quartics and kbase of size 4d for d = 4..10 at every fixed point."""
+    for fp in points:
+        _require(len(fp.quartics) == 19, f"{fp.tag}{fp.provenance}: rank != 19")
+        gb = fp.quartic_gb()
+        for d in range(4, 11):
+            n = len(kbase(gb, d))
+            _require(
+                n == 4 * d, f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
+            )
+
+
+def hilbert_oracles(points, spec, workers):
+    """hilbert_polynomial is 4t on the three orbit representatives."""
+    for gens in (
+        ("x1^2", "x2^2"),
+        ("x1*x2", "x1^2", "x2^3"),
+        ("x0^2", "x0*x1", "x0*x2^2", "x1^4"),
+    ):
+        hp = hilbert_polynomial(reduce_gb(Ideal([parse(g) for g in gens])))
+        _require(hp.coefficients == (0, 4), f"<{', '.join(gens)}>: {hp} != 4*t")
+
+
+def localization_self_test(points, spec, workers):
+    """The sum of c_16(T)/c_16(T) over the fixed points is their number."""
+    total = loc.localization_self_test(points, spec)
+    _require(total == len(points), f"sum of ones = {total} != {len(points)}")
+    return total
+
+
+def d4_target(points, spec, workers):
+    """deg NL(W,4) is QUARTIC_DEGREE."""
+    degree = loc.degree_nl(4, spec, points, workers).degree
+    _require(degree == QUARTIC_DEGREE, f"d=4 degree {degree} != {QUARTIC_DEGREE}")
+    return degree
+
+
+def d5_cross_check(points, spec, workers):
+    """deg NL(W,5) equals the published closed form at d = 5."""
+    degree = loc.degree_nl(5, spec, points, workers).degree
+    expected = closed_form()(5)
+    _require(degree == expected, f"d=5 degree {degree} != {expected}")
+    return degree
+
+
+def spec_independence(points, spec, workers):
+    """The degrees for d = 4..6 are the same under a second admissible spec."""
+    alternate = FALLBACK_WEIGHTS if spec != FALLBACK_WEIGHTS else DEFAULT_WEIGHTS
+    _require(
+        check_generic(alternate, [fp.tangent for fp in points]),
+        f"alternate weight spec {alternate.values} is not admissible",
+    )
+    ours = loc.degree_range(4, 6, spec, points, workers)
+    theirs = loc.degree_range(4, 6, alternate, points, workers)
+    for a, b in zip(ours, theirs):
+        _require(
+            a.degree == b.degree,
+            f"d={a.d}: {a.degree} under {spec.values} != {b.degree} under"
+            f" {alternate.values}",
+        )
+    return [r.degree for r in ours]
+
+
+def _gb_key(ideal):
+    return tuple(sorted(str(g) for g in reduce_gb(ideal).basis))
+
+
+def algebra_kernel(points, spec, workers):
+    """kbase, saturation idempotence on every E1 deformation ideal, elem_sym.
+
+    Returns the number of E1 deformation ideals checked.
+    """
+    _require(
+        len(kbase(reduce_gb(Ideal([parse("x0^2"), parse("x1^2")])), 5)) == 20,
+        "kbase(<x0^2,x1^2>, 5) != 20",
+    )
+    ideals = fx.e1_deformation_ideals()
+    for i, ideal in enumerate(ideals):
+        sat = saturate_t(ideal)
+        _require(
+            _gb_key(saturate_t(sat)) == _gb_key(sat),
+            f"saturation is not idempotent on E1 deformation ideal {i}",
+        )
+    rng = random.Random(17)
+    for n in range(1, 13):
+        values = [rng.randint(-9, 9) for _ in range(n)]
+        for k in range(n + 1):
+            brute = sum(math.prod(c) for c in itertools.combinations(values, k))
+            got = elem_sym(k, values)
+            _require(got == brute, f"elem_sym({k}, {values}) = {got} != {brute}")
+    return len(ideals)
+
+
+CHECKS = (
+    ("euler-census", euler_census),
+    ("rank-invariants", rank_invariants),
+    ("hilbert-oracles", hilbert_oracles),
+    ("localization-self-test", localization_self_test),
+    ("d4-target", d4_target),
+    ("d5-cross-check", d5_cross_check),
+    ("spec-independence", spec_independence),
+    ("algebra-kernel", algebra_kernel),
+)

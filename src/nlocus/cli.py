@@ -11,22 +11,25 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
+from . import checks
 from . import fixpoints as fx
 from . import localization as loc
-from .formula import DIVISOR, UnivariateRationalPoly, closed_form, compare, interpolate
-from .ideals import Ideal, hilbert_polynomial, kbase, reduce_gb, saturate_t
-from .poly import parse as parse_poly
-from .torus import DEFAULT_WEIGHTS, WeightSpec, elem_sym
+from .formula import (
+    DIVISOR_FACTORS,
+    INTERPOLATION_DEGREE_BOUND,
+    closed_form,
+    compare,
+    inner_polynomial,
+    interpolate,
+)
+from .torus import DEFAULT_WEIGHTS, WeightSpec
 
 CACHE_ENV = "NLOCUS_CACHE"
 DEFAULT_CACHE = "fixpoints.json"
@@ -108,10 +111,7 @@ def cmd_degree(args):
     started = time.time()
     points = _points(cfg)
     spec = _spec_for(cfg, points)
-    if args.d == 4:
-        result = loc.degree_nl_d4(spec, points, workers=cfg.workers)
-    else:
-        result = loc.degree_nl(args.d, spec, points, workers=cfg.workers)
+    result = loc.degree_nl(args.d, spec, points, workers=cfg.workers)
     elapsed = time.time() - started
     if cfg.output_format == "json":
         doc = result.to_json()
@@ -129,10 +129,10 @@ def cmd_degree(args):
 def cmd_formula(args):
     if args.dmin < 5:
         _usage_error("--dmin must be at least 5")
-    if args.dmax - args.dmin < 32:
+    if args.dmax - args.dmin < INTERPOLATION_DEGREE_BOUND:
         _usage_error(
-            "need at least 33 nodes (the degree polynomial has degree 32);"
-            " increase --dmax"
+            f"need at least {INTERPOLATION_DEGREE_BOUND + 1} nodes (the degree"
+            f" polynomial has degree {INTERPOLATION_DEGREE_BOUND}); increase --dmax"
         )
     cfg = _build_config(args)
     started = time.time()
@@ -174,20 +174,13 @@ def cmd_formula(args):
 
 
 def _inner_text(fitted):
-    binom = (
-        UnivariateRationalPoly([-2, 1])
-        * UnivariateRationalPoly([-3, 1])
-        * UnivariateRationalPoly([-4, 1])
-        * Fraction(1, 6)
-    )
-    inner, rem = (fitted * Fraction(DIVISOR)).divmod(binom)
-    if rem.coefficients:
-        return "<not divisible by binomial(d-2,3)>"
-    return str(inner)
+    inner = inner_polynomial(fitted)
+    return "<not divisible by binomial(d-2,3)>" if inner is None else str(inner)
 
 
 def _divisor_text():
-    return "(2^27*3^9*5^2*7^2*11*13)"
+    factors = (f"{p}^{e}" if e > 1 else str(p) for p, e in DIVISOR_FACTORS)
+    return "(" + "*".join(factors) + ")"
 
 
 def cmd_fixpoints(args):
@@ -207,126 +200,19 @@ def cmd_fixpoints(args):
 
 def cmd_verify(args):
     cfg = _build_config(args)
+    points = _points(cfg)
+    spec = _spec_for(cfg, points)
     failures = 0
-
-    def check(name, fn):
-        nonlocal failures
+    for name, check in checks.CHECKS:
         try:
-            fn()
+            check(points, spec, cfg.workers)
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             failures += 1
             print(f"FAIL {name}: {exc}")
         else:
             print(f"PASS {name}")
-
-    points = _points(cfg)
-    spec = _spec_for(cfg, points)
-    alternate = loc.admissible_spec(
-        points, WeightSpec((0, 1, 7, 23)) if spec.values != (0, 1, 7, 23) else DEFAULT_WEIGHTS
-    )
-
-    def euler_census():
-        counts = fx.stratum_counts(points)
-        expected = (21, 180, 324)
-        if counts != expected:
-            raise AssertionError(f"counts {counts} != {expected}")
-        if sum(counts) != fx.euler_characteristic_oracle():
-            raise AssertionError("census disagrees with the blow-up Euler count")
-
-    def rank_invariants():
-        for fp in points:
-            if len(fp.quartics) != 19:
-                raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
-            gb = fp.quartic_gb()
-            for d in range(4, 11):
-                n = len(kbase(gb, d))
-                if n != 4 * d:
-                    raise AssertionError(
-                        f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
-                    )
-
-    def hilbert_oracles():
-        for gens in (
-            ["x1^2", "x2^2"],
-            ["x1*x2", "x1^2", "x2^3"],
-            ["x0^2", "x0*x1", "x0*x2^2", "x1^4"],
-        ):
-            G = reduce_gb(Ideal([parse_poly(g) for g in gens]))
-            hp = hilbert_polynomial(G)
-            if str(hp) != "4*t":
-                raise AssertionError(f"<{', '.join(gens)}>: {hp} != 4*t")
-
-    def self_test():
-        total = loc.localization_self_test(points, spec)
-        if total != len(points):
-            raise AssertionError(f"sum of ones = {total} != {len(points)}")
-
-    def d4_target():
-        raw = loc.raw_d4_sum(spec, points, workers=cfg.workers)
-        if raw % 4 != 0:
-            raise AssertionError(f"raw d=4 sum {raw} not divisible by 4")
-        result = loc.degree_nl_d4(spec, points, workers=cfg.workers)
-        if result.degree != 38475:
-            raise AssertionError(f"d=4 degree {result.degree} != 38475")
-
-    def d5_cross_check():
-        result = loc.degree_nl(5, spec, points, workers=cfg.workers)
-        expected = closed_form()(5)
-        if result.degree != expected:
-            raise AssertionError(f"d=5 degree {result.degree} != {expected}")
-
-    def spec_independence():
-        for d in (5, 6):
-            a = loc.degree_nl(d, spec, points, workers=cfg.workers).degree
-            b = loc.degree_nl(d, alternate, points, workers=cfg.workers).degree
-            if a != b:
-                raise AssertionError(f"d={d}: {a} != {b} across weight specs")
-        a = loc.degree_nl_d4(spec, points).degree
-        b = loc.degree_nl_d4(alternate, points).degree
-        if a != b:
-            raise AssertionError(f"d=4: {a} != {b} across weight specs")
-
-    def algebra_kernel():
-        G = reduce_gb(Ideal([parse_poly("x0^2"), parse_poly("x1^2")]))
-        if len(kbase(G, 5)) != 20:
-            raise AssertionError("kbase(<x0^2,x1^2>, 5) != 20")
-        for ideal in fx.e1_deformation_ideals():
-            sat = saturate_t(ideal)
-            again = saturate_t(sat)
-            if _gb_key(sat) != _gb_key(again):
-                raise AssertionError("saturation is not idempotent")
-        rng = random.Random(7)
-        for n in range(1, 13):
-            values = [rng.randint(-9, 9) for _ in range(n)]
-            k = rng.randint(0, n)
-            brute = sum(
-                _prod(c) for c in itertools.combinations(values, k)
-            )
-            if elem_sym(k, values) != brute:
-                raise AssertionError("elem_sym disagrees with brute force")
-
-    check("euler-census", euler_census)
-    check("rank-invariants", rank_invariants)
-    check("hilbert-oracles", hilbert_oracles)
-    check("localization-self-test", self_test)
-    check("d4-target", d4_target)
-    check("d5-cross-check", d5_cross_check)
-    check("spec-independence", spec_independence)
-    check("algebra-kernel", algebra_kernel)
     print("verify:", "ok" if failures == 0 else f"{failures} failed")
     return 0 if failures == 0 else 1
-
-
-def _prod(values):
-    out = 1
-    for v in values:
-        out *= v
-    return out
-
-
-def _gb_key(ideal):
-    gb = reduce_gb(ideal)
-    return tuple(sorted(str(g) for g in gb.basis))
 
 
 def main(argv=None):

@@ -1,18 +1,23 @@
 """Exact interpolation of the degree counts and the closed-form target.
 
 The degree of the locus is a polynomial in d for d >= 5 of degree at most
-48 (= 3 times the dimension of the parameter space); interpolating the
-computed values at 49 integer nodes therefore pins it down exactly.  The
-published closed form is binomial(d-2,3) times a degree-29 integer
-polynomial over 2^27 * 3^9 * 5^2 * 7^2 * 11 * 13.
+32 (INTERPOLATION_DEGREE_BOUND); interpolating the computed values at 33 or
+more integer nodes therefore pins it down exactly.  The published closed
+form is binomial(d-2,3) times a degree-29 integer polynomial over
+2^27 * 3^9 * 5^2 * 7^2 * 11 * 13.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-INTERPOLATION_DEGREE_BOUND = 48  # 3 * dim of the parameter space
+# The power sums p_k of each fiber's weights are polynomials in d of degree
+# k + 1 (d >= 5), so by Newton's identities e_16 has degree at most 2 * 16
+# in d.  The tangent denominators do not depend on d, so every Bott summand,
+# and their sum, obeys the same bound.
+INTERPOLATION_DEGREE_BOUND = 32
 
 # Coefficients of the inner degree-29 polynomial, highest power first.
 INNER_COEFFS = (
@@ -48,7 +53,8 @@ INNER_COEFFS = (
     136886449647246114816000,
 )
 
-DIVISOR = 2**27 * 3**9 * 5**2 * 7**2 * 11 * 13
+DIVISOR_FACTORS = ((2, 27), (3, 9), (5, 2), (7, 2), (11, 1), (13, 1))
+DIVISOR = math.prod(p**e for p, e in DIVISOR_FACTORS)
 
 
 @dataclass(frozen=True)
@@ -145,6 +151,14 @@ def interpolate(nodes):
     return poly
 
 
+_BINOMIAL_D_MINUS_2_CHOOSE_3 = (
+    UnivariateRationalPoly([-2, 1])
+    * UnivariateRationalPoly([-3, 1])
+    * UnivariateRationalPoly([-4, 1])
+    * Fraction(1, 6)
+)
+
+
 def closed_form():
     """The published degree polynomial, assembled exactly.
 
@@ -152,13 +166,13 @@ def closed_form():
     2^27 * 3^9 * 5^2 * 7^2 * 11 * 13.
     """
     inner = UnivariateRationalPoly(list(reversed(INNER_COEFFS)))
-    binom = (
-        UnivariateRationalPoly([-2, 1])
-        * UnivariateRationalPoly([-3, 1])
-        * UnivariateRationalPoly([-4, 1])
-        * Fraction(1, 6)
-    )
-    return binom * inner * Fraction(1, DIVISOR)
+    return _BINOMIAL_D_MINUS_2_CHOOSE_3 * inner * Fraction(1, DIVISOR)
+
+
+def inner_polynomial(poly):
+    """The p with poly = binomial(d-2,3) * p / DIVISOR, or None if there is none."""
+    inner, rem = (poly * Fraction(DIVISOR)).divmod(_BINOMIAL_D_MINUS_2_CHOOSE_3)
+    return None if rem.coefficients else inner
 
 
 @dataclass(frozen=True)

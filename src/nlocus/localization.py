@@ -39,8 +39,8 @@ class DegreeResult:
         }
 
 
-def ed_weights(fp, d):
-    """Characters of the degree-d standard monomials at a fixed point.
+def _fiber(fp, d):
+    """Degree-d standard monomials at a fixed point, checked to number 4d.
 
     This is the fiber of the rank-4d quotient bundle: the degree-d monomials
     surviving modulo the quartic system.  A size other than 4d means the
@@ -53,17 +53,18 @@ def ed_weights(fp, d):
         raise StructuralError(
             f"fiber rank {len(std)} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
         )
-    return CharBag(std)
+    return std
+
+
+def ed_weights(fp, d):
+    """Characters of the degree-d standard monomials: the rank-4d fiber."""
+    return CharBag(_fiber(fp, d))
 
 
 def _fiber_values(fp, d, values):
     """Specialized weights of the degree-d fiber, unsorted."""
-    std = standard_monomials(fp.quartics, d)
-    if len(std) != 4 * d:
-        raise StructuralError(
-            f"fiber rank {len(std)} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
-        )
     w0, w1, w2, w3 = values
+    std = _fiber(fp, d)
     return [a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3 for a0, a1, a2, a3 in std]
 
 
@@ -80,21 +81,20 @@ def _tangent_denominator(fp, spec):
     return den
 
 
-def contribution(fp, d, spec):
-    """One Bott summand for d >= 5: c_16 of the fiber over c_16 of the tangent."""
-    if d < 5:
-        raise ValueError("plain localization applies for d >= 5 only")
-    num = elem_sym(DIM, _fiber_values(fp, d, spec.values))
-    return Fraction(num, _tangent_denominator(fp, spec))
-
-
-def contribution_d4(fp, spec):
-    """One summand of the quartic-surface count: Pi * c_15(E_4) / c_16(T)."""
+def _numerator(fp, d, spec):
+    """Bott numerator: c_16 of the fiber for d >= 5, Pi * c_15 of it for d = 4."""
+    values = _fiber_values(fp, d, spec.values)
+    if d > 4:
+        return elem_sym(DIM, values)
     plucker = -(
         specialize(fp.pencil_chars[0], spec) + specialize(fp.pencil_chars[1], spec)
     )
-    num = plucker * elem_sym(DIM - 1, _fiber_values(fp, 4, spec.values))
-    return Fraction(num, _tangent_denominator(fp, spec))
+    return plucker * elem_sym(DIM - 1, values)
+
+
+def contribution(fp, d, spec):
+    """One Bott summand for d >= 4: the numerator over c_16 of the tangent."""
+    return Fraction(_numerator(fp, d, spec), _tangent_denominator(fp, spec))
 
 
 def _sum_chunk(args):
@@ -103,15 +103,7 @@ def _sum_chunk(args):
     for fp in points:
         den = _tangent_denominator(fp, spec)
         for d in ds:
-            if d == 4:
-                plucker = -(
-                    specialize(fp.pencil_chars[0], spec)
-                    + specialize(fp.pencil_chars[1], spec)
-                )
-                num = plucker * elem_sym(DIM - 1, _fiber_values(fp, 4, spec.values))
-            else:
-                num = elem_sym(DIM, _fiber_values(fp, d, spec.values))
-            totals[d] += Fraction(num, den)
+            totals[d] += Fraction(_numerator(fp, d, spec), den)
     return totals
 
 
@@ -132,49 +124,31 @@ def _localize(points, ds, spec, workers):
     return totals
 
 
-def degree_nl(d, spec, points, workers=1):
-    """Degree of the locus of degree-d surfaces containing an elliptic quartic."""
-    if d < 5:
-        raise ValueError("degree_nl needs d >= 5; d = 4 goes through degree_nl_d4")
-    total = _localize(points, [d], spec, workers)[d]
-    if total.denominator != 1:
-        raise StructuralError(f"localization sum for d={d} is not an integer: {total}")
-    if total < 0:
-        raise StructuralError(f"localization sum for d={d} is negative: {total}")
-    return DegreeResult(d, int(total), spec, len(points))
-
-
-def degree_nl_d4(spec, points, workers=1):
-    """The quartic-surface count: one quarter of the Pluecker-twisted Bott sum."""
-    raw = _localize(points, [4], spec, workers)[4]
-    if raw.denominator != 1:
-        raise StructuralError(f"raw d=4 sum is not an integer: {raw}")
-    if int(raw) % 4 != 0:
-        raise StructuralError(f"raw d=4 sum {raw} is not divisible by 4")
-    return DegreeResult(4, int(raw) // 4, spec, len(points))
-
-
-def raw_d4_sum(spec, points, workers=1):
-    """The d=4 Bott sum before the quarter factor (divisible by 4)."""
-    raw = _localize(points, [4], spec, workers)[4]
-    if raw.denominator != 1:
-        raise StructuralError(f"raw d=4 sum is not an integer: {raw}")
-    return int(raw)
-
-
 def degree_range(dmin, dmax, spec, points, workers=1):
-    """DegreeResults for every d in dmin..dmax (all >= 5), one localization pass."""
-    if dmin < 5:
-        raise ValueError("degree_range needs dmin >= 5")
+    """Checked DegreeResults for every d in dmin..dmax (d >= 4), one localization pass.
+
+    Every sum must be a non-negative integer.  At d = 4 the Pluecker-twisted
+    sum must also be divisible by 4, and the degree is its quarter.
+    """
+    if dmin < 4:
+        raise ValueError(f"degree_range needs dmin >= 4, got {dmin}")
     ds = list(range(dmin, dmax + 1))
     totals = _localize(points, ds, spec, workers)
     results = []
     for d in ds:
-        total = totals[d]
-        if total.denominator != 1:
-            raise StructuralError(f"localization sum for d={d} is not an integer")
-        results.append(DegreeResult(d, int(total), spec, len(points)))
+        degree, rest = divmod(totals[d], 4 if d == 4 else 1)
+        if rest or degree < 0:
+            raise StructuralError(
+                f"localization sum for d={d} is {totals[d]}, not a non-negative"
+                f" integer{' divisible by 4' if d == 4 else ''}"
+            )
+        results.append(DegreeResult(d, degree, spec, len(points)))
     return results
+
+
+def degree_nl(d, spec, points, workers=1):
+    """Degree of the locus of degree-d surfaces containing an elliptic quartic."""
+    return degree_range(d, d, spec, points, workers)[0]
 
 
 def localization_self_test(points, spec):

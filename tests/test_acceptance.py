@@ -1,18 +1,25 @@
 """Acceptance suite: every criterion exact, one line printed per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the lines; the
-`nlocus verify` command drives the same checks from the CLI.
+Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The
+checks come from `nlocus.checks`, which `nlocus verify` runs too.
 """
 
-import itertools
-import random
+from types import SimpleNamespace
 
+import pytest
+
+from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
-from nlocus.formula import DIVISOR, closed_form, compare, interpolate
-from nlocus.ideals import Ideal, kbase, reduce_gb, saturate_t, hilbert_polynomial
-from nlocus.poly import parse
-from nlocus.torus import WeightSpec, check_generic, elem_sym
+from nlocus.formula import (
+    DIVISOR,
+    INTERPOLATION_DEGREE_BOUND,
+    closed_form,
+    compare,
+    inner_polynomial,
+    interpolate,
+)
+from nlocus.torus import CharBag
 
 
 def report(n, text):
@@ -20,110 +27,64 @@ def report(n, text):
 
 
 def test_criterion_1_quartic_surface_headline(points, weights):
-    result = loc.degree_nl_d4(weights, points)
-    assert result.degree == 38475
+    assert checks.d4_target(points, weights, 1) == 38475
     report(1, "degree --d 4 returns exactly 38475")
 
 
 def test_criterion_2_formula_reproduction(points, weights):
     results = loc.degree_range(5, 53, weights, points)
-    assert len(results) == 49  # 3*16 + 1 nodes
+    assert len(results) == 49  # over-determined: 33 nodes already suffice
     fitted = interpolate([(r.d, r.degree) for r in results])
-    assert fitted.degree() == 32  # coefficients 33..48 vanish
+    assert fitted.degree() == INTERPOLATION_DEGREE_BOUND
     target = closed_form()
     outcome = compare(fitted, target)
     assert outcome.equal, str(outcome)
+    assert checks.d5_cross_check(points, weights, 1) == results[0].degree
     # leading inner coefficient and divisor, recovered from the fit itself
-    from fractions import Fraction
-
-    from nlocus.formula import UnivariateRationalPoly
-
-    binom = (
-        UnivariateRationalPoly([-2, 1])
-        * UnivariateRationalPoly([-3, 1])
-        * UnivariateRationalPoly([-4, 1])
-        * Fraction(1, 6)
-    )
-    inner, rem = (fitted * Fraction(DIVISOR)).divmod(binom)
-    assert not rem.coefficients
+    inner = inner_polynomial(fitted)
+    assert inner is not None
     assert inner.coefficients[-1] == 106984881
     assert DIVISOR == 2**27 * 3**9 * 5**2 * 7**2 * 11 * 13
     report(2, "interpolation at d=5..53 equals the closed form, coefficientwise")
 
 
-def test_criterion_3_fixed_point_census(points):
-    counts = fx.stratum_counts(points)
+def test_criterion_3_fixed_point_census(points, weights):
+    counts = checks.euler_census(points, weights, 1)
     assert counts == (21, 180, 324)
     assert sum(counts) == 525 == fx.euler_characteristic_oracle() == 45 + 24 * 8 + 36 * 8
     report(3, "census (21, 180, 324), total 525, matches the Euler oracle")
 
 
-def test_criterion_4_rank_invariants(points):
-    for fp in points:
-        assert len(fp.quartics) == 19
-        gb = fp.quartic_gb()
-        for d in range(4, 11):
-            assert len(kbase(gb, d)) == 4 * d
+def test_criterion_4_rank_invariants(points, weights):
+    checks.rank_invariants(points, weights, 1)
     report(4, "every quartic system has 19 independent quartics and kbase 4d, d=4..10")
 
 
-def test_criterion_5_hilbert_polynomial_oracle():
-    for gens in (
-        ("x1^2", "x2^2"),
-        ("x1*x2", "x1^2", "x2^3"),
-        ("x0^2", "x0*x1", "x0*x2^2", "x1^4"),
-    ):
-        G = reduce_gb(Ideal([parse(g) for g in gens]))
-        assert hilbert_polynomial(G).coefficients == (0, 4), gens
+def test_criterion_5_hilbert_polynomial_oracle(points, weights):
+    checks.hilbert_oracles(points, weights, 1)
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")
 
 
 def test_criterion_6_localization_self_test(points, weights):
-    assert loc.localization_self_test(points, weights) == 525
-    raw = loc.raw_d4_sum(weights, points)
+    assert checks.localization_self_test(points, weights, 1) == 525
+    raw = sum(loc.contribution(fp, 4, weights) for fp in points)
     assert raw % 4 == 0
     assert raw == 153900
     report(6, "sum of ones over fixed points is 525; raw d=4 sum divisible by 4")
 
 
 def test_criterion_7_spec_independence(points, weights):
-    alternate = WeightSpec((0, 1, 7, 23))
-    assert check_generic(alternate, [fp.tangent for fp in points])
-    for d in (5, 6):
-        assert (
-            loc.degree_nl(d, weights, points).degree
-            == loc.degree_nl(d, alternate, points).degree
-        )
-    assert (
-        loc.degree_nl_d4(weights, points).degree
-        == loc.degree_nl_d4(alternate, points).degree
-        == 38475
-    )
-    report(7, "degrees agree for weight specs (0,1,5,18) and (0,1,7,23)")
+    assert checks.spec_independence(points, weights, 1)[0] == 38475
+    report(7, "degrees for d=4..6 agree for weight specs (0,1,5,18) and (0,1,7,23)")
 
 
-def test_criterion_8_algebra_kernel(points):
-    G = reduce_gb(Ideal([parse("x0^2"), parse("x1^2")]))
-    assert len(kbase(G, 5)) == 20
-
-    def canonical(I):
-        return tuple(sorted(str(g) for g in reduce_gb(I).basis))
-
-    ideals = fx.e1_deformation_ideals()
-    assert len(ideals) == 216
-    for I in ideals:
-        J = saturate_t(I)
-        assert canonical(saturate_t(J)) == canonical(J)
-
-    rng = random.Random(17)
-    for n in range(1, 13):
-        values = [rng.randint(-9, 9) for _ in range(n)]
-        for k in range(n + 1):
-            brute = 0
-            for combo in itertools.combinations(values, k):
-                term = 1
-                for v in combo:
-                    term *= v
-                brute += term
-            assert elem_sym(k, values) == brute
+def test_criterion_8_algebra_kernel(points, weights):
+    assert checks.algebra_kernel(points, weights, 1) == 216
     report(8, "kbase=20 at d=5; saturation idempotent on all 216 E1 ideals; elem_sym exact")
+
+
+def test_spec_independence_fails_on_inadmissible_alternate(weights):
+    # (-6, 7, -1, 0) specializes to 0 under the alternate spec (0, 1, 7, 23)
+    point = SimpleNamespace(tangent=CharBag([(-6, 7, -1, 0)]))
+    with pytest.raises(AssertionError, match=r"\(0, 1, 7, 23\) is not admissible"):
+        checks.spec_independence([point], weights, 1)

@@ -9,6 +9,7 @@ from nlocus.formula import (
     UnivariateRationalPoly,
     closed_form,
     compare,
+    inner_polynomial,
     interpolate,
 )
 
@@ -51,17 +52,11 @@ def test_closed_form_shape():
 
 
 def test_closed_form_factors_back_to_inner_polynomial():
-    cf = closed_form()
-    binom = (
-        UnivariateRationalPoly([-2, 1])
-        * UnivariateRationalPoly([-3, 1])
-        * UnivariateRationalPoly([-4, 1])
-        * Fraction(1, 6)
-    )
-    inner, rem = (cf * Fraction(DIVISOR)).divmod(binom)
-    assert not rem.coefficients
+    inner = inner_polynomial(closed_form())
+    assert inner is not None
     assert inner.coefficients == tuple(Fraction(c) for c in reversed(INNER_COEFFS))
     assert inner.coefficients[0] == 136886449647246114816000
+    assert inner_polynomial(UnivariateRationalPoly([1, 1])) is None
 
 
 def test_closed_form_is_integer_valued():

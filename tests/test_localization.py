@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from nlocus import localization as loc
-from nlocus.fixpoints import G2
+from nlocus.fixpoints import G2, StructuralError
 from nlocus.formula import closed_form
 from nlocus.poly import parse
-from nlocus.torus import WeightSpec, check_generic, specialize
+from nlocus.torus import FALLBACK_WEIGHTS, WeightSpec, check_generic, specialize
 
 
 def mono(text):
@@ -78,15 +78,29 @@ def test_degree_nl_matches_closed_form(points, weights):
     assert r6.degree == cf(6)
 
 
-def test_degree_nl_rejects_d4(points, weights):
+def test_degree_nl_rejects_d3(points, weights):
     with pytest.raises(ValueError):
-        loc.degree_nl(4, weights, points)
+        loc.degree_nl(3, weights, points)
 
 
 def test_degree_nl_d4_headline(points, weights):
-    result = loc.degree_nl_d4(weights, points)
+    result = loc.degree_nl(4, weights, points)
     assert result.degree == 38475
-    assert loc.raw_d4_sum(weights, points) == 4 * 38475 == 153900
+    raw = sum(loc.contribution(fp, 4, weights) for fp in points)
+    assert raw == 4 * 38475 == 153900
+
+
+def test_degree_range_from_d4_matches_degree_nl(points, weights):
+    results = loc.degree_range(4, 6, weights, points)
+    assert results == [loc.degree_nl(d, weights, points) for d in (4, 5, 6)]
+    assert results[0].degree == 38475
+
+
+def test_degree_range_rejects_bad_sums(monkeypatch, weights):
+    for d, total in ((4, Fraction(6)), (5, Fraction(1, 2)), (6, Fraction(-6))):
+        monkeypatch.setattr(loc, "_localize", lambda *args: {d: total})
+        with pytest.raises(StructuralError, match=f"d={d} is {total}, not a non-neg"):
+            loc.degree_range(d, d, weights, [])
 
 
 def test_sum_independent_of_point_order(points, weights):
@@ -96,14 +110,10 @@ def test_sum_independent_of_point_order(points, weights):
 
 
 def test_spec_independence(points, weights):
-    alternate = WeightSpec((0, 1, 7, 23))
-    assert check_generic(alternate, [fp.tangent for fp in points])
-    for d in (5, 6):
-        assert (
-            loc.degree_nl(d, weights, points).degree
-            == loc.degree_nl(d, alternate, points).degree
-        )
-    assert loc.degree_nl_d4(weights, points).degree == loc.degree_nl_d4(alternate, points).degree
+    assert check_generic(FALLBACK_WEIGHTS, [fp.tangent for fp in points])
+    ours = loc.degree_range(4, 6, weights, points)
+    theirs = loc.degree_range(4, 6, FALLBACK_WEIGHTS, points)
+    assert [r.degree for r in ours] == [r.degree for r in theirs]
 
 
 def test_inadmissible_spec_raises(points):
@@ -113,10 +123,10 @@ def test_inadmissible_spec_raises(points):
 
 
 def test_workers_bit_exact(points, weights):
-    single = loc.degree_range(5, 7, weights, points, workers=1)
-    multi = loc.degree_range(5, 7, weights, points, workers=2)
+    single = loc.degree_range(4, 7, weights, points, workers=1)
+    multi = loc.degree_range(4, 7, weights, points, workers=2)
     assert [(r.d, r.degree) for r in single] == [(r.d, r.degree) for r in multi]
-    assert loc.degree_nl_d4(weights, points, workers=2).degree == 38475
+    assert multi[0].degree == 38475
 
 
 def test_admissible_spec_fallback(points):
