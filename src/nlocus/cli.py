@@ -33,6 +33,7 @@ from .torus import DEFAULT_WEIGHTS, WeightSpec
 
 CACHE_ENV = "NLOCUS_CACHE"
 DEFAULT_CACHE = "fixpoints.json"
+CONFIG_KEYS = ("cache", "format", "threads", "weights")
 
 
 def _usage_error(message):
@@ -60,36 +61,49 @@ def _load_config_file(path):
         _usage_error(f"cannot read config file {path}: {exc}")
     if not isinstance(doc, dict):
         _usage_error(f"config file {path} must hold a JSON object")
+    for key in doc:
+        if key not in CONFIG_KEYS:
+            _usage_error(
+                f"bad config key {key!r} in {path}: expected one of {', '.join(CONFIG_KEYS)}"
+            )
     return doc
+
+
+def _weight_spec(value):
+    """The WeightSpec of a `a,b,c,d` string or a config list of integers."""
+    items = value.split(",") if isinstance(value, str) else value
+    if not isinstance(items, list) or not all(
+        isinstance(v, str) or type(v) is int for v in items
+    ):
+        _usage_error(f"bad weights {value!r}: expected 'a,b,c,d' or a list of integers")
+    try:
+        return WeightSpec(tuple(int(v) for v in items))
+    except ValueError as exc:
+        _usage_error(f"bad weights: {exc}")
 
 
 def _build_config(args):
     file_cfg = _load_config_file(args.config) if args.config else {}
-    weights = args.weights or file_cfg.get("weights")
-    if weights:
-        if isinstance(weights, str):
-            weights = weights.split(",")
-        try:
-            spec = WeightSpec(tuple(int(v) for v in weights))
-        except ValueError as exc:
-            _usage_error(f"bad weights: {exc}")
-        explicit = True
-    else:
-        spec = DEFAULT_WEIGHTS
-        explicit = False
+    weights = args.weights if args.weights is not None else file_cfg.get("weights")
+    explicit = weights is not None
+    spec = _weight_spec(weights) if explicit else DEFAULT_WEIGHTS
     workers = args.threads if args.threads is not None else file_cfg.get("threads", 1)
+    if type(workers) is not int or workers < 1:
+        _usage_error(f"bad threads {workers!r}: expected an integer >= 1")
     cache = (
         args.cache
         or file_cfg.get("cache")
         or os.environ.get(CACHE_ENV)
         or DEFAULT_CACHE
     )
+    if not isinstance(cache, str):
+        _usage_error(f"bad cache {cache!r}: expected a path string")
     fmt = args.format or file_cfg.get("format", "text")
     if fmt not in ("text", "json"):
         _usage_error(f"bad output format {fmt!r}")
     return Config(
         weight_spec=spec,
-        workers=int(workers),
+        workers=workers,
         cache_path=Path(cache),
         output_format=fmt,
         explicit_weights=explicit,

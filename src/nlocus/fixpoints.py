@@ -12,6 +12,12 @@ doublet.  Three strata of fixed points contribute to localization sums:
 Each fixed point carries 16 tangent characters, a 19-dimensional system of
 quartic monomials cutting out the limit curve, and the characters of the
 limiting pencil (the Pluecker weight data needed for the degree-4 count).
+
+The exceptional points over Z come from flat limits of deformed pencils,
+computed by Gaussian elimination over Q[t] (`_limit_cubics`); no Groebner
+basis is computed on this path.  `deformation_ideal` and
+`e1_deformation_ideals` give the same deformations as ideals, for the
+saturation oracle in `nlocus.checks` and the tests.
 """
 
 from __future__ import annotations
@@ -21,15 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ideals import (
-    HilbertPoly,
-    Ideal,
-    hilbert_polynomial,
-    monomial_gb,
-    reduce_gb,
-    saturate_t,
-    set_t_zero,
-)
+from .ideals import HilbertPoly, Ideal, hilbert_polynomial, monomial_gb
 from .poly import (
     Polynomial,
     mono_div,
@@ -46,7 +44,6 @@ SCHEMA_VERSION = 1
 
 QUADRICS = monomials_of_degree(2)
 LINEARS = monomials_of_degree(1)
-CUBICS = monomials_of_degree(3)
 QUADRIC_BAG = CharBag.of_monomials(QUADRICS)
 LINEAR_BAG = CharBag.of_monomials(LINEARS)
 
@@ -195,23 +192,69 @@ def split_strata(pairs):
 def _limit_cubics(other, deformed):
     """Flat limit of the cubic system <other, deformed> * (x0..x3) as t -> 0.
 
-    Multiplies the pencil by the linear forms, saturates with respect to t,
-    sets t = 0, and returns the degree-3 monomials of the resulting ideal,
-    which must be monomial of rank 8.
+    The 8 generators are vectors in Q[t]^20 over the cubic monomials, each of
+    t-degree at most 1.  Gaussian elimination over Q[t] localized at t keeps
+    pivots whose t = 0 parts are independent: each generator's t = 0 part is
+    reduced against the pivots found so far, and when it vanishes the whole
+    vector is divisible by t and is divided by t and reduced again.  The t = 0
+    parts of the 8 pivots then span the limit point of G(8, 20).  The limit
+    must be monomial, that is spanned by the 8 pivot cubics (its reduced
+    echelon rows are single monomials exactly when every pivot's t = 0 part
+    lies on the pivot columns); those 8 cubics are returned.
+
+    Row operations keep every 8 x 8 minor, and a division by t divides them
+    all by t; as some minor is a nonzero polynomial of degree at most the
+    summed t-degrees of the generators when the rank is 8, more divisions
+    than that mean a rank below 8.
     """
-    limit = set_t_zero(saturate_t(deformation_ideal(other, deformed)))
-    gb = reduce_gb(limit)
-    for g in gb.basis:
-        if not g.is_monomial():
-            raise StructuralError(f"t=0 limit ideal is not monomial: {g}")
-    cubics = [
-        m[:4]
-        for m in CUBICS
-        if any(lt[4] == 0 and all(a <= b for a, b in zip(lt[:4], m[:4])) for lt in gb.leading_terms)
-    ]
-    if len(cubics) != 8:
-        raise StructuralError(f"limit cubic system has rank {len(cubics)}, expected 8")
-    return _sort_monos(cubics), gb
+    rows = [_t_expansion(g) for g in deformation_ideal(other, deformed)]
+    divisions_left = sum(len(row) - 1 for row in rows)
+    pivots = []  # (monomial, row); a row vanishes at t = 0 on earlier pivots
+    for row in rows:
+        while True:
+            for mono, pivot in pivots:
+                c = row[0].get(mono)
+                if c:
+                    row = _row_sub(row, c / pivot[0][mono], pivot)
+            if row[0]:
+                pivots.append((max(row[0]), row))
+                break
+            divisions_left -= 1
+            if len(row) == 1 or divisions_left < 0:
+                raise StructuralError(
+                    f"limit of <{render(Polynomial.monomial(other))}, {deformed}>"
+                    " has rank below 8"
+                )
+            row = row[1:]
+    cubics = {mono for mono, _ in pivots}
+    for _, row in pivots:
+        if not row[0].keys() <= cubics:
+            limit = Polynomial({m + (0,): c for m, c in row[0].items()})
+            raise StructuralError(f"t=0 limit is not monomial: {limit}")
+    return _sort_monos(cubics)
+
+
+def _t_expansion(p):
+    """Coefficient vectors of p in t: entry k maps x-monomials to coefficients of t^k."""
+    out = [{} for _ in range(max(m[4] for m in p.terms) + 1)]
+    for m, c in p.terms.items():
+        out[m[4]][m[:4]] = c
+    return out
+
+
+def _row_sub(a, c, b):
+    """The t-expansion a - c*b, without zero coefficients or zero top degrees."""
+    out = [dict(part) for part in a] + [{} for _ in range(len(b) - len(a))]
+    for part, b_part in zip(out, b):
+        for m, v in b_part.items():
+            w = part.get(m, 0) - c * v
+            if w:
+                part[m] = w
+            else:
+                part.pop(m, None)
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
 
 
 def _deformations(pencil, e):
@@ -229,7 +272,11 @@ def _deformations(pencil, e):
 
 
 def deformation_ideal(other, deformed):
-    """The deformed pencil times the linear forms: 8 cubic generators."""
+    """The deformed pencil times the linear forms: 8 cubic generators.
+
+    Their span over Q[t] is the family whose limit `_limit_cubics` takes;
+    saturating the ideal in t gives the same limit (the oracle route).
+    """
     gens = []
     for pencil_gen in (Polynomial.monomial(other), deformed):
         for x in LINEARS:
@@ -238,7 +285,10 @@ def deformation_ideal(other, deformed):
 
 
 def e1_deformation_ideals():
-    """All 216 E1 deformation ideals, first presentation per direction."""
+    """All 216 E1 deformation ideals, first presentation per direction.
+
+    Inputs of the saturation checks only; the cascade does not use them.
+    """
     pairs = enumerate_pairs()
     _, zs = split_strata(pairs)
     out = []
@@ -255,9 +305,10 @@ def e1_points(z, pair):
 
     For each normal character e, the pencil generator whose character admits
     the monomial presentation of e is deformed by t times the corresponding
-    quadric monomial; the limit cubic system is the t -> 0 flat limit.  When
-    both generators admit a presentation the limits are computed for both
-    and must agree (the fixed point only depends on the character).
+    quadric monomial; the limit cubic system is the t -> 0 flat limit,
+    computed by `_limit_cubics`.  When both generators admit a presentation
+    the limits are computed for both and must agree (the fixed point only
+    depends on the character).
     """
     pencil = (pair.q1, pair.q2)
     records = []
@@ -270,8 +321,8 @@ def e1_points(z, pair):
         ]
         if not limits:
             raise StructuralError(f"no pencil generator admits direction {e}")
-        cubics = limits[0][0]
-        for other_cubics, _ in limits[1:]:
+        cubics = limits[0]
+        for other_cubics in limits[1:]:
             if other_cubics != cubics:
                 raise StructuralError(f"limit ideal depends on the presentation of {e}")
         tangent = blowup_tangent(z.tangent_z, z.normal, e)
@@ -477,19 +528,57 @@ def point_to_json(fp):
     }
 
 
+_RECORD_KEYS = ("tag", "tangent", "quartics", "pencil", "provenance")
+
+
+def _int_rows(value, width, key):
+    """value as a list of integer lists of the given width, or ValueError naming key."""
+    if not isinstance(value, list) or not all(
+        isinstance(row, list)
+        and len(row) == width
+        and all(type(v) is int for v in row)
+        for row in value
+    ):
+        raise ValueError(f"{key!r} is not a list of {width}-integer lists")
+    return value
+
+
 def point_from_json(data):
+    """The FixedPoint of a cache record; ValueError when the record is malformed.
+
+    Only the shape is checked here (keys, types, monomial quartics); ranks,
+    tangent sizes and the census are for `nlocus verify` to judge.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("not a JSON object")
+    missing = [key for key in _RECORD_KEYS if key not in data]
+    if missing:
+        raise ValueError(f"missing {', '.join(map(repr, missing))}")
+    if not isinstance(data["tag"], str):
+        raise ValueError("'tag' is not a string")
+    if not isinstance(data["quartics"], list) or not all(
+        isinstance(text, str) for text in data["quartics"]
+    ):
+        raise ValueError("'quartics' is not a list of strings")
+    provenance = data["provenance"]
+    if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
+        raise ValueError("'provenance' is not a list of integers")
     quartics = []
     for text in data["quartics"]:
-        p = parse(text)
-        if not p.is_monomial():
-            raise ValueError(f"cached quartic is not a monomial: {text}")
-        quartics.append(p.lm()[:4])
+        try:
+            p = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"'quartics' entry {text!r}: {exc}") from None
+        m = p.lm() if p.is_monomial() else None
+        if m is None or m[4]:
+            raise ValueError(f"'quartics' entry {text!r} is not a monomial in x0..x3")
+        quartics.append(m[:4])
     return FixedPoint(
         tag=data["tag"],
-        tangent=_bag_from_json(data["tangent"]),
+        tangent=_bag_from_json(_int_rows(data["tangent"], 5, "tangent")),
         quartics=tuple(quartics),
-        pencil_chars=tuple(tuple(c) for c in data["pencil"]),
-        provenance=tuple(data["provenance"]),
+        pencil_chars=tuple(tuple(c) for c in _int_rows(data["pencil"], 4, "pencil")),
+        provenance=tuple(provenance),
     )
 
 
@@ -509,21 +598,43 @@ def save_cache(points, path):
 
 
 def load_cache(path):
-    """Points from a cache file, or None when absent or schema-stale."""
+    """Points from a cache file, or None when absent or of another schema version.
+
+    Any other malformed file raises ValueError naming the path, and the
+    record index when one record is at fault.
+    """
     path = Path(path)
     if not path.exists():
         return None
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"fixed-point cache {path} is unreadable: {exc}") from None
+    if not isinstance(doc, dict) or type(doc.get("schema")) is not int:
+        raise ValueError(
+            f"fixed-point cache {path} is not a JSON object with an integer 'schema'"
+        )
+    if doc["schema"] != SCHEMA_VERSION:
         return None
-    if doc.get("schema") != SCHEMA_VERSION:
-        return None
-    return [point_from_json(p) for p in doc["points"]]
+    records = doc.get("points")
+    if not isinstance(records, list):
+        raise ValueError(f"fixed-point cache {path} has no list of 'points'")
+    points = []
+    for index, record in enumerate(records):
+        try:
+            points.append(point_from_json(record))
+        except ValueError as exc:
+            raise ValueError(
+                f"fixed-point cache {path}, record {index}: {exc}"
+            ) from None
+    return points
 
 
 def load_or_enumerate(path=None, validate=True):
-    """Cached fixed points when fresh, otherwise enumerate (and cache)."""
+    """Cached fixed points when fresh, otherwise enumerate (and cache).
+
+    A malformed cache file raises ValueError (see load_cache) and is left as is.
+    """
     if path is not None:
         cached = load_cache(path)
         if cached is not None:

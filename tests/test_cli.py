@@ -148,3 +148,42 @@ def test_verify_detects_corrupted_cache(capsys, tmp_path, points):
     code, out, _ = run(capsys, "verify", "--cache", str(path))
     assert code == 1
     assert "FAIL rank-invariants" in out
+
+
+@pytest.mark.parametrize(
+    "text", ["[]", '{"schema":1}', '{"schema":1,"points":['], ids=["array", "no-points", "undecodable"]
+)
+def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
+    path = tmp_path / "broken.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "degree", "--d", "4", "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: fixed-point cache ") and str(path) in err
+    assert path.read_text() == text
+
+
+@pytest.mark.parametrize(
+    "config, argv, key",
+    [
+        ({"weights": 5}, (), "weights"),
+        ({"weights": [0, 1, 5.5, 18]}, (), "weights"),
+        ({"threads": "two"}, (), "threads"),
+        ({"threads": True}, (), "threads"),
+        ({}, ("--threads", "0"), "threads"),
+        ({"cache": 5}, (), "cache"),
+        ({"thread": 2}, (), "config key"),
+    ],
+    ids=[
+        "weights-int", "weights-float", "threads-str", "threads-bool", "threads-0",
+        "cache-int", "unknown-key",
+    ],
+)
+def test_bad_config_value_is_usage_error(capsys, tmp_path, cache_path, config, argv, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cache": str(cache_path), **config}))
+    with pytest.raises(SystemExit) as err:
+        main(["degree", "--d", "4", "--config", str(cfg), *argv])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.startswith(f"usage error: bad {key} ")

@@ -1,10 +1,18 @@
+import hashlib
 import json
+import re
 from fractions import Fraction
 
+import pytest
+
 from nlocus import fixpoints as fx
-from nlocus.ideals import hilbert_polynomial, kbase
+from nlocus import gbcore
+from nlocus.ideals import hilbert_polynomial, kbase, reduce_gb, saturate_t, set_t_zero
 from nlocus.poly import monomials_of_degree, parse
 from nlocus.torus import CharBag, char_of, char_sub
+
+# sha256 of cache_bytes(enumerate_all()) as computed by the saturation route
+CACHE_SHA256 = "42f598a287e17a3ca8f7694e5769887a30b67e0f740be95c04f3491cff51928b"
 
 
 def mono(text):
@@ -284,6 +292,53 @@ def test_limit_cubics_match_matrix_oracle(cascade):
     assert checked >= 216
 
 
+# -- saturation oracle for the flat limits -----------------------------------
+
+
+def saturation_limit(other, deformed):
+    """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics."""
+    gb = reduce_gb(set_t_zero(saturate_t(fx.deformation_ideal(other, deformed))))
+    for g in gb.basis:
+        assert g.is_monomial(), f"t=0 limit ideal is not monomial: {g}"
+    cubics = [
+        m[:4]
+        for m in monomials_of_degree(3)
+        if any(lt[4] == 0 and all(a <= b for a, b in zip(lt[:4], m[:4])) for lt in gb.leading_terms)
+    ]
+    assert len(cubics) == 8
+    return fx._sort_monos(cubics)
+
+
+def test_limit_cubics_match_saturation_oracle(cascade):
+    checked = 0
+    for z in cascade.zs:
+        pair = cascade.pairs[z.pair_index]
+        for e, _ in z.normal.entries():
+            for other, deformed in fx._deformations((pair.q1, pair.q2), e):
+                assert fx._limit_cubics(other, deformed) == saturation_limit(other, deformed)
+                checked += 1
+    assert checked == 252
+
+
+def test_limit_cubics_structural_errors():
+    # deforming q to (1 + t)*q never leaves the pencil <q>: rank 4
+    with pytest.raises(fx.StructuralError, match="rank below 8"):
+        fx._limit_cubics(mono("x0*x1"), parse("x0*x1 + t*x0*x1"))
+    # a pencil that is not torus-fixed has a limit that is not monomial
+    with pytest.raises(fx.StructuralError, match="not monomial"):
+        fx._limit_cubics(mono("x0^2"), parse("x1^2 + x2^2"))
+
+
+def test_enumeration_runs_without_buchberger(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("Buchberger called on the fixed-point path")
+
+    monkeypatch.setattr(gbcore, "groebner", refuse)
+    points = fx.enumerate_all()
+    assert fx.stratum_counts(points) == (21, 180, 324)
+    assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
+
+
 # -- cache -------------------------------------------------------------------
 
 
@@ -326,3 +381,54 @@ def test_tangent_multiset_totals(cascade):
             [char_sub(n, record.direction) for n, _ in z.normal.entries() if n != record.direction]
         )
         assert record.tangent == shifted + z.tangent_z + CharBag([record.direction])
+
+
+def test_load_cache_absent_file_is_none(tmp_path):
+    assert fx.load_cache(tmp_path / "missing.json") is None
+
+
+MALFORMED_CACHES = {
+    "array": "[]",
+    "no-points": '{"schema":1}',
+    "undecodable": '{"schema":1,"points":[',
+    "no-schema": '{"points":[]}',
+    "points-not-list": '{"schema":1,"points":{}}',
+    "record-not-object": '{"schema":1,"points":[[]]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CACHES))
+def test_load_cache_rejects_malformed_file(tmp_path, case):
+    path = tmp_path / "cache.json"
+    path.write_text(MALFORMED_CACHES[case])
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        fx.load_cache(path)
+
+
+MALFORMED_RECORDS = {
+    "missing-key": ("quartics", None),
+    "tag-not-string": ("tag", 7),
+    "tangent-short-row": ("tangent", [[1, -1, 0, 0]]),
+    "tangent-not-int": ("tangent", [[1, -1, 0, 0, "1"]]),
+    "quartic-unparsable": ("quartics", ["x0^4", "x0 **"]),
+    "quartic-not-monomial": ("quartics", ["x0^4 + x1^4"]),
+    "quartic-with-t": ("quartics", ["x0^4*t"]),
+    "pencil-not-rows": ("pencil", [0, 1]),
+    "provenance-not-ints": ("provenance", [0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_load_cache_names_malformed_record(tmp_path, points, case):
+    field, value = MALFORMED_RECORDS[case]
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    if value is None:
+        del doc["points"][3][field]
+    else:
+        doc["points"][3][field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, record 3: .*'{field}'"):
+        fx.load_cache(path)
+
