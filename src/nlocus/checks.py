@@ -1,9 +1,10 @@
 """The acceptance checks, shared by `nlocus verify` and the test suite.
 
-Each check takes (points, spec, workers), raises AssertionError with a
-message naming the fixed point, d or weight spec at fault, and returns the
-value it verified so that tests can pin it.  CHECKS lists them in the order
-`nlocus verify` runs them.
+Each check takes (points, spec, workers), raises AssertionError (or the
+StructuralError of the layer it runs) with a message naming the fixed
+point, d or weight spec at fault, and returns the value it verified so
+that tests can pin it.  CHECKS lists them in the order `nlocus verify`
+runs them.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ def hilbert_oracles(points, spec, workers):
 
 
 def localization_self_test(points, spec, workers):
-    """The sum of c_16(T)/c_16(T) over the fixed points is their number."""
+    """Bott's formula on c_16(T) and on 1: the sum of c_16(T)/c_16(T) over
+    the fixed points is their number, and the sum of 1/c_16(T) is 0."""
     total = loc.localization_self_test(points, spec)
     _require(total == len(points), f"sum of ones = {total} != {len(points)}")
     return total

@@ -9,9 +9,10 @@ grading; the pipeline's deformed pencils q + t*m' are exactly of this kind).
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from . import gbcore
 from .poly import Polynomial, mono_divides, mono_key, sdim
@@ -80,90 +81,109 @@ def normal_form(p, G):
     return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], gbcore.key5))
 
 
-@lru_cache(maxsize=4096)
-def _staircase_table(lead_x):
-    """Per-variable caps and the minimal-x3-exponent table of a monomial set.
+# the free coordinates of a cell, by which of (i, j, k) sit at their cap
+_FREE = {
+    at_cap: tuple(v for v in range(3) if at_cap[v])
+    for at_cap in itertools.product((False, True), repeat=3)
+}
 
-    The divisibility pattern of (a0,a1,a2) only depends on each coordinate
-    capped at the maximal generator exponent, so the table is finite and is
-    shared by the queries at all 49 interpolation degrees.
+
+def staircase_cells(lead_x):
+    """The monomials outside <lead_x> in every degree, as finitely many cells.
+
+    Capping (a0, a1, a2) at the largest exponent of each variable among the
+    generators does not change which generators divide x^a, so the capped
+    grid splits the complement of the ideal into cells.  A cell is
+    (base, free, bound, lower): base = (i, j, k) is a point of the capped
+    grid, free lists the coordinates at their cap (they range upward from
+    it, the others are fixed), a3 < bound is the x3-exponent range (bound
+    is math.inf when no generator divides the cell) and lower = i + j + k.
+    Cells the ideal covers entirely are left out.  The list does not depend
+    on the degree: it is derived once per ideal and expanded at each degree
+    by staircase_runs.
     """
-    caps = tuple(max(g[v] for g in lead_x) for v in range(3))
-    table = {}
-    for i in range(caps[0] + 1):
-        for j in range(caps[1] + 1):
-            for k in range(caps[2] + 1):
-                best = None
-                for g in lead_x:
-                    if g[0] <= i and g[1] <= j and g[2] <= k:
-                        if best is None or g[3] < best:
-                            best = g[3]
-                table[i, j, k] = best
-    return caps, table
+    c0, c1, c2 = (max((g[v] for g in lead_x), default=0) for v in range(3))
+    # table[i][j][k]: least x3-exponent of a generator dividing x0^i x1^j x2^k,
+    # first at the generators' own grid points, then minimized over the grid
+    # points below: along k within a row, then against the finished rows
+    # (i, j-1) and (i-1, j)
+    table = [[[math.inf] * (c2 + 1) for _ in range(c1 + 1)] for _ in range(c0 + 1)]
+    for g0, g1, g2, g3 in lead_x:
+        row = table[g0][g1]
+        row[g2] = min(row[g2], g3)
+    cells = []
+    for i, plane in enumerate(table):
+        for j, row in enumerate(plane):
+            row = list(itertools.accumulate(row, min))
+            if j:
+                row = list(map(min, plane[j - 1], row))
+            if i:
+                row = list(map(min, table[i - 1][j], row))
+            plane[j] = row
+            for k, bound in enumerate(row):
+                if bound:
+                    free = _FREE[i == c0, j == c1, k == c2]
+                    cells.append(((i, j, k), free, bound, i + j + k))
+    return cells
+
+
+def staircase_runs(cells, d):
+    """The degree-d monomials of staircase cells, as runs (start, step, count).
+
+    A run stands for the exponent 4-tuples start + n*step for 0 <= n < count;
+    the steps are differences of two unit vectors (zero for a run of one).
+    Runs come in the order of the cells, each run in increasing n.
+    """
+    runs = []
+    for base, free, bound, lower in cells:
+        t_hi = d - lower
+        if bound <= t_hi:
+            t_hi = bound - 1
+        if t_hi < 0:
+            continue
+        i, j, k = base
+        if not free:
+            if t_hi == d - lower:
+                runs.append(((i, j, k, t_hi), (0, 0, 0, 0), 1))
+        elif len(free) == 1:
+            f = free[0]
+            start = [i, j, k, 0]
+            start[f] = d - lower + base[f]
+            step = [0, 0, 0, 1]
+            step[f] = -1
+            runs.append((tuple(start), tuple(step), t_hi + 1))
+        elif len(free) == 2:
+            f1, f2 = free
+            step = [0, 0, 0, 0]
+            step[f1], step[f2] = 1, -1
+            step = tuple(step)
+            for a3 in range(t_hi + 1):
+                start = [i, j, k, a3]
+                start[f2] = d - a3 - lower + base[f2]
+                runs.append((tuple(start), step, d - a3 - lower + 1))
+        else:
+            for a3 in range(t_hi + 1):
+                s = d - a3
+                for v0 in range(i, s - j - k + 1):
+                    runs.append(((v0, j, s - v0 - j, a3), (0, 1, -1, 0), s - v0 - j - k + 1))
+    return runs
 
 
 def standard_monomials(lead_x, d):
     """Degree-d exponent 4-tuples not divisible by any of the given 4-tuples.
 
-    Staircase enumeration: cells of the capped exponent grid are scanned
-    instead of all C(d+3,3) monomials.
+    The staircase cells of lead_x, expanded at degree d, instead of a scan
+    of all C(d+3,3) monomials.
     """
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
-    if any(not any(g) for g in lead_x):
-        return []
-    if not lead_x:
-        return [
-            (a0, a1, a2, d - a0 - a1 - a2)
-            for a0 in range(d + 1)
-            for a1 in range(d - a0 + 1)
-            for a2 in range(d - a0 - a1 + 1)
-        ]
-    caps, table = _staircase_table(tuple(lead_x))
-    c0, c1, c2 = caps
-
     out = []
-    for i in range(c0 + 1):
-        for j in range(c1 + 1):
-            for k in range(c2 + 1):
-                bound = table[i, j, k]
-                if bound == 0:
-                    continue
-                base = [i, j, k]
-                free = [v for v, cap in enumerate(caps) if base[v] == cap]
-                lower = i + j + k
-                t_hi = d - lower
-                if bound is not None:
-                    t_hi = min(t_hi, bound - 1)
-                if t_hi < 0:
-                    continue
-                if not free:
-                    a3 = d - lower
-                    if a3 <= t_hi:
-                        out.append((i, j, k, a3))
-                elif len(free) == 1:
-                    f = free[0]
-                    others = lower - base[f]
-                    for a3 in range(t_hi + 1):
-                        v = base.copy()
-                        v[f] = d - a3 - others
-                        out.append((v[0], v[1], v[2], a3))
-                elif len(free) == 2:
-                    f1, f2 = free
-                    others = lower - base[f1] - base[f2]
-                    for a3 in range(t_hi + 1):
-                        s = d - a3 - others
-                        for v1 in range(base[f1], s - base[f2] + 1):
-                            v = base.copy()
-                            v[f1] = v1
-                            v[f2] = s - v1
-                            out.append((v[0], v[1], v[2], a3))
-                else:
-                    for a3 in range(t_hi + 1):
-                        s = d - a3
-                        for v0 in range(base[0], s - base[1] - base[2] + 1):
-                            for v1 in range(base[1], s - v0 - base[2] + 1):
-                                out.append((v0, v1, s - v0 - v1, a3))
+    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(
+        staircase_cells(lead_x), d
+    ):
+        out.extend(
+            (a0 + n * s0, a1 + n * s1, a2 + n * s2, a3 + n * s3) for n in range(count)
+        )
     return out
 
 

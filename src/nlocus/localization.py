@@ -8,16 +8,23 @@ elliptic quartic is the sum over fixed points of
 all specialized at an admissible integer weight vector.  For d = 4 the
 forgetful map contracts a pair of pencils, and the count becomes one quarter
 of the sum of Pluecker-weight times e_15 over the same denominators.
+
+The hot path, `_sum_chunk`, derives the staircase cells of each point's
+quartic system once and reads the fiber at every d off them as arithmetic
+progressions of specialized weights; e_16 is one Kronecker-packed product
+(`torus.elem_sym`); and the summands of a chunk of points are added as
+integers over the lcm of their tangent denominators, one Fraction per d.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fixpoints import StructuralError
-from .ideals import standard_monomials
+from .ideals import staircase_cells, staircase_runs, standard_monomials
 from .torus import CharBag, WeightSpec, check_generic, elem_sym, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
@@ -39,20 +46,28 @@ class DegreeResult:
         }
 
 
+def _check_rank(fp, d, rank):
+    """The fiber of the quotient bundle has rank 4d at every fixed point.
+
+    Another rank means the 4-regularity of the limit ideal failed, which is
+    a structural bug.
+    """
+    if rank != 4 * d:
+        raise StructuralError(
+            f"fiber rank {rank} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
+        )
+
+
 def _fiber(fp, d):
     """Degree-d standard monomials at a fixed point, checked to number 4d.
 
     This is the fiber of the rank-4d quotient bundle: the degree-d monomials
-    surviving modulo the quartic system.  A size other than 4d means the
-    4-regularity of the limit ideal failed, which is a structural bug.
+    surviving modulo the quartic system.
     """
     if d < 4:
         raise ValueError(f"fiber weights need d >= 4, got {d}")
     std = standard_monomials(fp.quartics, d)
-    if len(std) != 4 * d:
-        raise StructuralError(
-            f"fiber rank {len(std)} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
-        )
+    _check_rank(fp, d, len(std))
     return std
 
 
@@ -61,11 +76,30 @@ def ed_weights(fp, d):
     return CharBag(_fiber(fp, d))
 
 
+def _cell_values(fp, cells, d, values):
+    """Specialized weights of the degree-d fiber, read off the staircase cells.
+
+    Each run of monomials start + n*step specializes to the arithmetic
+    progression start.w + n*(step.w), so no monomial is built.
+    """
+    if d < 4:
+        raise ValueError(f"fiber weights need d >= 4, got {d}")
+    w0, w1, w2, w3 = values
+    out = []
+    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(cells, d):
+        v = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
+        if count == 1:
+            out.append(v)
+        else:
+            step = s0 * w0 + s1 * w1 + s2 * w2 + s3 * w3
+            out.extend(range(v, v + count * step, step))
+    _check_rank(fp, d, len(out))
+    return out
+
+
 def _fiber_values(fp, d, values):
     """Specialized weights of the degree-d fiber, unsorted."""
-    w0, w1, w2, w3 = values
-    std = _fiber(fp, d)
-    return [a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3 for a0, a1, a2, a3 in std]
+    return _cell_values(fp, staircase_cells(fp.quartics), d, values)
 
 
 def _tangent_denominator(fp, spec):
@@ -81,30 +115,49 @@ def _tangent_denominator(fp, spec):
     return den
 
 
-def _numerator(fp, d, spec):
-    """Bott numerator: c_16 of the fiber for d >= 5, Pi * c_15 of it for d = 4."""
-    values = _fiber_values(fp, d, spec.values)
+def _common_denominator(points, spec):
+    """The lcm of the tangent denominators, and each point's factor into it.
+
+    Returns (common, dens, scales) with common = lcm |den_p| and
+    scales[p] = common / den_p, so that sum(num_p / den_p) is
+    sum(num_p * scales[p]) / common: one Fraction per sum.
+    """
+    dens = [_tangent_denominator(fp, spec) for fp in points]
+    common = math.lcm(*dens)
+    return common, dens, [common // den for den in dens]
+
+
+def _numerator(fp, d, spec, fiber):
+    """Bott numerator from the specialized fiber: c_16 of it for d >= 5,
+    Pi * c_15 of it for d = 4."""
     if d > 4:
-        return elem_sym(DIM, values)
+        return elem_sym(DIM, fiber)
     plucker = -(
         specialize(fp.pencil_chars[0], spec) + specialize(fp.pencil_chars[1], spec)
     )
-    return plucker * elem_sym(DIM - 1, values)
+    return plucker * elem_sym(DIM - 1, fiber)
 
 
 def contribution(fp, d, spec):
     """One Bott summand for d >= 4: the numerator over c_16 of the tangent."""
-    return Fraction(_numerator(fp, d, spec), _tangent_denominator(fp, spec))
+    fiber = _fiber_values(fp, d, spec.values)
+    return Fraction(_numerator(fp, d, spec, fiber), _tangent_denominator(fp, spec))
 
 
 def _sum_chunk(args):
+    """Bott sums of a run of points for each d, over the chunk's common denominator.
+
+    The staircase cells of a point are derived once and expanded at every d.
+    """
     points, ds, spec = args
-    totals = {d: Fraction(0) for d in ds}
-    for fp in points:
-        den = _tangent_denominator(fp, spec)
+    common, _, scales = _common_denominator(points, spec)
+    sums = dict.fromkeys(ds, 0)
+    for fp, scale in zip(points, scales):
+        cells = staircase_cells(fp.quartics)
         for d in ds:
-            totals[d] += Fraction(_numerator(fp, d, spec), den)
-    return totals
+            fiber = _cell_values(fp, cells, d, spec.values)
+            sums[d] += _numerator(fp, d, spec, fiber) * scale
+    return {d: Fraction(s, common) for d, s in sums.items()}
 
 
 def _localize(points, ds, spec, workers):
@@ -152,12 +205,21 @@ def degree_nl(d, spec, points, workers=1):
 
 
 def localization_self_test(points, spec):
-    """Sum of c_16(T)/c_16(T) over the fixed points: must equal their number."""
-    total = Fraction(0)
-    for fp in points:
-        den = _tangent_denominator(fp, spec)
-        total += Fraction(den, den)
-    return total
+    """Bott's formula on the classes c_16(T) and 1; returns the number of points.
+
+    The sum of c_16(T)/c_16(T) over the fixed points is their number, and
+    the sum of 1/c_16(T) is the integral of 1 over the 16-dimensional space,
+    which is 0.  Both sums run over the common denominator of the Bott sums;
+    a nonzero second sum raises StructuralError giving it.
+    """
+    common, dens, scales = _common_denominator(points, spec)
+    vanishing = Fraction(sum(scales), common)
+    if vanishing:
+        raise StructuralError(
+            f"sum of 1/c_16(T) over {len(points)} fixed points is {vanishing},"
+            f" not 0, under {spec.values}"
+        )
+    return Fraction(sum(s * den for s, den in zip(scales, dens)), common)
 
 
 def admissible_spec(points, preferred, strict=False, seed=0):

@@ -5,6 +5,11 @@ scales a one-dimensional eigenspace.  The character of a monomial is its
 exponent vector; the character of a ratio of monomials is the difference.
 Tangent spaces and bundle fibers are bags of characters with (usually
 positive) integer multiplicities.
+
+Chern classes of a specialized bag are elementary symmetric functions of
+its integer weights; `elem_sym` computes them by Kronecker substitution,
+as one big-integer product (Harvey, "Faster polynomial multiplication via
+multipoint Kronecker substitution", JSC 2009).
 """
 
 from __future__ import annotations
@@ -195,17 +200,28 @@ def blowup_tangent(base, nml, e):
 
 
 def elem_sym(k, values):
-    """k-th elementary symmetric function, by truncated product accumulation."""
+    """k-th elementary symmetric function of the integers in values.
+
+    Kronecker substitution: with z = 2^B, the product of (1 + v*z) over the
+    values, truncated mod z^(k+1), is one integer whose base-z digits are
+    e_0..e_k.  Each |e_j| <= C(n, j) * M^j <= (n*M)^k for M = max |v| (and
+    j <= k, n*M >= 1), so with 2^(B-1) above that bound the digits read as
+    balanced base-z digits (in (-z/2, z/2)) are exact, negative values
+    included.  Adding z/2 to every digit makes them all non-negative, so
+    e_k is the top digit minus z/2.
+    """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
-    coeffs = [1] + [0] * k
-    top = 0
+    top = max(map(abs, values), default=0)
+    width = max((n * top) ** k, 1).bit_length() + 1
+    mask = (1 << ((k + 1) * width)) - 1
+    x = 1
     for v in values:
-        top = min(top + 1, k)
-        for i in range(top, 0, -1):
-            coeffs[i] += v * coeffs[i - 1]
-    return coeffs[k]
+        x = (x + ((x * v) << width)) & mask
+    half = 1 << (width - 1)
+    halves = half * (mask // ((1 << width) - 1))  # z/2 in every digit
+    return (((x + halves) & mask) >> (k * width)) - half
 
 
 def check_generic(spec, tangent_bags):

@@ -129,6 +129,121 @@ def test_standard_monomials_free_directions():
     assert len(standard_monomials([(0, 4, 0, 0)], 6)) == sdim(6) - sdim(2)
 
 
+# -- cell-walk oracle for the staircase cells ---------------------------------
+
+
+def staircase_walk(lead_x, degrees):
+    """Standard monomials of each degree by a walk over every cell of the capped grid.
+
+    The cell table is built once from the generators and every cell is
+    visited at every degree: the enumeration that staircase_cells replaced.
+    """
+    if any(not any(g) for g in lead_x):
+        return {d: [] for d in degrees}
+    if not lead_x:
+        return {
+            d: [
+                (a0, a1, a2, d - a0 - a1 - a2)
+                for a0 in range(d + 1)
+                for a1 in range(d - a0 + 1)
+                for a2 in range(d - a0 - a1 + 1)
+            ]
+            for d in degrees
+        }
+    caps = tuple(max(g[v] for g in lead_x) for v in range(3))
+    table = {}
+    for i in range(caps[0] + 1):
+        for j in range(caps[1] + 1):
+            for k in range(caps[2] + 1):
+                table[i, j, k] = min(
+                    (g[3] for g in lead_x if g[0] <= i and g[1] <= j and g[2] <= k),
+                    default=None,
+                )
+    return {d: _walk(caps, table, d) for d in degrees}
+
+
+def _walk(caps, table, d):
+    out = []
+    for (i, j, k), bound in table.items():
+        if bound == 0:
+            continue
+        base = [i, j, k]
+        free = [v for v, cap in enumerate(caps) if base[v] == cap]
+        lower = i + j + k
+        t_hi = d - lower
+        if bound is not None:
+            t_hi = min(t_hi, bound - 1)
+        if t_hi < 0:
+            continue
+        if not free:
+            a3 = d - lower
+            if a3 <= t_hi:
+                out.append((i, j, k, a3))
+        elif len(free) == 1:
+            f = free[0]
+            others = lower - base[f]
+            for a3 in range(t_hi + 1):
+                v = base.copy()
+                v[f] = d - a3 - others
+                out.append((v[0], v[1], v[2], a3))
+        elif len(free) == 2:
+            f1, f2 = free
+            others = lower - base[f1] - base[f2]
+            for a3 in range(t_hi + 1):
+                s = d - a3 - others
+                for v1 in range(base[f1], s - base[f2] + 1):
+                    v = base.copy()
+                    v[f1] = v1
+                    v[f2] = s - v1
+                    out.append((v[0], v[1], v[2], a3))
+        else:
+            for a3 in range(t_hi + 1):
+                s = d - a3
+                for v0 in range(base[0], s - base[1] - base[2] + 1):
+                    for v1 in range(base[1], s - v0 - base[2] + 1):
+                        out.append((v0, v1, s - v0 - v1, a3))
+    return out
+
+
+def brute_standard_monomials(lead_x, d):
+    return [
+        m[:4]
+        for m in monomials_of_degree(d)
+        if not any(all(g[v] <= m[v] for v in range(4)) for g in lead_x)
+    ]
+
+
+def test_standard_monomials_match_cell_walk_on_every_fixed_point(points):
+    degrees = range(4, 61)
+    for fp in points:
+        walked = staircase_walk(fp.quartics, degrees)
+        for d in degrees:
+            assert standard_monomials(fp.quartics, d) == walked[d], (fp.tag, fp.provenance, d)
+
+
+def test_standard_monomials_match_cell_walk_on_small_ideals():
+    for lead_x in (
+        [],
+        [(0, 0, 0, 0)],
+        [(0, 4, 0, 0)],
+        [(0, 0, 0, 3)],
+        [(1, 0, 0, 0), (0, 2, 1, 0)],
+        [(2, 0, 0, 1), (0, 0, 3, 0), (1, 1, 1, 1)],
+    ):
+        walked = staircase_walk(lead_x, range(9))
+        for d in range(9):
+            got = sorted(standard_monomials(lead_x, d))
+            assert got == sorted(walked[d]) == sorted(brute_standard_monomials(lead_x, d))
+
+
+def test_standard_monomials_against_brute_force(points):
+    for fp in points[::25]:
+        for d in (4, 5, 6):
+            got = standard_monomials(fp.quartics, d)
+            assert len(got) == len(set(got)) == 4 * d
+            assert set(got) == set(brute_standard_monomials(fp.quartics, d))
+
+
 def test_degree_part_dim():
     G = gb("x0^2", "x1^2")
     assert degree_part_dim(G, 4) == 19

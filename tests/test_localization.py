@@ -1,14 +1,18 @@
+import dataclasses
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from nlocus import checks
 from nlocus import localization as loc
 from nlocus.fixpoints import G2, StructuralError
+from nlocus.ideals import staircase_cells, staircase_runs
 from nlocus.formula import closed_form
 from nlocus.poly import parse
-from nlocus.torus import FALLBACK_WEIGHTS, WeightSpec, check_generic, specialize
+from nlocus.torus import CharBag, FALLBACK_WEIGHTS, WeightSpec, check_generic, specialize
 
 
 def mono(text):
@@ -67,6 +71,48 @@ def test_tangent_denominator_paper_factors(points, weights):
 
 def test_localization_self_test(points, weights):
     assert loc.localization_self_test(points, weights) == 525
+
+
+def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weights):
+    # flipping the sign of one tangent character flips that point's 1/c_16(T)
+    fp = points[100]
+    c = fp.tangent.entries()[0][0]
+    flipped = fp.tangent - CharBag([c]) + CharBag([tuple(-e for e in c)])
+    bad = dataclasses.replace(fp, tangent=flipped)
+    altered = points[:100] + [bad] + points[101:]
+    expected = -2 * Fraction(1, loc._tangent_denominator(fp, weights))
+    assert sum(Fraction(1, loc._tangent_denominator(p, weights)) for p in altered) == expected
+    with pytest.raises(StructuralError, match=f"sum of 1/c_16.T. over 525 fixed points is {expected}, not 0"):
+        checks.localization_self_test(altered, weights, 1)
+
+
+def test_wrong_cell_list_fails_the_rank_check(points, weights):
+    fp = points[200]
+    cells = staircase_cells(fp.quartics)
+    assert len(loc._cell_values(fp, cells, 7, weights.values)) == 28
+    used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
+    for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
+        with pytest.raises(
+            StructuralError,
+            match=rf"fiber rank \d+ != 28 at {re.escape(f'{fp.tag}{fp.provenance}')}, d=7",
+        ):
+            loc._cell_values(fp, wrong, 7, weights.values)
+
+
+def test_common_denominator_sum_is_exact(points, weights):
+    ds = range(4, 8)
+    totals = loc._localize(points, ds, weights, 1)
+    for d in ds:
+        assert totals[d] == sum(loc.contribution(fp, d, weights) for fp in points)
+    results = loc.degree_range(4, 7, weights, points)
+    assert [r.degree for r in results] == [totals[4] / 4] + [totals[d] for d in ds[1:]]
+
+
+def test_negative_weight_spec(points):
+    spec = WeightSpec((-7, 3, 11, 40))
+    assert check_generic(spec, [fp.tangent for fp in points])
+    cf = closed_form()
+    assert [r.degree for r in loc.degree_range(4, 6, spec, points)] == [38475, cf(5), cf(6)]
 
 
 def test_degree_nl_matches_closed_form(points, weights):

@@ -249,6 +249,38 @@ def test_elem_sym_matches_brute_force():
             assert elem_sym(k, values) == brute
 
 
+def elem_sym_dp(k, values):
+    """k-th elementary symmetric function by truncated product accumulation."""
+    coeffs = [1] + [0] * k
+    top = 0
+    for v in values:
+        top = min(top + 1, k)
+        for i in range(top, 0, -1):
+            coeffs[i] += v * coeffs[i - 1]
+    return coeffs[k]
+
+
+def test_elem_sym_matches_dp_oracle_on_signed_values():
+    rng = random.Random(23)
+    for n in (1, 2, 15, 16, 17, 40, 116, 220):
+        for spread in (1, 9, 1000, 10**4):
+            values = [rng.randint(-spread, spread) for _ in range(n)]
+            for k in {0, 1, min(15, n), min(16, n), n}:
+                assert elem_sym(k, values) == elem_sym_dp(k, values), (n, spread, k)
+
+
+def test_elem_sym_edge_cases():
+    assert elem_sym(0, []) == 1
+    for k in (0, 1, 16, 30):
+        assert elem_sym(k, [0] * 30) == (1 if k == 0 else 0)
+    for v in (-10**4, -1, 0, 1, 10**4):
+        assert elem_sym(0, [v]) == 1
+        assert elem_sym(1, [v]) == v
+    # every value at the largest magnitude, of either sign
+    assert elem_sym(16, [-(10**4)] * 16) == 10**64
+    assert elem_sym(15, [10**4] * 16) == 16 * 10**60
+
+
 def test_check_generic():
     bags = [CharBag([(1, -2, 1, 0), (0, -2, 0, 2)])]
     assert check_generic(DEFAULT_WEIGHTS, bags)
