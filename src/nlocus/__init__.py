@@ -19,9 +19,7 @@ from .ideals import (
     GroebnerBasis,
     HilbertPoly,
     Ideal,
-    degree_part_dim,
     hilbert_polynomial,
-    ideal_times_linears,
     kbase,
     normal_form,
     reduce_gb,
@@ -69,7 +67,6 @@ __all__ = [
     "compare",
     "contribution",
     "degree_nl",
-    "degree_part_dim",
     "degree_range",
     "ed_weights",
     "elem_sym",
@@ -77,7 +74,6 @@ __all__ = [
     "euler_characteristic_oracle",
     "grass_tangent",
     "hilbert_polynomial",
-    "ideal_times_linears",
     "interpolate",
     "kbase",
     "load_or_enumerate",

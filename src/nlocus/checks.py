@@ -16,8 +16,17 @@ import random
 from . import fixpoints as fx
 from . import localization as loc
 from .formula import closed_form
-from .ideals import Ideal, hilbert_polynomial, kbase, reduce_gb, saturate_t
-from .poly import parse
+from .ideals import (
+    Ideal,
+    hilbert_polynomial,
+    kbase,
+    reduce_gb,
+    saturate_t,
+    set_t_zero,
+    staircase_cells,
+    staircase_runs,
+)
+from .poly import mono_divides, monomials_of_degree, parse
 from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, check_generic, elem_sym
 
 CENSUS = (21, 180, 324)  # G2, G2E1, E2
@@ -41,12 +50,12 @@ def euler_census(points, spec, workers):
 
 
 def rank_invariants(points, spec, workers):
-    """19 quartics and kbase of size 4d for d = 4..10 at every fixed point."""
+    """19 quartics and 4d standard monomials for d = 4..10 at every fixed point."""
     for fp in points:
         _require(len(fp.quartics) == 19, f"{fp.tag}{fp.provenance}: rank != 19")
-        gb = fp.quartic_gb()
+        cells = staircase_cells(fp.quartics)
         for d in range(4, 11):
-            n = len(kbase(gb, d))
+            n = sum(count for _, _, count in staircase_runs(cells, d))
             _require(
                 n == 4 * d, f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
             )
@@ -104,26 +113,46 @@ def spec_independence(points, spec, workers):
     return [r.degree for r in ours]
 
 
-def _gb_key(ideal):
-    return tuple(sorted(str(g) for g in reduce_gb(ideal).basis))
+def saturation_limit(other, deformed):
+    """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics."""
+    gb = reduce_gb(set_t_zero(saturate_t(fx.deformation_ideal(other, deformed))))
+    for g in gb.basis:
+        _require(g.is_monomial(), f"t=0 limit deforming to {deformed} is not monomial: {g}")
+    cubics = [
+        m[:4]
+        for m in monomials_of_degree(3)
+        if any(mono_divides(lt, m) for lt in gb.leading_terms)
+    ]
+    _require(len(cubics) == 8, f"t=0 limit deforming to {deformed} has {len(cubics)} cubics")
+    return fx._sort_monos(cubics)
 
 
 def algebra_kernel(points, spec, workers):
-    """kbase, saturation idempotence on every E1 deformation ideal, elem_sym.
+    """kbase, the E1 flat limits against saturation, elem_sym.
 
-    Returns the number of E1 deformation ideals checked.
+    Every presentation of every E1 direction is taken to its limit both by
+    `fixpoints._limit_cubics` (linear algebra over Q[t]) and by Buchberger
+    saturation.  Returns the number of presentations checked.
     """
     _require(
         len(kbase(reduce_gb(Ideal([parse("x0^2"), parse("x1^2")])), 5)) == 20,
         "kbase(<x0^2,x1^2>, 5) != 20",
     )
-    ideals = fx.e1_deformation_ideals()
-    for i, ideal in enumerate(ideals):
-        sat = saturate_t(ideal)
-        _require(
-            _gb_key(saturate_t(sat)) == _gb_key(sat),
-            f"saturation is not idempotent on E1 deformation ideal {i}",
-        )
+    pairs = fx.enumerate_pairs()
+    _, zs = fx.split_strata(pairs)
+    checked = 0
+    for z in zs:
+        pair = pairs[z.pair_index]
+        for e, _ in z.normal.entries():
+            for other, deformed in fx._deformations((pair.q1, pair.q2), e):
+                ours = fx._limit_cubics(other, deformed)
+                oracle = saturation_limit(other, deformed)
+                _require(
+                    ours == oracle,
+                    f"E1 direction {e} over pair {z.pair_index}, deformed {deformed}:"
+                    f" limit {ours} != saturation {oracle}",
+                )
+                checked += 1
     rng = random.Random(17)
     for n in range(1, 13):
         values = [rng.randint(-9, 9) for _ in range(n)]
@@ -131,7 +160,7 @@ def algebra_kernel(points, spec, workers):
             brute = sum(math.prod(c) for c in itertools.combinations(values, k))
             got = elem_sym(k, values)
             _require(got == brute, f"elem_sym({k}, {values}) = {got} != {brute}")
-    return len(ideals)
+    return checked
 
 
 CHECKS = (

@@ -15,9 +15,9 @@ limiting pencil (the Pluecker weight data needed for the degree-4 count).
 
 The exceptional points over Z come from flat limits of deformed pencils,
 computed by Gaussian elimination over Q[t] (`_limit_cubics`); no Groebner
-basis is computed on this path.  `deformation_ideal` and
-`e1_deformation_ideals` give the same deformations as ideals, for the
-saturation oracle in `nlocus.checks` and the tests.
+basis is computed on this path.  `deformation_ideal` gives the same
+deformations as ideals, for the saturation oracle in `nlocus.checks` and
+the tests.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class FixedPoint:
     quartics: tuple
     pencil_chars: tuple
     provenance: tuple
-
-    def quartic_ideal(self):
-        return Ideal([Polynomial.monomial(m + (0,)) for m in self.quartics])
-
-    def quartic_gb(self):
-        return monomial_gb([m + (0,) for m in self.quartics])
 
     def tangent_chars(self):
         """The 16 tangent characters with multiplicity, sorted."""
@@ -282,22 +276,6 @@ def deformation_ideal(other, deformed):
         for x in LINEARS:
             gens.append(pencil_gen.mul_monomial(x))
     return Ideal(gens)
-
-
-def e1_deformation_ideals():
-    """All 216 E1 deformation ideals, first presentation per direction.
-
-    Inputs of the saturation checks only; the cascade does not use them.
-    """
-    pairs = enumerate_pairs()
-    _, zs = split_strata(pairs)
-    out = []
-    for z in zs:
-        pair = pairs[z.pair_index]
-        for e, _ in z.normal.entries():
-            other, deformed = _deformations((pair.q1, pair.q2), e)[0]
-            out.append(deformation_ideal(other, deformed))
-    return out
 
 
 def e1_points(z, pair):

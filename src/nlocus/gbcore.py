@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 
+from .poly import mono_div, mono_divides, mono_mul
+
 
 def key5(m):
     """Graded reverse-lexicographic key on (x0,x1,x2,x3,t)."""
@@ -27,18 +29,6 @@ def _lt(f, key):
     return m, f[m]
 
 
-def _mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _mono_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def _mono_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def _mono_lcm(a, b):
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -47,7 +37,7 @@ def _sub_scaled(f, g, c, shift):
     """f - c * shift * g, in place on a copy of f."""
     res = dict(f)
     for m, gc in g.items():
-        mm = _mono_mul(m, shift)
+        mm = mono_mul(m, shift)
         s = res.get(mm, 0) - c * gc
         if s:
             res[mm] = s
@@ -66,8 +56,8 @@ def normal_form(f, basis, key, lead=None):
         m = max(work, key=key)
         c = work[m]
         for ltm, g in lead:
-            if _mono_divides(ltm, m):
-                shift = _mono_div(m, ltm)
+            if mono_divides(ltm, m):
+                shift = mono_div(m, ltm)
                 work = _sub_scaled(work, g, c / g[ltm], shift)
                 break
         else:
@@ -80,8 +70,8 @@ def _spoly(f, g, key):
     mf, cf = _lt(f, key)
     mg, cg = _lt(g, key)
     lcm = _mono_lcm(mf, mg)
-    a = _sub_scaled({}, f, Fraction(-1, 1) / cf, _mono_div(lcm, mf))
-    return _sub_scaled(a, g, Fraction(1, 1) / cg, _mono_div(lcm, mg))
+    a = _sub_scaled({}, f, Fraction(-1, 1) / cf, mono_div(lcm, mf))
+    return _sub_scaled(a, g, Fraction(1, 1) / cg, mono_div(lcm, mg))
 
 
 def groebner(gens, key):
@@ -105,7 +95,7 @@ def groebner(gens, key):
             heappush(heap, (key(lcm), l, k, lcm))
     while heap:
         _, i, j, lcm = heappop(heap)
-        if _mono_mul(lts[i], lts[j]) == lcm:
+        if mono_mul(lts[i], lts[j]) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
         r = normal_form(_spoly(basis[i], basis[j], key), basis, key, lead)
         if r:
@@ -131,7 +121,7 @@ def reduce_basis(basis, key):
         for j, mj in enumerate(lts):
             if i == j:
                 continue
-            if _mono_divides(mj, m) and (mj != m or j < i):
+            if mono_divides(mj, m) and (mj != m or j < i):
                 redundant = True
                 break
         if not redundant:

@@ -1,6 +1,8 @@
 """Homogeneous-ideal toolkit: reduced Groebner bases, normal forms,
 standard-monomial bases in a fixed degree, saturation with respect to t,
-and Hilbert polynomials of monomial leading-term ideals.
+and Hilbert polynomials of monomial leading-term ideals.  Standard monomials
+and Hilbert polynomials are both read off one staircase decomposition of
+the leading-term ideal (`staircase_cells`).
 
 Ideals live in the fixed ring of poly.py.  Generators must be homogeneous
 in the x-variables (the deformation parameter t carries weight 0 in this
@@ -11,14 +13,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gbcore
-from .poly import Polynomial, mono_divides, mono_key, sdim
-
-X_VARS = range(4)
-_LINEARS = [Polynomial.variable(i) for i in X_VARS]
+from .poly import Polynomial, mono_divides, mono_key
 
 
 @dataclass(frozen=True)
@@ -199,24 +199,6 @@ def kbase(G, d):
     return [m + (0,) for m in std]
 
 
-def degree_part_dim(G, d):
-    """Dimension of the ideal's degree-d slice: C(d+3,3) minus the kbase count."""
-    return sdim(d) - len(kbase(G, d))
-
-
-def ideal_times_linears(I):
-    """The ideal generated by all products generator * x_i, deduplicated."""
-    seen = []
-    found = set()
-    for g in I.generators:
-        for x in _LINEARS:
-            p = g * x
-            if p not in found:
-                found.add(p)
-                seen.append(p)
-    return Ideal(seen)
-
-
 def set_t_zero(I):
     """Evaluate every generator at t = 0, dropping the ones that vanish."""
     gens = [q for q in (g.subs_t_zero() for g in I.generators) if q]
@@ -292,79 +274,32 @@ class HilbertPoly:
         return "".join(parts) or "0"
 
 
-def _minimalize(gens):
-    gens = sorted(set(gens), key=lambda g: (sum(g), g))
-    keep = []
-    for g in gens:
-        if not any(mono_divides(h, g) for h in keep):
-            keep.append(g)
-    return keep
-
-
-def _numerator(gens):
-    """Hilbert series numerator of S/<gens> over (1-u)^4, as an int list."""
-    gens = _minimalize(gens)
-    if not gens:
-        return [1]
-    if gens[0] == (0, 0, 0, 0):
-        return [0]
-    if all(sum(1 for e in g if e) == 1 for g in gens):
-        num = [1]
-        for g in gens:
-            shifted = [0] * sum(g) + num
-            num = [a - b for a, b in zip(num + [0] * (len(shifted) - len(num)), shifted)]
-        return num
-    counts = [sum(1 for g in gens if sum(1 for e in g if e) > 1 and g[v]) for v in range(4)]
-    v = counts.index(max(counts))
-    pivot = tuple(1 if i == v else 0 for i in range(4))
-    plus = [g for g in gens if g[v] == 0] + [pivot]
-    colon = [tuple(e - 1 if i == v and e else e for i, e in enumerate(g)) for g in gens]
-    n_plus = _numerator(plus)
-    n_colon = [0] + _numerator(colon)
-    width = max(len(n_plus), len(n_colon))
-    n_plus += [0] * (width - len(n_plus))
-    n_colon += [0] * (width - len(n_colon))
-    return [a + b for a, b in zip(n_plus, n_colon)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
 def hilbert_polynomial(G):
-    """Hilbert polynomial of S/I from the leading-term monomial ideal."""
+    """Hilbert polynomial of S/I from the leading-term monomial ideal.
+
+    The staircase cells of the leading terms are a Stanley decomposition of
+    S/in(I).  A cell with f free coordinates, lower degree l and x3 bound b
+    holds C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for
+    large d (no second term when b is math.inf), a polynomial in d.
+    """
     for m in G.leading_terms:
         if m[4] != 0:
             raise ValueError("Hilbert polynomial requires an ideal in x0..x3 only")
-    num = _numerator([m[:4] for m in G.leading_terms])
-    e = 4
-    while e and sum(num) == 0:
-        quotient = []
-        acc = 0
-        for c in num[:-1]:
-            acc += c
-            quotient.append(acc)
-        num = quotient or [0]
-        e -= 1
-    if e == 0 or not any(num):
-        return HilbertPoly(())
-    # HF(t) = sum_j num[j] * C(t - j + e - 1, e - 1) for large t
-    coeffs = [Fraction(0)] * e
-    fact = 1
-    for i in range(2, e):
-        fact *= i
-    for j, q in enumerate(num):
-        if not q:
-            continue
-        term = [Fraction(q, fact)]
-        for i in range(e - 1):
-            term = _poly_mul(term, [Fraction(e - 1 - j - i), Fraction(1)])
+    # multiplicity of each binomial C(d + shift, f) in the sum
+    binomials = Counter()
+    for _, free, bound, lower in staircase_cells([m[:4] for m in G.leading_terms]):
+        f = len(free)
+        binomials[f, f - lower] += 1
+        if bound != math.inf:
+            binomials[f, f - lower - bound] -= 1
+    # 3! times the polynomial, with C(d + c, f) = (d + c)(d + c - 1)...(d + c - f + 1) / f!
+    scaled = [0] * 4
+    for (f, shift), mult in binomials.items():
+        term = [mult * 6 // math.factorial(f)]
+        for i in range(f):
+            term = [(shift - i) * a + b for a, b in zip(term + [0], [0] + term)]
         for k, c in enumerate(term):
-            coeffs[k] += c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return HilbertPoly(tuple(coeffs))
+            scaled[k] += c
+    while scaled and not scaled[-1]:
+        scaled.pop()
+    return HilbertPoly(tuple(Fraction(c, 6) for c in scaled))

@@ -7,7 +7,7 @@ import pytest
 
 from nlocus import fixpoints as fx
 from nlocus import gbcore
-from nlocus.ideals import hilbert_polynomial, kbase, reduce_gb, saturate_t, set_t_zero
+from nlocus.ideals import hilbert_polynomial, kbase, monomial_gb
 from nlocus.poly import monomials_of_degree, parse
 from nlocus.torus import CharBag, char_of, char_sub
 
@@ -179,7 +179,7 @@ def test_every_fixed_point_invariants(points):
 
 def test_every_fixed_point_hilbert_and_kbase(points):
     for fp in points:
-        gb = fp.quartic_gb()
+        gb = monomial_gb([m + (0,) for m in fp.quartics])
         assert hilbert_polynomial(gb).coefficients == (0, 4)
         for d in range(4, 11):
             assert len(kbase(gb, d)) == 4 * d
@@ -290,34 +290,6 @@ def test_limit_cubics_match_matrix_oracle(cascade):
             assert sorted(space) == sorted(expected_rows)
             checked += 1
     assert checked >= 216
-
-
-# -- saturation oracle for the flat limits -----------------------------------
-
-
-def saturation_limit(other, deformed):
-    """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics."""
-    gb = reduce_gb(set_t_zero(saturate_t(fx.deformation_ideal(other, deformed))))
-    for g in gb.basis:
-        assert g.is_monomial(), f"t=0 limit ideal is not monomial: {g}"
-    cubics = [
-        m[:4]
-        for m in monomials_of_degree(3)
-        if any(lt[4] == 0 and all(a <= b for a, b in zip(lt[:4], m[:4])) for lt in gb.leading_terms)
-    ]
-    assert len(cubics) == 8
-    return fx._sort_monos(cubics)
-
-
-def test_limit_cubics_match_saturation_oracle(cascade):
-    checked = 0
-    for z in cascade.zs:
-        pair = cascade.pairs[z.pair_index]
-        for e, _ in z.normal.entries():
-            for other, deformed in fx._deformations((pair.q1, pair.q2), e):
-                assert fx._limit_cubics(other, deformed) == saturation_limit(other, deformed)
-                checked += 1
-    assert checked == 252
 
 
 def test_limit_cubics_structural_errors():

@@ -3,14 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from nlocus.fixpoints import e1_deformation_ideals
+from nlocus import fixpoints as fx
 from nlocus.ideals import (
     GroebnerBasis,
     HilbertPoly,
     Ideal,
-    degree_part_dim,
     hilbert_polynomial,
-    ideal_times_linears,
     kbase,
     monomial_gb,
     normal_form,
@@ -244,28 +242,6 @@ def test_standard_monomials_against_brute_force(points):
             assert set(got) == set(brute_standard_monomials(fp.quartics, d))
 
 
-def test_degree_part_dim():
-    G = gb("x0^2", "x1^2")
-    assert degree_part_dim(G, 4) == 19
-    assert degree_part_dim(G, 5) == 36
-    assert degree_part_dim(gb("x0", "x1", "x2", "x3"), 1) == 4
-
-
-def test_kbase_plus_degree_part_is_full_space():
-    for G in (gb("x0^2", "x1^2"), gb("x0*x1", "x2^2"), gb("x0^3")):
-        for d in range(0, 8):
-            assert len(kbase(G, d)) + degree_part_dim(G, d) == sdim(d)
-
-
-def test_ideal_times_linears():
-    I = ideal_times_linears(ideal("x0"))
-    assert sorted(render(g) for g in I.generators) == ["x0*x1", "x0*x2", "x0*x3", "x0^2"]
-    pencil4 = ideal_times_linears(ideal_times_linears(ideal("x0^2", "x1^2")))
-    G = reduce_gb(pencil4)
-    assert degree_part_dim(gb("x0^2", "x1^2"), 4) == 19
-    assert len(G.basis) == 19
-
-
 def test_set_t_zero():
     assert [render(g) for g in set_t_zero(ideal("x0 + t*x1")).generators] == ["x0"]
     assert [render(g) for g in set_t_zero(ideal("t*x0", "x1^2")).generators] == ["x1^2"]
@@ -282,6 +258,19 @@ def test_saturate_t_trivial_cases():
 
 def _canonical(I):
     return tuple(sorted(render(g) for g in reduce_gb(I).basis))
+
+
+def e1_deformation_ideals():
+    """All 216 E1 deformation ideals, first presentation per direction."""
+    pairs = fx.enumerate_pairs()
+    _, zs = fx.split_strata(pairs)
+    out = []
+    for z in zs:
+        pair = pairs[z.pair_index]
+        for e, _ in z.normal.entries():
+            other, deformed = fx._deformations((pair.q1, pair.q2), e)[0]
+            out.append(fx.deformation_ideal(other, deformed))
+    return out
 
 
 def test_saturate_t_deformation_ideal_oracle():
@@ -339,6 +328,22 @@ def test_hilbert_polynomial_other_shapes():
     assert plane.coefficients == (Fraction(1), Fraction(3, 2), Fraction(1, 2))
     assert hilbert_polynomial(gb("x0", "x1", "x2", "x3")).coefficients == ()
     assert hilbert_polynomial(gb("x0", "x1", "x2", "x3"))(10) == 0
+    shapes = {
+        "1": (),  # the unit ideal
+        "x0 x1 x2 x3": (),  # the irrelevant ideal
+        "x2": (1, Fraction(3, 2), Fraction(1, 2)),  # a plane
+        "x1 x3": (1, 1),  # a line
+        # one cell, free in x3 only (bound math.inf): a point
+        "x0 x1 x2": (1,),
+        # cells free in x3 and in some of x0..x2, next to bounded ones
+        "x0^2 x0*x1 x1^2": (1, 3),  # a double line
+        # one cell free in x0, x1, x2 with a finite x3 bound
+        "x3^3": (1, Fraction(3, 2), Fraction(3, 2)),  # a cubic surface
+    }
+    for gens, coefficients in shapes.items():
+        lead_x = [parse(g).lm()[:4] for g in gens.split()]
+        assert monomial_hilbert(lead_x).coefficients == coefficients, gens
+        assert monomial_hilbert(lead_x) == series_hilbert_polynomial(lead_x), gens
 
 
 def test_hilbert_polynomial_matches_kbase_counts():
@@ -363,3 +368,110 @@ def test_monomial_gb_minimalizes():
 def test_hilbert_poly_repr():
     assert str(HilbertPoly((Fraction(1), Fraction(1)))) == "t+1"
     assert str(HilbertPoly(())) == "0"
+
+
+# -- Hilbert-series oracle for hilbert_polynomial -----------------------------
+
+
+def _minimalize(gens):
+    gens = sorted(set(gens), key=lambda g: (sum(g), g))
+    keep = []
+    for g in gens:
+        if not any(mono_divides(h, g) for h in keep):
+            keep.append(g)
+    return keep
+
+
+def _series_numerator(gens):
+    """Hilbert series numerator of S/<gens> over (1-u)^4, as an int list.
+
+    Pivots on a variable v: K(I) = K(I + <x_v>) + u * K(I : x_v), down to
+    ideals generated by pure powers.
+    """
+    gens = _minimalize(gens)
+    if not gens:
+        return [1]
+    if gens[0] == (0, 0, 0, 0):
+        return [0]
+    if all(sum(1 for e in g if e) == 1 for g in gens):
+        num = [1]
+        for g in gens:
+            shifted = [0] * sum(g) + num
+            num = [a - b for a, b in zip(num + [0] * (len(shifted) - len(num)), shifted)]
+        return num
+    counts = [sum(1 for g in gens if sum(1 for e in g if e) > 1 and g[v]) for v in range(4)]
+    v = counts.index(max(counts))
+    pivot = tuple(1 if i == v else 0 for i in range(4))
+    plus = [g for g in gens if g[v] == 0] + [pivot]
+    colon = [tuple(e - 1 if i == v and e else e for i, e in enumerate(g)) for g in gens]
+    n_plus = _series_numerator(plus)
+    n_colon = [0] + _series_numerator(colon)
+    width = max(len(n_plus), len(n_colon))
+    n_plus += [0] * (width - len(n_plus))
+    n_colon += [0] * (width - len(n_colon))
+    return [a + b for a, b in zip(n_plus, n_colon)]
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def series_hilbert_polynomial(lead_x):
+    """Hilbert polynomial of S/<lead_x> from its Hilbert series numerator.
+
+    The recursion hilbert_polynomial used before it read the staircase cells.
+    """
+    num = _series_numerator(lead_x)
+    e = 4
+    while e and sum(num) == 0:
+        quotient = []
+        acc = 0
+        for c in num[:-1]:
+            acc += c
+            quotient.append(acc)
+        num = quotient or [0]
+        e -= 1
+    if e == 0 or not any(num):
+        return HilbertPoly(())
+    # HF(t) = sum_j num[j] * C(t - j + e - 1, e - 1) for large t
+    coeffs = [Fraction(0)] * e
+    fact = 1
+    for i in range(2, e):
+        fact *= i
+    for j, q in enumerate(num):
+        if not q:
+            continue
+        term = [Fraction(q, fact)]
+        for i in range(e - 1):
+            term = _poly_mul(term, [Fraction(e - 1 - j - i), Fraction(1)])
+        for k, c in enumerate(term):
+            coeffs[k] += c
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return HilbertPoly(tuple(coeffs))
+
+
+def monomial_hilbert(lead_x):
+    return hilbert_polynomial(monomial_gb([m + (0,) for m in lead_x]))
+
+
+def test_hilbert_polynomial_matches_series_oracle_on_the_cascade(cascade):
+    systems = [fp.quartics for fp in cascade.points]
+    systems += [record.limit_cubics for _, record in cascade.records]
+    assert len(systems) == 525 + 216
+    for lead_x in systems:
+        assert monomial_hilbert(lead_x) == series_hilbert_polynomial(lead_x), lead_x
+
+
+def test_hilbert_polynomial_matches_series_oracle_on_random_ideals():
+    rng = random.Random(5)
+    for _ in range(600):
+        lead_x = [
+            tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(4))
+            for _ in range(rng.randint(1, 7))
+        ]
+        assert monomial_hilbert(lead_x) == series_hilbert_polynomial(lead_x), lead_x
