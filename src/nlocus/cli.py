@@ -82,23 +82,29 @@ def _weight_spec(value):
         _usage_error(f"bad weights: {exc}")
 
 
+_ABSENT = object()
+
+
 def _build_config(args):
     file_cfg = _load_config_file(args.config) if args.config else {}
-    weights = args.weights if args.weights is not None else file_cfg.get("weights")
-    explicit = weights is not None
+
+    def given(key, default=_ABSENT):
+        """The value of key on the command line, else in the config file."""
+        value = getattr(args, key)
+        return value if value is not None else file_cfg.get(key, default)
+
+    weights = given("weights")
+    explicit = weights is not _ABSENT
     spec = _weight_spec(weights) if explicit else DEFAULT_WEIGHTS
-    workers = args.threads if args.threads is not None else file_cfg.get("threads", 1)
+    workers = given("threads", 1)
     if type(workers) is not int or workers < 1:
         _usage_error(f"bad threads {workers!r}: expected an integer >= 1")
-    cache = (
-        args.cache
-        or file_cfg.get("cache")
-        or os.environ.get(CACHE_ENV)
-        or DEFAULT_CACHE
-    )
-    if not isinstance(cache, str):
-        _usage_error(f"bad cache {cache!r}: expected a path string")
-    fmt = args.format or file_cfg.get("format", "text")
+    cache = given("cache")
+    if cache is _ABSENT:
+        cache = os.environ.get(CACHE_ENV) or DEFAULT_CACHE
+    if not isinstance(cache, str) or not cache:
+        _usage_error(f"bad cache {cache!r}: expected a non-empty path string")
+    fmt = given("format", "text")
     if fmt not in ("text", "json"):
         _usage_error(f"bad output format {fmt!r}")
     return Config(

@@ -2,8 +2,8 @@
 
 Polynomials here are bare dicts {exponent tuple: Fraction}; the term order is
 supplied as a sort-key function on exponent tuples, so the same code serves
-the package's 5-variable grevlex order and the 6-variable block order used
-for elimination when computing colon ideals.
+the package's 5-variable grevlex order and the 6-variable block order that
+saturates in t by eliminating an auxiliary variable s.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def key5(m):
 
 
 def key6(m):
-    """Block order for eliminating the auxiliary first variable w."""
+    """Block order (s, x0, x1, x2, x3, t) eliminating the auxiliary first variable s."""
     return (m[0],) + key5(m[1:])
 
 

@@ -1,8 +1,9 @@
 """Homogeneous-ideal toolkit: reduced Groebner bases, normal forms,
-standard-monomial bases in a fixed degree, saturation with respect to t,
-and Hilbert polynomials of monomial leading-term ideals.  Standard monomials
-and Hilbert polynomials are both read off one staircase decomposition of
-the leading-term ideal (`staircase_cells`).
+standard-monomial bases in a fixed degree, saturation with respect to t by
+one elimination Groebner basis, and Hilbert polynomials of monomial
+leading-term ideals.  Standard monomials and Hilbert polynomials are both
+read off one staircase decomposition of the leading-term ideal
+(`staircase_cells`).
 
 Ideals live in the fixed ring of poly.py.  Generators must be homogeneous
 in the x-variables (the deformation parameter t carries weight 0 in this
@@ -207,34 +208,20 @@ def set_t_zero(I):
     return Ideal(gens)
 
 
-def _colon_t(gens):
-    """Generators of I : t, via w-elimination on the intersection I & <t>."""
-    mixed = [{(1,) + m: c for m, c in g.terms.items()} for g in gens]
-    mixed.append({(0, 0, 0, 0, 0, 1): Fraction(1), (1, 0, 0, 0, 0, 1): Fraction(-1)})
-    out = []
-    for g in gbcore.groebner(mixed, gbcore.key6):
-        if all(m[0] == 0 for m in g):
-            # an element of I & <t>: every term is divisible by t
-            out.append(Polynomial({m[1:5] + (m[5] - 1,): c for m, c in g.items()}))
-    return out
-
-
 def saturate_t(I):
-    """I : t^infinity, by iterating the colon I : t until it stabilizes."""
-    current = list(I.generators)
-    signature = _gb_signature(current)
-    while True:
-        nxt = _colon_t(current)
-        nxt_sig = _gb_signature(nxt)
-        if nxt_sig == signature:
-            return Ideal(nxt)
-        current, signature = nxt, nxt_sig
+    """I : t^infinity, by eliminating s from I + <1 - s*t>.
 
-
-def _gb_signature(gens):
-    return tuple(
-        tuple(sorted(g.terms.items()))
-        for g in (Polynomial(h) for h in gbcore.groebner([g.terms for g in gens], gbcore.key5))
+    I : t^infinity = (I + <1 - s*t>) & Q[x0..x3, t] (Cox-Little-O'Shea, ch. 4
+    section 4): one Groebner basis under the block order key6, with s as
+    the first variable, whose elements free of s form a basis of the
+    saturation.
+    """
+    gens = [{(0,) + m: c for m, c in g.terms.items()} for g in I.generators]
+    gens.append({(0, 0, 0, 0, 0, 0): Fraction(1), (1, 0, 0, 0, 0, 1): Fraction(-1)})
+    return Ideal(
+        Polynomial({m[1:]: c for m, c in g.items()})
+        for g in gbcore.groebner(gens, gbcore.key6)
+        if all(m[0] == 0 for m in g)
     )
 
 

@@ -133,9 +133,6 @@ class Polynomial:
         """Terms as (monomial, coeff), strictly decreasing in the order."""
         return sorted(self._terms.items(), key=lambda t: mono_key(t[0]), reverse=True)
 
-    def monomials(self):
-        return list(self._terms)
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -170,15 +167,6 @@ class Polynomial:
         if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
         return max(self._terms, key=mono_key)
-
-    def lc(self):
-        return self._terms[self.lm()]
-
-    def monic(self):
-        lc = self.lc()
-        if lc == 1:
-            return self
-        return Polynomial({m: c / lc for m, c in self._terms.items()})
 
     # -- arithmetic ----------------------------------------------------
 

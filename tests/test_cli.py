@@ -171,12 +171,18 @@ def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
         ({"threads": "two"}, (), "threads"),
         ({"threads": True}, (), "threads"),
         ({}, ("--threads", "0"), "threads"),
+        ({"weights": None}, (), "weights"),
         ({"cache": 5}, (), "cache"),
+        ({"cache": ""}, (), "cache"),
+        ({"cache": None}, (), "cache"),
+        ({"cache": False}, (), "cache"),
+        ({}, ("--cache", ""), "cache"),
         ({"thread": 2}, (), "config key"),
     ],
     ids=[
         "weights-int", "weights-float", "threads-str", "threads-bool", "threads-0",
-        "cache-int", "unknown-key",
+        "weights-null", "cache-int", "cache-empty", "cache-null", "cache-false",
+        "cache-flag-empty", "unknown-key",
     ],
 )
 def test_bad_config_value_is_usage_error(capsys, tmp_path, cache_path, config, argv, key):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nlocus import fixpoints as fx
+from nlocus import gbcore
 from nlocus.ideals import (
     GroebnerBasis,
     HilbertPoly,
@@ -273,9 +274,37 @@ def e1_deformation_ideals():
     return out
 
 
+def colon_chain_saturate(I):
+    """I : t^infinity by iterating the colon I : t until its reduced basis
+    stops changing; each colon is a w-elimination on the intersection I & <t>."""
+
+    def colon_t(gens):
+        mixed = [{(1,) + m: c for m, c in g.terms.items()} for g in gens]
+        mixed.append({(0, 0, 0, 0, 0, 1): Fraction(1), (1, 0, 0, 0, 0, 1): Fraction(-1)})
+        return [
+            # an element of I & <t>: every term is divisible by t
+            Polynomial({m[1:5] + (m[5] - 1,): c for m, c in g.items()})
+            for g in gbcore.groebner(mixed, gbcore.key6)
+            if all(m[0] == 0 for m in g)
+        ]
+
+    def signature(gens):
+        return gbcore.groebner([g.terms for g in gens], gbcore.key5)
+
+    current = list(I.generators)
+    before = signature(current)
+    while True:
+        current = colon_t(current)
+        after = signature(current)
+        if after == before:
+            return Ideal(current)
+        before = after
+
+
 def test_saturate_t_deformation_ideal_oracle():
     """saturate_t output is characterized by: contains I, idempotent, and
-    t-power multiples of its generators land back in I."""
+    t-power multiples of its generators land back in I; it also equals the
+    colon chain's."""
     deformation = e1_deformation_ideals()
     assert len(deformation) == 216
     rng = random.Random(3)
@@ -283,6 +312,8 @@ def test_saturate_t_deformation_ideal_oracle():
     for I in sample:
         J = saturate_t(I)
         GI, GJ = reduce_gb(I), reduce_gb(J)
+        # the colon chain gives the same ideal
+        assert _canonical(colon_chain_saturate(I)) == _canonical(J)
         # contains I
         for g in I.generators:
             assert not normal_form(g, GJ)
@@ -298,6 +329,34 @@ def test_saturate_t_deformation_ideal_oracle():
                 h = h * t
             else:
                 raise AssertionError(f"{render(g)} never re-enters the ideal")
+
+
+@pytest.mark.parametrize(
+    "gens, expected",
+    [
+        (("t^2*x0",), ("x0",)),
+        (("t^2*x0", "x1 + t*x2"), ("x0", "x1 + t*x2")),
+        (("t*x0", "t*x1 - x2"), ("x0", "t*x1 - x2")),
+        (("t",), ("1",)),
+    ],
+)
+def test_saturate_t_matches_colon_chain_on_hand_cases(gens, expected):
+    I = ideal(*gens)
+    got = _canonical(saturate_t(I))
+    assert got == _canonical(colon_chain_saturate(I)) == _canonical(ideal(*expected))
+
+
+def test_saturate_t_is_one_groebner_basis(monkeypatch):
+    calls = []
+    original = gbcore.groebner
+
+    def counting(gens, key):
+        calls.append(key)
+        return original(gens, key)
+
+    monkeypatch.setattr(gbcore, "groebner", counting)
+    saturate_t(e1_deformation_ideals()[0])
+    assert calls == [gbcore.key6]
 
 
 def test_saturate_t_limit_matches_hand_computation():
