@@ -47,11 +47,6 @@ class Config:
     workers: int
     cache_path: Path
     output_format: str
-    explicit_weights: bool = False
-
-    def __post_init__(self):
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
 
 def _load_config_file(path):
@@ -94,8 +89,7 @@ def _build_config(args):
         return value if value is not None else file_cfg.get(key, default)
 
     weights = given("weights")
-    explicit = weights is not _ABSENT
-    spec = _weight_spec(weights) if explicit else DEFAULT_WEIGHTS
+    spec = DEFAULT_WEIGHTS if weights is _ABSENT else _weight_spec(weights)
     workers = given("threads", 1)
     if type(workers) is not int or workers < 1:
         _usage_error(f"bad threads {workers!r}: expected an integer >= 1")
@@ -112,16 +106,7 @@ def _build_config(args):
         workers=workers,
         cache_path=Path(cache),
         output_format=fmt,
-        explicit_weights=explicit,
     )
-
-
-def _points(cfg):
-    return fx.load_or_enumerate(cfg.cache_path)
-
-
-def _spec_for(cfg, points):
-    return loc.admissible_spec(points, cfg.weight_spec, strict=cfg.explicit_weights)
 
 
 def cmd_degree(args):
@@ -129,8 +114,8 @@ def cmd_degree(args):
         _usage_error("--d must be at least 4")
     cfg = _build_config(args)
     started = time.time()
-    points = _points(cfg)
-    spec = _spec_for(cfg, points)
+    points = fx.load_or_enumerate(cfg.cache_path)
+    spec = loc.admissible_spec(points, cfg.weight_spec)
     result = loc.degree_nl(args.d, spec, points, workers=cfg.workers)
     elapsed = time.time() - started
     if cfg.output_format == "json":
@@ -156,8 +141,8 @@ def cmd_formula(args):
         )
     cfg = _build_config(args)
     started = time.time()
-    points = _points(cfg)
-    spec = _spec_for(cfg, points)
+    points = fx.load_or_enumerate(cfg.cache_path)
+    spec = loc.admissible_spec(points, cfg.weight_spec)
     results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=cfg.workers)
     fitted = interpolate([(r.d, r.degree) for r in results])
     target = closed_form()
@@ -220,8 +205,8 @@ def cmd_fixpoints(args):
 
 def cmd_verify(args):
     cfg = _build_config(args)
-    points = _points(cfg)
-    spec = _spec_for(cfg, points)
+    points = fx.load_or_enumerate(cfg.cache_path)
+    spec = loc.admissible_spec(points, cfg.weight_spec)
     failures = 0
     for name, check in checks.CHECKS:
         try:

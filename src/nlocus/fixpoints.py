@@ -132,13 +132,9 @@ def enumerate_pairs():
     return pairs
 
 
-def _pencil_quartics(q1, q2):
-    """Degree-4 monomials of the pencil times the quadrics; must be 19."""
-    out = set()
-    for q in (q1, q2):
-        for m in QUADRICS:
-            out.add(mono_mul(q, m)[:4])
-    return _sort_monos(out)
+def _products(monos, factors):
+    """The set of x-exponent 4-tuples m*f for m in monos and f in factors."""
+    return {mono_mul(m, f)[:4] for m in monos for f in factors}
 
 
 def _sort_monos(monos):
@@ -151,7 +147,7 @@ def split_strata(pairs):
     for pair in pairs:
         g = monomial_gcd(pair.q1, pair.q2)
         if not any(g):
-            quartics = _pencil_quartics(pair.q1, pair.q2)
+            quartics = _sort_monos(_products((pair.q1, pair.q2), QUADRICS))
             if len(quartics) != 19:
                 raise StructuralError(
                     f"pencil ({render(Polynomial.monomial(pair.q1))},"
@@ -327,11 +323,7 @@ def classify_e1(record, z, pair, z_index):
     system of quadrics through a doublet.
     """
     if _is_curve_hilb(record.limit_cubics):
-        quartics = set()
-        for c in record.limit_cubics:
-            for x in LINEARS:
-                quartics.add(mono_mul(c + (0,), x)[:4])
-        quartics = _sort_monos(quartics)
+        quartics = _sort_monos(_products(record.limit_cubics, LINEARS))
         if len(quartics) != 19:
             raise StructuralError(
                 f"G2E1 quartic system has rank {len(quartics)}, expected 19"
@@ -404,10 +396,7 @@ def e2_points(w, w_index):
     e + char(plane * line * doublet); the quartic system is the cubic system
     times the linear forms plus g, of rank 19.
     """
-    base = set()
-    for c in w.cubic_system:
-        for x in LINEARS:
-            base.add(mono_mul(c + (0,), x)[:4])
+    base = _products(w.cubic_system, LINEARS)
     if len(base) != 18:
         raise StructuralError(f"W quartic base has rank {len(base)}, expected 18")
     anchor = char_add(char_add(char_of(w.plane), char_of(w.line)), char_of(w.doublet))
@@ -439,11 +428,11 @@ def e2_points(w, w_index):
     return points
 
 
-def enumerate_all(validate=True):
+def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
-    With validate=True each point's quartic system is checked to cut out a
-    curve with Hilbert polynomial 4t.
+    Each point's quartic system is checked to cut out a curve with Hilbert
+    polynomial 4t.
     """
     pairs = enumerate_pairs()
     g2, zs = split_strata(pairs)
@@ -463,12 +452,11 @@ def enumerate_all(validate=True):
     counts = stratum_counts(points)
     if counts != (21, 180, 324):
         raise StructuralError(f"stratum counts {counts} != (21, 180, 324)")
-    if validate:
-        for fp in points:
-            if not _is_curve_hilb(fp.quartics):
-                raise StructuralError(
-                    f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
-                )
+    for fp in points:
+        if not _is_curve_hilb(fp.quartics):
+            raise StructuralError(
+                f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
+            )
     return points
 
 
@@ -608,7 +596,7 @@ def load_cache(path):
     return points
 
 
-def load_or_enumerate(path=None, validate=True):
+def load_or_enumerate(path=None):
     """Cached fixed points when fresh, otherwise enumerate (and cache).
 
     A malformed cache file raises ValueError (see load_cache) and is left as is.
@@ -617,7 +605,7 @@ def load_or_enumerate(path=None, validate=True):
         cached = load_cache(path)
         if cached is not None:
             return cached
-    points = enumerate_all(validate=validate)
+    points = enumerate_all()
     if path is not None:
         save_cache(points, path)
     return points

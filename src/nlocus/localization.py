@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .fixpoints import StructuralError
 from .ideals import staircase_cells, staircase_runs, standard_monomials
-from .torus import CharBag, WeightSpec, check_generic, elem_sym, specialize
+from .torus import CharBag, WeightSpec, elem_sym, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
 
@@ -58,22 +58,17 @@ def _check_rank(fp, d, rank):
         )
 
 
-def _fiber(fp, d):
-    """Degree-d standard monomials at a fixed point, checked to number 4d.
+def ed_weights(fp, d):
+    """Characters of the degree-d standard monomials: the rank-4d fiber.
 
-    This is the fiber of the rank-4d quotient bundle: the degree-d monomials
-    surviving modulo the quartic system.
+    These are the degree-d monomials surviving modulo the quartic system,
+    checked to number 4d.
     """
     if d < 4:
         raise ValueError(f"fiber weights need d >= 4, got {d}")
     std = standard_monomials(fp.quartics, d)
     _check_rank(fp, d, len(std))
-    return std
-
-
-def ed_weights(fp, d):
-    """Characters of the degree-d standard monomials: the rank-4d fiber."""
-    return CharBag(_fiber(fp, d))
+    return CharBag(std)
 
 
 def _cell_values(fp, cells, d, values):
@@ -82,8 +77,6 @@ def _cell_values(fp, cells, d, values):
     Each run of monomials start + n*step specializes to the arithmetic
     progression start.w + n*(step.w), so no monomial is built.
     """
-    if d < 4:
-        raise ValueError(f"fiber weights need d >= 4, got {d}")
     w0, w1, w2, w3 = values
     out = []
     for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(cells, d):
@@ -97,19 +90,15 @@ def _cell_values(fp, cells, d, values):
     return out
 
 
-def _fiber_values(fp, d, values):
-    """Specialized weights of the degree-d fiber, unsorted."""
-    return _cell_values(fp, staircase_cells(fp.quartics), d, values)
-
-
 def _tangent_denominator(fp, spec):
+    """c_16 of the tangent space at fp, specialized; ValueError when it is 0."""
     den = 1
     for c in fp.tangent_chars():
         v = specialize(c, spec)
         if v == 0:
             raise ValueError(
-                f"weight spec {spec.values} kills a tangent character at"
-                f" {fp.tag}{fp.provenance}; run check_generic first"
+                f"weight spec {spec.values} is not admissible: tangent character"
+                f" {c} at {fp.tag}{fp.provenance} specializes to 0"
             )
         den *= v
     return den
@@ -140,8 +129,9 @@ def _numerator(fp, d, spec, fiber):
 
 def contribution(fp, d, spec):
     """One Bott summand for d >= 4: the numerator over c_16 of the tangent."""
-    fiber = _fiber_values(fp, d, spec.values)
-    return Fraction(_numerator(fp, d, spec, fiber), _tangent_denominator(fp, spec))
+    if d < 4:
+        raise ValueError(f"fiber weights need d >= 4, got {d}")
+    return _sum_chunk(([fp], [d], spec))[d]
 
 
 def _sum_chunk(args):
@@ -222,20 +212,12 @@ def localization_self_test(points, spec):
     return Fraction(sum(s * den for s, den in zip(scales, dens)), common)
 
 
-def admissible_spec(points, preferred, strict=False, seed=0):
-    """Validate a spec against every tangent bag, with documented fallbacks.
+def admissible_spec(points, spec):
+    """spec, once no tangent character of any point specializes to 0 under it.
 
-    With strict=True an inadmissible preferred spec raises instead of
-    falling back (used when the spec was given explicitly on the CLI).
+    An inadmissible spec raises the ValueError of `_tangent_denominator`,
+    naming the spec, the first point at fault and its killed character.
     """
-    from .torus import find_admissible
-
-    bags = [fp.tangent for fp in points]
-    if check_generic(preferred, bags):
-        return preferred
-    if strict:
-        raise ValueError(
-            f"weight spec {preferred.values} is not admissible: some tangent"
-            " character specializes to zero"
-        )
-    return find_admissible(bags, preferred=preferred, seed=seed)
+    for fp in points:
+        _tangent_denominator(fp, spec)
+    return spec

@@ -14,7 +14,6 @@ multipoint Kronecker substitution", JSC 2009).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 # Character = 4-tuple of ints
@@ -150,6 +149,7 @@ class WeightSpec:
 
 
 DEFAULT_WEIGHTS = WeightSpec((0, 1, 5, 18))
+# The alternate spec that checks.spec_independence compares against.
 FALLBACK_WEIGHTS = WeightSpec((0, 1, 7, 23))
 
 
@@ -232,17 +232,3 @@ def check_generic(spec, tangent_bags):
                 return False
     return True
 
-
-def find_admissible(tangent_bags, preferred=DEFAULT_WEIGHTS, seed=0):
-    """First admissible spec among the preferred one, the documented fallback,
-    and seeded random distinct values up to 10^6."""
-    for spec in (preferred, FALLBACK_WEIGHTS):
-        if check_generic(spec, tangent_bags):
-            return spec
-    rng = random.Random(seed)
-    for _ in range(1000):
-        values = tuple(sorted(rng.sample(range(10**6), 4)))
-        spec = WeightSpec(values)
-        if check_generic(spec, tangent_bags):
-            return spec
-    raise RuntimeError("no admissible weight spec found")

@@ -1,4 +1,6 @@
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +96,23 @@ def test_explicit_inadmissible_weights_fail_loudly(capsys, cache_path):
     )
     assert code == 1
     assert "not admissible" in err
+
+
+@pytest.mark.parametrize("argv", [["degree", "--d", "5"], ["verify"]], ids=["degree", "verify"])
+def test_default_spec_killed_by_the_cache_is_an_error(capsys, tmp_path, points, argv):
+    # (0, 5, -1, 0) specializes to 5 - 5 = 0 under the default 0,1,5,18
+    path = tmp_path / "killed.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    record = doc["points"][0]
+    record["tangent"][0] = [0, 5, -1, 0, 1]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    point = f"{record['tag']}{tuple(record['provenance'])}"
+    assert err.startswith("error: weight spec (0, 1, 5, 18) is not admissible")
+    assert f"(0, 5, -1, 0) at {point} specializes to 0" in err
 
 
 def test_bad_weights_syntax_is_usage_error(capsys, cache_path):
@@ -193,3 +212,13 @@ def test_bad_config_value_is_usage_error(capsys, tmp_path, cache_path, config, a
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith(f"usage error: bad {key} ")
+
+
+def test_traced_cli_targets_resolve(monkeypatch):
+    """Every function the benchmark's traced mode wraps exists in the package."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    traced_cli = importlib.import_module("traced_cli")
+    for module, attr, _, _ in traced_cli.TARGETS:
+        assert callable(getattr(importlib.import_module(f"nlocus.{module}"), attr, None)), (
+            f"nlocus.{module}.{attr}"
+        )

@@ -186,7 +186,7 @@ def test_every_fixed_point_hilbert_and_kbase(points):
 
 
 def test_enumerate_all_validates(points):
-    full = fx.enumerate_all(validate=True)
+    full = fx.enumerate_all()
     assert fx.stratum_counts(full) == (21, 180, 324)
     assert full == points
 
@@ -332,7 +332,7 @@ def test_cache_schema_mismatch_forces_rebuild(points, tmp_path):
     doc["schema"] = -1
     path.write_text(json.dumps(doc))
     assert fx.load_cache(path) is None
-    again = fx.load_or_enumerate(path, validate=False)
+    again = fx.load_or_enumerate(path)
     assert again == points
     assert fx.load_cache(path) == points
 

@@ -45,7 +45,7 @@ def test_ed_weights_rejects_small_degree(points):
 
 def test_contribution_numerator_against_subset_oracle(points, weights):
     fp = _pencil_point(points)
-    values = loc._fiber_values(fp, 5, weights.values)
+    values = [specialize(c, weights) for c in loc.ed_weights(fp, 5).expand()]
     assert len(values) == 20
     brute = 0
     for combo in itertools.combinations(values, 16):
@@ -175,12 +175,16 @@ def test_workers_bit_exact(points, weights):
     assert multi[0].degree == 38475
 
 
-def test_admissible_spec_fallback(points):
-    preferred = WeightSpec((0, 1, 2, 3))
-    spec = loc.admissible_spec(points, preferred)
-    assert check_generic(spec, [fp.tangent for fp in points])
-    with pytest.raises(ValueError):
-        loc.admissible_spec(points, preferred, strict=True)
+def test_admissible_spec_returns_the_spec_or_names_the_point(points, weights):
+    assert loc.admissible_spec(points, weights) is weights
+    bad = WeightSpec((0, 1, 2, 3))
+    fp = next(p for p in points if not check_generic(bad, [p.tangent]))
+    with pytest.raises(
+        ValueError,
+        match=re.escape("(0, 1, 2, 3) is not admissible: tangent character (")
+        + rf"[-\d, ]+\) at {re.escape(f'{fp.tag}{fp.provenance}')} specializes to 0",
+    ):
+        loc.admissible_spec(points, bad)
 
 
 def test_degree_result_json(points, weights):
