@@ -1,10 +1,10 @@
 """The acceptance checks, shared by `nlocus verify` and the test suite.
 
 Each check takes (points, spec, workers), raises AssertionError (or the
-StructuralError of the layer it runs) with a message naming the fixed
-point, d or weight spec at fault, and returns the value it verified so
-that tests can pin it.  CHECKS lists them in the order `nlocus verify`
-runs them.
+error of the layer it runs: a StructuralError, or the ValueError of an
+inadmissible spec) with a message naming the fixed point, d or weight
+spec at fault, and returns the value it verified so that tests can pin
+it.  CHECKS lists them in the order `nlocus verify` runs them.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .ideals import (
     staircase_runs,
 )
 from .poly import mono_divides, monomials_of_degree, parse
-from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, check_generic, elem_sym
+from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, elem_sym
 
 CENSUS = (21, 180, 324)  # G2, G2E1, E2
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
@@ -97,10 +97,8 @@ def d5_cross_check(points, spec, workers):
 
 def spec_independence(points, spec, workers):
     """The degrees for d = 4..6 are the same under a second admissible spec."""
-    alternate = FALLBACK_WEIGHTS if spec != FALLBACK_WEIGHTS else DEFAULT_WEIGHTS
-    _require(
-        check_generic(alternate, [fp.tangent for fp in points]),
-        f"alternate weight spec {alternate.values} is not admissible",
+    alternate = loc.admissible_spec(
+        points, FALLBACK_WEIGHTS if spec != FALLBACK_WEIGHTS else DEFAULT_WEIGHTS
     )
     ours = loc.degree_range(4, 6, spec, points, workers)
     theirs = loc.degree_range(4, 6, alternate, points, workers)
@@ -116,14 +114,15 @@ def spec_independence(points, spec, workers):
 def saturation_limit(other, deformed):
     """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics."""
     gb = reduce_gb(set_t_zero(saturate_t(fx.deformation_ideal(other, deformed))))
+    target = fx._t_polynomial(*deformed)
     for g in gb.basis:
-        _require(g.is_monomial(), f"t=0 limit deforming to {deformed} is not monomial: {g}")
+        _require(g.is_monomial(), f"t=0 limit deforming to {target} is not monomial: {g}")
     cubics = [
         m[:4]
         for m in monomials_of_degree(3)
         if any(mono_divides(lt, m) for lt in gb.leading_terms)
     ]
-    _require(len(cubics) == 8, f"t=0 limit deforming to {deformed} has {len(cubics)} cubics")
+    _require(len(cubics) == 8, f"t=0 limit deforming to {target} has {len(cubics)} cubics")
     return fx._sort_monos(cubics)
 
 
@@ -149,7 +148,8 @@ def algebra_kernel(points, spec, workers):
                 oracle = saturation_limit(other, deformed)
                 _require(
                     ours == oracle,
-                    f"E1 direction {e} over pair {z.pair_index}, deformed {deformed}:"
+                    f"E1 direction {e} over pair {z.pair_index},"
+                    f" deformed {fx._t_polynomial(*deformed)}:"
                     f" limit {ours} != saturation {oracle}",
                 )
                 checked += 1

@@ -13,11 +13,18 @@ Each fixed point carries 16 tangent characters, a 19-dimensional system of
 quartic monomials cutting out the limit curve, and the characters of the
 limiting pencil (the Pluecker weight data needed for the degree-4 count).
 
+Every monomial on this path, from the pencils to the cache file, is an
+exponent 4-tuple over x0..x3, which is also its torus character.  A
+deformation q + t*m' is a t-expansion ({q: 1}, {m': 1}): entry k maps
+4-tuples to the coefficients of t^k.
+
 The exceptional points over Z come from flat limits of deformed pencils,
 computed by Gaussian elimination over Q[t] (`_limit_cubics`); no Groebner
-basis is computed on this path.  `deformation_ideal` gives the same
-deformations as ideals, for the saturation oracle in `nlocus.checks` and
-the tests.
+basis is computed on this path.  `deformation_ideal` turns the same
+expansions into ideals of `Polynomial`s in x0..x3, t, for the saturation
+oracle in `nlocus.checks` and the tests.
+
+The JSON cache stores each quartic monomial as a row of 4 exponents.
 """
 
 from __future__ import annotations
@@ -35,17 +42,15 @@ from .poly import (
     mono_mul,
     monomial_gcd,
     monomials_of_degree,
-    parse,
-    render,
 )
-from .torus import CharBag, blowup_tangent, char_add, char_of, grass_tangent
+from .torus import CharBag, blowup_tangent, char_add, grass_tangent
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-QUADRICS = monomials_of_degree(2)
-LINEARS = monomials_of_degree(1)
-QUADRIC_BAG = CharBag.of_monomials(QUADRICS)
-LINEAR_BAG = CharBag.of_monomials(LINEARS)
+QUADRICS = [m[:4] for m in monomials_of_degree(2)]
+LINEARS = [m[:4] for m in monomials_of_degree(1)]
+QUADRIC_BAG = CharBag(QUADRICS)
+LINEAR_BAG = CharBag(LINEARS)
 
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
@@ -125,7 +130,7 @@ def enumerate_pairs():
     for i in range(len(QUADRICS)):
         for j in range(i + 1, len(QUADRICS)):
             q1, q2 = QUADRICS[i], QUADRICS[j]
-            tangent = grass_tangent(CharBag.of_monomials([q1, q2]), QUADRIC_BAG)
+            tangent = grass_tangent(CharBag([q1, q2]), QUADRIC_BAG)
             if tangent.size() != 16:
                 raise StructuralError(f"pencil tangent size {tangent.size()} != 16")
             pairs.append(PencilPair(len(pairs), q1, q2, tangent))
@@ -133,8 +138,8 @@ def enumerate_pairs():
 
 
 def _products(monos, factors):
-    """The set of x-exponent 4-tuples m*f for m in monos and f in factors."""
-    return {mono_mul(m, f)[:4] for m in monos for f in factors}
+    """The set of products m*f for m in monos and f in factors."""
+    return {mono_mul(m, f) for m in monos for f in factors}
 
 
 def _sort_monos(monos):
@@ -150,8 +155,8 @@ def split_strata(pairs):
             quartics = _sort_monos(_products((pair.q1, pair.q2), QUADRICS))
             if len(quartics) != 19:
                 raise StructuralError(
-                    f"pencil ({render(Polynomial.monomial(pair.q1))},"
-                    f" {render(Polynomial.monomial(pair.q2))}) spans"
+                    f"pencil ({_t_polynomial({pair.q1: 1})},"
+                    f" {_t_polynomial({pair.q2: 1})}) spans"
                     f" {len(quartics)} quartics, expected 19"
                 )
             g2.append(
@@ -159,7 +164,7 @@ def split_strata(pairs):
                     tag=G2,
                     tangent=pair.tangent,
                     quartics=quartics,
-                    pencil_chars=(char_of(pair.q1), char_of(pair.q2)),
+                    pencil_chars=(pair.q1, pair.q2),
                     provenance=(pair.index,),
                 )
             )
@@ -167,9 +172,8 @@ def split_strata(pairs):
             if sum(g) != 1:
                 raise StructuralError("distinct quadric monomials share a quadratic factor")
             l1, l2 = mono_div(pair.q1, g), mono_div(pair.q2, g)
-            tangent_z = grass_tangent(
-                CharBag.of_monomials([l1, l2]), LINEAR_BAG
-            ) + grass_tangent(CharBag.of_monomials([g]), LINEAR_BAG)
+            tangent_z = grass_tangent(CharBag([l1, l2]), LINEAR_BAG)
+            tangent_z += grass_tangent(CharBag([g]), LINEAR_BAG)
             if tangent_z.size() != 7:
                 raise StructuralError(f"Z tangent size {tangent_z.size()} != 7")
             normal = pair.tangent - tangent_z
@@ -182,6 +186,7 @@ def split_strata(pairs):
 def _limit_cubics(other, deformed):
     """Flat limit of the cubic system <other, deformed> * (x0..x3) as t -> 0.
 
+    other is a quadric monomial and deformed a t-expansion of a quadric.
     The 8 generators are vectors in Q[t]^20 over the cubic monomials, each of
     t-degree at most 1.  Gaussian elimination over Q[t] localized at t keeps
     pivots whose t = 0 parts are independent: each generator's t = 0 part is
@@ -197,7 +202,11 @@ def _limit_cubics(other, deformed):
     summed t-degrees of the generators when the rank is 8, more divisions
     than that mean a rank below 8.
     """
-    rows = [_t_expansion(g) for g in deformation_ideal(other, deformed)]
+    rows = [
+        [{mono_mul(m, x): c for m, c in part.items()} for part in gen]
+        for gen in (({other: 1},), deformed)
+        for x in LINEARS
+    ]
     divisions_left = sum(len(row) - 1 for row in rows)
     pivots = []  # (monomial, row); a row vanishes at t = 0 on earlier pivots
     for row in rows:
@@ -205,31 +214,22 @@ def _limit_cubics(other, deformed):
             for mono, pivot in pivots:
                 c = row[0].get(mono)
                 if c:
-                    row = _row_sub(row, c / pivot[0][mono], pivot)
+                    row = _row_sub(row, Fraction(c, pivot[0][mono]), pivot)
             if row[0]:
                 pivots.append((max(row[0]), row))
                 break
             divisions_left -= 1
             if len(row) == 1 or divisions_left < 0:
                 raise StructuralError(
-                    f"limit of <{render(Polynomial.monomial(other))}, {deformed}>"
-                    " has rank below 8"
+                    f"limit of <{_t_polynomial({other: 1})},"
+                    f" {_t_polynomial(*deformed)}> has rank below 8"
                 )
             row = row[1:]
     cubics = {mono for mono, _ in pivots}
     for _, row in pivots:
         if not row[0].keys() <= cubics:
-            limit = Polynomial({m + (0,): c for m, c in row[0].items()})
-            raise StructuralError(f"t=0 limit is not monomial: {limit}")
+            raise StructuralError(f"t=0 limit is not monomial: {_t_polynomial(row[0])}")
     return _sort_monos(cubics)
-
-
-def _t_expansion(p):
-    """Coefficient vectors of p in t: entry k maps x-monomials to coefficients of t^k."""
-    out = [{} for _ in range(max(m[4] for m in p.terms) + 1)]
-    for m, c in p.terms.items():
-        out[m[4]][m[:4]] = c
-    return out
 
 
 def _row_sub(a, c, b):
@@ -250,15 +250,23 @@ def _row_sub(a, c, b):
 def _deformations(pencil, e):
     """(other generator, deformed generator) for each monomial presentation of e.
 
-    A presentation deforms the pencil generator q whose character makes
-    e + char(q) a genuine quadric monomial m', giving q + t*m'.
+    A presentation deforms the pencil generator q for which e + q is a
+    genuine quadric monomial m', giving the t-expansion ({q: 1}, {m': 1})
+    of q + t*m'.
     """
     out = []
     for j, qj in enumerate(pencil):
-        shift = char_add(e, char_of(qj))
+        shift = char_add(e, qj)
         if all(v >= 0 for v in shift):
-            out.append((pencil[1 - j], Polynomial({qj: 1, shift + (1,): 1})))
+            out.append((pencil[1 - j], ({qj: 1}, {shift: 1})))
     return out
+
+
+def _t_polynomial(*parts):
+    """The Polynomial sum over k of t^k * parts[k] (x-monomial -> coefficient maps)."""
+    return Polynomial(
+        {m + (k,): c for k, part in enumerate(parts) for m, c in part.items()}
+    )
 
 
 def deformation_ideal(other, deformed):
@@ -268,9 +276,9 @@ def deformation_ideal(other, deformed):
     saturating the ideal in t gives the same limit (the oracle route).
     """
     gens = []
-    for pencil_gen in (Polynomial.monomial(other), deformed):
+    for pencil_gen in (_t_polynomial({other: 1}), _t_polynomial(*deformed)):
         for x in LINEARS:
-            gens.append(pencil_gen.mul_monomial(x))
+            gens.append(pencil_gen.mul_monomial(x + (0,)))
     return Ideal(gens)
 
 
@@ -332,39 +340,31 @@ def classify_e1(record, z, pair, z_index):
             tag=G2E1,
             tangent=record.tangent,
             quartics=quartics,
-            pencil_chars=(char_of(pair.q1), char_of(pair.q2)),
+            pencil_chars=(pair.q1, pair.q2),
             provenance=(z_index, record.direction_index),
         )
 
-    plane = record.limit_cubics[0][:4]
+    plane = record.limit_cubics[0]
     for c in record.limit_cubics[1:]:
         plane = monomial_gcd(plane, c)
     if sum(plane) != 1:
         raise StructuralError("degenerate cubic system has no common plane")
-    plane5 = plane + (0,)
-    if plane5 != z.plane:
+    if plane != z.plane:
         raise StructuralError("common factor of the limit cubics is not the Z plane")
     if not z.is_y_incident():
         raise StructuralError("degenerate limit over a ZPoint outside Y")
     line = z.l2 if z.l1 == z.plane else z.l1
+    i_plane, i_line = plane.index(1), line.index(1)
+    doublet_ambient = [q for q in QUADRICS if q[i_plane] == 0 and q[i_line] == 0]
     quadrics = [mono_div(c, plane) for c in record.limit_cubics]
-    i_plane = plane.index(1)
-    i_line = line[:4].index(1)
-    survivors = [q for q in quadrics if q[i_plane] == 0 and q[i_line] == 0]
+    survivors = [q for q in quadrics if q in doublet_ambient]
     if len(survivors) != 1:
         raise StructuralError(f"doublet is not unique: {survivors}")
-    doublet = survivors[0] + (0,)
-    rest = [v for v in range(4) if v not in (i_plane, i_line)]
-    a, b = rest
-    doublet_ambient = CharBag.of_monomials(
-        [_quadric_in(a, a), _quadric_in(a, b), _quadric_in(b, b)]
-    )
+    doublet = survivors[0]
     tangent_w = (
-        grass_tangent(CharBag.of_monomials([plane5]), LINEAR_BAG)
-        + grass_tangent(
-            CharBag.of_monomials([line]), LINEAR_BAG - CharBag.of_monomials([plane5])
-        )
-        + grass_tangent(CharBag.of_monomials([doublet]), doublet_ambient)
+        grass_tangent(CharBag([plane]), LINEAR_BAG)
+        + grass_tangent(CharBag([line]), LINEAR_BAG - CharBag([plane]))
+        + grass_tangent(CharBag([doublet]), CharBag(doublet_ambient))
     )
     if tangent_w.size() != 7:
         raise StructuralError(f"W tangent size {tangent_w.size()} != 7")
@@ -372,7 +372,7 @@ def classify_e1(record, z, pair, z_index):
     if not normal.is_effective() or normal.size() != 9:
         raise StructuralError("W normal bag is not an effective bag of size 9")
     return WPoint(
-        plane=plane5,
+        plane=plane,
         line=line,
         doublet=doublet,
         tangent_w=tangent_w,
@@ -380,13 +380,6 @@ def classify_e1(record, z, pair, z_index):
         cubic_system=record.limit_cubics,
         provenance=(z_index, record.direction_index),
     )
-
-
-def _quadric_in(a, b):
-    e = [0, 0, 0, 0, 0]
-    e[a] += 1
-    e[b] += 1
-    return tuple(e)
 
 
 def e2_points(w, w_index):
@@ -399,11 +392,8 @@ def e2_points(w, w_index):
     base = _products(w.cubic_system, LINEARS)
     if len(base) != 18:
         raise StructuralError(f"W quartic base has rank {len(base)}, expected 18")
-    anchor = char_add(char_add(char_of(w.plane), char_of(w.line)), char_of(w.doublet))
-    pencil_chars = (
-        char_add(char_of(w.plane), char_of(w.plane)),
-        char_add(char_of(w.plane), char_of(w.line)),
-    )
+    anchor = char_add(char_add(w.plane, w.line), w.doublet)
+    pencil_chars = (char_add(w.plane, w.plane), char_add(w.plane, w.line))
     points = []
     for index, (e, mult) in enumerate(w.normal.entries()):
         if mult != 1:
@@ -488,7 +478,7 @@ def point_to_json(fp):
     return {
         "tag": fp.tag,
         "tangent": _bag_to_json(fp.tangent),
-        "quartics": [render(Polynomial.monomial(m + (0,))) for m in fp.quartics],
+        "quartics": [list(m) for m in fp.quartics],
         "pencil": [list(c) for c in fp.pencil_chars],
         "provenance": list(fp.provenance),
     }
@@ -512,8 +502,9 @@ def _int_rows(value, width, key):
 def point_from_json(data):
     """The FixedPoint of a cache record; ValueError when the record is malformed.
 
-    Only the shape is checked here (keys, types, monomial quartics); ranks,
-    tangent sizes and the census are for `nlocus verify` to judge.
+    Only the shape is checked here (keys, types, non-negative quartic
+    exponents); ranks, tangent sizes and the census are for `nlocus verify`
+    to judge.
     """
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
@@ -522,27 +513,16 @@ def point_from_json(data):
         raise ValueError(f"missing {', '.join(map(repr, missing))}")
     if not isinstance(data["tag"], str):
         raise ValueError("'tag' is not a string")
-    if not isinstance(data["quartics"], list) or not all(
-        isinstance(text, str) for text in data["quartics"]
-    ):
-        raise ValueError("'quartics' is not a list of strings")
+    quartics = _int_rows(data["quartics"], 4, "quartics")
+    if any(v < 0 for row in quartics for v in row):
+        raise ValueError("'quartics' has a negative exponent")
     provenance = data["provenance"]
     if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
         raise ValueError("'provenance' is not a list of integers")
-    quartics = []
-    for text in data["quartics"]:
-        try:
-            p = parse(text)
-        except ValueError as exc:
-            raise ValueError(f"'quartics' entry {text!r}: {exc}") from None
-        m = p.lm() if p.is_monomial() else None
-        if m is None or m[4]:
-            raise ValueError(f"'quartics' entry {text!r} is not a monomial in x0..x3")
-        quartics.append(m[:4])
     return FixedPoint(
         tag=data["tag"],
         tangent=_bag_from_json(_int_rows(data["tangent"], 5, "tangent")),
-        quartics=tuple(quartics),
+        quartics=tuple(tuple(m) for m in quartics),
         pencil_chars=tuple(tuple(c) for c in _int_rows(data["pencil"], 4, "pencil")),
         provenance=tuple(provenance),
     )

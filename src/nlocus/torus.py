@@ -60,10 +60,6 @@ class CharBag:
                     del merged[c]
         self._entries = merged
 
-    @classmethod
-    def of_monomials(cls, monomials):
-        return cls(char_of(m) for m in monomials)
-
     def entries(self):
         """Sorted (character, multiplicity) pairs."""
         return sorted(self._entries.items())

@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The
 checks come from `nlocus.checks`, which `nlocus verify` runs too.
 """
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import pytest
 
@@ -83,8 +83,15 @@ def test_criterion_8_algebra_kernel(points, weights):
     report(8, "kbase=20 at d=5; E1 limits equal saturation on all 252 presentations; elem_sym exact")
 
 
-def test_spec_independence_fails_on_inadmissible_alternate(weights):
-    # (-6, 7, -1, 0) specializes to 0 under the alternate spec (0, 1, 7, 23)
-    point = SimpleNamespace(tangent=CharBag([(-6, 7, -1, 0)]))
-    with pytest.raises(AssertionError, match=r"\(0, 1, 7, 23\) is not admissible"):
-        checks.spec_independence([point], weights, 1)
+def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
+    # (0, 7, -1, 0) specializes to 0 under the alternate spec (0, 1, 7, 23)
+    # but not under the main spec (0, 1, 5, 18)
+    bad = list(points)
+    fp = bad[200]
+    bad[200] = replace(fp, tangent=fp.tangent + CharBag([(0, 7, -1, 0)]))
+    assert loc.admissible_spec(bad, weights) is weights
+    with pytest.raises(ValueError) as info:
+        checks.spec_independence(bad, weights, 1)
+    message = str(info.value)
+    assert "(0, 1, 7, 23) is not admissible" in message
+    assert f"(0, 7, -1, 0) at {fp.tag}{fp.provenance}" in message

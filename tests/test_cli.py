@@ -170,7 +170,9 @@ def test_verify_detects_corrupted_cache(capsys, tmp_path, points):
 
 
 @pytest.mark.parametrize(
-    "text", ["[]", '{"schema":1}', '{"schema":1,"points":['], ids=["array", "no-points", "undecodable"]
+    "text",
+    ["[]", f'{{"schema":{fx.SCHEMA_VERSION}}}', f'{{"schema":{fx.SCHEMA_VERSION},"points":['],
+    ids=["array", "no-points", "undecodable"],
 )
 def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
     path = tmp_path / "broken.json"

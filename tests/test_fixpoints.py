@@ -6,17 +6,19 @@ from fractions import Fraction
 import pytest
 
 from nlocus import fixpoints as fx
-from nlocus import gbcore
+from nlocus import gbcore, poly
 from nlocus.ideals import hilbert_polynomial, kbase, monomial_gb
-from nlocus.poly import monomials_of_degree, parse
-from nlocus.torus import CharBag, char_of, char_sub
+from nlocus.poly import Polynomial, monomials_of_degree, parse, render
+from nlocus.torus import CharBag, char_sub
 
-# sha256 of cache_bytes(enumerate_all()) as computed by the saturation route
-CACHE_SHA256 = "42f598a287e17a3ca8f7694e5769887a30b67e0f740be95c04f3491cff51928b"
+# sha256 of cache_bytes(enumerate_all()) in schema 2; its points equal those
+# of the schema-1 file, whose quartics were polynomial text
+CACHE_SHA256 = "df21c40cbef7ddaa3ace4d12691e8329464e7f1064f3b925f1525d52563afc09"
 
 
 def mono(text):
-    return parse(text).lm()
+    """The x-exponent 4-tuple of a monomial in x0..x3."""
+    return parse(text).lm()[:4]
 
 
 def test_enumerate_pairs_census():
@@ -31,7 +33,7 @@ def test_pencil_x0sq_x1sq_tangent_contains_paper_fraction():
     target = [p for p in pairs if {p.q1, p.q2} == {mono("x0^2"), mono("x1^2")}]
     assert len(target) == 1
     tangent = target[0].tangent
-    assert char_sub(char_of(mono("x0*x1")), char_of(mono("x0^2"))) in tangent
+    assert char_sub(mono("x0*x1"), mono("x0^2")) in tangent
 
 
 def test_split_strata_counts(cascade):
@@ -107,31 +109,25 @@ def test_limit_cubics_hand_examples(cascade):
     # direction x1^2/x0^2 keeps the curve: limit <x0^2, x0*x1, x1^3> cubics
     curve = records[(-2, 2, 0, 0)]
     assert set(curve.limit_cubics) == {
-        m[:4]
-        for m in (
-            mono("x0^3"), mono("x0^2*x1"), mono("x0^2*x2"), mono("x0^2*x3"),
-            mono("x0*x1^2"), mono("x0*x1*x2"), mono("x0*x1*x3"), mono("x1^3"),
-        )
+        mono("x0^3"), mono("x0^2*x1"), mono("x0^2*x2"), mono("x0^2*x3"),
+        mono("x0*x1^2"), mono("x0*x1*x2"), mono("x0*x1*x3"), mono("x1^3"),
     }
     # direction x2^2/(x0*x1) degenerates to x0 * (quadrics through the doublet)
     degen = records[(-1, -1, 2, 0)]
     assert set(degen.limit_cubics) == {
-        m[:4]
-        for m in (
-            mono("x0^3"), mono("x0^2*x1"), mono("x0^2*x2"), mono("x0^2*x3"),
-            mono("x0*x1^2"), mono("x0*x1*x2"), mono("x0*x1*x3"), mono("x0*x2^2"),
-        )
+        mono("x0^3"), mono("x0^2*x1"), mono("x0^2*x2"), mono("x0^2*x3"),
+        mono("x0*x1^2"), mono("x0*x1*x2"), mono("x0*x1*x3"), mono("x0*x2^2"),
     }
 
 
 def test_w_points_carry_plane_line_doublet(cascade):
     shapes = set()
     for w in cascade.ws:
-        assert sum(w.plane[:4]) == 1
-        assert sum(w.line[:4]) == 1
-        assert sum(w.doublet[:4]) == 2
+        assert sum(w.plane) == 1
+        assert sum(w.line) == 1
+        assert sum(w.doublet) == 2
         assert w.plane != w.line
-        i_p, i_l = w.plane[:4].index(1), w.line[:4].index(1)
+        i_p, i_l = w.plane.index(1), w.line.index(1)
         assert all(w.doublet[i] == 0 for i in (i_p, i_l))
         shapes.add((w.plane, w.line, w.doublet))
     # 4 planes x 3 lines x 3 doublets, all distinct
@@ -143,7 +139,7 @@ def test_e2_census_and_shape(cascade):
     for fp in cascade.e2:
         assert len(fp.quartics) == 19
         w = cascade.ws[fp.provenance[0]]
-        i_plane = w.plane[:4].index(1)
+        i_plane = w.plane.index(1)
         free = [m for m in fp.quartics if m[i_plane] == 0]
         assert len(free) == 1  # exactly one generator away from the plane
 
@@ -151,7 +147,7 @@ def test_e2_census_and_shape(cascade):
 def test_e2_pencil_chars(cascade):
     for fp in cascade.e2:
         w = cascade.ws[fp.provenance[0]]
-        lp, ll = char_of(w.plane), char_of(w.line)
+        lp, ll = w.plane, w.line
         assert fp.pencil_chars == (
             tuple(2 * a for a in lp),
             tuple(a + b for a, b in zip(lp, ll)),
@@ -293,12 +289,23 @@ def test_limit_cubics_match_matrix_oracle(cascade):
 
 
 def test_limit_cubics_structural_errors():
+    q = mono("x0*x1")
     # deforming q to (1 + t)*q never leaves the pencil <q>: rank 4
-    with pytest.raises(fx.StructuralError, match="rank below 8"):
-        fx._limit_cubics(mono("x0*x1"), parse("x0*x1 + t*x0*x1"))
+    with pytest.raises(
+        fx.StructuralError, match=re.escape("<x0*x1, x0*x1*t+x0*x1> has rank below 8")
+    ):
+        fx._limit_cubics(q, ({q: 1}, {q: 1}))
     # a pencil that is not torus-fixed has a limit that is not monomial
-    with pytest.raises(fx.StructuralError, match="not monomial"):
-        fx._limit_cubics(mono("x0^2"), parse("x1^2 + x2^2"))
+    with pytest.raises(fx.StructuralError, match=re.escape("not monomial: x0*x1^2+x0*x2^2")):
+        fx._limit_cubics(mono("x0^2"), ({mono("x1^2"): 1, mono("x2^2"): 1},))
+
+
+def test_deformation_ideal_is_the_expansion_times_the_linear_forms():
+    gens = fx.deformation_ideal(mono("x0^2"), ({mono("x0*x1"): 1}, {mono("x2^2"): 1}))
+    pencil = (parse("x0^2"), parse("x0*x1 + t*x2^2"))
+    assert list(gens) == [
+        g * parse(x) for g in pencil for x in ("x0", "x1", "x2", "x3")
+    ]
 
 
 def test_enumeration_runs_without_buchberger(monkeypatch):
@@ -309,6 +316,16 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
     points = fx.enumerate_all()
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
+
+
+def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("polynomial text parsed on the cache path")
+
+    monkeypatch.setattr(poly._Parser, "parse", refuse)
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    assert fx.load_cache(path) == points
 
 
 # -- cache -------------------------------------------------------------------
@@ -325,16 +342,26 @@ def test_cache_bytes_deterministic(points):
     assert fx.cache_bytes(points) == fx.cache_bytes(list(points))
 
 
+def _schema_1_doc(points):
+    """The cache document in schema 1, whose quartics were polynomial text."""
+    doc = json.loads(fx.cache_bytes(points))
+    doc["schema"] = 1
+    for record, fp in zip(doc["points"], points):
+        record["quartics"] = [render(Polynomial.monomial(m + (0,))) for m in fp.quartics]
+    return doc
+
+
 def test_cache_schema_mismatch_forces_rebuild(points, tmp_path):
-    path = tmp_path / "cache.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    doc["schema"] = -1
-    path.write_text(json.dumps(doc))
-    assert fx.load_cache(path) is None
-    again = fx.load_or_enumerate(path)
-    assert again == points
-    assert fx.load_cache(path) == points
+    other = json.loads(fx.cache_bytes(points))
+    other["schema"] = -1
+    for doc in (other, _schema_1_doc(points)):
+        path = tmp_path / "cache.json"
+        path.write_text(json.dumps(doc))
+        assert fx.load_cache(path) is None
+        again = fx.load_or_enumerate(path)
+        assert again == points
+        assert path.read_bytes() == fx.cache_bytes(points)
+        assert fx.load_cache(path) == points
 
 
 def test_load_or_enumerate_uses_cache(points, tmp_path):
@@ -359,13 +386,14 @@ def test_load_cache_absent_file_is_none(tmp_path):
     assert fx.load_cache(tmp_path / "missing.json") is None
 
 
+SCHEMA = f'"schema":{fx.SCHEMA_VERSION}'
 MALFORMED_CACHES = {
     "array": "[]",
-    "no-points": '{"schema":1}',
-    "undecodable": '{"schema":1,"points":[',
+    "no-points": f"{{{SCHEMA}}}",
+    "undecodable": f'{{{SCHEMA},"points":[',
     "no-schema": '{"points":[]}',
-    "points-not-list": '{"schema":1,"points":{}}',
-    "record-not-object": '{"schema":1,"points":[[]]}',
+    "points-not-list": f'{{{SCHEMA},"points":{{}}}}',
+    "record-not-object": f'{{{SCHEMA},"points":[[]]}}',
 }
 
 
@@ -382,9 +410,9 @@ MALFORMED_RECORDS = {
     "tag-not-string": ("tag", 7),
     "tangent-short-row": ("tangent", [[1, -1, 0, 0]]),
     "tangent-not-int": ("tangent", [[1, -1, 0, 0, "1"]]),
-    "quartic-unparsable": ("quartics", ["x0^4", "x0 **"]),
-    "quartic-not-monomial": ("quartics", ["x0^4 + x1^4"]),
-    "quartic-with-t": ("quartics", ["x0^4*t"]),
+    "quartic-with-t": ("quartics", [[4, 0, 0, 0], [3, 1, 0, 0, 1]]),
+    "quartic-not-int": ("quartics", [[4, 0, 0, 0], [3, 1, 0, "0"]]),
+    "quartic-negative": ("quartics", [[4, 0, 0, 0], [5, -1, 0, 0]]),
     "pencil-not-rows": ("pencil", [0, 1]),
     "provenance-not-ints": ("provenance", [0.5]),
 }

@@ -23,11 +23,11 @@ def mono(text):
 
 
 def bag(*texts):
-    return CharBag.of_monomials([mono(t) for t in texts])
+    return CharBag(char_of(mono(t)) for t in texts)
 
 
-QUADRIC_BAG = CharBag.of_monomials(monomials_of_degree(2))
-LINEAR_BAG = CharBag.of_monomials(monomials_of_degree(1))
+QUADRIC_BAG = CharBag(char_of(m) for m in monomials_of_degree(2))
+LINEAR_BAG = CharBag(char_of(m) for m in monomials_of_degree(1))
 
 
 def test_char_of():
