@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ideals import HilbertPoly, Ideal, hilbert_polynomial, monomial_gb
+from .ideals import HilbertPoly, Ideal, hilbert_polynomial
 from .poly import (
     Polynomial,
     mono_div,
@@ -54,6 +54,7 @@ LINEAR_BAG = CharBag(LINEARS)
 
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
+CENSUS = (21, 180, 324)  # fixed points per stratum
 
 
 class StructuralError(RuntimeError):
@@ -319,7 +320,7 @@ _HILB_4T = HilbertPoly((Fraction(0), Fraction(4)))
 
 def _is_curve_hilb(monos):
     """True when the monomial system cuts a curve with Hilbert polynomial 4t."""
-    return hilbert_polynomial(monomial_gb([m + (0,) for m in monos])) == _HILB_4T
+    return hilbert_polynomial(monos) == _HILB_4T
 
 
 def classify_e1(record, z, pair, z_index):
@@ -440,8 +441,8 @@ def enumerate_all():
         e2.extend(e2_points(w, w_index))
     points = g2 + g2e1 + e2
     counts = stratum_counts(points)
-    if counts != (21, 180, 324):
-        raise StructuralError(f"stratum counts {counts} != (21, 180, 324)")
+    if counts != CENSUS:
+        raise StructuralError(f"stratum counts {counts} != {CENSUS}")
     for fp in points:
         if not _is_curve_hilb(fp.quartics):
             raise StructuralError(

@@ -1,13 +1,16 @@
 """Homogeneous-ideal toolkit: reduced Groebner bases, normal forms,
 standard-monomial bases in a fixed degree, saturation with respect to t by
-one elimination Groebner basis, and Hilbert polynomials of monomial
-leading-term ideals.  Standard monomials and Hilbert polynomials are both
-read off one staircase decomposition of the leading-term ideal
-(`staircase_cells`).
+one elimination Groebner basis, and Hilbert polynomials of monomial ideals.
 
-Ideals live in the fixed ring of poly.py.  Generators must be homogeneous
-in the x-variables (the deformation parameter t carries weight 0 in this
-grading; the pipeline's deformed pencils q + t*m' are exactly of this kind).
+Monomial ideals in x0..x3 are given by their generators' exponent 4-tuples,
+the format of the fixed-point path; standard monomials and Hilbert
+polynomials are both read off one staircase decomposition of such an ideal
+(`staircase_cells`), with no Groebner basis and no `Polynomial`.
+
+The other ideals live in the fixed ring of poly.py and back the oracles.
+Their generators must be homogeneous in the x-variables (the deformation
+parameter t carries weight 0 in this grading; the pipeline's deformed
+pencils q + t*m' are exactly of this kind).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gbcore
-from .poly import Polynomial, mono_divides, mono_key
+from .poly import Polynomial, mono_key
 
 
 @dataclass(frozen=True)
@@ -61,20 +64,6 @@ def reduce_gb(I):
         raise ValueError("zero ideal")
     basis = tuple(Polynomial(g) for g in gb)
     return GroebnerBasis(basis, tuple(g.lm() for g in basis))
-
-
-def monomial_gb(monomials):
-    """Reduced basis of a monomial ideal: its minimal monomial generators."""
-    monos = sorted(set(monomials), key=lambda m: (sum(m), mono_key(m)))
-    minimal = []
-    for m in monos:
-        if not any(mono_divides(g, m) for g in minimal):
-            minimal.append(m)
-    if not minimal:
-        raise ValueError("zero ideal")
-    return GroebnerBasis(
-        tuple(Polynomial.monomial(m) for m in minimal), tuple(minimal)
-    )
 
 
 def normal_form(p, G):
@@ -261,20 +250,21 @@ class HilbertPoly:
         return "".join(parts) or "0"
 
 
-def hilbert_polynomial(G):
-    """Hilbert polynomial of S/I from the leading-term monomial ideal.
+def hilbert_polynomial(lead_x):
+    """Hilbert polynomial of S/<lead_x> for exponent 4-tuples lead_x.
 
-    The staircase cells of the leading terms are a Stanley decomposition of
-    S/in(I).  A cell with f free coordinates, lower degree l and x3 bound b
-    holds C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for
-    large d (no second term when b is math.inf), a polynomial in d.
+    The generators need not be minimal: a redundant one at most splits the
+    staircase cells more finely.  The cells are a Stanley decomposition of
+    S/<lead_x>.  A cell with f free coordinates, lower degree l and x3
+    bound b holds C(d - l + f, f) - C(d - l - b + f, f) monomials of degree
+    d for large d (no second term when b is math.inf), a polynomial in d.
     """
-    for m in G.leading_terms:
-        if m[4] != 0:
-            raise ValueError("Hilbert polynomial requires an ideal in x0..x3 only")
+    for m in lead_x:
+        if len(m) != 4 or min(m) < 0:
+            raise ValueError(f"not an exponent 4-tuple over x0..x3: {m}")
     # multiplicity of each binomial C(d + shift, f) in the sum
     binomials = Counter()
-    for _, free, bound, lower in staircase_cells([m[:4] for m in G.leading_terms]):
+    for _, free, bound, lower in staircase_cells(lead_x):
         f = len(free)
         binomials[f, f - lower] += 1
         if bound != math.inf:

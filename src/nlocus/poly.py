@@ -17,9 +17,6 @@ VARS = ("x0", "x1", "x2", "x3", "t")
 NVARS = len(VARS)
 ZERO_MONO = (0, 0, 0, 0, 0)
 
-# Monomials are exponent 5-tuples throughout the package.
-Monomial = tuple
-
 
 class ParseError(ValueError):
     """Syntax error in polynomial text, with the offending position."""

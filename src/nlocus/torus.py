@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Character = 4-tuple of ints
-ZERO_CHAR = (0, 0, 0, 0)
-
 
 def char_of(m):
     """Character of a monomial: its x-exponent vector (t-exponent must be 0)."""
@@ -63,9 +60,6 @@ class CharBag:
     def entries(self):
         """Sorted (character, multiplicity) pairs."""
         return sorted(self._entries.items())
-
-    def multiplicity(self, c):
-        return self._entries.get(c, 0)
 
     def size(self):
         """Total multiplicity (signed)."""
@@ -129,8 +123,11 @@ class CharBag:
 class WeightSpec:
     """Integer values assigned to x0..x3; must be pairwise distinct.
 
-    A spec is only admissible once check_generic has confirmed that no
-    tangent character specializes to zero (those are Bott denominators).
+    A spec is admissible for a set of fixed points when no tangent
+    character specializes to zero (those are Bott denominators):
+    `localization.admissible_spec` returns the spec or raises an error
+    naming the point and character at fault, and `check_generic` is the
+    same test as a boolean.
     """
 
     values: tuple

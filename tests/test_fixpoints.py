@@ -7,7 +7,7 @@ import pytest
 
 from nlocus import fixpoints as fx
 from nlocus import gbcore, poly
-from nlocus.ideals import hilbert_polynomial, kbase, monomial_gb
+from nlocus.ideals import hilbert_polynomial, standard_monomials
 from nlocus.poly import Polynomial, monomials_of_degree, parse, render
 from nlocus.torus import CharBag, char_sub
 
@@ -175,10 +175,9 @@ def test_every_fixed_point_invariants(points):
 
 def test_every_fixed_point_hilbert_and_kbase(points):
     for fp in points:
-        gb = monomial_gb([m + (0,) for m in fp.quartics])
-        assert hilbert_polynomial(gb).coefficients == (0, 4)
+        assert hilbert_polynomial(fp.quartics).coefficients == (0, 4)
         for d in range(4, 11):
-            assert len(kbase(gb, d)) == 4 * d
+            assert len(standard_monomials(fp.quartics, d)) == 4 * d
 
 
 def test_enumerate_all_validates(points):
@@ -312,8 +311,21 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("Buchberger called on the fixed-point path")
 
+    def refuse_polynomial(self, *args, **kwargs):
+        raise AssertionError("Polynomial built on the fixed-point path")
+
+    hilbert_calls = []
+
+    def counted_hilbert(lead_x):
+        hilbert_calls.append(lead_x)
+        return hilbert_polynomial(lead_x)
+
     monkeypatch.setattr(gbcore, "groebner", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse_polynomial)
+    monkeypatch.setattr(fx, "hilbert_polynomial", counted_hilbert)
     points = fx.enumerate_all()
+    # one 4t check per E1 limit cubic system (216) and per fixed point (525)
+    assert len(hilbert_calls) == 741
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
 
