@@ -159,7 +159,25 @@ def algebra_kernel(points, spec, workers):
             brute = sum(math.prod(c) for c in itertools.combinations(values, k))
             got = elem_sym(k, values)
             _require(got == brute, f"elem_sym({k}, {values}) = {got} != {brute}")
+    # production size, e_16 of 200 values: 200 copies of 977 put e_16 in the
+    # top bit of the derived width, and mixed signs take the sign split
+    for values in ([977] * 200, [rng.randint(-1000, 1000) for _ in range(200)]):
+        got, want = elem_sym(loc.DIM, values), elem_sym_dp(loc.DIM, values)
+        _require(
+            got == want,
+            f"elem_sym({loc.DIM}, {len(values)} values in [{min(values)},"
+            f" {max(values)}]) = {got} != {want}",
+        )
     return checked
+
+
+def elem_sym_dp(k, values):
+    """k-th elementary symmetric function by truncated product accumulation."""
+    coeffs = [1] + [0] * k
+    for v in values:
+        for i in range(k, 0, -1):
+            coeffs[i] += v * coeffs[i - 1]
+    return coeffs[k]
 
 
 CHECKS = (

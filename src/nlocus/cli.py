@@ -225,7 +225,10 @@ def main(argv=None):
     common.add_argument(
         "--weights",
         metavar="a,b,c,d",
-        help="integer torus weights for x0..x3 (default 0,1,5,18)",
+        help=(
+            "integer torus weights for x0..x3 (default 0,1,5,18); write"
+            " --weights=-3,0,2,11 when the first value is negative"
+        ),
     )
     common.add_argument(
         "--threads", type=int, default=None, help="worker processes for the Bott sum"

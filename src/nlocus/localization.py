@@ -12,8 +12,11 @@ of the sum of Pluecker-weight times e_15 over the same denominators.
 The hot path, `_sum_chunk`, derives the staircase cells of each point's
 quartic system once and reads the fiber at every d off them as arithmetic
 progressions of specialized weights; e_16 is one Kronecker-packed product
-(`torus.elem_sym`); and the summands of a chunk of points are added as
-integers over the lcm of their tangent denominators, one Fraction per d.
+(`torus.elem_sym`: e_j in base-2^W digit 16 - j, one r += v * (r >> W) per
+weight, W derived from e_j <= s^j / j! for weights of sum s); and the
+summands of a chunk of points are added as integers over the lcm of their
+tangent denominators, one Fraction per d.  `elem_sym` is looked up as a
+module attribute at each call, so a wrapper bound there sees every call.
 """
 
 from __future__ import annotations
@@ -90,18 +93,25 @@ def _cell_values(fp, cells, d, values):
     return out
 
 
+def _tangent_values(fp, spec):
+    """The 16 tangent characters of fp specialized under spec.
+
+    A character that specializes to 0 is a zero Bott denominator: ValueError
+    naming the spec, the point and the first such character.
+    """
+    chars = fp.tangent_chars()
+    values = [specialize(c, spec) for c in chars]
+    if 0 in values:
+        raise ValueError(
+            f"weight spec {spec.values} is not admissible: tangent character"
+            f" {chars[values.index(0)]} at {fp.tag}{fp.provenance} specializes to 0"
+        )
+    return values
+
+
 def _tangent_denominator(fp, spec):
     """c_16 of the tangent space at fp, specialized; ValueError when it is 0."""
-    den = 1
-    for c in fp.tangent_chars():
-        v = specialize(c, spec)
-        if v == 0:
-            raise ValueError(
-                f"weight spec {spec.values} is not admissible: tangent character"
-                f" {c} at {fp.tag}{fp.provenance} specializes to 0"
-            )
-        den *= v
-    return den
+    return math.prod(_tangent_values(fp, spec))
 
 
 def _common_denominator(points, spec):
@@ -215,9 +225,10 @@ def localization_self_test(points, spec):
 def admissible_spec(points, spec):
     """spec, once no tangent character of any point specializes to 0 under it.
 
-    An inadmissible spec raises the ValueError of `_tangent_denominator`,
-    naming the spec, the first point at fault and its killed character.
+    An inadmissible spec raises the ValueError of `_tangent_values`, naming
+    the spec, the first point at fault and its killed character.  Nothing is
+    multiplied out: the Bott sums form the denominators themselves.
     """
     for fp in points:
-        _tangent_denominator(fp, spec)
+        _tangent_values(fp, spec)
     return spec

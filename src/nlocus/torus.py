@@ -9,11 +9,16 @@ positive) integer multiplicities.
 Chern classes of a specialized bag are elementary symmetric functions of
 its integer weights; `elem_sym` computes them by Kronecker substitution,
 as one big-integer product (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 2009).
+multipoint Kronecker substitution", JSC 2009).  The digits are reversed:
+e_j sits in base-2^W digit k - j, so multiplying by (1 + v*z) is
+r += v * (r >> W) and e_k is the lowest digit.  The width W is derived from
+e_j <= s^j / j! for non-negative values summing to s; values of both signs
+are packed by sign separately and combined.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -192,29 +197,63 @@ def blowup_tangent(base, nml, e):
     return base + CharBag(shifted) + CharBag([e])
 
 
+def _reversed_product(k, values):
+    """Digits e_0..e_k of non-negative integers, packed in reverse; returns (r, W).
+
+    r = sum_j e_j * 2^(W*(k-j)): e_0 = 1 is the top digit, e_k the lowest.
+    Multiplying the truncated product by (1 + v*z) sends e_j to
+    e_j + v*e_(j-1), and r >> W is r with every e_j moved down to the digit
+    of e_(j+1) (e_k falls off), so the step is r += v * (r >> W), exact as
+    long as no digit ever reaches 2^W.
+
+    Width: for s = sum(values) (all values >= 0), every product of j
+    distinct values appears j! times in the expansion of s^j, so
+    e_j <= s^j / j!, and the same holds for every prefix of the values.
+    s^j / j! grows with j while j < s and falls after, so over j = 0..k
+    it is largest at m = min(k, s).  An integer e_j <= s^m / m! is at most
+    s^m // m!, so W = (s^m // m!).bit_length() gives every digit a value
+    in [0, 2^W) at every step, and nothing carries.
+    """
+    s = sum(values)
+    m = min(k, s)
+    width = (s**m // math.factorial(m)).bit_length()
+    r = 1 << (k * width)
+    for v in values:
+        r += v * (r >> width)
+    return r, width
+
+
+def _digits(k, values):
+    """[e_0, .., e_k] of non-negative integers, unpacked from `_reversed_product`."""
+    r, width = _reversed_product(k, values)
+    mask = (1 << width) - 1
+    return [(r >> (width * (k - j))) & mask for j in range(k + 1)]
+
+
 def elem_sym(k, values):
     """k-th elementary symmetric function of the integers in values.
 
-    Kronecker substitution: with z = 2^B, the product of (1 + v*z) over the
-    values, truncated mod z^(k+1), is one integer whose base-z digits are
-    e_0..e_k.  Each |e_j| <= C(n, j) * M^j <= (n*M)^k for M = max |v| (and
-    j <= k, n*M >= 1), so with 2^(B-1) above that bound the digits read as
-    balanced base-z digits (in (-z/2, z/2)) are exact, negative values
-    included.  Adding z/2 to every digit makes them all non-negative, so
-    e_k is the top digit minus z/2.
+    Kronecker substitution in reversed digits (`_reversed_product`): one
+    big-integer product with three integer operations per value, and e_k
+    is its lowest base-2^W digit.  With any negative value the values are
+    split by sign into P and N = -(the negative ones); the product of
+    (1 + v*z) is prod_P (1 + p*z) * prod_N (1 - a*z), so
+    e_k = sum_i (-1)^(k-i) * e_i(P) * e_(k-i)(N), both packed as above.
     """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
-    top = max(map(abs, values), default=0)
-    width = max((n * top) ** k, 1).bit_length() + 1
-    mask = (1 << ((k + 1) * width)) - 1
-    x = 1
-    for v in values:
-        x = (x + ((x * v) << width)) & mask
-    half = 1 << (width - 1)
-    halves = half * (mask // ((1 << width) - 1))  # z/2 in every digit
-    return (((x + halves) & mask) >> (k * width)) - half
+    if not values or min(values) >= 0:
+        r, width = _reversed_product(k, values)
+        return r & ((1 << width) - 1)
+    pos = [v for v in values if v > 0]
+    neg = [-v for v in values if v < 0]
+    ep = _digits(min(k, len(pos)), pos)
+    en = _digits(min(k, len(neg)), neg)
+    return sum(
+        (-1) ** (k - i) * ep[i] * en[k - i]
+        for i in range(max(0, k + 1 - len(en)), min(k + 1, len(ep)))
+    )
 
 
 def check_generic(spec, tangent_bags):

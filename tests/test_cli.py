@@ -121,6 +121,19 @@ def test_bad_weights_syntax_is_usage_error(capsys, cache_path):
     assert err.value.code == 2
 
 
+def test_negative_weights_take_the_equals_form(capsys, cache_path):
+    # a value starting with '-' reads as a flag unless joined with '='; the
+    # fibers then carry weights of both signs, and the degree is the default's
+    expected = "deg NL(W,9) = 2056501589492590165"
+    _, default, _ = run(capsys, "degree", "--d", "9", "--cache", str(cache_path))
+    code, out, _ = run(
+        capsys, "degree", "--d", "9", "--cache", str(cache_path), "--weights=-3,0,2,11"
+    )
+    assert code == 0
+    assert expected in default
+    assert expected in out
+
+
 def test_threads_flag_matches_single(capsys, cache_path):
     _, out1, _ = run(capsys, "degree", "--d", "6", "--cache", str(cache_path))
     _, out2, _ = run(

@@ -1,8 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
 
+from nlocus.checks import elem_sym_dp
 from nlocus.poly import monomials_of_degree, parse
 from nlocus.torus import (
     CharBag,
@@ -249,17 +251,6 @@ def test_elem_sym_matches_brute_force():
             assert elem_sym(k, values) == brute
 
 
-def elem_sym_dp(k, values):
-    """k-th elementary symmetric function by truncated product accumulation."""
-    coeffs = [1] + [0] * k
-    top = 0
-    for v in values:
-        top = min(top + 1, k)
-        for i in range(top, 0, -1):
-            coeffs[i] += v * coeffs[i - 1]
-    return coeffs[k]
-
-
 def test_elem_sym_matches_dp_oracle_on_signed_values():
     rng = random.Random(23)
     for n in (1, 2, 15, 16, 17, 40, 116, 220):
@@ -279,6 +270,55 @@ def test_elem_sym_edge_cases():
     # every value at the largest magnitude, of either sign
     assert elem_sym(16, [-(10**4)] * 16) == 10**64
     assert elem_sym(15, [10**4] * 16) == 16 * 10**60
+
+
+def test_elem_sym_equal_values_near_the_width_bound():
+    # e_k of n equal values is C(n, k) * M^k, the closest to s^k / k! there
+    # is; at (200, 16, 977) it needs the top bit of the derived width
+    for n, k, m in ((200, 16, 977), (200, 16, 10**4), (1000, 5, 3), (64, 16, 1)):
+        assert elem_sym(k, [m] * n) == math.comb(n, k) * m**k
+        assert elem_sym(k, [-m] * n) == (-1) ** k * math.comb(n, k) * m**k
+
+
+def test_elem_sym_sum_below_k():
+    # s = sum < k: the width comes from s^s / s!, and e_j = 0 for j > s
+    values = [0] * 20 + [1, 1, 1]
+    for k in range(24):
+        assert elem_sym(k, values) == math.comb(3, k)
+    assert elem_sym(16, [0] * 15 + [2]) == 0
+    assert elem_sym(2, [0] * 15 + [2, 1]) == 2
+    mixed = [0] * 10 + [1, -1, 2]
+    for k in range(14):
+        assert elem_sym(k, mixed) == elem_sym_dp(k, mixed)
+
+
+def test_elem_sym_full_and_empty_degree():
+    rng = random.Random(31)
+    for n in (1, 5, 16, 17):
+        values = [rng.randint(-50, 50) or 1 for _ in range(n)]
+        assert elem_sym(n, values) == math.prod(values)
+        assert elem_sym(0, values) == 1
+    assert elem_sym(0, [-5, -7, -(10**30)]) == 1
+    assert elem_sym(0, [-1] * 40) == 1
+
+
+def test_elem_sym_one_large_negative_among_positives():
+    rng = random.Random(37)
+    values = [rng.randint(1, 1000) for _ in range(199)] + [-(10**12)]
+    rng.shuffle(values)
+    for k in (1, 2, 15, 16, 199, 200):
+        assert elem_sym(k, values) == elem_sym_dp(k, values), k
+
+
+def test_elem_sym_values_near_ten_to_the_thirty():
+    rng = random.Random(41)
+    big = 10**30
+    for signs in ((1,), (-1,), (1, -1)):
+        values = [
+            rng.choice(signs) * (big + rng.randint(-(10**6), 10**6)) for _ in range(40)
+        ]
+        for k in (15, 16):
+            assert elem_sym(k, values) == elem_sym_dp(k, values), (signs, k)
 
 
 def test_check_generic():
