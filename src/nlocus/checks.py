@@ -26,8 +26,8 @@ from .ideals import (
     staircase_cells,
     staircase_runs,
 )
-from .poly import mono_divides, monomials_of_degree, parse
-from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, elem_sym
+from .poly import Polynomial, mono_divides, monomials_of_degree, parse, render_monomial
+from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, char_add, elem_sym
 
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
 
@@ -62,13 +62,17 @@ def rank_invariants(points, spec, workers):
 
 def hilbert_oracles(points, spec, workers):
     """hilbert_polynomial is 4t on the three orbit representatives."""
+    # <x1^2, x2^2>, <x1*x2, x1^2, x2^3> and <x0^2, x0*x1, x0*x2^2, x1^4>
     for gens in (
-        ("x1^2", "x2^2"),
-        ("x1*x2", "x1^2", "x2^3"),
-        ("x0^2", "x0*x1", "x0*x2^2", "x1^4"),
+        ((0, 2, 0, 0), (0, 0, 2, 0)),
+        ((0, 1, 1, 0), (0, 2, 0, 0), (0, 0, 3, 0)),
+        ((2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 2, 0), (0, 4, 0, 0)),
     ):
-        hp = hilbert_polynomial([parse(g).lm()[:4] for g in gens])
-        _require(hp.coefficients == (0, 4), f"<{', '.join(gens)}>: {hp} != 4*t")
+        hp = hilbert_polynomial(gens)
+        _require(
+            hp.coefficients == (0, 4),
+            f"<{', '.join(map(render_monomial, gens))}>: {hp} != 4*t",
+        )
 
 
 def localization_self_test(points, spec, workers):
@@ -110,10 +114,45 @@ def spec_independence(points, spec, workers):
     return [r.degree for r in ours]
 
 
+def _deformations(pencil, e):
+    """(other generator, deformed generator) for each monomial presentation of e.
+
+    A presentation deforms the pencil generator q for which q*x^e is a
+    genuine quadric monomial m', giving the t-expansion ({q: 1}, {m': 1}) of
+    q + t*m': entry k maps exponent 4-tuples to the coefficients of t^k.
+    """
+    out = []
+    for j, qj in enumerate(pencil):
+        shift = char_add(e, qj)
+        if all(v >= 0 for v in shift):
+            out.append((pencil[1 - j], ({qj: 1}, {shift: 1})))
+    return out
+
+
+def _t_polynomial(*parts):
+    """The Polynomial sum over k of t^k * parts[k] (x-monomial -> coefficient maps)."""
+    return Polynomial(
+        {m + (k,): c for k, part in enumerate(parts) for m, c in part.items()}
+    )
+
+
+def deformation_ideal(other, deformed):
+    """The deformed pencil times the linear forms: 8 cubic generators over Q[t].
+
+    Saturating this ideal in t gives the flat limit that `fixpoints.e1_points`
+    writes down in closed form (the oracle route).
+    """
+    gens = []
+    for pencil_gen in (_t_polynomial({other: 1}), _t_polynomial(*deformed)):
+        for x in fx.LINEARS:
+            gens.append(pencil_gen.mul_monomial(x + (0,)))
+    return Ideal(gens)
+
+
 def saturation_limit(other, deformed):
     """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics."""
-    gb = reduce_gb(set_t_zero(saturate_t(fx.deformation_ideal(other, deformed))))
-    target = fx._t_polynomial(*deformed)
+    gb = reduce_gb(set_t_zero(saturate_t(deformation_ideal(other, deformed))))
+    target = _t_polynomial(*deformed)
     for g in gb.basis:
         _require(g.is_monomial(), f"t=0 limit deforming to {target} is not monomial: {g}")
     cubics = [
@@ -128,9 +167,10 @@ def saturation_limit(other, deformed):
 def algebra_kernel(points, spec, workers):
     """kbase, the E1 flat limits against saturation, elem_sym.
 
-    Every presentation of every E1 direction is taken to its limit both by
-    `fixpoints._limit_cubics` (linear algebra over Q[t]) and by Buchberger
-    saturation.  Returns the number of presentations checked.
+    Every presentation of every E1 direction is taken to its flat limit by
+    Buchberger saturation, which must give the 8 cubics that
+    `fixpoints.e1_points` writes down in closed form for that direction.
+    Returns the number of presentations checked.
     """
     _require(
         len(kbase(reduce_gb(Ideal([parse("x0^2"), parse("x1^2")])), 5)) == 20,
@@ -141,15 +181,14 @@ def algebra_kernel(points, spec, workers):
     checked = 0
     for z in zs:
         pair = pairs[z.pair_index]
-        for e, _ in z.normal.entries():
-            for other, deformed in fx._deformations((pair.q1, pair.q2), e):
-                ours = fx._limit_cubics(other, deformed)
+        for record in fx.e1_points(z):
+            for other, deformed in _deformations((pair.q1, pair.q2), record.direction):
                 oracle = saturation_limit(other, deformed)
                 _require(
-                    ours == oracle,
-                    f"E1 direction {e} over pair {z.pair_index},"
-                    f" deformed {fx._t_polynomial(*deformed)}:"
-                    f" limit {ours} != saturation {oracle}",
+                    record.limit_cubics == oracle,
+                    f"E1 direction {record.direction} over pair {z.pair_index},"
+                    f" deformed {_t_polynomial(*deformed)}:"
+                    f" limit {record.limit_cubics} != saturation {oracle}",
                 )
                 checked += 1
     rng = random.Random(17)

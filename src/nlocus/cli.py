@@ -5,6 +5,7 @@ Subcommands:
   degree     exact degree of the locus for one d (d=4 uses the quartic path)
   formula    reconstruct the closed-form degree polynomial by interpolation
   fixpoints  enumerate the fixed points, refresh the cache, print the census
+             (or every record, with --format json)
   verify     run the verification suite; nonzero exit on any failure
 """
 
@@ -193,7 +194,7 @@ def cmd_fixpoints(args):
     points = fx.enumerate_all()
     fx.save_cache(points, cfg.cache_path)
     counts = fx.stratum_counts(points)
-    if args.json:
+    if cfg.output_format == "json":
         print(json.dumps([fx.point_to_json(p) for p in points], sort_keys=True))
     else:
         print(
@@ -272,7 +273,6 @@ def main(argv=None):
     p_fix = sub.add_parser(
         "fixpoints", parents=[common], help="enumerate fixed points, refresh cache"
     )
-    p_fix.add_argument("--json", action="store_true", help="print all records as JSON")
     p_fix.set_defaults(fn=cmd_fixpoints)
 
     p_verify = sub.add_parser(

@@ -14,15 +14,16 @@ quartic monomials cutting out the limit curve, and the characters of the
 limiting pencil (the Pluecker weight data needed for the degree-4 count).
 
 Every monomial on this path, from the pencils to the cache file, is an
-exponent 4-tuple over x0..x3, which is also its torus character.  A
-deformation q + t*m' is a t-expansion ({q: 1}, {m': 1}): entry k maps
-4-tuples to the coefficients of t^k.
+exponent 4-tuple over x0..x3, which is also its torus character.
 
-The exceptional points over Z come from flat limits of deformed pencils,
-computed by Gaussian elimination over Q[t] (`_limit_cubics`); no Groebner
-basis is computed on this path.  `deformation_ideal` turns the same
-expansions into ideals of `Polynomial`s in x0..x3, t, for the saturation
-oracle in `nlocus.checks` and the tests.
+The exceptional points over Z come from flat limits of deformed pencils.
+Deform q = p*l_q in the pencil <p*l1, p*l2> along a direction x^e to
+q + t*m', m' = q*x^e.  With the other generator p*l_o, the syzygy
+l_q*(p*l_o) - l_o*(q + t*m') = -t*l_o*m' puts l_o*m' = p*l1*l2*x^e in the
+flat limit, which is spanned by that cubic and the 7 cubics
+p*{l1, l2}*{x0..x3} (`e1_points`).  No linear algebra and no Groebner basis
+is computed on this path; `nlocus.checks` recomputes every limit by
+Buchberger saturation.
 
 The JSON cache stores each quartic monomial as a row of 4 exponents.
 """
@@ -30,18 +31,19 @@ The JSON cache stores each quartic monomial as a row of 4 exponents.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .ideals import HilbertPoly, Ideal, hilbert_polynomial
+from .ideals import HilbertPoly, hilbert_polynomial
 from .poly import (
-    Polynomial,
     mono_div,
     mono_key,
     mono_mul,
     monomial_gcd,
     monomials_of_degree,
+    render_monomial,
 )
 from .torus import CharBag, blowup_tangent, char_add, grass_tangent
 
@@ -156,9 +158,8 @@ def split_strata(pairs):
             quartics = _sort_monos(_products((pair.q1, pair.q2), QUADRICS))
             if len(quartics) != 19:
                 raise StructuralError(
-                    f"pencil ({_t_polynomial({pair.q1: 1})},"
-                    f" {_t_polynomial({pair.q2: 1})}) spans"
-                    f" {len(quartics)} quartics, expected 19"
+                    f"pencil ({render_monomial(pair.q1)}, {render_monomial(pair.q2)})"
+                    f" spans {len(quartics)} quartics, expected 19"
                 )
             g2.append(
                 FixedPoint(
@@ -184,134 +185,37 @@ def split_strata(pairs):
     return g2, zs
 
 
-def _limit_cubics(other, deformed):
-    """Flat limit of the cubic system <other, deformed> * (x0..x3) as t -> 0.
+def e1_points(z):
+    """The 9 exceptional fixed-point records over a ZPoint, limits in closed form.
 
-    other is a quadric monomial and deformed a t-expansion of a quadric.
-    The 8 generators are vectors in Q[t]^20 over the cubic monomials, each of
-    t-degree at most 1.  Gaussian elimination over Q[t] localized at t keeps
-    pivots whose t = 0 parts are independent: each generator's t = 0 part is
-    reduced against the pivots found so far, and when it vanishes the whole
-    vector is divisible by t and is divided by t and reduced again.  The t = 0
-    parts of the 8 pivots then span the limit point of G(8, 20).  The limit
-    must be monomial, that is spanned by the 8 pivot cubics (its reduced
-    echelon rows are single monomials exactly when every pivot's t = 0 part
-    lies on the pivot columns); those 8 cubics are returned.
-
-    Row operations keep every 8 x 8 minor, and a division by t divides them
-    all by t; as some minor is a nonzero polynomial of degree at most the
-    summed t-degrees of the generators when the rank is 8, more divisions
-    than that mean a rank below 8.
+    Direction e deforms a pencil generator q = p*l_q that admits it (q*x^e is
+    a quadric monomial m') to q + t*m'.  With the other generator p*l_o, the
+    syzygy l_q*(p*l_o) - l_o*(q + t*m') = -t*l_o*m' puts the cubic
+    l_o*m' = p*l1*l2*x^e in the flat limit at t = 0, next to the 7 distinct
+    cubics p*{l1, l2}*{x0..x3}.  These 8 independent monomials span the
+    8-dimensional limit, and none of them depends on which generator was
+    deformed.
     """
-    rows = [
-        [{mono_mul(m, x): c for m, c in part.items()} for part in gen]
-        for gen in (({other: 1},), deformed)
-        for x in LINEARS
-    ]
-    divisions_left = sum(len(row) - 1 for row in rows)
-    pivots = []  # (monomial, row); a row vanishes at t = 0 on earlier pivots
-    for row in rows:
-        while True:
-            for mono, pivot in pivots:
-                c = row[0].get(mono)
-                if c:
-                    row = _row_sub(row, Fraction(c, pivot[0][mono]), pivot)
-            if row[0]:
-                pivots.append((max(row[0]), row))
-                break
-            divisions_left -= 1
-            if len(row) == 1 or divisions_left < 0:
-                raise StructuralError(
-                    f"limit of <{_t_polynomial({other: 1})},"
-                    f" {_t_polynomial(*deformed)}> has rank below 8"
-                )
-            row = row[1:]
-    cubics = {mono for mono, _ in pivots}
-    for _, row in pivots:
-        if not row[0].keys() <= cubics:
-            raise StructuralError(f"t=0 limit is not monomial: {_t_polynomial(row[0])}")
-    return _sort_monos(cubics)
-
-
-def _row_sub(a, c, b):
-    """The t-expansion a - c*b, without zero coefficients or zero top degrees."""
-    out = [dict(part) for part in a] + [{} for _ in range(len(b) - len(a))]
-    for part, b_part in zip(out, b):
-        for m, v in b_part.items():
-            w = part.get(m, 0) - c * v
-            if w:
-                part[m] = w
-            else:
-                part.pop(m, None)
-    while len(out) > 1 and not out[-1]:
-        out.pop()
-    return out
-
-
-def _deformations(pencil, e):
-    """(other generator, deformed generator) for each monomial presentation of e.
-
-    A presentation deforms the pencil generator q for which e + q is a
-    genuine quadric monomial m', giving the t-expansion ({q: 1}, {m': 1})
-    of q + t*m'.
-    """
-    out = []
-    for j, qj in enumerate(pencil):
-        shift = char_add(e, qj)
-        if all(v >= 0 for v in shift):
-            out.append((pencil[1 - j], ({qj: 1}, {shift: 1})))
-    return out
-
-
-def _t_polynomial(*parts):
-    """The Polynomial sum over k of t^k * parts[k] (x-monomial -> coefficient maps)."""
-    return Polynomial(
-        {m + (k,): c for k, part in enumerate(parts) for m, c in part.items()}
-    )
-
-
-def deformation_ideal(other, deformed):
-    """The deformed pencil times the linear forms: 8 cubic generators.
-
-    Their span over Q[t] is the family whose limit `_limit_cubics` takes;
-    saturating the ideal in t gives the same limit (the oracle route).
-    """
-    gens = []
-    for pencil_gen in (_t_polynomial({other: 1}), _t_polynomial(*deformed)):
-        for x in LINEARS:
-            gens.append(pencil_gen.mul_monomial(x + (0,)))
-    return Ideal(gens)
-
-
-def e1_points(z, pair):
-    """The 9 exceptional fixed-point records over a ZPoint.
-
-    For each normal character e, the pencil generator whose character admits
-    the monomial presentation of e is deformed by t times the corresponding
-    quadric monomial; the limit cubic system is the t -> 0 flat limit,
-    computed by `_limit_cubics`.  When both generators admit a presentation
-    the limits are computed for both and must agree (the fixed point only
-    depends on the character).
-    """
-    pencil = (pair.q1, pair.q2)
+    q1, q2 = mono_mul(z.plane, z.l1), mono_mul(z.plane, z.l2)
+    pencil_cubics = _products((q1, q2), LINEARS)
     records = []
     for index, (e, mult) in enumerate(z.normal.entries()):
         if mult != 1:
             raise StructuralError("normal character with multiplicity > 1 over Z")
-        limits = [
-            _limit_cubics(other, deformed)
-            for other, deformed in _deformations(pencil, e)
-        ]
-        if not limits:
+        if not any(all(v >= 0 for v in char_add(e, q)) for q in (q1, q2)):
             raise StructuralError(f"no pencil generator admits direction {e}")
-        cubics = limits[0]
-        for other_cubics in limits[1:]:
-            if other_cubics != cubics:
-                raise StructuralError(f"limit ideal depends on the presentation of {e}")
+        extra = char_add(mono_mul(q1, z.l2), e)
+        if extra in pencil_cubics:
+            raise StructuralError(
+                f"limit cubic {render_monomial(extra)} of direction {e} is"
+                " already a cubic of the pencil"
+            )
         tangent = blowup_tangent(z.tangent_z, z.normal, e)
         if not tangent.is_effective() or tangent.size() != 16:
             raise StructuralError("E1 tangent bag is not effective of size 16")
-        records.append(E1Record(index, e, cubics, tangent))
+        records.append(
+            E1Record(index, e, _sort_monos(pencil_cubics | {extra}), tangent)
+        )
     return records
 
 
@@ -430,7 +334,7 @@ def enumerate_all():
     g2e1, ws = [], []
     for z_index, z in enumerate(zs):
         pair = pairs[z.pair_index]
-        for record in e1_points(z, pair):
+        for record in e1_points(z):
             classified = classify_e1(record, z, pair, z_index)
             if isinstance(classified, FixedPoint):
                 g2e1.append(classified)
@@ -539,9 +443,21 @@ def cache_bytes(points):
 
 
 def save_cache(points, path):
+    """Write the cache file atomically.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces the cache, so a reader sees the old file or the new one and a
+    writer killed midway leaves the old file as it was.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_bytes(cache_bytes(points))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(cache_bytes(points))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_cache(path):

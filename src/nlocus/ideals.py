@@ -53,9 +53,6 @@ class GroebnerBasis:
     basis: tuple
     leading_terms: tuple
 
-    def ideal(self):
-        return Ideal(self.basis)
-
 
 def reduce_gb(I):
     """The unique reduced Groebner basis of I."""

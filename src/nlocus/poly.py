@@ -14,7 +14,6 @@ from fractions import Fraction
 from math import comb
 
 VARS = ("x0", "x1", "x2", "x3", "t")
-NVARS = len(VARS)
 ZERO_MONO = (0, 0, 0, 0, 0)
 
 
@@ -114,12 +113,6 @@ class Polynomial:
     def monomial(cls, m, coeff=1):
         return cls({tuple(m): Fraction(coeff)})
 
-    @classmethod
-    def variable(cls, i):
-        e = [0] * NVARS
-        e[i] = 1
-        return cls.monomial(tuple(e))
-
     # -- queries -------------------------------------------------------
 
     @property
@@ -142,18 +135,8 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self._terms)
 
-    def x_degree(self):
-        """Degree in the x-variables only; -1 for zero."""
-        if not self._terms:
-            return -1
-        return max(sum(m[:4]) for m in self._terms)
-
     def is_x_homogeneous(self):
         degs = {sum(m[:4]) for m in self._terms}
-        return len(degs) <= 1
-
-    def is_homogeneous(self):
-        degs = {sum(m) for m in self._terms}
         return len(degs) <= 1
 
     def is_monomial(self):

@@ -15,7 +15,7 @@ def cascade():
     g2e1, ws = [], []
     for zi, z in enumerate(zs):
         pair = pairs[z.pair_index]
-        for record in fx.e1_points(z, pair):
+        for record in fx.e1_points(z):
             records.append((zi, record))
             out = fx.classify_e1(record, z, pair, zi)
             if isinstance(out, fx.FixedPoint):

@@ -80,7 +80,11 @@ def test_criterion_7_spec_independence(points, weights):
 
 def test_criterion_8_algebra_kernel(points, weights):
     assert checks.algebra_kernel(points, weights, 1) == 252
-    report(8, "kbase=20 at d=5; E1 limits equal saturation on all 252 presentations; elem_sym exact")
+    report(
+        8,
+        "kbase=20 at d=5; saturation gives the closed-form E1 limit on all 252"
+        " presentations; elem_sym exact",
+    )
 
 
 def test_spec_independence_fails_on_inadmissible_alternate(points, weights):

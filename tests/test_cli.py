@@ -74,7 +74,7 @@ def test_fixpoints_counts_line(capsys, tmp_path):
 
 
 def test_fixpoints_json_is_full_array(capsys, cache_path):
-    code, out, _ = run(capsys, "fixpoints", "--json", "--cache", str(cache_path))
+    code, out, _ = run(capsys, "fixpoints", "--format", "json", "--cache", str(cache_path))
     assert code == 0
     records = json.loads(out)
     assert len(records) == 525

@@ -1,10 +1,13 @@
+import dataclasses
 import hashlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import gbcore, poly
 from nlocus.ideals import hilbert_polynomial, standard_monomials
@@ -104,8 +107,7 @@ def test_limit_cubics_hand_examples(cascade):
         == {mono("x0^2"), mono("x0*x1")}
     )
     z = cascade.zs[z_index]
-    pair = cascade.pairs[z.pair_index]
-    records = {r.direction: r for r in fx.e1_points(z, pair)}
+    records = {r.direction: r for r in fx.e1_points(z)}
     # direction x1^2/x0^2 keeps the curve: limit <x0^2, x0*x1, x1^3> cubics
     curve = records[(-2, 2, 0, 0)]
     assert set(curve.limit_cubics) == {
@@ -270,9 +272,9 @@ def test_limit_cubics_match_matrix_oracle(cascade):
     for zi, record in cascade.records:
         z = cascade.zs[zi]
         pair = cascade.pairs[z.pair_index]
-        deformations = fx._deformations((pair.q1, pair.q2), record.direction)
+        deformations = checks._deformations((pair.q1, pair.q2), record.direction)
         for other, deformed in deformations:
-            gens = fx.deformation_ideal(other, deformed).generators
+            gens = checks.deformation_ideal(other, deformed).generators
             space = matrix_limit(gens)
             expected_rows, _ = _rref(
                 [
@@ -287,20 +289,38 @@ def test_limit_cubics_match_matrix_oracle(cascade):
     assert checked >= 216
 
 
-def test_limit_cubics_structural_errors():
-    q = mono("x0*x1")
-    # deforming q to (1 + t)*q never leaves the pencil <q>: rank 4
+def _z_with_direction(cascade, e):
+    """The ZPoint of the pencil <x0^2, x0*x1> with e as its only normal direction."""
+    z = next(
+        z
+        for z in cascade.zs
+        if {cascade.pairs[z.pair_index].q1, cascade.pairs[z.pair_index].q2}
+        == {mono("x0^2"), mono("x0*x1")}
+    )
+    return dataclasses.replace(z, normal=CharBag([e]))
+
+
+def test_e1_direction_no_generator_admits(cascade):
+    # x2*x3/x1^2 takes both x0^2 and x0*x1 to a negative exponent of x1
+    e = (0, -2, 1, 1)
     with pytest.raises(
-        fx.StructuralError, match=re.escape("<x0*x1, x0*x1*t+x0*x1> has rank below 8")
+        fx.StructuralError, match=re.escape(f"no pencil generator admits direction {e}")
     ):
-        fx._limit_cubics(q, ({q: 1}, {q: 1}))
-    # a pencil that is not torus-fixed has a limit that is not monomial
-    with pytest.raises(fx.StructuralError, match=re.escape("not monomial: x0*x1^2+x0*x2^2")):
-        fx._limit_cubics(mono("x0^2"), ({mono("x1^2"): 1, mono("x2^2"): 1},))
+        fx.e1_points(_z_with_direction(cascade, e))
+
+
+def test_e1_direction_extra_cubic_already_in_the_pencil(cascade):
+    # x0/x1 is admitted by x0*x1, but its cubic p*l1*l2*x^e = x0^3 is p*l1*x0
+    e = (1, -1, 0, 0)
+    with pytest.raises(
+        fx.StructuralError,
+        match=re.escape(f"limit cubic x0^3 of direction {e} is already a cubic"),
+    ):
+        fx.e1_points(_z_with_direction(cascade, e))
 
 
 def test_deformation_ideal_is_the_expansion_times_the_linear_forms():
-    gens = fx.deformation_ideal(mono("x0^2"), ({mono("x0*x1"): 1}, {mono("x2^2"): 1}))
+    gens = checks.deformation_ideal(mono("x0^2"), ({mono("x0*x1"): 1}, {mono("x2^2"): 1}))
     pencil = (parse("x0^2"), parse("x0*x1 + t*x2^2"))
     assert list(gens) == [
         g * parse(x) for g in pencil for x in ("x0", "x1", "x2", "x3")
@@ -374,6 +394,24 @@ def test_cache_schema_mismatch_forces_rebuild(points, tmp_path):
         assert again == points
         assert path.read_bytes() == fx.cache_bytes(points)
         assert fx.load_cache(path) == points
+
+
+def test_save_cache_failing_midway_keeps_the_old_file(points, tmp_path, monkeypatch):
+    path = tmp_path / "cache.json"
+    fx.save_cache(points[:3], path)
+    assert list(tmp_path.iterdir()) == [path]
+    before = path.read_bytes()
+
+    def torn_write(self, data):
+        with self.open("wb") as f:
+            f.write(data[: len(data) // 2])
+        raise OSError("writer killed")
+
+    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    with pytest.raises(OSError, match="writer killed"):
+        fx.save_cache(points, path)
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_load_or_enumerate_uses_cache(points, tmp_path):

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from nlocus import checks, gbcore
 from nlocus import fixpoints as fx
-from nlocus import gbcore
 from nlocus.ideals import (
     HilbertPoly,
     Ideal,
@@ -216,7 +216,8 @@ def brute_standard_monomials(lead_x, d):
 
 
 def test_standard_monomials_match_cell_walk_on_every_fixed_point(points):
-    degrees = range(4, 61)
+    # every cell is in its polynomial regime by d = 8
+    degrees = [*range(4, 13), 60]
     for fp in points:
         walked = staircase_walk(fp.quartics, degrees)
         for d in degrees:
@@ -272,8 +273,8 @@ def e1_deformation_ideals():
     for z in zs:
         pair = pairs[z.pair_index]
         for e, _ in z.normal.entries():
-            other, deformed = fx._deformations((pair.q1, pair.q2), e)[0]
-            out.append(fx.deformation_ideal(other, deformed))
+            other, deformed = checks._deformations((pair.q1, pair.q2), e)[0]
+            out.append(checks.deformation_ideal(other, deformed))
     return out
 
 
@@ -323,7 +324,7 @@ def test_saturate_t_deformation_ideal_oracle():
         # idempotent
         assert _canonical(saturate_t(J)) == _canonical(J)
         # every generator multiplied by some t-power lies in I
-        t = Polynomial.variable(4)
+        t = parse("t")
         for g in J.generators:
             h = g
             for _ in range(8):
