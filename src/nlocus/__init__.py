@@ -35,11 +35,9 @@ from .localization import (
 )
 from .poly import Polynomial, monomial_gcd, monomials_of_degree, parse, render, sdim
 from .torus import (
-    CharBag,
     DEFAULT_WEIGHTS,
     WeightSpec,
     blowup_tangent,
-    char_of,
     check_generic,
     elem_sym,
     grass_tangent,
@@ -49,7 +47,6 @@ from .torus import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CharBag",
     "DEFAULT_WEIGHTS",
     "DegreeResult",
     "FixedPoint",
@@ -61,7 +58,6 @@ __all__ = [
     "UnivariateRationalPoly",
     "WeightSpec",
     "blowup_tangent",
-    "char_of",
     "check_generic",
     "closed_form",
     "compare",

@@ -49,8 +49,14 @@ def euler_census(points, spec, workers):
 
 
 def rank_invariants(points, spec, workers):
-    """19 quartics and 4d standard monomials for d = 4..10 at every fixed point."""
+    """16 tangent characters, 19 quartics and 4d standard monomials for
+    d = 4..10 at every fixed point."""
     for fp in points:
+        _require(
+            len(fp.tangent) == loc.DIM,
+            f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
+            f" != {loc.DIM}",
+        )
         _require(len(fp.quartics) == 19, f"{fp.tag}{fp.provenance}: rank != 19")
         cells = staircase_cells(fp.quartics)
         for d in range(4, 11):

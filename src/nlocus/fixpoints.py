@@ -25,34 +25,27 @@ p*{l1, l2}*{x0..x3} (`e1_points`).  No linear algebra and no Groebner basis
 is computed on this path; `nlocus.checks` recomputes every limit by
 Buchberger saturation.
 
-The JSON cache stores each quartic monomial as a row of 4 exponents.
+The JSON cache stores each quartic monomial, tangent character and pencil
+character as a row of 4 integers.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from .ideals import HilbertPoly, hilbert_polynomial
-from .poly import (
-    mono_div,
-    mono_key,
-    mono_mul,
-    monomial_gcd,
-    monomials_of_degree,
-    render_monomial,
-)
-from .torus import CharBag, blowup_tangent, char_add, grass_tangent
+from .poly import mono_key, monomial_gcd, monomials_of_degree, render_monomial
+from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 QUADRICS = [m[:4] for m in monomials_of_degree(2)]
 LINEARS = [m[:4] for m in monomials_of_degree(1)]
-QUADRIC_BAG = CharBag(QUADRICS)
-LINEAR_BAG = CharBag(LINEARS)
 
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
@@ -65,12 +58,12 @@ class StructuralError(RuntimeError):
 
 @dataclass(frozen=True)
 class PencilPair:
-    """A torus-fixed pencil of quadrics with its Grassmannian tangent bag."""
+    """A torus-fixed pencil of quadrics with its Grassmannian tangent Counter."""
 
     index: int
     q1: tuple
     q2: tuple
-    tangent: CharBag
+    tangent: Counter
 
 
 @dataclass(frozen=True)
@@ -80,8 +73,8 @@ class ZPoint:
     plane: tuple
     l1: tuple
     l2: tuple
-    tangent_z: CharBag
-    normal: CharBag
+    tangent_z: Counter
+    normal: Counter
     pair_index: int
 
     def is_y_incident(self):
@@ -96,7 +89,7 @@ class E1Record:
     direction_index: int
     direction: tuple
     limit_cubics: tuple
-    tangent: CharBag
+    tangent: Counter
 
 
 @dataclass(frozen=True)
@@ -106,25 +99,30 @@ class WPoint:
     plane: tuple
     line: tuple
     doublet: tuple
-    tangent_w: CharBag
-    normal: CharBag
+    tangent_w: Counter
+    normal: Counter
     cubic_system: tuple
     provenance: tuple
 
 
 @dataclass(frozen=True)
 class FixedPoint:
-    """One Bott summand: stratum tag, tangent characters, quartic system."""
+    """One Bott summand: stratum tag, tangent characters, quartic system.
+
+    `tangent` is the sorted tuple of the 16 tangent characters, repeats
+    included.
+    """
 
     tag: str
-    tangent: CharBag
+    tangent: tuple
     quartics: tuple
     pencil_chars: tuple
     provenance: tuple
 
-    def tangent_chars(self):
-        """The 16 tangent characters with multiplicity, sorted."""
-        return self.tangent.expand()
+
+def _sorted_chars(counter):
+    """The characters of a Counter, repeated by multiplicity, as a sorted tuple."""
+    return tuple(sorted(counter.elements()))
 
 
 def enumerate_pairs():
@@ -133,16 +131,16 @@ def enumerate_pairs():
     for i in range(len(QUADRICS)):
         for j in range(i + 1, len(QUADRICS)):
             q1, q2 = QUADRICS[i], QUADRICS[j]
-            tangent = grass_tangent(CharBag([q1, q2]), QUADRIC_BAG)
-            if tangent.size() != 16:
-                raise StructuralError(f"pencil tangent size {tangent.size()} != 16")
+            tangent = grass_tangent([q1, q2], QUADRICS)
+            if tangent.total() != 16:
+                raise StructuralError(f"pencil tangent size {tangent.total()} != 16")
             pairs.append(PencilPair(len(pairs), q1, q2, tangent))
     return pairs
 
 
 def _products(monos, factors):
     """The set of products m*f for m in monos and f in factors."""
-    return {mono_mul(m, f) for m in monos for f in factors}
+    return {char_add(m, f) for m in monos for f in factors}
 
 
 def _sort_monos(monos):
@@ -164,7 +162,7 @@ def split_strata(pairs):
             g2.append(
                 FixedPoint(
                     tag=G2,
-                    tangent=pair.tangent,
+                    tangent=_sorted_chars(pair.tangent),
                     quartics=quartics,
                     pencil_chars=(pair.q1, pair.q2),
                     provenance=(pair.index,),
@@ -173,14 +171,13 @@ def split_strata(pairs):
         else:
             if sum(g) != 1:
                 raise StructuralError("distinct quadric monomials share a quadratic factor")
-            l1, l2 = mono_div(pair.q1, g), mono_div(pair.q2, g)
-            tangent_z = grass_tangent(CharBag([l1, l2]), LINEAR_BAG)
-            tangent_z += grass_tangent(CharBag([g]), LINEAR_BAG)
-            if tangent_z.size() != 7:
-                raise StructuralError(f"Z tangent size {tangent_z.size()} != 7")
+            l1, l2 = char_sub(pair.q1, g), char_sub(pair.q2, g)
+            tangent_z = grass_tangent([l1, l2], LINEARS) + grass_tangent([g], LINEARS)
+            if tangent_z.total() != 7:
+                raise StructuralError(f"Z tangent size {tangent_z.total()} != 7")
+            if not tangent_z <= pair.tangent:
+                raise StructuralError("Z tangent is not contained in the pencil tangent")
             normal = pair.tangent - tangent_z
-            if not normal.is_effective() or normal.size() != 9:
-                raise StructuralError("Z normal bag is not an effective bag of size 9")
             zs.append(ZPoint(g, l1, l2, tangent_z, normal, pair.index))
     return g2, zs
 
@@ -196,23 +193,23 @@ def e1_points(z):
     8-dimensional limit, and none of them depends on which generator was
     deformed.
     """
-    q1, q2 = mono_mul(z.plane, z.l1), mono_mul(z.plane, z.l2)
+    q1, q2 = char_add(z.plane, z.l1), char_add(z.plane, z.l2)
     pencil_cubics = _products((q1, q2), LINEARS)
     records = []
-    for index, (e, mult) in enumerate(z.normal.entries()):
-        if mult != 1:
+    for index, e in enumerate(sorted(z.normal)):
+        if z.normal[e] != 1:
             raise StructuralError("normal character with multiplicity > 1 over Z")
         if not any(all(v >= 0 for v in char_add(e, q)) for q in (q1, q2)):
             raise StructuralError(f"no pencil generator admits direction {e}")
-        extra = char_add(mono_mul(q1, z.l2), e)
+        extra = char_add(char_add(q1, z.l2), e)
         if extra in pencil_cubics:
             raise StructuralError(
                 f"limit cubic {render_monomial(extra)} of direction {e} is"
                 " already a cubic of the pencil"
             )
         tangent = blowup_tangent(z.tangent_z, z.normal, e)
-        if not tangent.is_effective() or tangent.size() != 16:
-            raise StructuralError("E1 tangent bag is not effective of size 16")
+        if tangent.total() != 16:
+            raise StructuralError(f"E1 tangent size {tangent.total()} != 16")
         records.append(
             E1Record(index, e, _sort_monos(pencil_cubics | {extra}), tangent)
         )
@@ -243,7 +240,7 @@ def classify_e1(record, z, pair, z_index):
             )
         return FixedPoint(
             tag=G2E1,
-            tangent=record.tangent,
+            tangent=_sorted_chars(record.tangent),
             quartics=quartics,
             pencil_chars=(pair.q1, pair.q2),
             provenance=(z_index, record.direction_index),
@@ -261,21 +258,21 @@ def classify_e1(record, z, pair, z_index):
     line = z.l2 if z.l1 == z.plane else z.l1
     i_plane, i_line = plane.index(1), line.index(1)
     doublet_ambient = [q for q in QUADRICS if q[i_plane] == 0 and q[i_line] == 0]
-    quadrics = [mono_div(c, plane) for c in record.limit_cubics]
+    quadrics = [char_sub(c, plane) for c in record.limit_cubics]
     survivors = [q for q in quadrics if q in doublet_ambient]
     if len(survivors) != 1:
         raise StructuralError(f"doublet is not unique: {survivors}")
     doublet = survivors[0]
     tangent_w = (
-        grass_tangent(CharBag([plane]), LINEAR_BAG)
-        + grass_tangent(CharBag([line]), LINEAR_BAG - CharBag([plane]))
-        + grass_tangent(CharBag([doublet]), CharBag(doublet_ambient))
+        grass_tangent([plane], LINEARS)
+        + grass_tangent([line], [c for c in LINEARS if c != plane])
+        + grass_tangent([doublet], doublet_ambient)
     )
-    if tangent_w.size() != 7:
-        raise StructuralError(f"W tangent size {tangent_w.size()} != 7")
+    if tangent_w.total() != 7:
+        raise StructuralError(f"W tangent size {tangent_w.total()} != 7")
+    if not tangent_w <= record.tangent:
+        raise StructuralError("W tangent is not contained in the E1 tangent")
     normal = record.tangent - tangent_w
-    if not normal.is_effective() or normal.size() != 9:
-        raise StructuralError("W normal bag is not an effective bag of size 9")
     return WPoint(
         plane=plane,
         line=line,
@@ -300,8 +297,8 @@ def e2_points(w, w_index):
     anchor = char_add(char_add(w.plane, w.line), w.doublet)
     pencil_chars = (char_add(w.plane, w.plane), char_add(w.plane, w.line))
     points = []
-    for index, (e, mult) in enumerate(w.normal.entries()):
-        if mult != 1:
+    for index, e in enumerate(sorted(w.normal)):
+        if w.normal[e] != 1:
             raise StructuralError("normal character with multiplicity > 1 over W")
         g = char_add(e, anchor)
         if any(v < 0 for v in g) or sum(g) != 4:
@@ -309,12 +306,12 @@ def e2_points(w, w_index):
         if g in base:
             raise StructuralError(f"extra quartic {g} already in the cubic system")
         tangent = blowup_tangent(w.tangent_w, w.normal, e)
-        if not tangent.is_effective() or tangent.size() != 16:
-            raise StructuralError("E2 tangent bag is not effective of size 16")
+        if tangent.total() != 16:
+            raise StructuralError(f"E2 tangent size {tangent.total()} != 16")
         points.append(
             FixedPoint(
                 tag=E2,
-                tangent=tangent,
+                tangent=_sorted_chars(tangent),
                 quartics=_sort_monos(base | {g}),
                 pencil_chars=pencil_chars,
                 provenance=(w_index, index),
@@ -371,18 +368,10 @@ def euler_characteristic_oracle():
 # JSON cache
 
 
-def _bag_to_json(bag):
-    return [[*c, k] for c, k in bag.entries()]
-
-
-def _bag_from_json(data):
-    return CharBag([(tuple(row[:4]), row[4]) for row in data])
-
-
 def point_to_json(fp):
     return {
         "tag": fp.tag,
-        "tangent": _bag_to_json(fp.tangent),
+        "tangent": [list(c) for c in fp.tangent],
         "quartics": [list(m) for m in fp.quartics],
         "pencil": [list(c) for c in fp.pencil_chars],
         "provenance": list(fp.provenance),
@@ -408,8 +397,9 @@ def point_from_json(data):
     """The FixedPoint of a cache record; ValueError when the record is malformed.
 
     Only the shape is checked here (keys, types, non-negative quartic
-    exponents); ranks, tangent sizes and the census are for `nlocus verify`
-    to judge.
+    exponents); the tangent rows are sorted but not counted.  Ranks, the 16
+    tangent characters and the census are judged by `nlocus verify`
+    (`checks.rank_invariants` and `checks.euler_census`).
     """
     if not isinstance(data, dict):
         raise ValueError("not a JSON object")
@@ -424,9 +414,10 @@ def point_from_json(data):
     provenance = data["provenance"]
     if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
         raise ValueError("'provenance' is not a list of integers")
+    tangent = _int_rows(data["tangent"], 4, "tangent")
     return FixedPoint(
         tag=data["tag"],
-        tangent=_bag_from_json(_int_rows(data["tangent"], 5, "tangent")),
+        tangent=tuple(sorted(tuple(c) for c in tangent)),
         quartics=tuple(tuple(m) for m in quartics),
         pencil_chars=tuple(tuple(c) for c in _int_rows(data["pencil"], 4, "pencil")),
         provenance=tuple(provenance),

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .fixpoints import StructuralError
 from .ideals import staircase_cells, staircase_runs, standard_monomials
-from .torus import CharBag, WeightSpec, elem_sym, specialize
+from .torus import WeightSpec, elem_sym, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
 
@@ -65,13 +65,13 @@ def ed_weights(fp, d):
     """Characters of the degree-d standard monomials: the rank-4d fiber.
 
     These are the degree-d monomials surviving modulo the quartic system,
-    checked to number 4d.
+    checked to number 4d: a sorted list of 4d distinct characters.
     """
     if d < 4:
         raise ValueError(f"fiber weights need d >= 4, got {d}")
     std = standard_monomials(fp.quartics, d)
     _check_rank(fp, d, len(std))
-    return CharBag(std)
+    return sorted(std)
 
 
 def _cell_values(fp, cells, d, values):
@@ -99,12 +99,11 @@ def _tangent_values(fp, spec):
     A character that specializes to 0 is a zero Bott denominator: ValueError
     naming the spec, the point and the first such character.
     """
-    chars = fp.tangent_chars()
-    values = [specialize(c, spec) for c in chars]
+    values = [specialize(c, spec) for c in fp.tangent]
     if 0 in values:
         raise ValueError(
             f"weight spec {spec.values} is not admissible: tangent character"
-            f" {chars[values.index(0)]} at {fp.tag}{fp.provenance} specializes to 0"
+            f" {fp.tangent[values.index(0)]} at {fp.tag}{fp.provenance} specializes to 0"
         )
     return values
 

@@ -3,10 +3,12 @@
 A character is an integer 4-vector: the weight with which the torus of P^3
 scales a one-dimensional eigenspace.  The character of a monomial is its
 exponent vector; the character of a ratio of monomials is the difference.
-Tangent spaces and bundle fibers are bags of characters with (usually
-positive) integer multiplicities.
+A tangent space or bundle fiber is a multiset of characters: a fixed point
+carries the sorted tuple of its 16 tangent characters, repeats included,
+and the blow-up cascade does its multiset arithmetic with
+`collections.Counter`.
 
-Chern classes of a specialized bag are elementary symmetric functions of
+Chern classes of a specialized multiset are elementary symmetric functions of
 its integer weights; `elem_sym` computes them by Kronecker substitution,
 as one big-integer product (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009).  The digits are reversed:
@@ -19,14 +21,8 @@ are packed by sign separately and combined.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-
-
-def char_of(m):
-    """Character of a monomial: its x-exponent vector (t-exponent must be 0)."""
-    if m[4] != 0:
-        raise ValueError(f"monomial has nonzero t-exponent: {m}")
-    return m[:4]
 
 
 def char_add(a, b):
@@ -37,99 +33,12 @@ def char_sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
-class CharBag:
-    """A signed multiset of characters.
-
-    Equal characters merge by summing multiplicities; zero multiplicities
-    disappear.  Bags reaching Chern evaluation must be effective (all
-    multiplicities positive).
-    """
-
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries=()):
-        merged = {}
-        if isinstance(entries, dict):
-            entries = entries.items()
-        for item in entries:
-            if len(item) == 2 and isinstance(item[0], tuple):
-                c, k = item
-            else:
-                c, k = item, 1
-            if k:
-                merged[c] = merged.get(c, 0) + k
-                if not merged[c]:
-                    del merged[c]
-        self._entries = merged
-
-    def entries(self):
-        """Sorted (character, multiplicity) pairs."""
-        return sorted(self._entries.items())
-
-    def size(self):
-        """Total multiplicity (signed)."""
-        return sum(self._entries.values())
-
-    def is_effective(self):
-        return all(k > 0 for k in self._entries.values())
-
-    def expand(self):
-        """Characters repeated by multiplicity, sorted; requires effectiveness."""
-        if not self.is_effective():
-            raise ValueError("bag with negative multiplicities cannot be expanded")
-        out = []
-        for c, k in self.entries():
-            out.extend([c] * k)
-        return out
-
-    def __add__(self, other):
-        merged = dict(self._entries)
-        for c, k in other._entries.items():
-            merged[c] = merged.get(c, 0) + k
-            if not merged[c]:
-                del merged[c]
-        bag = CharBag.__new__(CharBag)
-        bag._entries = merged
-        return bag
-
-    def __sub__(self, other):
-        merged = dict(self._entries)
-        for c, k in other._entries.items():
-            merged[c] = merged.get(c, 0) - k
-            if not merged[c]:
-                del merged[c]
-        bag = CharBag.__new__(CharBag)
-        bag._entries = merged
-        return bag
-
-    def contains(self, other):
-        """Multiset containment other <= self."""
-        return all(self._entries.get(c, 0) >= k for c, k in other._entries.items())
-
-    def __contains__(self, c):
-        return c in self._entries
-
-    def __eq__(self, other):
-        if not isinstance(other, CharBag):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(frozenset(self._entries.items()))
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __repr__(self):
-        return f"CharBag({self.entries()!r})"
-
-
 @dataclass(frozen=True)
 class WeightSpec:
     """Integer values assigned to x0..x3; must be pairwise distinct.
 
-    A spec is admissible for a set of fixed points when no tangent
-    character specializes to zero (those are Bott denominators):
+    A spec is admissible for a set of fixed points when no character of any
+    point's `tangent` specializes to zero (they are the Bott denominators):
     `localization.admissible_spec` returns the spec or raises an error
     naming the point and character at fault, and `check_generic` is the
     same test as a boolean.
@@ -158,29 +67,25 @@ def specialize(c, spec):
 
 
 def grass_tangent(sub, ambient):
-    """Tangent bag of a Grassmannian at a coordinate subspace.
+    """Tangent characters of a Grassmannian at a coordinate subspace, as a Counter.
 
+    sub and ambient are multisets of characters (iterables or Counters).
     Hom(sub, ambient/sub) decomposes into lines of character q - a for q
-    ranging over ambient minus sub and a over sub; the bag has size
+    ranging over ambient minus sub and a over sub; the result has total
     |sub| * (|ambient| - |sub|).
     """
-    if not (sub.is_effective() and ambient.is_effective()):
-        raise ValueError("grass_tangent needs effective bags")
-    if not ambient.contains(sub):
+    sub, ambient = Counter(sub), Counter(ambient)
+    if not sub <= ambient:
         raise ValueError("sub is not contained in ambient")
-    quotient = ambient - sub
-    out = {}
-    for q, kq in quotient._entries.items():
-        for a, ka in sub._entries.items():
-            c = char_sub(q, a)
-            out[c] = out.get(c, 0) + kq * ka
-    bag = CharBag.__new__(CharBag)
-    bag._entries = {c: k for c, k in out.items() if k}
-    return bag
+    out = Counter()
+    for q, kq in (ambient - sub).items():
+        for a, ka in sub.items():
+            out[char_sub(q, a)] += kq * ka
+    return out
 
 
 def blowup_tangent(base, nml, e):
-    """Tangent bag at a fixed point of the exceptional divisor over a blow-up.
+    """Tangent characters at a fixed point of the exceptional divisor, as a Counter.
 
     For the normal direction e, the fiber directions contribute n - e for
     every other normal character n, the base tangent comes along, and e
@@ -188,13 +93,12 @@ def blowup_tangent(base, nml, e):
     is preserved.
     """
     if e not in nml:
-        raise ValueError(f"direction {e} not in the normal bag")
-    rest = nml - CharBag([e])
-    shifted = {}
-    for n, k in rest._entries.items():
-        c = char_sub(n, e)
-        shifted[c] = shifted.get(c, 0) + k
-    return base + CharBag(shifted) + CharBag([e])
+        raise ValueError(f"direction {e} is not a normal character")
+    out = Counter(base)
+    for n, k in (Counter(nml) - Counter([e])).items():
+        out[char_sub(n, e)] += k
+    out[e] += 1
+    return out
 
 
 def _reversed_product(k, values):
@@ -257,10 +161,8 @@ def elem_sym(k, values):
 
 
 def check_generic(spec, tangent_bags):
-    """True iff no character in any tangent bag specializes to zero."""
-    for bag in tangent_bags:
-        for c, _ in bag._entries.items():
-            if specialize(c, spec) == 0:
-                return False
-    return True
+    """True iff no character in any of the tangents specializes to zero.
 
+    Each tangent is any iterable of characters, such as `FixedPoint.tangent`.
+    """
+    return all(specialize(c, spec) for bag in tangent_bags for c in bag)

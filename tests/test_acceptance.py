@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.  The
 checks come from `nlocus.checks`, which `nlocus verify` runs too.
 """
 
+import re
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,6 @@ from nlocus.formula import (
     inner_polynomial,
     interpolate,
 )
-from nlocus.torus import CharBag
 
 
 def report(n, text):
@@ -60,6 +60,14 @@ def test_criterion_4_rank_invariants(points, weights):
     report(4, "every quartic system has 19 independent quartics and kbase 4d, d=4..10")
 
 
+def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points, weights):
+    fp = points[400]
+    bad = replace(fp, tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
+    message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants([bad], weights, 1)
+
+
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):
     checks.hilbert_oracles(points, weights, 1)
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")
@@ -92,7 +100,7 @@ def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
     # but not under the main spec (0, 1, 5, 18)
     bad = list(points)
     fp = bad[200]
-    bad[200] = replace(fp, tangent=fp.tangent + CharBag([(0, 7, -1, 0)]))
+    bad[200] = replace(fp, tangent=tuple(sorted(fp.tangent + ((0, 7, -1, 0),))))
     assert loc.admissible_spec(bad, weights) is weights
     with pytest.raises(ValueError) as info:
         checks.spec_independence(bad, weights, 1)

@@ -7,6 +7,7 @@ import pytest
 from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus.cli import main
+from nlocus.formula import closed_form
 
 # The PASS lines the benchmark's verify-warm workload requires, in order.
 VERIFY_CHECKS = (
@@ -105,7 +106,7 @@ def test_default_spec_killed_by_the_cache_is_an_error(capsys, tmp_path, points, 
     fx.save_cache(points, path)
     doc = json.loads(path.read_text())
     record = doc["points"][0]
-    record["tangent"][0] = [0, 5, -1, 0, 1]
+    record["tangent"][0] = [0, 5, -1, 0]
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert code == 1
@@ -182,6 +183,19 @@ def test_verify_detects_corrupted_cache(capsys, tmp_path, points):
     assert "FAIL rank-invariants" in out
 
 
+def test_verify_names_a_point_with_a_missing_tangent_character(capsys, tmp_path, points):
+    path = tmp_path / "short.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    record = doc["points"][300]
+    del record["tangent"][5]
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--cache", str(path))
+    assert code == 1
+    point = f"{record['tag']}{tuple(record['provenance'])}"
+    assert f"FAIL rank-invariants: {point}: 15 tangent characters != 16\n" in out
+
+
 @pytest.mark.parametrize(
     "text",
     ["[]", f'{{"schema":{fx.SCHEMA_VERSION}}}', f'{{"schema":{fx.SCHEMA_VERSION},"points":['],
@@ -237,3 +251,13 @@ def test_traced_cli_targets_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(f"nlocus.{module}"), attr, None)), (
             f"nlocus.{module}.{attr}"
         )
+
+
+def test_benchmark_oracle_reads_a_fresh_cache(monkeypatch, capsys, cache_path):
+    """The benchmark's oracle child reads the cache this package writes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    oracle = importlib.import_module("oracle")
+    assert oracle.main([str(cache_path), "0", "5", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["weights"] == [0, 1, 5, 18]
+    assert doc["nodes"] == [[d, str(closed_form()(d))] for d in (5, 6)]

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,11 +13,12 @@ from nlocus import fixpoints as fx
 from nlocus import gbcore, poly
 from nlocus.ideals import hilbert_polynomial, standard_monomials
 from nlocus.poly import Polynomial, monomials_of_degree, parse, render
-from nlocus.torus import CharBag, char_sub
+from nlocus.torus import char_sub
 
-# sha256 of cache_bytes(enumerate_all()) in schema 2; its points equal those
-# of the schema-1 file, whose quartics were polynomial text
-CACHE_SHA256 = "df21c40cbef7ddaa3ace4d12691e8329464e7f1064f3b925f1525d52563afc09"
+# sha256 of cache_bytes(enumerate_all()) in schema 3; its points equal those
+# of the schema-2 file (tangent rows with multiplicities, expanded and sorted)
+# and of the schema-1 file, whose quartics were polynomial text
+CACHE_SHA256 = "2a4eb76e6f62e264f924c439045f6544270b15ca3d64f31704f56c8bc31ba286"
 
 
 def mono(text):
@@ -27,8 +29,8 @@ def mono(text):
 def test_enumerate_pairs_census():
     pairs = fx.enumerate_pairs()
     assert len(pairs) == 45
-    assert all(p.tangent.size() == 16 for p in pairs)
-    assert all(p.tangent.is_effective() for p in pairs)
+    assert all(p.tangent.total() == 16 for p in pairs)
+    assert all(k > 0 for p in pairs for k in p.tangent.values())
 
 
 def test_pencil_x0sq_x1sq_tangent_contains_paper_fraction():
@@ -65,8 +67,8 @@ def test_common_factor_pair_goes_to_z(cascade):
     z = zs[0]
     assert z.plane == mono("x0")
     assert {z.l1, z.l2} == {mono("x0"), mono("x1")}
-    assert z.tangent_z.size() == 7
-    assert z.normal.size() == 9
+    assert z.tangent_z.total() == 7
+    assert z.normal.total() == 9
 
 
 def test_y_incidence_count(cascade):
@@ -77,17 +79,17 @@ def test_e1_record_census(cascade):
     assert len(cascade.records) == 216
     for _, record in cascade.records:
         assert len(record.limit_cubics) == 8
-        assert record.tangent.size() == 16
-        assert record.tangent.is_effective()
+        assert record.tangent.total() == 16
+        assert all(k > 0 for k in record.tangent.values())
 
 
 def test_classification_census(cascade):
     assert len(cascade.g2e1) == 180
     assert len(cascade.ws) == 36
     for w in cascade.ws:
-        assert w.tangent_w.size() == 7
-        assert w.normal.size() == 9
-        assert w.normal.is_effective()
+        assert w.tangent_w.total() == 7
+        assert w.normal.total() == 9
+        assert all(k > 0 for k in w.normal.values())
 
 
 def test_degenerate_directions_only_over_y(cascade):
@@ -166,11 +168,12 @@ def test_full_census_against_euler_oracle(points):
 def test_every_fixed_point_invariants(points):
     seen = set()
     for fp in points:
-        assert fp.tangent.is_effective()
-        assert fp.tangent.size() == 16
+        assert isinstance(fp.tangent, tuple)
+        assert len(fp.tangent) == 16
+        assert list(fp.tangent) == sorted(fp.tangent)
         assert len(fp.quartics) == 19
         assert all(sum(m) == 4 for m in fp.quartics)
-        key = (fp.tag, fp.quartics, tuple(fp.tangent.entries()))
+        key = (fp.tag, fp.quartics, fp.tangent)
         assert key not in seen  # fixed points are distinct
         seen.add(key)
 
@@ -297,7 +300,7 @@ def _z_with_direction(cascade, e):
         if {cascade.pairs[z.pair_index].q1, cascade.pairs[z.pair_index].q2}
         == {mono("x0^2"), mono("x0*x1")}
     )
-    return dataclasses.replace(z, normal=CharBag([e]))
+    return dataclasses.replace(z, normal=Counter([e]))
 
 
 def test_e1_direction_no_generator_admits(cascade):
@@ -383,10 +386,20 @@ def _schema_1_doc(points):
     return doc
 
 
+def _schema_2_doc(points):
+    """The cache document in schema 2, whose tangent rows were 4 exponents and
+    a multiplicity, one row per distinct character."""
+    doc = json.loads(fx.cache_bytes(points))
+    doc["schema"] = 2
+    for record, fp in zip(doc["points"], points):
+        record["tangent"] = [[*c, k] for c, k in sorted(Counter(fp.tangent).items())]
+    return doc
+
+
 def test_cache_schema_mismatch_forces_rebuild(points, tmp_path):
     other = json.loads(fx.cache_bytes(points))
     other["schema"] = -1
-    for doc in (other, _schema_1_doc(points)):
+    for doc in (other, _schema_1_doc(points), _schema_2_doc(points)):
         path = tmp_path / "cache.json"
         path.write_text(json.dumps(doc))
         assert fx.load_cache(path) is None
@@ -426,10 +439,10 @@ def test_tangent_multiset_totals(cascade):
     # blow-up bookkeeping: each E1/E2 tangent is fiber + base + direction
     for zi, record in cascade.records:
         z = cascade.zs[zi]
-        shifted = CharBag(
-            [char_sub(n, record.direction) for n, _ in z.normal.entries() if n != record.direction]
+        shifted = Counter(
+            [char_sub(n, record.direction) for n in z.normal if n != record.direction]
         )
-        assert record.tangent == shifted + z.tangent_z + CharBag([record.direction])
+        assert record.tangent == shifted + z.tangent_z + Counter([record.direction])
 
 
 def test_load_cache_absent_file_is_none(tmp_path):
@@ -458,8 +471,9 @@ def test_load_cache_rejects_malformed_file(tmp_path, case):
 MALFORMED_RECORDS = {
     "missing-key": ("quartics", None),
     "tag-not-string": ("tag", 7),
-    "tangent-short-row": ("tangent", [[1, -1, 0, 0]]),
-    "tangent-not-int": ("tangent", [[1, -1, 0, 0, "1"]]),
+    "tangent-short-row": ("tangent", [[1, -1, 0]]),
+    "tangent-long-row": ("tangent", [[1, -1, 0, 0, 1]]),
+    "tangent-not-int": ("tangent", [[1, -1, 0, "0"]]),
     "quartic-with-t": ("quartics", [[4, 0, 0, 0], [3, 1, 0, 0, 1]]),
     "quartic-not-int": ("quartics", [[4, 0, 0, 0], [3, 1, 0, "0"]]),
     "quartic-negative": ("quartics", [[4, 0, 0, 0], [5, -1, 0, 0]]),

@@ -272,7 +272,7 @@ def e1_deformation_ideals():
     out = []
     for z in zs:
         pair = pairs[z.pair_index]
-        for e, _ in z.normal.entries():
+        for e in sorted(z.normal):
             other, deformed = checks._deformations((pair.q1, pair.q2), e)[0]
             out.append(checks.deformation_ideal(other, deformed))
     return out
