@@ -396,8 +396,9 @@ def _int_rows(value, width, key):
 def point_from_json(data):
     """The FixedPoint of a cache record; ValueError when the record is malformed.
 
-    Only the shape is checked here (keys, types, non-negative quartic
-    exponents); the tangent rows are sorted but not counted.  Ranks, the 16
+    Only the shape is checked here (keys, types, row widths, non-negative
+    quartic exponents, and exactly 2 pencil rows); the tangent rows are
+    sorted but not counted.  Ranks, the 16
     tangent characters and the census are judged by `nlocus verify`
     (`checks.rank_invariants` and `checks.euler_census`).
     """
@@ -415,11 +416,14 @@ def point_from_json(data):
     if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
         raise ValueError("'provenance' is not a list of integers")
     tangent = _int_rows(data["tangent"], 4, "tangent")
+    pencil = _int_rows(data["pencil"], 4, "pencil")
+    if len(pencil) != 2:
+        raise ValueError(f"'pencil' has {len(pencil)} rows, not 2")
     return FixedPoint(
         tag=data["tag"],
         tangent=tuple(sorted(tuple(c) for c in tangent)),
         quartics=tuple(tuple(m) for m in quartics),
-        pencil_chars=tuple(tuple(c) for c in _int_rows(data["pencil"], 4, "pencil")),
+        pencil_chars=tuple(tuple(c) for c in pencil),
         provenance=tuple(provenance),
     )
 

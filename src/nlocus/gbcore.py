@@ -4,6 +4,18 @@ Polynomials here are bare dicts {exponent tuple: Fraction}; the term order is
 supplied as a sort-key function on exponent tuples, so the same code serves
 the package's 5-variable grevlex order and the 6-variable block order that
 saturates in t by eliminating an auxiliary variable s.
+
+Every basis element is made monic once, when it enters the basis, and is
+kept as its leading monomial and its tail (the other terms).  A reduction
+step is then work[m'] -= c * g[m] on the working dict, in place and with no
+division, and the cancelled leading term is popped, never recomputed.
+
+Pairs are taken in order of their lcm (the normal strategy).  Two criteria
+skip a pair whose S-polynomial would reduce to zero: coprime leading terms
+(Buchberger's first criterion), and the chain criterion, which skips (i, j)
+when a third element's leading term divides lcm(lt_i, lt_j) and neither of
+its pairs with i and j is still pending (the improved Buchberger algorithm
+of Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 10).
 """
 
 from __future__ import annotations
@@ -12,6 +24,8 @@ from fractions import Fraction
 from heapq import heappop, heappush
 
 from .poly import mono_div, mono_divides, mono_mul
+
+_ONE = Fraction(1)
 
 
 def key5(m):
@@ -24,115 +38,121 @@ def key6(m):
     return (m[0],) + key5(m[1:])
 
 
-def _lt(f, key):
-    m = max(f, key=key)
-    return m, f[m]
-
-
 def _mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _sub_scaled(f, g, c, shift):
-    """f - c * shift * g, in place on a copy of f."""
-    res = dict(f)
-    for m, gc in g.items():
-        mm = mono_mul(m, shift)
-        s = res.get(mm, 0) - c * gc
-        if s:
-            res[mm] = s
-        elif mm in res:
-            del res[mm]
-    return res
+def _monic(f, key):
+    """(leading monomial, tail) of f divided by its leading coefficient."""
+    m = max(f, key=key)
+    c = f[m]
+    return m, [(mm, v / c) for mm, v in f.items() if mm != m]
 
 
 def normal_form(f, basis, key, lead=None):
-    """Full remainder of f under division by basis (tails reduced too)."""
+    """Full remainder of f under division by basis (tails reduced too).
+
+    lead, when given, stands for basis as the (leading monomial, tail) pairs
+    of its monic elements.
+    """
     if lead is None:
-        lead = [(_lt(g, key)[0], g) for g in basis if g]
+        lead = [_monic(g, key) for g in basis if g]
     remainder = {}
     work = dict(f)
     while work:
         m = max(work, key=key)
-        c = work[m]
-        for ltm, g in lead:
+        c = work.pop(m)
+        for ltm, tail in lead:
             if mono_divides(ltm, m):
                 shift = mono_div(m, ltm)
-                work = _sub_scaled(work, g, c / g[ltm], shift)
+                for gm, gc in tail:
+                    mm = mono_mul(gm, shift)
+                    v = work.get(mm, 0) - c * gc
+                    if v:
+                        work[mm] = v
+                    else:
+                        del work[mm]
                 break
         else:
             remainder[m] = c
-            del work[m]
     return remainder
 
 
-def _spoly(f, g, key):
-    mf, cf = _lt(f, key)
-    mg, cg = _lt(g, key)
-    lcm = _mono_lcm(mf, mg)
-    a = _sub_scaled({}, f, Fraction(-1, 1) / cf, mono_div(lcm, mf))
-    return _sub_scaled(a, g, Fraction(1, 1) / cg, mono_div(lcm, mg))
+def _spoly(f, g, lcm):
+    """S-polynomial of two monic elements given as (leading monomial, tail)."""
+    (mf, tf), (mg, tg) = f, g
+    sf, sg = mono_div(lcm, mf), mono_div(lcm, mg)
+    s = {mono_mul(m, sf): c for m, c in tf}
+    for m, c in tg:
+        mm = mono_mul(m, sg)
+        v = s.get(mm, 0) - c
+        if v:
+            s[mm] = v
+        else:
+            del s[mm]
+    return s
 
 
 def groebner(gens, key):
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading term)."""
-    basis = []
-    lts = []
+    lead = []
     for g in gens:
         g = {m: c for m, c in g.items() if c}
         if g:
-            m, c = _lt(g, key)
-            basis.append({mm: v / c for mm, v in g.items()})
-            lts.append(m)
-    if not basis:
+            lead.append(_monic(g, key))
+    if not lead:
         return []
 
-    lead = list(zip(lts, basis))
     heap = []
-    for k in range(len(basis)):
+    pending = set()
+
+    def add_pairs(k):
+        lt_k = lead[k][0]
         for l in range(k):
-            lcm = _mono_lcm(lts[k], lts[l])
+            lcm = _mono_lcm(lead[l][0], lt_k)
             heappush(heap, (key(lcm), l, k, lcm))
+            pending.add((l, k))
+
+    for k in range(len(lead)):
+        add_pairs(k)
     while heap:
         _, i, j, lcm = heappop(heap)
-        if mono_mul(lts[i], lts[j]) == lcm:
+        pending.discard((i, j))
+        if mono_mul(lead[i][0], lead[j][0]) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        r = normal_form(_spoly(basis[i], basis[j], key), basis, key, lead)
+        if any(
+            k != i
+            and k != j
+            and mono_divides(lt_k, lcm)
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k, (lt_k, _) in enumerate(lead)
+        ):
+            continue  # chain criterion: S(i, j) follows from S(i, k) and S(j, k)
+        r = normal_form(_spoly(lead[i], lead[j], lcm), None, key, lead)
         if r:
-            m, c = _lt(r, key)
-            r = {mm: v / c for mm, v in r.items()}
-            k = len(basis)
-            basis.append(r)
-            lts.append(m)
-            lead.append((m, r))
-            for l in range(k):
-                lcm = _mono_lcm(m, lts[l])
-                heappush(heap, (key(lcm), l, k, lcm))
-    return reduce_basis(basis, key)
+            lead.append(_monic(r, key))
+            add_pairs(len(lead) - 1)
+    return reduce_basis(lead, key)
 
 
-def reduce_basis(basis, key):
-    """Inter-reduce a Groebner basis to the unique reduced one."""
+def reduce_basis(lead, key):
+    """The unique reduced basis of a monic Groebner basis given as lead pairs."""
     # drop elements whose leading term is divisible by another's
-    lts = [_lt(g, key)[0] for g in basis]
-    keep = []
-    for i, m in enumerate(lts):
-        redundant = False
-        for j, mj in enumerate(lts):
-            if i == j:
-                continue
-            if mono_divides(mj, m) and (mj != m or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(basis[i])
-    # fully reduce each survivor against the others
+    keep = [
+        (m, tail)
+        for i, (m, tail) in enumerate(lead)
+        if not any(
+            j != i and mono_divides(mj, m) and (mj != m or j < i)
+            for j, (mj, _) in enumerate(lead)
+        )
+    ]
+    # reduce each survivor's tail against the others; its leading term is
+    # divisible by none of theirs, so it stays with coefficient 1
     reduced = []
-    for i, g in enumerate(keep):
-        others = keep[:i] + keep[i + 1 :]
-        r = normal_form(g, others, key)
-        if r:
-            _, c = _lt(r, key)
-            reduced.append({m: v / c for m, v in r.items()})
-    reduced.sort(key=lambda g: key(_lt(g, key)[0]))
+    for i, (m, tail) in enumerate(keep):
+        g = {m: _ONE}
+        g.update(normal_form(dict(tail), None, key, keep[:i] + keep[i + 1 :]))
+        reduced.append(g)
+    reduced.sort(key=lambda g: key(next(iter(g))))
     return reduced

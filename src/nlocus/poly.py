@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import comb
+from operator import add, le, sub
 
 VARS = ("x0", "x1", "x2", "x3", "t")
 ZERO_MONO = (0, 0, 0, 0, 0)
@@ -31,22 +32,22 @@ def mono_key(m):
 
 
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True if monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a, b):
     """Exact quotient a / b; caller must ensure divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_gcd(a, b):
     """Componentwise minimum of two exponent vectors."""
-    return tuple(min(x, y) for x, y in zip(a, b))
+    return tuple(map(min, a, b))
 
 
 def render_monomial(m):

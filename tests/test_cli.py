@@ -211,6 +211,18 @@ def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
     assert path.read_text() == text
 
 
+def test_cache_record_with_one_pencil_row_is_an_error(capsys, tmp_path, points):
+    path = tmp_path / "one-pencil.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    del doc["points"][3]["pencil"][1]
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "degree", "--d", "4", "--cache", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and f"{path}, record 3: " in err
+
+
 @pytest.mark.parametrize(
     "config, argv, key",
     [

@@ -478,6 +478,7 @@ MALFORMED_RECORDS = {
     "quartic-not-int": ("quartics", [[4, 0, 0, 0], [3, 1, 0, "0"]]),
     "quartic-negative": ("quartics", [[4, 0, 0, 0], [5, -1, 0, 0]]),
     "pencil-not-rows": ("pencil", [0, 1]),
+    "pencil-one-row": ("pencil", [[2, 0, 0, 0]]),
     "provenance-not-ints": ("provenance", [0.5]),
 }
 

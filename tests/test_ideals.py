@@ -16,7 +16,15 @@ from nlocus.ideals import (
     set_t_zero,
     standard_monomials,
 )
-from nlocus.poly import Polynomial, mono_divides, monomials_of_degree, parse, render, sdim
+from nlocus.poly import (
+    Polynomial,
+    mono_divides,
+    monomials_of_degree,
+    parse,
+    render,
+    render_monomial,
+    sdim,
+)
 
 
 def ideal(*texts):
@@ -361,6 +369,94 @@ def test_saturate_t_is_one_groebner_basis(monkeypatch):
     monkeypatch.setattr(gbcore, "groebner", counting)
     saturate_t(e1_deformation_ideals()[0])
     assert calls == [gbcore.key6]
+
+
+def test_algebra_kernel_runs_every_saturation(monkeypatch):
+    """Criterion 8 saturates all 252 presentations and reduces each limit."""
+    calls = {"saturate_t": 0, "groebner": 0}
+    saturate, groebner = checks.saturate_t, gbcore.groebner
+
+    def counting_saturate(I):
+        calls["saturate_t"] += 1
+        return saturate(I)
+
+    def counting_groebner(gens, key):
+        calls["groebner"] += 1
+        return groebner(gens, key)
+
+    monkeypatch.setattr(checks, "saturate_t", counting_saturate)
+    monkeypatch.setattr(gbcore, "groebner", counting_groebner)
+    assert checks.algebra_kernel(None, None, 1) == 252
+    # one elimination basis and one limit basis per presentation, plus kbase's
+    assert calls == {"saturate_t": 252, "groebner": 505}
+
+
+def all_deformation_ideals():
+    """The 252 deformation ideals of criterion 8, every presentation of every E1 direction."""
+    pairs = fx.enumerate_pairs()
+    _, zs = fx.split_strata(pairs)
+    out = []
+    for z in zs:
+        pair = pairs[z.pair_index]
+        for record in fx.e1_points(z):
+            for other, deformed in checks._deformations((pair.q1, pair.q2), record.direction):
+                out.append(checks.deformation_ideal(other, deformed))
+    return out
+
+
+def elimination_input(I):
+    """The generators of I + <1 - s*t> that saturate_t hands to groebner under key6."""
+    gens = [{(0,) + m: c for m, c in g.terms.items()} for g in I.generators]
+    gens.append({(0, 0, 0, 0, 0, 0): Fraction(1), (1, 0, 0, 0, 0, 1): Fraction(-1)})
+    return gens
+
+
+def test_groebner_ignores_generator_order_duplicates_and_scaling():
+    deformation = all_deformation_ideals()
+    assert len(deformation) == 252
+    sample = random.Random(13).sample(deformation, 12)
+    cases = [([g.terms for g in I.generators], gbcore.key5) for I in sample]
+    cases += [(elimination_input(I), gbcore.key6) for I in sample]
+    rng = random.Random(5)
+    for gens, key in cases:
+        want = gbcore.groebner(gens, key)
+        assert want and all(g[max(g, key=key)] == 1 for g in want)
+        assert gbcore.groebner(rng.sample(gens, len(gens)), key) == want
+        i = rng.randrange(len(gens))
+        assert gbcore.groebner(gens + [gens[i]], key) == want
+        scaled = list(gens)
+        scaled[i] = {m: Fraction(3, 2) * c for m, c in gens[i].items()}
+        assert gbcore.groebner(scaled, key) == want
+
+
+def test_reduce_gb_where_the_chain_criterion_skips_a_pair():
+    # All three pairs of the generators have lcm x0*x1*x2.  S(0,1) = 0, and
+    # S(0,2) = x2*(x0*x1) - x0*(x1*x2 - x3^2) = x0*x3^2 is a new element.
+    # S(1,2) = x0*x3^2 as well: x0*x1 divides the lcm and both of its pairs
+    # with 1 and 2 are done, so the chain criterion skips it.
+    G = gb("x0*x1", "x0*x2", "x1*x2 - x3^2")
+    assert sorted(render(g) for g in G.basis) == ["x0*x1", "x0*x2", "x0*x3^2", "x1*x2-x3^2"]
+    assert [render_monomial(m) for m in G.leading_terms] == [
+        "x1*x2", "x0*x2", "x0*x1", "x0*x3^2",
+    ]
+
+
+def test_gbcore_normal_form_does_not_need_a_monic_basis():
+    f = parse("x1^3 + x0*x1*x2").terms
+    # lt(3*x0*x2 - 6*x1^2) = x1^2: x1^3 - x1*(x1^2 - x0*x2/2) leaves 3/2*x0*x1*x2
+    g = parse("3*x0*x2 - 6*x1^2").terms
+    monic = {m: c / -6 for m, c in g.items()}
+    want = {parse("x0*x1*x2").lm(): Fraction(3, 2)}
+    assert gbcore.normal_form(f, [g], gbcore.key5) == want
+    assert gbcore.normal_form(f, [monic], gbcore.key5) == want
+    # and against a whole reduced basis with each element rescaled
+    G = [g.terms for g in reduce_gb(e1_deformation_ideals()[0]).basis]
+    scaled = [{m: Fraction(k + 2, 3) * c for m, c in g.items()} for k, g in enumerate(G)]
+    for text in ("x0^2*x1*x2", "x1^3*x3 + 2*t*x2^4", "x0*x3^3 - t^2*x1^2*x2^2"):
+        f = parse(text).terms
+        assert gbcore.normal_form(f, scaled, gbcore.key5) == gbcore.normal_form(
+            f, G, gbcore.key5
+        )
 
 
 def test_saturate_t_limit_matches_hand_computation():
