@@ -17,7 +17,6 @@ from .fixpoints import (
 from .formula import UnivariateRationalPoly, closed_form, compare, interpolate
 from .ideals import (
     GroebnerBasis,
-    HilbertPoly,
     Ideal,
     hilbert_polynomial,
     kbase,
@@ -51,7 +50,6 @@ __all__ = [
     "DegreeResult",
     "FixedPoint",
     "GroebnerBasis",
-    "HilbertPoly",
     "Ideal",
     "Polynomial",
     "StructuralError",

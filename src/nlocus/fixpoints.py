@@ -35,10 +35,10 @@ import json
 import os
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
-from .ideals import HilbertPoly, hilbert_polynomial
+from .formula import UnivariateRationalPoly
+from .ideals import hilbert_polynomial
 from .poly import mono_key, monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -216,7 +216,7 @@ def e1_points(z):
     return records
 
 
-_HILB_4T = HilbertPoly((Fraction(0), Fraction(4)))
+_HILB_4T = UnivariateRationalPoly([0, 4])
 
 
 def _is_curve_hilb(monos):

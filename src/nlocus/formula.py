@@ -64,7 +64,7 @@ class UnivariateRationalPoly:
     coefficients: tuple
 
     def __init__(self, coefficients):
-        coeffs = [Fraction(c) for c in coefficients]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))

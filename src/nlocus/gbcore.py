@@ -2,8 +2,8 @@
 
 Polynomials here are bare dicts {exponent tuple: Fraction}; the term order is
 supplied as a sort-key function on exponent tuples, so the same code serves
-the package's 5-variable grevlex order and the 6-variable block order that
-saturates in t by eliminating an auxiliary variable s.
+the package's 5-variable grevlex order (`poly.mono_key`) and the 6-variable
+block order that saturates in t by eliminating an auxiliary variable s.
 
 Every basis element is made monic once, when it enters the basis, and is
 kept as its leading monomial and its tail (the other terms).  A reduction
@@ -23,19 +23,14 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush
 
-from .poly import mono_div, mono_divides, mono_mul
+from .poly import mono_div, mono_divides, mono_key, mono_mul
 
 _ONE = Fraction(1)
 
 
-def key5(m):
-    """Graded reverse-lexicographic key on (x0,x1,x2,x3,t)."""
-    return (m[0] + m[1] + m[2] + m[3] + m[4], -m[4], -m[3], -m[2], -m[1], -m[0])
-
-
 def key6(m):
     """Block order (s, x0, x1, x2, x3, t) eliminating the auxiliary first variable s."""
-    return (m[0],) + key5(m[1:])
+    return (m[0],) + mono_key(m[1:])
 
 
 def _mono_lcm(a, b):

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gbcore
+from .formula import UnivariateRationalPoly
 from .poly import Polynomial, mono_key
 
 
@@ -56,7 +57,7 @@ class GroebnerBasis:
 
 def reduce_gb(I):
     """The unique reduced Groebner basis of I."""
-    gb = gbcore.groebner([g.terms for g in I.generators], gbcore.key5)
+    gb = gbcore.groebner([g.terms for g in I.generators], mono_key)
     if not gb:
         raise ValueError("zero ideal")
     basis = tuple(Polynomial(g) for g in gb)
@@ -65,7 +66,7 @@ def reduce_gb(I):
 
 def normal_form(p, G):
     """Remainder of p modulo G; no term is divisible by a leading term."""
-    return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], gbcore.key5))
+    return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], mono_key))
 
 
 # the free coordinates of a cell, by which of (i, j, k) sit at their cap
@@ -215,40 +216,8 @@ def saturate_t(I):
 # Hilbert polynomials of monomial quotients
 
 
-@dataclass(frozen=True)
-class HilbertPoly:
-    """The eventual polynomial t -> dim(S/I)_t, with rational coefficients."""
-
-    coefficients: tuple
-
-    def __call__(self, n):
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * n + c
-        return acc
-
-    def degree(self):
-        return len(self.coefficients) - 1
-
-    def __str__(self):
-        if not self.coefficients:
-            return "0"
-        parts = []
-        for k in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[k]
-            if not c:
-                continue
-            if k == 0:
-                body = str(abs(c))
-            else:
-                var = "t" if k == 1 else f"t^{k}"
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            parts.append(("-" if c < 0 else ("+" if parts else "")) + body)
-        return "".join(parts) or "0"
-
-
 def hilbert_polynomial(lead_x):
-    """Hilbert polynomial of S/<lead_x> for exponent 4-tuples lead_x.
+    """Hilbert polynomial of S/<lead_x> for exponent 4-tuples lead_x, in d.
 
     The generators need not be minimal: a redundant one at most splits the
     staircase cells more finely.  The cells are a Stanley decomposition of
@@ -274,6 +243,4 @@ def hilbert_polynomial(lead_x):
             term = [(shift - i) * a + b for a, b in zip(term + [0], [0] + term)]
         for k, c in enumerate(term):
             scaled[k] += c
-    while scaled and not scaled[-1]:
-        scaled.pop()
-    return HilbertPoly(tuple(Fraction(c, 6) for c in scaled))
+    return UnivariateRationalPoly([Fraction(c, 6) for c in scaled])

@@ -9,13 +9,19 @@ all specialized at an admissible integer weight vector.  For d = 4 the
 forgetful map contracts a pair of pencils, and the count becomes one quarter
 of the sum of Pluecker-weight times e_15 over the same denominators.
 
+Adding one constant c to all four weights changes no sum: the scalar
+subtorus acts trivially on P^3, every tangent character has coordinate sum
+0 and keeps its value, and every degree-d fiber weight moves by c*d.  The
+sums are therefore taken under the spec shifted to a zero minimum, so every
+fiber weight is non-negative; the caller's spec is the one reported.
+
 The hot path, `_sum_chunk`, derives the staircase cells of each point's
 quartic system once and reads the fiber at every d off them as arithmetic
 progressions of specialized weights; e_16 is one Kronecker-packed product
 (`torus.elem_sym`: e_j in base-2^W digit 16 - j, one r += v * (r >> W) per
-weight, W derived from e_j <= s^j / j! for weights of sum s); and the
-summands of a chunk of points are added as integers over the lcm of their
-tangent denominators, one Fraction per d.  `elem_sym` is looked up as a
+non-negative weight, W derived from e_j <= s^j / j! for weights of sum s);
+and the summands of a chunk of points are added as integers over the lcm of
+their tangent denominators, one Fraction per d.  `elem_sym` is looked up as a
 module attribute at each call, so a wrapper bound there sees every call.
 """
 
@@ -137,7 +143,11 @@ def _numerator(fp, d, spec, fiber):
 
 
 def contribution(fp, d, spec):
-    """One Bott summand for d >= 4: the numerator over c_16 of the tangent."""
+    """One Bott summand for d >= 4: the numerator over c_16 of the tangent.
+
+    The summand is taken under spec shifted to a zero minimum, like every
+    Bott sum; a single summand depends on the shift, only the sums do not.
+    """
     if d < 4:
         raise ValueError(f"fiber weights need d >= 4, got {d}")
     return _sum_chunk(([fp], [d], spec))[d]
@@ -147,15 +157,19 @@ def _sum_chunk(args):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
     The staircase cells of a point are derived once and expanded at every d.
+    The numerators are taken under spec shifted to a zero minimum (see the
+    module docstring); the denominators are equal under either spec.
     """
     points, ds, spec = args
     common, _, scales = _common_denominator(points, spec)
+    low = min(spec.values)
+    shifted = WeightSpec(v - low for v in spec.values)
     sums = dict.fromkeys(ds, 0)
     for fp, scale in zip(points, scales):
         cells = staircase_cells(fp.quartics)
         for d in ds:
-            fiber = _cell_values(fp, cells, d, spec.values)
-            sums[d] += _numerator(fp, d, spec, fiber) * scale
+            fiber = _cell_values(fp, cells, d, shifted.values)
+            sums[d] += _numerator(fp, d, shifted, fiber) * scale
     return {d: Fraction(s, common) for d, s in sums.items()}
 
 

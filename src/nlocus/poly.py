@@ -27,8 +27,8 @@ class ParseError(ValueError):
 
 
 def mono_key(m):
-    """Sort key realizing graded reverse-lexicographic order (larger key = larger monomial)."""
-    return (sum(m), -m[4], -m[3], -m[2], -m[1], -m[0])
+    """Graded reverse-lexicographic key on (x0,x1,x2,x3,t): larger key = larger monomial."""
+    return (m[0] + m[1] + m[2] + m[3] + m[4], -m[4], -m[3], -m[2], -m[1], -m[0])
 
 
 def mono_mul(a, b):

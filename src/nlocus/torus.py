@@ -14,8 +14,8 @@ as one big-integer product (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009).  The digits are reversed:
 e_j sits in base-2^W digit k - j, so multiplying by (1 + v*z) is
 r += v * (r >> W) and e_k is the lowest digit.  The width W is derived from
-e_j <= s^j / j! for non-negative values summing to s; values of both signs
-are packed by sign separately and combined.
+e_j <= s^j / j! for non-negative values summing to s; the Bott sums shift
+the weight spec to a zero minimum, so no fiber weight is negative.
 """
 
 from __future__ import annotations
@@ -101,63 +101,37 @@ def blowup_tangent(base, nml, e):
     return out
 
 
-def _reversed_product(k, values):
-    """Digits e_0..e_k of non-negative integers, packed in reverse; returns (r, W).
+def elem_sym(k, values):
+    """k-th elementary symmetric function of the non-negative integers in values.
 
-    r = sum_j e_j * 2^(W*(k-j)): e_0 = 1 is the top digit, e_k the lowest.
-    Multiplying the truncated product by (1 + v*z) sends e_j to
-    e_j + v*e_(j-1), and r >> W is r with every e_j moved down to the digit
-    of e_(j+1) (e_k falls off), so the step is r += v * (r >> W), exact as
-    long as no digit ever reaches 2^W.
+    Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
+    so e_0 = 1 is the top digit and e_k the lowest.  Multiplying the
+    truncated product by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W
+    is r with every e_j moved down to the digit of e_(j+1) (e_k falls off),
+    so the step is r += v * (r >> W): three integer operations per value,
+    exact as long as no digit ever reaches 2^W.
 
-    Width: for s = sum(values) (all values >= 0), every product of j
-    distinct values appears j! times in the expansion of s^j, so
-    e_j <= s^j / j!, and the same holds for every prefix of the values.
-    s^j / j! grows with j while j < s and falls after, so over j = 0..k
-    it is largest at m = min(k, s).  An integer e_j <= s^m / m! is at most
-    s^m // m!, so W = (s^m // m!).bit_length() gives every digit a value
-    in [0, 2^W) at every step, and nothing carries.
+    Width: for s = sum(values), every product of j distinct values appears
+    j! times in the expansion of s^j, so e_j <= s^j / j!, and the same holds
+    for every prefix of the values.  s^j / j! grows with j while j < s and
+    falls after, so over j = 0..k it is largest at m = min(k, s).  An
+    integer e_j <= s^m / m! is at most s^m // m!, so
+    W = (s^m // m!).bit_length() gives every digit a value in [0, 2^W) at
+    every step, and nothing carries.  A negative value breaks the bound and
+    raises ValueError.
     """
+    n = len(values)
+    if k < 0 or k > n:
+        raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
+    if values and min(values) < 0:
+        raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
     s = sum(values)
     m = min(k, s)
     width = (s**m // math.factorial(m)).bit_length()
     r = 1 << (k * width)
     for v in values:
         r += v * (r >> width)
-    return r, width
-
-
-def _digits(k, values):
-    """[e_0, .., e_k] of non-negative integers, unpacked from `_reversed_product`."""
-    r, width = _reversed_product(k, values)
-    mask = (1 << width) - 1
-    return [(r >> (width * (k - j))) & mask for j in range(k + 1)]
-
-
-def elem_sym(k, values):
-    """k-th elementary symmetric function of the integers in values.
-
-    Kronecker substitution in reversed digits (`_reversed_product`): one
-    big-integer product with three integer operations per value, and e_k
-    is its lowest base-2^W digit.  With any negative value the values are
-    split by sign into P and N = -(the negative ones); the product of
-    (1 + v*z) is prod_P (1 + p*z) * prod_N (1 - a*z), so
-    e_k = sum_i (-1)^(k-i) * e_i(P) * e_(k-i)(N), both packed as above.
-    """
-    n = len(values)
-    if k < 0 or k > n:
-        raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
-    if not values or min(values) >= 0:
-        r, width = _reversed_product(k, values)
-        return r & ((1 << width) - 1)
-    pos = [v for v in values if v > 0]
-    neg = [-v for v in values if v < 0]
-    ep = _digits(min(k, len(pos)), pos)
-    en = _digits(min(k, len(neg)), neg)
-    return sum(
-        (-1) ** (k - i) * ep[i] * en[k - i]
-        for i in range(max(0, k + 1 - len(en)), min(k + 1, len(ep)))
-    )
+    return r & ((1 << width) - 1)
 
 
 def check_generic(spec, tangent_bags):

@@ -68,6 +68,26 @@ def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points,
         checks.rank_invariants([bad], weights, 1)
 
 
+@pytest.mark.parametrize(
+    "field, kind, degree",
+    [
+        ("tangent", "tangent character", 0),
+        ("pencil_chars", "pencil row", 2),
+        ("quartics", "quartic row", 4),
+    ],
+)
+def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
+    points, weights, field, kind, degree
+):
+    fp = points[300]
+    rows = getattr(fp, field)
+    row = (rows[0][0] + 1,) + rows[0][1:]
+    bad = replace(fp, **{field: (row,) + rows[1:]})
+    message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants([bad], weights, 1)
+
+
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):
     checks.hilbert_oracles(points, weights, 1)
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")

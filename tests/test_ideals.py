@@ -1,12 +1,13 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from nlocus import checks, gbcore
 from nlocus import fixpoints as fx
+from nlocus.formula import UnivariateRationalPoly
 from nlocus.ideals import (
-    HilbertPoly,
     Ideal,
     hilbert_polynomial,
     kbase,
@@ -19,6 +20,7 @@ from nlocus.ideals import (
 from nlocus.poly import (
     Polynomial,
     mono_divides,
+    mono_key,
     monomials_of_degree,
     parse,
     render,
@@ -301,7 +303,7 @@ def colon_chain_saturate(I):
         ]
 
     def signature(gens):
-        return gbcore.groebner([g.terms for g in gens], gbcore.key5)
+        return gbcore.groebner([g.terms for g in gens], mono_key)
 
     current = list(I.generators)
     before = signature(current)
@@ -391,6 +393,26 @@ def test_algebra_kernel_runs_every_saturation(monkeypatch):
     assert calls == {"saturate_t": 252, "groebner": 505}
 
 
+def test_saturation_limit_needs_every_element_of_the_saturation(monkeypatch):
+    # x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>: the saturation has one
+    # quartic element, the kind a Buchberger engine that skips a needed
+    # S-pair loses.  Without it the t=0 limit keeps its 8 cubics but has 17
+    # standard monomials of degree 4, where a flat limit has 16.
+    other, deformed = (2, 0, 0, 0), ({(1, 1, 0, 0): 1}, {(0, 0, 0, 2): 1})
+    saturate = checks.saturate_t
+
+    def cubic_part(I):
+        return Ideal(g for g in saturate(I) if sum(g.lm()[:4]) == 3)
+
+    cubics = checks.saturation_limit(other, deformed)
+    limit = reduce_gb(set_t_zero(cubic_part(checks.deformation_ideal(other, deformed))))
+    assert fx._sort_monos(m[:4] for m in limit.leading_terms if sum(m) == 3) == cubics
+    monkeypatch.setattr(checks, "saturate_t", cubic_part)
+    message = "t=0 limit deforming to x3^2*t+x0*x1 has 17 standard monomials of degree 4, not 16"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.saturation_limit(other, deformed)
+
+
 def all_deformation_ideals():
     """The 252 deformation ideals of criterion 8, every presentation of every E1 direction."""
     pairs = fx.enumerate_pairs()
@@ -415,7 +437,7 @@ def test_groebner_ignores_generator_order_duplicates_and_scaling():
     deformation = all_deformation_ideals()
     assert len(deformation) == 252
     sample = random.Random(13).sample(deformation, 12)
-    cases = [([g.terms for g in I.generators], gbcore.key5) for I in sample]
+    cases = [([g.terms for g in I.generators], mono_key) for I in sample]
     cases += [(elimination_input(I), gbcore.key6) for I in sample]
     rng = random.Random(5)
     for gens, key in cases:
@@ -447,15 +469,15 @@ def test_gbcore_normal_form_does_not_need_a_monic_basis():
     g = parse("3*x0*x2 - 6*x1^2").terms
     monic = {m: c / -6 for m, c in g.items()}
     want = {parse("x0*x1*x2").lm(): Fraction(3, 2)}
-    assert gbcore.normal_form(f, [g], gbcore.key5) == want
-    assert gbcore.normal_form(f, [monic], gbcore.key5) == want
+    assert gbcore.normal_form(f, [g], mono_key) == want
+    assert gbcore.normal_form(f, [monic], mono_key) == want
     # and against a whole reduced basis with each element rescaled
     G = [g.terms for g in reduce_gb(e1_deformation_ideals()[0]).basis]
     scaled = [{m: Fraction(k + 2, 3) * c for m, c in g.items()} for k, g in enumerate(G)]
     for text in ("x0^2*x1*x2", "x1^3*x3 + 2*t*x2^4", "x0*x3^3 - t^2*x1^2*x2^2"):
         f = parse(text).terms
-        assert gbcore.normal_form(f, scaled, gbcore.key5) == gbcore.normal_form(
-            f, G, gbcore.key5
+        assert gbcore.normal_form(f, scaled, mono_key) == gbcore.normal_form(
+            f, G, mono_key
         )
 
 
@@ -480,7 +502,7 @@ def test_hilbert_polynomial_curves():
     assert hilbert_polynomial(
         exponents("x0^2", "x0*x1", "x0*x2^2", "x1^4")
     ).coefficients == (0, 4)
-    assert str(hilbert_polynomial(exponents("x0^2", "x1^2"))) == "4*t"
+    assert str(hilbert_polynomial(exponents("x0^2", "x1^2"))) == "4*d"
 
 
 def test_hilbert_polynomial_other_shapes():
@@ -523,8 +545,8 @@ def test_hilbert_polynomial_rejects_t():
 
 
 def test_hilbert_poly_repr():
-    assert str(HilbertPoly((Fraction(1), Fraction(1)))) == "t+1"
-    assert str(HilbertPoly(())) == "0"
+    assert str(hilbert_polynomial(exponents("x0", "x1"))) == "d+1"
+    assert str(hilbert_polynomial(exponents("x0", "x1", "x2", "x3"))) == "0"
 
 
 # -- Hilbert-series oracle for hilbert_polynomial -----------------------------
@@ -593,7 +615,7 @@ def series_hilbert_polynomial(lead_x):
         num = quotient or [0]
         e -= 1
     if e == 0 or not any(num):
-        return HilbertPoly(())
+        return UnivariateRationalPoly([])
     # HF(t) = sum_j num[j] * C(t - j + e - 1, e - 1) for large t
     coeffs = [Fraction(0)] * e
     fact = 1
@@ -607,9 +629,7 @@ def series_hilbert_polynomial(lead_x):
             term = _poly_mul(term, [Fraction(e - 1 - j - i), Fraction(1)])
         for k, c in enumerate(term):
             coeffs[k] += c
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return HilbertPoly(tuple(coeffs))
+    return UnivariateRationalPoly(coeffs)
 
 
 def test_hilbert_polynomial_matches_series_oracle_on_the_cascade(cascade):
