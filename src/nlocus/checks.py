@@ -58,11 +58,11 @@ def rank_invariants(points, spec, workers):
     tangent weight and move each degree-d fiber weight by c*d.
     """
     for fp in points:
-        _require(
-            len(fp.tangent) == loc.DIM,
-            f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
-            f" != {loc.DIM}",
-        )
+        if len(fp.tangent) != loc.DIM:
+            raise AssertionError(
+                f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
+                f" != {loc.DIM}"
+            )
         for kind, rows, degree in (
             ("tangent character", fp.tangent, 0),
             ("pencil row", fp.pencil_chars, 2),
@@ -74,13 +74,15 @@ def rank_invariants(points, spec, workers):
                     f"{fp.tag}{fp.provenance}: {kind} {row} has degree"
                     f" {sum(row)} != {degree}"
                 )
-        _require(len(fp.quartics) == 19, f"{fp.tag}{fp.provenance}: rank != 19")
+        if len(fp.quartics) != 19:
+            raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
         cells = staircase_cells(fp.quartics)
         for d in range(4, 11):
             n = sum(count for _, _, count in staircase_runs(cells, d))
-            _require(
-                n == 4 * d, f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
-            )
+            if n != 4 * d:
+                raise AssertionError(
+                    f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
+                )
 
 
 def hilbert_oracles(points, spec, workers):

@@ -15,7 +15,6 @@ from math import comb
 from operator import add, le, sub
 
 VARS = ("x0", "x1", "x2", "x3", "t")
-ZERO_MONO = (0, 0, 0, 0, 0)
 
 
 class ParseError(ValueError):
@@ -168,12 +167,7 @@ class Polynomial:
         object.__setattr__(p, "_terms", {m: -c for m, c in self._terms.items()})
         return p
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         res = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
@@ -187,16 +181,6 @@ class Polynomial:
         object.__setattr__(p, "_terms", res)
         return p
 
-    __rmul__ = __mul__
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return Polynomial.zero()
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", {m: c * v for m, v in self._terms.items()})
-        return p
-
     def mul_monomial(self, mono, coeff=1):
         coeff = Fraction(coeff)
         if not coeff:
@@ -206,18 +190,6 @@ class Polynomial:
             p, "_terms", {mono_mul(m, mono): c * coeff for m, c in self._terms.items()}
         )
         return p
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power")
-        out = Polynomial.monomial(ZERO_MONO)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def subs_t_zero(self):
         """The polynomial with t set to 0."""
@@ -243,120 +215,21 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # text form
 
-_NUM = re.compile(r"\d+")
-_VAR = re.compile(r"x[0-3]|t")
+_SPACE = re.compile(r"\s*")
+_SIGN = re.compile(r"\s*([+-])")
+_FACTOR = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(x[0-3]|t)(?:\s*\^\s*(\d+))?)")
+_STAR = re.compile(r"\s*\*")
 _NAME = re.compile(r"[A-Za-z]\w*")
-_VAR_INDEX = {name: i for i, name in enumerate(VARS)}
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        if ch.isdigit():
-            m = _NUM.match(text, pos)
-            tokens.append(("num", m.group(), pos))
-            pos = m.end()
-        elif ch.isalpha() or ch == "_":
-            m = _VAR.match(text, pos) or _NAME.match(text, pos)
-            tokens.append(("name", m.group(), pos))
-            pos = m.end()
-        elif ch in "+-*/^":
-            tokens.append(("op", ch, pos))
-            pos += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", pos)
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else (None, None, len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.i += 1
-        return tok
-
-    def expect_num(self, what):
-        kind, value, pos = self.next()
-        if kind != "num":
-            raise ParseError(f"expected {what}", pos)
-        return int(value), pos
-
-    def parse(self):
-        poly = self.term_sequence()
-        kind, value, pos = self.peek()
-        if kind is not None:
-            raise ParseError(f"unexpected token {value!r}", pos)
-        return poly
-
-    def term_sequence(self):
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.next()
-            sign = -1 if value == "-" else 1
-        poly = self.term(sign)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                poly = poly + self.term(-1 if value == "-" else 1)
-            else:
-                return poly
-
-    def term(self, sign):
-        coeff = Fraction(sign)
-        mono = list(ZERO_MONO)
-        saw_factor = False
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "num":
-                self.next()
-                num = int(value)
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "/":
-                    self.next()
-                    den, dpos = self.expect_num("denominator")
-                    if den == 0:
-                        raise ParseError("zero denominator", dpos)
-                    coeff *= Fraction(num, den)
-                else:
-                    coeff *= num
-                saw_factor = True
-            elif kind == "name":
-                self.next()
-                if value not in _VAR_INDEX:
-                    raise ParseError(f"unknown variable {value!r}", pos)
-                exp = 1
-                k2, v2, _ = self.peek()
-                if k2 == "op" and v2 == "^":
-                    self.next()
-                    exp, _ = self.expect_num("exponent")
-                mono[_VAR_INDEX[value]] += exp
-                saw_factor = True
-            else:
-                break
-            kind, value, _ = self.peek()
-            if kind == "op" and value == "*":
-                self.next()
-                kind, value, pos = self.peek()
-                if kind not in ("num", "name"):
-                    raise ParseError("expected factor after '*'", pos)
-        if not saw_factor:
-            _, value, pos = self.peek()
-            raise ParseError("expected a term", pos)
-        return Polynomial({tuple(mono): coeff})
+def _error(message, text, pos):
+    """A ParseError at the first non-space character from pos on."""
+    pos = _SPACE.match(text, pos).end()
+    name = _NAME.match(text, pos)
+    if name:
+        return ParseError(f"unknown variable {name.group()!r}", pos)
+    found = repr(text[pos]) if pos < len(text) else "the end"
+    return ParseError(f"{message}, found {found}", pos)
 
 
 def parse(text):
@@ -365,8 +238,39 @@ def parse(text):
     Grammar: terms joined by + and -; a term is an optional rational
     coefficient times a product of var^exp factors with vars among
     x0..x3, t; '*' between factors is optional, '^' denotes powers.
+    Any other text raises ParseError with the position of the fault.
     """
-    return _Parser(text).parse()
+    terms = {}
+    sign = _SIGN.match(text)
+    pos = sign.end() if sign else 0
+    while True:
+        coeff = Fraction(-1 if sign and sign.group(1) == "-" else 1)
+        mono = [0] * 5
+        factor = _FACTOR.match(text, pos)
+        if not factor:
+            raise _error("expected a term", text, pos)
+        while factor:
+            num, den, var, exp = factor.groups()
+            if var:
+                mono[VARS.index(var)] += int(exp or 1)
+            elif den and not int(den):
+                raise ParseError("zero denominator", factor.start(2))
+            else:
+                coeff *= Fraction(int(num), int(den or 1))
+            pos = factor.end()
+            star = _STAR.match(text, pos)
+            factor = _FACTOR.match(text, star.end() if star else pos)
+            if star and not factor:
+                raise _error("expected a factor after '*'", text, star.end())
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + coeff
+        sign = _SIGN.match(text, pos)
+        if not sign:
+            break
+        pos = sign.end()
+    if _SPACE.match(text, pos).end() < len(text):
+        raise _error("expected '+', '-' or a factor", text, pos)
+    return Polynomial(terms)
 
 
 def render(p):

@@ -1,11 +1,15 @@
 import importlib
 import json
+import subprocess
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from nlocus import checks
 from nlocus import fixpoints as fx
+from nlocus import localization as loc
 from nlocus.cli import main
 from nlocus.formula import closed_form
 
@@ -66,6 +70,31 @@ def test_formula_span_too_small_is_usage_error(capsys, cache_path):
     assert err.value.code == 2
 
 
+def test_formula_text_output(capsys, cache_path, monkeypatch):
+    # the closed form's values stand in for the Bott sums, which criterion 2 tests
+    nodes = {d: closed_form()(d) for d in range(5, 54)}
+    monkeypatch.setattr(
+        loc,
+        "degree_range",
+        lambda dmin, dmax, *_, **__: [
+            SimpleNamespace(d=d, degree=nodes[d]) for d in range(dmin, dmax + 1)
+        ],
+    )
+    code, out, _ = run(capsys, "formula", "--cache", str(cache_path))
+    assert code == 0
+    lines = out.splitlines()
+    assert "degree of the fitted polynomial: 32" in lines
+    factored = lines[lines.index("factored form:") + 1]
+    assert factored.startswith("  binomial(d-2,3) * (106984881*d^29-3409514775*d^28")
+    assert factored.endswith(") / (2^27*3^9*5^2*7^2*11*13)")
+    assert lines[-1] == "MATCH: the published closed form is reproduced"
+
+    nodes[30] += 1
+    code, out, _ = run(capsys, "formula", "--cache", str(cache_path))
+    assert code == 1
+    assert out.splitlines()[-1].startswith("MISMATCH: mismatch at degree ")
+
+
 def test_fixpoints_counts_line(capsys, tmp_path):
     path = tmp_path / "fp.json"
     code, out, _ = run(capsys, "fixpoints", "--cache", str(path))
@@ -124,7 +153,7 @@ def test_bad_weights_syntax_is_usage_error(capsys, cache_path):
 
 def test_negative_weights_take_the_equals_form(capsys, cache_path):
     # a value starting with '-' reads as a flag unless joined with '='; the
-    # fibers then carry weights of both signs, and the degree is the default's
+    # caller's spec then has weights of both signs, and the degree is the default's
     expected = "deg NL(W,9) = 2056501589492590165"
     _, default, _ = run(capsys, "degree", "--d", "9", "--cache", str(cache_path))
     code, out, _ = run(
@@ -263,6 +292,25 @@ def test_traced_cli_targets_resolve(monkeypatch):
         assert callable(getattr(importlib.import_module(f"nlocus.{module}"), attr, None)), (
             f"nlocus.{module}.{attr}"
         )
+
+
+def test_cli_import_loads_every_traced_module():
+    """The benchmark's traced mode finds each module it wraps in sys.modules
+    after `import nlocus.cli` alone; a lazy import would make that a KeyError."""
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from traced_cli import TARGETS\n"
+        "import nlocus.cli\n"
+        "print(sorted({m for m, *_ in TARGETS if 'nlocus.' + m not in sys.modules}))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(root / "src"), str(root / "perfbench")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_benchmark_oracle_reads_a_fresh_cache(monkeypatch, capsys, cache_path):

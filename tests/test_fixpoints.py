@@ -10,7 +10,7 @@ import pytest
 
 from nlocus import checks
 from nlocus import fixpoints as fx
-from nlocus import gbcore, poly
+from nlocus import gbcore
 from nlocus.ideals import hilbert_polynomial, standard_monomials
 from nlocus.poly import Polynomial, monomials_of_degree, parse, render
 from nlocus.torus import char_sub
@@ -354,10 +354,10 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
 
 
 def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("polynomial text parsed on the cache path")
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Polynomial built on the cache path")
 
-    monkeypatch.setattr(poly._Parser, "parse", refuse)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
     path = tmp_path / "cache.json"
     fx.save_cache(points, path)
     assert fx.load_cache(path) == points

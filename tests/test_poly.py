@@ -59,6 +59,13 @@ def test_parse_errors_carry_position():
         parse("x0^")
 
 
+@pytest.mark.parametrize("text", ["_", "é", "x0 + _y", "²", "x0^²"])
+def test_parse_rejects_a_stray_character_with_a_position(text):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert isinstance(err.value.pos, int)
+
+
 def test_render_round_trip_examples():
     for text in ("x0^2+x1*x2", "x1^2+x0*x2*t", "0", "-x0+2*x1", "3/7*t^4"):
         p = parse(text)
