@@ -143,57 +143,43 @@ def _deformations(pencil, e):
     """(other generator, deformed generator) for each monomial presentation of e.
 
     A presentation deforms the pencil generator q for which q*x^e is a
-    genuine quadric monomial m', giving the t-expansion ({q: 1}, {m': 1}) of
-    q + t*m': entry k maps exponent 4-tuples to the coefficients of t^k.
+    genuine quadric monomial m', giving the Polynomial q + t*m'.
     """
     out = []
     for j, qj in enumerate(pencil):
         shift = char_add(e, qj)
         if all(v >= 0 for v in shift):
-            out.append((pencil[1 - j], ({qj: 1}, {shift: 1})))
+            out.append((pencil[1 - j], Polynomial({qj + (0,): 1, shift + (1,): 1})))
     return out
 
 
-def _t_polynomial(*parts):
-    """The Polynomial sum over k of t^k * parts[k] (x-monomial -> coefficient maps)."""
-    return Polynomial(
-        {m + (k,): c for k, part in enumerate(parts) for m, c in part.items()}
-    )
-
-
 def deformation_ideal(other, deformed):
-    """The deformed pencil times the linear forms: 8 cubic generators over Q[t].
+    """The deformed pencil <x^other, deformed> over Q[t].
 
     Saturating this ideal in t gives the flat limit that `fixpoints.e1_points`
     writes down in closed form (the oracle route).
     """
-    gens = []
-    for pencil_gen in (_t_polynomial({other: 1}), _t_polynomial(*deformed)):
-        for x in fx.LINEARS:
-            gens.append(pencil_gen.mul_monomial(x + (0,)))
-    return Ideal(gens)
+    return Ideal([Polynomial.monomial(other + (0,)), deformed])
 
 
 def saturation_limit(other, deformed):
     """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics.
 
-    A flat limit keeps the Hilbert function of the deformed ideal, 4d in
-    every degree d >= 3, which is checked for d = 3..5.  A saturation that
+    A flat limit keeps the Hilbert function of the deformed pencil, 4d in
+    every degree d >= 2, which is checked for d = 2..5.  A saturation that
     misses an element gives a larger count in the degree of that element,
-    and every limit here is generated in degrees 3 and 4.
+    and every limit here is generated in degrees 2 to 4.
     """
     gb = reduce_gb(set_t_zero(saturate_t(deformation_ideal(other, deformed))))
     for g in gb.basis:
         if not g.is_monomial():
-            raise AssertionError(
-                f"t=0 limit deforming to {_t_polynomial(*deformed)} is not monomial: {g}"
-            )
+            raise AssertionError(f"t=0 limit deforming to {deformed} is not monomial: {g}")
     cells = staircase_cells([m[:4] for m in gb.leading_terms])
-    for d in range(3, 6):
+    for d in range(2, 6):
         n = sum(count for _, _, count in staircase_runs(cells, d))
         if n != 4 * d:
             raise AssertionError(
-                f"t=0 limit deforming to {_t_polynomial(*deformed)} has {n}"
+                f"t=0 limit deforming to {deformed} has {n}"
                 f" standard monomials of degree {d}, not {4 * d}"
             )
     cubics = [
@@ -208,10 +194,10 @@ def algebra_kernel(points, spec, workers):
     """kbase, the E1 flat limits against saturation, elem_sym.
 
     Every presentation of every E1 direction is taken to its flat limit by
-    Buchberger saturation, which must have the Hilbert function of a flat
-    limit and give the 8 cubics that `fixpoints.e1_points` writes down in
-    closed form for that direction.  Returns the number of presentations
-    checked.
+    Buchberger saturation of its deformed pencil, which must have the
+    Hilbert function of a flat limit and give the 8 cubics that
+    `fixpoints.e1_points` writes down in closed form for that direction.
+    Returns the number of presentations checked.
     """
     _require(
         len(kbase(reduce_gb(Ideal([parse("x0^2"), parse("x1^2")])), 5)) == 20,
@@ -228,7 +214,7 @@ def algebra_kernel(points, spec, workers):
                 if record.limit_cubics != oracle:
                     raise AssertionError(
                         f"E1 direction {record.direction} over pair {z.pair_index},"
-                        f" deformed {_t_polynomial(*deformed)}:"
+                        f" deformed {deformed}:"
                         f" limit {record.limit_cubics} != saturation {oracle}"
                     )
                 checked += 1

@@ -282,9 +282,16 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except SystemExit:
         raise
+    except BrokenPipeError:
+        # the reader of stdout has gone; send the unflushed rest to devnull so
+        # the interpreter's flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -10,12 +10,9 @@ kept as its leading monomial and its tail (the other terms).  A reduction
 step is then work[m'] -= c * g[m] on the working dict, in place and with no
 division, and the cancelled leading term is popped, never recomputed.
 
-Pairs are taken in order of their lcm (the normal strategy).  Two criteria
-skip a pair whose S-polynomial would reduce to zero: coprime leading terms
-(Buchberger's first criterion), and the chain criterion, which skips (i, j)
-when a third element's leading term divides lcm(lt_i, lt_j) and neither of
-its pairs with i and j is still pending (the improved Buchberger algorithm
-of Cox-Little-O'Shea, Ideals, Varieties, and Algorithms, ch. 2 section 10).
+Pairs are taken in order of their lcm (the normal strategy), and a pair
+whose leading terms are coprime is skipped, since its S-polynomial reduces
+to zero (Buchberger's first criterion).
 """
 
 from __future__ import annotations
@@ -99,31 +96,19 @@ def groebner(gens, key):
         return []
 
     heap = []
-    pending = set()
 
     def add_pairs(k):
         lt_k = lead[k][0]
         for l in range(k):
             lcm = _mono_lcm(lead[l][0], lt_k)
             heappush(heap, (key(lcm), l, k, lcm))
-            pending.add((l, k))
 
     for k in range(len(lead)):
         add_pairs(k)
     while heap:
         _, i, j, lcm = heappop(heap)
-        pending.discard((i, j))
         if mono_mul(lead[i][0], lead[j][0]) == lcm:
             continue  # coprime leading terms: S-polynomial reduces to zero
-        if any(
-            k != i
-            and k != j
-            and mono_divides(lt_k, lcm)
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k, (lt_k, _) in enumerate(lead)
-        ):
-            continue  # chain criterion: S(i, j) follows from S(i, k) and S(j, k)
         r = normal_form(_spoly(lead[i], lead[j], lcm), None, key, lead)
         if r:
             lead.append(_monic(r, key))

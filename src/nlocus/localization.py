@@ -28,7 +28,6 @@ module attribute at each call, so a wrapper bound there sees every call.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -181,6 +180,8 @@ def _localize(points, ds, spec, workers):
     jobs = [
         (points[i : i + chunk], ds, spec) for i in range(0, len(points), chunk)
     ]
+    import multiprocessing  # only here: a one-worker run need not load it
+
     with multiprocessing.Pool(workers) as pool:
         parts = pool.map(_sum_chunk, jobs)
     totals = {d: Fraction(0) for d in ds}

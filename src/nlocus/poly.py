@@ -106,10 +106,6 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls):
-        return cls()
-
-    @classmethod
     def monomial(cls, m, coeff=1):
         return cls({tuple(m): Fraction(coeff)})
 
@@ -181,16 +177,6 @@ class Polynomial:
         object.__setattr__(p, "_terms", res)
         return p
 
-    def mul_monomial(self, mono, coeff=1):
-        coeff = Fraction(coeff)
-        if not coeff:
-            return Polynomial.zero()
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(
-            p, "_terms", {mono_mul(m, mono): c * coeff for m, c in self._terms.items()}
-        )
-        return p
-
     def subs_t_zero(self):
         """The polynomial with t set to 0."""
         return Polynomial({m: c for m, c in self._terms.items() if m[4] == 0})
@@ -232,6 +218,17 @@ def _error(message, text, pos):
     return ParseError(f"{message}, found {found}", pos)
 
 
+def _int(match, group):
+    """The integer a match group spells, 1 when the group took no part."""
+    digits = match.group(group)
+    try:
+        return int(digits or 1)
+    except ValueError:  # more digits than Python converts to an int
+        raise ParseError(
+            f"number of {len(digits)} digits is too long", match.start(group)
+        ) from None
+
+
 def parse(text):
     """Parse polynomial text into canonical form.
 
@@ -250,13 +247,14 @@ def parse(text):
         if not factor:
             raise _error("expected a term", text, pos)
         while factor:
-            num, den, var, exp = factor.groups()
+            var = factor.group(3)
             if var:
-                mono[VARS.index(var)] += int(exp or 1)
-            elif den and not int(den):
-                raise ParseError("zero denominator", factor.start(2))
+                mono[VARS.index(var)] += _int(factor, 4)
             else:
-                coeff *= Fraction(int(num), int(den or 1))
+                num, den = _int(factor, 1), _int(factor, 2)
+                if not den:
+                    raise ParseError("zero denominator", factor.start(2))
+                coeff *= Fraction(num, den)
             pos = factor.end()
             star = _STAR.match(text, pos)
             factor = _FACTOR.match(text, star.end() if star else pos)

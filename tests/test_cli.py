@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -311,6 +312,43 @@ def test_cli_import_loads_every_traced_module():
         check=True,
     )
     assert done.stdout == "[]\n"
+
+
+def _python(*args, **kwargs):
+    """Run a fresh interpreter with this checkout's package on its path."""
+    path = [str(Path(__file__).resolve().parents[1] / "src")]
+    path += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run([sys.executable, *args], env=env, **kwargs)
+
+
+def test_cli_import_does_not_load_multiprocessing():
+    """Only a run with more than one worker starts a pool and pays for its import."""
+    done = _python(
+        "-c",
+        "import sys, nlocus.cli; print('multiprocessing' in sys.modules)",
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
+
+
+def test_closed_stdout_exits_1_without_a_traceback(cache_path):
+    """`nlocus degree | head -0`: the reader of stdout is gone before the
+    CLI prints, so its flush fails with EPIPE on every run."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _python(
+            *("-m", "nlocus", "degree", "--d", "4", "--cache", str(cache_path)),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, "")
 
 
 def test_benchmark_oracle_reads_a_fresh_cache(monkeypatch, capsys, cache_path):

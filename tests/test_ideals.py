@@ -84,10 +84,10 @@ def test_normal_form_of_generator_combinations():
     G = reduce_gb(Ideal(gens))
     monos = monomials_of_degree(2)
     for _ in range(20):
-        member = Polynomial.zero()
+        member = Polynomial()
         for g in gens:
             m = monos[rng.randrange(len(monos))]
-            member = member + g.mul_monomial(m, rng.randint(-3, 3))
+            member = member + g * Polynomial.monomial(m, rng.randint(-3, 3))
         assert not normal_form(member, G)
 
 
@@ -275,8 +275,18 @@ def _canonical(I):
     return tuple(sorted(render(g) for g in reduce_gb(I).basis))
 
 
+def cubic_multiples(other, deformed):
+    """The deformed pencil times x0..x3: 8 cubic generators whose saturation
+    agrees with the pencil's in every degree >= 3.
+
+    The engine tests take these larger inputs rather than the pencil itself.
+    """
+    pencil = checks.deformation_ideal(other, deformed)
+    return Ideal(g * Polynomial.monomial(x + (0,)) for g in pencil for x in fx.LINEARS)
+
+
 def e1_deformation_ideals():
-    """All 216 E1 deformation ideals, first presentation per direction."""
+    """All 216 E1 deformation ideals, first presentation per direction, as cubics."""
     pairs = fx.enumerate_pairs()
     _, zs = fx.split_strata(pairs)
     out = []
@@ -284,7 +294,7 @@ def e1_deformation_ideals():
         pair = pairs[z.pair_index]
         for e in sorted(z.normal):
             other, deformed = checks._deformations((pair.q1, pair.q2), e)[0]
-            out.append(checks.deformation_ideal(other, deformed))
+            out.append(cubic_multiples(other, deformed))
     return out
 
 
@@ -393,28 +403,55 @@ def test_algebra_kernel_runs_every_saturation(monkeypatch):
     assert calls == {"saturate_t": 252, "groebner": 505}
 
 
+def _saturation_without(monkeypatch, text):
+    """Make checks.saturate_t drop the element text from every saturation."""
+    saturate, dropped = checks.saturate_t, parse(text)
+
+    def without(I):
+        J = saturate(I)
+        assert dropped in J.generators
+        return Ideal(g for g in J if g != dropped)
+
+    monkeypatch.setattr(checks, "saturate_t", without)
+    return without
+
+
 def test_saturation_limit_needs_every_element_of_the_saturation(monkeypatch):
-    # x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>: the saturation has one
-    # quartic element, the kind a Buchberger engine that skips a needed
-    # S-pair loses.  Without it the t=0 limit keeps its 8 cubics but has 17
-    # standard monomials of degree 4, where a flat limit has 16.
-    other, deformed = (2, 0, 0, 0), ({(1, 1, 0, 0): 1}, {(0, 0, 0, 2): 1})
-    saturate = checks.saturate_t
-
-    def cubic_part(I):
-        return Ideal(g for g in saturate(I) if sum(g.lm()[:4]) == 3)
-
+    # x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>: the saturation is
+    # x0^2, x0*x1 + t*x3^2, x0*x3^2 and one quartic, x3^4, the kind of
+    # element a Buchberger engine that skips a needed S-pair loses.  Without
+    # it the t=0 limit keeps its 8 cubics but has 17 standard monomials of
+    # degree 4, where a flat limit has 16.
+    other, deformed = (2, 0, 0, 0), parse("x0*x1 + t*x3^2")
     cubics = checks.saturation_limit(other, deformed)
-    limit = reduce_gb(set_t_zero(cubic_part(checks.deformation_ideal(other, deformed))))
-    assert fx._sort_monos(m[:4] for m in limit.leading_terms if sum(m) == 3) == cubics
-    monkeypatch.setattr(checks, "saturate_t", cubic_part)
+    without = _saturation_without(monkeypatch, "x3^4")
+    limit = reduce_gb(set_t_zero(without(checks.deformation_ideal(other, deformed))))
+    assert [m[:4] for m in limit.leading_terms if sum(m) == 4] == []
+    assert (
+        fx._sort_monos(
+            m[:4]
+            for m in monomials_of_degree(3)
+            if any(mono_divides(lt, m) for lt in limit.leading_terms)
+        )
+        == cubics
+    )
     message = "t=0 limit deforming to x3^2*t+x0*x1 has 17 standard monomials of degree 4, not 16"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         checks.saturation_limit(other, deformed)
 
 
+def test_saturation_limit_checks_the_quadrics(monkeypatch):
+    # without the pencil generator x0^2 the limit has 9 standard quadrics,
+    # where a flat limit of a pencil has 8
+    _saturation_without(monkeypatch, "x0^2")
+    message = "t=0 limit deforming to x3^2*t+x0*x1 has 9 standard monomials of degree 2, not 8"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.saturation_limit((2, 0, 0, 0), parse("x0*x1 + t*x3^2"))
+
+
 def all_deformation_ideals():
-    """The 252 deformation ideals of criterion 8, every presentation of every E1 direction."""
+    """The 252 deformed pencils of criterion 8, every presentation of every E1
+    direction, as cubics."""
     pairs = fx.enumerate_pairs()
     _, zs = fx.split_strata(pairs)
     out = []
@@ -422,7 +459,7 @@ def all_deformation_ideals():
         pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
             for other, deformed in checks._deformations((pair.q1, pair.q2), record.direction):
-                out.append(checks.deformation_ideal(other, deformed))
+                out.append(cubic_multiples(other, deformed))
     return out
 
 
@@ -451,11 +488,11 @@ def test_groebner_ignores_generator_order_duplicates_and_scaling():
         assert gbcore.groebner(scaled, key) == want
 
 
-def test_reduce_gb_where_the_chain_criterion_skips_a_pair():
+def test_reduce_gb_where_one_s_pair_repeats_another():
     # All three pairs of the generators have lcm x0*x1*x2.  S(0,1) = 0, and
     # S(0,2) = x2*(x0*x1) - x0*(x1*x2 - x3^2) = x0*x3^2 is a new element.
-    # S(1,2) = x0*x3^2 as well: x0*x1 divides the lcm and both of its pairs
-    # with 1 and 2 are done, so the chain criterion skips it.
+    # S(1,2) = x0*x3^2 as well, which then reduces to zero: the pair is
+    # redundant, and the basis must not gain a second copy of x0*x3^2.
     G = gb("x0*x1", "x0*x2", "x1*x2 - x3^2")
     assert sorted(render(g) for g in G.basis) == ["x0*x1", "x0*x2", "x0*x3^2", "x1*x2-x3^2"]
     assert [render_monomial(m) for m in G.leading_terms] == [
