@@ -16,24 +16,26 @@ sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
 The hot path, `_sum_chunk`, derives the staircase cells of each point's
-quartic system once and reads the fiber at every d off them as arithmetic
-progressions of specialized weights; e_16 is one Kronecker-packed product
-(`torus.elem_sym`: e_j in base-2^W digit 16 - j, one r += v * (r >> W) per
-non-negative weight, W derived from e_j <= s^j / j! for weights of sum s);
-and the summands of a chunk of points are added as integers over the lcm of
-their tangent denominators, one Fraction per d.  `elem_sym` is looked up as a
-module attribute at each call, so a wrapper bound there sees every call.
+quartic system once.  The points of a chunk are built from few distinct
+cells, so each distinct cell is expanded once per d into specialized
+weights, and e_16 is a Kronecker-packed product (as in `torus.elem_sym`)
+shared between points: each point starts from the product of the cells it
+has in common with the point visited before it (`_shared_products`).  The
+summands of a chunk are added as integers over the lcm of their tangent
+denominators, one Fraction per d.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .fixpoints import StructuralError
 from .ideals import staircase_cells, staircase_runs, standard_monomials
-from .torus import WeightSpec, elem_sym, specialize
+from .torus import WeightSpec, kronecker_width, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
 
@@ -79,22 +81,21 @@ def ed_weights(fp, d):
     return sorted(std)
 
 
-def _cell_values(fp, cells, d, values):
-    """Specialized weights of the degree-d fiber, read off the staircase cells.
+def _cell_weights(cell, d, values):
+    """Specialized weights of the degree-d monomials of one staircase cell.
 
     Each run of monomials start + n*step specializes to the arithmetic
     progression start.w + n*(step.w), so no monomial is built.
     """
     w0, w1, w2, w3 = values
     out = []
-    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(cells, d):
+    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs([cell], d):
         v = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
         if count == 1:
             out.append(v)
         else:
             step = s0 * w0 + s1 * w1 + s2 * w2 + s3 * w3
             out.extend(range(v, v + count * step, step))
-    _check_rank(fp, d, len(out))
     return out
 
 
@@ -130,17 +131,6 @@ def _common_denominator(points, spec):
     return common, dens, [common // den for den in dens]
 
 
-def _numerator(fp, d, spec, fiber):
-    """Bott numerator from the specialized fiber: c_16 of it for d >= 5,
-    Pi * c_15 of it for d = 4."""
-    if d > 4:
-        return elem_sym(DIM, fiber)
-    plucker = -(
-        specialize(fp.pencil_chars[0], spec) + specialize(fp.pencil_chars[1], spec)
-    )
-    return plucker * elem_sym(DIM - 1, fiber)
-
-
 def contribution(fp, d, spec):
     """One Bott summand for d >= 4: the numerator over c_16 of the tangent.
 
@@ -152,10 +142,51 @@ def contribution(fp, d, spec):
     return _sum_chunk(([fp], [d], spec))[d]
 
 
+def _shared_products(seqs, shared, weights):
+    """(e_16, e_15) of each index sequence's weights, sharing common prefixes.
+
+    weights is a list of lists of non-negative integers and seqs[i] a list
+    of indices into it: the multiset of sequence i is the concatenation of
+    those lists.  The first shared[i] indices of seqs[i] are those of
+    seqs[i - 1].  The product is packed as in `torus.elem_sym`, e_j in
+    base-2^W digit 16 - j and one r += v * (r >> W) per value, and a stack
+    keeps the product after each index of the sequence before, so sequence
+    i starts from the product of its shared prefix.
+
+    One width serves every sequence: `kronecker_width` of the largest sum.
+    Every stack state packs e_0..e_16 of a sub-multiset of some sequence,
+    whose sum is at most the largest, so no digit carries.  e_16 is the
+    lowest digit and e_15 the next one.
+    """
+    totals = [sum(w) for w in weights]
+    largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
+    width = kronecker_width(DIM, largest)
+    mask = (1 << width) - 1
+    stack = [1 << (DIM * width)]
+    out = []
+    for seq, n in zip(seqs, shared):
+        del stack[n + 1 :]
+        r = stack[n]
+        for c in seq[n:]:
+            for v in weights[c]:
+                r += v * (r >> width)
+            stack.append(r)
+        out.append((r & mask, (r >> width) & mask))
+    return out
+
+
 def _sum_chunk(args):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
-    The staircase cells of a point are derived once and expanded at every d.
+    The points share one Kronecker pass per d (`_shared_products`).  The
+    chunk's distinct staircase cells are indexed once, and at each d every
+    distinct cell is expanded once into specialized weights.  The cells are
+    numbered by (number of the chunk's points that have the cell) x (its
+    length at max(ds)), largest first; each point is the sorted list of its
+    cells' numbers, and the points are visited in lexicographic order of
+    those lists, so that points with a common prefix of cells follow one
+    another.
+
     The numerators are taken under spec shifted to a zero minimum (see the
     module docstring); the denominators are equal under either spec.
     """
@@ -163,13 +194,46 @@ def _sum_chunk(args):
     common, _, scales = _common_denominator(points, spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
-    sums = dict.fromkeys(ds, 0)
-    for fp, scale in zip(points, scales):
-        cells = staircase_cells(fp.quartics)
-        for d in ds:
-            fiber = _cell_values(fp, cells, d, shifted.values)
-            sums[d] += _numerator(fp, d, shifted, fiber) * scale
-    return {d: Fraction(s, common) for d, s in sums.items()}
+    index = {}
+    seqs = [
+        [index.setdefault(cell, len(index)) for cell in staircase_cells(fp.quartics)]
+        for fp in points
+    ]
+    cells = list(index)
+    top = max(ds)
+    top_weights = [_cell_weights(cell, top, shifted.values) for cell in cells]
+    points_with = Counter(itertools.chain.from_iterable(seqs))
+    ranked = sorted(
+        range(len(cells)), key=lambda c: (-points_with[c] * len(top_weights[c]), c)
+    )
+    number = {c: n for n, c in enumerate(ranked)}
+    cells = [cells[c] for c in ranked]
+    top_weights = [top_weights[c] for c in ranked]
+    seqs = [sorted(map(number.__getitem__, seq)) for seq in seqs]
+    visits = sorted(range(len(points)), key=seqs.__getitem__)
+    ordered = [seqs[p] for p in visits]
+    shared = [0] * len(ordered)
+    for i in range(1, len(ordered)):
+        for a, b in zip(ordered[i - 1], ordered[i]):
+            if a != b:
+                break
+            shared[i] += 1
+    plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
+    sums = {}
+    for d in ds:
+        weights = (
+            top_weights
+            if d == top
+            else [_cell_weights(cell, d, shifted.values) for cell in cells]
+        )
+        lengths = [len(w) for w in weights]
+        for fp, seq in zip(points, seqs):
+            _check_rank(fp, d, sum(map(lengths.__getitem__, seq)))
+        acc = 0
+        for p, (e16, e15) in zip(visits, _shared_products(ordered, shared, weights)):
+            acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
+        sums[d] = Fraction(acc, common)
+    return sums
 
 
 def _localize(points, ds, spec, workers):

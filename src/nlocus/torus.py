@@ -13,9 +13,12 @@ its integer weights; `elem_sym` computes them by Kronecker substitution,
 as one big-integer product (Harvey, "Faster polynomial multiplication via
 multipoint Kronecker substitution", JSC 2009).  The digits are reversed:
 e_j sits in base-2^W digit k - j, so multiplying by (1 + v*z) is
-r += v * (r >> W) and e_k is the lowest digit.  The width W is derived from
-e_j <= s^j / j! for non-negative values summing to s; the Bott sums shift
-the weight spec to a zero minimum, so no fiber weight is negative.
+r += v * (r >> W) and e_k is the lowest digit.  `kronecker_width` derives W
+from e_j <= s^j / j! for non-negative values summing to s.  The Bott sums
+(`localization`) run the same packed product, shared between fixed points,
+under the one width of `kronecker_width`, and shift the weight spec to a zero
+minimum, so no fiber weight is negative; the tests compare them against
+`elem_sym`, the product for one multiset.
 """
 
 from __future__ import annotations
@@ -101,6 +104,21 @@ def blowup_tangent(base, nml, e):
     return out
 
 
+def kronecker_width(k, s):
+    """Digit width W for packing e_0..e_k of non-negative integers summing to s.
+
+    Every product of j distinct values appears j! times in the expansion of
+    s^j, so e_j <= s^j / j!.  s^j / j! grows with j while j < s and falls
+    after, so over j = 0..k it is largest at m = min(k, s).  An integer
+    e_j <= s^m / m! is at most s^m // m!, so every e_j, j <= k, lies in
+    [0, 2^W) for W = (s^m // m!).bit_length().  The bound grows with s: it
+    also holds for e_j of any sub-multiset of the values, such as a prefix,
+    and for any values whose sum is at most s.
+    """
+    m = min(k, s)
+    return (s**m // math.factorial(m)).bit_length()
+
+
 def elem_sym(k, values):
     """k-th elementary symmetric function of the non-negative integers in values.
 
@@ -109,25 +127,17 @@ def elem_sym(k, values):
     truncated product by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W
     is r with every e_j moved down to the digit of e_(j+1) (e_k falls off),
     so the step is r += v * (r >> W): three integer operations per value,
-    exact as long as no digit ever reaches 2^W.
-
-    Width: for s = sum(values), every product of j distinct values appears
-    j! times in the expansion of s^j, so e_j <= s^j / j!, and the same holds
-    for every prefix of the values.  s^j / j! grows with j while j < s and
-    falls after, so over j = 0..k it is largest at m = min(k, s).  An
-    integer e_j <= s^m / m! is at most s^m // m!, so
-    W = (s^m // m!).bit_length() gives every digit a value in [0, 2^W) at
-    every step, and nothing carries.  A negative value breaks the bound and
-    raises ValueError.
+    exact as long as no digit ever reaches 2^W.  W = kronecker_width(k, s)
+    for s = sum(values) bounds every e_j of every prefix of the values, so
+    nothing carries.  A negative value breaks the bound and raises
+    ValueError.
     """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
     if values and min(values) < 0:
         raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
-    s = sum(values)
-    m = min(k, s)
-    width = (s**m // math.factorial(m)).bit_length()
+    width = kronecker_width(k, sum(values))
     r = 1 << (k * width)
     for v in values:
         r += v * (r >> width)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -12,7 +13,13 @@ from nlocus.fixpoints import G2, StructuralError
 from nlocus.ideals import staircase_cells, staircase_runs
 from nlocus.formula import closed_form
 from nlocus.poly import parse
-from nlocus.torus import FALLBACK_WEIGHTS, WeightSpec, check_generic, specialize
+from nlocus.torus import (
+    FALLBACK_WEIGHTS,
+    WeightSpec,
+    check_generic,
+    elem_sym,
+    specialize,
+)
 
 
 def mono(text):
@@ -87,17 +94,92 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
         checks.localization_self_test(altered, weights, 1)
 
 
-def test_wrong_cell_list_fails_the_rank_check(points, weights):
+def test_wrong_cell_list_fails_the_rank_check(monkeypatch, points, weights):
     fp = points[200]
     cells = staircase_cells(fp.quartics)
-    assert len(loc._cell_values(fp, cells, 7, weights.values)) == 28
+    loc.contribution(fp, 7, weights)  # the true cell list passes the rank check
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
+        def cells_of(lead_x, wrong=wrong):
+            return wrong if lead_x is fp.quartics else staircase_cells(lead_x)
+
+        monkeypatch.setattr(loc, "staircase_cells", cells_of)
         with pytest.raises(
             StructuralError,
             match=rf"fiber rank \d+ != 28 at {re.escape(f'{fp.tag}{fp.provenance}')}, d=7",
         ):
-            loc._cell_values(fp, wrong, 7, weights.values)
+            loc.degree_nl(7, weights, points)
+
+
+def _unshared_sum(points, fibers, d, spec, twist):
+    """A Bott sum that shares nothing: elem_sym of each point's own fiber.
+
+    Each summand is elem_sym(16, fiber) over the point's own c_16, or the
+    Pluecker weight times elem_sym(15, fiber) with twist, under spec shifted
+    to a zero minimum.
+    """
+    low = min(spec.values)
+    shifted = WeightSpec(v - low for v in spec.values)
+    total = Fraction(0)
+    for fp, fiber in zip(points, fibers[d]):
+        values = [specialize(c, shifted) for c in fiber]
+        if twist:
+            plucker = -sum(specialize(c, shifted) for c in fp.pencil_chars)
+            numerator = plucker * elem_sym(15, values)
+        else:
+            numerator = elem_sym(16, values)
+        total += Fraction(numerator, loc._tangent_denominator(fp, spec))
+    return total
+
+
+@pytest.fixture(scope="module")
+def fibers(points):
+    return {d: [loc.ed_weights(fp, d) for fp in points] for d in range(4, 10)}
+
+
+@pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 1, 7, 23), (-7, 3, 11, 40)])
+def test_shared_pass_matches_an_unshared_oracle(points, fibers, values):
+    spec = WeightSpec(values)
+    ds = range(4, 10)
+    totals = loc._localize(points, ds, spec, 1)
+    assert totals == {d: _unshared_sum(points, fibers, d, spec, d == 4) for d in ds}
+
+
+def test_shared_products_width_covers_a_larger_later_sum():
+    # the second sequence shares the first one's prefix and has the larger
+    # sum, so a width derived from the first sequence alone overflows
+    weights = [list(range(20)), [3, 1, 4, 1], [10**6 + k for k in range(16)]]
+    seqs = [[0, 1], [0, 2]]
+    for (e16, e15), seq in zip(loc._shared_products(seqs, [0, 1], weights), seqs):
+        values = [v for c in seq for v in weights[c]]
+        assert e16 == checks.elem_sym_dp(16, values)
+        assert e15 == checks.elem_sym_dp(15, values)
+
+
+CLASSICAL_SPECS = [(0, 1, 5, 18), (0, 1, 7, 23), (-3, 0, 2, 11)]
+
+
+@pytest.mark.parametrize("values", CLASSICAL_SPECS)
+def test_plucker_powers_integrate_to_the_degree_of_the_grassmannian(points, values):
+    # the pencils sweep out G(2,10) in its Pluecker embedding: the integral
+    # of H^16 is its degree, the Catalan number C_8, and that of H^k, k < 16,
+    # is 0 on the 16-dimensional space
+    spec = WeightSpec(values)
+    common, _, scales = loc._common_denominator(points, spec)
+    h = [-sum(specialize(c, spec) for c in fp.pencil_chars) for fp in points]
+
+    def integral(k):
+        return Fraction(sum(hp**k * scale for hp, scale in zip(h, scales)), common)
+
+    assert integral(16) == 1430 == math.comb(16, 8) // 9
+    for k in (0, 1, 8, 15):
+        assert integral(k) == 0, k
+
+
+@pytest.mark.parametrize("values", CLASSICAL_SPECS)
+def test_untwisted_sum_at_d4_is_the_closed_form_at_4(points, fibers, values):
+    untwisted = _unshared_sum(points, fibers, 4, WeightSpec(values), False)
+    assert untwisted == closed_form()(4) == 0
 
 
 def test_common_denominator_sum_is_exact(points, weights):
@@ -170,8 +252,9 @@ def test_inadmissible_spec_raises(points):
 
 
 def test_workers_bit_exact(points, weights):
-    single = loc.degree_range(4, 7, weights, points, workers=1)
-    multi = loc.degree_range(4, 7, weights, points, workers=2)
+    # two chunks share only the cell prefixes inside each chunk
+    single = loc.degree_range(4, 8, weights, points, workers=1)
+    multi = loc.degree_range(4, 8, weights, points, workers=2)
     assert [(r.d, r.degree) for r in single] == [(r.d, r.degree) for r in multi]
     assert multi[0].degree == 38475
 
