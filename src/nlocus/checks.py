@@ -76,9 +76,8 @@ def rank_invariants(points, spec, workers):
                 )
         if len(fp.quartics) != 19:
             raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
-        cells = staircase_cells(fp.quartics)
         for d in range(4, 11):
-            n = sum(count for _, _, count in staircase_runs(cells, d))
+            n = sum(count for _, _, count in staircase_runs(fp.cells, d))
             if n != 4 * d:
                 raise AssertionError(
                     f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"

@@ -31,6 +31,7 @@ character as a row of 4 integers.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections import Counter
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
-from .ideals import hilbert_polynomial
+from .ideals import cells_hilbert_polynomial, hilbert_polynomial, staircase_cells
 from .poly import mono_key, monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -54,6 +55,11 @@ CENSUS = (21, 180, 324)  # fixed points per stratum
 
 class StructuralError(RuntimeError):
     """An invariant of the fixed-point cascade failed; indicates a bug."""
+
+
+# one tuple object per distinct staircase cell, shared by every FixedPoint:
+# the 525 points have 13,617 cells, only 401 of them distinct
+_SHARED_CELLS = {}
 
 
 @dataclass(frozen=True)
@@ -110,7 +116,11 @@ class FixedPoint:
     """One Bott summand: stratum tag, tangent characters, quartic system.
 
     `tangent` is the sorted tuple of the 16 tangent characters, repeats
-    included.
+    included.  `cells` is the staircase decomposition of the quartic system
+    (`ideals.staircase_cells`), derived on first use and kept: it does not
+    depend on d or on the weight spec, so the 4t check, every Bott sum and
+    `checks.rank_invariants` read the one derivation.  It is not a field:
+    equality, hashing, repr and the cache file ignore it.
     """
 
     tag: str
@@ -118,6 +128,13 @@ class FixedPoint:
     quartics: tuple
     pencil_chars: tuple
     provenance: tuple
+
+    @functools.cached_property
+    def cells(self):
+        """The staircase cells of the quartic system, a tuple of shared cell objects."""
+        return tuple(
+            _SHARED_CELLS.setdefault(cell, cell) for cell in staircase_cells(self.quartics)
+        )
 
 
 def _sorted_chars(counter):
@@ -216,12 +233,7 @@ def e1_points(z):
     return records
 
 
-_HILB_4T = UnivariateRationalPoly([0, 4])
-
-
-def _is_curve_hilb(monos):
-    """True when the monomial system cuts a curve with Hilbert polynomial 4t."""
-    return hilbert_polynomial(monos) == _HILB_4T
+_HILB_4T = UnivariateRationalPoly([0, 4])  # Hilbert polynomial of an elliptic quartic
 
 
 def classify_e1(record, z, pair, z_index):
@@ -232,7 +244,7 @@ def classify_e1(record, z, pair, z_index):
     19-dimensional quartic system) or is a plane times an 8-dimensional
     system of quadrics through a doublet.
     """
-    if _is_curve_hilb(record.limit_cubics):
+    if hilbert_polynomial(record.limit_cubics) == _HILB_4T:
         quartics = _sort_monos(_products(record.limit_cubics, LINEARS))
         if len(quartics) != 19:
             raise StructuralError(
@@ -324,7 +336,8 @@ def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
     Each point's quartic system is checked to cut out a curve with Hilbert
-    polynomial 4t.
+    polynomial 4t, read off the point's `cells`, which the points keep for
+    the Bott sums.
     """
     pairs = enumerate_pairs()
     g2, zs = split_strata(pairs)
@@ -345,7 +358,7 @@ def enumerate_all():
     if counts != CENSUS:
         raise StructuralError(f"stratum counts {counts} != {CENSUS}")
     for fp in points:
-        if not _is_curve_hilb(fp.quartics):
+        if cells_hilbert_polynomial(fp.cells) != _HILB_4T:
             raise StructuralError(
                 f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
             )

@@ -5,7 +5,10 @@ one elimination Groebner basis, and Hilbert polynomials of monomial ideals.
 Monomial ideals in x0..x3 are given by their generators' exponent 4-tuples,
 the format of the fixed-point path; standard monomials and Hilbert
 polynomials are both read off one staircase decomposition of such an ideal
-(`staircase_cells`), with no Groebner basis and no `Polynomial`.
+(`staircase_cells`), with no Groebner basis and no `Polynomial`.  A caller
+that holds the cells already (`fixpoints.FixedPoint.cells`) passes them to
+`cells_standard_monomials`, `cells_hilbert_polynomial` or `staircase_runs`
+directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
 Their generators must be homogeneous in the x-variables (the deformation
@@ -165,10 +168,13 @@ def standard_monomials(lead_x, d):
     """
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
+    return cells_standard_monomials(staircase_cells(lead_x), d)
+
+
+def cells_standard_monomials(cells, d):
+    """The degree-d exponent 4-tuples of the given staircase cells."""
     out = []
-    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(
-        staircase_cells(lead_x), d
-    ):
+    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(cells, d):
         out.extend(
             (a0 + n * s0, a1 + n * s1, a2 + n * s2, a3 + n * s3) for n in range(count)
         )
@@ -220,17 +226,25 @@ def hilbert_polynomial(lead_x):
     """Hilbert polynomial of S/<lead_x> for exponent 4-tuples lead_x, in d.
 
     The generators need not be minimal: a redundant one at most splits the
-    staircase cells more finely.  The cells are a Stanley decomposition of
-    S/<lead_x>.  A cell with f free coordinates, lower degree l and x3
-    bound b holds C(d - l + f, f) - C(d - l - b + f, f) monomials of degree
-    d for large d (no second term when b is math.inf), a polynomial in d.
+    staircase cells more finely.
     """
     for m in lead_x:
         if len(m) != 4 or min(m) < 0:
             raise ValueError(f"not an exponent 4-tuple over x0..x3: {m}")
+    return cells_hilbert_polynomial(staircase_cells(lead_x))
+
+
+def cells_hilbert_polynomial(cells):
+    """Hilbert polynomial, in d, of S/<lead_x> from the staircase cells of lead_x.
+
+    The cells are a Stanley decomposition of S/<lead_x>.  A cell with f free
+    coordinates, lower degree l and x3 bound b holds
+    C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for large d
+    (no second term when b is math.inf), a polynomial in d.
+    """
     # multiplicity of each binomial C(d + shift, f) in the sum
     binomials = Counter()
-    for _, free, bound, lower in staircase_cells(lead_x):
+    for _, free, bound, lower in cells:
         f = len(free)
         binomials[f, f - lower] += 1
         if bound != math.inf:

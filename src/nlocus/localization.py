@@ -15,14 +15,20 @@ subtorus acts trivially on P^3, every tangent character has coordinate sum
 sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
-The hot path, `_sum_chunk`, derives the staircase cells of each point's
-quartic system once.  The points of a chunk are built from few distinct
-cells, so each distinct cell is expanded once per d into specialized
-weights, and e_16 is a Kronecker-packed product (as in `torus.elem_sym`)
-shared between points: each point starts from the product of the cells it
-has in common with the point visited before it (`_shared_products`).  The
-summands of a chunk are added as integers over the lcm of their tangent
-denominators, one Fraction per d.
+The hot path, `_sum_chunk`, reads the staircase cells of each point's
+quartic system from `FixedPoint.cells`, derived once per point and process
+and shared with the 4t check and `checks.rank_invariants`.  The points of a
+chunk are built from few distinct cells, so each distinct cell is expanded
+once per d into specialized weights, and e_16 is a Kronecker-packed product
+(as in `torus.elem_sym`) shared between points: each point starts from the
+product of the cells it has in common with the point visited before it
+(`_shared_products`).  The summands of a chunk are added as integers over
+the lcm of their tangent denominators, one Fraction per d.
+
+With more than one worker, the pool receives the points once, through its
+initializer, and each job is an index range of them (`_sum_slice`).  Under
+the fork start method nothing is pickled; under spawn or forkserver the
+points are pickled once per worker, with the cells they have derived.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fixpoints import StructuralError
-from .ideals import staircase_cells, staircase_runs, standard_monomials
+from .ideals import cells_standard_monomials, staircase_runs
 from .torus import WeightSpec, kronecker_width, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
@@ -76,7 +82,7 @@ def ed_weights(fp, d):
     """
     if d < 4:
         raise ValueError(f"fiber weights need d >= 4, got {d}")
-    std = standard_monomials(fp.quartics, d)
+    std = cells_standard_monomials(fp.cells, d)
     _check_rank(fp, d, len(std))
     return sorted(std)
 
@@ -196,8 +202,7 @@ def _sum_chunk(args):
     shifted = WeightSpec(v - low for v in spec.values)
     index = {}
     seqs = [
-        [index.setdefault(cell, len(index)) for cell in staircase_cells(fp.quartics)]
-        for fp in points
+        [index.setdefault(cell, len(index)) for cell in fp.cells] for fp in points
     ]
     cells = list(index)
     top = max(ds)
@@ -236,18 +241,31 @@ def _sum_chunk(args):
     return sums
 
 
+_worker_points = None  # the points of a pool worker, set by _share_points
+
+
+def _share_points(points):
+    """Pool initializer: keep the points of the sum in the worker."""
+    global _worker_points
+    _worker_points = points
+
+
+def _sum_slice(args):
+    """`_sum_chunk` on the worker's points start:stop."""
+    start, stop, ds, spec = args
+    return _sum_chunk((_worker_points[start:stop], ds, spec))
+
+
 def _localize(points, ds, spec, workers):
     """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum)."""
     if workers <= 1 or len(points) < 2 * workers:
         return _sum_chunk((points, ds, spec))
     chunk = (len(points) + workers - 1) // workers
-    jobs = [
-        (points[i : i + chunk], ds, spec) for i in range(0, len(points), chunk)
-    ]
+    jobs = [(i, i + chunk, ds, spec) for i in range(0, len(points), chunk)]
     import multiprocessing  # only here: a one-worker run need not load it
 
-    with multiprocessing.Pool(workers) as pool:
-        parts = pool.map(_sum_chunk, jobs)
+    with multiprocessing.Pool(workers, _share_points, (points,)) as pool:
+        parts = pool.map(_sum_slice, jobs)
     totals = {d: Fraction(0) for d in ds}
     for part in parts:
         for d, v in part.items():
@@ -263,6 +281,8 @@ def degree_range(dmin, dmax, spec, points, workers=1):
     """
     if dmin < 4:
         raise ValueError(f"degree_range needs dmin >= 4, got {dmin}")
+    if dmax < dmin:
+        raise ValueError(f"degree_range needs a non-empty range, got {dmin}..{dmax}")
     ds = list(range(dmin, dmax + 1))
     totals = _localize(points, ds, spec, workers)
     results = []

@@ -197,6 +197,18 @@ def test_verify_passes(capsys, cache_path):
     assert out.splitlines() == expected
 
 
+def test_verify_with_two_workers_passes(cache_path):
+    """The benchmark's verify-warm command: its Bott sums run in a pool."""
+    done = _python(
+        *("-m", "nlocus", "verify", "--threads", "2", "--cache", str(cache_path)),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    expected = [f"PASS {name}" for name in VERIFY_CHECKS] + ["verify: ok"]
+    assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
+
+
 def test_verify_runs_the_eight_named_checks():
     assert [name for name, _ in checks.CHECKS] == list(VERIFY_CHECKS)
 

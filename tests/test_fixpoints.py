@@ -11,7 +11,12 @@ import pytest
 from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import gbcore
-from nlocus.ideals import hilbert_polynomial, standard_monomials
+from nlocus.ideals import (
+    cells_hilbert_polynomial,
+    hilbert_polynomial,
+    staircase_cells,
+    standard_monomials,
+)
 from nlocus.poly import Polynomial, monomials_of_degree, parse, render
 from nlocus.torus import char_sub
 
@@ -188,6 +193,24 @@ def test_every_fixed_point_hilbert_and_kbase(points):
             assert len(standard_monomials(fp.quartics, d)) == 4 * d
 
 
+def test_points_keep_their_staircase_cells_shared(points):
+    for fp in points:
+        assert list(fp.cells) == staircase_cells(fp.quartics)
+    # 13,617 cells, one object for each of the 401 distinct ones
+    assert sum(len(fp.cells) for fp in points) == 13617
+    assert len({id(cell) for fp in points for cell in fp.cells}) <= 401
+
+
+def test_cells_are_left_out_of_eq_repr_and_the_cache(points):
+    fp = points[0]
+    fresh = dataclasses.replace(fp)
+    assert "cells" not in vars(fresh)
+    assert fp.cells and fresh == fp and hash(fresh) == hash(fp)
+    assert repr(fresh) == repr(fp) and "cells" not in repr(fp)
+    assert fx.point_to_json(fp) == fx.point_to_json(fresh)
+    assert "cells" not in vars(fresh)  # none of the above derived them
+
+
 def test_enumerate_all_validates(points):
     full = fx.enumerate_all()
     assert fx.stratum_counts(full) == (21, 180, 324)
@@ -339,18 +362,25 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
     def refuse_polynomial(self, *args, **kwargs):
         raise AssertionError("Polynomial built on the fixed-point path")
 
-    hilbert_calls = []
+    hilbert_calls = Counter()
 
     def counted_hilbert(lead_x):
-        hilbert_calls.append(lead_x)
+        hilbert_calls["exponents"] += 1
         return hilbert_polynomial(lead_x)
+
+    def counted_cells_hilbert(cells):
+        hilbert_calls["cells"] += 1
+        return cells_hilbert_polynomial(cells)
 
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse_polynomial)
     monkeypatch.setattr(fx, "hilbert_polynomial", counted_hilbert)
+    monkeypatch.setattr(fx, "cells_hilbert_polynomial", counted_cells_hilbert)
     points = fx.enumerate_all()
-    # one 4t check per E1 limit cubic system (216) and per fixed point (525)
-    assert len(hilbert_calls) == 741
+    # one 4t check per E1 limit cubic system (216) and per fixed point (525),
+    # the latter read off the cells the point keeps
+    assert hilbert_calls == {"exponents": 216, "cells": 525}
+    assert hilbert_calls.total() == 741
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
 

@@ -1,13 +1,19 @@
 import dataclasses
 import itertools
+import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nlocus import checks
+from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus.fixpoints import G2, StructuralError
 from nlocus.ideals import staircase_cells, staircase_runs
@@ -94,21 +100,85 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
         checks.localization_self_test(altered, weights, 1)
 
 
-def test_wrong_cell_list_fails_the_rank_check(monkeypatch, points, weights):
+def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
-    cells = staircase_cells(fp.quartics)
     loc.contribution(fp, 7, weights)  # the true cell list passes the rank check
+    cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
-        def cells_of(lead_x, wrong=wrong):
-            return wrong if lead_x is fp.quartics else staircase_cells(lead_x)
-
-        monkeypatch.setattr(loc, "staircase_cells", cells_of)
+        bad = dataclasses.replace(fp)
+        vars(bad)["cells"] = wrong  # where functools.cached_property keeps it
+        altered = points[:200] + [bad] + points[201:]
         with pytest.raises(
             StructuralError,
             match=rf"fiber rank \d+ != 28 at {re.escape(f'{fp.tag}{fp.provenance}')}, d=7",
         ):
-            loc.degree_nl(7, weights, points)
+            loc.degree_nl(7, weights, altered)
+
+
+def _count_cell_derivations(monkeypatch):
+    """The list of quartic systems whose staircase cells are derived from now on.
+
+    `staircase_cells` is replaced at every package attribute bound to it.
+    """
+    derived = []
+
+    def counted(lead_x):
+        derived.append(lead_x)
+        return staircase_cells(lead_x)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nlocus"):
+            for key, value in list(vars(module).items()):
+                if value is staircase_cells:
+                    monkeypatch.setattr(module, key, counted)
+    return derived
+
+
+def test_sums_after_enumeration_derive_no_cells(monkeypatch, weights):
+    points = fx.enumerate_all()
+    derived = _count_cell_derivations(monkeypatch)
+    assert loc.degree_nl(4, weights, points).degree == 38475
+    assert derived == []
+
+
+def test_cells_are_derived_once_per_loaded_point(monkeypatch, tmp_path, points, weights):
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    loaded = fx.load_cache(path)
+    derived = _count_cell_derivations(monkeypatch)
+    checks.rank_invariants(loaded, weights, 1)
+    assert loc.degree_range(4, 6, weights, loaded) == loc.degree_range(4, 6, weights, loaded)
+    assert len(derived) == 525
+
+
+def test_spawned_workers_match_one_worker(tmp_path, points, weights):
+    # under spawn each worker gets the points pickled by its initializer;
+    # the freshly loaded points carry no cells, so the workers derive them
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    code = (
+        "import json, multiprocessing, sys\n"
+        "from nlocus import fixpoints, localization, torus\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "points = fixpoints.load_cache(sys.argv[1])\n"
+        "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
+        "results = localization.degree_range(4, 6, spec, points, workers=2)\n"
+        "print(multiprocessing.get_start_method(), [r.degree for r in results])\n"
+    )
+    path_list = [str(Path(__file__).resolve().parents[1] / "src")]
+    path_list += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(path), json.dumps(list(weights.values))],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    single = [r.degree for r in loc.degree_range(4, 6, weights, points, workers=1)]
+    assert done.stdout == f"spawn {single}\n"
 
 
 def _unshared_sum(points, fibers, d, spec, twist):
@@ -210,6 +280,11 @@ def test_degree_nl_matches_closed_form(points, weights):
 def test_degree_nl_rejects_d3(points, weights):
     with pytest.raises(ValueError):
         loc.degree_nl(3, weights, points)
+
+
+def test_degree_range_rejects_an_empty_range(points, weights):
+    with pytest.raises(ValueError, match=r"non-empty range, got 6\.\.5"):
+        loc.degree_range(6, 5, weights, points)
 
 
 def test_degree_nl_d4_headline(points, weights):
