@@ -29,12 +29,24 @@ With more than one worker, the pool receives the points once, through its
 initializer, and each job is an index range of them (`_sum_slice`).  Under
 the fork start method nothing is pickled; under spawn or forkserver the
 points are pickled once per worker, with the cells they have derived.
+
+The process keeps one pool.  The first sum with more than one worker starts
+it, and every later sum over the same points list (compared with `is`, and
+still holding the same point objects) with the same worker count reuses it,
+so `nlocus verify --threads N` starts one pool for its four sums.  A sum
+over another list or with another worker count terminates the kept pool and
+starts a new one.  One `atexit` hook, registered when a pool starts,
+terminates the last pool.  The workers see the module state and the points
+from the moment their pool started: a test that patches this module and
+then sums with more than one worker must pass a fresh points list.
 """
 
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,6 +254,7 @@ def _sum_chunk(args):
 
 
 _worker_points = None  # the points of a pool worker, set by _share_points
+_kept = None  # (pool, workers, points, tuple of the points) of the kept pool
 
 
 def _share_points(points):
@@ -256,16 +269,47 @@ def _sum_slice(args):
     return _sum_chunk((_worker_points[start:stop], ds, spec))
 
 
+def _drop_pool():
+    """Terminate the kept pool, if any."""
+    global _kept
+    if _kept is not None:
+        _kept[0].terminate()
+        _kept = None
+
+
+def _pool(points, workers):
+    """The kept pool of `workers` processes holding points, started if need be.
+
+    It is reused when points is the list it was started with and still holds
+    the same objects; otherwise it is replaced.
+    """
+    global _kept
+    if _kept is not None:
+        pool, n, kept, snapshot = _kept
+        if (
+            n == workers
+            and kept is points
+            and len(points) == len(snapshot)
+            and all(map(operator.is_, points, snapshot))
+        ):
+            return pool
+        _drop_pool()
+    import multiprocessing  # only here: a one-worker run need not load it
+
+    pool = multiprocessing.Pool(workers, _share_points, (points,))
+    _kept = (pool, workers, points, tuple(points))
+    atexit.unregister(_drop_pool)  # one registration however many pools start
+    atexit.register(_drop_pool)
+    return pool
+
+
 def _localize(points, ds, spec, workers):
     """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum)."""
     if workers <= 1 or len(points) < 2 * workers:
         return _sum_chunk((points, ds, spec))
     chunk = (len(points) + workers - 1) // workers
     jobs = [(i, i + chunk, ds, spec) for i in range(0, len(points), chunk)]
-    import multiprocessing  # only here: a one-worker run need not load it
-
-    with multiprocessing.Pool(workers, _share_points, (points,)) as pool:
-        parts = pool.map(_sum_slice, jobs)
+    parts = _pool(points, workers).map(_sum_slice, jobs)
     totals = {d: Fraction(0) for d in ds}
     for part in parts:
         for d, v in part.items():

@@ -88,6 +88,32 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
         checks.rank_invariants([bad], weights, 1)
 
 
+def _repeated_quartic(fp):
+    """fp with its 19th quartic replaced by a copy of its first: 18 distinct."""
+    return replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+
+
+def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
+    # the 300 good points before it have counted the cells it shares with them
+    altered = points[:300] + [_repeated_quartic(points[300])] + points[301:]
+    message = "E2(11, 0): kbase(4) = 17 != 16"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(altered, weights, 1)
+
+
+@pytest.mark.parametrize("first, second", [(300, 400), (400, 300)])
+def test_rank_invariants_names_the_first_bad_point_in_list_order(
+    points, weights, first, second
+):
+    good = [fp for i, fp in enumerate(points) if i not in (first, second)]
+    altered = good[:200] + [_repeated_quartic(points[first])]
+    altered += good[200:350] + [_repeated_quartic(points[second])] + good[350:]
+    fp = points[first]
+    message = f"{fp.tag}{fp.provenance}: kbase(4) = 17 != 16"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(altered, weights, 1)
+
+
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):
     checks.hilbert_oracles(points, weights, 1)
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")

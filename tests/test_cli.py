@@ -198,15 +198,25 @@ def test_verify_passes(capsys, cache_path):
 
 
 def test_verify_with_two_workers_passes(cache_path):
-    """The benchmark's verify-warm command: its Bott sums run in a pool."""
+    """The benchmark's verify-warm command: its Bott sums run in a pool.
+
+    Under -X dev a pool left running at exit would print a ResourceWarning.
+    """
     done = _python(
-        *("-m", "nlocus", "verify", "--threads", "2", "--cache", str(cache_path)),
+        *("-X", "dev", "-m", "nlocus", "verify", "--threads", "2"),
+        *("--cache", str(cache_path)),
         capture_output=True,
         text=True,
         timeout=120,
     )
     expected = [f"PASS {name}" for name in VERIFY_CHECKS] + ["verify: ok"]
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
+
+
+def test_verify_with_two_workers_starts_one_pool(started_pools, capsys, cache_path):
+    """The four Bott sums of `verify` share the pool the first one starts."""
+    code, out, _ = run(capsys, "verify", "--threads", "2", "--cache", str(cache_path))
+    assert (code, out.splitlines()[-1], len(started_pools)) == (0, "verify: ok", 1)
 
 
 def test_verify_runs_the_eight_named_checks():

@@ -152,6 +152,21 @@ def test_cells_are_derived_once_per_loaded_point(monkeypatch, tmp_path, points, 
     assert len(derived) == 525
 
 
+def _python(code, *args):
+    """Run code in a fresh interpreter with this checkout's package on its path."""
+    path_list = [str(Path(__file__).resolve().parents[1] / "src")]
+    path_list += filter(None, [os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
+    return subprocess.run(
+        [sys.executable, "-X", "dev", "-c", code, *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+
+
 def test_spawned_workers_match_one_worker(tmp_path, points, weights):
     # under spawn each worker gets the points pickled by its initializer;
     # the freshly loaded points carry no cells, so the workers derive them
@@ -166,19 +181,70 @@ def test_spawned_workers_match_one_worker(tmp_path, points, weights):
         "results = localization.degree_range(4, 6, spec, points, workers=2)\n"
         "print(multiprocessing.get_start_method(), [r.degree for r in results])\n"
     )
-    path_list = [str(Path(__file__).resolve().parents[1] / "src")]
-    path_list += filter(None, [os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path_list)}
-    done = subprocess.run(
-        [sys.executable, "-c", code, str(path), json.dumps(list(weights.values))],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
+    done = _python(code, str(path), json.dumps(list(weights.values)))
     single = [r.degree for r in loc.degree_range(4, 6, weights, points, workers=1)]
     assert done.stdout == f"spawn {single}\n"
+
+
+def test_sums_on_one_list_share_one_pool(started_pools, points, weights):
+    # a fresh list: an earlier test may have left a pool kept for `points`
+    fresh = list(points)
+    cf = closed_form()
+    assert loc.degree_nl(5, weights, fresh, workers=2).degree == cf(5)
+    results = loc.degree_range(4, 6, weights, fresh, workers=2)
+    assert [r.degree for r in results] == [38475, cf(5), cf(6)]
+    assert len(started_pools) == 1
+    assert loc.degree_nl(5, weights, fresh, workers=3).degree == cf(5)
+    assert len(started_pools) == 2
+
+
+def test_kept_pool_sums_no_stale_points(started_pools, points, weights):
+    # two slices of one length that hold different points
+    for part in (points[:262], points[262:524]):
+        assert loc._localize(part, [5], weights, 2) == loc._localize(part, [5], weights, 1)
+    assert len(started_pools) == 2
+
+
+def test_worker_error_reaches_the_caller_through_the_kept_pool(points, weights):
+    fp = points[300]
+    bad = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+    altered = points[:300] + [bad] + points[301:]
+    with pytest.raises(
+        StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at E2(11, 0), d=5')}$"
+    ):
+        loc.degree_nl(5, weights, altered, workers=2)
+    assert loc.degree_nl(4, weights, list(points), workers=2).degree == 38475
+
+
+def test_a_list_changed_in_place_gets_a_new_pool(started_pools, points, weights):
+    fresh = list(points)
+    assert loc.degree_nl(4, weights, fresh, workers=2).degree == 38475
+    fp = fresh[300]
+    fresh[300] = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+    with pytest.raises(StructuralError, match=re.escape("at E2(11, 0), d=4")):
+        loc.degree_nl(4, weights, fresh, workers=2)
+    assert len(started_pools) == 2
+
+
+def test_spawned_sums_share_one_pool(tmp_path, points, weights):
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    code = (
+        "import json, multiprocessing, sys\n"
+        "from nlocus import fixpoints, localization, torus\n"
+        "multiprocessing.set_start_method('spawn')\n"
+        "started = []\n"
+        "real = multiprocessing.Pool\n"
+        "multiprocessing.Pool = lambda *a: started.append(real(*a)) or started[-1]\n"
+        "points = fixpoints.load_cache(sys.argv[1])\n"
+        "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
+        "results = localization.degree_range(4, 6, spec, points, workers=2)\n"
+        "results.append(localization.degree_nl(7, spec, points, workers=2))\n"
+        "print(len(started), [r.degree for r in results])\n"
+    )
+    done = _python(code, str(path), json.dumps(list(weights.values)))
+    single = loc.degree_range(4, 7, weights, points, workers=1)
+    assert (done.stdout, done.stderr) == (f"1 {[r.degree for r in single]}\n", "")
 
 
 def _unshared_sum(points, fibers, d, spec, twist):
