@@ -25,28 +25,19 @@ product of the cells it has in common with the point visited before it
 (`_shared_products`).  The summands of a chunk are added as integers over
 the lcm of their tangent denominators, one Fraction per d.
 
-With more than one worker, the pool receives the points once, through its
-initializer, and each job is an index range of them (`_sum_slice`).  Under
-the fork start method nothing is pickled; under spawn or forkserver the
-points are pickled once per worker, with the cells they have derived.
-
-The process keeps one pool.  The first sum with more than one worker starts
-it, and every later sum over the same points list (compared with `is`, and
-still holding the same point objects) with the same worker count reuses it,
-so `nlocus verify --threads N` starts one pool for its four sums.  A sum
-over another list or with another worker count terminates the kept pool and
-starts a new one.  One `atexit` hook, registered when a pool starts,
-terminates the last pool.  The workers see the module state and the points
-from the moment their pool started: a test that patches this module and
-then sums with more than one worker must pass a fresh points list.
+With more than one worker, `_localize` forks the other workers for one
+sum.  Each child inherits the points and the cells they have derived, sums
+its slice of them and sends back one pickled result or exception through a
+pipe; the parent sums the first slice itself, then reads and reaps every
+child, also when a slice raises.  Nothing outlives the sum, so no state is
+kept between calls.
 """
 
 from __future__ import annotations
 
-import atexit
 import itertools
 import math
-import operator
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,65 +244,72 @@ def _sum_chunk(args):
     return sums
 
 
-_worker_points = None  # the points of a pool worker, set by _share_points
-_kept = None  # (pool, workers, points, tuple of the points) of the kept pool
+def _fork_sum(points, ds, spec):
+    """Fork a child that sums points; (its pid, the read end of its pipe).
 
-
-def _share_points(points):
-    """Pool initializer: keep the points of the sum in the worker."""
-    global _worker_points
-    _worker_points = points
-
-
-def _sum_slice(args):
-    """`_sum_chunk` on the worker's points start:stop."""
-    start, stop, ds, spec = args
-    return _sum_chunk((_worker_points[start:stop], ds, spec))
-
-
-def _drop_pool():
-    """Terminate the kept pool, if any."""
-    global _kept
-    if _kept is not None:
-        _kept[0].terminate()
-        _kept = None
-
-
-def _pool(points, workers):
-    """The kept pool of `workers` processes holding points, started if need be.
-
-    It is reused when points is the list it was started with and still holds
-    the same objects; otherwise it is replaced.
+    The child writes one pickled result, the sums or the exception they
+    raised, and leaves through os._exit: it never returns into the caller's
+    frames or flushes the caller's stdio.  It exits with status 0 only once
+    the whole result is written.
     """
-    global _kept
-    if _kept is not None:
-        pool, n, kept, snapshot = _kept
-        if (
-            n == workers
-            and kept is points
-            and len(points) == len(snapshot)
-            and all(map(operator.is_, points, snapshot))
-        ):
-            return pool
-        _drop_pool()
-    import multiprocessing  # only here: a one-worker run need not load it
+    import pickle  # only here: a sum with one worker need not load it
 
-    pool = multiprocessing.Pool(workers, _share_points, (points,))
-    _kept = (pool, workers, points, tuple(points))
-    atexit.unregister(_drop_pool)  # one registration however many pools start
-    atexit.register(_drop_pool)
-    return pool
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, read
+    status = 1
+    try:
+        os.close(read)
+        try:
+            result = _sum_chunk((points, ds, spec))
+        except Exception as exc:  # noqa: BLE001 - raised again in the parent
+            result = exc
+        with open(write, "wb") as pipe:
+            pickle.dump(result, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _reap(pid, read):
+    """Read a child's pipe to its end, then wait for it: (bytes, exit code)."""
+    with open(read, "rb") as pipe:
+        data = pipe.read()
+    return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def _localize(points, ds, spec, workers):
     """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum)."""
+    if workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
     if workers <= 1 or len(points) < 2 * workers:
         return _sum_chunk((points, ds, spec))
+    import pickle
+
     chunk = (len(points) + workers - 1) // workers
-    jobs = [(i, i + chunk, ds, spec) for i in range(0, len(points), chunk)]
-    parts = _pool(points, workers).map(_sum_slice, jobs)
-    totals = {d: Fraction(0) for d in ds}
-    for part in parts:
+    children = []
+    try:
+        for start in range(chunk, len(points), chunk):
+            stop = min(start + chunk, len(points))
+            children.append((start, stop, *_fork_sum(points[start:stop], ds, spec)))
+        totals = _sum_chunk((points[:chunk], ds, spec))
+    finally:
+        parts = [(start, stop, *_reap(pid, read)) for start, stop, pid, read in children]
+    for start, stop, data, code in parts:
+        if code != 0:
+            raise StructuralError(
+                f"Bott-sum worker for points {start}:{stop}: exit status {code}, no result"
+            )
+        part = pickle.loads(data)
+        if isinstance(part, Exception):
+            raise part
         for d, v in part.items():
             totals[d] += v
     return totals

@@ -44,18 +44,3 @@ def points(cascade):
 def weights():
     return DEFAULT_WEIGHTS
 
-
-@pytest.fixture
-def started_pools(monkeypatch):
-    """The list of pools `multiprocessing.Pool` starts during the test."""
-    import multiprocessing
-
-    started = []
-    real = multiprocessing.Pool
-
-    def counted(*args, **kwargs):
-        started.append(real(*args, **kwargs))
-        return started[-1]
-
-    monkeypatch.setattr(multiprocessing, "Pool", counted)
-    return started

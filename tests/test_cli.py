@@ -198,9 +198,10 @@ def test_verify_passes(capsys, cache_path):
 
 
 def test_verify_with_two_workers_passes(cache_path):
-    """The benchmark's verify-warm command: its Bott sums run in a pool.
+    """The benchmark's verify-warm command: each Bott sum forks a worker.
 
-    Under -X dev a pool left running at exit would print a ResourceWarning.
+    Under -X dev any warning, such as Python 3.12's on a fork from a process
+    with threads, reaches stderr and fails the test.
     """
     done = _python(
         *("-X", "dev", "-m", "nlocus", "verify", "--threads", "2"),
@@ -213,10 +214,27 @@ def test_verify_with_two_workers_passes(cache_path):
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
 
 
-def test_verify_with_two_workers_starts_one_pool(started_pools, capsys, cache_path):
-    """The four Bott sums of `verify` share the pool the first one starts."""
+def test_verify_with_two_workers_forks_four_children(monkeypatch, capsys, cache_path):
+    """One child for each of the four Bott sums of `verify`, none kept."""
+    forked = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
     code, out, _ = run(capsys, "verify", "--threads", "2", "--cache", str(cache_path))
-    assert (code, out.splitlines()[-1], len(started_pools)) == (0, "verify: ok", 1)
+    assert (code, out.splitlines()[-1], len(forked)) == (0, "verify: ok", 4)
+
+
+def test_two_workers_without_fork_is_an_error(monkeypatch, capsys, cache_path):
+    monkeypatch.delattr(os, "fork")
+    argv = ("degree", "--d", "4", "--threads", "2", "--cache", str(cache_path))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: 2 workers need os.fork, which this platform lacks\n"
 
 
 def test_verify_runs_the_eight_named_checks():
@@ -345,7 +363,7 @@ def _python(*args, **kwargs):
 
 
 def test_cli_import_does_not_load_multiprocessing():
-    """Only a run with more than one worker starts a pool and pays for its import."""
+    """Workers are forked with os.fork, so no run pays for this import."""
     done = _python(
         "-c",
         "import sys, nlocus.cli; print('multiprocessing' in sys.modules)",

@@ -168,83 +168,80 @@ def _python(code, *args):
 
 
 def test_spawned_workers_match_one_worker(tmp_path, points, weights):
-    # under spawn each worker gets the points pickled by its initializer;
-    # the freshly loaded points carry no cells, so the workers derive them
+    # freshly loaded points carry no cells: each forked worker derives those
+    # of its own slice, and they are lost with it
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
-    code = (
-        "import json, multiprocessing, sys\n"
-        "from nlocus import fixpoints, localization, torus\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "points = fixpoints.load_cache(sys.argv[1])\n"
-        "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
-        "results = localization.degree_range(4, 6, spec, points, workers=2)\n"
-        "print(multiprocessing.get_start_method(), [r.degree for r in results])\n"
-    )
-    done = _python(code, str(path), json.dumps(list(weights.values)))
-    single = [r.degree for r in loc.degree_range(4, 6, weights, points, workers=1)]
-    assert done.stdout == f"spawn {single}\n"
+    loaded = fx.load_cache(path)
+    assert not any("cells" in vars(fp) for fp in loaded)
+    multi = loc.degree_range(4, 6, weights, loaded, workers=2)
+    assert multi == loc.degree_range(4, 6, weights, loaded, workers=1)
 
 
-def test_sums_on_one_list_share_one_pool(started_pools, points, weights):
-    # a fresh list: an earlier test may have left a pool kept for `points`
-    fresh = list(points)
-    cf = closed_form()
-    assert loc.degree_nl(5, weights, fresh, workers=2).degree == cf(5)
-    results = loc.degree_range(4, 6, weights, fresh, workers=2)
-    assert [r.degree for r in results] == [38475, cf(5), cf(6)]
-    assert len(started_pools) == 1
-    assert loc.degree_nl(5, weights, fresh, workers=3).degree == cf(5)
-    assert len(started_pools) == 2
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
-def test_kept_pool_sums_no_stale_points(started_pools, points, weights):
-    # two slices of one length that hold different points
-    for part in (points[:262], points[262:524]):
-        assert loc._localize(part, [5], weights, 2) == loc._localize(part, [5], weights, 1)
-    assert len(started_pools) == 2
+def _broken(points, index):
+    """points with the one at index given a repeated quartic: fiber rank 4d + 1."""
+    fp = points[index]
+    bad = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+    return points[:index] + [bad] + points[index + 1 :]
 
 
 def test_worker_error_reaches_the_caller_through_the_kept_pool(points, weights):
-    fp = points[300]
-    bad = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
-    altered = points[:300] + [bad] + points[301:]
     with pytest.raises(
         StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at E2(11, 0), d=5')}$"
     ):
-        loc.degree_nl(5, weights, altered, workers=2)
-    assert loc.degree_nl(4, weights, list(points), workers=2).degree == 38475
+        loc.degree_nl(5, weights, _broken(points, 300), workers=2)
+    _no_child_left()
+    assert loc.degree_nl(4, weights, points, workers=2).degree == 38475
 
 
-def test_a_list_changed_in_place_gets_a_new_pool(started_pools, points, weights):
-    fresh = list(points)
-    assert loc.degree_nl(4, weights, fresh, workers=2).degree == 38475
-    fp = fresh[300]
-    fresh[300] = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
-    with pytest.raises(StructuralError, match=re.escape("at E2(11, 0), d=4")):
-        loc.degree_nl(4, weights, fresh, workers=2)
-    assert len(started_pools) == 2
+def test_an_error_in_the_callers_slice_leaves_no_child(points, weights):
+    with pytest.raises(
+        StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at G2(36,), d=5')}$"
+    ):
+        loc.degree_nl(5, weights, _broken(points, 19), workers=2)
+    _no_child_left()
 
 
-def test_spawned_sums_share_one_pool(tmp_path, points, weights):
+@pytest.mark.parametrize(
+    "status, child_sum",
+    [(3, lambda args: os._exit(3)), (1, lambda args: {5: lambda: 0})],
+    ids=["killed", "unpicklable"],
+)
+def test_a_worker_without_a_result_is_a_structural_error(
+    monkeypatch, points, weights, status, child_sum
+):
+    parent = os.getpid()
+    real = loc._sum_chunk
+    monkeypatch.setattr(
+        loc, "_sum_chunk", lambda a: real(a) if os.getpid() == parent else child_sum(a)
+    )
+    message = f"Bott-sum worker for points 263:525: exit status {status}, no result"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        loc.degree_nl(5, weights, points, workers=2)
+    _no_child_left()
+
+
+def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights):
+    # stdout on a pipe is block-buffered: the line is still in the buffer
+    # when the worker forks, and only the parent may flush it
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
     code = (
-        "import json, multiprocessing, sys\n"
+        "import json, sys\n"
         "from nlocus import fixpoints, localization, torus\n"
-        "multiprocessing.set_start_method('spawn')\n"
-        "started = []\n"
-        "real = multiprocessing.Pool\n"
-        "multiprocessing.Pool = lambda *a: started.append(real(*a)) or started[-1]\n"
         "points = fixpoints.load_cache(sys.argv[1])\n"
         "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
-        "results = localization.degree_range(4, 6, spec, points, workers=2)\n"
-        "results.append(localization.degree_nl(7, spec, points, workers=2))\n"
-        "print(len(started), [r.degree for r in results])\n"
+        "print('before the sum')\n"
+        "print(localization.degree_nl(4, spec, points, workers=2).degree)\n"
     )
     done = _python(code, str(path), json.dumps(list(weights.values)))
-    single = loc.degree_range(4, 7, weights, points, workers=1)
-    assert (done.stdout, done.stderr) == (f"1 {[r.degree for r in single]}\n", "")
+    assert (done.stdout, done.stderr) == ("before the sum\n38475\n", "")
 
 
 def _unshared_sum(points, fibers, d, spec, twist):
