@@ -27,7 +27,13 @@ from .ideals import (
     staircase_runs,
 )
 from .poly import Polynomial, mono_divides, monomials_of_degree, parse, render_monomial
-from .torus import DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, char_add, elem_sym
+from .torus import (
+    DEFAULT_WEIGHTS,
+    FALLBACK_WEIGHTS,
+    char_add,
+    elem_sym,
+    shared_products,
+)
 
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
 
@@ -202,12 +208,15 @@ def saturation_limit(other, deformed):
 
 
 def algebra_kernel(points, spec, workers):
-    """kbase, the E1 flat limits against saturation, elem_sym.
+    """kbase, the E1 flat limits against saturation, the Kronecker kernel.
 
     Every presentation of every E1 direction is taken to its flat limit by
     Buchberger saturation of its deformed pencil, which must have the
     Hilbert function of a flat limit and give the 8 cubics that
     `fixpoints.e1_points` writes down in closed form for that direction.
+    `torus.shared_products`, the kernel of every Bott sum, is checked
+    through `elem_sym` against brute force and `elem_sym_dp`, and directly
+    on sequences that share prefixes as the fixed points of a sum do.
     Returns the number of presentations checked.
     """
     _require(
@@ -245,6 +254,22 @@ def algebra_kernel(points, spec, workers):
             raise AssertionError(
                 f"elem_sym({loc.DIM}, {len(values)} values in [{min(values)},"
                 f" {max(values)}]) = {got} != {want}"
+            )
+    # sequence 1 reuses the prefix [0, 1], 2 pops back to [0], 3 shares
+    # nothing, and the last has the largest sum, 200 copies of 977 again: the
+    # width comes from it, and e_16 sits in its top bit
+    weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (40, 30, 30, 50)]
+    weights += [[977] * 100, [977] * 100]
+    seqs = [[0, 1, 2], [0, 1, 3], [0, 2], [4], [4, 5]]
+    shared = [0, 2, 1, 0, 1]
+    got = shared_products(loc.DIM, seqs, shared, weights)
+    for i, seq in enumerate(seqs):
+        values = [v for c in seq for v in weights[c]]
+        want = (elem_sym_dp(loc.DIM, values), elem_sym_dp(loc.DIM - 1, values))
+        if got[i] != want:
+            raise AssertionError(
+                f"shared_products sequence {i} {seq}, {shared[i]} indices shared:"
+                f" (e_16, e_15) = {got[i]} != {want}"
             )
     return checked
 

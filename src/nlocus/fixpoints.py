@@ -409,9 +409,9 @@ def _int_rows(value, width, key):
 def point_from_json(data):
     """The FixedPoint of a cache record; ValueError when the record is malformed.
 
-    Only the shape is checked here (keys, types, row widths, non-negative
-    quartic exponents, and exactly 2 pencil rows); the tangent rows are
-    sorted but not counted.  Ranks, the 16
+    Only the shape is checked here (keys, types, a tag among `STRATA`, row
+    widths, non-negative quartic exponents, and exactly 2 pencil rows); the
+    tangent rows are sorted but not counted.  Ranks, the 16
     tangent characters and the census are judged by `nlocus verify`
     (`checks.rank_invariants` and `checks.euler_census`).
     """
@@ -422,6 +422,8 @@ def point_from_json(data):
         raise ValueError(f"missing {', '.join(map(repr, missing))}")
     if not isinstance(data["tag"], str):
         raise ValueError("'tag' is not a string")
+    if data["tag"] not in STRATA:
+        raise ValueError(f"'tag' {data['tag']!r} is not one of {', '.join(STRATA)}")
     quartics = _int_rows(data["quartics"], 4, "quartics")
     if any(v < 0 for row in quartics for v in row):
         raise ValueError("'quartics' has a negative exponent")
@@ -472,7 +474,8 @@ def load_cache(path):
     """Points from a cache file, or None when absent or of another schema version.
 
     Any other malformed file raises ValueError naming the path, and the
-    record index when one record is at fault.
+    record index when one record is at fault.  The 'counts' header that
+    `save_cache` writes must equal the stratum counts of the records.
     """
     path = Path(path)
     if not path.exists():
@@ -498,6 +501,12 @@ def load_cache(path):
             raise ValueError(
                 f"fixed-point cache {path}, record {index}: {exc}"
             ) from None
+    header, counts = doc.get("counts"), dict(zip(STRATA, stratum_counts(points)))
+    if header != counts:
+        raise ValueError(
+            f"fixed-point cache {path}: 'counts' header {header!r}"
+            f" != {counts}, the counts of its records"
+        )
     return points
 
 

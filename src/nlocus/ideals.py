@@ -7,8 +7,7 @@ the format of the fixed-point path; standard monomials and Hilbert
 polynomials are both read off one staircase decomposition of such an ideal
 (`staircase_cells`), with no Groebner basis and no `Polynomial`.  A caller
 that holds the cells already (`fixpoints.FixedPoint.cells`) passes them to
-`cells_standard_monomials`, `cells_hilbert_polynomial` or `staircase_runs`
-directly.
+`cells_hilbert_polynomial` or `staircase_runs` directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
 Their generators must be homogeneous in the x-variables (the deformation
@@ -168,11 +167,7 @@ def standard_monomials(lead_x, d):
     """
     if d < 0:
         raise ValueError(f"degree must be non-negative, got {d}")
-    return cells_standard_monomials(staircase_cells(lead_x), d)
-
-
-def cells_standard_monomials(cells, d):
-    """The degree-d exponent 4-tuples of the given staircase cells."""
+    cells = staircase_cells(lead_x)
     out = []
     for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs(cells, d):
         out.extend(

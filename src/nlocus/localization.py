@@ -19,11 +19,11 @@ The hot path, `_sum_chunk`, reads the staircase cells of each point's
 quartic system from `FixedPoint.cells`, derived once per point and process
 and shared with the 4t check and `checks.rank_invariants`.  The points of a
 chunk are built from few distinct cells, so each distinct cell is expanded
-once per d into specialized weights, and e_16 is a Kronecker-packed product
-(as in `torus.elem_sym`) shared between points: each point starts from the
-product of the cells it has in common with the point visited before it
-(`_shared_products`).  The summands of a chunk are added as integers over
-the lcm of their tangent denominators, one Fraction per d.
+once per d into specialized weights, and e_16 is `torus.shared_products`,
+the package's one Kronecker-packed product, shared between points: each
+point starts from the product of the cells it has in common with the point
+visited before it.  The summands of a chunk are added as integers over the
+lcm of their tangent denominators, one Fraction per d.
 
 With more than one worker, `_localize` forks the other workers for one
 sum.  Each child inherits the points and the cells they have derived, sums
@@ -43,8 +43,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .fixpoints import StructuralError
-from .ideals import cells_standard_monomials, staircase_runs
-from .torus import WeightSpec, kronecker_width, specialize
+from .ideals import staircase_runs
+from .torus import WeightSpec, shared_products, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
 
@@ -75,19 +75,6 @@ def _check_rank(fp, d, rank):
         raise StructuralError(
             f"fiber rank {rank} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
         )
-
-
-def ed_weights(fp, d):
-    """Characters of the degree-d standard monomials: the rank-4d fiber.
-
-    These are the degree-d monomials surviving modulo the quartic system,
-    checked to number 4d: a sorted list of 4d distinct characters.
-    """
-    if d < 4:
-        raise ValueError(f"fiber weights need d >= 4, got {d}")
-    std = cells_standard_monomials(fp.cells, d)
-    _check_rank(fp, d, len(std))
-    return sorted(std)
 
 
 def _cell_weights(cell, d, values):
@@ -123,11 +110,6 @@ def _tangent_values(fp, spec):
     return values
 
 
-def _tangent_denominator(fp, spec):
-    """c_16 of the tangent space at fp, specialized; ValueError when it is 0."""
-    return math.prod(_tangent_values(fp, spec))
-
-
 def _common_denominator(points, spec):
     """The lcm of the tangent denominators, and each point's factor into it.
 
@@ -135,59 +117,15 @@ def _common_denominator(points, spec):
     scales[p] = common / den_p, so that sum(num_p / den_p) is
     sum(num_p * scales[p]) / common: one Fraction per sum.
     """
-    dens = [_tangent_denominator(fp, spec) for fp in points]
+    dens = [math.prod(_tangent_values(fp, spec)) for fp in points]
     common = math.lcm(*dens)
     return common, dens, [common // den for den in dens]
-
-
-def contribution(fp, d, spec):
-    """One Bott summand for d >= 4: the numerator over c_16 of the tangent.
-
-    The summand is taken under spec shifted to a zero minimum, like every
-    Bott sum; a single summand depends on the shift, only the sums do not.
-    """
-    if d < 4:
-        raise ValueError(f"fiber weights need d >= 4, got {d}")
-    return _sum_chunk(([fp], [d], spec))[d]
-
-
-def _shared_products(seqs, shared, weights):
-    """(e_16, e_15) of each index sequence's weights, sharing common prefixes.
-
-    weights is a list of lists of non-negative integers and seqs[i] a list
-    of indices into it: the multiset of sequence i is the concatenation of
-    those lists.  The first shared[i] indices of seqs[i] are those of
-    seqs[i - 1].  The product is packed as in `torus.elem_sym`, e_j in
-    base-2^W digit 16 - j and one r += v * (r >> W) per value, and a stack
-    keeps the product after each index of the sequence before, so sequence
-    i starts from the product of its shared prefix.
-
-    One width serves every sequence: `kronecker_width` of the largest sum.
-    Every stack state packs e_0..e_16 of a sub-multiset of some sequence,
-    whose sum is at most the largest, so no digit carries.  e_16 is the
-    lowest digit and e_15 the next one.
-    """
-    totals = [sum(w) for w in weights]
-    largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
-    width = kronecker_width(DIM, largest)
-    mask = (1 << width) - 1
-    stack = [1 << (DIM * width)]
-    out = []
-    for seq, n in zip(seqs, shared):
-        del stack[n + 1 :]
-        r = stack[n]
-        for c in seq[n:]:
-            for v in weights[c]:
-                r += v * (r >> width)
-            stack.append(r)
-        out.append((r & mask, (r >> width) & mask))
-    return out
 
 
 def _sum_chunk(args):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
-    The points share one Kronecker pass per d (`_shared_products`).  The
+    The points share one Kronecker pass per d (`torus.shared_products`).  The
     chunk's distinct staircase cells are indexed once, and at each d every
     distinct cell is expanded once into specialized weights.  The cells are
     numbered by (number of the chunk's points that have the cell) x (its
@@ -238,7 +176,7 @@ def _sum_chunk(args):
         for fp, seq in zip(points, seqs):
             _check_rank(fp, d, sum(map(lengths.__getitem__, seq)))
         acc = 0
-        for p, (e16, e15) in zip(visits, _shared_products(ordered, shared, weights)):
+        for p, (e16, e15) in zip(visits, shared_products(DIM, ordered, shared, weights)):
             acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
         sums[d] = Fraction(acc, common)
     return sums

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import comb
 from operator import add, le, sub
 
 VARS = ("x0", "x1", "x2", "x3", "t")
@@ -59,13 +58,6 @@ def render_monomial(m):
         elif e > 1:
             parts.append(f"{name}^{e}")
     return "*".join(parts)
-
-
-def sdim(d):
-    """Dimension of the space of degree-d forms on P^3: C(d+3,3)."""
-    if d < 0:
-        raise ValueError(f"degree must be non-negative, got {d}")
-    return comb(d + 3, 3)
 
 
 def monomials_of_degree(d):

@@ -9,16 +9,12 @@ and the blow-up cascade does its multiset arithmetic with
 `collections.Counter`.
 
 Chern classes of a specialized multiset are elementary symmetric functions of
-its integer weights; `elem_sym` computes them by Kronecker substitution,
-as one big-integer product (Harvey, "Faster polynomial multiplication via
-multipoint Kronecker substitution", JSC 2009).  The digits are reversed:
-e_j sits in base-2^W digit k - j, so multiplying by (1 + v*z) is
-r += v * (r >> W) and e_k is the lowest digit.  `kronecker_width` derives W
-from e_j <= s^j / j! for non-negative values summing to s.  The Bott sums
-(`localization`) run the same packed product, shared between fixed points,
-under the one width of `kronecker_width`, and shift the weight spec to a zero
-minimum, so no fiber weight is negative; the tests compare them against
-`elem_sym`, the product for one multiset.
+its integer weights.  `shared_products` is the one routine that computes
+them: Kronecker substitution, one big-integer product (Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", JSC 2009),
+over many multisets that share prefixes.  The Bott sums (`localization`)
+pass it every fixed point's fiber at once, shifted to non-negative weights,
+and `elem_sym` is its one-multiset case.
 """
 
 from __future__ import annotations
@@ -119,29 +115,52 @@ def kronecker_width(k, s):
     return (s**m // math.factorial(m)).bit_length()
 
 
+def shared_products(k, seqs, shared, weights):
+    """(e_k, e_(k-1)) of each index sequence's weights, sharing common prefixes.
+
+    weights is a list of lists of non-negative integers and seqs[i] a list
+    of indices into it: the multiset of sequence i is the concatenation of
+    those lists, and its first shared[i] indices are those of seqs[i - 1].
+
+    Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
+    so e_k is the lowest digit and e_(k-1) the next (0 when k = 0).
+    Multiplying by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W moves
+    every e_j down to the digit of e_(j+1), so the step is r += v * (r >> W).
+    A stack keeps the product after each index of the sequence before, so
+    sequence i starts from the product of its shared prefix.  One width
+    serves every sequence, `kronecker_width` of the largest sum: every stack
+    state packs e_0..e_k of a sub-multiset of some sequence, whose sum is at
+    most the largest, so no digit reaches 2^W.
+    """
+    totals = [sum(w) for w in weights]
+    largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
+    width = kronecker_width(k, largest)
+    mask = (1 << width) - 1
+    stack = [1 << (k * width)]
+    out = []
+    for seq, n in zip(seqs, shared):
+        del stack[n + 1 :]
+        r = stack[n]
+        for c in seq[n:]:
+            for v in weights[c]:
+                r += v * (r >> width)
+            stack.append(r)
+        out.append((r & mask, (r >> width) & mask))
+    return out
+
+
 def elem_sym(k, values):
     """k-th elementary symmetric function of the non-negative integers in values.
 
-    Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
-    so e_0 = 1 is the top digit and e_k the lowest.  Multiplying the
-    truncated product by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W
-    is r with every e_j moved down to the digit of e_(j+1) (e_k falls off),
-    so the step is r += v * (r >> W): three integer operations per value,
-    exact as long as no digit ever reaches 2^W.  W = kronecker_width(k, s)
-    for s = sum(values) bounds every e_j of every prefix of the values, so
-    nothing carries.  A negative value breaks the bound and raises
-    ValueError.
+    `shared_products` of the one sequence values.  A negative value breaks
+    its width bound and raises ValueError.
     """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
     if values and min(values) < 0:
         raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
-    width = kronecker_width(k, sum(values))
-    r = 1 << (k * width)
-    for v in values:
-        r += v * (r >> width)
-    return r & ((1 << width) - 1)
+    return shared_products(k, [[0]], [0], [values])[0][0]
 
 
 def check_generic(spec, tangent_bags):

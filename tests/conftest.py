@@ -1,9 +1,14 @@
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from nlocus import fixpoints as fx
-from nlocus.torus import DEFAULT_WEIGHTS
+from nlocus import localization as loc
+from nlocus.checks import elem_sym_dp
+from nlocus.ideals import standard_monomials
+from nlocus.torus import DEFAULT_WEIGHTS, WeightSpec, specialize
 
 
 @pytest.fixture(scope="session")
@@ -44,3 +49,34 @@ def points(cascade):
 def weights():
     return DEFAULT_WEIGHTS
 
+
+
+@pytest.fixture(scope="session")
+def unshared_sum(points):
+    """A Bott sum that shares nothing with the production kernel.
+
+    unshared_sum(d, spec, twist, some=points) sums, over the points, e_16 of
+    the point's own degree-d fiber, or the Pluecker weight times e_15 with
+    twist, over math.prod of its tangent values.  The fiber is derived from
+    the point's quartics (`ideals.standard_monomials`), not from its cells;
+    e_k is `checks.elem_sym_dp`, under spec shifted to a zero minimum.
+    """
+    fibers = {}
+
+    def total(d, spec, twist, some=points):
+        low = min(spec.values)
+        shifted = WeightSpec(v - low for v in spec.values)
+        out = Fraction(0)
+        for fp in some:
+            if (fp, d) not in fibers:
+                fibers[fp, d] = standard_monomials(fp.quartics, d)
+            values = [specialize(c, shifted) for c in fibers[fp, d]]
+            if twist:
+                plucker = -sum(specialize(c, shifted) for c in fp.pencil_chars)
+                numerator = plucker * elem_sym_dp(15, values)
+            else:
+                numerator = elem_sym_dp(16, values)
+            out += Fraction(numerator, math.prod(loc._tangent_values(fp, spec)))
+        return out
+
+    return total

@@ -119,9 +119,9 @@ def test_criterion_5_hilbert_polynomial_oracle(points, weights):
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")
 
 
-def test_criterion_6_localization_self_test(points, weights):
+def test_criterion_6_localization_self_test(points, weights, unshared_sum):
     assert checks.localization_self_test(points, weights, 1) == 525
-    raw = sum(loc.contribution(fp, 4, weights) for fp in points)
+    raw = unshared_sum(4, weights, True)
     assert raw % 4 == 0
     assert raw == 153900
     report(6, "sum of ones over fixed points is 525; raw d=4 sum divisible by 4")

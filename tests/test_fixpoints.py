@@ -503,6 +503,7 @@ def test_load_cache_rejects_malformed_file(tmp_path, case):
 MALFORMED_RECORDS = {
     "missing-key": ("quartics", None),
     "tag-not-string": ("tag", 7),
+    "tag-unknown": ("tag", "X"),
     "tangent-short-row": ("tangent", [[1, -1, 0]]),
     "tangent-long-row": ("tangent", [[1, -1, 0, 0, 1]]),
     "tangent-not-int": ("tangent", [[1, -1, 0, "0"]]),
@@ -513,6 +514,22 @@ MALFORMED_RECORDS = {
     "pencil-one-row": ("pencil", [[2, 0, 0, 0]]),
     "provenance-not-ints": ("provenance", [0.5]),
 }
+
+
+@pytest.mark.parametrize("counts", [{"G2": 1}, {"G2": 21, "G2E1": 180, "E2": 323}, None])
+def test_load_cache_checks_the_counts_header(tmp_path, points, counts):
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    if counts is None:
+        del doc["counts"]
+    else:
+        doc["counts"] = counts
+    path.write_text(json.dumps(doc))
+    records = {"G2": 21, "G2E1": 180, "E2": 324}
+    message = f"{path}: 'counts' header {counts!r} != {records}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fx.load_cache(path)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))

@@ -16,14 +16,14 @@ from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus.fixpoints import G2, StructuralError
-from nlocus.ideals import staircase_cells, staircase_runs
+from nlocus.ideals import staircase_cells, staircase_runs, standard_monomials
 from nlocus.formula import closed_form
 from nlocus.poly import parse
 from nlocus.torus import (
     FALLBACK_WEIGHTS,
     WeightSpec,
     check_generic,
-    elem_sym,
+    shared_products,
     specialize,
 )
 
@@ -40,26 +40,20 @@ def _pencil_point(points):
     raise AssertionError("pencil point not found")
 
 
-def test_ed_weights_counts(points):
+def test_fiber_standard_monomials_counts(points):
     fp = _pencil_point(points)
-    fiber5 = loc.ed_weights(fp, 5)
+    fiber5 = standard_monomials(fp.quartics, 5)
     assert len(fiber5) == len(set(fiber5)) == 20
-    assert fiber5 == sorted(fiber5)
     # the paper's surviving monomial x2^3*x1*x0
     assert (1, 1, 3, 0) in fiber5
     for fp in points:
-        assert len(set(loc.ed_weights(fp, 4))) == 16
-        assert len(set(loc.ed_weights(fp, 6))) == 24
+        assert len(set(standard_monomials(fp.quartics, 4))) == 16
+        assert len(set(standard_monomials(fp.quartics, 6))) == 24
 
 
-def test_ed_weights_rejects_small_degree(points):
-    with pytest.raises(ValueError):
-        loc.ed_weights(points[0], 3)
-
-
-def test_contribution_numerator_against_subset_oracle(points, weights):
+def test_contribution_numerator_against_subset_oracle(points, weights, unshared_sum):
     fp = _pencil_point(points)
-    values = [specialize(c, weights) for c in loc.ed_weights(fp, 5)]
+    values = [specialize(c, weights) for c in standard_monomials(fp.quartics, 5)]
     assert len(values) == 20
     brute = 0
     for combo in itertools.combinations(values, 16):
@@ -67,8 +61,9 @@ def test_contribution_numerator_against_subset_oracle(points, weights):
         for v in combo:
             term *= v
         brute += term
-    den = loc._tangent_denominator(fp, weights)
-    assert loc.contribution(fp, 5, weights) == Fraction(brute, den)
+    summand = Fraction(brute, math.prod(loc._tangent_values(fp, weights)))
+    assert unshared_sum(5, weights, False, [fp]) == summand
+    assert loc._sum_chunk(([fp], [5], weights))[5] == summand
 
 
 def test_tangent_denominator_paper_factors(points, weights):
@@ -80,7 +75,8 @@ def test_tangent_denominator_paper_factors(points, weights):
     prod = 1
     for v in values:
         prod *= v
-    assert loc._tangent_denominator(fp, weights) == prod
+    _, dens, _ = loc._common_denominator([fp], weights)
+    assert dens == [prod]
 
 
 def test_localization_self_test(points, weights):
@@ -94,15 +90,16 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
     flipped = tuple(sorted(fp.tangent[1:] + (tuple(-e for e in c),)))
     bad = dataclasses.replace(fp, tangent=flipped)
     altered = points[:100] + [bad] + points[101:]
-    expected = -2 * Fraction(1, loc._tangent_denominator(fp, weights))
-    assert sum(Fraction(1, loc._tangent_denominator(p, weights)) for p in altered) == expected
+    _, dens, _ = loc._common_denominator(altered, weights)
+    expected = -2 * Fraction(1, math.prod(loc._tangent_values(fp, weights)))
+    assert sum(Fraction(1, den) for den in dens) == expected
     with pytest.raises(StructuralError, match=f"sum of 1/c_16.T. over 525 fixed points is {expected}, not 0"):
         checks.localization_self_test(altered, weights, 1)
 
 
 def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
-    loc.contribution(fp, 7, weights)  # the true cell list passes the rank check
+    loc._sum_chunk(([fp], [7], weights))  # the true cell list passes the rank check
     cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
@@ -244,38 +241,12 @@ def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights
     assert (done.stdout, done.stderr) == ("before the sum\n38475\n", "")
 
 
-def _unshared_sum(points, fibers, d, spec, twist):
-    """A Bott sum that shares nothing: elem_sym of each point's own fiber.
-
-    Each summand is elem_sym(16, fiber) over the point's own c_16, or the
-    Pluecker weight times elem_sym(15, fiber) with twist, under spec shifted
-    to a zero minimum.
-    """
-    low = min(spec.values)
-    shifted = WeightSpec(v - low for v in spec.values)
-    total = Fraction(0)
-    for fp, fiber in zip(points, fibers[d]):
-        values = [specialize(c, shifted) for c in fiber]
-        if twist:
-            plucker = -sum(specialize(c, shifted) for c in fp.pencil_chars)
-            numerator = plucker * elem_sym(15, values)
-        else:
-            numerator = elem_sym(16, values)
-        total += Fraction(numerator, loc._tangent_denominator(fp, spec))
-    return total
-
-
-@pytest.fixture(scope="module")
-def fibers(points):
-    return {d: [loc.ed_weights(fp, d) for fp in points] for d in range(4, 10)}
-
-
 @pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 1, 7, 23), (-7, 3, 11, 40)])
-def test_shared_pass_matches_an_unshared_oracle(points, fibers, values):
+def test_shared_pass_matches_an_unshared_oracle(points, unshared_sum, values):
     spec = WeightSpec(values)
     ds = range(4, 10)
     totals = loc._localize(points, ds, spec, 1)
-    assert totals == {d: _unshared_sum(points, fibers, d, spec, d == 4) for d in ds}
+    assert totals == {d: unshared_sum(d, spec, d == 4) for d in ds}
 
 
 def test_shared_products_width_covers_a_larger_later_sum():
@@ -283,7 +254,7 @@ def test_shared_products_width_covers_a_larger_later_sum():
     # sum, so a width derived from the first sequence alone overflows
     weights = [list(range(20)), [3, 1, 4, 1], [10**6 + k for k in range(16)]]
     seqs = [[0, 1], [0, 2]]
-    for (e16, e15), seq in zip(loc._shared_products(seqs, [0, 1], weights), seqs):
+    for (e16, e15), seq in zip(shared_products(16, seqs, [0, 1], weights), seqs):
         values = [v for c in seq for v in weights[c]]
         assert e16 == checks.elem_sym_dp(16, values)
         assert e15 == checks.elem_sym_dp(15, values)
@@ -310,16 +281,16 @@ def test_plucker_powers_integrate_to_the_degree_of_the_grassmannian(points, valu
 
 
 @pytest.mark.parametrize("values", CLASSICAL_SPECS)
-def test_untwisted_sum_at_d4_is_the_closed_form_at_4(points, fibers, values):
-    untwisted = _unshared_sum(points, fibers, 4, WeightSpec(values), False)
+def test_untwisted_sum_at_d4_is_the_closed_form_at_4(unshared_sum, values):
+    untwisted = unshared_sum(4, WeightSpec(values), False)
     assert untwisted == closed_form()(4) == 0
 
 
-def test_common_denominator_sum_is_exact(points, weights):
+def test_common_denominator_sum_is_exact(points, weights, unshared_sum):
     ds = range(4, 8)
     totals = loc._localize(points, ds, weights, 1)
     for d in ds:
-        assert totals[d] == sum(loc.contribution(fp, d, weights) for fp in points)
+        assert totals[d] == unshared_sum(d, weights, d == 4)
     results = loc.degree_range(4, 7, weights, points)
     assert [r.degree for r in results] == [totals[4] / 4] + [totals[d] for d in ds[1:]]
 
@@ -353,7 +324,7 @@ def test_degree_range_rejects_an_empty_range(points, weights):
 def test_degree_nl_d4_headline(points, weights):
     result = loc.degree_nl(4, weights, points)
     assert result.degree == 38475
-    raw = sum(loc.contribution(fp, 4, weights) for fp in points)
+    raw = loc._localize(points, [4], weights, 1)[4]
     assert raw == 4 * 38475 == 153900
 
 

@@ -11,7 +11,6 @@ from nlocus.poly import (
     monomials_of_degree,
     parse,
     render,
-    sdim,
 )
 
 
@@ -164,15 +163,6 @@ def test_grevlex_order_spot_checks():
     assert mono_key(mono("x0*x1")) > mono_key(mono("x1^2"))
     # t is the cheapest variable
     assert mono_key(mono("x3")) > mono_key(mono("t"))
-
-
-def test_sdim():
-    assert sdim(0) == 1
-    assert sdim(2) == 10
-    assert sdim(4) == 35
-    assert [sdim(d) for d in range(5, 8)] == [56, 84, 120]
-    with pytest.raises(ValueError):
-        sdim(-2)
 
 
 def test_canonical_form_unique():
