@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ from pathlib import Path
 
 from .formula import UnivariateRationalPoly
 from .ideals import cells_hilbert_polynomial, hilbert_polynomial, staircase_cells
-from .poly import mono_key, monomial_gcd, monomials_of_degree, render_monomial
+from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
 SCHEMA_VERSION = 3
@@ -51,6 +52,18 @@ LINEARS = [m[:4] for m in monomials_of_degree(1)]
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
 CENSUS = (21, 180, 324)  # fixed points per stratum
+DIRECTIONS = 9  # directions in one fiber over Z or W: 16 tangent less 7 base characters
+
+# the provenance of a point of each stratum, as (name, bound) per entry:
+# a G2 point is one of the C(10, 2) pencils of quadric monomials, a G2E1
+# point a direction over one of the pencils that are not G2 points (the
+# ZPoints), and an E2 point a direction over one of the WPoints
+_PAIRS = math.comb(len(QUADRICS), 2)
+PROVENANCE = {
+    G2: (("pair", _PAIRS),),
+    G2E1: (("z", _PAIRS - CENSUS[0]), ("direction", DIRECTIONS)),
+    E2: (("w", CENSUS[2] // DIRECTIONS), ("direction", DIRECTIONS)),
+}
 
 
 class StructuralError(RuntimeError):
@@ -132,9 +145,8 @@ class FixedPoint:
     @functools.cached_property
     def cells(self):
         """The staircase cells of the quartic system, a tuple of shared cell objects."""
-        return tuple(
-            _SHARED_CELLS.setdefault(cell, cell) for cell in staircase_cells(self.quartics)
-        )
+        cells = staircase_cells(self.quartics)
+        return tuple(map(_SHARED_CELLS.setdefault, cells, cells))
 
 
 def _sorted_chars(counter):
@@ -160,8 +172,15 @@ def _products(monos, factors):
     return {char_add(m, f) for m in monos for f in factors}
 
 
+# grevlex rank of every cubic and quartic monomial, 0 for the largest (x0^4)
+_GREVLEX_RANK = {
+    m[:4]: rank for rank, m in enumerate(monomials_of_degree(4) + monomials_of_degree(3))
+}
+
+
 def _sort_monos(monos):
-    return tuple(sorted(monos, key=lambda m: mono_key(m + (0,)), reverse=True))
+    """Distinct cubic and quartic exponent 4-tuples, largest first in grevlex."""
+    return tuple(sorted(monos, key=_GREVLEX_RANK.__getitem__))
 
 
 def split_strata(pairs):
@@ -382,12 +401,13 @@ def euler_characteristic_oracle():
 
 
 def point_to_json(fp):
+    """The cache record of a fixed point; `json` writes its tuples as lists."""
     return {
         "tag": fp.tag,
-        "tangent": [list(c) for c in fp.tangent],
-        "quartics": [list(m) for m in fp.quartics],
-        "pencil": [list(c) for c in fp.pencil_chars],
-        "provenance": list(fp.provenance),
+        "tangent": fp.tangent,
+        "quartics": fp.quartics,
+        "pencil": fp.pencil_chars,
+        "provenance": fp.provenance,
     }
 
 
@@ -410,8 +430,9 @@ def point_from_json(data):
     """The FixedPoint of a cache record; ValueError when the record is malformed.
 
     Only the shape is checked here (keys, types, a tag among `STRATA`, row
-    widths, non-negative quartic exponents, and exactly 2 pencil rows); the
-    tangent rows are sorted but not counted.  Ranks, the 16
+    widths, non-negative quartic exponents, exactly 2 pencil rows, and a
+    provenance of the tag's length and range, `PROVENANCE`); the tangent
+    rows are sorted but not counted.  Ranks, the 16
     tangent characters and the census are judged by `nlocus verify`
     (`checks.rank_invariants` and `checks.euler_census`).
     """
@@ -430,6 +451,15 @@ def point_from_json(data):
     provenance = data["provenance"]
     if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
         raise ValueError("'provenance' is not a list of integers")
+    shape = PROVENANCE[data["tag"]]
+    if len(provenance) != len(shape) or not all(
+        0 <= v < bound for v, (_, bound) in zip(provenance, shape)
+    ):
+        expected = ", ".join(f"0 <= {name} < {bound}" for name, bound in shape)
+        raise ValueError(
+            f"'provenance' {provenance} does not fit tag {data['tag']!r}: expected"
+            f" [{', '.join(name for name, _ in shape)}] with {expected}"
+        )
     tangent = _int_rows(data["tangent"], 4, "tangent")
     pencil = _int_rows(data["pencil"], 4, "pencil")
     if len(pencil) != 2:
@@ -474,8 +504,11 @@ def load_cache(path):
     """Points from a cache file, or None when absent or of another schema version.
 
     Any other malformed file raises ValueError naming the path, and the
-    record index when one record is at fault.  The 'counts' header that
-    `save_cache` writes must equal the stratum counts of the records.
+    record index when one record is at fault.  No two records may share a
+    tag and provenance, and the 'counts' header that `save_cache` writes
+    must equal the stratum counts of the records.  A record whose tag and
+    provenance fit but whose data belong to another point still loads; the
+    cascade itself is the only judge of that.
     """
     path = Path(path)
     if not path.exists():
@@ -493,14 +526,21 @@ def load_cache(path):
     records = doc.get("points")
     if not isinstance(records, list):
         raise ValueError(f"fixed-point cache {path} has no list of 'points'")
-    points = []
+    points, first = [], {tag: {} for tag in STRATA}  # record index by tag, provenance
     for index, record in enumerate(records):
         try:
-            points.append(point_from_json(record))
+            point = point_from_json(record)
         except ValueError as exc:
             raise ValueError(
                 f"fixed-point cache {path}, record {index}: {exc}"
             ) from None
+        earlier = first[point.tag].setdefault(point.provenance, index)
+        if earlier != index:
+            raise ValueError(
+                f"fixed-point cache {path}, record {index}: {point.tag} point"
+                f" {list(point.provenance)} repeats record {earlier}"
+            )
+        points.append(point)
     header, counts = doc.get("counts"), dict(zip(STRATA, stratum_counts(points)))
     if header != counts:
         raise ValueError(

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -91,29 +90,58 @@ def staircase_cells(lead_x):
     Cells the ideal covers entirely are left out.  The list does not depend
     on the degree: it is derived once per ideal and expanded at each degree
     by staircase_runs.
+
+    The grid is walked row by row, a row being the points (i, j, *).  The
+    bounds never increase along a row, so a row ends at its first covered
+    point (bound 0), and a row whose first point is covered is covered
+    entirely.  A row after a covered row (i, j-1) or above a covered row
+    (i-1, j) is covered too and is skipped without being computed.
     """
-    c0, c1, c2 = (max((g[v] for g in lead_x), default=0) for v in range(3))
-    # table[i][j][k]: least x3-exponent of a generator dividing x0^i x1^j x2^k,
-    # first at the generators' own grid points, then minimized over the grid
-    # points below: along k within a row, then against the finished rows
-    # (i, j-1) and (i-1, j)
-    table = [[[math.inf] * (c2 + 1) for _ in range(c1 + 1)] for _ in range(c0 + 1)]
+    c0, c1, c2, _ = map(max, zip(*lead_x)) if lead_x else (0, 0, 0, 0)
+    # rows[i, j][k]: least x3-exponent of a generator at the grid point (i, j, k)
+    rows = {}
     for g0, g1, g2, g3 in lead_x:
-        row = table[g0][g1]
-        row[g2] = min(row[g2], g3)
+        row = rows.get((g0, g1))
+        if row is None:
+            row = rows[g0, g1] = [math.inf] * (c2 + 1)
+        if g3 < row[g2]:
+            row[g2] = g3
+    uncovered = [math.inf] * (c2 + 1)
+    covered = [0] * (c2 + 1)
     cells = []
-    for i, plane in enumerate(table):
-        for j, row in enumerate(plane):
-            row = list(itertools.accumulate(row, min))
-            if j:
-                row = list(map(min, plane[j - 1], row))
-            if i:
-                row = list(map(min, table[i - 1][j], row))
-            plane[j] = row
+    below = None  # the finished rows of plane i - 1
+    for i in range(c0 + 1):
+        plane = []
+        before = None  # the finished row (i, j - 1)
+        for j in range(c1 + 1):
+            under = below[j] if i else None
+            if (j and not before[0]) or (i and not under[0]):
+                plane.append(covered)
+                before = covered
+                continue
+            # the least x3-exponent of a generator dividing x0^i x1^j x2^k:
+            # minimized along k within the row, then against the finished
+            # rows (i, j-1) and (i-1, j)
+            row = rows.get((i, j))
+            if row is not None:
+                row = list(itertools.accumulate(row, min))
+                if j:
+                    row = list(map(min, before, row))
+                if i:
+                    row = list(map(min, under, row))
+            elif i and j:
+                row = list(map(min, before, under))
+            else:
+                row = before or under or uncovered
+            plane.append(row)
+            before = row
+            free, free_at_cap = _FREE[i == c0, j == c1, False], _FREE[i == c0, j == c1, True]
             for k, bound in enumerate(row):
-                if bound:
-                    free = _FREE[i == c0, j == c1, k == c2]
-                    cells.append(((i, j, k), free, bound, i + j + k))
+                if not bound:
+                    break
+                free_k = free if k < c2 else free_at_cap
+                cells.append(((i, j, k), free_k, bound, i + j + k))
+        below = plane
     return cells
 
 
@@ -229,27 +257,46 @@ def hilbert_polynomial(lead_x):
     return cells_hilbert_polynomial(staircase_cells(lead_x))
 
 
+def _binomial_term(f, shift):
+    """3! * C(d + shift, f) as 4 coefficients in d, low degree first.
+
+    C(d + shift, f) = (d + shift)(d + shift - 1)...(d + shift - f + 1) / f!.
+    """
+    term = [6 // math.factorial(f)]
+    for i in range(f):
+        term = [(shift - i) * a + b for a, b in zip(term + [0], [0] + term)]
+    return term + [0] * (3 - f)
+
+
+def _cell_term(f, lower, bound):
+    """3! times a cell's monomial count in degree d, for large d, as 4 coefficients."""
+    term = _binomial_term(f, f - lower)
+    if bound != math.inf:
+        term = [a - b for a, b in zip(term, _binomial_term(f, f - lower - bound))]
+    return tuple(term)
+
+
+# _cell_term by (free count, lower, bound), kept across calls: the 741
+# cascade systems need 70 entries
+_CELL_TERMS = {}
+
+
 def cells_hilbert_polynomial(cells):
     """Hilbert polynomial, in d, of S/<lead_x> from the staircase cells of lead_x.
 
     The cells are a Stanley decomposition of S/<lead_x>.  A cell with f free
     coordinates, lower degree l and x3 bound b holds
     C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for large d
-    (no second term when b is math.inf), a polynomial in d.
+    (no second term when b is math.inf), a polynomial in d.  Each cell's
+    term is an integer polynomial, 3! times that count, taken from a table
+    keyed by (f, l, b) and filled on first use; the terms are added as
+    integers and divided by 3! once.
     """
-    # multiplicity of each binomial C(d + shift, f) in the sum
-    binomials = Counter()
+    terms = []
     for _, free, bound, lower in cells:
-        f = len(free)
-        binomials[f, f - lower] += 1
-        if bound != math.inf:
-            binomials[f, f - lower - bound] -= 1
-    # 3! times the polynomial, with C(d + c, f) = (d + c)(d + c - 1)...(d + c - f + 1) / f!
-    scaled = [0] * 4
-    for (f, shift), mult in binomials.items():
-        term = [mult * 6 // math.factorial(f)]
-        for i in range(f):
-            term = [(shift - i) * a + b for a, b in zip(term + [0], [0] + term)]
-        for k, c in enumerate(term):
-            scaled[k] += c
-    return UnivariateRationalPoly([Fraction(c, 6) for c in scaled])
+        key = (len(free), lower, bound)
+        term = _CELL_TERMS.get(key)
+        if term is None:
+            term = _CELL_TERMS[key] = _cell_term(*key)
+        terms.append(term)
+    return UnivariateRationalPoly([Fraction(sum(c), 6) for c in zip(*terms)])

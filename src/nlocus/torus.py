@@ -86,6 +86,7 @@ def grass_tangent(sub, ambient):
 def blowup_tangent(base, nml, e):
     """Tangent characters at a fixed point of the exceptional divisor, as a Counter.
 
+    base and nml are Counters of the base tangent and normal characters.
     For the normal direction e, the fiber directions contribute n - e for
     every other normal character n, the base tangent comes along, and e
     itself is the normal direction of the exceptional divisor.  Total size
@@ -94,9 +95,13 @@ def blowup_tangent(base, nml, e):
     if e not in nml:
         raise ValueError(f"direction {e} is not a normal character")
     out = Counter(base)
-    for n, k in (Counter(nml) - Counter([e])).items():
-        out[char_sub(n, e)] += k
-    out[e] += 1
+    for n, k in nml.items():
+        if n == e:
+            k -= 1
+        if k > 0:
+            c = char_sub(n, e)
+            out[c] = out.get(c, 0) + k
+    out[e] = out.get(e, 0) + 1
     return out
 
 

@@ -293,6 +293,30 @@ def test_cache_record_with_one_pencil_row_is_an_error(capsys, tmp_path, points):
     assert err.startswith("error: ") and f"{path}, record 3: " in err
 
 
+def _swap_g2_e2_tags(doc):
+    doc["points"][0]["tag"], doc["points"][-1]["tag"] = "E2", "G2"
+    return 0
+
+
+def _provenance_999(doc):
+    doc["points"][150]["provenance"] = [999, 999]
+    return 150
+
+
+@pytest.mark.parametrize("corrupt", [_swap_g2_e2_tags, _provenance_999])
+def test_verify_rejects_a_cache_whose_provenance_does_not_fit_its_tag(
+    capsys, tmp_path, points, corrupt
+):
+    path = tmp_path / "provenance.json"
+    fx.save_cache(points, path)
+    doc = json.loads(path.read_text())
+    index = corrupt(doc)
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: fixed-point cache {path}, record {index}: 'provenance' ")
+
+
 @pytest.mark.parametrize(
     "config, argv, key",
     [

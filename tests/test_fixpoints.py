@@ -201,6 +201,21 @@ def test_points_keep_their_staircase_cells_shared(points):
     assert len({id(cell) for fp in points for cell in fp.cells}) <= 401
 
 
+# sha256 of the repr of the staircase cells of the 216 E1 limit cubic systems
+# and the 525 quartic systems, in cascade order, taken from a walk that
+# computes every row of the grid: skipping covered rows must not change a
+# cell or the order of the cells
+CASCADE_CELLS_SHA256 = "7e687892e073ebe5c7d33a10d763ecf7ede05ad6c6dd4f6e764432ed8dc378cf"
+
+
+def test_cascade_staircase_cells_are_pinned(cascade):
+    systems = [record.limit_cubics for _, record in cascade.records]
+    systems += [fp.quartics for fp in cascade.points]
+    assert len(systems) == 741
+    cells = repr([staircase_cells(s) for s in systems]).encode()
+    assert hashlib.sha256(cells).hexdigest() == CASCADE_CELLS_SHA256
+
+
 def test_cells_are_left_out_of_eq_repr_and_the_cache(points):
     fp = points[0]
     fresh = dataclasses.replace(fp)
@@ -405,6 +420,13 @@ def test_cache_round_trip(points, tmp_path):
     assert loaded == points
 
 
+def test_cache_bytes_are_pinned(points):
+    # a serializer that changes the file must bump SCHEMA_VERSION
+    data = fx.cache_bytes(points)
+    assert len(data) == 240_168
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
+
+
 def test_cache_bytes_deterministic(points):
     assert fx.cache_bytes(points) == fx.cache_bytes(list(points))
 
@@ -546,3 +568,74 @@ def test_load_cache_names_malformed_record(tmp_path, points, case):
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}, record 3: .*'{field}'"):
         fx.load_cache(path)
 
+
+def test_provenance_bounds_are_derived_and_fit_the_cascade(points):
+    bounds = {tag: tuple(bound for _, bound in shape) for tag, shape in fx.PROVENANCE.items()}
+    assert bounds == {"G2": (45,), "G2E1": (24, 9), "E2": (36, 9)}
+    for tag in fx.STRATA:
+        provenances = [fp.provenance for fp in points if fp.tag == tag]
+        assert len(set(provenances)) == len(provenances)
+        assert {len(v) for v in provenances} == {len(bounds[tag])}
+        assert all(0 <= v < b for p in provenances for v, b in zip(p, bounds[tag]))
+    # every ZPoint and WPoint, and every direction, has a point
+    for tag in ("G2E1", "E2"):
+        provenances = [fp.provenance for fp in points if fp.tag == tag]
+        assert tuple(max(p[i] for p in provenances) + 1 for i in (0, 1)) == bounds[tag]
+
+
+def _saved_doc(points, tmp_path):
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize(
+    "index, provenance",
+    [
+        (150, [999, 999]),
+        (0, [45]),
+        (0, [-1]),
+        (0, [0, 0]),
+        (21, [24, 0]),
+        (21, [0, 9]),
+        (21, [3]),
+        (300, [36, 0]),
+        (300, [0, -1]),
+        (300, [0, 0, 0]),
+    ],
+)
+def test_load_cache_rejects_provenance_that_does_not_fit_its_tag(
+    tmp_path, points, index, provenance
+):
+    path, doc = _saved_doc(points, tmp_path)
+    tag = doc["points"][index]["tag"]
+    doc["points"][index]["provenance"] = provenance
+    path.write_text(json.dumps(doc))
+    message = f"{path}, record {index}: 'provenance' {provenance} does not fit tag {tag!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fx.load_cache(path)
+
+
+def test_load_cache_rejects_a_g2_e2_tag_swap(tmp_path, points):
+    # the counts header still matches; the G2 provenance (pair,) does not fit E2
+    path, doc = _saved_doc(points, tmp_path)
+    first, last = doc["points"][0], doc["points"][-1]
+    assert (first["tag"], last["tag"]) == ("G2", "E2")
+    first["tag"], last["tag"] = last["tag"], first["tag"]
+    path.write_text(json.dumps(doc))
+    message = (
+        f"{path}, record 0: 'provenance' {first['provenance']} does not fit tag 'E2':"
+        " expected [w, direction] with 0 <= w < 36, 0 <= direction < 9"
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fx.load_cache(path)
+
+
+def test_load_cache_rejects_a_repeated_tag_and_provenance(tmp_path, points):
+    path, doc = _saved_doc(points, tmp_path)
+    doc["points"][31]["provenance"] = doc["points"][30]["provenance"]
+    path.write_text(json.dumps(doc))
+    key = doc["points"][30]["provenance"]
+    message = f"{path}, record 31: G2E1 point {key} repeats record 30"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fx.load_cache(path)

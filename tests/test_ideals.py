@@ -250,6 +250,32 @@ def test_standard_monomials_match_cell_walk_on_small_ideals():
             assert got == sorted(walked[d]) == sorted(brute_standard_monomials(lead_x, d))
 
 
+def _random_monomial_ideals(count, seed):
+    """Seeded generator lists: 1 to 8 exponent 4-tuples in 0..4, with repeats
+    and generators free of x0..x2, then the empty list and the unit ideal."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        gens = [tuple(rng.randint(0, 4) for _ in range(4)) for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), (0, 0, 0, rng.randint(0, 4)))
+        yield gens
+    yield []
+    yield [(0, 0, 0, 0)]
+
+
+def test_standard_monomials_match_brute_force_on_random_ideals():
+    ideals_seen = 0
+    for lead_x in _random_monomial_ideals(400, seed=22):
+        ideals_seen += 1
+        for d in range(9):
+            got = standard_monomials(lead_x, d)
+            assert len(got) == len(set(got)), (lead_x, d)
+            assert sorted(got) == sorted(brute_standard_monomials(lead_x, d)), (lead_x, d)
+    assert ideals_seen == 402
+
+
 def test_standard_monomials_against_brute_force(points):
     for fp in points[::25]:
         for d in (4, 5, 6):
