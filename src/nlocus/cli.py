@@ -114,11 +114,11 @@ def cmd_degree(args):
     if args.d < 4:
         _usage_error("--d must be at least 4")
     cfg = _build_config(args)
-    started = time.time()
+    started = time.perf_counter()
     points = fx.load_or_enumerate(cfg.cache_path)
     spec = loc.admissible_spec(points, cfg.weight_spec)
     result = loc.degree_nl(args.d, spec, points, workers=cfg.workers)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if cfg.output_format == "json":
         doc = result.to_json()
         doc["elapsed"] = round(elapsed, 3)
@@ -141,14 +141,14 @@ def cmd_formula(args):
             f" polynomial has degree {INTERPOLATION_DEGREE_BOUND}); increase --dmax"
         )
     cfg = _build_config(args)
-    started = time.time()
+    started = time.perf_counter()
     points = fx.load_or_enumerate(cfg.cache_path)
     spec = loc.admissible_spec(points, cfg.weight_spec)
     results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=cfg.workers)
     fitted = interpolate([(r.d, r.degree) for r in results])
     target = closed_form()
     report = compare(fitted, target)
-    elapsed = time.time() - started
+    elapsed = time.perf_counter() - started
     if cfg.output_format == "json":
         print(
             json.dumps(

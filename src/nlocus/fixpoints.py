@@ -24,19 +24,17 @@ flat limit, which is spanned by that cubic and the 7 cubics
 p*{l1, l2}*{x0..x3} (`e1_points`).  No linear algebra and no Groebner basis
 is computed on this path; `nlocus.checks` recomputes every limit by
 Buchberger saturation.
-
-The JSON cache stores each quartic monomial, tangent character and pencil
-character as a row of 4 integers.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import math
 import os
+import zlib
 from collections import Counter
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
@@ -45,6 +43,8 @@ from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
 SCHEMA_VERSION = 3
+# (size, zlib.crc32) of cache_bytes(enumerate_all()), the one file load_cache reads
+CACHE_FINGERPRINT = (240_168, 0x623F5966)
 
 QUADRICS = [m[:4] for m in monomials_of_degree(2)]
 LINEARS = [m[:4] for m in monomials_of_degree(1)]
@@ -52,18 +52,6 @@ LINEARS = [m[:4] for m in monomials_of_degree(1)]
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
 CENSUS = (21, 180, 324)  # fixed points per stratum
-DIRECTIONS = 9  # directions in one fiber over Z or W: 16 tangent less 7 base characters
-
-# the provenance of a point of each stratum, as (name, bound) per entry:
-# a G2 point is one of the C(10, 2) pencils of quadric monomials, a G2E1
-# point a direction over one of the pencils that are not G2 points (the
-# ZPoints), and an E2 point a direction over one of the WPoints
-_PAIRS = math.comb(len(QUADRICS), 2)
-PROVENANCE = {
-    G2: (("pair", _PAIRS),),
-    G2E1: (("z", _PAIRS - CENSUS[0]), ("direction", DIRECTIONS)),
-    E2: (("w", CENSUS[2] // DIRECTIONS), ("direction", DIRECTIONS)),
-}
 
 
 class StructuralError(RuntimeError):
@@ -401,7 +389,7 @@ def euler_characteristic_oracle():
 
 
 def point_to_json(fp):
-    """The cache record of a fixed point; `json` writes its tuples as lists."""
+    """The cache record of a fixed point: every monomial a list of 4 integers."""
     return {
         "tag": fp.tag,
         "tangent": fp.tangent,
@@ -411,65 +399,12 @@ def point_to_json(fp):
     }
 
 
-_RECORD_KEYS = ("tag", "tangent", "quartics", "pencil", "provenance")
-
-
-def _int_rows(value, width, key):
-    """value as a list of integer lists of the given width, or ValueError naming key."""
-    if not isinstance(value, list) or not all(
-        isinstance(row, list)
-        and len(row) == width
-        and all(type(v) is int for v in row)
-        for row in value
-    ):
-        raise ValueError(f"{key!r} is not a list of {width}-integer lists")
-    return value
-
-
 def point_from_json(data):
-    """The FixedPoint of a cache record; ValueError when the record is malformed.
-
-    Only the shape is checked here (keys, types, a tag among `STRATA`, row
-    widths, non-negative quartic exponents, exactly 2 pencil rows, and a
-    provenance of the tag's length and range, `PROVENANCE`); the tangent
-    rows are sorted but not counted.  Ranks, the 16
-    tangent characters and the census are judged by `nlocus verify`
-    (`checks.rank_invariants` and `checks.euler_census`).
-    """
-    if not isinstance(data, dict):
-        raise ValueError("not a JSON object")
-    missing = [key for key in _RECORD_KEYS if key not in data]
-    if missing:
-        raise ValueError(f"missing {', '.join(map(repr, missing))}")
-    if not isinstance(data["tag"], str):
-        raise ValueError("'tag' is not a string")
-    if data["tag"] not in STRATA:
-        raise ValueError(f"'tag' {data['tag']!r} is not one of {', '.join(STRATA)}")
-    quartics = _int_rows(data["quartics"], 4, "quartics")
-    if any(v < 0 for row in quartics for v in row):
-        raise ValueError("'quartics' has a negative exponent")
-    provenance = data["provenance"]
-    if not isinstance(provenance, list) or not all(type(v) is int for v in provenance):
-        raise ValueError("'provenance' is not a list of integers")
-    shape = PROVENANCE[data["tag"]]
-    if len(provenance) != len(shape) or not all(
-        0 <= v < bound for v, (_, bound) in zip(provenance, shape)
-    ):
-        expected = ", ".join(f"0 <= {name} < {bound}" for name, bound in shape)
-        raise ValueError(
-            f"'provenance' {provenance} does not fit tag {data['tag']!r}: expected"
-            f" [{', '.join(name for name, _ in shape)}] with {expected}"
-        )
-    tangent = _int_rows(data["tangent"], 4, "tangent")
-    pencil = _int_rows(data["pencil"], 4, "pencil")
-    if len(pencil) != 2:
-        raise ValueError(f"'pencil' has {len(pencil)} rows, not 2")
+    """The FixedPoint of a cache record that `point_to_json` wrote."""
     return FixedPoint(
-        tag=data["tag"],
-        tangent=tuple(sorted(tuple(c) for c in tangent)),
-        quartics=tuple(tuple(m) for m in quartics),
-        pencil_chars=tuple(tuple(c) for c in pencil),
-        provenance=tuple(provenance),
+        data["tag"],
+        *(tuple(map(tuple, data[key])) for key in ("tangent", "quartics", "pencil")),
+        tuple(data["provenance"]),
     )
 
 
@@ -503,63 +438,68 @@ def save_cache(points, path):
 def load_cache(path):
     """Points from a cache file, or None when absent or of another schema version.
 
-    Any other malformed file raises ValueError naming the path, and the
-    record index when one record is at fault.  No two records may share a
-    tag and provenance, and the 'counts' header that `save_cache` writes
-    must equal the stratum counts of the records.  A record whose tag and
-    provenance fit but whose data belong to another point still loads; the
-    cascade itself is the only judge of that.
+    A schema-3 file loads, its records unchecked, only when its size and
+    `zlib.crc32` equal `CACHE_FINGERPRINT`.  CRC-32 guards against stale,
+    hand-edited and buggy files, not crafted ones.  Any other schema-3 file,
+    and a file that is unreadable or not a JSON object with an integer
+    'schema', is a ValueError naming the path.
     """
-    path = Path(path)
-    if not path.exists():
-        return None
+    where = f"fixed-point cache {path}"
     try:
-        doc = json.loads(path.read_text())
+        data = Path(path).read_bytes()
+        doc = json.loads(data)
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError) as exc:
-        raise ValueError(f"fixed-point cache {path} is unreadable: {exc}") from None
+        raise ValueError(f"{where} is unreadable: {exc}") from None
+    if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
+        return [point_from_json(record) for record in doc["points"]]
     if not isinstance(doc, dict) or type(doc.get("schema")) is not int:
-        raise ValueError(
-            f"fixed-point cache {path} is not a JSON object with an integer 'schema'"
-        )
+        raise ValueError(f"{where} is not a JSON object with an integer 'schema'")
     if doc["schema"] != SCHEMA_VERSION:
         return None
-    records = doc.get("points")
-    if not isinstance(records, list):
-        raise ValueError(f"fixed-point cache {path} has no list of 'points'")
-    points, first = [], {tag: {} for tag in STRATA}  # record index by tag, provenance
-    for index, record in enumerate(records):
-        try:
-            point = point_from_json(record)
-        except ValueError as exc:
-            raise ValueError(
-                f"fixed-point cache {path}, record {index}: {exc}"
-            ) from None
-        earlier = first[point.tag].setdefault(point.provenance, index)
-        if earlier != index:
-            raise ValueError(
-                f"fixed-point cache {path}, record {index}: {point.tag} point"
-                f" {list(point.provenance)} repeats record {earlier}"
+    raise _mismatch(where, doc)
+
+
+def _cascade_document():
+    """The document of `cache_bytes(enumerate_all())`, as `json` reads it back."""
+    return json.loads(cache_bytes(enumerate_all()))
+
+
+def _first_key(got, want):
+    """The first key, in sorted order, where got ({} unless a dict) and want differ."""
+    got = got if isinstance(got, dict) else {}
+    for key in sorted(got.keys() | want.keys()):
+        if key not in got or key not in want or got[key] != want[key]:
+            return key
+    return None
+
+
+def _mismatch(where, doc):
+    """The ValueError for a schema-3 document other than the cascade's: it names
+    the first header key, or else the first record, that differs, that record's
+    first differing key and the cascade's point at its index."""
+    expected = _cascade_document()
+    records, cascade = doc.get("points"), expected["points"]
+    header = dict(doc, points=cascade) if isinstance(records, list) else doc
+    key = _first_key(header, expected)
+    if key is not None:
+        return ValueError(f"{where}: header {key!r} differs from the cascade's")
+    for index, (got, want) in enumerate(zip_longest(records, cascade, fillvalue={})):
+        key = _first_key(got, want)
+        if key is not None:
+            point = f"{want['tag']}{tuple(want['provenance'])}" if want else "(none)"
+            return ValueError(
+                f"{where}, record {index}: {key!r} differs from the cascade's {point}"
             )
-        points.append(point)
-    header, counts = doc.get("counts"), dict(zip(STRATA, stratum_counts(points)))
-    if header != counts:
-        raise ValueError(
-            f"fixed-point cache {path}: 'counts' header {header!r}"
-            f" != {counts}, the counts of its records"
-        )
-    return points
+    return ValueError(f"{where}: its values are the cascade's, its bytes are not")
 
 
-def load_or_enumerate(path=None):
-    """Cached fixed points when fresh, otherwise enumerate (and cache).
-
-    A malformed cache file raises ValueError (see load_cache) and is left as is.
-    """
-    if path is not None:
-        cached = load_cache(path)
-        if cached is not None:
-            return cached
-    points = enumerate_all()
-    if path is not None:
+def load_or_enumerate(path):
+    """The points of the cache file, or else enumerated and written to it; a
+    file that load_cache rejects raises its ValueError and is left as is."""
+    points = load_cache(path)
+    if points is None:
+        points = enumerate_all()
         save_cache(points, path)
     return points

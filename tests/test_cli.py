@@ -1,8 +1,11 @@
+import functools
 import importlib
+import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -57,6 +60,18 @@ def test_degree_json_format(capsys, cache_path):
     assert doc["d"] == 5
     assert doc["fixpointCount"] == 525
     assert "elapsed" in doc
+
+
+def test_elapsed_is_not_negative_when_the_clock_steps_back(
+    monkeypatch, capsys, cache_path
+):
+    # time.time follows the system clock, which can be set backwards
+    stepping_back = itertools.count(2e9, -3600.0)
+    monkeypatch.setattr(time, "time", functools.partial(next, stepping_back))
+    argv = ("degree", "--d", "4", "--cache", str(cache_path), "--format", "json")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert json.loads(out)["elapsed"] >= 0
 
 
 def test_degree_below_range_is_usage_error(capsys, cache_path):
@@ -129,15 +144,39 @@ def test_explicit_inadmissible_weights_fail_loudly(capsys, cache_path):
     assert "not admissible" in err
 
 
-@pytest.mark.parametrize("argv", [["degree", "--d", "5"], ["verify"]], ids=["degree", "verify"])
-def test_default_spec_killed_by_the_cache_is_an_error(capsys, tmp_path, points, argv):
-    # (0, 5, -1, 0) specializes to 5 - 5 = 0 under the default 0,1,5,18
-    path = tmp_path / "killed.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    record = doc["points"][0]
-    record["tangent"][0] = [0, 5, -1, 0]
+def _read_corrupted(capsys, monkeypatch, tmp_path, points, corrupt, argv):
+    """Make the CLI read the points of a corrupted cache file.
+
+    corrupt(doc) alters the cache document and returns the index of the
+    record it altered.  The file itself is a load error naming that record,
+    so `fixpoints.load_or_enumerate` is patched to return the altered points,
+    as a loader that took the file would.  Returns the path and the record.
+    """
+    doc = json.loads(fx.cache_bytes(points))
+    index = corrupt(doc)
+    path = tmp_path / "corrupted.json"
     path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, *argv, "--cache", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: fixed-point cache {path}, record {index}: ")
+    altered = [fx.point_from_json(record) for record in doc["points"]]
+    monkeypatch.setattr(fx, "load_or_enumerate", lambda path: altered)
+    return path, doc["points"][index]
+
+
+def _kill_the_default_spec(doc):
+    # (0, 5, -1, 0) specializes to 5 - 5 = 0 under the default 0,1,5,18
+    doc["points"][0]["tangent"][0] = [0, 5, -1, 0]
+    return 0
+
+
+@pytest.mark.parametrize("argv", [["degree", "--d", "5"], ["verify"]], ids=["degree", "verify"])
+def test_default_spec_killed_by_the_cache_is_an_error(
+    capsys, monkeypatch, tmp_path, points, argv
+):
+    path, record = _read_corrupted(
+        capsys, monkeypatch, tmp_path, points, _kill_the_default_spec, argv
+    )
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert code == 1
     assert out == ""
@@ -241,25 +280,31 @@ def test_verify_runs_the_eight_named_checks():
     assert [name for name, _ in checks.CHECKS] == list(VERIFY_CHECKS)
 
 
-def test_verify_detects_corrupted_cache(capsys, tmp_path, points):
-    path = tmp_path / "broken.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    # corrupt one quartic system: drop a generator
+def _drop_a_quartic(doc):
     doc["points"][0]["quartics"] = doc["points"][0]["quartics"][:-1]
-    path.write_text(json.dumps(doc))
+    return 0
+
+
+def test_verify_detects_corrupted_cache(capsys, monkeypatch, tmp_path, points):
+    path, _ = _read_corrupted(
+        capsys, monkeypatch, tmp_path, points, _drop_a_quartic, ["verify"]
+    )
     code, out, _ = run(capsys, "verify", "--cache", str(path))
     assert code == 1
     assert "FAIL rank-invariants" in out
 
 
-def test_verify_names_a_point_with_a_missing_tangent_character(capsys, tmp_path, points):
-    path = tmp_path / "short.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    record = doc["points"][300]
-    del record["tangent"][5]
-    path.write_text(json.dumps(doc))
+def _drop_a_tangent_character(doc):
+    del doc["points"][300]["tangent"][5]
+    return 300
+
+
+def test_verify_names_a_point_with_a_missing_tangent_character(
+    capsys, monkeypatch, tmp_path, points
+):
+    path, record = _read_corrupted(
+        capsys, monkeypatch, tmp_path, points, _drop_a_tangent_character, ["verify"]
+    )
     code, out, _ = run(capsys, "verify", "--cache", str(path))
     assert code == 1
     point = f"{record['tag']}{tuple(record['provenance'])}"
@@ -295,12 +340,12 @@ def test_cache_record_with_one_pencil_row_is_an_error(capsys, tmp_path, points):
 
 def _swap_g2_e2_tags(doc):
     doc["points"][0]["tag"], doc["points"][-1]["tag"] = "E2", "G2"
-    return 0
+    return 0, "tag"
 
 
 def _provenance_999(doc):
     doc["points"][150]["provenance"] = [999, 999]
-    return 150
+    return 150, "provenance"
 
 
 @pytest.mark.parametrize("corrupt", [_swap_g2_e2_tags, _provenance_999])
@@ -310,11 +355,13 @@ def test_verify_rejects_a_cache_whose_provenance_does_not_fit_its_tag(
     path = tmp_path / "provenance.json"
     fx.save_cache(points, path)
     doc = json.loads(path.read_text())
-    index = corrupt(doc)
+    index, key = corrupt(doc)
     path.write_text(json.dumps(doc))
     code, out, err = run(capsys, "verify", "--cache", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: fixed-point cache {path}, record {index}: 'provenance' ")
+    fp = points[index]
+    message = f"{path}, record {index}: {key!r} differs from the cascade's"
+    assert err == f"error: fixed-point cache {message} {fp.tag}{fp.provenance}\n"
 
 
 @pytest.mark.parametrize(

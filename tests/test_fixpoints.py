@@ -1,7 +1,11 @@
+import copy
 import dataclasses
 import hashlib
 import json
+import math
+import random
 import re
+import zlib
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -503,6 +507,18 @@ def test_load_cache_absent_file_is_none(tmp_path):
     assert fx.load_cache(tmp_path / "missing.json") is None
 
 
+@pytest.fixture(scope="module")
+def cascade_document(points):
+    return json.loads(fx.cache_bytes(points))
+
+
+@pytest.fixture
+def known_cascade(monkeypatch, cascade_document):
+    """Each load error runs the cascade to name what differs; its document is
+    a constant, so tests with many such errors hand the loader a copy made once."""
+    monkeypatch.setattr(fx, "_cascade_document", lambda: cascade_document)
+
+
 SCHEMA = f'"schema":{fx.SCHEMA_VERSION}'
 MALFORMED_CACHES = {
     "array": "[]",
@@ -538,6 +554,7 @@ MALFORMED_RECORDS = {
 }
 
 
+@pytest.mark.usefixtures("known_cascade")
 @pytest.mark.parametrize("counts", [{"G2": 1}, {"G2": 21, "G2E1": 180, "E2": 323}, None])
 def test_load_cache_checks_the_counts_header(tmp_path, points, counts):
     path = tmp_path / "cache.json"
@@ -548,12 +565,12 @@ def test_load_cache_checks_the_counts_header(tmp_path, points, counts):
     else:
         doc["counts"] = counts
     path.write_text(json.dumps(doc))
-    records = {"G2": 21, "G2E1": 180, "E2": 324}
-    message = f"{path}: 'counts' header {counts!r} != {records}"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    message = f"{path}: header 'counts' differs from the cascade's"
+    with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
         fx.load_cache(path)
 
 
+@pytest.mark.usefixtures("known_cascade")
 @pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
 def test_load_cache_names_malformed_record(tmp_path, points, case):
     field, value = MALFORMED_RECORDS[case]
@@ -570,7 +587,15 @@ def test_load_cache_names_malformed_record(tmp_path, points, case):
 
 
 def test_provenance_bounds_are_derived_and_fit_the_cascade(points):
-    bounds = {tag: tuple(bound for _, bound in shape) for tag, shape in fx.PROVENANCE.items()}
+    # a G2 point is one of the C(10, 2) pencils of quadric monomials, a G2E1
+    # point a direction over one of the other pencils (the ZPoints), an E2
+    # point a direction over a WPoint; a fiber has 16 - 7 = 9 directions
+    pairs, directions = math.comb(len(fx.QUADRICS), 2), 16 - 7
+    bounds = {
+        "G2": (pairs,),
+        "G2E1": (pairs - fx.CENSUS[0], directions),
+        "E2": (fx.CENSUS[2] // directions, directions),
+    }
     assert bounds == {"G2": (45,), "G2E1": (24, 9), "E2": (36, 9)}
     for tag in fx.STRATA:
         provenances = [fp.provenance for fp in points if fp.tag == tag]
@@ -583,12 +608,25 @@ def test_provenance_bounds_are_derived_and_fit_the_cascade(points):
         assert tuple(max(p[i] for p in provenances) + 1 for i in (0, 1)) == bounds[tag]
 
 
+def _compact(value):
+    """value as JSON text in the layout of `cache_bytes`: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":")).encode()
+
+
+def _differs(path, index, key, points):
+    """The pattern of the load error for record index differing at key."""
+    point = f"{points[index].tag}{points[index].provenance}"
+    message = f"{path}, record {index}: {key!r} differs from the cascade's {point}"
+    return f"^fixed-point cache {re.escape(message)}$"
+
+
 def _saved_doc(points, tmp_path):
     path = tmp_path / "cache.json"
     fx.save_cache(points, path)
     return path, json.loads(path.read_text())
 
 
+@pytest.mark.usefixtures("known_cascade")
 @pytest.mark.parametrize(
     "index, provenance",
     [
@@ -608,26 +646,20 @@ def test_load_cache_rejects_provenance_that_does_not_fit_its_tag(
     tmp_path, points, index, provenance
 ):
     path, doc = _saved_doc(points, tmp_path)
-    tag = doc["points"][index]["tag"]
     doc["points"][index]["provenance"] = provenance
     path.write_text(json.dumps(doc))
-    message = f"{path}, record {index}: 'provenance' {provenance} does not fit tag {tag!r}"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=_differs(path, index, "provenance", points)):
         fx.load_cache(path)
 
 
 def test_load_cache_rejects_a_g2_e2_tag_swap(tmp_path, points):
-    # the counts header still matches; the G2 provenance (pair,) does not fit E2
+    # the counts header still matches, and so does every field but the tags
     path, doc = _saved_doc(points, tmp_path)
     first, last = doc["points"][0], doc["points"][-1]
     assert (first["tag"], last["tag"]) == ("G2", "E2")
     first["tag"], last["tag"] = last["tag"], first["tag"]
     path.write_text(json.dumps(doc))
-    message = (
-        f"{path}, record 0: 'provenance' {first['provenance']} does not fit tag 'E2':"
-        " expected [w, direction] with 0 <= w < 36, 0 <= direction < 9"
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=_differs(path, 0, "tag", points)):
         fx.load_cache(path)
 
 
@@ -635,7 +667,116 @@ def test_load_cache_rejects_a_repeated_tag_and_provenance(tmp_path, points):
     path, doc = _saved_doc(points, tmp_path)
     doc["points"][31]["provenance"] = doc["points"][30]["provenance"]
     path.write_text(json.dumps(doc))
-    key = doc["points"][30]["provenance"]
-    message = f"{path}, record 31: G2E1 point {key} repeats record 30"
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=_differs(path, 31, "provenance", points)):
         fx.load_cache(path)
+
+
+def test_load_cache_rejects_an_e2_data_swap(tmp_path, points):
+    # tags, provenances and the counts header are the cascade's; the data of
+    # records 300 and 301 are each other's
+    path, doc = _saved_doc(points, tmp_path)
+    a, b = doc["points"][300], doc["points"][301]
+    assert (a["tag"], b["tag"]) == ("E2", "E2")
+    for key in ("tangent", "quartics", "pencil"):
+        a[key], b[key] = b[key], a[key]
+    path.write_bytes(_compact(doc) + b"\n")
+    message = f"{path}, record 300: 'quartics' differs from the cascade's E2(11, 0)"
+    with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
+        fx.load_cache(path)
+
+
+def test_load_cache_rejects_a_reformatted_file(tmp_path, points):
+    path, doc = _saved_doc(points, tmp_path)
+    path.write_text(json.dumps(doc, indent=1))
+    message = f"{path}: its values are the cascade's, its bytes are not"
+    with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
+        fx.load_cache(path)
+
+
+def test_cache_fingerprint_is_derived():
+    data = fx.cache_bytes(fx.enumerate_all())
+    assert (len(data), zlib.crc32(data)) == fx.CACHE_FINGERPRINT
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
+
+
+def test_a_cache_hit_enumerates_nothing(monkeypatch, points, tmp_path):
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+
+    def refuse():
+        raise AssertionError("the cascade ran on a cache hit")
+
+    monkeypatch.setattr(fx, "enumerate_all", refuse)
+    assert fx.load_cache(path) == points
+    assert fx.load_or_enumerate(path) == points
+
+
+def _corrupt_record(rng, record, other):
+    """Change one field of a cache record in place, taking foreign values from
+    another record: its tag, its provenance, a row of its tangent, quartics or
+    pencil (dropped, repeated, moved or foreign), or one integer of a row.
+    Returns the key of the field."""
+    key = rng.choice(("tag", "provenance", "tangent", "quartics", "pencil"))
+    value = record[key]
+    if key == "tag":
+        record[key] = rng.choice([*fx.STRATA, "X", 7])
+    elif key == "provenance":
+        bumped = [*value[:-1], value[-1] + rng.choice((-1, 1, 9))]
+        choices = [bumped, [*value, 0], value[:-1], [999, 999], other[key]]
+        record[key] = rng.choice(choices)
+    else:
+        rows, i, j = [list(row) for row in value], *rng.sample(range(len(value)), 2)
+        kind = rng.choice(("drop", "repeat", "move", "foreign", "integer"))
+        if kind == "drop":
+            del rows[i]
+        elif kind == "repeat":
+            rows[j] = rows[i]
+        elif kind == "move":
+            rows.insert(j, rows.pop(i))
+        elif kind == "foreign":
+            rows[i] = rng.choice(other[key])
+        else:
+            rows[i][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
+        record[key] = rows
+    return key
+
+
+@pytest.mark.usefixtures("known_cascade")
+def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_document):
+    """100 seeded one-field changes of the cascade's file, to tags,
+    provenances, rows, integers and the counts header: each is a load error
+    that names the path and the record and key, or the header key."""
+    data, doc = fx.cache_bytes(points), cascade_document
+    texts = [_compact(record) for record in doc["points"]]
+
+    def file_bytes(counts, texts):
+        header = b"" if counts is None else b'"counts":' + _compact(counts) + b","
+        return b"{" + header + b'"points":[' + b",".join(texts) + b'],"schema":3}\n'
+
+    assert file_bytes(doc["counts"], texts) == data
+    rng, path, wrong, cases = random.Random(23), tmp_path / "cache.json", [], 0
+    while cases < 100:
+        if rng.random() < 0.1:
+            tag = rng.choice(fx.STRATA)
+            others = {k: v for k, v in doc["counts"].items() if k != tag}
+            bumped = {**others, tag: doc["counts"][tag] + rng.choice((-1, 1))}
+            path.write_bytes(file_bytes(rng.choice([bumped, others, 525, None]), texts))
+            where = f"{path}: header 'counts' differs"
+        else:
+            index = rng.randrange(len(texts))
+            record = copy.deepcopy(doc["points"][index])
+            key = _corrupt_record(rng, record, rng.choice(doc["points"]))
+            if record == doc["points"][index]:
+                continue  # equal rows moved or swapped in, the same tag, ...
+            texts_now = [*texts[:index], _compact(record), *texts[index + 1 :]]
+            path.write_bytes(file_bytes(doc["counts"], texts_now))
+            where = f"{path}, record {index}: {key!r} differs"
+        cases += 1
+        try:
+            fx.load_cache(path)
+        except ValueError as exc:
+            if not str(exc).startswith(f"fixed-point cache {where}"):
+                wrong.append(f"case {cases}: {exc}")
+        else:
+            wrong.append(f"case {cases} loaded: {where}")
+    assert wrong == []
