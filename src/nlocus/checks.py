@@ -140,11 +140,25 @@ def d5_cross_check(points, spec, workers):
     return degree
 
 
+def _alternate_spec(spec):
+    """FALLBACK_WEIGHTS, or DEFAULT_WEIGHTS when spec is a*FALLBACK_WEIGHTS + c.
+
+    Every Bott summand is unchanged when the weights w become a*w + c with
+    a != 0: the shift by c (see `localization`) and the scaling by a, since
+    each summand has degree 0 in the weights.  Such a spec is exactly one
+    whose difference vector (w1 - w0, w2 - w0, w3 - w0) is parallel to
+    FALLBACK_WEIGHTS' own, and comparing the two would check nothing.
+    """
+    u, v = ([w - s.values[0] for w in s.values[1:]] for s in (spec, FALLBACK_WEIGHTS))
+    pairs = itertools.combinations(range(3), 2)
+    parallel = all(u[i] * v[j] == u[j] * v[i] for i, j in pairs)
+    return DEFAULT_WEIGHTS if parallel else FALLBACK_WEIGHTS
+
+
 def spec_independence(points, spec, workers):
-    """The degrees for d = 4..6 are the same under a second admissible spec."""
-    alternate = loc.admissible_spec(
-        points, FALLBACK_WEIGHTS if spec != FALLBACK_WEIGHTS else DEFAULT_WEIGHTS
-    )
+    """The degrees for d = 4..6 are the same under a second admissible spec,
+    one that is not an affine image of spec (`_alternate_spec`)."""
+    alternate = loc.admissible_spec(points, _alternate_spec(spec))
     ours = loc.degree_range(4, 6, spec, points, workers)
     theirs = loc.degree_range(4, 6, alternate, points, workers)
     for a, b in zip(ours, theirs):

@@ -21,9 +21,12 @@ Deform q = p*l_q in the pencil <p*l1, p*l2> along a direction x^e to
 q + t*m', m' = q*x^e.  With the other generator p*l_o, the syzygy
 l_q*(p*l_o) - l_o*(q + t*m') = -t*l_o*m' puts l_o*m' = p*l1*l2*x^e in the
 flat limit, which is spanned by that cubic and the 7 cubics
-p*{l1, l2}*{x0..x3} (`e1_points`).  No linear algebra and no Groebner basis
-is computed on this path; `nlocus.checks` recomputes every limit by
-Buchberger saturation.
+p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
+lies on the second centre and gives a WPoint; one whose cubics have no
+common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
+computed on this path is the 4t check of each fixed point's quartics in
+`enumerate_all`.  No linear algebra and no Groebner basis is computed on
+this path; `nlocus.checks` recomputes every limit by Buchberger saturation.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from itertools import zip_longest
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
-from .ideals import cells_hilbert_polynomial, hilbert_polynomial, staircase_cells
+from .ideals import cells_hilbert_polynomial, staircase_cells
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -243,44 +246,51 @@ def e1_points(z):
 _HILB_4T = UnivariateRationalPoly([0, 4])  # Hilbert polynomial of an elliptic quartic
 
 
-def classify_e1(record, z, pair, z_index):
-    """Sort an E1 record into a G2E1 fixed point or a WPoint.
+def classify_e1(record, z, z_index):
+    """Sort an E1 record into a G2E1 fixed point or a WPoint by its common plane.
 
-    The limit cubic system either cuts out a curve with the elliptic-quartic
-    Hilbert polynomial (then its product with the linear forms is the
-    19-dimensional quartic system) or is a plane times an 8-dimensional
-    system of quadrics through a doublet.
+    The second blow-up centre is the locus of cubic systems plane *
+    (quadrics through a doublet), so a limit whose cubics share a plane is a
+    WPoint over Z point z_index, and one whose cubics have no common factor
+    is a G2E1 point, whose quartic system is the cubics times the linear
+    forms.  Those quartics span the degree-4 part of the cubics' ideal, so
+    `enumerate_all`'s 4t Hilbert check on the point also certifies the
+    limit; a system with a common plane is never 4t.  Any other common
+    factor is a StructuralError.
     """
-    if hilbert_polynomial(record.limit_cubics) == _HILB_4T:
+    plane = functools.reduce(monomial_gcd, record.limit_cubics)
+    if not any(plane):
+        provenance = (z_index, record.direction_index)
         quartics = _sort_monos(_products(record.limit_cubics, LINEARS))
         if len(quartics) != 19:
             raise StructuralError(
-                f"G2E1 quartic system has rank {len(quartics)}, expected 19"
+                f"G2E1{provenance} quartic system has rank {len(quartics)}, expected 19"
             )
         return FixedPoint(
             tag=G2E1,
             tangent=_sorted_chars(record.tangent),
             quartics=quartics,
-            pencil_chars=(pair.q1, pair.q2),
-            provenance=(z_index, record.direction_index),
+            pencil_chars=(char_add(z.plane, z.l1), char_add(z.plane, z.l2)),
+            provenance=provenance,
         )
 
-    plane = record.limit_cubics[0]
-    for c in record.limit_cubics[1:]:
-        plane = monomial_gcd(plane, c)
+    where = f"E1 limit ({z_index}, {record.direction_index}), direction {record.direction}"
     if sum(plane) != 1:
-        raise StructuralError("degenerate cubic system has no common plane")
+        raise StructuralError(
+            f"{where}: the limit cubics share {render_monomial(plane)},"
+            f" of degree {sum(plane)}, not a plane"
+        )
     if plane != z.plane:
-        raise StructuralError("common factor of the limit cubics is not the Z plane")
+        raise StructuralError(f"{where}: common plane of the limit cubics is not the Z plane")
     if not z.is_y_incident():
-        raise StructuralError("degenerate limit over a ZPoint outside Y")
+        raise StructuralError(f"{where}: degenerate limit over a ZPoint outside Y")
     line = z.l2 if z.l1 == z.plane else z.l1
     i_plane, i_line = plane.index(1), line.index(1)
     doublet_ambient = [q for q in QUADRICS if q[i_plane] == 0 and q[i_line] == 0]
     quadrics = [char_sub(c, plane) for c in record.limit_cubics]
     survivors = [q for q in quadrics if q in doublet_ambient]
     if len(survivors) != 1:
-        raise StructuralError(f"doublet is not unique: {survivors}")
+        raise StructuralError(f"{where}: doublet is not unique: {survivors}")
     doublet = survivors[0]
     tangent_w = (
         grass_tangent([plane], LINEARS)
@@ -288,9 +298,9 @@ def classify_e1(record, z, pair, z_index):
         + grass_tangent([doublet], doublet_ambient)
     )
     if tangent_w.total() != 7:
-        raise StructuralError(f"W tangent size {tangent_w.total()} != 7")
+        raise StructuralError(f"{where}: W tangent size {tangent_w.total()} != 7")
     if not tangent_w <= record.tangent:
-        raise StructuralError("W tangent is not contained in the E1 tangent")
+        raise StructuralError(f"{where}: W tangent is not contained in the E1 tangent")
     normal = record.tangent - tangent_w
     return WPoint(
         plane=plane,
@@ -346,13 +356,11 @@ def enumerate_all():
     polynomial 4t, read off the point's `cells`, which the points keep for
     the Bott sums.
     """
-    pairs = enumerate_pairs()
-    g2, zs = split_strata(pairs)
+    g2, zs = split_strata(enumerate_pairs())
     g2e1, ws = [], []
     for z_index, z in enumerate(zs):
-        pair = pairs[z.pair_index]
         for record in e1_points(z):
-            classified = classify_e1(record, z, pair, z_index)
+            classified = classify_e1(record, z, z_index)
             if isinstance(classified, FixedPoint):
                 g2e1.append(classified)
             else:

@@ -276,8 +276,8 @@ def _cell_term(f, lower, bound):
     return tuple(term)
 
 
-# _cell_term by (free count, lower, bound), kept across calls: the 741
-# cascade systems need 70 entries
+# _cell_term by (free count, lower, bound), kept across calls: the 525
+# quartic systems of the cascade need 52 entries
 _CELL_TERMS = {}
 
 

@@ -122,7 +122,7 @@ def _common_denominator(points, spec):
     return common, dens, [common // den for den in dens]
 
 
-def _sum_chunk(args):
+def _sum_chunk(points, ds, spec):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
     The points share one Kronecker pass per d (`torus.shared_products`).  The
@@ -137,7 +137,6 @@ def _sum_chunk(args):
     The numerators are taken under spec shifted to a zero minimum (see the
     module docstring); the denominators are equal under either spec.
     """
-    points, ds, spec = args
     common, _, scales = _common_denominator(points, spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
@@ -206,7 +205,7 @@ def _fork_sum(points, ds, spec):
     try:
         os.close(read)
         try:
-            result = _sum_chunk((points, ds, spec))
+            result = _sum_chunk(points, ds, spec)
         except Exception as exc:  # noqa: BLE001 - raised again in the parent
             result = exc
         with open(write, "wb") as pipe:
@@ -228,7 +227,7 @@ def _localize(points, ds, spec, workers):
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
     if workers <= 1 or len(points) < 2 * workers:
-        return _sum_chunk((points, ds, spec))
+        return _sum_chunk(points, ds, spec)
     import pickle
 
     chunk = (len(points) + workers - 1) // workers
@@ -237,7 +236,7 @@ def _localize(points, ds, spec, workers):
         for start in range(chunk, len(points), chunk):
             stop = min(start + chunk, len(points))
             children.append((start, stop, *_fork_sum(points[start:stop], ds, spec)))
-        totals = _sum_chunk((points[:chunk], ds, spec))
+        totals = _sum_chunk(points[:chunk], ds, spec)
     finally:
         parts = [(start, stop, *_reap(pid, read)) for start, stop, pid, read in children]
     for start, stop, data, code in parts:

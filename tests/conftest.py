@@ -19,10 +19,9 @@ def cascade():
     records = []
     g2e1, ws = [], []
     for zi, z in enumerate(zs):
-        pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
             records.append((zi, record))
-            out = fx.classify_e1(record, z, pair, zi)
+            out = fx.classify_e1(record, z, zi)
             if isinstance(out, fx.FixedPoint):
                 g2e1.append(out)
             else:

@@ -20,6 +20,7 @@ from nlocus.formula import (
     inner_polynomial,
     interpolate,
 )
+from nlocus.torus import WeightSpec
 
 
 def report(n, text):
@@ -139,6 +140,32 @@ def test_criterion_8_algebra_kernel(points, weights):
         "kbase=20 at d=5; saturation gives the closed-form E1 limit on all 252"
         " presentations; elem_sym exact",
     )
+
+
+@pytest.mark.parametrize(
+    "values, alternate",
+    [
+        ((1, 2, 8, 24), (0, 1, 5, 18)),  # (0, 1, 7, 23) + 1
+        ((0, 2, 14, 46), (0, 1, 5, 18)),  # 2 * (0, 1, 7, 23)
+        ((-1, 1, 13, 45), (0, 1, 5, 18)),  # 2 * (0, 1, 7, 23) - 1
+        ((0, 1, 5, 18), (0, 1, 7, 23)),
+    ],
+)
+def test_spec_independence_never_compares_an_affine_image(
+    monkeypatch, points, values, alternate
+):
+    # a*w + c (a != 0) leaves every Bott summand as it is, so a spec must be
+    # compared with a spec outside its affine class
+    compared = []
+    real = loc.degree_range
+
+    def recording(dmin, dmax, spec, some, workers=1):
+        compared.append(spec.values)
+        return real(dmin, dmax, spec, some, workers)
+
+    monkeypatch.setattr(loc, "degree_range", recording)
+    assert checks.spec_independence(points, WeightSpec(values), 1)[0] == 38475
+    assert compared == [values, alternate]
 
 
 def test_spec_independence_fails_on_inadmissible_alternate(points, weights):

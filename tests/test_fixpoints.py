@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -14,15 +15,15 @@ import pytest
 
 from nlocus import checks
 from nlocus import fixpoints as fx
-from nlocus import gbcore
+from nlocus import gbcore, ideals
 from nlocus.ideals import (
     cells_hilbert_polynomial,
     hilbert_polynomial,
     staircase_cells,
     standard_monomials,
 )
-from nlocus.poly import Polynomial, monomials_of_degree, parse, render
-from nlocus.torus import char_sub
+from nlocus.poly import Polynomial, monomial_gcd, monomials_of_degree, parse, render
+from nlocus.torus import char_add, char_sub
 
 # sha256 of cache_bytes(enumerate_all()) in schema 3; its points equal those
 # of the schema-2 file (tangent rows with multiplicities, expanded and sorted)
@@ -381,11 +382,10 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
     def refuse_polynomial(self, *args, **kwargs):
         raise AssertionError("Polynomial built on the fixed-point path")
 
-    hilbert_calls = Counter()
+    def refuse_hilbert(lead_x):
+        raise AssertionError("hilbert_polynomial called on the fixed-point path")
 
-    def counted_hilbert(lead_x):
-        hilbert_calls["exponents"] += 1
-        return hilbert_polynomial(lead_x)
+    hilbert_calls = Counter()
 
     def counted_cells_hilbert(cells):
         hilbert_calls["cells"] += 1
@@ -393,15 +393,75 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
 
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse_polynomial)
-    monkeypatch.setattr(fx, "hilbert_polynomial", counted_hilbert)
+    monkeypatch.setattr(ideals, "hilbert_polynomial", refuse_hilbert)
     monkeypatch.setattr(fx, "cells_hilbert_polynomial", counted_cells_hilbert)
     points = fx.enumerate_all()
-    # one 4t check per E1 limit cubic system (216) and per fixed point (525),
-    # the latter read off the cells the point keeps
-    assert hilbert_calls == {"exponents": 216, "cells": 525}
-    assert hilbert_calls.total() == 741
+    # one 4t check per fixed point, read off the cells the point keeps; the
+    # E1 limits are classified by their common plane, with no Hilbert
+    # polynomial of their own
+    assert not hasattr(fx, "hilbert_polynomial")
+    assert hilbert_calls == {"cells": 525}
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
+
+
+def _common_factor(monos):
+    return functools.reduce(monomial_gcd, monos)
+
+
+def test_common_plane_is_trivial_exactly_when_the_cubics_are_4t(cascade):
+    degrees = Counter()
+    for zi, record in cascade.records:
+        plane = _common_factor(record.limit_cubics)
+        is_4t = hilbert_polynomial(record.limit_cubics).coefficients == (0, 4)
+        assert (not any(plane)) == is_4t, (zi, record.direction_index)
+        degrees[sum(plane)] += 1
+    assert degrees == {0: 180, 1: 36}
+
+
+# 7 cubics with no common factor whose products with the linear forms are
+# 19 quartics, like a G2E1 limit's, but whose Hilbert polynomial is 3d + 4
+NOT_4T_CUBICS = tuple(
+    mono(m) for m in ("x0^3", "x0^2*x1", "x0*x1^2", "x1^3", "x0^2*x2", "x0*x1*x2", "x1^2*x2")
+)
+
+
+def test_a_g2e1_limit_that_is_not_4t_fails_naming_its_point(monkeypatch, cascade):
+    assert not any(_common_factor(NOT_4T_CUBICS))
+    assert len({char_add(c, x) for c in NOT_4T_CUBICS for x in fx.LINEARS}) == 19
+    assert str(hilbert_polynomial(NOT_4T_CUBICS)) == "3*d+4"
+    zi, direction = cascade.g2e1[57].provenance
+    real = fx.e1_points
+
+    def mutated(z):
+        records = real(z)
+        if z == cascade.zs[zi]:
+            records[direction] = dataclasses.replace(
+                records[direction], limit_cubics=NOT_4T_CUBICS
+            )
+        return records
+
+    monkeypatch.setattr(fx, "e1_points", mutated)
+    message = f"fixed point G2E1{(zi, direction)} fails the 4t Hilbert check"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.enumerate_all()
+
+
+@pytest.mark.parametrize(
+    "factor, cubics",
+    [("x0^2", ("x0^3", "x0^2*x1", "x0^2*x2", "x0^2*x3")), ("x1^2*x2", ("x1^2*x2",))],
+)
+def test_limit_cubics_with_a_common_factor_of_degree_2_or_more_fail(
+    cascade, factor, cubics
+):
+    zi, record = cascade.records[100]
+    degenerate = dataclasses.replace(record, limit_cubics=tuple(map(mono, cubics)))
+    message = (
+        f"E1 limit ({zi}, {record.direction_index}), direction {record.direction}:"
+        f" the limit cubics share {factor}, of degree {sum(mono(factor))}, not a plane"
+    )
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.classify_e1(degenerate, cascade.zs[zi], zi)
 
 
 def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):

@@ -63,7 +63,7 @@ def test_contribution_numerator_against_subset_oracle(points, weights, unshared_
         brute += term
     summand = Fraction(brute, math.prod(loc._tangent_values(fp, weights)))
     assert unshared_sum(5, weights, False, [fp]) == summand
-    assert loc._sum_chunk(([fp], [5], weights))[5] == summand
+    assert loc._sum_chunk([fp], [5], weights)[5] == summand
 
 
 def test_tangent_denominator_paper_factors(points, weights):
@@ -99,7 +99,7 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
 
 def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
-    loc._sum_chunk(([fp], [7], weights))  # the true cell list passes the rank check
+    loc._sum_chunk([fp], [7], weights)  # the true cell list passes the rank check
     cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
@@ -206,7 +206,7 @@ def test_an_error_in_the_callers_slice_leaves_no_child(points, weights):
 
 @pytest.mark.parametrize(
     "status, child_sum",
-    [(3, lambda args: os._exit(3)), (1, lambda args: {5: lambda: 0})],
+    [(3, lambda *args: os._exit(3)), (1, lambda *args: {5: lambda: 0})],
     ids=["killed", "unpicklable"],
 )
 def test_a_worker_without_a_result_is_a_structural_error(
@@ -215,7 +215,7 @@ def test_a_worker_without_a_result_is_a_structural_error(
     parent = os.getpid()
     real = loc._sum_chunk
     monkeypatch.setattr(
-        loc, "_sum_chunk", lambda a: real(a) if os.getpid() == parent else child_sum(a)
+        loc, "_sum_chunk", lambda *a: real(*a) if os.getpid() == parent else child_sum(*a)
     )
     message = f"Bott-sum worker for points 263:525: exit status {status}, no result"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
