@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import checks
@@ -32,94 +31,35 @@ from .formula import (
 )
 from .torus import DEFAULT_WEIGHTS, WeightSpec
 
-CACHE_ENV = "NLOCUS_CACHE"
-DEFAULT_CACHE = "fixpoints.json"
-CONFIG_KEYS = ("cache", "format", "threads", "weights")
-
 
 def _usage_error(message):
     print(f"usage error: {message}", file=sys.stderr)
     raise SystemExit(2)
 
 
-@dataclass(frozen=True)
-class Config:
-    weight_spec: WeightSpec
-    workers: int
-    cache_path: Path
-    output_format: str
-
-
-def _load_config_file(path):
+def _check_flags(args):
+    """Turn --weights into a WeightSpec and --cache into a Path; a bad flag is
+    a usage error naming it."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        _usage_error(f"cannot read config file {path}: {exc}")
-    if not isinstance(doc, dict):
-        _usage_error(f"config file {path} must hold a JSON object")
-    for key in doc:
-        if key not in CONFIG_KEYS:
-            _usage_error(
-                f"bad config key {key!r} in {path}: expected one of {', '.join(CONFIG_KEYS)}"
-            )
-    return doc
-
-
-def _weight_spec(value):
-    """The WeightSpec of a `a,b,c,d` string or a config list of integers."""
-    items = value.split(",") if isinstance(value, str) else value
-    if not isinstance(items, list) or not all(
-        isinstance(v, str) or type(v) is int for v in items
-    ):
-        _usage_error(f"bad weights {value!r}: expected 'a,b,c,d' or a list of integers")
-    try:
-        return WeightSpec(tuple(int(v) for v in items))
+        args.weights = WeightSpec(tuple(int(v) for v in args.weights.split(",")))
     except ValueError as exc:
         _usage_error(f"bad weights: {exc}")
-
-
-_ABSENT = object()
-
-
-def _build_config(args):
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def given(key, default=_ABSENT):
-        """The value of key on the command line, else in the config file."""
-        value = getattr(args, key)
-        return value if value is not None else file_cfg.get(key, default)
-
-    weights = given("weights")
-    spec = DEFAULT_WEIGHTS if weights is _ABSENT else _weight_spec(weights)
-    workers = given("threads", 1)
-    if type(workers) is not int or workers < 1:
-        _usage_error(f"bad threads {workers!r}: expected an integer >= 1")
-    cache = given("cache")
-    if cache is _ABSENT:
-        cache = os.environ.get(CACHE_ENV) or DEFAULT_CACHE
-    if not isinstance(cache, str) or not cache:
-        _usage_error(f"bad cache {cache!r}: expected a non-empty path string")
-    fmt = given("format", "text")
-    if fmt not in ("text", "json"):
-        _usage_error(f"bad output format {fmt!r}")
-    return Config(
-        weight_spec=spec,
-        workers=workers,
-        cache_path=Path(cache),
-        output_format=fmt,
-    )
+    if args.threads < 1:
+        _usage_error(f"bad threads {args.threads!r}: expected an integer >= 1")
+    if not args.cache:
+        _usage_error(f"bad cache {args.cache!r}: expected a non-empty path string")
+    args.cache = Path(args.cache)
 
 
 def cmd_degree(args):
     if args.d < 4:
         _usage_error("--d must be at least 4")
-    cfg = _build_config(args)
     started = time.perf_counter()
-    points = fx.load_or_enumerate(cfg.cache_path)
-    spec = loc.admissible_spec(points, cfg.weight_spec)
-    result = loc.degree_nl(args.d, spec, points, workers=cfg.workers)
+    points = fx.load_or_enumerate(args.cache)
+    spec = loc.admissible_spec(points, args.weights)
+    result = loc.degree_nl(args.d, spec, points, workers=args.threads)
     elapsed = time.perf_counter() - started
-    if cfg.output_format == "json":
+    if args.format == "json":
         doc = result.to_json()
         doc["elapsed"] = round(elapsed, 3)
         print(json.dumps(doc, sort_keys=True))
@@ -140,16 +80,15 @@ def cmd_formula(args):
             f"need at least {INTERPOLATION_DEGREE_BOUND + 1} nodes (the degree"
             f" polynomial has degree {INTERPOLATION_DEGREE_BOUND}); increase --dmax"
         )
-    cfg = _build_config(args)
     started = time.perf_counter()
-    points = fx.load_or_enumerate(cfg.cache_path)
-    spec = loc.admissible_spec(points, cfg.weight_spec)
-    results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=cfg.workers)
+    points = fx.load_or_enumerate(args.cache)
+    spec = loc.admissible_spec(points, args.weights)
+    results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=args.threads)
     fitted = interpolate([(r.d, r.degree) for r in results])
     target = closed_form()
     report = compare(fitted, target)
     elapsed = time.perf_counter() - started
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {
@@ -190,28 +129,26 @@ def _divisor_text():
 
 
 def cmd_fixpoints(args):
-    cfg = _build_config(args)
     points = fx.enumerate_all()
-    fx.save_cache(points, cfg.cache_path)
+    fx.save_cache(points, args.cache)
     counts = fx.stratum_counts(points)
-    if cfg.output_format == "json":
+    if args.format == "json":
         print(json.dumps([fx.point_to_json(p) for p in points], sort_keys=True))
     else:
         print(
             f"G2={counts[0]} G2E1={counts[1]} E2={counts[2]} total={sum(counts)}"
         )
-        print(f"cache written to {cfg.cache_path}")
+        print(f"cache written to {args.cache}")
     return 0
 
 
 def cmd_verify(args):
-    cfg = _build_config(args)
-    points = fx.load_or_enumerate(cfg.cache_path)
-    spec = loc.admissible_spec(points, cfg.weight_spec)
+    points = fx.load_or_enumerate(args.cache)
+    spec = loc.admissible_spec(points, args.weights)
     failures = 0
     for name, check in checks.CHECKS:
         try:
-            check(points, spec, cfg.workers)
+            check(points, spec, args.threads)
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             failures += 1
             print(f"FAIL {name}: {exc}")
@@ -226,26 +163,23 @@ def main(argv=None):
     common.add_argument(
         "--weights",
         metavar="a,b,c,d",
+        default=",".join(map(str, DEFAULT_WEIGHTS.values)),
         help=(
-            "integer torus weights for x0..x3 (default 0,1,5,18); write"
+            "integer torus weights for x0..x3 (default %(default)s); write"
             " --weights=-3,0,2,11 when the first value is negative"
         ),
     )
     common.add_argument(
-        "--threads", type=int, default=None, help="worker processes for the Bott sum"
+        "--threads", type=int, default=1, help="worker processes for the Bott sum"
     )
     common.add_argument(
         "--cache",
         metavar="PATH",
-        help=f"fixed-point cache file (default ${CACHE_ENV} or {DEFAULT_CACHE})",
+        default="fixpoints.json",
+        help="fixed-point cache file (default %(default)s)",
     )
     common.add_argument(
-        "--format", choices=("text", "json"), default=None, help="output format"
-    )
-    common.add_argument(
-        "--config",
-        metavar="FILE",
-        help="JSON config file with keys weights/threads/cache/format",
+        "--format", choices=("text", "json"), default="text", help="output format"
     )
 
     parser = argparse.ArgumentParser(
@@ -281,18 +215,17 @@ def main(argv=None):
     p_verify.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
+    _check_flags(args)
     try:
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except SystemExit:
-        raise
     except BrokenPipeError:
         # the reader of stdout has gone; send the unflushed rest to devnull so
         # the interpreter's flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

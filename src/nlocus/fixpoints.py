@@ -31,6 +31,7 @@ this path; `nlocus.checks` recomputes every limit by Buchberger saturation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -430,16 +431,21 @@ def save_cache(points, path):
 
     The bytes go to a temporary file in the same directory, which then
     replaces the cache, so a reader sees the old file or the new one and a
-    writer killed midway leaves the old file as it was.
+    writer killed midway leaves the old file as it was.  A failed write is
+    an OSError naming the cache path.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         tmp.write_bytes(cache_bytes(points))
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            reason = exc.strerror or exc
+            raise OSError(f"fixed-point cache {path} cannot be written: {reason}") from exc
         raise
 
 

@@ -194,10 +194,10 @@ def _fork_sum(points, ds, spec):
     read, write = os.pipe()
     try:
         pid = os.fork()
-    except OSError:
+    except OSError as exc:
         os.close(read)
         os.close(write)
-        raise
+        raise OSError(f"cannot fork a Bott-sum worker: {exc.strerror or exc}") from exc
     if pid:
         os.close(write)
         return pid, read

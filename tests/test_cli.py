@@ -1,3 +1,4 @@
+import errno
 import functools
 import importlib
 import itertools
@@ -17,17 +18,14 @@ from nlocus import localization as loc
 from nlocus.cli import main
 from nlocus.formula import closed_form
 
-# The PASS lines the benchmark's verify-warm workload requires, in order.
-VERIFY_CHECKS = (
-    "euler-census",
-    "rank-invariants",
-    "hilbert-oracles",
-    "localization-self-test",
-    "d4-target",
-    "d5-cross-check",
-    "spec-independence",
-    "algebra-kernel",
-)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture
+def verify_checks(monkeypatch):
+    """The checks whose PASS lines the benchmark's verify-warm workload requires, in order."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("run").VERIFY_CHECKS
 
 
 @pytest.fixture(scope="module")
@@ -212,31 +210,14 @@ def test_threads_flag_matches_single(capsys, cache_path):
     assert out1.splitlines()[0] == out2.splitlines()[0]
 
 
-def test_cache_env_override(capsys, tmp_path, monkeypatch, points):
-    path = tmp_path / "env-cache.json"
-    fx.save_cache(points, path)
-    monkeypatch.setenv("NLOCUS_CACHE", str(path))
-    code, out, _ = run(capsys, "degree", "--d", "4")
-    assert code == 0
-    assert "38475" in out
-
-
-def test_config_file(capsys, tmp_path, cache_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cache": str(cache_path), "format": "json"}))
-    code, out, _ = run(capsys, "degree", "--d", "4", "--config", str(cfg))
-    assert code == 0
-    assert json.loads(out)["degree"] == "38475"
-
-
-def test_verify_passes(capsys, cache_path):
+def test_verify_passes(capsys, cache_path, verify_checks):
     code, out, _ = run(capsys, "verify", "--cache", str(cache_path))
     assert code == 0
-    expected = [f"PASS {name}" for name in VERIFY_CHECKS] + ["verify: ok"]
+    expected = [f"PASS {name}" for name in verify_checks] + ["verify: ok"]
     assert out.splitlines() == expected
 
 
-def test_verify_with_two_workers_passes(cache_path):
+def test_verify_with_two_workers_passes(cache_path, verify_checks):
     """The benchmark's verify-warm command: each Bott sum forks a worker.
 
     Under -X dev any warning, such as Python 3.12's on a fork from a process
@@ -249,7 +230,7 @@ def test_verify_with_two_workers_passes(cache_path):
         text=True,
         timeout=120,
     )
-    expected = [f"PASS {name}" for name in VERIFY_CHECKS] + ["verify: ok"]
+    expected = [f"PASS {name}" for name in verify_checks] + ["verify: ok"]
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
 
 
@@ -276,8 +257,35 @@ def test_two_workers_without_fork_is_an_error(monkeypatch, capsys, cache_path):
     assert err == "error: 2 workers need os.fork, which this platform lacks\n"
 
 
-def test_verify_runs_the_eight_named_checks():
-    assert [name for name, _ in checks.CHECKS] == list(VERIFY_CHECKS)
+@pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"], ["fixpoints"]])
+def test_a_failed_cache_write_is_an_error(monkeypatch, capsys, tmp_path, command):
+    def full(self, data):
+        with self.open("wb") as f:
+            f.write(data[:4096])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(Path, "write_bytes", full)
+    path = tmp_path / "fixpoints.json"
+    code, out, err = run(capsys, *command, "--cache", str(path))
+    assert (code, out) == (1, "")
+    reason = os.strerror(errno.ENOSPC)
+    assert err == f"error: fixed-point cache {path} cannot be written: {reason}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"]])
+def test_a_failed_fork_is_an_error(monkeypatch, capsys, cache_path, command):
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    code, out, err = run(capsys, *command, "--threads", "2", "--cache", str(cache_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot fork a Bott-sum worker: {os.strerror(errno.EAGAIN)}\n"
+
+
+def test_verify_runs_the_eight_named_checks(verify_checks):
+    assert [name for name, _ in checks.CHECKS] == list(verify_checks)
 
 
 def _drop_a_quartic(doc):
@@ -365,40 +373,30 @@ def test_verify_rejects_a_cache_whose_provenance_does_not_fit_its_tag(
 
 
 @pytest.mark.parametrize(
-    "config, argv, key",
-    [
-        ({"weights": 5}, (), "weights"),
-        ({"weights": [0, 1, 5.5, 18]}, (), "weights"),
-        ({"threads": "two"}, (), "threads"),
-        ({"threads": True}, (), "threads"),
-        ({}, ("--threads", "0"), "threads"),
-        ({"weights": None}, (), "weights"),
-        ({"cache": 5}, (), "cache"),
-        ({"cache": ""}, (), "cache"),
-        ({"cache": None}, (), "cache"),
-        ({"cache": False}, (), "cache"),
-        ({}, ("--cache", ""), "cache"),
-        ({"thread": 2}, (), "config key"),
-    ],
-    ids=[
-        "weights-int", "weights-float", "threads-str", "threads-bool", "threads-0",
-        "weights-null", "cache-int", "cache-empty", "cache-null", "cache-false",
-        "cache-flag-empty", "unknown-key",
-    ],
+    "argv, key",
+    [(("--threads", "0"), "threads"), (("--cache", ""), "cache")],
+    ids=["threads-0", "cache-flag-empty"],
 )
-def test_bad_config_value_is_usage_error(capsys, tmp_path, cache_path, config, argv, key):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"cache": str(cache_path), **config}))
+def test_bad_config_value_is_usage_error(capsys, argv, key):
     with pytest.raises(SystemExit) as err:
-        main(["degree", "--d", "4", "--config", str(cfg), *argv])
+        main(["degree", "--d", "4", *argv])
     assert err.value.code == 2
     message = capsys.readouterr().err
     assert message.startswith(f"usage error: bad {key} ")
 
 
+def test_config_flag_is_gone(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("{}")
+    with pytest.raises(SystemExit) as err:
+        main(["degree", "--d", "4", "--config", str(cfg)])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
+
+
 def test_traced_cli_targets_resolve(monkeypatch):
     """Every function the benchmark's traced mode wraps exists in the package."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     traced_cli = importlib.import_module("traced_cli")
     for module, attr, _, _ in traced_cli.TARGETS:
         assert callable(getattr(importlib.import_module(f"nlocus.{module}"), attr, None)), (
@@ -464,7 +462,7 @@ def test_closed_stdout_exits_1_without_a_traceback(cache_path):
 
 def test_benchmark_oracle_reads_a_fresh_cache(monkeypatch, capsys, cache_path):
     """The benchmark's oracle child reads the cache this package writes."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.syspath_prepend(str(PERFBENCH))
     oracle = importlib.import_module("oracle")
     assert oracle.main([str(cache_path), "0", "5", "6"]) == 0
     doc = json.loads(capsys.readouterr().out)

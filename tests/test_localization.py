@@ -164,7 +164,7 @@ def _python(code, *args):
     )
 
 
-def test_spawned_workers_match_one_worker(tmp_path, points, weights):
+def test_forked_workers_match_one_worker(tmp_path, points, weights):
     # freshly loaded points carry no cells: each forked worker derives those
     # of its own slice, and they are lost with it
     path = tmp_path / "fixpoints.json"
@@ -187,7 +187,7 @@ def _broken(points, index):
     return points[:index] + [bad] + points[index + 1 :]
 
 
-def test_worker_error_reaches_the_caller_through_the_kept_pool(points, weights):
+def test_a_workers_error_reaches_the_caller(points, weights):
     with pytest.raises(
         StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at E2(11, 0), d=5')}$"
     ):
