@@ -65,7 +65,8 @@ def rank_invariants(points, spec, workers):
 
     The points share few distinct staircase cells (401 among the 525
     points' 13,617), so each distinct cell's degree-d monomials are counted
-    once for every d, and a point's count is the sum over its cells.
+    once for every d, and a point's count is the sum over its cells.  A
+    count other than 4d is the Bott sums' own error, `localization._check_rank`.
     """
     ds = range(4, 11)
     cell_counts = {}  # cell -> its number of degree-d monomials, for d in ds
@@ -96,10 +97,7 @@ def rank_invariants(points, spec, workers):
         # the row of zeros gives a point without cells the counts 0
         totals = map(sum, zip([0] * len(ds), *map(cell_counts.__getitem__, fp.cells)))
         for d, n in zip(ds, totals):
-            if n != 4 * d:
-                raise AssertionError(
-                    f"{fp.tag}{fp.provenance}: kbase({d}) = {n} != {4 * d}"
-                )
+            loc._check_rank(fp, d, n)
 
 
 def hilbert_oracles(points, spec, workers):

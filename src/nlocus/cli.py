@@ -7,6 +7,10 @@ Subcommands:
   fixpoints  enumerate the fixed points, refresh the cache, print the census
              (or every record, with --format json)
   verify     run the verification suite; nonzero exit on any failure
+
+Each subcommand takes only the flags it reads, as COMMANDS lists them; any
+other flag, such as `fixpoints --threads` or `verify --format` (verify
+prints text only), is argparse's usage error, exit status 2.
 """
 
 from __future__ import annotations
@@ -38,13 +42,14 @@ def _usage_error(message):
 
 
 def _check_flags(args):
-    """Turn --weights into a WeightSpec and --cache into a Path; a bad flag is
-    a usage error naming it."""
-    try:
-        args.weights = WeightSpec(tuple(int(v) for v in args.weights.split(",")))
-    except ValueError as exc:
-        _usage_error(f"bad weights: {exc}")
-    if args.threads < 1:
+    """Turn --weights into a WeightSpec and --cache into a Path, for the flags
+    the command has; a bad flag is a usage error naming it."""
+    if "weights" in args:
+        try:
+            args.weights = WeightSpec(tuple(int(v) for v in args.weights.split(",")))
+        except ValueError as exc:
+            _usage_error(f"bad weights: {exc}")
+    if "threads" in args and args.threads < 1:
         _usage_error(f"bad threads {args.threads!r}: expected an integer >= 1")
     if not args.cache:
         _usage_error(f"bad cache {args.cache!r}: expected a non-empty path string")
@@ -158,30 +163,45 @@ def cmd_verify(args):
     return 0 if failures == 0 else 1
 
 
-def main(argv=None):
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--weights",
+FLAGS = {
+    "weights": dict(
         metavar="a,b,c,d",
         default=",".join(map(str, DEFAULT_WEIGHTS.values)),
         help=(
             "integer torus weights for x0..x3 (default %(default)s); write"
             " --weights=-3,0,2,11 when the first value is negative"
         ),
-    )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker processes for the Bott sum"
-    )
-    common.add_argument(
-        "--cache",
+    ),
+    "threads": dict(type=int, default=1, help="worker processes for the Bott sum"),
+    "cache": dict(
         metavar="PATH",
         default="fixpoints.json",
         help="fixed-point cache file (default %(default)s)",
-    )
-    common.add_argument(
-        "--format", choices=("text", "json"), default="text", help="output format"
-    )
+    ),
+    "format": dict(choices=("text", "json"), default="text", help="output format"),
+    "d": dict(type=int, required=True, help="surface degree (>= 4)"),
+    "dmin": dict(type=int, default=5),
+    "dmax": dict(type=int, default=53),
+}
 
+# each subcommand: its function, its help line and the flags it reads
+COMMANDS = {
+    "degree": (
+        cmd_degree,
+        "compute deg NL(W,d) for one d",
+        ("weights", "threads", "cache", "format", "d"),
+    ),
+    "formula": (
+        cmd_formula,
+        "interpolate the degree polynomial and compare",
+        ("weights", "threads", "cache", "format", "dmin", "dmax"),
+    ),
+    "fixpoints": (cmd_fixpoints, "enumerate fixed points, refresh cache", ("cache", "format")),
+    "verify": (cmd_verify, "run the verification suite", ("weights", "threads", "cache")),
+}
+
+
+def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="nlocus",
         description=(
@@ -190,29 +210,11 @@ def main(argv=None):
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_degree = sub.add_parser(
-        "degree", parents=[common], help="compute deg NL(W,d) for one d"
-    )
-    p_degree.add_argument("--d", type=int, required=True, help="surface degree (>= 4)")
-    p_degree.set_defaults(fn=cmd_degree)
-
-    p_formula = sub.add_parser(
-        "formula", parents=[common], help="interpolate the degree polynomial and compare"
-    )
-    p_formula.add_argument("--dmin", type=int, default=5)
-    p_formula.add_argument("--dmax", type=int, default=53)
-    p_formula.set_defaults(fn=cmd_formula)
-
-    p_fix = sub.add_parser(
-        "fixpoints", parents=[common], help="enumerate fixed points, refresh cache"
-    )
-    p_fix.set_defaults(fn=cmd_fixpoints)
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the verification suite"
-    )
-    p_verify.set_defaults(fn=cmd_verify)
+    for name, (fn, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        p.set_defaults(fn=fn)
 
     args = parser.parse_args(argv)
     _check_flags(args)

@@ -145,15 +145,11 @@ def _sum_chunk(points, ds, spec):
         [index.setdefault(cell, len(index)) for cell in fp.cells] for fp in points
     ]
     cells = list(index)
-    top = max(ds)
-    top_weights = [_cell_weights(cell, top, shifted.values) for cell in cells]
+    size = [sum(n for _, _, n in staircase_runs([cell], max(ds))) for cell in cells]
     points_with = Counter(itertools.chain.from_iterable(seqs))
-    ranked = sorted(
-        range(len(cells)), key=lambda c: (-points_with[c] * len(top_weights[c]), c)
-    )
+    ranked = sorted(range(len(cells)), key=lambda c: (-points_with[c] * size[c], c))
     number = {c: n for n, c in enumerate(ranked)}
     cells = [cells[c] for c in ranked]
-    top_weights = [top_weights[c] for c in ranked]
     seqs = [sorted(map(number.__getitem__, seq)) for seq in seqs]
     visits = sorted(range(len(points)), key=seqs.__getitem__)
     ordered = [seqs[p] for p in visits]
@@ -166,11 +162,7 @@ def _sum_chunk(points, ds, spec):
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
     sums = {}
     for d in ds:
-        weights = (
-            top_weights
-            if d == top
-            else [_cell_weights(cell, d, shifted.values) for cell in cells]
-        )
+        weights = [_cell_weights(cell, d, shifted.values) for cell in cells]
         lengths = [len(w) for w in weights]
         for fp, seq in zip(points, seqs):
             _check_rank(fp, d, sum(map(lengths.__getitem__, seq)))

@@ -97,8 +97,8 @@ def _repeated_quartic(fp):
 def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
     # the 300 good points before it have counted the cells it shares with them
     altered = points[:300] + [_repeated_quartic(points[300])] + points[301:]
-    message = "E2(11, 0): kbase(4) = 17 != 16"
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+    message = "fiber rank 17 != 16 at E2(11, 0), d=4"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants(altered, weights, 1)
 
 
@@ -110,8 +110,8 @@ def test_rank_invariants_names_the_first_bad_point_in_list_order(
     altered = good[:200] + [_repeated_quartic(points[first])]
     altered += good[200:350] + [_repeated_quartic(points[second])] + good[350:]
     fp = points[first]
-    message = f"{fp.tag}{fp.provenance}: kbase(4) = 17 != 16"
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+    message = f"fiber rank 17 != 16 at {fp.tag}{fp.provenance}, d=4"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants(altered, weights, 1)
 
 

@@ -334,18 +334,6 @@ def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
     assert path.read_text() == text
 
 
-def test_cache_record_with_one_pencil_row_is_an_error(capsys, tmp_path, points):
-    path = tmp_path / "one-pencil.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    del doc["points"][3]["pencil"][1]
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "degree", "--d", "4", "--cache", str(path))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: ") and f"{path}, record 3: " in err
-
-
 def _swap_g2_e2_tags(doc):
     doc["points"][0]["tag"], doc["points"][-1]["tag"] = "E2", "G2"
     return 0, "tag"
@@ -385,13 +373,21 @@ def test_bad_config_value_is_usage_error(capsys, argv, key):
     assert message.startswith(f"usage error: bad {key} ")
 
 
-def test_config_flag_is_gone(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("{}")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["degree", "--d", "4", "--config", "cfg.json"],
+        ["fixpoints", "--weights", "0,1,5,18"],
+        ["fixpoints", "--threads", "2"],
+        ["verify", "--format", "json"],
+    ],
+    ids=["degree --config", "fixpoints --weights", "fixpoints --threads", "verify --format"],
+)
+def test_a_flag_the_command_does_not_read_is_a_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as err:
-        main(["degree", "--d", "4", "--config", str(cfg)])
+        main(argv)
     assert err.value.code == 2
-    assert "unrecognized arguments: --config" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 def test_traced_cli_targets_resolve(monkeypatch):

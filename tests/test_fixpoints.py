@@ -464,6 +464,9 @@ def test_limit_cubics_with_a_common_factor_of_degree_2_or_more_fail(
         fx.classify_e1(degenerate, cascade.zs[zi], zi)
 
 
+# -- cache -------------------------------------------------------------------
+
+
 def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
     def refuse(self, *args, **kwargs):
         raise AssertionError("Polynomial built on the cache path")
@@ -472,9 +475,6 @@ def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
     path = tmp_path / "cache.json"
     fx.save_cache(points, path)
     assert fx.load_cache(path) == points
-
-
-# -- cache -------------------------------------------------------------------
 
 
 def test_cache_round_trip(points, tmp_path):
@@ -720,14 +720,6 @@ def test_load_cache_rejects_a_g2_e2_tag_swap(tmp_path, points):
     first["tag"], last["tag"] = last["tag"], first["tag"]
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=_differs(path, 0, "tag", points)):
-        fx.load_cache(path)
-
-
-def test_load_cache_rejects_a_repeated_tag_and_provenance(tmp_path, points):
-    path, doc = _saved_doc(points, tmp_path)
-    doc["points"][31]["provenance"] = doc["points"][30]["provenance"]
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=_differs(path, 31, "provenance", points)):
         fx.load_cache(path)
 
 

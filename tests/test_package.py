@@ -5,6 +5,10 @@ import re
 import sys
 from pathlib import Path
 
+import pytest
+
+from nlocus.cli import main
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -17,6 +21,35 @@ def test_readme_library_snippet_runs():
     degree_nl, spec, points = scope["degree_nl"], scope["DEFAULT_WEIGHTS"], scope["points"]
     assert degree_nl(4, spec, points).degree == 38475
     assert degree_nl(5, spec, points).degree == scope["closed_form"]()(5)
+
+
+def _help(capsys, *argv):
+    with pytest.raises(SystemExit) as done:
+        main([*argv, "--help"])
+    assert done.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_readme_flag_table_is_each_subcommands_help(capsys):
+    """README's CLI flag table marks exactly the options of each subcommand's --help."""
+    readme = (ROOT / "README.md").read_text()
+    table_text = re.search(r"^\| flag \|.*?\n(?=\n)", readme, re.S | re.M)[0]
+    header, _, *rows = table_text.splitlines()
+    commands = [cell.strip() for cell in header.strip("|").split("|")[1:-1]]
+    table = {command: set() for command in commands}
+    for row in rows:
+        cells = re.split(r"(?<!\\)\|", row.strip("|"))
+        flag = re.match(r" `(--\w+)", cells[0])[1]
+        for command, cell in zip(commands, cells[1:]):
+            if cell.strip():
+                table[command].add(flag)
+    listed = re.search(r"\{([\w,]+)\}", _help(capsys))[1].split(",")
+    assert sorted(commands) == sorted(listed)
+    options = {
+        command: set(re.findall(r"^  (--\w+)", _help(capsys, command), re.M))
+        for command in commands
+    }
+    assert table == options
 
 
 def test_package_imports_only_the_standard_library():
