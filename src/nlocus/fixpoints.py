@@ -38,7 +38,6 @@ import os
 import zlib
 from collections import Counter
 from dataclasses import dataclass
-from itertools import zip_longest
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
@@ -46,7 +45,7 @@ from .ideals import cells_hilbert_polynomial, staircase_cells
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 3  # the header 'schema' of the cache file, part of its fingerprint
 # (size, zlib.crc32) of cache_bytes(enumerate_all()), the one file load_cache reads
 CACHE_FINGERPRINT = (240_168, 0x623F5966)
 
@@ -450,13 +449,12 @@ def save_cache(points, path):
 
 
 def load_cache(path):
-    """Points from a cache file, or None when absent or of another schema version.
+    """Points from a cache file, or None when there is no file.
 
-    A schema-3 file loads, its records unchecked, only when its size and
-    `zlib.crc32` equal `CACHE_FINGERPRINT`.  CRC-32 guards against stale,
-    hand-edited and buggy files, not crafted ones.  Any other schema-3 file,
-    and a file that is unreadable or not a JSON object with an integer
-    'schema', is a ValueError naming the path.
+    A file loads, its records unchecked, only when its size and `zlib.crc32`
+    equal `CACHE_FINGERPRINT`, those of the cascade's bytes.  CRC-32 guards
+    against stale, hand-edited and buggy files, not crafted ones.  Any other
+    file, including one of another schema, is a ValueError naming the path.
     """
     where = f"fixed-point cache {path}"
     try:
@@ -468,10 +466,8 @@ def load_cache(path):
         raise ValueError(f"{where} is unreadable: {exc}") from None
     if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
         return [point_from_json(record) for record in doc["points"]]
-    if not isinstance(doc, dict) or type(doc.get("schema")) is not int:
-        raise ValueError(f"{where} is not a JSON object with an integer 'schema'")
-    if doc["schema"] != SCHEMA_VERSION:
-        return None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} is not a JSON object")
     raise _mismatch(where, doc)
 
 
@@ -490,28 +486,31 @@ def _first_key(got, want):
 
 
 def _mismatch(where, doc):
-    """The ValueError for a schema-3 document other than the cascade's: it names
-    the first header key, or else the first record, that differs, that record's
-    first differing key and the cascade's point at its index."""
+    """The ValueError for a document other than the cascade's: it names the first
+    header key, or else the first record, that differs, with that record's first
+    differing key and the cascade's point, or else the first surplus or missing record."""
     expected = _cascade_document()
     records, cascade = doc.get("points"), expected["points"]
     header = dict(doc, points=cascade) if isinstance(records, list) else doc
     key = _first_key(header, expected)
     if key is not None:
         return ValueError(f"{where}: header {key!r} differs from the cascade's")
-    for index, (got, want) in enumerate(zip_longest(records, cascade, fillvalue={})):
+    for index, (got, want) in enumerate(zip(records, cascade)):
         key = _first_key(got, want)
         if key is not None:
-            point = f"{want['tag']}{tuple(want['provenance'])}" if want else "(none)"
+            point = f"{want['tag']}{tuple(want['provenance'])}"
             return ValueError(
                 f"{where}, record {index}: {key!r} differs from the cascade's {point}"
             )
+    if len(records) != len(cascade):
+        index = min(len(records), len(cascade))
+        return ValueError(f"{where}, record {index}: the cascade has {len(cascade)} records")
     return ValueError(f"{where}: its values are the cascade's, its bytes are not")
 
 
 def load_or_enumerate(path):
-    """The points of the cache file, or else enumerated and written to it; a
-    file that load_cache rejects raises its ValueError and is left as is."""
+    """The points of the cache file, or, when there is none, enumerated and written
+    to it; a file that load_cache rejects raises its ValueError and is left as is."""
     points = load_cache(path)
     if points is None:
         points = enumerate_all()

@@ -321,10 +321,17 @@ def test_verify_names_a_point_with_a_missing_tangent_character(
 
 @pytest.mark.parametrize(
     "text",
-    ["[]", f'{{"schema":{fx.SCHEMA_VERSION}}}', f'{{"schema":{fx.SCHEMA_VERSION},"points":['],
-    ids=["array", "no-points", "undecodable"],
+    [
+        "[]",
+        f'{{"schema":{fx.SCHEMA_VERSION}}}',
+        f'{{"schema":{fx.SCHEMA_VERSION},"points":[',
+        None,
+    ],
+    ids=["array", "no-points", "undecodable", "other-schema"],
 )
-def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
+def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, points, text):
+    if text is None:  # the cascade's file, but for its schema
+        text = fx.cache_bytes(points).decode().replace('"schema":3}', '"schema":2}')
     path = tmp_path / "broken.json"
     path.write_text(text)
     code, out, err = run(capsys, "degree", "--d", "4", "--cache", str(path))
@@ -332,32 +339,6 @@ def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, text):
     assert out == ""
     assert err.startswith("error: fixed-point cache ") and str(path) in err
     assert path.read_text() == text
-
-
-def _swap_g2_e2_tags(doc):
-    doc["points"][0]["tag"], doc["points"][-1]["tag"] = "E2", "G2"
-    return 0, "tag"
-
-
-def _provenance_999(doc):
-    doc["points"][150]["provenance"] = [999, 999]
-    return 150, "provenance"
-
-
-@pytest.mark.parametrize("corrupt", [_swap_g2_e2_tags, _provenance_999])
-def test_verify_rejects_a_cache_whose_provenance_does_not_fit_its_tag(
-    capsys, tmp_path, points, corrupt
-):
-    path = tmp_path / "provenance.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    index, key = corrupt(doc)
-    path.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "verify", "--cache", str(path))
-    assert (code, out) == (1, "")
-    fp = points[index]
-    message = f"{path}, record {index}: {key!r} differs from the cascade's"
-    assert err == f"error: fixed-point cache {message} {fp.tag}{fp.provenance}\n"
 
 
 @pytest.mark.parametrize(

@@ -22,12 +22,11 @@ from nlocus.ideals import (
     staircase_cells,
     standard_monomials,
 )
-from nlocus.poly import Polynomial, monomial_gcd, monomials_of_degree, parse, render
+from nlocus.poly import Polynomial, monomial_gcd, monomials_of_degree, parse
 from nlocus.torus import char_add, char_sub
 
-# sha256 of cache_bytes(enumerate_all()) in schema 3; its points equal those
-# of the schema-2 file (tangent rows with multiplicities, expanded and sorted)
-# and of the schema-1 file, whose quartics were polynomial text
+# sha256 of cache_bytes(enumerate_all()); a serializer that changes the file
+# must update it and fixpoints.CACHE_FINGERPRINT
 CACHE_SHA256 = "2a4eb76e6f62e264f924c439045f6544270b15ca3d64f31704f56c8bc31ba286"
 
 
@@ -477,15 +476,7 @@ def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
     assert fx.load_cache(path) == points
 
 
-def test_cache_round_trip(points, tmp_path):
-    path = tmp_path / "cache.json"
-    fx.save_cache(points, path)
-    loaded = fx.load_cache(path)
-    assert loaded == points
-
-
 def test_cache_bytes_are_pinned(points):
-    # a serializer that changes the file must bump SCHEMA_VERSION
     data = fx.cache_bytes(points)
     assert len(data) == 240_168
     assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
@@ -493,38 +484,6 @@ def test_cache_bytes_are_pinned(points):
 
 def test_cache_bytes_deterministic(points):
     assert fx.cache_bytes(points) == fx.cache_bytes(list(points))
-
-
-def _schema_1_doc(points):
-    """The cache document in schema 1, whose quartics were polynomial text."""
-    doc = json.loads(fx.cache_bytes(points))
-    doc["schema"] = 1
-    for record, fp in zip(doc["points"], points):
-        record["quartics"] = [render(Polynomial.monomial(m + (0,))) for m in fp.quartics]
-    return doc
-
-
-def _schema_2_doc(points):
-    """The cache document in schema 2, whose tangent rows were 4 exponents and
-    a multiplicity, one row per distinct character."""
-    doc = json.loads(fx.cache_bytes(points))
-    doc["schema"] = 2
-    for record, fp in zip(doc["points"], points):
-        record["tangent"] = [[*c, k] for c, k in sorted(Counter(fp.tangent).items())]
-    return doc
-
-
-def test_cache_schema_mismatch_forces_rebuild(points, tmp_path):
-    other = json.loads(fx.cache_bytes(points))
-    other["schema"] = -1
-    for doc in (other, _schema_1_doc(points), _schema_2_doc(points)):
-        path = tmp_path / "cache.json"
-        path.write_text(json.dumps(doc))
-        assert fx.load_cache(path) is None
-        again = fx.load_or_enumerate(path)
-        assert again == points
-        assert path.read_bytes() == fx.cache_bytes(points)
-        assert fx.load_cache(path) == points
 
 
 def test_save_cache_failing_midway_keeps_the_old_file(points, tmp_path, monkeypatch):
@@ -543,14 +502,6 @@ def test_save_cache_failing_midway_keeps_the_old_file(points, tmp_path, monkeypa
         fx.save_cache(points, path)
     assert path.read_bytes() == before
     assert list(tmp_path.iterdir()) == [path]
-
-
-def test_load_or_enumerate_uses_cache(points, tmp_path):
-    path = tmp_path / "cache.json"
-    fx.save_cache(points, path)
-    first = path.read_bytes()
-    assert fx.load_or_enumerate(path) == points
-    assert path.read_bytes() == first
 
 
 def test_tangent_multiset_totals(cascade):
@@ -612,22 +563,6 @@ MALFORMED_RECORDS = {
     "pencil-one-row": ("pencil", [[2, 0, 0, 0]]),
     "provenance-not-ints": ("provenance", [0.5]),
 }
-
-
-@pytest.mark.usefixtures("known_cascade")
-@pytest.mark.parametrize("counts", [{"G2": 1}, {"G2": 21, "G2E1": 180, "E2": 323}, None])
-def test_load_cache_checks_the_counts_header(tmp_path, points, counts):
-    path = tmp_path / "cache.json"
-    fx.save_cache(points, path)
-    doc = json.loads(path.read_text())
-    if counts is None:
-        del doc["counts"]
-    else:
-        doc["counts"] = counts
-    path.write_text(json.dumps(doc))
-    message = f"{path}: header 'counts' differs from the cascade's"
-    with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
-        fx.load_cache(path)
 
 
 @pytest.mark.usefixtures("known_cascade")
@@ -754,6 +689,7 @@ def test_cache_fingerprint_is_derived():
 def test_a_cache_hit_enumerates_nothing(monkeypatch, points, tmp_path):
     path = tmp_path / "cache.json"
     fx.save_cache(points, path)
+    data = path.read_bytes()
 
     def refuse():
         raise AssertionError("the cascade ran on a cache hit")
@@ -761,43 +697,85 @@ def test_a_cache_hit_enumerates_nothing(monkeypatch, points, tmp_path):
     monkeypatch.setattr(fx, "enumerate_all", refuse)
     assert fx.load_cache(path) == points
     assert fx.load_or_enumerate(path) == points
+    assert path.read_bytes() == data
+
+
+@pytest.mark.usefixtures("known_cascade")
+@pytest.mark.parametrize("schema", [-1, 1, 2])
+def test_a_cache_of_another_schema_is_an_error_left_untouched(
+    tmp_path, cascade_document, schema
+):
+    path = tmp_path / "cache.json"
+    data = _compact(dict(cascade_document, schema=schema)) + b"\n"
+    path.write_bytes(data)
+    message = f"{path}: header 'schema' differs from the cascade's"
+    for load in (fx.load_cache, fx.load_or_enumerate):
+        with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
+            load(path)
+    assert path.read_bytes() == data
+
+
+@pytest.mark.usefixtures("known_cascade")
+@pytest.mark.parametrize(
+    "records, index",
+    [(lambda r: [*r, 7], 525), (lambda r: [*r, {}], 525), (lambda r: r[:-1], 524)],
+    ids=["extra-int", "extra-object", "missing-last"],
+)
+def test_load_cache_names_a_surplus_or_missing_record(
+    tmp_path, cascade_document, records, index
+):
+    path = tmp_path / "cache.json"
+    doc = dict(cascade_document, points=records(cascade_document["points"]))
+    path.write_bytes(_compact(doc) + b"\n")
+    message = f"{path}, record {index}: the cascade has 525 records"
+    with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
+        fx.load_cache(path)
 
 
 def _corrupt_record(rng, record, other):
     """Change one field of a cache record in place, taking foreign values from
     another record: its tag, its provenance, a row of its tangent, quartics or
     pencil (dropped, repeated, moved or foreign), or one integer of a row.
-    Returns the key of the field."""
+    Returns the key of the field and the kind of change, such as "row drop"."""
     key = rng.choice(("tag", "provenance", "tangent", "quartics", "pencil"))
     value = record[key]
     if key == "tag":
         record[key] = rng.choice([*fx.STRATA, "X", 7])
-    elif key == "provenance":
+        return key, "tag"
+    if key == "provenance":
         bumped = [*value[:-1], value[-1] + rng.choice((-1, 1, 9))]
-        choices = [bumped, [*value, 0], value[:-1], [999, 999], other[key]]
-        record[key] = rng.choice(choices)
+        variants = {
+            "bumped": bumped,
+            "longer": [*value, 0],
+            "shorter": value[:-1],
+            "out-of-range": [999, 999],
+            "foreign": other[key],
+        }
+        kind = rng.choice(list(variants))
+        record[key] = variants[kind]
+        return key, f"provenance {kind}"
+    rows, i, j = [list(row) for row in value], *rng.sample(range(len(value)), 2)
+    kind = rng.choice(("drop", "repeat", "move", "foreign", "integer"))
+    if kind == "drop":
+        del rows[i]
+    elif kind == "repeat":
+        rows[j] = rows[i]
+    elif kind == "move":
+        rows.insert(j, rows.pop(i))
+    elif kind == "foreign":
+        rows[i] = rng.choice(other[key])
     else:
-        rows, i, j = [list(row) for row in value], *rng.sample(range(len(value)), 2)
-        kind = rng.choice(("drop", "repeat", "move", "foreign", "integer"))
-        if kind == "drop":
-            del rows[i]
-        elif kind == "repeat":
-            rows[j] = rows[i]
-        elif kind == "move":
-            rows.insert(j, rows.pop(i))
-        elif kind == "foreign":
-            rows[i] = rng.choice(other[key])
-        else:
-            rows[i][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
-        record[key] = rows
-    return key
+        rows[i][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
+    record[key] = rows
+    return key, f"row {kind}"
 
 
 @pytest.mark.usefixtures("known_cascade")
 def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_document):
     """100 seeded one-field changes of the cascade's file, to tags,
     provenances, rows, integers and the counts header: each is a load error
-    that names the path and the record and key, or the header key."""
+    that names the path and the record and key, or the header key.  Every
+    kind of change is drawn at least once."""
     data, doc = fx.cache_bytes(points), cascade_document
     texts = [_compact(record) for record in doc["points"]]
 
@@ -807,22 +785,27 @@ def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_docum
 
     assert file_bytes(doc["counts"], texts) == data
     rng, path, wrong, cases = random.Random(23), tmp_path / "cache.json", [], 0
+    drawn = set()
     while cases < 100:
         if rng.random() < 0.1:
             tag = rng.choice(fx.STRATA)
             others = {k: v for k, v in doc["counts"].items() if k != tag}
             bumped = {**others, tag: doc["counts"][tag] + rng.choice((-1, 1))}
-            path.write_bytes(file_bytes(rng.choice([bumped, others, 525, None]), texts))
+            forms = {"bumped": bumped, "short": others, "number": 525, "absent": None}
+            form = rng.choice(list(forms))
+            path.write_bytes(file_bytes(forms[form], texts))
             where = f"{path}: header 'counts' differs"
+            drawn.add(f"header {form}")
         else:
             index = rng.randrange(len(texts))
             record = copy.deepcopy(doc["points"][index])
-            key = _corrupt_record(rng, record, rng.choice(doc["points"]))
+            key, kind = _corrupt_record(rng, record, rng.choice(doc["points"]))
             if record == doc["points"][index]:
                 continue  # equal rows moved or swapped in, the same tag, ...
             texts_now = [*texts[:index], _compact(record), *texts[index + 1 :]]
             path.write_bytes(file_bytes(doc["counts"], texts_now))
             where = f"{path}, record {index}: {key!r} differs"
+            drawn |= {key, kind}
         cases += 1
         try:
             fx.load_cache(path)
@@ -832,3 +815,10 @@ def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_docum
         else:
             wrong.append(f"case {cases} loaded: {where}")
     assert wrong == []
+    provenances = ("bumped", "longer", "shorter", "out-of-range", "foreign")
+    assert drawn == {
+        *(f"header {form}" for form in ("bumped", "short", "number", "absent")),
+        *("tag", "provenance", "tangent", "quartics", "pencil"),
+        *(f"row {kind}" for kind in ("drop", "repeat", "move", "foreign", "integer")),
+        *(f"provenance {kind}" for kind in provenances),
+    }
