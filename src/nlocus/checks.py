@@ -16,17 +16,9 @@ import random
 from . import fixpoints as fx
 from . import localization as loc
 from .formula import closed_form
-from .ideals import (
-    Ideal,
-    hilbert_polynomial,
-    kbase,
-    reduce_gb,
-    saturate_t,
-    set_t_zero,
-    staircase_cells,
-    staircase_runs,
-)
-from .poly import Polynomial, mono_divides, monomials_of_degree, parse, render_monomial
+from .limits import e1_limit
+from .ideals import Ideal, hilbert_polynomial, kbase, reduce_gb, staircase_runs
+from .poly import Polynomial, parse, render_monomial
 from .torus import (
     DEFAULT_WEIGHTS,
     FALLBACK_WEIGHTS,
@@ -169,67 +161,30 @@ def spec_independence(points, spec, workers):
 
 
 def _deformations(pencil, e):
-    """(other generator, deformed generator) for each monomial presentation of e.
-
-    A presentation deforms the pencil generator q for which q*x^e is a
-    genuine quadric monomial m', giving the Polynomial q + t*m'.
-    """
+    """(other generator, q, m') for each pencil generator q that direction e
+    deforms to q + t*m', m' = q*x^e a genuine quadric monomial."""
     out = []
     for j, qj in enumerate(pencil):
         shift = char_add(e, qj)
         if all(v >= 0 for v in shift):
-            out.append((pencil[1 - j], Polynomial({qj + (0,): 1, shift + (1,): 1})))
+            out.append((pencil[1 - j], qj, shift))
     return out
 
 
-def deformation_ideal(other, deformed):
-    """The deformed pencil <x^other, deformed> over Q[t].
-
-    Saturating this ideal in t gives the flat limit that `fixpoints.e1_points`
-    writes down in closed form (the oracle route).
-    """
-    return Ideal([Polynomial.monomial(other + (0,)), deformed])
-
-
-def saturation_limit(other, deformed):
-    """The flat limit by Buchberger: saturate in t, set t = 0, reduce, take cubics.
-
-    A flat limit keeps the Hilbert function of the deformed pencil, 4d in
-    every degree d >= 2, which is checked for d = 2..5.  A saturation that
-    misses an element gives a larger count in the degree of that element,
-    and every limit here is generated in degrees 2 to 4.
-    """
-    gb = reduce_gb(set_t_zero(saturate_t(deformation_ideal(other, deformed))))
-    for g in gb.basis:
-        if not g.is_monomial():
-            raise AssertionError(f"t=0 limit deforming to {deformed} is not monomial: {g}")
-    cells = staircase_cells([m[:4] for m in gb.leading_terms])
-    for d in range(2, 6):
-        n = sum(count for _, _, count in staircase_runs(cells, d))
-        if n != 4 * d:
-            raise AssertionError(
-                f"t=0 limit deforming to {deformed} has {n}"
-                f" standard monomials of degree {d}, not {4 * d}"
-            )
-    cubics = [
-        m[:4]
-        for m in monomials_of_degree(3)
-        if any(mono_divides(lt, m) for lt in gb.leading_terms)
-    ]
-    return fx._sort_monos(cubics)
+def deformation_ideal(other, q, mp):
+    """<x^other, x^q + t*x^mp> as an Ideal, for the tests' saturation oracle."""
+    return Ideal([Polynomial.monomial(other + (0,)), Polynomial({q + (0,): 1, mp + (1,): 1})])
 
 
 def algebra_kernel(points, spec, workers):
-    """kbase, the E1 flat limits against saturation, the Kronecker kernel.
+    """kbase, the E1 flat limits by `e1_limit`, the Kronecker kernel.
 
-    Every presentation of every E1 direction is taken to its flat limit by
-    Buchberger saturation of its deformed pencil, which must have the
-    Hilbert function of a flat limit and give the 8 cubics that
-    `fixpoints.e1_points` writes down in closed form for that direction.
-    `torus.shared_products`, the kernel of every Bott sum, is checked
-    through `elem_sym` against brute force and `elem_sym_dp`, and directly
-    on sequences that share prefixes as the fixed points of a sum do.
-    Returns the number of presentations checked.
+    Every presentation of every E1 direction must give the 8 cubics that
+    `fixpoints.e1_points` writes down for it; a failure names the direction,
+    its pair and d.  `torus.shared_products`, the kernel of every Bott sum,
+    is checked through `elem_sym` against brute force and `elem_sym_dp`, and
+    directly on sequences that share prefixes as the fixed points of a sum
+    do.  Returns the number of presentations checked.
     """
     _require(
         len(kbase(reduce_gb(Ideal([parse("x0^2"), parse("x1^2")])), 5)) == 20,
@@ -241,13 +196,16 @@ def algebra_kernel(points, spec, workers):
     for z in zs:
         pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
-            for other, deformed in _deformations((pair.q1, pair.q2), record.direction):
-                oracle = saturation_limit(other, deformed)
-                if record.limit_cubics != oracle:
+            where = f"E1 direction {record.direction} over pair {z.pair_index}"
+            for other, q, mp in _deformations((pair.q1, pair.q2), record.direction):
+                try:
+                    cubics = e1_limit(other, q, mp)[3]
+                except AssertionError as exc:
+                    raise AssertionError(f"{where}: {exc}") from None
+                if set(record.limit_cubics) != cubics:
                     raise AssertionError(
-                        f"E1 direction {record.direction} over pair {z.pair_index},"
-                        f" deformed {deformed}:"
-                        f" limit {record.limit_cubics} != saturation {oracle}"
+                        f"{where}, d=3: limit cubics {record.limit_cubics}"
+                        f" != e-string limit {fx._sort_monos(cubics)}"
                     )
                 checked += 1
     rng = random.Random(17)

@@ -26,13 +26,15 @@ lies on the second centre and gives a WPoint; one whose cubics have no
 common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
 computed on this path is the 4t check of each fixed point's quartics in
 `enumerate_all`.  No linear algebra and no Groebner basis is computed on
-this path; `nlocus.checks` recomputes every limit by Buchberger saturation.
+this path; `nlocus verify` recomputes every limit by exact elimination
+along the e-strings of the deformed pencil (`limits.e1_limit`).
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import gc
 import json
 import os
 import zlib
@@ -417,12 +419,13 @@ def point_from_json(data):
 
 
 def cache_bytes(points):
-    doc = {
-        "schema": SCHEMA_VERSION,
-        "counts": dict(zip(STRATA, stratum_counts(points))),
-        "points": [point_to_json(fp) for fp in points],
-    }
-    return (json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n").encode()
+    """The document {"counts", "points", "schema"} as JSON with sorted keys and
+    no spaces, encoded record by record: one `json.dumps` of the whole would
+    hold some 60,000 small strings, about 3 MB, for a file of 240 KB."""
+    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    counts = compact(dict(zip(STRATA, stratum_counts(points))))
+    records = ",".join([compact(point_to_json(fp)) for fp in points])
+    return f'{{"counts":{counts},"points":[{records}],"schema":{SCHEMA_VERSION}}}\n'.encode()
 
 
 def save_cache(points, path):
@@ -457,15 +460,27 @@ def load_cache(path):
     file, including one of another schema, is a ValueError naming the path.
     """
     where = f"fixed-point cache {path}"
+    # the load makes some 40,000 lists and tuples and no reference cycles, so
+    # the cyclic collector is paused, then left as it was
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         data = Path(path).read_bytes()
         doc = json.loads(data)
+        if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
+            # each record gives way to its point, so that the whole document
+            # and all the points are never in memory at once
+            points = doc["points"]
+            for i, record in enumerate(points):
+                points[i] = point_from_json(record)
+            return points
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:
         raise ValueError(f"{where} is unreadable: {exc}") from None
-    if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
-        return [point_from_json(record) for record in doc["points"]]
+    finally:
+        if enabled:
+            gc.enable()
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a JSON object")
     raise _mismatch(where, doc)

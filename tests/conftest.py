@@ -6,8 +6,9 @@ import pytest
 
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
-from nlocus.checks import elem_sym_dp
-from nlocus.ideals import standard_monomials
+from nlocus.checks import deformation_ideal, elem_sym_dp
+from nlocus.ideals import reduce_gb, saturate_t, set_t_zero, standard_monomials
+from nlocus.poly import mono_divides, monomials_of_degree
 from nlocus.torus import DEFAULT_WEIGHTS, WeightSpec, specialize
 
 
@@ -48,6 +49,29 @@ def points(cascade):
 def weights():
     return DEFAULT_WEIGHTS
 
+
+@pytest.fixture(scope="session")
+def saturation_limit():
+    """The Buchberger route to an E1 flat limit, the oracle of `limits.e1_limit`.
+
+    saturation_limit(other, q, mp, saturate=saturate_t) saturates the deformed
+    pencil <x^other, x^q + t*x^mp> in t, sets t = 0 and reduces, requires
+    the reduced basis to be monomial, and returns {d: the frozenset of
+    degree-d monomials of its leading-term ideal} for d = 2..5, the shape
+    `e1_limit` returns.
+    """
+
+    def limit(other, q, mp, saturate=saturate_t):
+        gb = reduce_gb(set_t_zero(saturate(deformation_ideal(other, q, mp))))
+        assert all(g.is_monomial() for g in gb.basis), gb.basis
+        lead = [m[:4] for m in gb.leading_terms]
+        monomials = {d: [m[:4] for m in monomials_of_degree(d)] for d in range(2, 6)}
+        return {
+            d: frozenset(m for m in monos if any(mono_divides(lt, m) for lt in lead))
+            for d, monos in monomials.items()
+        }
+
+    return limit
 
 
 @pytest.fixture(scope="session")

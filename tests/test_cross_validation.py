@@ -75,7 +75,7 @@ def test_e1_saturation_sympy_membership():
     from nlocus.checks import deformation_ideal
     from nlocus.ideals import saturate_t, set_t_zero
 
-    I = deformation_ideal((2, 0, 0, 0), parse("x0*x1 + t*x2^2"))
+    I = deformation_ideal((2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0))
     sat = saturate_t(I)
 
     x0, x1, x2, x3, t = SYMS

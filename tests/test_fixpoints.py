@@ -1,14 +1,15 @@
 import copy
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import math
 import random
 import re
+import tracemalloc
 import zlib
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,15 +23,13 @@ from nlocus.ideals import (
     staircase_cells,
     standard_monomials,
 )
-from nlocus.poly import Polynomial, monomial_gcd, monomials_of_degree, parse
+from nlocus.limits import e1_limit
+from nlocus.poly import Polynomial, monomial_gcd, parse
 from nlocus.torus import char_add, char_sub
 
 # sha256 of cache_bytes(enumerate_all()); a serializer that changes the file
 # must update it and fixpoints.CACHE_FINGERPRINT
 CACHE_SHA256 = "2a4eb76e6f62e264f924c439045f6544270b15ca3d64f31704f56c8bc31ba286"
-
-
-LINEAR_FORMS = [parse(x) for x in ("x0", "x1", "x2", "x3")]
 
 
 def mono(text):
@@ -236,105 +235,18 @@ def test_enumerate_all_validates(points):
     assert full == points
 
 
-# -- independent matrix oracle for the flat limits ---------------------------
-
-
-def _rref(rows):
-    rows = [list(r) for r in rows]
-    pivot_cols = []
-    r = 0
-    for c in range(len(rows[0])):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1, 1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(row) for row in rows[:r]], pivot_cols
-
-
-def _kernel_combo(rows):
-    """A nonzero rational combination of the rows summing to zero, or None."""
-    n = len(rows)
-    augmented = [list(rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    reduced, _ = _rref(augmented)
-    width = len(rows[0])
-    for row in reduced:
-        if not any(row[:width]):
-            return row[width:]
-    return None
-
-
-def matrix_limit(ideal_gens):
-    """Flat limit at t=0 of the degree-3 slice, by Gauss reduction over Q[t].
-
-    Vectors live in Q[t]^20 over the cubic monomial basis; whenever the t=0
-    evaluations are dependent, the dependency (which is divisible by t) is
-    divided by t and replaces one participating vector.
-    """
-    basis = [m[:4] for m in monomials_of_degree(3)]
-    index = {m: i for i, m in enumerate(basis)}
-    vecs = []
-    for g in ideal_gens:
-        col = [dict() for _ in range(len(basis))]
-        for m, c in g.terms.items():
-            col[index[m[:4]]][m[4]] = c
-        vecs.append(col)
-
-    def value_at_zero(col):
-        return tuple(entry.get(0, Fraction(0)) for entry in col)
-
-    for _ in range(200):
-        combo = _kernel_combo([value_at_zero(col) for col in vecs])
-        if combo is None:
-            space, _ = _rref([value_at_zero(col) for col in vecs])
-            return space
-        new = [dict() for _ in range(len(basis))]
-        for coeff, col in zip(combo, vecs):
-            if not coeff:
-                continue
-            for j, entry in enumerate(col):
-                for td, c in entry.items():
-                    new[j][td] = new[j].get(td, Fraction(0)) + coeff * c
-        shifted = []
-        for entry in new:
-            assert not entry.get(0)  # the combination is divisible by t
-            shifted.append({td - 1: c for td, c in entry.items() if td >= 1 and c})
-        last = max(i for i, c in enumerate(combo) if c)
-        vecs[last] = shifted
-    raise AssertionError("matrix limit did not stabilize")
-
-
-def test_limit_cubics_match_matrix_oracle(cascade):
-    basis = [m[:4] for m in monomials_of_degree(3)]
-    index = {m: i for i, m in enumerate(basis)}
+def test_limit_cubics_match_matrix_oracle(cascade, saturation_limit):
+    """limits.e1_limit, the linear algebra of criterion 8, against Buchberger
+    saturation, degree by degree for d = 2..5, on all 252 presentations."""
     checked = 0
     for zi, record in cascade.records:
-        z = cascade.zs[zi]
-        pair = cascade.pairs[z.pair_index]
-        deformations = checks._deformations((pair.q1, pair.q2), record.direction)
-        for other, deformed in deformations:
-            pencil = checks.deformation_ideal(other, deformed)
-            space = matrix_limit([g * x for g in pencil for x in LINEAR_FORMS])
-            expected_rows, _ = _rref(
-                [
-                    tuple(
-                        Fraction(int(index[c] == j)) for j in range(len(basis))
-                    )
-                    for c in record.limit_cubics
-                ]
-            )
-            assert sorted(space) == sorted(expected_rows)
+        pair = cascade.pairs[cascade.zs[zi].pair_index]
+        for other, q, mp in checks._deformations((pair.q1, pair.q2), record.direction):
+            limits = e1_limit(other, q, mp)
+            assert limits == saturation_limit(other, q, mp), (record.direction, other, q)
+            assert limits[3] == set(record.limit_cubics)
             checked += 1
-    assert checked >= 216
+    assert checked == 252
 
 
 def _z_with_direction(cascade, e):
@@ -368,9 +280,9 @@ def test_e1_direction_extra_cubic_already_in_the_pencil(cascade):
 
 
 def test_deformation_ideal_is_the_deformed_pencil():
-    ((other, deformed),) = checks._deformations((mono("x0^2"), mono("x0*x1")), (-1, -1, 2, 0))
-    assert (other, deformed) == (mono("x0^2"), parse("x0*x1 + t*x2^2"))
-    gens = checks.deformation_ideal(other, deformed)
+    ((other, q, mp),) = checks._deformations((mono("x0^2"), mono("x0*x1")), (-1, -1, 2, 0))
+    assert (other, q, mp) == (mono("x0^2"), mono("x0*x1"), mono("x2^2"))
+    gens = checks.deformation_ideal(other, q, mp)
     assert list(gens) == [parse("x0^2"), parse("x0*x1 + t*x2^2")]
 
 
@@ -621,32 +533,6 @@ def _saved_doc(points, tmp_path):
     return path, json.loads(path.read_text())
 
 
-@pytest.mark.usefixtures("known_cascade")
-@pytest.mark.parametrize(
-    "index, provenance",
-    [
-        (150, [999, 999]),
-        (0, [45]),
-        (0, [-1]),
-        (0, [0, 0]),
-        (21, [24, 0]),
-        (21, [0, 9]),
-        (21, [3]),
-        (300, [36, 0]),
-        (300, [0, -1]),
-        (300, [0, 0, 0]),
-    ],
-)
-def test_load_cache_rejects_provenance_that_does_not_fit_its_tag(
-    tmp_path, points, index, provenance
-):
-    path, doc = _saved_doc(points, tmp_path)
-    doc["points"][index]["provenance"] = provenance
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError, match=_differs(path, index, "provenance", points)):
-        fx.load_cache(path)
-
-
 def test_load_cache_rejects_a_g2_e2_tag_swap(tmp_path, points):
     # the counts header still matches, and so does every field but the tags
     path, doc = _saved_doc(points, tmp_path)
@@ -698,6 +584,62 @@ def test_a_cache_hit_enumerates_nothing(monkeypatch, points, tmp_path):
     assert fx.load_cache(path) == points
     assert fx.load_or_enumerate(path) == points
     assert path.read_bytes() == data
+
+
+def test_cache_bytes_encodes_record_by_record(points):
+    """The encoder's peak of traced memory stays within 5 times the file's
+    size; one json.dumps of the whole document takes about 12 times."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        data = fx.cache_bytes(points)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
+    assert peak < 5 * len(data), (peak, len(data))
+
+
+def test_a_cache_load_never_holds_the_whole_document_and_all_points(tmp_path, points):
+    """Each record gives way to its point, so the load's peak of traced
+    memory stays below the parsed document plus half the points."""
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        document = json.loads(path.read_bytes())
+        document_size = tracemalloc.get_traced_memory()[0] - base
+        del document
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = fx.load_cache(path)
+        size, peak = (m - base for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    assert loaded == points
+    assert peak < document_size + size / 2, (peak, document_size, size)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_cache_restores_the_collector_state(tmp_path, points, enabled):
+    """load_cache pauses the cyclic collector while it reads the file, and
+    leaves it as it was after a hit, a missing file and a load error."""
+    path, bad = tmp_path / "cache.json", tmp_path / "bad.json"
+    fx.save_cache(points, path)
+    bad.write_bytes(b"{")
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert fx.load_cache(path) == points
+        assert gc.isenabled() is enabled
+        assert fx.load_cache(tmp_path / "missing.json") is None
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValueError, match="is unreadable"):
+            fx.load_cache(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
 
 
 @pytest.mark.usefixtures("known_cascade")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from nlocus import checks, gbcore
+from nlocus import checks, gbcore, ideals, limits
 from nlocus import fixpoints as fx
 from nlocus.formula import UnivariateRationalPoly
 from nlocus.ideals import (
@@ -302,13 +303,13 @@ def _canonical(I):
     return tuple(sorted(render(g) for g in reduce_gb(I).basis))
 
 
-def cubic_multiples(other, deformed):
+def cubic_multiples(other, q, mp):
     """The deformed pencil times x0..x3: 8 cubic generators whose saturation
     agrees with the pencil's in every degree >= 3.
 
     The engine tests take these larger inputs rather than the pencil itself.
     """
-    pencil = checks.deformation_ideal(other, deformed)
+    pencil = checks.deformation_ideal(other, q, mp)
     return Ideal(g * Polynomial.monomial(x + (0,)) for g in pencil for x in fx.LINEARS)
 
 
@@ -320,8 +321,7 @@ def e1_deformation_ideals():
     for z in zs:
         pair = pairs[z.pair_index]
         for e in sorted(z.normal):
-            other, deformed = checks._deformations((pair.q1, pair.q2), e)[0]
-            out.append(cubic_multiples(other, deformed))
+            out.append(cubic_multiples(*checks._deformations((pair.q1, pair.q2), e)[0]))
     return out
 
 
@@ -411,69 +411,128 @@ def test_saturate_t_is_one_groebner_basis(monkeypatch):
 
 
 def test_algebra_kernel_runs_every_saturation(monkeypatch):
-    """Criterion 8 saturates all 252 presentations and reduces each limit."""
-    calls = {"saturate_t": 0, "groebner": 0}
-    saturate, groebner = checks.saturate_t, gbcore.groebner
+    """Criterion 8 takes all 252 presentations to their flat limits by
+    e-string elimination: no saturation, and one Groebner basis, kbase's."""
+    calls = {"saturate_t": 0, "groebner": 0, "e1_limit": 0}
+    saturate, groebner, limit = ideals.saturate_t, gbcore.groebner, checks.e1_limit
 
-    def counting_saturate(I):
-        calls["saturate_t"] += 1
-        return saturate(I)
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
 
-    def counting_groebner(gens, key):
-        calls["groebner"] += 1
-        return groebner(gens, key)
+        return counted
 
-    monkeypatch.setattr(checks, "saturate_t", counting_saturate)
-    monkeypatch.setattr(gbcore, "groebner", counting_groebner)
+    monkeypatch.setattr(ideals, "saturate_t", counting("saturate_t", saturate))
+    monkeypatch.setattr(gbcore, "groebner", counting("groebner", groebner))
+    monkeypatch.setattr(checks, "e1_limit", counting("e1_limit", limit))
     assert checks.algebra_kernel(None, None, 1) == 252
-    # one elimination basis and one limit basis per presentation, plus kbase's
-    assert calls == {"saturate_t": 252, "groebner": 505}
+    assert calls == {"saturate_t": 0, "groebner": 1, "e1_limit": 252}
 
 
-def _saturation_without(monkeypatch, text):
-    """Make checks.saturate_t drop the element text from every saturation."""
-    saturate, dropped = checks.saturate_t, parse(text)
+def _saturation_without(text):
+    """saturate_t, with the element text dropped from the saturation."""
+    dropped = parse(text)
 
     def without(I):
-        J = saturate(I)
+        J = saturate_t(I)
         assert dropped in J.generators
         return Ideal(g for g in J if g != dropped)
 
-    monkeypatch.setattr(checks, "saturate_t", without)
     return without
 
 
-def test_saturation_limit_needs_every_element_of_the_saturation(monkeypatch):
-    # x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>: the saturation is
-    # x0^2, x0*x1 + t*x3^2, x0*x3^2 and one quartic, x3^4, the kind of
-    # element a Buchberger engine that skips a needed S-pair loses.  Without
-    # it the t=0 limit keeps its 8 cubics but has 17 standard monomials of
-    # degree 4, where a flat limit has 16.
-    other, deformed = (2, 0, 0, 0), parse("x0*x1 + t*x3^2")
-    cubics = checks.saturation_limit(other, deformed)
-    without = _saturation_without(monkeypatch, "x3^4")
-    limit = reduce_gb(set_t_zero(without(checks.deformation_ideal(other, deformed))))
-    assert [m[:4] for m in limit.leading_terms if sum(m) == 4] == []
-    assert (
-        fx._sort_monos(
-            m[:4]
-            for m in monomials_of_degree(3)
-            if any(mono_divides(lt, m) for lt in limit.leading_terms)
-        )
-        == cubics
-    )
-    message = "t=0 limit deforming to x3^2*t+x0*x1 has 17 standard monomials of degree 4, not 16"
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.saturation_limit(other, deformed)
+# x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>
+E1_PENCIL = (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 2)
 
 
-def test_saturation_limit_checks_the_quadrics(monkeypatch):
+def test_saturation_limit_needs_every_element_of_the_saturation(saturation_limit):
+    # The saturation is x0^2, x0*x1 + t*x3^2, x0*x3^2 and one quartic, x3^4,
+    # the kind of element a Buchberger engine that skips a needed S-pair
+    # loses.  Without it the t=0 limit keeps its 8 cubics but has 17
+    # standard monomials of degree 4, where the flat limit has 16.
+    want = limits.e1_limit(*E1_PENCIL)
+    assert saturation_limit(*E1_PENCIL) == want
+    broken = saturation_limit(*E1_PENCIL, saturate=_saturation_without("x3^4"))
+    assert broken[3] == want[3]
+    assert want[4] - broken[4] == {(0, 0, 0, 4)} and broken[4] < want[4]
+    assert len(monomials_of_degree(4)) - len(broken[4]) == 17
+
+
+def test_saturation_limit_checks_the_quadrics(saturation_limit):
     # without the pencil generator x0^2 the limit has 9 standard quadrics,
-    # where a flat limit of a pencil has 8
-    _saturation_without(monkeypatch, "x0^2")
-    message = "t=0 limit deforming to x3^2*t+x0*x1 has 9 standard monomials of degree 2, not 8"
+    # where the flat limit of a pencil has 8
+    want = limits.e1_limit(*E1_PENCIL)
+    broken = saturation_limit(*E1_PENCIL, saturate=_saturation_without("x0^2"))
+    assert want[2] - broken[2] == {(2, 0, 0, 0)} and broken[2] < want[2]
+    assert len(monomials_of_degree(2)) - len(broken[2]) == 9
+
+
+def _first_z():
+    pairs = fx.enumerate_pairs()
+    return fx.split_strata(pairs)[1][0]
+
+
+def test_algebra_kernel_names_a_swapped_extra_cubic(monkeypatch):
+    """A record given another direction's extra cubic fails criterion 8,
+    which names the direction, its pair, d and both cubic lists."""
+    z, e1_points = _first_z(), fx.e1_points
+    a, b = e1_points(z)[:2]
+    (extra_a,) = set(a.limit_cubics) - set(b.limit_cubics)
+    (extra_b,) = set(b.limit_cubics) - set(a.limit_cubics)
+    swapped = fx._sort_monos(set(a.limit_cubics) - {extra_a} | {extra_b})
+
+    def corrupted(z_point):
+        records = e1_points(z_point)
+        if z_point == z:
+            records[0] = dataclasses.replace(records[0], limit_cubics=swapped)
+        return records
+
+    monkeypatch.setattr(fx, "e1_points", corrupted)
+    message = (
+        f"E1 direction {a.direction} over pair {z.pair_index}, d=3:"
+        f" limit cubics {swapped} != e-string limit {a.limit_cubics}"
+    )
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.saturation_limit((2, 0, 0, 0), parse("x0*x1 + t*x3^2"))
+        checks.algebra_kernel(None, None, 1)
+
+
+def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
+    # <x0^2, x0*x1 + t*x0*x2> = x0*<x0, x1 + t*x2>: its 8 cubic multiples span
+    # only 7 dimensions, leaving 13 standard cubics where a flat limit of a
+    # pencil of quadrics has 12
+    pencil = (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0)
+    message = "<x0^2, x0*x1 + t*x0*x2>, d=3: 13 standard monomials != 12"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        limits.e1_limit(*pencil)
+    # in criterion 8 the failure also names the direction and its pair
+    z = _first_z()
+    direction = fx.e1_points(z)[0].direction
+    monkeypatch.setattr(checks, "_deformations", lambda pair, e: [pencil])
+    message = f"E1 direction {direction} over pair {z.pair_index}: {message}"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.algebra_kernel(None, None, 1)
+
+
+def test_e1_limit_requires_each_multiple_on_one_e_string(monkeypatch):
+    # a string table that puts x2^2 one place too far along its string
+    e_string, moved = limits._e_string, limits._pack((0, 0, 2, 0))
+
+    def mutant(e):
+        position = e_string(e)
+
+        def misplaced(p):
+            a, j = position(p)
+            return (a, j + 1) if p == moved else (a, j)
+
+        return misplaced
+
+    monkeypatch.setattr(limits, "_e_string", mutant)
+    message = (
+        "<x0^2, x0*x1 + t*x2^2>, d=2: x0*x1 and t*x2^2 are not adjacent on one e-string"
+    )
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        limits.e1_limit((2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0))
 
 
 def all_deformation_ideals():
@@ -485,8 +544,8 @@ def all_deformation_ideals():
     for z in zs:
         pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
-            for other, deformed in checks._deformations((pair.q1, pair.q2), record.direction):
-                out.append(cubic_multiples(other, deformed))
+            for presentation in checks._deformations((pair.q1, pair.q2), record.direction):
+                out.append(cubic_multiples(*presentation))
     return out
 
 
