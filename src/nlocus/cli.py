@@ -172,7 +172,15 @@ FLAGS = {
             " --weights=-3,0,2,11 when the first value is negative"
         ),
     ),
-    "threads": dict(type=int, default=1, help="worker processes for the Bott sum"),
+    "threads": dict(
+        type=int,
+        default=1,
+        metavar="N",
+        help=(
+            "processes for each Bott sum (default 1): at most N, never more than"
+            " the CPUs this process may run on"
+        ),
+    ),
     "cache": dict(
         metavar="PATH",
         default="fixpoints.json",
@@ -180,8 +188,21 @@ FLAGS = {
     ),
     "format": dict(choices=("text", "json"), default="text", help="output format"),
     "d": dict(type=int, required=True, help="surface degree (>= 4)"),
-    "dmin": dict(type=int, default=5),
-    "dmax": dict(type=int, default=53),
+    "dmin": dict(
+        type=int,
+        default=5,
+        metavar="D",
+        help="lowest interpolation node, at least 5 (default %(default)s)",
+    ),
+    "dmax": dict(
+        type=int,
+        default=53,
+        metavar="D",
+        help=(
+            "highest interpolation node, at least --dmin +"
+            f" {INTERPOLATION_DEGREE_BOUND} (default %(default)s)"
+        ),
+    ),
 }
 
 # each subcommand: its function, its help line and the flags it reads

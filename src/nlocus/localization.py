@@ -25,12 +25,15 @@ point starts from the product of the cells it has in common with the point
 visited before it.  The summands of a chunk are added as integers over the
 lcm of their tangent denominators, one Fraction per d.
 
-With more than one worker, `_localize` forks the other workers for one
-sum.  Each child inherits the points and the cells they have derived, sums
-its slice of them and sends back one pickled result or exception through a
-pipe; the parent sums the first slice itself, then reads and reaps every
-child, also when a slice raises.  Nothing outlives the sum, so no state is
-kept between calls.
+With N workers, `_localize` runs one sum in at most N processes, and never
+in more than the CPUs this process may run on (`_usable_cpus`): on one CPU
+a second process cannot run at the same time, so a fork would only add its
+cost.  Each forked child inherits the points and the cells they have
+derived, sums its slice of them and sends back one pickled result or
+exception through a pipe; the parent sums the first slice itself, then
+reads and reaps every child, also when a slice raises.  Nothing outlives
+the sum, so no state is kept between calls, and the result is the same for
+any N.
 """
 
 from __future__ import annotations
@@ -214,10 +217,23 @@ def _reap(pid, read):
     return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+def _usable_cpus():
+    """The number of CPUs this process may run on: its affinity mask where the
+    platform has one, else all of the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _localize(points, ds, spec, workers):
-    """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum)."""
+    """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum).
+
+    The sums run in min(workers, usable CPUs) processes.  Whether workers > 1
+    needs os.fork is decided on the requested number, not on the machine.
+    """
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
+    workers = min(workers, _usable_cpus())
     if workers <= 1 or len(points) < 2 * workers:
         return _sum_chunk(points, ds, spec)
     import pickle

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -48,6 +49,24 @@ def points(cascade):
 @pytest.fixture(scope="session")
 def weights():
     return DEFAULT_WEIGHTS
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The Bott sums see two usable CPUs, so workers=2 forks on any machine."""
+    monkeypatch.setattr(loc, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    """The Bott sums see one usable CPU, as under `taskset -c 0`, and a fork
+    fails the test."""
+
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(loc, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(os, "fork", no_fork)
 
 
 @pytest.fixture(scope="session")

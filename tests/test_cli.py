@@ -202,7 +202,7 @@ def test_negative_weights_take_the_equals_form(capsys, cache_path):
     assert expected in out
 
 
-def test_threads_flag_matches_single(capsys, cache_path):
+def test_threads_flag_matches_single(capsys, two_cpus, cache_path):
     _, out1, _ = run(capsys, "degree", "--d", "6", "--cache", str(cache_path))
     _, out2, _ = run(
         capsys, "degree", "--d", "6", "--cache", str(cache_path), "--threads", "2"
@@ -218,13 +218,20 @@ def test_verify_passes(capsys, cache_path, verify_checks):
 
 
 def test_verify_with_two_workers_passes(cache_path, verify_checks):
-    """The benchmark's verify-warm command: each Bott sum forks a worker.
+    """The benchmark's verify-warm command, where two CPUs are usable: each
+    Bott sum forks a worker.
 
     Under -X dev any warning, such as Python 3.12's on a fork from a process
     with threads, reaches stderr and fails the test.
     """
+    code = (
+        "import sys\n"
+        "from nlocus import cli, localization\n"
+        "localization._usable_cpus = lambda: 2\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
     done = _python(
-        *("-X", "dev", "-m", "nlocus", "verify", "--threads", "2"),
+        *("-X", "dev", "-c", code, "verify", "--threads", "2"),
         *("--cache", str(cache_path)),
         capture_output=True,
         text=True,
@@ -234,22 +241,44 @@ def test_verify_with_two_workers_passes(cache_path, verify_checks):
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
 
 
-def test_verify_with_two_workers_forks_four_children(monkeypatch, capsys, cache_path):
-    """One child for each of the four Bott sums of `verify`, none kept."""
-    forked = []
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns to this process, in order."""
+    pids = []
     real = os.fork
 
     def counted():
         pid = real()
-        forked.append(pid)
+        pids.append(pid)
         return pid
 
     monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
+def test_verify_with_two_workers_forks_four_children(capsys, two_cpus, forked, cache_path):
+    """One child for each of the four Bott sums of `verify`, none kept."""
     code, out, _ = run(capsys, "verify", "--threads", "2", "--cache", str(cache_path))
     assert (code, out.splitlines()[-1], len(forked)) == (0, "verify: ok", 4)
 
 
-def test_two_workers_without_fork_is_an_error(monkeypatch, capsys, cache_path):
+def test_threads_beyond_the_cpus_fork_one_child_for_two_cpus(
+    capsys, two_cpus, forked, cache_path
+):
+    argv = ("degree", "--d", "4", "--threads", "300", "--cache", str(cache_path))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[0], len(forked)) == (0, "deg NL(W,4) = 38475", 1)
+
+
+def test_verify_on_one_cpu_forks_nothing(capsys, one_cpu, cache_path, verify_checks):
+    expected = [f"PASS {name}" for name in verify_checks] + ["verify: ok"]
+    for threads in ("1", "2"):
+        argv = ("verify", "--threads", threads, "--cache", str(cache_path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out.splitlines(), err) == (0, expected, "")
+
+
+def test_two_workers_without_fork_is_an_error(monkeypatch, capsys, one_cpu, cache_path):
     monkeypatch.delattr(os, "fork")
     argv = ("degree", "--d", "4", "--threads", "2", "--cache", str(cache_path))
     code, out, err = run(capsys, *argv)
@@ -274,7 +303,7 @@ def test_a_failed_cache_write_is_an_error(monkeypatch, capsys, tmp_path, command
 
 
 @pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"]])
-def test_a_failed_fork_is_an_error(monkeypatch, capsys, cache_path, command):
+def test_a_failed_fork_is_an_error(monkeypatch, capsys, two_cpus, cache_path, command):
     def no_fork():
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 

@@ -164,7 +164,7 @@ def _python(code, *args):
     )
 
 
-def test_forked_workers_match_one_worker(tmp_path, points, weights):
+def test_forked_workers_match_one_worker(tmp_path, two_cpus, points, weights):
     # freshly loaded points carry no cells: each forked worker derives those
     # of its own slice, and they are lost with it
     path = tmp_path / "fixpoints.json"
@@ -187,7 +187,7 @@ def _broken(points, index):
     return points[:index] + [bad] + points[index + 1 :]
 
 
-def test_a_workers_error_reaches_the_caller(points, weights):
+def test_a_workers_error_reaches_the_caller(two_cpus, points, weights):
     with pytest.raises(
         StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at E2(11, 0), d=5')}$"
     ):
@@ -196,7 +196,7 @@ def test_a_workers_error_reaches_the_caller(points, weights):
     assert loc.degree_nl(4, weights, points, workers=2).degree == 38475
 
 
-def test_an_error_in_the_callers_slice_leaves_no_child(points, weights):
+def test_an_error_in_the_callers_slice_leaves_no_child(two_cpus, points, weights):
     with pytest.raises(
         StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at G2(36,), d=5')}$"
     ):
@@ -210,7 +210,7 @@ def test_an_error_in_the_callers_slice_leaves_no_child(points, weights):
     ids=["killed", "unpicklable"],
 )
 def test_a_worker_without_a_result_is_a_structural_error(
-    monkeypatch, points, weights, status, child_sum
+    monkeypatch, two_cpus, points, weights, status, child_sum
 ):
     parent = os.getpid()
     real = loc._sum_chunk
@@ -232,6 +232,7 @@ def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights
     code = (
         "import json, sys\n"
         "from nlocus import fixpoints, localization, torus\n"
+        "localization._usable_cpus = lambda: 2\n"
         "points = fixpoints.load_cache(sys.argv[1])\n"
         "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
         "print('before the sum')\n"
@@ -360,12 +361,25 @@ def test_inadmissible_spec_raises(points):
         loc.degree_nl(5, bad, points)
 
 
-def test_workers_bit_exact(points, weights):
+def test_workers_bit_exact(two_cpus, points, weights):
     # two chunks share only the cell prefixes inside each chunk
     single = loc.degree_range(4, 8, weights, points, workers=1)
     multi = loc.degree_range(4, 8, weights, points, workers=2)
     assert [(r.d, r.degree) for r in single] == [(r.d, r.degree) for r in multi]
     assert multi[0].degree == 38475
+
+
+def test_one_usable_cpu_sums_in_process(one_cpu, points, weights):
+    single = loc.degree_range(4, 8, weights, points, workers=1)
+    assert loc.degree_range(4, 8, weights, points, workers=2) == single
+
+
+def test_usable_cpus_without_an_affinity_mask(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert loc._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert loc._usable_cpus() == 1
 
 
 def test_admissible_spec_returns_the_spec_or_names_the_point(points, weights):
