@@ -38,10 +38,8 @@ any N.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,13 +127,12 @@ def _sum_chunk(points, ds, spec):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
     The points share one Kronecker pass per d (`torus.shared_products`).  The
-    chunk's distinct staircase cells are indexed once, and at each d every
-    distinct cell is expanded once into specialized weights.  The cells are
-    numbered by (number of the chunk's points that have the cell) x (its
-    length at max(ds)), largest first; each point is the sorted list of its
-    cells' numbers, and the points are visited in lexicographic order of
-    those lists, so that points with a common prefix of cells follow one
-    another.
+    chunk's distinct staircase cells are numbered once, longest first (their
+    number of degree-max(ds) monomials, ties by the cell), and at each d
+    every distinct cell is expanded once into specialized weights.  Each
+    point is the sorted list of its cells' numbers, and the points are
+    visited in lexicographic order of those lists, so that a point shares
+    its longest cells with the point before it.
 
     The numerators are taken under spec shifted to a zero minimum (see the
     module docstring); the denominators are equal under either spec.
@@ -143,34 +140,27 @@ def _sum_chunk(points, ds, spec):
     common, _, scales = _common_denominator(points, spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
-    index = {}
-    seqs = [
-        [index.setdefault(cell, len(index)) for cell in fp.cells] for fp in points
-    ]
-    cells = list(index)
-    size = [sum(n for _, _, n in staircase_runs([cell], max(ds))) for cell in cells]
-    points_with = Counter(itertools.chain.from_iterable(seqs))
-    ranked = sorted(range(len(cells)), key=lambda c: (-points_with[c] * size[c], c))
-    number = {c: n for n, c in enumerate(ranked)}
-    cells = [cells[c] for c in ranked]
-    seqs = [sorted(map(number.__getitem__, seq)) for seq in seqs]
+    top = max(ds)
+    cells = sorted(
+        {cell for fp in points for cell in fp.cells},
+        key=lambda cell: (-sum(n for _, _, n in staircase_runs([cell], top)), cell),
+    )
+    number = {cell: n for n, cell in enumerate(cells)}
+    seqs = [sorted(map(number.__getitem__, fp.cells)) for fp in points]
     visits = sorted(range(len(points)), key=seqs.__getitem__)
     ordered = [seqs[p] for p in visits]
-    shared = [0] * len(ordered)
-    for i in range(1, len(ordered)):
-        for a, b in zip(ordered[i - 1], ordered[i]):
-            if a != b:
-                break
-            shared[i] += 1
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
     sums = {}
+    weights = [()] * len(cells)
     for d in ds:
-        weights = [_cell_weights(cell, d, shifted.values) for cell in cells]
+        # in place, so that one degree's weights are alive at a time
+        for c, cell in enumerate(cells):
+            weights[c] = _cell_weights(cell, d, shifted.values)
         lengths = [len(w) for w in weights]
         for fp, seq in zip(points, seqs):
             _check_rank(fp, d, sum(map(lengths.__getitem__, seq)))
         acc = 0
-        for p, (e16, e15) in zip(visits, shared_products(DIM, ordered, shared, weights)):
+        for p, (e16, e15) in zip(visits, shared_products(DIM, ordered, weights)):
             acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
         sums[d] = Fraction(acc, common)
     return sums

@@ -150,11 +150,6 @@ class Polynomial:
         object.__setattr__(p, "_terms", res)
         return p
 
-    def __neg__(self):
-        p = Polynomial.__new__(Polynomial)
-        object.__setattr__(p, "_terms", {m: -c for m, c in self._terms.items()})
-        return p
-
     def __mul__(self, other):
         res = {}
         for m1, c1 in self._terms.items():

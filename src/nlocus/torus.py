@@ -120,30 +120,36 @@ def kronecker_width(k, s):
     return (s**m // math.factorial(m)).bit_length()
 
 
-def shared_products(k, seqs, shared, weights):
+def shared_products(k, seqs, weights):
     """(e_k, e_(k-1)) of each index sequence's weights, sharing common prefixes.
 
     weights is a list of lists of non-negative integers and seqs[i] a list
     of indices into it: the multiset of sequence i is the concatenation of
-    those lists, and its first shared[i] indices are those of seqs[i - 1].
+    those lists.  Sequences that share prefixes should follow one another.
 
     Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
     so e_k is the lowest digit and e_(k-1) the next (0 when k = 0).
     Multiplying by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W moves
     every e_j down to the digit of e_(j+1), so the step is r += v * (r >> W).
     A stack keeps the product after each index of the sequence before, so
-    sequence i starts from the product of its shared prefix.  One width
-    serves every sequence, `kronecker_width` of the largest sum: every stack
-    state packs e_0..e_k of a sub-multiset of some sequence, whose sum is at
-    most the largest, so no digit reaches 2^W.
+    sequence i starts from the product of its longest common prefix with
+    seqs[i - 1].  One width serves every sequence, `kronecker_width` of the
+    largest sum: every stack state packs e_0..e_k of a sub-multiset of some
+    sequence, whose sum is at most the largest, so no digit reaches 2^W.
     """
     totals = [sum(w) for w in weights]
     largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
     width = kronecker_width(k, largest)
     mask = (1 << width) - 1
     stack = [1 << (k * width)]
+    before = []
     out = []
-    for seq, n in zip(seqs, shared):
+    for seq in seqs:
+        n = 0
+        for a, b in zip(before, seq):
+            if a != b:
+                break
+            n += 1
         del stack[n + 1 :]
         r = stack[n]
         for c in seq[n:]:
@@ -151,6 +157,7 @@ def shared_products(k, seqs, shared, weights):
                 r += v * (r >> width)
             stack.append(r)
         out.append((r & mask, (r >> width) & mask))
+        before = seq
     return out
 
 
@@ -165,7 +172,7 @@ def elem_sym(k, values):
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
     if values and min(values) < 0:
         raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
-    return shared_products(k, [[0]], [0], [values])[0][0]
+    return shared_products(k, [[0]], [values])[0][0]
 
 
 def check_generic(spec, tangent_bags):

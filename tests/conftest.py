@@ -7,10 +7,15 @@ import pytest
 
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
-from nlocus.checks import deformation_ideal, elem_sym_dp
-from nlocus.ideals import reduce_gb, saturate_t, set_t_zero, standard_monomials
-from nlocus.poly import mono_divides, monomials_of_degree
+from nlocus.checks import elem_sym_dp
+from nlocus.ideals import Ideal, reduce_gb, saturate_t, set_t_zero, standard_monomials
+from nlocus.poly import Polynomial, mono_divides, monomials_of_degree
 from nlocus.torus import DEFAULT_WEIGHTS, WeightSpec, specialize
+
+
+def deformation_ideal(other, q, mp):
+    """<x^other, x^q + t*x^mp> as an Ideal, the input of the saturation oracle."""
+    return Ideal([Polynomial.monomial(other + (0,)), Polynomial({q + (0,): 1, mp + (1,): 1})])
 
 
 @pytest.fixture(scope="session")

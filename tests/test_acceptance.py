@@ -137,8 +137,8 @@ def test_criterion_8_algebra_kernel(points, weights):
     assert checks.algebra_kernel(points, weights, 1) == 252
     report(
         8,
-        "kbase=20 at d=5; saturation gives the closed-form E1 limit on all 252"
-        " presentations; elem_sym exact",
+        "20 standard monomials of <x0^2, x1^2> at d=5; e-string elimination gives"
+        " the closed-form E1 limit on all 252 presentations; shared_products exact",
     )
 
 

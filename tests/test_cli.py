@@ -84,6 +84,15 @@ def test_formula_span_too_small_is_usage_error(capsys, cache_path):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["degree", "--d"], ["formula", "--dmax"]], ids=["d", "dmax"])
+def test_a_degree_too_large_for_a_range_is_an_error(capsys, cache_path, argv):
+    # the range of degrees or of a fiber's weights overflows at once, before
+    # anything of that size is allocated
+    code, out, err = run(capsys, *argv, str(10**20), "--cache", str(cache_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_formula_text_output(capsys, cache_path, monkeypatch):
     # the closed form's values stand in for the Bott sums, which criterion 2 tests
     nodes = {d: closed_form()(d) for d in range(5, 54)}

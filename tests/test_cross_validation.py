@@ -72,7 +72,7 @@ def test_reduce_gb_matches_sympy_randomized():
 def test_e1_saturation_sympy_membership():
     """Saturation generators verified against sympy's division: some t-power
     multiple of each lies back in the deformation ideal."""
-    from nlocus.checks import deformation_ideal
+    from conftest import deformation_ideal
     from nlocus.ideals import saturate_t, set_t_zero
 
     I = deformation_ideal((2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0))

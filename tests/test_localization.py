@@ -255,10 +255,35 @@ def test_shared_products_width_covers_a_larger_later_sum():
     # sum, so a width derived from the first sequence alone overflows
     weights = [list(range(20)), [3, 1, 4, 1], [10**6 + k for k in range(16)]]
     seqs = [[0, 1], [0, 2]]
-    for (e16, e15), seq in zip(shared_products(16, seqs, [0, 1], weights), seqs):
+    for (e16, e15), seq in zip(shared_products(16, seqs, weights), seqs):
         values = [v for c in seq for v in weights[c]]
         assert e16 == checks.elem_sym_dp(16, values)
         assert e15 == checks.elem_sym_dp(15, values)
+
+
+
+@pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 2, 7, 15)])
+def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, values):
+    # one step r += v * (r >> W) per weight of a sequence beyond its common
+    # prefix with the sequence before; the count depends on the visit order
+    # and the fiber lengths, not on the spec
+    steps = 0
+
+    def counting(k, seqs, weights):
+        nonlocal steps
+        before = []
+        for seq in seqs:
+            n = 0
+            while n < min(len(seq), len(before)) and seq[n] == before[n]:
+                n += 1
+            steps += sum(len(weights[c]) for c in seq[n:])
+            before = seq
+        return shared_products(k, seqs, weights)
+
+    monkeypatch.setattr(loc, "shared_products", counting)
+    results = loc.degree_range(5, 53, WeightSpec(values), points)
+    assert [r.degree for r in results] == [closed_form()(d) for d in range(5, 54)]
+    assert steps == 1_197_049
 
 
 CLASSICAL_SPECS = [(0, 1, 5, 18), (0, 1, 7, 23), (-3, 0, 2, 11)]
