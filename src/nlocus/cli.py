@@ -22,7 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-from . import checks
 from . import fixpoints as fx
 from . import localization as loc
 from .formula import (
@@ -44,6 +43,9 @@ def _usage_error(message):
 def _check_flags(args):
     """Turn --weights into a WeightSpec and --cache into a Path, for the flags
     the command has; a bad flag is a usage error naming it."""
+    for flag in ("d", "dmax"):
+        if flag in args and getattr(args, flag) > loc.MAX_D:
+            _usage_error(f"--{flag} must be at most {loc.MAX_D} (sys.maxsize // 4)")
     if "weights" in args:
         try:
             args.weights = WeightSpec(tuple(int(v) for v in args.weights.split(",")))
@@ -148,6 +150,8 @@ def cmd_fixpoints(args):
 
 
 def cmd_verify(args):
+    from . import checks  # only here: no other command loads checks or limits
+
     points = fx.load_or_enumerate(args.cache)
     spec = loc.admissible_spec(points, args.weights)
     failures = 0

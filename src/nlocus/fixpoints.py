@@ -38,8 +38,7 @@ import gc
 import json
 import os
 import zlib
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
@@ -68,72 +67,48 @@ class StructuralError(RuntimeError):
 _SHARED_CELLS = {}
 
 
-@dataclass(frozen=True)
-class PencilPair:
+class PencilPair(namedtuple("PencilPair", "index q1 q2 tangent")):
     """A torus-fixed pencil of quadrics with its Grassmannian tangent Counter."""
 
-    index: int
-    q1: tuple
-    q2: tuple
-    tangent: Counter
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ZPoint:
+class ZPoint(namedtuple("ZPoint", "plane l1 l2 tangent_z normal pair_index")):
     """A fixed pencil with a common plane p: q1 = p*l1, q2 = p*l2."""
 
-    plane: tuple
-    l1: tuple
-    l2: tuple
-    tangent_z: Counter
-    normal: Counter
-    pair_index: int
+    __slots__ = ()
 
     def is_y_incident(self):
         """True when the plane divides one of the pencil lines (p in {l1,l2})."""
         return self.plane in (self.l1, self.l2)
 
 
-@dataclass(frozen=True)
-class E1Record:
+class E1Record(namedtuple("E1Record", "direction_index direction limit_cubics tangent")):
     """One exceptional direction over a ZPoint, with its limit cubic system."""
 
-    direction_index: int
-    direction: tuple
-    limit_cubics: tuple
-    tangent: Counter
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WPoint:
+class WPoint(
+    namedtuple("WPoint", "plane line doublet tangent_w normal cubic_system provenance")
+):
     """A degenerate cubic system: plane * (quadrics through a doublet)."""
 
-    plane: tuple
-    line: tuple
-    doublet: tuple
-    tangent_w: Counter
-    normal: Counter
-    cubic_system: tuple
-    provenance: tuple
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars provenance")):
     """One Bott summand: stratum tag, tangent characters, quartic system.
 
-    `tangent` is the sorted tuple of the 16 tangent characters, repeats
-    included.  `cells` is the staircase decomposition of the quartic system
-    (`ideals.staircase_cells`), derived on first use and kept: it does not
-    depend on d or on the weight spec, so the 4t check, every Bott sum and
+    A namedtuple with an instance dict.  `tangent` is the sorted tuple of
+    the 16 tangent characters, repeats included.  `cells` is the staircase
+    decomposition of the quartic system (`ideals.staircase_cells`), derived
+    on first use and kept in the instance dict: it does not depend on d or
+    on the weight spec, so the 4t check, every Bott sum and
     `checks.rank_invariants` read the one derivation.  It is not a field:
-    equality, hashing, repr and the cache file ignore it.
+    equality, hashing, repr and the cache file ignore it, and `_replace`
+    returns a point that derives its own.
     """
-
-    tag: str
-    tangent: tuple
-    quartics: tuple
-    pencil_chars: tuple
-    provenance: tuple
 
     @functools.cached_property
     def cells(self):

@@ -10,7 +10,7 @@ form is binomial(d-2,3) times a degree-29 integer polynomial over
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # The power sums p_k of each fiber's weights are polynomials in d of degree
@@ -57,17 +57,35 @@ DIVISOR_FACTORS = ((2, 27), (3, 9), (5, 2), (7, 2), (11, 1), (13, 1))
 DIVISOR = math.prod(p**e for p, e in DIVISOR_FACTORS)
 
 
-@dataclass(frozen=True)
 class UnivariateRationalPoly:
     """A polynomial in d with rational coefficients, stored low degree first."""
 
-    coefficients: tuple
+    __slots__ = ("coefficients",)
 
     def __init__(self, coefficients):
         coeffs = [c if type(c) is Fraction else Fraction(c) for c in coefficients]
         while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coefficients", tuple(coeffs))
+
+    def __setattr__(self, *_):
+        raise AttributeError("UnivariateRationalPoly is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not UnivariateRationalPoly:
+            return NotImplemented
+        return self.coefficients == other.coefficients
+
+    def __hash__(self):
+        return hash(self.coefficients)
+
+    def __repr__(self):
+        return f"UnivariateRationalPoly(coefficients={self.coefficients!r})"
+
+    def __reduce__(self):
+        return UnivariateRationalPoly, (self.coefficients,)
 
     def degree(self):
         return len(self.coefficients) - 1
@@ -175,12 +193,11 @@ def inner_polynomial(poly):
     return None if rem.coefficients else inner
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    equal: bool
-    first_mismatch: int | None
-    left: Fraction | None
-    right: Fraction | None
+class ComparisonReport(namedtuple("ComparisonReport", "equal first_mismatch left right")):
+    """Whether two polynomials are equal; else the first degree whose
+    coefficients differ, and those coefficients."""
+
+    __slots__ = ()
 
     def __str__(self):
         if self.equal:

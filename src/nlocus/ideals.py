@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import gbcore
@@ -27,11 +27,10 @@ from .formula import UnivariateRationalPoly
 from .poly import Polynomial, mono_key
 
 
-@dataclass(frozen=True)
 class Ideal:
     """A homogeneous ideal given by a non-empty list of nonzero generators."""
 
-    generators: tuple
+    __slots__ = ("generators",)
 
     def __init__(self, generators):
         gens = tuple(generators)
@@ -44,16 +43,30 @@ class Ideal:
                 raise ValueError(f"generator not homogeneous in x0..x3: {g}")
         object.__setattr__(self, "generators", gens)
 
+    def __setattr__(self, *_):
+        raise AttributeError("Ideal is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not Ideal:
+            return NotImplemented
+        return self.generators == other.generators
+
+    def __hash__(self):
+        return hash(self.generators)
+
+    def __repr__(self):
+        return f"Ideal(generators={self.generators!r})"
+
     def __iter__(self):
         return iter(self.generators)
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
+class GroebnerBasis(namedtuple("GroebnerBasis", "basis leading_terms")):
     """Reduced basis under the fixed order, plus its leading-term ideal."""
 
-    basis: tuple
-    leading_terms: tuple
+    __slots__ = ()
 
 
 def reduce_gb(I):

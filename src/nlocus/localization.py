@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from fractions import Fraction
 
 from .fixpoints import StructuralError
@@ -48,14 +49,15 @@ from .ideals import staircase_runs
 from .torus import WeightSpec, shared_products, specialize
 
 DIM = 16  # dimension of the blown-up parameter space
+# the largest d of a Bott sum: a point's 4d fiber weights are one list, whose
+# length is at most sys.maxsize
+MAX_D = sys.maxsize // 4
 
 
-@dataclass(frozen=True)
-class DegreeResult:
-    d: int
-    degree: int
-    spec: WeightSpec
-    fixpoint_count: int
+class DegreeResult(namedtuple("DegreeResult", "d degree spec fixpoint_count")):
+    """One degree's exact Bott sum, with the weight spec and the number of points."""
+
+    __slots__ = ()
 
     def to_json(self):
         return {

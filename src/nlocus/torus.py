@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 
 def char_add(a, b):
@@ -32,7 +31,6 @@ def char_sub(a, b):
     return (a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3])
 
 
-@dataclass(frozen=True)
 class WeightSpec:
     """Integer values assigned to x0..x3; must be pairwise distinct.
 
@@ -43,7 +41,7 @@ class WeightSpec:
     same test as a boolean.
     """
 
-    values: tuple
+    __slots__ = ("values",)
 
     def __init__(self, values):
         values = tuple(int(v) for v in values)
@@ -52,6 +50,25 @@ class WeightSpec:
         if len(set(values)) != 4:
             raise ValueError(f"weight spec values must be pairwise distinct: {values}")
         object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *_):
+        raise AttributeError("WeightSpec is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not WeightSpec:
+            return NotImplemented
+        return self.values == other.values
+
+    def __hash__(self):
+        return hash(self.values)
+
+    def __repr__(self):
+        return f"WeightSpec(values={self.values!r})"
+
+    def __reduce__(self):
+        return WeightSpec, (self.values,)
 
 
 DEFAULT_WEIGHTS = WeightSpec((0, 1, 5, 18))

@@ -5,7 +5,6 @@ checks come from `nlocus.checks`, which `nlocus verify` runs too.
 """
 
 import re
-from dataclasses import replace
 
 import pytest
 
@@ -63,7 +62,7 @@ def test_criterion_4_rank_invariants(points, weights):
 
 def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points, weights):
     fp = points[400]
-    bad = replace(fp, tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
+    bad = fp._replace(tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
     message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants([bad], weights, 1)
@@ -83,7 +82,7 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
     fp = points[300]
     rows = getattr(fp, field)
     row = (rows[0][0] + 1,) + rows[0][1:]
-    bad = replace(fp, **{field: (row,) + rows[1:]})
+    bad = fp._replace(**{field: (row,) + rows[1:]})
     message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants([bad], weights, 1)
@@ -91,7 +90,7 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
 
 def _repeated_quartic(fp):
     """fp with its 19th quartic replaced by a copy of its first: 18 distinct."""
-    return replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+    return fp._replace(quartics=fp.quartics[:18] + fp.quartics[:1])
 
 
 def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
@@ -173,7 +172,7 @@ def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
     # but not under the main spec (0, 1, 5, 18)
     bad = list(points)
     fp = bad[200]
-    bad[200] = replace(fp, tangent=tuple(sorted(fp.tangent + ((0, 7, -1, 0),))))
+    bad[200] = fp._replace(tangent=tuple(sorted(fp.tangent + ((0, 7, -1, 0),))))
     assert loc.admissible_spec(bad, weights) is weights
     with pytest.raises(ValueError) as info:
         checks.spec_independence(bad, weights, 1)

@@ -85,12 +85,17 @@ def test_formula_span_too_small_is_usage_error(capsys, cache_path):
 
 
 @pytest.mark.parametrize("argv", [["degree", "--d"], ["formula", "--dmax"]], ids=["d", "dmax"])
-def test_a_degree_too_large_for_a_range_is_an_error(capsys, cache_path, argv):
-    # the range of degrees or of a fiber's weights overflows at once, before
-    # anything of that size is allocated
-    code, out, err = run(capsys, *argv, str(10**20), "--cache", str(cache_path))
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+def test_a_degree_too_large_for_a_range_is_an_error(monkeypatch, capsys, cache_path, argv):
+    # a point's 4d fiber weights are one list, so d is at most sys.maxsize // 4;
+    # a larger one is a usage error before any point is loaded
+    assert loc.MAX_D == sys.maxsize // 4
+    monkeypatch.setattr(fx, "load_or_enumerate", None)
+    for value in (loc.MAX_D + 1, 10**20):
+        with pytest.raises(SystemExit) as err:
+            main([*argv, str(value), "--cache", str(cache_path)])
+        assert err.value.code == 2
+        message = f"usage error: {argv[-1]} must be at most {loc.MAX_D} (sys.maxsize // 4)\n"
+        assert capsys.readouterr() == ("", message)
 
 
 def test_formula_text_output(capsys, cache_path, monkeypatch):
@@ -456,6 +461,40 @@ def test_cli_import_does_not_load_multiprocessing():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+# prints the watched modules that `import nlocus.cli` loads, then those loaded
+# once the command has run too; the bare interpreter's modules, which a site
+# hook may extend, are left out
+_LOADS = (
+    "import sys\n"
+    "bare = set(sys.modules)\n"
+    "from nlocus.cli import main\n"
+    "imported = set(sys.modules) - bare\n"
+    "main(sys.argv[1:])\n"
+    "watched = ('dataclasses', 'inspect', 'nlocus.checks', 'nlocus.limits')\n"
+    "print([m for m in watched if m in imported],"
+    " [m for m in watched if m in set(sys.modules) - bare])\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [(["degree", "--d", "4"], []), (["verify"], ["nlocus.checks", "nlocus.limits"])],
+    ids=["degree", "verify"],
+)
+def test_a_command_imports_only_the_modules_it_runs(cache_path, argv, loads):
+    done = _python(
+        "-c",
+        _LOADS,
+        *argv,
+        "--cache",
+        str(cache_path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == f"[] {loads}"
 
 
 def test_closed_stdout_exits_1_without_a_traceback(cache_path):

@@ -88,6 +88,8 @@ def test_poly_str_and_eval():
     p = UnivariateRationalPoly([-1, 0, Fraction(3, 2)])
     assert str(p) == "3/2*d^2-1"
     assert p(2) == 5
+    assert UnivariateRationalPoly([-1, 0, Fraction(3, 2), 0, Fraction(0)]) == p
+    assert UnivariateRationalPoly([0, 0]).coefficients == ()
     assert UnivariateRationalPoly([]).degree() == -1
     assert str(UnivariateRationalPoly([])) == "0"
 

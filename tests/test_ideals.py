@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import random
 import re
@@ -501,7 +500,7 @@ def test_algebra_kernel_names_a_swapped_extra_cubic(monkeypatch):
     def corrupted(z_point):
         records = e1_points(z_point)
         if z_point == z:
-            records[0] = dataclasses.replace(records[0], limit_cubics=swapped)
+            records[0] = records[0]._replace(limit_cubics=swapped)
         return records
 
     monkeypatch.setattr(fx, "e1_points", corrupted)

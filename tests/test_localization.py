@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import math
@@ -88,7 +87,7 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
     fp = points[100]
     c = fp.tangent[0]
     flipped = tuple(sorted(fp.tangent[1:] + (tuple(-e for e in c),)))
-    bad = dataclasses.replace(fp, tangent=flipped)
+    bad = fp._replace(tangent=flipped)
     altered = points[:100] + [bad] + points[101:]
     _, dens, _ = loc._common_denominator(altered, weights)
     expected = -2 * Fraction(1, math.prod(loc._tangent_values(fp, weights)))
@@ -103,7 +102,7 @@ def test_wrong_cell_list_fails_the_rank_check(points, weights):
     cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
-        bad = dataclasses.replace(fp)
+        bad = fp._replace()
         vars(bad)["cells"] = wrong  # where functools.cached_property keeps it
         altered = points[:200] + [bad] + points[201:]
         with pytest.raises(
@@ -183,7 +182,7 @@ def _no_child_left():
 def _broken(points, index):
     """points with the one at index given a repeated quartic: fiber rank 4d + 1."""
     fp = points[index]
-    bad = dataclasses.replace(fp, quartics=fp.quartics[:18] + fp.quartics[:1])
+    bad = fp._replace(quartics=fp.quartics[:18] + fp.quartics[:1])
     return points[:index] + [bad] + points[index + 1 :]
 
 

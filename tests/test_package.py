@@ -1,13 +1,20 @@
 """The documented library API and the standard-library-only rule."""
 
 import ast
+import pickle
 import re
 import sys
 from pathlib import Path
 
 import pytest
 
+from nlocus import fixpoints as fx
 from nlocus.cli import main
+from nlocus.formula import ComparisonReport, UnivariateRationalPoly
+from nlocus.ideals import GroebnerBasis, Ideal
+from nlocus.localization import DegreeResult
+from nlocus.poly import parse
+from nlocus.torus import WeightSpec
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +74,38 @@ def test_package_imports_only_the_standard_library():
                 if top != "nlocus" and top not in sys.stdlib_module_names:
                     foreign.append(f"{path.name}: {name}")
     assert foreign == []
+
+
+NAMEDTUPLES = (
+    fx.PencilPair,
+    fx.ZPoint,
+    fx.E1Record,
+    fx.WPoint,
+    fx.FixedPoint,
+    DegreeResult,
+    GroebnerBasis,
+    ComparisonReport,
+)
+# each value class with the arguments of one instance; the namedtuples get
+# small ints, hashable where the package passes Counters
+VALUES = [(cls, tuple(range(len(cls._fields)))) for cls in NAMEDTUPLES] + [
+    (WeightSpec, ((0, 1, 5, 18),)),
+    (UnivariateRationalPoly, ([1, 0, 2],)),
+    (Ideal, ([parse("x0^2 - x1*x2"), parse("x3^2")],)),
+]
+
+
+@pytest.mark.parametrize("cls, args", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+def test_value_classes_are_immutable_values(cls, args):
+    a, b = cls(*args), cls(*args)
+    assert a is not b and a == b and hash(a) == hash(b)
+    fields = getattr(cls, "_fields", None) or cls.__slots__
+    assert repr(a) == repr(b) and repr(a).startswith(f"{cls.__name__}({fields[0]}=")
+    if cls is not Ideal:  # its generators, Polynomials, do not pickle
+        assert pickle.loads(pickle.dumps(a)) == a
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(a, field, getattr(b, field))
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+    assert a == b

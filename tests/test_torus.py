@@ -215,9 +215,9 @@ def test_specialize():
 
 
 def test_weight_spec_rejects_duplicates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pairwise distinct"):
         WeightSpec((0, 1, 1, 5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exactly 4 values"):
         WeightSpec((0, 1, 2))
 
 
