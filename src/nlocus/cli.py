@@ -255,6 +255,9 @@ def main(argv=None):
     except (ValueError, RuntimeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        print(f"error: out of memory in nlocus {args.command}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -25,9 +25,12 @@ p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
 lies on the second centre and gives a WPoint; one whose cubics have no
 common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
 computed on this path is the 4t check of each fixed point's quartics in
-`enumerate_all`.  No linear algebra and no Groebner basis is computed on
-this path; `nlocus verify` recomputes every limit by exact elimination
-along the e-strings of the deformed pencil (`limits.e1_limit`).
+`enumerate_all`, read off the point's staircase cells, which
+`ideals.quartic_cells` derives from one table of the 35 quartic monomials
+(`ideals.staircase_cells` is the general path and the reference).  No
+linear algebra and no Groebner basis is computed on this path; `nlocus
+verify` recomputes every limit by exact elimination along the e-strings of
+the deformed pencil (`limits.e1_limit`).
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from collections import Counter, namedtuple
 from pathlib import Path
 
 from .formula import UnivariateRationalPoly
-from .ideals import cells_hilbert_polynomial, staircase_cells
+from .ideals import cells_hilbert_polynomial, quartic_cells
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -60,11 +63,6 @@ CENSUS = (21, 180, 324)  # fixed points per stratum
 
 class StructuralError(RuntimeError):
     """An invariant of the fixed-point cascade failed; indicates a bug."""
-
-
-# one tuple object per distinct staircase cell, shared by every FixedPoint:
-# the 525 points have 13,617 cells, only 401 of them distinct
-_SHARED_CELLS = {}
 
 
 class PencilPair(namedtuple("PencilPair", "index q1 q2 tangent")):
@@ -102,9 +100,10 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
 
     A namedtuple with an instance dict.  `tangent` is the sorted tuple of
     the 16 tangent characters, repeats included.  `cells` is the staircase
-    decomposition of the quartic system (`ideals.staircase_cells`), derived
-    on first use and kept in the instance dict: it does not depend on d or
-    on the weight spec, so the 4t check, every Bott sum and
+    decomposition of the quartic system, derived by `ideals.quartic_cells`
+    (the same cells as the general path `ideals.staircase_cells`) on first
+    use and kept in the instance dict: it does not depend on d or on the
+    weight spec, so the 4t check, every Bott sum and
     `checks.rank_invariants` read the one derivation.  It is not a field:
     equality, hashing, repr and the cache file ignore it, and `_replace`
     returns a point that derives its own.
@@ -113,8 +112,7 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     @functools.cached_property
     def cells(self):
         """The staircase cells of the quartic system, a tuple of shared cell objects."""
-        cells = staircase_cells(self.quartics)
-        return tuple(map(_SHARED_CELLS.setdefault, cells, cells))
+        return quartic_cells(self.quartics)
 
 
 def _sorted_chars(counter):
@@ -435,20 +433,20 @@ def load_cache(path):
     file, including one of another schema, is a ValueError naming the path.
     """
     where = f"fixed-point cache {path}"
-    # the load makes some 40,000 lists and tuples and no reference cycles, so
-    # the cyclic collector is paused, then left as it was
+    # the load makes some 40,000 tuples and short-lived lists and no
+    # reference cycles, so the cyclic collector is paused, then left as it was
     enabled = gc.isenabled()
     gc.disable()
     try:
         data = Path(path).read_bytes()
-        doc = json.loads(data)
         if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
-            # each record gives way to its point, so that the whole document
-            # and all the points are never in memory at once
-            points = doc["points"]
-            for i, record in enumerate(points):
-                points[i] = point_from_json(record)
-            return points
+            # each record becomes its point as soon as it is parsed, so the
+            # lists of the whole document never exist at once
+            doc = json.loads(
+                data, object_hook=lambda obj: point_from_json(obj) if "tag" in obj else obj
+            )
+            return doc["points"]
+        doc = json.loads(data)
     except FileNotFoundError:
         return None
     except (OSError, ValueError) as exc:

@@ -5,9 +5,12 @@ one elimination Groebner basis, and Hilbert polynomials of monomial ideals.
 Monomial ideals in x0..x3 are given by their generators' exponent 4-tuples,
 the format of the fixed-point path; standard monomials and Hilbert
 polynomials are both read off one staircase decomposition of such an ideal
-(`staircase_cells`), with no Groebner basis and no `Polynomial`.  A caller
-that holds the cells already (`fixpoints.FixedPoint.cells`) passes them to
-`cells_hilbert_polynomial` or `staircase_runs` directly.
+(`staircase_cells`), with no Groebner basis and no `Polynomial`.
+`staircase_cells` is the general path, for any generators, and the
+reference.  A fixed point's generators are quartic monomials, and its cells
+(`fixpoints.FixedPoint.cells`) come from `quartic_cells`, which reads the
+same cells off one table of the 35 quartics; a caller that holds the cells
+passes them to `cells_hilbert_polynomial` or `staircase_runs` directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
 Their generators must be homogeneous in the x-variables (the deformation
@@ -24,7 +27,7 @@ from fractions import Fraction
 
 from . import gbcore
 from .formula import UnivariateRationalPoly
-from .poly import Polynomial, mono_key
+from .poly import Polynomial, mono_key, monomials_of_degree
 
 
 class Ideal:
@@ -156,6 +159,57 @@ def staircase_cells(lead_x):
                 cells.append(((i, j, k), free_k, bound, i + j + k))
         below = plane
     return cells
+
+
+# the 35 quartic monomials, x3-exponent non-increasing: bit n of a set of
+# quartics stands for _QUARTICS[n], so its highest bit is a least x3-exponent
+_QUARTICS = sorted((m[:4] for m in monomials_of_degree(4)), key=lambda m: -m[3])
+_QUARTIC_BITS = {m: 1 << n for n, m in enumerate(_QUARTICS)}
+_BOUNDS = (math.inf, *(m[3] for m in _QUARTICS))  # the x3 bound of a set, by bit_length
+# the quartics dividing x0^i x1^j x2^k times a power of x3, by 25i + 5j + k
+_DIVIDES = [
+    sum(bit for m, bit in _QUARTIC_BITS.items() if m[0] <= i and m[1] <= j and m[2] <= k)
+    for i, j, k in itertools.product(range(5), repeat=3)
+]
+# one cell object per (grid index, at-cap flags, bound), shared across calls
+_QUARTIC_CELLS = {}
+
+
+def quartic_cells(quartics):
+    """tuple(staircase_cells(quartics)) for exponent 4-tuples of quartic monomials.
+
+    The quartics become a 35-bit set; a grid point's bound is read off the
+    highest bit the set shares with the point's `_DIVIDES` mask.  A point
+    with bound 0 ends its row, a row covered at its first point ends its
+    plane, and a plane covered at its first point ends the walk.  Equal
+    cells, within a call or across calls, are one object.  A monomial that
+    is not a quartic is a ValueError naming it.
+    """
+    bits = 0
+    for m in quartics:
+        bit = _QUARTIC_BITS.get(m)
+        if bit is None:
+            raise ValueError(f"not a quartic monomial: {m}")
+        bits |= bit
+    c0, c1, c2, _ = map(max, zip(*quartics)) if quartics else (0, 0, 0, 0)
+    cells = []
+    for i in range(c0 + 1):
+        for j in range(c1 + 1):
+            for k in range(c2 + 1):
+                index = 25 * i + 5 * j + k
+                bound = _BOUNDS[(bits & _DIVIDES[index]).bit_length()]
+                if not bound:
+                    break
+                key = (index, i == c0, j == c1, k == c2, bound)
+                cell = _QUARTIC_CELLS.get(key)
+                if cell is None:
+                    cell = _QUARTIC_CELLS[key] = ((i, j, k), _FREE[key[1:4]], bound, i + j + k)
+                cells.append(cell)
+            if not (bound or k):
+                break
+        if not (bound or j or k):
+            break
+    return tuple(cells)
 
 
 def staircase_runs(cells, d):

@@ -327,6 +327,17 @@ def test_a_failed_fork_is_an_error(monkeypatch, capsys, two_cpus, cache_path, co
     assert err == f"error: cannot fork a Bott-sum worker: {os.strerror(errno.EAGAIN)}\n"
 
 
+@pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"]])
+def test_running_out_of_memory_is_an_error_line(monkeypatch, capsys, cache_path, command):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(loc, "degree_range", exhausted)
+    code, out, err = run(capsys, *command, "--cache", str(cache_path))
+    assert (code, out) == (1, "")
+    assert err == f"error: out of memory in nlocus {command[0]}\n"
+
+
 def test_verify_runs_the_eight_named_checks(verify_checks):
     assert [name for name, _ in checks.CHECKS] == list(verify_checks)
 

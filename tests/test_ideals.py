@@ -286,6 +286,25 @@ def test_standard_monomials_against_brute_force(points):
             assert set(got) == set(brute_standard_monomials(fp.quartics, d))
 
 
+def test_quartic_cells_are_the_staircase_cells_shared(points):
+    quartics = [m[:4] for m in monomials_of_degree(4)]
+    rng = random.Random(32)
+    systems = [fp.quartics for fp in points] + [(), quartics]
+    systems += [rng.sample(quartics, rng.randint(1, 35)) for _ in range(200)]
+    shared = {}
+    for system in systems:
+        cells = ideals.quartic_cells(system)
+        assert cells == tuple(ideals.staircase_cells(system)), system
+        for cell in cells:
+            assert shared.setdefault(cell, cell) is cell, (system, cell)
+
+
+@pytest.mark.parametrize("m", [(1, 1, 1, 0), (0, 0, 0, 5), (5, -1, 0, 0), (4, 0, 0, 0, 0)])
+def test_quartic_cells_reject_a_monomial_that_is_not_a_quartic(m):
+    with pytest.raises(ValueError, match=re.escape(f"not a quartic monomial: {m}")):
+        ideals.quartic_cells([(0, 0, 0, 4), m])
+
+
 def test_set_t_zero():
     assert [render(g) for g in set_t_zero(ideal("x0 + t*x1")).generators] == ["x0"]
     assert [render(g) for g in set_t_zero(ideal("t*x0", "x1^2")).generators] == ["x1^2"]

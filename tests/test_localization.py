@@ -15,7 +15,7 @@ from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus.fixpoints import G2, StructuralError
-from nlocus.ideals import staircase_cells, staircase_runs, standard_monomials
+from nlocus.ideals import quartic_cells, staircase_runs, standard_monomials
 from nlocus.formula import closed_form
 from nlocus.poly import parse
 from nlocus.torus import (
@@ -115,18 +115,18 @@ def test_wrong_cell_list_fails_the_rank_check(points, weights):
 def _count_cell_derivations(monkeypatch):
     """The list of quartic systems whose staircase cells are derived from now on.
 
-    `staircase_cells` is replaced at every package attribute bound to it.
+    `quartic_cells` is replaced at every package attribute bound to it.
     """
     derived = []
 
-    def counted(lead_x):
-        derived.append(lead_x)
-        return staircase_cells(lead_x)
+    def counted(quartics):
+        derived.append(quartics)
+        return quartic_cells(quartics)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("nlocus"):
             for key, value in list(vars(module).items()):
-                if value is staircase_cells:
+                if value is quartic_cells:
                     monkeypatch.setattr(module, key, counted)
     return derived
 
