@@ -174,7 +174,9 @@ def _deformations(pencil, e):
 def algebra_kernel(points, spec, workers):
     """The fiber staircase, the E1 flat limits by `e1_limit`, the Kronecker kernel.
 
-    Every presentation of every E1 direction must give the 8 cubics that
+    Every presentation of every E1 direction, taken to its flat limit by the
+    run rule on its e-strings (no elimination, no Groebner basis), must give
+    4d standard monomials for d = 2..5 and the 8 cubics that
     `fixpoints.e1_points` writes down for it; a failure names the direction,
     its pair and d.  `torus.shared_products`, the kernel of every Bott sum,
     is checked through `elem_sym` against brute force and `elem_sym_dp`, and

@@ -29,7 +29,7 @@ computed on this path is the 4t check of each fixed point's quartics in
 `ideals.quartic_cells` derives from one table of the 35 quartic monomials
 (`ideals.staircase_cells` is the general path and the reference).  No
 linear algebra and no Groebner basis is computed on this path; `nlocus
-verify` recomputes every limit by exact elimination along the e-strings of
+verify` recomputes every limit exactly by the run rule on the e-strings of
 the deformed pencil (`limits.e1_limit`).
 """
 

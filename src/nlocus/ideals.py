@@ -62,6 +62,9 @@ class Ideal:
     def __repr__(self):
         return f"Ideal(generators={self.generators!r})"
 
+    def __reduce__(self):
+        return Ideal, (self.generators,)
+
     def __iter__(self):
         return iter(self.generators)
 

@@ -95,6 +95,9 @@ class Polynomial:
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        return Polynomial, (self._terms,)
+
     # -- constructors -------------------------------------------------
 
     @classmethod

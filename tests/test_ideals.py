@@ -548,25 +548,81 @@ def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
         checks.algebra_kernel(None, None, 1)
 
 
-def test_e1_limit_requires_each_multiple_on_one_e_string(monkeypatch):
-    # a string table that puts x2^2 one place too far along its string
-    e_string, moved = limits._e_string, limits._pack((0, 0, 2, 0))
+def _echelon_lows(units, lows, pe):
+    """The lowest positions of the span of the unit vectors at units and the
+    edges from p to p + pe, by Fraction elimination, as brute force."""
+    order = 1 if pe > 0 else -1  # p + pe is one position further along
+    pivots = {}
+    for row in [{p: 1} for p in units] + [{p: 1, p + pe: 1} for p in lows]:
+        row = {k: Fraction(v) for k, v in row.items()}
+        while row:
+            low = min(row, key=lambda p: order * p)
+            if low not in pivots:
+                pivots[low] = row
+                break
+            f = row[low] / pivots[low][low]
+            for k, v in pivots[low].items():
+                row[k] = row.get(k, 0) - f * v
+            row = {k: v for k, v in row.items() if v}
+    return set(pivots)
 
-    def mutant(e):
-        position = e_string(e)
 
-        def misplaced(p):
-            a, j = position(p)
-            return (a, j + 1) if p == moved else (a, j)
+@pytest.mark.parametrize(
+    "units, lows, pe, want",
+    [
+        ((), (0, 1, 2), 1, {0, 1, 2}),  # a run without a unit
+        ((1,), (0, 1, 2), 1, {0, 1, 2, 3}),  # a unit inside the run
+        ((3,), (0, 1, 2), 1, {0, 1, 2, 3}),  # a unit at its top
+        ((0,), (0, 1, 2), 1, {0, 1, 2, 3}),  # a unit at its bottom
+        ((3, 9), (0, 1, 5, 6), 1, {0, 1, 3, 5, 6, 9}),  # units just off two runs
+        ((7, 8), (0, 1, 5, 6), 1, {0, 1, 5, 6, 7, 8}),  # a unit at one run's top
+        ((-24,), (0, -8, -16), -8, {0, -8, -16, -24}),  # negative pe, unit at the top
+        ((), (0, -8, -16), -8, {0, -8, -16}),  # negative pe, no unit
+        ((-8, 40), (0, -8, 64), -8, {0, -8, -16, 40, 64}),  # negative pe, a unit inside
+    ],
+)
+def test_run_rule_on_hand_built_runs(units, lows, pe, want):
+    got = limits._pivots(set(units), set(lows), pe)
+    assert got == want == _echelon_lows(units, lows, pe)
 
-        return misplaced
 
-    monkeypatch.setattr(limits, "_e_string", mutant)
-    message = (
-        "<x0^2, x0*x1 + t*x2^2>, d=2: x0*x1 and t*x2^2 are not adjacent on one e-string"
-    )
-    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        limits.e1_limit((2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 2, 0))
+def test_e1_limit_matches_saturation_beyond_the_cascade(saturation_limit):
+    """On 40 seeded deformed pencils of quadric monomials outside criterion
+    8's 252, the run rule is Buchberger saturation when every degree has
+    4d standard monomials, and otherwise the count error at the first d
+    that has not."""
+    quadrics = [m[:4] for m in monomials_of_degree(2)]
+    pairs = fx.enumerate_pairs()
+    _, zs = fx.split_strata(pairs)
+    cascade = {
+        presentation
+        for z in zs
+        for record in fx.e1_points(z)
+        for presentation in checks._deformations(
+            (pairs[z.pair_index].q1, pairs[z.pair_index].q2), record.direction
+        )
+    }
+    rng, outcomes = random.Random(33), set()
+    while len(outcomes) < 40:
+        pencil = tuple(rng.sample(quadrics, 3))
+        if pencil in cascade or pencil in {p for p, _ in outcomes}:
+            continue
+        want = saturation_limit(*pencil)
+        counts = {d: math.comb(d + 3, 3) - len(want[d]) for d in want}
+        bad = [d for d, n in counts.items() if n != 4 * d]
+        if not bad:
+            assert limits.e1_limit(*pencil) == want, pencil
+        else:
+            other, q, mp = map(render_monomial, pencil)
+            message = (
+                f"<{other}, {q} + t*{mp}>, d={bad[0]}:"
+                f" {counts[bad[0]]} standard monomials != {4 * bad[0]}"
+            )
+            with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+                limits.e1_limit(*pencil)
+        outcomes.add((pencil, bool(bad)))
+    assert {bad for _, bad in outcomes} == {False, True}
+    assert any(limits._pack(mp) < limits._pack(q) for (_, q, mp), _ in outcomes)
 
 
 def all_deformation_ideals():
