@@ -18,12 +18,15 @@ fiber weight is non-negative; the caller's spec is the one reported.
 The hot path, `_sum_chunk`, reads the staircase cells of each point's
 quartic system from `FixedPoint.cells`, derived once per point and process
 and shared with the 4t check and `checks.rank_invariants`.  The points of a
-chunk are built from few distinct cells, so each distinct cell is expanded
-once per d into specialized weights, and e_16 is `torus.shared_products`,
-the package's one Kronecker-packed product, shared between points: each
-point starts from the product of the cells it has in common with the point
-visited before it.  The summands of a chunk are added as integers over the
-lcm of their tangent denominators, one Fraction per d.
+chunk are built from few distinct cells.  The cells with no monomial at any
+d of the sum are left out once, and each other distinct cell is expanded
+once per d into specialized weights.  e_16 is `torus.shared_products`, the
+package's one Kronecker-packed product, shared between points: each point
+starts from the product of the cells it has in common with the point
+visited before it, and a long cell that the product meets again enters
+through its 16 elementary symmetric coefficients, not weight by weight.
+The summands of a chunk are added as integers over the lcm of their
+tangent denominators, one Fraction per d.
 
 With N workers, `_localize` runs one sum in at most N processes, and never
 in more than the CPUs this process may run on (`_usable_cpus`): on one CPU
@@ -130,11 +133,13 @@ def _sum_chunk(points, ds, spec):
 
     The points share one Kronecker pass per d (`torus.shared_products`).  The
     chunk's distinct staircase cells are numbered once, longest first (their
-    number of degree-max(ds) monomials, ties by the cell), and at each d
-    every distinct cell is expanded once into specialized weights.  Each
-    point is the sorted list of its cells' numbers, and the points are
-    visited in lexicographic order of those lists, so that a point shares
-    its longest cells with the point before it.
+    number of degree-max(ds) monomials, ties by the cell).  A cell with no
+    monomial at any d in ds is dead: it gets no number and is fed to no
+    pass, and `_check_rank` at each d fails if a live cell were dropped.  At
+    each d every numbered cell is expanded once into specialized weights.
+    Each point is the sorted list of its live cells' numbers, and the points
+    are visited in lexicographic order of those lists, so that a point
+    shares its longest cells with the point before it.
 
     The numerators are taken under spec shifted to a zero minimum (see the
     module docstring); the denominators are equal under either spec.
@@ -143,12 +148,14 @@ def _sum_chunk(points, ds, spec):
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
     top = max(ds)
+    distinct = {cell for fp in points for cell in fp.cells}
+    at_top = {cell: sum(n for _, _, n in staircase_runs([cell], top)) for cell in distinct}
     cells = sorted(
-        {cell for fp in points for cell in fp.cells},
-        key=lambda cell: (-sum(n for _, _, n in staircase_runs([cell], top)), cell),
+        (c for c, n in at_top.items() if n or any(staircase_runs([c], d) for d in ds)),
+        key=lambda cell: (-at_top[cell], cell),
     )
     number = {cell: n for n, cell in enumerate(cells)}
-    seqs = [sorted(map(number.__getitem__, fp.cells)) for fp in points]
+    seqs = [sorted(number[c] for c in fp.cells if c in number) for fp in points]
     visits = sorted(range(len(points)), key=seqs.__getitem__)
     ordered = [seqs[p] for p in visits]
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]

@@ -14,7 +14,11 @@ them: Kronecker substitution, one big-integer product (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009),
 over many multisets that share prefixes.  The Bott sums (`localization`)
 pass it every fixed point's fiber at once, shifted to non-negative weights,
-and `elem_sym` is its one-multiset case.
+and `elem_sym` is its one-multiset case.  A list of more than k weights
+that one call applies a second time goes in through its k elementary
+symmetric coefficients, k shifted products in place of one per weight, so
+the cost of a re-applied cell no longer grows with d; the docstring of
+`shared_products` gives the rule and why it is exact.
 """
 
 from __future__ import annotations
@@ -137,6 +141,20 @@ def kronecker_width(k, s):
     return (s**m // math.factorial(m)).bit_length()
 
 
+def _coefficients(k, values):
+    """[e_1, ..., e_k] of the non-negative integers in values.
+
+    One pass of the Kronecker step r += v * (r >> w) at the width w of
+    values' own sum, then the k digits below the top one.
+    """
+    width = kronecker_width(k, sum(values))
+    r = 1 << (k * width)
+    for v in values:
+        r += v * (r >> width)
+    mask = (1 << width) - 1
+    return [(r >> (width * (k - i))) & mask for i in range(1, k + 1)]
+
+
 def shared_products(k, seqs, weights):
     """(e_k, e_(k-1)) of each index sequence's weights, sharing common prefixes.
 
@@ -153,11 +171,24 @@ def shared_products(k, seqs, weights):
     seqs[i - 1].  One width serves every sequence, `kronecker_width` of the
     largest sum: every stack state packs e_0..e_k of a sub-multiset of some
     sequence, whose sum is at most the largest, so no digit reaches 2^W.
+
+    A list of more than k weights that is applied a second time in the call
+    is applied through its coefficients c_i = e_i(list), i = 1..k, derived
+    once at the list's own width (`_coefficients`): r += sum_i c_i * (r >> i*W).
+    This is exact.  r >> i*W drops exactly the lowest i digits, since no
+    digit of r carries, and moves e_j(P) of the prefix multiset P to the
+    digit of e_(j+i).  The digit of e_m becomes e_m(P) + sum_i c_i *
+    e_(m-i)(P) = e_m(P + list), an e_m of a sub-multiset of some sequence,
+    which the width bound keeps below 2^W: no carry occurs.  The first
+    application, and every application of a list of at most k weights, is
+    weight by weight, so a list used once costs no derivation.
     """
     totals = [sum(w) for w in weights]
     largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
     width = kronecker_width(k, largest)
     mask = (1 << width) - 1
+    applied = [False] * len(weights)
+    coeffs = [None] * len(weights)
     stack = [1 << (k * width)]
     before = []
     out = []
@@ -170,8 +201,18 @@ def shared_products(k, seqs, weights):
         del stack[n + 1 :]
         r = stack[n]
         for c in seq[n:]:
-            for v in weights[c]:
-                r += v * (r >> width)
+            cs = coeffs[c]
+            if cs is None and applied[c] and len(weights[c]) > k:
+                cs = coeffs[c] = _coefficients(k, weights[c])
+            if cs is None:
+                for v in weights[c]:
+                    r += v * (r >> width)
+                applied[c] = True
+            else:
+                t = r
+                for ci in cs:
+                    t >>= width
+                    r += ci * t
             stack.append(r)
         out.append((r & mask, (r >> width) & mask))
         before = seq

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
+from nlocus import torus
 from nlocus.fixpoints import G2, StructuralError
 from nlocus.ideals import quartic_cells, staircase_runs, standard_monomials
 from nlocus.formula import closed_form
@@ -263,26 +265,55 @@ def test_shared_products_width_covers_a_larger_later_sum():
 
 @pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 2, 7, 15)])
 def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, values):
-    # one step r += v * (r >> W) per weight of a sequence beyond its common
-    # prefix with the sequence before; the count depends on the visit order
-    # and the fiber lengths, not on the spec
-    steps = 0
+    # the kernel's work, counted on the operands of its multiplications: a
+    # weight step multiplies by a weight, a coefficient term by a derived
+    # coefficient, and a derivation takes one step at its own width per
+    # weight of its cell; "cells fed" are the entries of the sequences, with
+    # the cells that have no monomial at any d of the sum left out.  The
+    # counts depend on the visit order, the fiber lengths and the rule for
+    # long cells, not on the spec
+    work = Counter()
+
+    class Weight(int):
+        def __mul__(self, other):
+            work["weight steps"] += 1
+            return int.__mul__(self, other)
+
+    class Coefficient(int):
+        def __mul__(self, other):
+            work["coefficient terms"] += 1
+            return int.__mul__(self, other)
+
+    derive = torus._coefficients
+
+    def counting_derive(k, cell):
+        steps = work["weight steps"]
+        coeffs = derive(k, cell)
+        work["own-width steps"] += work["weight steps"] - steps
+        work["weight steps"] = steps
+        return [Coefficient(c) for c in coeffs]
 
     def counting(k, seqs, weights):
-        nonlocal steps
-        before = []
-        for seq in seqs:
-            n = 0
-            while n < min(len(seq), len(before)) and seq[n] == before[n]:
-                n += 1
-            steps += sum(len(weights[c]) for c in seq[n:])
-            before = seq
-        return shared_products(k, seqs, weights)
+        work["cells fed"] += sum(len(seq) for seq in seqs)
+        return shared_products(k, seqs, [[Weight(v) for v in w] for w in weights])
 
+    monkeypatch.setattr(torus, "_coefficients", counting_derive)
     monkeypatch.setattr(loc, "shared_products", counting)
     results = loc.degree_range(5, 53, WeightSpec(values), points)
     assert [r.degree for r in results] == [closed_form()(d) for d in range(5, 54)]
-    assert steps == 1_197_049
+    assert work == {
+        "weight steps": 597_686,
+        "coefficient terms": 287_792,
+        "own-width steps": 76_275,
+        "cells fed": 383_670,
+    }
+
+
+@pytest.mark.parametrize("values", [(0, 1, 5, 18), (-7, 3, 11, 40)])
+@pytest.mark.parametrize("d", [100, 200])
+def test_a_sum_far_past_the_nodes_is_the_closed_form(points, values, d):
+    # cells of hundreds of weights, re-applied through their coefficients
+    assert loc.degree_nl(d, WeightSpec(values), points).degree == closed_form()(d)
 
 
 CLASSICAL_SPECS = [(0, 1, 5, 18), (0, 1, 7, 23), (-3, 0, 2, 11)]

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from nlocus import torus
 from nlocus.checks import elem_sym_dp
 from nlocus.poly import monomials_of_degree, parse
 from nlocus.torus import (
@@ -15,6 +16,8 @@ from nlocus.torus import (
     check_generic,
     elem_sym,
     grass_tangent,
+    kronecker_width,
+    shared_products,
     specialize,
 )
 
@@ -321,6 +324,54 @@ def test_elem_sym_values_near_ten_to_the_thirty():
     values = [big + rng.randint(-(10**6), 10**6) for _ in range(40)]
     for k in (15, 16):
         assert elem_sym(k, values) == elem_sym_dp(k, values), k
+
+
+def _shared_against_dp(monkeypatch, seqs, weights, k=16):
+    """shared_products of seqs against elem_sym_dp of each concatenation;
+    returns the lengths of the lists it derived coefficients of, in order."""
+    derived = []
+    derive = torus._coefficients
+
+    def recording(k, values):
+        derived.append(len(values))
+        return derive(k, values)
+
+    with monkeypatch.context() as m:
+        m.setattr(torus, "_coefficients", recording)
+        got = shared_products(k, seqs, weights)
+    for (ek, ek1), seq in zip(got, seqs):
+        values = [v for c in seq for v in weights[c]]
+        assert (ek, ek1) == (elem_sym_dp(k, values), elem_sym_dp(k - 1, values)), seq
+    return derived
+
+
+def test_shared_products_applies_a_long_cell_through_its_coefficients_the_second_time(monkeypatch):
+    # cell 0 has k weights and cell 1 has k + 1; each is applied twice, and
+    # only the second application of the longer one takes the coefficients
+    rng = random.Random(43)
+    weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (16, 17)]
+    assert _shared_against_dp(monkeypatch, [[0, 1], [1], [1, 0]], weights) == [17]
+    assert _shared_against_dp(monkeypatch, [[0], [1], [0, 1], [1, 0]], weights) == [17]
+    # a cell applied once, however long, is never derived
+    longer = [w * 10 for w in weights]  # 160 and 170 weights
+    assert _shared_against_dp(monkeypatch, [[0, 1]], longer) == []
+
+
+def test_shared_products_coefficients_at_the_width_edge(monkeypatch):
+    # both cells re-applied on the sequences with the largest sum: 200
+    # copies of 977 put e_16 in the top bit of the width
+    weights = [[977] * 100, [977] * 100]
+    assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0]], weights) == [100, 100]
+    e16 = shared_products(16, [[0, 1], [1, 0]], weights)[1][0]
+    assert e16.bit_length() == kronecker_width(16, 200 * 977)
+
+
+def test_shared_products_all_zero_long_cell(monkeypatch):
+    rng = random.Random(47)
+    weights = [[0] * 30, [rng.randint(0, 50) for _ in range(20)]]
+    assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0], [0]], weights) == [20, 30]
+    # the second application of a cell in one sequence takes its coefficients
+    assert _shared_against_dp(monkeypatch, [[0, 0]], weights) == [30]
 
 
 def test_check_generic():
