@@ -25,12 +25,12 @@ p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
 lies on the second centre and gives a WPoint; one whose cubics have no
 common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
 computed on this path is the 4t check of each fixed point's quartics in
-`enumerate_all`, read off the point's staircase cells, which
-`ideals.quartic_cells` derives from one table of the 35 quartic monomials
-(`ideals.staircase_cells` is the general path and the reference).  No
-linear algebra and no Groebner basis is computed on this path; `nlocus
-verify` recomputes every limit exactly by the run rule on the e-strings of
-the deformed pencil (`limits.e1_limit`).
+`enumerate_all`, 3! times it in integers, read off the point's staircase
+cells, which `ideals.quartic_cells` derives from one table of the 35
+quartic monomials (`ideals.staircase_cells` is the general path and the
+reference).  No linear algebra and no Groebner basis is computed on this
+path; `nlocus verify` recomputes every limit exactly by the run rule on the
+e-strings of the deformed pencil (`limits.e1_limit`).
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ import zlib
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .formula import UnivariateRationalPoly
-from .ideals import cells_hilbert_polynomial, quartic_cells
+from .ideals import cells_hilbert_numerator, quartic_cells
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -218,9 +217,6 @@ def e1_points(z):
     return records
 
 
-_HILB_4T = UnivariateRationalPoly([0, 4])  # Hilbert polynomial of an elliptic quartic
-
-
 def classify_e1(record, z, z_index):
     """Sort an E1 record into a G2E1 fixed point or a WPoint by its common plane.
 
@@ -329,7 +325,8 @@ def enumerate_all():
 
     Each point's quartic system is checked to cut out a curve with Hilbert
     polynomial 4t, read off the point's `cells`, which the points keep for
-    the Bott sums.
+    the Bott sums: 3! times it is added up in integers from the terms the
+    shared cells keep (`ideals.cells_hilbert_numerator`), with no Fraction.
     """
     g2, zs = split_strata(enumerate_pairs())
     g2e1, ws = [], []
@@ -348,7 +345,7 @@ def enumerate_all():
     if counts != CENSUS:
         raise StructuralError(f"stratum counts {counts} != {CENSUS}")
     for fp in points:
-        if cells_hilbert_polynomial(fp.cells) != _HILB_4T:
+        if cells_hilbert_numerator(fp.cells) != (0, 24, 0, 0):  # 3! * 4t
             raise StructuralError(
                 f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
             )
@@ -391,14 +388,57 @@ def point_from_json(data):
     )
 
 
+class _Texts(dict):
+    """JSON texts by value, each formed by `encode` on its first lookup."""
+
+    __slots__ = ("encode",)
+
+    def __init__(self, encode):
+        super().__init__()
+        self.encode = encode
+
+    def __missing__(self, value):
+        text = self[value] = self.encode(value)
+        return text
+
+
+def _ints_text(ints):
+    """The JSON text of a tuple of integers."""
+    return f"[{','.join(map(str, ints))}]"
+
+
 def cache_bytes(points):
     """The document {"counts", "points", "schema"} as JSON with sorted keys and
-    no spaces, encoded record by record: one `json.dumps` of the whole would
-    hold some 60,000 small strings, about 3 MB, for a file of 240 KB."""
-    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
-    counts = compact(dict(zip(STRATA, stratum_counts(points))))
-    records = ",".join([compact(point_to_json(fp)) for fp in points])
-    return f'{{"counts":{counts},"points":[{records}],"schema":{SCHEMA_VERSION}}}\n'.encode()
+    no spaces, each record the bytes of `json.dumps(point_to_json(fp),
+    sort_keys=True, separators=(",", ":"))`.
+
+    The records are built from fragments: the JSON text of each distinct
+    4-integer row (a character or a monomial) and of each tag is formed once
+    per call, that of each provenance once, and each record is formatted
+    once, its five keys in sorted order.  `json.dumps` encodes only the
+    counts header and the tags.  The encoder holds at most two copies of the
+    file's text at a time; one `json.dumps` of the whole document would hold
+    some 60,000 small strings, about 3 MB, for a file of 240 KB.
+    """
+    row = _Texts(_ints_text).__getitem__
+    tag = _Texts(json.dumps).__getitem__
+
+    def rows(values):
+        return f"[{','.join(map(row, values))}]"
+
+    records = ",".join(
+        [
+            f'{{"pencil":{rows(fp.pencil_chars)},"provenance":{_ints_text(fp.provenance)}'
+            f',"quartics":{rows(fp.quartics)},"tag":{tag(fp.tag)}'
+            f',"tangent":{rows(fp.tangent)}}}'
+            for fp in points
+        ]
+    ).encode()
+    counts = json.dumps(
+        dict(zip(STRATA, stratum_counts(points))), sort_keys=True, separators=(",", ":")
+    )
+    head = f'{{"counts":{counts},"points":['.encode()
+    return b"".join([head, records, f'],"schema":{SCHEMA_VERSION}}}\n'.encode()])
 
 
 def save_cache(points, path):

@@ -10,7 +10,8 @@ polynomials are both read off one staircase decomposition of such an ideal
 reference.  A fixed point's generators are quartic monomials, and its cells
 (`fixpoints.FixedPoint.cells`) come from `quartic_cells`, which reads the
 same cells off one table of the 35 quartics; a caller that holds the cells
-passes them to `cells_hilbert_polynomial` or `staircase_runs` directly.
+passes them to `cells_hilbert_numerator`, `cells_hilbert_polynomial` or
+`staircase_runs` directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
 Their generators must be homogeneous in the x-variables (the deformation
@@ -20,6 +21,7 @@ pencils q + t*m' are exactly of this kind).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import namedtuple
@@ -89,6 +91,23 @@ def normal_form(p, G):
     return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], mono_key))
 
 
+class Cell(namedtuple("Cell", "base free bound lower")):
+    """One staircase cell (see `staircase_cells`), a namedtuple with an instance dict.
+
+    `hilbert_term` is kept in the instance dict on first use, so a cell
+    shared between quartic systems (`quartic_cells`) gives its term once per
+    process.  Equality, hashing, order and repr are the tuple's.
+    """
+
+    __repr__ = tuple.__repr__
+
+    @functools.cached_property
+    def hilbert_term(self):
+        """3! times the cell's number of degree-d monomials for large d, as 4
+        integer coefficients in d, low degree first."""
+        return _cell_term(len(self.free), self.lower, self.bound)
+
+
 # the free coordinates of a cell, by which of (i, j, k) sit at their cap
 _FREE = {
     at_cap: tuple(v for v in range(3) if at_cap[v])
@@ -101,11 +120,12 @@ def staircase_cells(lead_x):
 
     Capping (a0, a1, a2) at the largest exponent of each variable among the
     generators does not change which generators divide x^a, so the capped
-    grid splits the complement of the ideal into cells.  A cell is
-    (base, free, bound, lower): base = (i, j, k) is a point of the capped
-    grid, free lists the coordinates at their cap (they range upward from
-    it, the others are fixed), a3 < bound is the x3-exponent range (bound
-    is math.inf when no generator divides the cell) and lower = i + j + k.
+    grid splits the complement of the ideal into cells.  A cell is a
+    `Cell` (base, free, bound, lower): base = (i, j, k) is a point of the
+    capped grid, free lists the coordinates at their cap (they range upward
+    from it, the others are fixed), a3 < bound is the x3-exponent range
+    (bound is math.inf when no generator divides the cell) and
+    lower = i + j + k.
     Cells the ideal covers entirely are left out.  The list does not depend
     on the degree: it is derived once per ideal and expanded at each degree
     by staircase_runs.
@@ -159,7 +179,7 @@ def staircase_cells(lead_x):
                 if not bound:
                     break
                 free_k = free if k < c2 else free_at_cap
-                cells.append(((i, j, k), free_k, bound, i + j + k))
+                cells.append(Cell((i, j, k), free_k, bound, i + j + k))
         below = plane
     return cells
 
@@ -206,7 +226,8 @@ def quartic_cells(quartics):
                 key = (index, i == c0, j == c1, k == c2, bound)
                 cell = _QUARTIC_CELLS.get(key)
                 if cell is None:
-                    cell = _QUARTIC_CELLS[key] = ((i, j, k), _FREE[key[1:4]], bound, i + j + k)
+                    free = _FREE[key[1:4]]
+                    cell = _QUARTIC_CELLS[key] = Cell((i, j, k), free, bound, i + j + k)
                 cells.append(cell)
             if not (bound or k):
                 break
@@ -346,27 +367,28 @@ def _cell_term(f, lower, bound):
     return tuple(term)
 
 
-# _cell_term by (free count, lower, bound), kept across calls: the 525
-# quartic systems of the cascade need 52 entries
-_CELL_TERMS = {}
-
-
-def cells_hilbert_polynomial(cells):
-    """Hilbert polynomial, in d, of S/<lead_x> from the staircase cells of lead_x.
+def cells_hilbert_numerator(cells):
+    """3! times the Hilbert polynomial, in d, of S/<lead_x> from the staircase
+    cells of lead_x, as 4 integer coefficients, low degree first.
 
     The cells are a Stanley decomposition of S/<lead_x>.  A cell with f free
     coordinates, lower degree l and x3 bound b holds
     C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for large d
-    (no second term when b is math.inf), a polynomial in d.  Each cell's
-    term is an integer polynomial, 3! times that count, taken from a table
-    keyed by (f, l, b) and filled on first use; the terms are added as
-    integers and divided by 3! once.
+    (no second term when b is math.inf), a polynomial in d; 3! times it has
+    integer coefficients.  Each cell's term is `Cell.hilbert_term`, kept on
+    the cell, and the terms are added as integers.
     """
-    terms = []
-    for _, free, bound, lower in cells:
-        key = (len(free), lower, bound)
-        term = _CELL_TERMS.get(key)
-        if term is None:
-            term = _CELL_TERMS[key] = _cell_term(*key)
-        terms.append(term)
-    return UnivariateRationalPoly([Fraction(sum(c), 6) for c in zip(*terms)])
+    a0 = a1 = a2 = a3 = 0
+    for cell in cells:
+        t0, t1, t2, t3 = cell.hilbert_term
+        a0 += t0
+        a1 += t1
+        a2 += t2
+        a3 += t3
+    return a0, a1, a2, a3
+
+
+def cells_hilbert_polynomial(cells):
+    """Hilbert polynomial, in d, of S/<lead_x> from the staircase cells of lead_x:
+    `cells_hilbert_numerator` divided by 3!."""
+    return UnivariateRationalPoly([Fraction(c, 6) for c in cells_hilbert_numerator(cells)])

@@ -123,7 +123,7 @@ def unshared_sum(points):
                 numerator = plucker * elem_sym_dp(15, values)
             else:
                 numerator = elem_sym_dp(16, values)
-            out += Fraction(numerator, math.prod(loc._tangent_values(fp, spec)))
+            out += Fraction(numerator, math.prod(specialize(c, spec) for c in fp.tangent))
         return out
 
     return total

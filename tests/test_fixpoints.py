@@ -17,7 +17,7 @@ from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import gbcore, ideals
 from nlocus.ideals import (
-    cells_hilbert_polynomial,
+    cells_hilbert_numerator,
     hilbert_polynomial,
     staircase_cells,
     standard_monomials,
@@ -298,21 +298,26 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
     def refuse_hilbert(lead_x):
         raise AssertionError("hilbert_polynomial called on the fixed-point path")
 
+    def refuse_rational(*args, **kwargs):
+        raise AssertionError("a rational Hilbert polynomial built on the fixed-point path")
+
     hilbert_calls = Counter()
 
     def counted_cells_hilbert(cells):
         hilbert_calls["cells"] += 1
-        return cells_hilbert_polynomial(cells)
+        return cells_hilbert_numerator(cells)
 
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse_polynomial)
     monkeypatch.setattr(ideals, "hilbert_polynomial", refuse_hilbert)
-    monkeypatch.setattr(fx, "cells_hilbert_polynomial", counted_cells_hilbert)
+    monkeypatch.setattr(ideals, "UnivariateRationalPoly", refuse_rational)
+    monkeypatch.setattr(fx, "cells_hilbert_numerator", counted_cells_hilbert)
     points = fx.enumerate_all()
-    # one 4t check per fixed point, read off the cells the point keeps; the
-    # E1 limits are classified by their common plane, with no Hilbert
-    # polynomial of their own
+    # one 4t check per fixed point, in integers, read off the cells the point
+    # keeps; the E1 limits are classified by their common plane, with no
+    # Hilbert polynomial of their own
     assert not hasattr(fx, "hilbert_polynomial")
+    assert not hasattr(fx, "UnivariateRationalPoly")
     assert hilbert_calls == {"cells": 525}
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
@@ -598,6 +603,37 @@ def test_cache_bytes_encodes_record_by_record(points):
         tracemalloc.stop()
     assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
     assert peak < 5 * len(data), (peak, len(data))
+
+
+def _encoded_record_by_record(points):
+    """The cache document with each record a `json.dumps` of `point_to_json`:
+    the encoder `cache_bytes` replaced, kept as its oracle."""
+    compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    counts = compact(dict(zip(fx.STRATA, fx.stratum_counts(points))))
+    records = ",".join([compact(fx.point_to_json(fp)) for fp in points])
+    return f'{{"counts":{counts},"points":[{records}],"schema":{fx.SCHEMA_VERSION}}}\n'.encode()
+
+
+# one point of each tag, with one- and two-entry provenances, zero, negative
+# and large entries, an empty tangent and rows shared between keys and points
+SYNTHETIC_POINTS = [
+    fx.FixedPoint("G2", ((-1, 1, 0, 0), (0, 0, 0, 0)), ((4, 0, 0, 0),), ((2, 0, 0, 0),), (0,)),
+    fx.FixedPoint(
+        "G2E1",
+        ((-12, 0, 7, 5), (2**70, -(2**70), 0, 0)),
+        ((0, 0, 0, 4), (1, 1, 1, 1)),
+        ((0, 0, 1, 1), (4, 0, 0, 0)),
+        (23, 8),
+    ),
+    fx.FixedPoint("E2", (), ((-1, 1, 0, 0),), ((0, 0, 0, 0), (0, 0, 0, 0)), (0, 0)),
+    fx.FixedPoint("G2", ((-1, 1, 0, 0),), ((4, 0, 0, 0),), ((2, 0, 0, 0),), (-3,)),
+]
+
+
+@pytest.mark.parametrize("which", ["cascade", "synthetic", "empty"])
+def test_cache_bytes_are_the_record_by_record_encoding(points, which):
+    some = {"cascade": points, "synthetic": SYNTHETIC_POINTS, "empty": []}[which]
+    assert fx.cache_bytes(some) == _encoded_record_by_record(some)
 
 
 def test_a_cache_load_never_holds_the_whole_document_and_all_points(tmp_path, points):

@@ -10,6 +10,8 @@ from nlocus import fixpoints as fx
 from nlocus.formula import UnivariateRationalPoly
 from nlocus.ideals import (
     Ideal,
+    cells_hilbert_numerator,
+    cells_hilbert_polynomial,
     hilbert_polynomial,
     kbase,
     normal_form,
@@ -861,3 +863,28 @@ def test_hilbert_polynomial_matches_series_oracle_on_random_ideals():
             for _ in range(rng.randint(1, 7))
         ]
         assert hilbert_polynomial(lead_x) == series_hilbert_polynomial(lead_x), lead_x
+
+
+def _six_times(hp):
+    """3! times the coefficients of a Hilbert polynomial, 4 of them, low degree first."""
+    coeffs = [6 * c for c in hp.coefficients] + [0] * (4 - len(hp.coefficients))
+    assert all(c.denominator == 1 for c in map(Fraction, coeffs)), hp
+    return tuple(map(int, coeffs))
+
+
+def test_integer_hilbert_terms_on_the_cascade(points):
+    for fp in points:
+        got = cells_hilbert_numerator(fp.cells)
+        assert all(type(c) is int for c in got)
+        assert got == _six_times(cells_hilbert_polynomial(fp.cells)) == (0, 24, 0, 0)
+        assert got == _six_times(series_hilbert_polynomial(fp.quartics)), fp.provenance
+
+
+def test_integer_hilbert_terms_on_random_ideals():
+    for lead_x in _random_monomial_ideals(300, seed=35):
+        cells = ideals.staircase_cells(lead_x)
+        got = cells_hilbert_numerator(cells)
+        assert all(type(c) is int for c in got)
+        assert got == _six_times(cells_hilbert_polynomial(cells)), lead_x
+        if lead_x:
+            assert got == _six_times(series_hilbert_polynomial(lead_x)), lead_x

@@ -62,7 +62,7 @@ def test_contribution_numerator_against_subset_oracle(points, weights, unshared_
         for v in combo:
             term *= v
         brute += term
-    summand = Fraction(brute, math.prod(loc._tangent_values(fp, weights)))
+    summand = Fraction(brute, math.prod(specialize(c, weights) for c in fp.tangent))
     assert unshared_sum(5, weights, False, [fp]) == summand
     assert loc._sum_chunk([fp], [5], weights)[5] == summand
 
@@ -92,7 +92,7 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
     bad = fp._replace(tangent=flipped)
     altered = points[:100] + [bad] + points[101:]
     _, dens, _ = loc._common_denominator(altered, weights)
-    expected = -2 * Fraction(1, math.prod(loc._tangent_values(fp, weights)))
+    expected = -2 * Fraction(1, math.prod(specialize(c, weights) for c in fp.tangent))
     assert sum(Fraction(1, den) for den in dens) == expected
     with pytest.raises(StructuralError, match=f"sum of 1/c_16.T. over 525 fixed points is {expected}, not 0"):
         checks.localization_self_test(altered, weights, 1)
@@ -457,3 +457,74 @@ def test_degree_result_json(points, weights):
         "spec": [0, 1, 5, 18],
         "fixpointCount": 525,
     }
+
+
+def test_each_distinct_tangent_character_is_specialized_once(monkeypatch, points, weights):
+    # 8,400 tangent characters over the 525 points, 230 of them distinct
+    calls = Counter()
+
+    def counted(c, spec):
+        calls[c, spec.values] += 1
+        return specialize(c, spec)
+
+    monkeypatch.setattr(loc, "specialize", counted)
+    distinct = {c for fp in points for c in fp.tangent}
+    assert len(distinct) == 230
+    assert loc.admissible_spec(points, weights) is weights
+    assert calls == {(c, weights.values): 1 for c in distinct}
+    calls.clear()
+    common, dens, _ = loc._common_denominator(points, weights)
+    assert calls == {(c, weights.values): 1 for c in distinct}
+    assert dens == [math.prod(specialize(c, weights) for c in fp.tangent) for fp in points]
+    assert common == math.lcm(*dens)
+
+
+@pytest.mark.parametrize(
+    "values, at_fault, message",
+    [
+        (
+            (0, 1, 2, 3),
+            218,
+            "weight spec (0, 1, 2, 3) is not admissible: tangent character"
+            " (1, -2, 1, 0) at G2(1,) specializes to 0",
+        ),
+        # (3, 1, -4, 0) is a tangent character of record 444 only, and its
+        # negative one of record 451 only: no earlier point is at fault
+        (
+            (0, -4, -1, 9),
+            2,
+            "weight spec (0, -4, -1, 9) is not admissible: tangent character"
+            " (3, 1, -4, 0) at E2(27, 0) specializes to 0",
+        ),
+    ],
+)
+def test_an_inadmissible_spec_names_the_first_point_in_list_order(
+    points, values, at_fault, message
+):
+    spec = WeightSpec(values)
+    faulty = [fp for fp in points if not check_generic(spec, [fp.tangent])]
+    assert len(faulty) == at_fault
+    assert f" at {faulty[0].tag}{faulty[0].provenance} " in message
+    pattern = f"^{re.escape(message)}$"
+    for run in (
+        loc.admissible_spec,
+        loc.localization_self_test,
+        lambda pts, spec: loc.degree_nl(4, spec, pts),
+    ):
+        with pytest.raises(ValueError, match=pattern):
+            run(points, spec)
+
+
+def test_sums_under_alternating_specs_share_no_table(points):
+    # a table of specialized characters kept from one spec would give the
+    # next spec's sums wrong denominators
+    cf = closed_form()
+    want = {4: 4 * 38475, 5: cf(5), 6: cf(6), 7: cf(7)}
+    for values in ((0, 1, 5, 18), (0, 1, 7, 23), (0, 1, 5, 18)):
+        spec = WeightSpec(values)
+        assert loc._localize(points, range(4, 8), spec, 1) == want, values
+        assert [r.degree for r in loc.degree_range(4, 7, spec, points)] == [
+            38475,
+            *(want[d] for d in range(5, 8)),
+        ]
+        assert loc.localization_self_test(points, spec) == 525
