@@ -1,14 +1,21 @@
 """The acceptance checks, shared by `nlocus verify` and the test suite.
 
-Each check takes (points, spec, workers), raises AssertionError (or the
-error of the layer it runs: a StructuralError, or the ValueError of an
-inadmissible spec) with a message naming the fixed point, d or weight
-spec at fault, and returns the value it verified so that tests can pin
-it.  CHECKS lists them in the order `nlocus verify` runs them.
+Each check takes one `Run`, the points, spec and workers of a run, raises
+AssertionError (or the error of the layer it runs: a StructuralError, or
+the ValueError of an inadmissible spec) with a message naming the fixed
+point, d or weight spec at fault, and returns the value it verified so
+that tests can pin it.  CHECKS lists them in the order `nlocus verify`
+runs them.
+
+`d4-target`, `d5-cross-check` and `spec-independence` read one Bott pass
+over d = 4..6 under the run's spec, `Run.degrees`, taken once per run;
+`spec-independence` takes one more under a second spec.  A `verify` thus
+takes two passes, one per spec.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -30,14 +37,33 @@ from .torus import (
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
 
 
+class Run:
+    """The points, spec and workers one run of the checks shares.
+
+    `degrees` is the run's one Bott pass, taken on first use and kept for
+    the life of the object.  A pass that raises is not kept: each check
+    that reads it raises the same error again.
+    """
+
+    def __init__(self, points, spec, workers):
+        self.points = points
+        self.spec = spec
+        self.workers = workers
+
+    @functools.cached_property
+    def degrees(self):
+        """The DegreeResults for d = 4, 5 and 6 under spec, in that order."""
+        return loc.degree_range(4, 6, self.spec, self.points, self.workers)
+
+
 def _require(ok, message):
     if not ok:
         raise AssertionError(message)
 
 
-def euler_census(points, spec, workers):
+def euler_census(run):
     """The stratum counts, checked against the census and the blow-up Euler count."""
-    counts = fx.stratum_counts(points)
+    counts = fx.stratum_counts(run.points)
     _require(counts == fx.CENSUS, f"counts {counts} != {fx.CENSUS}")
     _require(
         sum(counts) == fx.euler_characteristic_oracle(),
@@ -46,7 +72,7 @@ def euler_census(points, spec, workers):
     return counts
 
 
-def rank_invariants(points, spec, workers):
+def rank_invariants(run):
     """16 tangent characters of degree 0, 2 pencil rows of degree 2, 19
     quartics of degree 4 and 4d standard monomials for d = 4..10 at every
     fixed point.
@@ -62,7 +88,7 @@ def rank_invariants(points, spec, workers):
     """
     ds = range(4, 11)
     cell_counts = {}  # cell -> its number of degree-d monomials, for d in ds
-    for fp in points:
+    for fp in run.points:
         if len(fp.tangent) != loc.DIM:
             raise AssertionError(
                 f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
@@ -92,7 +118,7 @@ def rank_invariants(points, spec, workers):
             loc._check_rank(fp, d, n)
 
 
-def hilbert_oracles(points, spec, workers):
+def hilbert_oracles(run):
     """hilbert_polynomial is 4t on the three orbit representatives."""
     # <x1^2, x2^2>, <x1*x2, x1^2, x2^3> and <x0^2, x0*x1, x0*x2^2, x1^4>
     for gens in (
@@ -107,24 +133,25 @@ def hilbert_oracles(points, spec, workers):
         )
 
 
-def localization_self_test(points, spec, workers):
+def localization_self_test(run):
     """Bott's formula on c_16(T) and on 1: the sum of c_16(T)/c_16(T) over
     the fixed points is their number, and the sum of 1/c_16(T) is 0."""
-    total = loc.localization_self_test(points, spec)
-    _require(total == len(points), f"sum of ones = {total} != {len(points)}")
+    total = loc.localization_self_test(run.points, run.spec)
+    count = len(run.points)
+    _require(total == count, f"sum of ones = {total} != {count}")
     return total
 
 
-def d4_target(points, spec, workers):
+def d4_target(run):
     """deg NL(W,4) is QUARTIC_DEGREE."""
-    degree = loc.degree_nl(4, spec, points, workers).degree
+    degree = run.degrees[0].degree
     _require(degree == QUARTIC_DEGREE, f"d=4 degree {degree} != {QUARTIC_DEGREE}")
     return degree
 
 
-def d5_cross_check(points, spec, workers):
+def d5_cross_check(run):
     """deg NL(W,5) equals the published closed form at d = 5."""
-    degree = loc.degree_nl(5, spec, points, workers).degree
+    degree = run.degrees[1].degree
     expected = closed_form()(5)
     _require(degree == expected, f"d=5 degree {degree} != {expected}")
     return degree
@@ -145,19 +172,24 @@ def _alternate_spec(spec):
     return DEFAULT_WEIGHTS if parallel else FALLBACK_WEIGHTS
 
 
-def spec_independence(points, spec, workers):
+def spec_independence(run):
     """The degrees for d = 4..6 are the same under a second admissible spec,
-    one that is not an affine image of spec (`_alternate_spec`)."""
-    alternate = loc.admissible_spec(points, _alternate_spec(spec))
-    ours = loc.degree_range(4, 6, spec, points, workers)
-    theirs = loc.degree_range(4, 6, alternate, points, workers)
-    for a, b in zip(ours, theirs):
+    one that is not an affine image of the run's (`_alternate_spec`).
+
+    The second spec's pass comes first: an inadmissible second spec raises
+    the ValueError of `localization._tangent_denominators`, naming it, the
+    first point in list order that it kills and the character, whatever
+    the run's own pass would do on such points.
+    """
+    alternate = _alternate_spec(run.spec)
+    theirs = loc.degree_range(4, 6, alternate, run.points, run.workers)
+    for a, b in zip(run.degrees, theirs):
         _require(
             a.degree == b.degree,
-            f"d={a.d}: {a.degree} under {spec.values} != {b.degree} under"
+            f"d={a.d}: {a.degree} under {run.spec.values} != {b.degree} under"
             f" {alternate.values}",
         )
-    return [r.degree for r in ours]
+    return [r.degree for r in run.degrees]
 
 
 def _deformations(pencil, e):
@@ -171,7 +203,7 @@ def _deformations(pencil, e):
     return out
 
 
-def algebra_kernel(points, spec, workers):
+def algebra_kernel(run):
     """The fiber staircase, the E1 flat limits by `e1_limit`, the Kronecker kernel.
 
     Every presentation of every E1 direction, taken to its flat limit by the

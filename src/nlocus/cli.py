@@ -16,6 +16,7 @@ prints text only), is argparse's usage error, exit status 2.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -58,11 +59,24 @@ def _check_flags(args):
     args.cache = Path(args.cache)
 
 
+def _load_points(args):
+    """The fixed points of the cache (or of the cascade, written to it), out
+    of the collector's reach.
+
+    The points live until the command returns, so `gc.freeze` moves them to
+    the permanent generation, where no later collection walks their tuples.
+    `main` gives them back to the collector when it returns.
+    """
+    points = fx.load_or_enumerate(args.cache)
+    gc.freeze()
+    return points
+
+
 def cmd_degree(args):
     if args.d < 4:
         _usage_error("--d must be at least 4")
     started = time.perf_counter()
-    points = fx.load_or_enumerate(args.cache)
+    points = _load_points(args)
     spec = loc.admissible_spec(points, args.weights)
     result = loc.degree_nl(args.d, spec, points, workers=args.threads)
     elapsed = time.perf_counter() - started
@@ -88,7 +102,7 @@ def cmd_formula(args):
             f" polynomial has degree {INTERPOLATION_DEGREE_BOUND}); increase --dmax"
         )
     started = time.perf_counter()
-    points = fx.load_or_enumerate(args.cache)
+    points = _load_points(args)
     spec = loc.admissible_spec(points, args.weights)
     results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=args.threads)
     fitted = interpolate([(r.d, r.degree) for r in results])
@@ -137,6 +151,7 @@ def _divisor_text():
 
 def cmd_fixpoints(args):
     points = fx.enumerate_all()
+    gc.freeze()
     fx.save_cache(points, args.cache)
     counts = fx.stratum_counts(points)
     if args.format == "json":
@@ -152,12 +167,12 @@ def cmd_fixpoints(args):
 def cmd_verify(args):
     from . import checks  # only here: no other command loads checks or limits
 
-    points = fx.load_or_enumerate(args.cache)
-    spec = loc.admissible_spec(points, args.weights)
+    points = _load_points(args)
+    run = checks.Run(points, loc.admissible_spec(points, args.weights), args.threads)
     failures = 0
     for name, check in checks.CHECKS:
         try:
-            check(points, spec, args.threads)
+            check(run)
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             failures += 1
             print(f"FAIL {name}: {exc}")
@@ -258,6 +273,8 @@ def main(argv=None):
     except MemoryError:
         print(f"error: out of memory in nlocus {args.command}", file=sys.stderr)
         return 1
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

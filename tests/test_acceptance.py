@@ -27,7 +27,7 @@ def report(n, text):
 
 
 def test_criterion_1_quartic_surface_headline(points, weights):
-    assert checks.d4_target(points, weights, 1) == 38475
+    assert checks.d4_target(checks.Run(points, weights, 1)) == 38475
     report(1, "degree --d 4 returns exactly 38475")
 
 
@@ -39,7 +39,7 @@ def test_criterion_2_formula_reproduction(points, weights):
     target = closed_form()
     outcome = compare(fitted, target)
     assert outcome.equal, str(outcome)
-    assert checks.d5_cross_check(points, weights, 1) == results[0].degree
+    assert checks.d5_cross_check(checks.Run(points, weights, 1)) == results[0].degree
     # leading inner coefficient and divisor, recovered from the fit itself
     inner = inner_polynomial(fitted)
     assert inner is not None
@@ -49,14 +49,14 @@ def test_criterion_2_formula_reproduction(points, weights):
 
 
 def test_criterion_3_fixed_point_census(points, weights):
-    counts = checks.euler_census(points, weights, 1)
+    counts = checks.euler_census(checks.Run(points, weights, 1))
     assert counts == (21, 180, 324)
     assert sum(counts) == 525 == fx.euler_characteristic_oracle() == 45 + 24 * 8 + 36 * 8
     report(3, "census (21, 180, 324), total 525, matches the Euler oracle")
 
 
 def test_criterion_4_rank_invariants(points, weights):
-    checks.rank_invariants(points, weights, 1)
+    checks.rank_invariants(checks.Run(points, weights, 1))
     report(4, "every quartic system has 19 independent quartics and kbase 4d, d=4..10")
 
 
@@ -65,7 +65,7 @@ def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points,
     bad = fp._replace(tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
     message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants([bad], weights, 1)
+        checks.rank_invariants(checks.Run([bad], weights, 1))
 
 
 @pytest.mark.parametrize(
@@ -85,7 +85,7 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
     bad = fp._replace(**{field: (row,) + rows[1:]})
     message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants([bad], weights, 1)
+        checks.rank_invariants(checks.Run([bad], weights, 1))
 
 
 def _repeated_quartic(fp):
@@ -98,7 +98,7 @@ def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
     altered = points[:300] + [_repeated_quartic(points[300])] + points[301:]
     message = "fiber rank 17 != 16 at E2(11, 0), d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(altered, weights, 1)
+        checks.rank_invariants(checks.Run(altered, weights, 1))
 
 
 @pytest.mark.parametrize("first, second", [(300, 400), (400, 300)])
@@ -111,16 +111,16 @@ def test_rank_invariants_names_the_first_bad_point_in_list_order(
     fp = points[first]
     message = f"fiber rank 17 != 16 at {fp.tag}{fp.provenance}, d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(altered, weights, 1)
+        checks.rank_invariants(checks.Run(altered, weights, 1))
 
 
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):
-    checks.hilbert_oracles(points, weights, 1)
+    checks.hilbert_oracles(checks.Run(points, weights, 1))
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")
 
 
 def test_criterion_6_localization_self_test(points, weights, unshared_sum):
-    assert checks.localization_self_test(points, weights, 1) == 525
+    assert checks.localization_self_test(checks.Run(points, weights, 1)) == 525
     raw = unshared_sum(4, weights, True)
     assert raw % 4 == 0
     assert raw == 153900
@@ -128,12 +128,12 @@ def test_criterion_6_localization_self_test(points, weights, unshared_sum):
 
 
 def test_criterion_7_spec_independence(points, weights):
-    assert checks.spec_independence(points, weights, 1)[0] == 38475
+    assert checks.spec_independence(checks.Run(points, weights, 1))[0] == 38475
     report(7, "degrees for d=4..6 agree for weight specs (0,1,5,18) and (0,1,7,23)")
 
 
 def test_criterion_8_algebra_kernel(points, weights):
-    assert checks.algebra_kernel(points, weights, 1) == 252
+    assert checks.algebra_kernel(checks.Run(points, weights, 1)) == 252
     report(
         8,
         "20 standard monomials of <x0^2, x1^2> at d=5; e-string elimination gives"
@@ -154,17 +154,18 @@ def test_spec_independence_never_compares_an_affine_image(
     monkeypatch, points, values, alternate
 ):
     # a*w + c (a != 0) leaves every Bott summand as it is, so a spec must be
-    # compared with a spec outside its affine class
+    # compared with a spec outside its affine class; the second spec's pass
+    # comes first
     compared = []
-    real = loc.degree_range
+    real = loc._localize
 
-    def recording(dmin, dmax, spec, some, workers=1):
-        compared.append(spec.values)
-        return real(dmin, dmax, spec, some, workers)
+    def recording(some, ds, spec, workers):
+        compared.append((spec.values, list(ds)))
+        return real(some, ds, spec, workers)
 
-    monkeypatch.setattr(loc, "degree_range", recording)
-    assert checks.spec_independence(points, WeightSpec(values), 1)[0] == 38475
-    assert compared == [values, alternate]
+    monkeypatch.setattr(loc, "_localize", recording)
+    assert checks.spec_independence(checks.Run(points, WeightSpec(values), 1))[0] == 38475
+    assert compared == [(alternate, [4, 5, 6]), (values, [4, 5, 6])]
 
 
 def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
@@ -175,7 +176,7 @@ def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
     bad[200] = fp._replace(tangent=tuple(sorted(fp.tangent + ((0, 7, -1, 0),))))
     assert loc.admissible_spec(bad, weights) is weights
     with pytest.raises(ValueError) as info:
-        checks.spec_independence(bad, weights, 1)
+        checks.spec_independence(checks.Run(bad, weights, 1))
     message = str(info.value)
     assert "(0, 1, 7, 23) is not admissible" in message
     assert f"(0, 7, -1, 0) at {fp.tag}{fp.provenance}" in message

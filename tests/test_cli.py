@@ -1,5 +1,6 @@
 import errno
 import functools
+import gc
 import importlib
 import itertools
 import json
@@ -270,10 +271,84 @@ def forked(monkeypatch):
     return pids
 
 
-def test_verify_with_two_workers_forks_four_children(capsys, two_cpus, forked, cache_path):
-    """One child for each of the four Bott sums of `verify`, none kept."""
+def test_verify_with_two_workers_forks_two_children(capsys, two_cpus, forked, cache_path):
+    """One child for each of the two Bott sums of `verify`, none kept."""
     code, out, _ = run(capsys, "verify", "--threads", "2", "--cache", str(cache_path))
-    assert (code, out.splitlines()[-1], len(forked)) == (0, "verify: ok", 4)
+    assert (code, out.splitlines()[-1], len(forked)) == (0, "verify: ok", 2)
+
+
+@pytest.mark.parametrize(
+    "values, alternate",
+    [((0, 1, 5, 18), (0, 1, 7, 23)), ((1, 2, 8, 24), (0, 1, 5, 18))],
+)
+def test_verify_takes_one_bott_pass_per_spec(
+    monkeypatch, capsys, cache_path, values, alternate
+):
+    # d4-target, d5-cross-check and spec-independence share the run's pass;
+    # (1, 2, 8, 24) is (0, 1, 7, 23) + 1, so its second spec is the default
+    passes = []
+    real = loc._localize
+
+    def recording(points, ds, spec, workers):
+        passes.append((spec.values, list(ds)))
+        return real(points, ds, spec, workers)
+
+    monkeypatch.setattr(loc, "_localize", recording)
+    weights = "--weights=" + ",".join(map(str, values))
+    code, out, _ = run(capsys, "verify", weights, "--cache", str(cache_path))
+    assert (code, out.splitlines()[-1]) == (0, "verify: ok")
+    assert passes == [(values, [4, 5, 6]), (alternate, [4, 5, 6])]
+
+
+def test_a_failed_pass_fails_each_check_that_reads_it(
+    monkeypatch, capsys, cache_path, weights, verify_checks
+):
+    # the run's pass is not kept when it raises: each check that reads it
+    # takes it again and prints the error, and the other five still pass
+    message = "localization sum for d=5 is 1/2, not a non-negative integer"
+    calls = []
+    real = loc._localize
+
+    def failing(points, ds, spec, workers):
+        if spec == weights:
+            calls.append(spec)
+            raise fx.StructuralError(message)
+        return real(points, ds, spec, workers)
+
+    monkeypatch.setattr(loc, "_localize", failing)
+    code, out, _ = run(capsys, "verify", "--cache", str(cache_path))
+    reading = ("d4-target", "d5-cross-check", "spec-independence")
+    expected = [
+        f"FAIL {name}: {message}" if name in reading else f"PASS {name}"
+        for name in verify_checks
+    ]
+    assert (code, out.splitlines(), len(calls)) == (1, [*expected, "verify: 3 failed"], 3)
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [
+        (["degree", "--d", "4"], 0),
+        (["verify"], 0),
+        (["degree", "--d", "5", "--weights", "0,1,2,3"], 1),
+    ],
+    ids=["degree", "verify", "inadmissible"],
+)
+def test_the_points_are_frozen_until_main_returns(
+    monkeypatch, capsys, cache_path, argv, status
+):
+    frozen = []
+    real = loc.admissible_spec
+
+    def recording(points, spec):
+        frozen.append(gc.get_freeze_count())
+        return real(points, spec)
+
+    monkeypatch.setattr(loc, "admissible_spec", recording)
+    code, _, _ = run(capsys, *argv, "--cache", str(cache_path))
+    assert code == status
+    assert frozen and frozen[0] > 0
+    assert gc.get_freeze_count() == 0
 
 
 def test_threads_beyond_the_cpus_fork_one_child_for_two_cpus(

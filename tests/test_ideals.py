@@ -448,7 +448,7 @@ def test_algebra_kernel_runs_every_saturation(monkeypatch):
     monkeypatch.setattr(ideals, "saturate_t", counting("saturate_t", saturate))
     monkeypatch.setattr(gbcore, "groebner", counting("groebner", groebner))
     monkeypatch.setattr(checks, "e1_limit", counting("e1_limit", limit))
-    assert checks.algebra_kernel(None, None, 1) == 252
+    assert checks.algebra_kernel(checks.Run(None, None, 1)) == 252
     assert calls == {"saturate_t": 0, "groebner": 0, "e1_limit": 252}
 
 
@@ -462,8 +462,9 @@ def test_every_check_runs_without_buchberger(monkeypatch, points, weights):
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(poly, "parse", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse)
+    run = checks.Run(points, weights, 1)
     for _, check in checks.CHECKS:
-        check(points, weights, 1)
+        check(run)
 
 
 def _saturation_without(text):
@@ -530,7 +531,7 @@ def test_algebra_kernel_names_a_swapped_extra_cubic(monkeypatch):
         f" limit cubics {swapped} != e-string limit {a.limit_cubics}"
     )
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.algebra_kernel(None, None, 1)
+        checks.algebra_kernel(checks.Run(None, None, 1))
 
 
 def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
@@ -547,7 +548,7 @@ def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
     monkeypatch.setattr(checks, "_deformations", lambda pair, e: [pencil])
     message = f"E1 direction {direction} over pair {z.pair_index}: {message}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.algebra_kernel(None, None, 1)
+        checks.algebra_kernel(checks.Run(None, None, 1))
 
 
 def _echelon_lows(units, lows, pe):

@@ -95,7 +95,7 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
     expected = -2 * Fraction(1, math.prod(specialize(c, weights) for c in fp.tangent))
     assert sum(Fraction(1, den) for den in dens) == expected
     with pytest.raises(StructuralError, match=f"sum of 1/c_16.T. over 525 fixed points is {expected}, not 0"):
-        checks.localization_self_test(altered, weights, 1)
+        checks.localization_self_test(checks.Run(altered, weights, 1))
 
 
 def test_wrong_cell_list_fails_the_rank_check(points, weights):
@@ -145,7 +145,7 @@ def test_cells_are_derived_once_per_loaded_point(monkeypatch, tmp_path, points, 
     fx.save_cache(points, path)
     loaded = fx.load_cache(path)
     derived = _count_cell_derivations(monkeypatch)
-    checks.rank_invariants(loaded, weights, 1)
+    checks.rank_invariants(checks.Run(loaded, weights, 1))
     assert loc.degree_range(4, 6, weights, loaded) == loc.degree_range(4, 6, weights, loaded)
     assert len(derived) == 525
 
