@@ -32,6 +32,7 @@ from .torus import (
     char_add,
     elem_sym,
     shared_products,
+    visit_schedule,
 )
 
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
@@ -213,8 +214,8 @@ def algebra_kernel(run):
     its pair and d.  `torus.shared_products`, the kernel of every Bott sum,
     is checked through `elem_sym` against brute force and `elem_sym_dp`, and
     directly on sequences that share prefixes as the fixed points of a sum
-    do and re-apply long cells through their coefficients, also at the width
-    edge.  Returns the number of presentations checked.
+    do and apply repeated long cells through their coefficients, also at
+    the width edge.  Returns the number of presentations checked.
     """
     _require(
         len(standard_monomials(((2, 0, 0, 0), (0, 2, 0, 0)), 5)) == 20,
@@ -256,14 +257,14 @@ def algebra_kernel(run):
                 f" {max(values)}]) = {got} != {want}"
             )
     # sequence 1 reuses the prefix [0, 1], 2 pops back to [0] and applies
-    # cell 2 a second time, through its coefficients, 3 shares nothing, and
-    # the last two have the largest sum, 200 copies of 977 again: the width
-    # comes from them, e_16 sits in its top bit, and the last re-applies both
-    # 100-value cells through their coefficients
+    # cell 2 again (cell 2 goes in through its coefficients both times), 3
+    # shares nothing, and the last two have the largest sum, 200 copies of
+    # 977 again: the width comes from them, e_16 sits in its top bit, and
+    # both 100-value cells go in through their coefficients
     weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (40, 30, 30, 50)]
     weights += [[977] * 100, [977] * 100]
     seqs = [[0, 1, 2], [0, 1, 3], [0, 2], [4], [4, 5], [5, 4]]
-    got = shared_products(loc.DIM, seqs, weights)
+    got = list(shared_products(loc.DIM, visit_schedule(seqs), weights))
     for i, seq in enumerate(seqs):
         values = [v for c in seq for v in weights[c]]
         want = (elem_sym_dp(loc.DIM, values), elem_sym_dp(loc.DIM - 1, values))

@@ -320,6 +320,20 @@ def e2_points(w, w_index):
     return points
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause the cyclic collector for a block or a function that makes no
+    reference cycles, then leave it as it was, also when it raises."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
@@ -327,6 +341,8 @@ def enumerate_all():
     polynomial 4t, read off the point's `cells`, which the points keep for
     the Bott sums: 3! times it is added up in integers from the terms the
     shared cells keep (`ideals.cells_hilbert_numerator`), with no Fraction.
+    The cascade makes no reference cycles (a collection after it finds
+    nothing unreachable), so it runs with the cyclic collector paused.
     """
     g2, zs = split_strata(enumerate_pairs())
     g2e1, ws = [], []
@@ -464,6 +480,7 @@ def save_cache(points, path):
         raise
 
 
+@_collector_paused()
 def load_cache(path):
     """Points from a cache file, or None when there is no file.
 
@@ -475,8 +492,6 @@ def load_cache(path):
     where = f"fixed-point cache {path}"
     # the load makes some 40,000 tuples and short-lived lists and no
     # reference cycles, so the cyclic collector is paused, then left as it was
-    enabled = gc.isenabled()
-    gc.disable()
     try:
         data = Path(path).read_bytes()
         if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
@@ -491,9 +506,6 @@ def load_cache(path):
         return None
     except (OSError, ValueError) as exc:
         raise ValueError(f"{where} is unreadable: {exc}") from None
-    finally:
-        if enabled:
-            gc.enable()
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a JSON object")
     raise _mismatch(where, doc)

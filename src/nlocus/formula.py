@@ -149,24 +149,42 @@ class UnivariateRationalPoly:
 
 
 def interpolate(nodes):
-    """The unique polynomial through the nodes, by Newton divided differences."""
+    """The unique polynomial through the nodes, by Newton divided differences.
+
+    The d values must be distinct integers.  The values are put over one
+    common denominator, and each level of divided differences over one
+    more: level k divides by the lcm of its node gaps x_(i+k) - x_i, so
+    every difference stays an integer numerator.  The Newton form is
+    expanded in integers over the last level's denominator, and each
+    coefficient becomes one Fraction.
+    """
     nodes = list(nodes)
     if len(nodes) < 2:
         raise ValueError("interpolation needs at least 2 nodes")
     xs = [Fraction(d) for d, _ in nodes]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes must have distinct d values")
-    coeffs = [Fraction(v) for _, v in nodes]
-    for k in range(len(nodes) - 1):
-        for i in range(len(nodes) - 1, k, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - 1 - k])
-    # expand the Newton form into standard coefficients
-    poly = UnivariateRationalPoly([coeffs[-1]])
-    for k in range(len(nodes) - 2, -1, -1):
-        poly = poly * UnivariateRationalPoly([-xs[k], 1]) + UnivariateRationalPoly(
-            [coeffs[k]]
-        )
-    return poly
+    if any(x.denominator != 1 for x in xs):
+        raise ValueError("interpolation nodes must have integer d values")
+    xs = [x.numerator for x in xs]
+    values = [Fraction(v) for _, v in nodes]
+    scale = math.lcm(*(v.denominator for v in values))
+    diffs = [v.numerator * (scale // v.denominator) for v in values]
+    n = len(nodes)
+    # diffs[k] ends as the k-th divided difference times dens[k]
+    dens = [scale]
+    for k in range(1, n):
+        gap = math.lcm(*(xs[i] - xs[i - k] for i in range(k, n)))
+        for i in range(n - 1, k - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) * (gap // (xs[i] - xs[i - k]))
+        dens.append(dens[-1] * gap)
+    common = dens[-1]
+    # Horner on the Newton form, low degree first: poly * (d - x_k) + c_k
+    poly = []
+    for k in range(n - 1, -1, -1):
+        poly = [a - xs[k] * b for a, b in zip([0, *poly], [*poly, 0])]
+        poly[0] += diffs[k] * (common // dens[k])
+    return UnivariateRationalPoly([Fraction(a, common) for a in poly])
 
 
 _BINOMIAL_D_MINUS_2_CHOOSE_3 = (

@@ -18,13 +18,18 @@ fiber weight is non-negative; the caller's spec is the one reported.
 The hot path, `_sum_chunk`, reads the staircase cells of each point's
 quartic system from `FixedPoint.cells`, derived once per point and process
 and shared with the 4t check and `checks.rank_invariants`.  The points of a
-chunk are built from few distinct cells.  The cells with no monomial at any
-d of the sum are left out once, and each other distinct cell is expanded
-once per d into specialized weights.  e_16 is `torus.shared_products`, the
-package's one Kronecker-packed product, shared between points: each point
-starts from the product of the cells it has in common with the point
-visited before it, and a long cell that the product meets again enters
-through its 16 elementary symmetric coefficients, not weight by weight.
+chunk are built from few distinct cells.  What does not depend on d is
+done once per pass: the cells with no monomial at any d of the sum are
+left out, each other distinct cell becomes a template of runs affine in d
+(`_cell_template`), the fiber ranks are checked for every d in one packed
+sum per point, and the visits are planned (`torus.visit_schedule`).  Each
+d then expands the templates into specialized weights and runs only
+Kronecker steps: e_16 is `torus.shared_products`, the package's one
+Kronecker-packed product, shared between points.  Each point starts from
+the product of the cells it has in common with the point visited before
+it, and a long cell that the schedule applies more than once enters
+through its 16 elementary symmetric coefficients from its first
+application on, not weight by weight.
 The summands of a chunk are added as integers over the lcm of their
 tangent denominators, one Fraction per d.  The denominators of a pass over
 the points, in a sum, in `admissible_spec` or in `localization_self_test`,
@@ -52,8 +57,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .fixpoints import StructuralError
-from .ideals import staircase_runs
-from .torus import WeightSpec, shared_products, specialize
+from .torus import WeightSpec, shared_products, specialize, visit_schedule
 
 DIM = 16  # dimension of the blown-up parameter space
 # the largest d of a Bott sum: a point's 4d fiber weights are one list, whose
@@ -87,21 +91,63 @@ def _check_rank(fp, d, rank):
         )
 
 
-def _cell_weights(cell, d, values):
-    """Specialized weights of the degree-d monomials of one staircase cell.
+def _cell_template(cell, values):
+    """One staircase cell's degree-d weights under values, as runs affine in d.
 
-    Each run of monomials start + n*step specializes to the arithmetic
-    progression start.w + n*(step.w), so no monomial is built.
+    The tuple (free, lower, bound, a, b, g, s) stands for, with t = d - lower
+    and hi = min(t, bound - 1): the weight a + b*d when free = 0 and
+    0 <= t < bound; the run a + b*d + n*s, n <= hi, when free = 1; and the
+    runs a + b*d + m*g + n*s, n <= t - m, for m <= hi, when free = 2.  These
+    are the runs of `staircase_runs` specialized, in its order.  A cell with
+    3 free coordinates, whose fiber grows as d^3, is a StructuralError.
     """
+    (i, j, k), free, bound, lower = cell
+    if len(free) > 2:
+        raise StructuralError(f"staircase cell {cell} has 3 free coordinates")
     w0, w1, w2, w3 = values
-    out = []
-    for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs([cell], d):
-        v = a0 * w0 + a1 * w1 + a2 * w2 + a3 * w3
-        if count == 1:
-            out.append(v)
+    b = values[free[-1]] if free else w3  # the weight of the coordinate that d moves
+    g = w3 - b
+    s = values[free[0]] - b if len(free) == 2 else g
+    return len(free), lower, bound, i * w0 + j * w1 + k * w2 - lower * b, b, g, s
+
+
+def _counts(template, ds, field):
+    """A cell's numbers of degree-d monomials for the d in ds, from its
+    `_cell_template`, packed into one integer: the count at the i-th d in
+    the bits from i*field up."""
+    free, lower, bound = template[:3]
+    out = 0
+    for i, d in enumerate(ds):
+        t = d - lower
+        hi = t if t < bound else bound - 1
+        if hi < 0:
+            continue
+        if free == 0:
+            n = 1 if hi == t else 0
+        elif free == 1:
+            n = hi + 1
         else:
-            step = s0 * w0 + s1 * w1 + s2 * w2 + s3 * w3
-            out.extend(range(v, v + count * step, step))
+            n = (hi + 1) * (2 * t + 2 - hi) // 2  # the runs of t + 1 - m, m <= hi
+        out |= n << (i * field)
+    return out
+
+
+def _expand(template, d):
+    """A cell's specialized degree-d weights, from its `_cell_template`: each
+    run is an arithmetic progression, whose step is nonzero as the spec's
+    values are distinct."""
+    free, lower, bound, a, b, g, s = template
+    t = d - lower
+    hi = t if t < bound else bound - 1
+    v = a + b * d
+    if free == 0:
+        return [v] if 0 <= t < bound else []
+    if free == 1:
+        return list(range(v, v + (hi + 1) * s, s))
+    out = []
+    for m in range(hi + 1):
+        out.extend(range(v, v + (t + 1 - m) * s, s))
+        v += g
     return out
 
 
@@ -152,18 +198,61 @@ def _common_denominator(points, spec):
     return common, dens, [common // den for den in dens]
 
 
+def _plan(points, ds, values):
+    """What a Bott pass over points does at every d in ds, worked out once:
+    (the templates of the live cells, the order of the visits, their
+    `torus.visit_schedule`).
+
+    Each distinct staircase cell becomes its `_cell_template` under values.
+    A cell with no monomial at any d in ds is dead: it is fed to no pass.
+    The live cells are numbered longest first (their number of
+    degree-max(ds) monomials, ties by the cell), each point is the sorted
+    list of its live cells' numbers, and the points are visited in
+    lexicographic order of those lists, so that a point shares its longest
+    cells with the point before it.
+
+    The fiber ranks are checked for every d at once.  Each cell's counts at
+    the ds are packed into one integer, in fields that no point's sum can
+    carry out of, and each point's cells are added in one sum.  A point
+    whose sum is not 4d in every field fails `_check_rank`, at the first d
+    in ds at which any point fails and at the first such point.
+    """
+    templates = dict.fromkeys(cell for fp in points for cell in fp.cells)
+    for cell in templates:
+        templates[cell] = _cell_template(cell, values)
+    top = max(ds)
+    # a cell has at most C(d + 3, 3) degree-d monomials, so no point's sum
+    # of counts, over disjoint cells or not, reaches 2^field
+    most = max([len(fp.cells) for fp in points] + [1])
+    field = (most * math.comb(top + 3, 3)).bit_length()
+    packed = {cell: _counts(t, ds, field) for cell, t in templates.items()}
+    cells = sorted(
+        (cell for cell in templates if packed[cell]),
+        key=lambda cell: (-_counts(templates[cell], (top,), 0), cell),
+    )
+    number = {cell: n for n, cell in enumerate(cells)}
+    seqs = [sorted(number[c] for c in fp.cells if c in number) for fp in points]
+    counts = [packed[cell] for cell in cells]
+    live = [templates[cell] for cell in cells]
+    # freed before the schedule is built: the pass peaks there when ds is short
+    del templates, packed, number
+    want = sum(4 * d << (i * field) for i, d in enumerate(ds))
+    if any(sum(map(counts.__getitem__, seq)) != want for seq in seqs):
+        mask = (1 << field) - 1
+        for i, d in enumerate(ds):
+            for fp, seq in zip(points, seqs):
+                rank = sum(map(counts.__getitem__, seq))
+                _check_rank(fp, d, rank >> (i * field) & mask)
+    visits = sorted(range(len(points)), key=seqs.__getitem__)
+    return live, visits, visit_schedule(seqs[p] for p in visits)
+
+
 def _sum_chunk(points, ds, spec):
     """Bott sums of a run of points for each d, over the chunk's common denominator.
 
-    The points share one Kronecker pass per d (`torus.shared_products`).  The
-    chunk's distinct staircase cells are numbered once, longest first (their
-    number of degree-max(ds) monomials, ties by the cell).  A cell with no
-    monomial at any d in ds is dead: it gets no number and is fed to no
-    pass, and `_check_rank` at each d fails if a live cell were dropped.  At
-    each d every numbered cell is expanded once into specialized weights.
-    Each point is the sorted list of its live cells' numbers, and the points
-    are visited in lexicographic order of those lists, so that a point
-    shares its longest cells with the point before it.
+    The pass is planned once (`_plan`).  Each d then only expands the live
+    cells' templates into weights and runs the schedule, one Kronecker pass
+    shared by the points (`torus.shared_products`).
 
     The numerators are taken under spec shifted to a zero minimum (see the
     module docstring); the denominators are equal under either spec.
@@ -171,29 +260,16 @@ def _sum_chunk(points, ds, spec):
     common, _, scales = _common_denominator(points, spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
-    top = max(ds)
-    distinct = {cell for fp in points for cell in fp.cells}
-    at_top = {cell: sum(n for _, _, n in staircase_runs([cell], top)) for cell in distinct}
-    cells = sorted(
-        (c for c, n in at_top.items() if n or any(staircase_runs([c], d) for d in ds)),
-        key=lambda cell: (-at_top[cell], cell),
-    )
-    number = {cell: n for n, cell in enumerate(cells)}
-    seqs = [sorted(number[c] for c in fp.cells if c in number) for fp in points]
-    visits = sorted(range(len(points)), key=seqs.__getitem__)
-    ordered = [seqs[p] for p in visits]
+    live, visits, schedule = _plan(points, ds, shifted.values)
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
     sums = {}
-    weights = [()] * len(cells)
+    weights = [()] * len(live)
     for d in ds:
         # in place, so that one degree's weights are alive at a time
-        for c, cell in enumerate(cells):
-            weights[c] = _cell_weights(cell, d, shifted.values)
-        lengths = [len(w) for w in weights]
-        for fp, seq in zip(points, seqs):
-            _check_rank(fp, d, sum(map(lengths.__getitem__, seq)))
+        for c, template in enumerate(live):
+            weights[c] = _expand(template, d)
         acc = 0
-        for p, (e16, e15) in zip(visits, shared_products(DIM, ordered, weights)):
+        for p, (e16, e15) in zip(visits, shared_products(DIM, schedule, weights)):
             acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
         sums[d] = Fraction(acc, common)
     return sums

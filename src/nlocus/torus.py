@@ -14,10 +14,14 @@ them: Kronecker substitution, one big-integer product (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009),
 over many multisets that share prefixes.  The Bott sums (`localization`)
 pass it every fixed point's fiber at once, shifted to non-negative weights,
-and `elem_sym` is its one-multiset case.  A list of more than k weights
-that one call applies a second time goes in through its k elementary
-symmetric coefficients, k shifted products in place of one per weight, so
-the cost of a re-applied cell no longer grows with d; the docstring of
+and `elem_sym` is its one-multiset case.  The order of the visits, what
+each visit shares with the one before and which lists are applied more
+than once do not depend on the weights: `visit_schedule` works them out
+once, and every call with that schedule runs only Kronecker steps.  A
+list of more than k weights that the schedule applies more than once goes
+in through its k elementary symmetric coefficients from its first
+application on, k shifted products in place of one per weight, so the
+cost of a repeated cell does not grow with d; the docstring of
 `shared_products` gives the rule and why it is exact.
 """
 
@@ -155,82 +159,116 @@ def _coefficients(k, values):
     return [(r >> (width * (k - i))) & mask for i in range(1, k + 1)]
 
 
-def shared_products(k, seqs, weights):
-    """(e_k, e_(k-1)) of each index sequence's weights, sharing common prefixes.
+def visit_schedule(seqs):
+    """The visits of index sequences taken in order, planned once for any weights.
 
-    weights is a list of lists of non-negative integers and seqs[i] a list
-    of indices into it: the multiset of sequence i is the concatenation of
-    those lists.  Sequences that share prefixes should follow one another.
-
-    Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
-    so e_k is the lowest digit and e_(k-1) the next (0 when k = 0).
-    Multiplying by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W moves
-    every e_j down to the digit of e_(j+1), so the step is r += v * (r >> W).
-    A stack keeps the product after each index of the sequence before, so
-    sequence i starts from the product of its longest common prefix with
-    seqs[i - 1].  One width serves every sequence, `kronecker_width` of the
-    largest sum: every stack state packs e_0..e_k of a sub-multiset of some
-    sequence, whose sum is at most the largest, so no digit reaches 2^W.
-
-    A list of more than k weights that is applied a second time in the call
-    is applied through its coefficients c_i = e_i(list), i = 1..k, derived
-    once at the list's own width (`_coefficients`): r += sum_i c_i * (r >> i*W).
-    This is exact.  r >> i*W drops exactly the lowest i digits, since no
-    digit of r carries, and moves e_j(P) of the prefix multiset P to the
-    digit of e_(j+i).  The digit of e_m becomes e_m(P) + sum_i c_i *
-    e_(m-i)(P) = e_m(P + list), an e_m of a sub-multiset of some sequence,
-    which the width bound keeps below 2^W: no carry occurs.  The first
-    application, and every application of a list of at most k weights, is
-    weight by weight, so a list used once costs no derivation.
+    Returns (steps, repeated).  steps[i] is (n, tail): n is the length of
+    the prefix that seqs[i] shares with seqs[i - 1] (0 for the first) and
+    tail the indices after it, the ones visit i applies.  repeated is the
+    sorted tuple of the indices that the tails apply more than once.
     """
-    totals = [sum(w) for w in weights]
-    largest = max((sum(map(totals.__getitem__, seq)) for seq in seqs), default=0)
-    width = kronecker_width(k, largest)
-    mask = (1 << width) - 1
-    applied = [False] * len(weights)
-    coeffs = [None] * len(weights)
-    stack = [1 << (k * width)]
-    before = []
-    out = []
+    steps = []
+    seen, repeated = set(), set()
+    before = ()
     for seq in seqs:
         n = 0
         for a, b in zip(before, seq):
             if a != b:
                 break
             n += 1
+        tail = tuple(seq[n:])
+        for c in tail:
+            if c in seen:
+                repeated.add(c)
+            else:
+                seen.add(c)
+        steps.append((n, tail))
+        before = seq
+    return steps, tuple(sorted(repeated))
+
+
+def shared_products(k, schedule, weights):
+    """(e_k, e_(k-1)) of each visited sequence's weights, sharing common prefixes.
+
+    A generator: the pairs come in the order of the visits, each as soon as
+    its visit is done, so a caller that adds them up holds none of them.
+
+    weights is a list of lists of non-negative integers, and schedule is
+    `visit_schedule` of index sequences into it: the multiset of a
+    sequence is the concatenation of its lists.  Sequences that share
+    prefixes should follow one another.
+
+    Kronecker substitution in reversed digits: r = sum_j e_j * 2^(W*(k-j)),
+    so e_k is the lowest digit and e_(k-1) the next (0 when k = 0).
+    Multiplying by (1 + v*z) sends e_j to e_j + v*e_(j-1), and r >> W moves
+    every e_j down to the digit of e_(j+1), so the step is r += v * (r >> W).
+    A stack keeps the product after each index of the sequence before, so
+    visit i starts from the product of the prefix its step shares and
+    applies only its tail.  One width serves every sequence,
+    `kronecker_width` of the largest sum: every stack state packs e_0..e_k
+    of a sub-multiset of some sequence, whose sum is at most the largest,
+    so no digit reaches 2^W.
+
+    A list of more than k weights that the schedule applies more than once
+    (one of its repeated indices) is applied, from its first application
+    on, through its coefficients c_i = e_i(list), i = 1..k, derived once
+    per call at the list's own width (`_coefficients`):
+    r += sum_i c_i * (r >> i*W).  This is exact.  r >> i*W drops exactly
+    the lowest i digits, since no digit of r carries, and moves e_j(P) of
+    the prefix multiset P to the digit of e_(j+i).  The digit of e_m becomes
+    e_m(P) + sum_i c_i * e_(m-i)(P) = e_m(P + list), an e_m of a
+    sub-multiset of some sequence, which the width bound keeps below 2^W:
+    no carry occurs.  Every other list goes in weight by weight, so a list
+    applied once costs no derivation.
+    """
+    steps, repeated = schedule
+    totals = [sum(w) for w in weights]
+    sums = [0]
+    largest = 0
+    for n, tail in steps:
+        del sums[n + 1 :]
+        s = sums[n]
+        for c in tail:
+            s += totals[c]
+            sums.append(s)
+        if s > largest:
+            largest = s
+    width = kronecker_width(k, largest)
+    mask = (1 << width) - 1
+    coeffs = [None] * len(weights)
+    for c in repeated:
+        if len(weights[c]) > k:
+            coeffs[c] = _coefficients(k, weights[c])
+    stack = [1 << (k * width)]
+    for n, tail in steps:
         del stack[n + 1 :]
         r = stack[n]
-        for c in seq[n:]:
+        for c in tail:
             cs = coeffs[c]
-            if cs is None and applied[c] and len(weights[c]) > k:
-                cs = coeffs[c] = _coefficients(k, weights[c])
             if cs is None:
                 for v in weights[c]:
                     r += v * (r >> width)
-                applied[c] = True
             else:
                 t = r
                 for ci in cs:
                     t >>= width
                     r += ci * t
             stack.append(r)
-        out.append((r & mask, (r >> width) & mask))
-        before = seq
-    return out
+        yield r & mask, (r >> width) & mask
 
 
 def elem_sym(k, values):
     """k-th elementary symmetric function of the non-negative integers in values.
 
-    `shared_products` of the one sequence values.  A negative value breaks
-    its width bound and raises ValueError.
+    `shared_products` of a one-step schedule that applies values once.  A
+    negative value breaks its width bound and raises ValueError.
     """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
     if values and min(values) < 0:
         raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
-    return shared_products(k, [[0]], [values])[0][0]
+    return next(shared_products(k, ([(0, (0,))], ()), [values]))[0]
 
 
 def check_generic(spec, tangent_bags):

@@ -678,6 +678,33 @@ def test_load_cache_restores_the_collector_state(tmp_path, points, enabled):
         (gc.enable if before else gc.disable)()
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_enumerate_all_pauses_the_collector_and_restores_its_state(monkeypatch, enabled):
+    """The cascade runs with the cyclic collector paused, and leaves it as it
+    was, also when the cascade raises."""
+    seen = []
+    real = fx.split_strata
+
+    def recording(pairs):
+        seen.append(gc.isenabled())
+        if len(seen) > 1:
+            raise fx.StructuralError("split failed")
+        return real(pairs)
+
+    monkeypatch.setattr(fx, "split_strata", recording)
+    before = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        assert len(fx.enumerate_all()) == 525
+        assert gc.isenabled() is enabled
+        with pytest.raises(fx.StructuralError, match="^split failed$"):
+            fx.enumerate_all()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False, False]
+
+
 @pytest.mark.usefixtures("known_cascade")
 @pytest.mark.parametrize("schema", [-1, 1, 2])
 def test_a_cache_of_another_schema_is_an_error_left_untouched(

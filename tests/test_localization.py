@@ -17,7 +17,7 @@ from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus import torus
 from nlocus.fixpoints import G2, StructuralError
-from nlocus.ideals import quartic_cells, staircase_runs, standard_monomials
+from nlocus.ideals import quartic_cells, staircase_cells, staircase_runs, standard_monomials
 from nlocus.formula import closed_form
 from nlocus.poly import parse
 from nlocus.torus import (
@@ -112,6 +112,90 @@ def test_wrong_cell_list_fails_the_rank_check(points, weights):
             match=rf"fiber rank \d+ != 28 at {re.escape(f'{fp.tag}{fp.provenance}')}, d=7",
         ):
             loc.degree_nl(7, weights, altered)
+
+
+def _staircase_weights(cell, d, spec):
+    """The specialized degree-d monomials of one cell, run by run: the
+    per-degree expansion that the cell templates replace."""
+    return [
+        specialize((a0 + n * s0, a1 + n * s1, a2 + n * s2, a3 + n * s3), spec)
+        for (a0, a1, a2, a3), (s0, s1, s2, s3), count in staircase_runs([cell], d)
+        for n in range(count)
+    ]
+
+
+def test_cell_templates_are_the_specialized_staircase_runs(points):
+    # every distinct cell of the points, and the cells of three other
+    # monomial ideals, among them 2-free cells of unbounded x3, at d = 4..60
+    spec = WeightSpec((0, 3, 11, 47))
+    cells = {cell for fp in points for cell in fp.cells}
+    for lead_x in (
+        [(0, 0, 2, 0)],
+        [(1, 0, 0, 0), (0, 1, 0, 0)],
+        [(2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 1, 2)],
+    ):
+        cells.update(staircase_cells(lead_x))
+    assert any(len(cell.free) == 2 and cell.bound == math.inf for cell in cells)
+    for cell in cells:
+        template = loc._cell_template(cell, spec.values)
+        for d in range(4, 61):
+            want = _staircase_weights(cell, d, spec)
+            assert loc._expand(template, d) == want, (cell, d)
+            assert loc._counts(template, [d], 0) == len(want), (cell, d)
+
+
+def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weights):
+    # its fiber grows as d^3, so it has no template of runs affine in d
+    (cube,) = staircase_cells([(0, 0, 0, 1)])
+    message = f"^{re.escape(f'staircase cell {cube} has 3 free coordinates')}$"
+    with pytest.raises(StructuralError, match=message):
+        loc._cell_template(cube, weights.values)
+    bad = points[40]._replace()
+    vars(bad)["cells"] = [*points[40].cells, cube]
+    with pytest.raises(StructuralError, match=message):
+        loc.degree_nl(5, weights, points[:40] + [bad])
+
+
+@pytest.mark.parametrize("dmin, dmax, rank", [(5, 53, "23 != 24"), (200, 200, "605 != 800")])
+def test_a_dropped_live_cell_names_the_point_and_its_first_failing_d(
+    points, weights, dmin, dmax, rank
+):
+    # the cell has no monomial at d = 5, one at d = 6 and 195 at d = 200
+    fp = points[3]
+    cell = ((1, 3, 2), (1, 2), 1, 6)
+    bad = fp._replace()
+    vars(bad)["cells"] = [c for c in fp.cells if c != cell]
+    assert len(bad.cells) == len(fp.cells) - 1
+    altered = points[:3] + [bad] + points[4:]
+    d = 6 if dmin == 5 else 200
+    message = f"fiber rank {rank} at {fp.tag}{fp.provenance}, d={d}"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        loc.degree_range(dmin, dmax, weights, altered)
+    # a later point that fails at an earlier d is named first
+    if dmin == 5:
+        message = "fiber rank 21 != 20 at E2(11, 0), d=5"
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            loc.degree_range(dmin, dmax, weights, _broken(altered, 300))
+
+
+def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights):
+    # 49 degrees, one schedule, and one template per distinct cell
+    planned, templated = [], []
+    schedule, template = loc.visit_schedule, loc._cell_template
+
+    def planning(seqs):
+        planned.append(1)
+        return schedule(seqs)
+
+    def templating(cell, values):
+        templated.append(cell)
+        return template(cell, values)
+
+    monkeypatch.setattr(loc, "visit_schedule", planning)
+    monkeypatch.setattr(loc, "_cell_template", templating)
+    loc.degree_range(5, 53, weights, points)
+    assert planned == [1]
+    assert len(templated) == len(set(templated)) == 401
 
 
 def _count_cell_derivations(monkeypatch):
@@ -256,7 +340,8 @@ def test_shared_products_width_covers_a_larger_later_sum():
     # sum, so a width derived from the first sequence alone overflows
     weights = [list(range(20)), [3, 1, 4, 1], [10**6 + k for k in range(16)]]
     seqs = [[0, 1], [0, 2]]
-    for (e16, e15), seq in zip(shared_products(16, seqs, weights), seqs):
+    got = shared_products(16, torus.visit_schedule(seqs), weights)
+    for (e16, e15), seq in zip(got, seqs):
         values = [v for c in seq for v in weights[c]]
         assert e16 == checks.elem_sym_dp(16, values)
         assert e15 == checks.elem_sym_dp(15, values)
@@ -271,7 +356,8 @@ def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, value
     # weight of its cell; "cells fed" are the entries of the sequences, with
     # the cells that have no monomial at any d of the sum left out.  The
     # counts depend on the visit order, the fiber lengths and the rule for
-    # long cells, not on the spec
+    # long cells, not on the spec: a long cell that the schedule applies
+    # more than once takes its coefficients from its first application
     work = Counter()
 
     class Weight(int):
@@ -293,17 +379,17 @@ def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, value
         work["weight steps"] = steps
         return [Coefficient(c) for c in coeffs]
 
-    def counting(k, seqs, weights):
-        work["cells fed"] += sum(len(seq) for seq in seqs)
-        return shared_products(k, seqs, [[Weight(v) for v in w] for w in weights])
+    def counting(k, schedule, weights):
+        work["cells fed"] += sum(n + len(tail) for n, tail in schedule[0])
+        return shared_products(k, schedule, [[Weight(v) for v in w] for w in weights])
 
     monkeypatch.setattr(torus, "_coefficients", counting_derive)
     monkeypatch.setattr(loc, "shared_products", counting)
     results = loc.degree_range(5, 53, WeightSpec(values), points)
     assert [r.degree for r in results] == [closed_form()(d) for d in range(5, 54)]
     assert work == {
-        "weight steps": 597_686,
-        "coefficient terms": 287_792,
+        "weight steps": 521_411,
+        "coefficient terms": 323_216,
         "own-width steps": 76_275,
         "cells fed": 383_670,
     }

@@ -19,6 +19,7 @@ from nlocus.torus import (
     kronecker_width,
     shared_products,
     specialize,
+    visit_schedule,
 )
 
 
@@ -338,16 +339,34 @@ def _shared_against_dp(monkeypatch, seqs, weights, k=16):
 
     with monkeypatch.context() as m:
         m.setattr(torus, "_coefficients", recording)
-        got = shared_products(k, seqs, weights)
+        got = list(shared_products(k, visit_schedule(seqs), weights))
     for (ek, ek1), seq in zip(got, seqs):
         values = [v for c in seq for v in weights[c]]
         assert (ek, ek1) == (elem_sym_dp(k, values), elem_sym_dp(k - 1, values)), seq
     return derived
 
 
-def test_shared_products_applies_a_long_cell_through_its_coefficients_the_second_time(monkeypatch):
+def test_visit_schedule_shares_prefixes_and_finds_the_repeated_indices():
+    seqs = [[0, 1, 2], [0, 1, 3], [0, 2], [4], [4, 5], [5, 4], [5, 4]]
+    steps, repeated = visit_schedule(seqs)
+    assert steps == [
+        (0, (0, 1, 2)),
+        (2, (3,)),
+        (1, (2,)),
+        (0, (4,)),
+        (1, (5,)),
+        (0, (5, 4)),
+        (2, ()),
+    ]
+    # 0 and 1 sit in shared prefixes after their first application
+    assert repeated == (2, 4, 5)
+    assert visit_schedule([]) == ([], ())
+    assert visit_schedule([[3, 3]]) == ([(0, (3, 3))], (3,))
+
+
+def test_shared_products_applies_a_repeated_long_cell_through_its_coefficients(monkeypatch):
     # cell 0 has k weights and cell 1 has k + 1; each is applied twice, and
-    # only the second application of the longer one takes the coefficients
+    # only the longer one takes the coefficients
     rng = random.Random(43)
     weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (16, 17)]
     assert _shared_against_dp(monkeypatch, [[0, 1], [1], [1, 0]], weights) == [17]
@@ -357,20 +376,70 @@ def test_shared_products_applies_a_long_cell_through_its_coefficients_the_second
     assert _shared_against_dp(monkeypatch, [[0, 1]], longer) == []
 
 
+def _weight_steps_of(monkeypatch, seqs, weights, long_cell):
+    """Runs shared_products on seqs, its results against elem_sym_dp; returns
+    how many weight steps multiplied by a weight of weights[long_cell]."""
+    steps = Counter()
+
+    class Weight(int):
+        def __mul__(self, other):
+            steps["long"] += 1
+            return int.__mul__(self, other)
+
+    derive = torus._coefficients
+    counted = [list(w) for w in weights]
+    counted[long_cell] = [Weight(v) for v in weights[long_cell]]
+    with monkeypatch.context() as m:
+        # the derivation at the list's own width is not a weight step
+        m.setattr(torus, "_coefficients", lambda k, values: derive(k, [*map(int, values)]))
+        got = list(shared_products(16, visit_schedule(seqs), counted))
+    for (e16, e15), seq in zip(got, seqs):
+        values = [v for c in seq for v in weights[c]]
+        assert (e16, e15) == (elem_sym_dp(16, values), elem_sym_dp(15, values)), seq
+    return steps["long"]
+
+
+def test_a_repeated_long_cell_enters_through_its_coefficients_from_the_first(monkeypatch):
+    # cell 0 is applied by the first and the third sequence, which are not
+    # adjacent: none of its 40 weights ever multiplies the running product
+    rng = random.Random(53)
+    weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (40, 12, 25)]
+    seqs = [[0, 1], [2], [2, 0], [1]]
+    assert _shared_against_dp(monkeypatch, seqs, weights) == [40]
+    assert _weight_steps_of(monkeypatch, seqs, weights, 0) == 0
+    # applied once, the same cell goes in weight by weight
+    assert _weight_steps_of(monkeypatch, [[0, 1], [2]], weights, 0) == 40
+
+
+def test_a_repeated_long_cell_at_the_width_edge_in_sequences_not_adjacent(monkeypatch):
+    # the two 100-value cells of 977 first meet in sequence 0 and again in
+    # sequence 2, after a sequence that shares nothing; their 200 copies of
+    # 977 put e_16 in the top bit of the width
+    weights = [[977] * 100, [977] * 100, [3, 1, 4, 1, 5]]
+    seqs = [[0, 1], [2], [1, 0]]
+    assert _shared_against_dp(monkeypatch, seqs, weights) == [100, 100]
+    for long_cell in (0, 1):
+        assert _weight_steps_of(monkeypatch, seqs, weights, long_cell) == 0
+    e16 = list(shared_products(16, visit_schedule(seqs), weights))[2][0]
+    assert e16.bit_length() == kronecker_width(16, 200 * 977)
+
+
 def test_shared_products_coefficients_at_the_width_edge(monkeypatch):
     # both cells re-applied on the sequences with the largest sum: 200
     # copies of 977 put e_16 in the top bit of the width
     weights = [[977] * 100, [977] * 100]
     assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0]], weights) == [100, 100]
-    e16 = shared_products(16, [[0, 1], [1, 0]], weights)[1][0]
+    e16 = list(shared_products(16, visit_schedule([[0, 1], [1, 0]]), weights))[1][0]
     assert e16.bit_length() == kronecker_width(16, 200 * 977)
 
 
 def test_shared_products_all_zero_long_cell(monkeypatch):
+    # the repeated long cells are derived once per call, before the first
+    # visit, in the order of their indices
     rng = random.Random(47)
     weights = [[0] * 30, [rng.randint(0, 50) for _ in range(20)]]
-    assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0], [0]], weights) == [20, 30]
-    # the second application of a cell in one sequence takes its coefficients
+    assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0], [0]], weights) == [30, 20]
+    # a cell applied twice in one sequence takes its coefficients
     assert _shared_against_dp(monkeypatch, [[0, 0]], weights) == [30]
 
 
