@@ -24,7 +24,7 @@ from . import fixpoints as fx
 from . import localization as loc
 from .formula import closed_form
 from .limits import e1_limit
-from .ideals import hilbert_polynomial, staircase_runs, standard_monomials
+from .ideals import hilbert_polynomial, standard_monomials
 from .poly import render_monomial
 from .torus import (
     DEFAULT_WEIGHTS,
@@ -82,13 +82,11 @@ def rank_invariants(run):
     shift of `localization`: adding c to every weight must leave each
     tangent weight and move each degree-d fiber weight by c*d.
 
-    The points share few distinct staircase cells (401 among the 525
-    points' 13,617), so each distinct cell's degree-d monomials are counted
-    once for every d, and a point's count is the sum over its cells.  A
-    count other than 4d is the Bott sums' own error, `localization._check_rank`.
+    Every point's rows are checked first, so a row fault at any point is
+    reported before any rank fault.  The ranks are the Bott sums' own check,
+    `localization.check_fiber_ranks`, over d = 4..10: one count per distinct
+    cell, and a fault names the first failing d and its first point.
     """
-    ds = range(4, 11)
-    cell_counts = {}  # cell -> its number of degree-d monomials, for d in ds
     for fp in run.points:
         if len(fp.tangent) != loc.DIM:
             raise AssertionError(
@@ -108,15 +106,7 @@ def rank_invariants(run):
                 )
         if len(fp.quartics) != 19:
             raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
-        for cell in fp.cells:
-            if cell not in cell_counts:
-                cell_counts[cell] = [
-                    sum(count for _, _, count in staircase_runs([cell], d)) for d in ds
-                ]
-        # the row of zeros gives a point without cells the counts 0
-        totals = map(sum, zip([0] * len(ds), *map(cell_counts.__getitem__, fp.cells)))
-        for d, n in zip(ds, totals):
-            loc._check_rank(fp, d, n)
+    loc.check_fiber_ranks(run.points, range(4, 11))
 
 
 def hilbert_oracles(run):

@@ -19,17 +19,17 @@ The hot path, `_sum_chunk`, reads the staircase cells of each point's
 quartic system from `FixedPoint.cells`, derived once per point and process
 and shared with the 4t check and `checks.rank_invariants`.  The points of a
 chunk are built from few distinct cells.  What does not depend on d is
-done once per pass: the cells with no monomial at any d of the sum are
-left out, each other distinct cell becomes a template of runs affine in d
-(`_cell_template`), the fiber ranks are checked for every d in one packed
-sum per point, and the visits are planned (`torus.visit_schedule`).  Each
-d then expands the templates into specialized weights and runs only
-Kronecker steps: e_16 is `torus.shared_products`, the package's one
-Kronecker-packed product, shared between points.  Each point starts from
-the product of the cells it has in common with the point visited before
-it, and a long cell that the schedule applies more than once enters
-through its 16 elementary symmetric coefficients from its first
-application on, not weight by weight.
+done once per pass: the fiber ranks of every d are checked from one packed
+count per distinct cell (`check_fiber_ranks`, the check of
+`checks.rank_invariants` too), the cells dead at every d are left out,
+each other one becomes a template of runs affine in d (`_cell_template`),
+and the visits are planned (`torus.visit_schedule`).  Each d then expands
+the templates into specialized weights and runs only Kronecker steps: e_16
+is `torus.shared_products`, the package's one Kronecker-packed product,
+shared between points.  Each point starts from the product of the cells it
+has in common with the point visited before it, and a long cell that the
+schedule applies more than once enters through its 16 elementary symmetric
+coefficients from its first application on, not weight by weight.
 The summands of a chunk are added as integers over the lcm of their
 tangent denominators, one Fraction per d.  The denominators of a pass over
 the points, in a sum, in `admissible_spec` or in `localization_self_test`,
@@ -98,12 +98,9 @@ def _cell_template(cell, values):
     and hi = min(t, bound - 1): the weight a + b*d when free = 0 and
     0 <= t < bound; the run a + b*d + n*s, n <= hi, when free = 1; and the
     runs a + b*d + m*g + n*s, n <= t - m, for m <= hi, when free = 2.  These
-    are the runs of `staircase_runs` specialized, in its order.  A cell with
-    3 free coordinates, whose fiber grows as d^3, is a StructuralError.
+    are the runs of `staircase_runs` specialized, in its order.
     """
     (i, j, k), free, bound, lower = cell
-    if len(free) > 2:
-        raise StructuralError(f"staircase cell {cell} has 3 free coordinates")
     w0, w1, w2, w3 = values
     b = values[free[-1]] if free else w3  # the weight of the coordinate that d moves
     g = w3 - b
@@ -111,25 +108,54 @@ def _cell_template(cell, values):
     return len(free), lower, bound, i * w0 + j * w1 + k * w2 - lower * b, b, g, s
 
 
-def _counts(template, ds, field):
-    """A cell's numbers of degree-d monomials for the d in ds, from its
-    `_cell_template`, packed into one integer: the count at the i-th d in
-    the bits from i*field up."""
-    free, lower, bound = template[:3]
+def _counts(cell, ds, field):
+    """A staircase cell's numbers of degree-d monomials for the d in ds (the
+    lengths of its `_cell_template` runs), packed into one integer: the count
+    at the i-th d in the bits from i*field up.  A cell with 3 free
+    coordinates, whose fiber grows as d^3, is a StructuralError."""
+    _, free, bound, lower = cell
+    if len(free) > 2:
+        raise StructuralError(f"staircase cell {cell} has 3 free coordinates")
     out = 0
     for i, d in enumerate(ds):
         t = d - lower
         hi = t if t < bound else bound - 1
         if hi < 0:
             continue
-        if free == 0:
+        if not free:
             n = 1 if hi == t else 0
-        elif free == 1:
+        elif len(free) == 1:
             n = hi + 1
         else:
             n = (hi + 1) * (2 * t + 2 - hi) // 2  # the runs of t + 1 - m, m <= hi
         out |= n << (i * field)
     return out
+
+
+def check_fiber_ranks(points, ds):
+    """Check the fiber rank 4d of every point at every d in ds; returns
+    ({distinct cell: its packed `_counts`}, field).
+
+    Each distinct cell is counted once, in fields that no point's sum can
+    carry out of, and each point's cells are added in one sum.  A point
+    whose sum is not 4d in every field fails `_check_rank`, at the first d
+    in ds at which any point fails and at the first such point.
+    """
+    top = max(ds)
+    # a cell has at most C(d + 3, 3) degree-d monomials, so no point's sum
+    # of counts, over disjoint cells or not, reaches 2^field
+    most = max([len(fp.cells) for fp in points] + [1])
+    field = (most * math.comb(top + 3, 3)).bit_length()
+    cells = dict.fromkeys(cell for fp in points for cell in fp.cells)
+    counts = {cell: _counts(cell, ds, field) for cell in cells}
+    want = sum(4 * d << (i * field) for i, d in enumerate(ds))
+    if any(sum(map(counts.__getitem__, fp.cells)) != want for fp in points):
+        mask = (1 << field) - 1
+        for i, d in enumerate(ds):
+            for fp in points:
+                rank = sum(map(counts.__getitem__, fp.cells))
+                _check_rank(fp, d, rank >> (i * field) & mask)
+    return counts, field
 
 
 def _expand(template, d):
@@ -203,46 +229,26 @@ def _plan(points, ds, values):
     (the templates of the live cells, the order of the visits, their
     `torus.visit_schedule`).
 
-    Each distinct staircase cell becomes its `_cell_template` under values.
-    A cell with no monomial at any d in ds is dead: it is fed to no pass.
-    The live cells are numbered longest first (their number of
-    degree-max(ds) monomials, ties by the cell), each point is the sorted
-    list of its live cells' numbers, and the points are visited in
-    lexicographic order of those lists, so that a point shares its longest
-    cells with the point before it.
-
-    The fiber ranks are checked for every d at once.  Each cell's counts at
-    the ds are packed into one integer, in fields that no point's sum can
-    carry out of, and each point's cells are added in one sum.  A point
-    whose sum is not 4d in every field fails `_check_rank`, at the first d
-    in ds at which any point fails and at the first such point.
+    The fiber ranks are checked first (`check_fiber_ranks`).  A cell with no
+    monomial at any d in ds, a count of 0, is dead: it is neither templated
+    nor fed to the pass.  Each live cell becomes its `_cell_template` under
+    values.  The live cells are numbered longest first (their count at
+    max(ds), ties by the cell), each point is the sorted list of its live
+    cells' numbers, and the points are visited in lexicographic order of
+    those lists, so that a point shares its longest cells with the point
+    before it.
     """
-    templates = dict.fromkeys(cell for fp in points for cell in fp.cells)
-    for cell in templates:
-        templates[cell] = _cell_template(cell, values)
-    top = max(ds)
-    # a cell has at most C(d + 3, 3) degree-d monomials, so no point's sum
-    # of counts, over disjoint cells or not, reaches 2^field
-    most = max([len(fp.cells) for fp in points] + [1])
-    field = (most * math.comb(top + 3, 3)).bit_length()
-    packed = {cell: _counts(t, ds, field) for cell, t in templates.items()}
+    counts, field = check_fiber_ranks(points, ds)
+    shift, mask = ds.index(max(ds)) * field, (1 << field) - 1
     cells = sorted(
-        (cell for cell in templates if packed[cell]),
-        key=lambda cell: (-_counts(templates[cell], (top,), 0), cell),
+        (cell for cell, n in counts.items() if n),
+        key=lambda cell: (-(counts[cell] >> shift & mask), cell),
     )
     number = {cell: n for n, cell in enumerate(cells)}
     seqs = [sorted(number[c] for c in fp.cells if c in number) for fp in points]
-    counts = [packed[cell] for cell in cells]
-    live = [templates[cell] for cell in cells]
+    live = [_cell_template(cell, values) for cell in cells]
     # freed before the schedule is built: the pass peaks there when ds is short
-    del templates, packed, number
-    want = sum(4 * d << (i * field) for i, d in enumerate(ds))
-    if any(sum(map(counts.__getitem__, seq)) != want for seq in seqs):
-        mask = (1 << field) - 1
-        for i, d in enumerate(ds):
-            for fp, seq in zip(points, seqs):
-                rank = sum(map(counts.__getitem__, seq))
-                _check_rank(fp, d, rank >> (i * field) & mask)
+    del counts, number
     visits = sorted(range(len(points)), key=seqs.__getitem__)
     return live, visits, visit_schedule(seqs[p] for p in visits)
 

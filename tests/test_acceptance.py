@@ -57,7 +57,9 @@ def test_criterion_3_fixed_point_census(points, weights):
 
 def test_criterion_4_rank_invariants(points, weights):
     checks.rank_invariants(checks.Run(points, weights, 1))
-    report(4, "every quartic system has 19 independent quartics and kbase 4d, d=4..10")
+    report(
+        4, "every quartic system has 19 independent quartics and fiber rank 4d, d=4..10"
+    )
 
 
 def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points, weights):
@@ -98,6 +100,17 @@ def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
     altered = points[:300] + [_repeated_quartic(points[300])] + points[301:]
     message = "fiber rank 17 != 16 at E2(11, 0), d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(checks.Run(altered, weights, 1))
+
+
+def test_rank_invariants_reports_a_row_fault_before_any_rank_fault(points, weights):
+    # the rank fault is at an earlier point than the row fault
+    fp = points[400]
+    bad = fp._replace(tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
+    altered = points[:300] + [_repeated_quartic(points[300])] + points[301:400]
+    altered += [bad] + points[401:]
+    message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants(checks.Run(altered, weights, 1))
 
 

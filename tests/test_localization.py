@@ -141,7 +141,7 @@ def test_cell_templates_are_the_specialized_staircase_runs(points):
         for d in range(4, 61):
             want = _staircase_weights(cell, d, spec)
             assert loc._expand(template, d) == want, (cell, d)
-            assert loc._counts(template, [d], 0) == len(want), (cell, d)
+            assert loc._counts(cell, [d], 0) == len(want), (cell, d)
 
 
 def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weights):
@@ -149,7 +149,7 @@ def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weight
     (cube,) = staircase_cells([(0, 0, 0, 1)])
     message = f"^{re.escape(f'staircase cell {cube} has 3 free coordinates')}$"
     with pytest.raises(StructuralError, match=message):
-        loc._cell_template(cube, weights.values)
+        loc._counts(cube, [5], 0)
     bad = points[40]._replace()
     vars(bad)["cells"] = [*points[40].cells, cube]
     with pytest.raises(StructuralError, match=message):
@@ -178,8 +178,37 @@ def test_a_dropped_live_cell_names_the_point_and_its_first_failing_d(
             loc.degree_range(dmin, dmax, weights, _broken(altered, 300))
 
 
+@pytest.mark.parametrize(
+    "cell, message, in_pass",
+    [
+        # first live at d = 7: only rank-invariants, over d = 4..10, sees it
+        (((3, 3, 1), (0, 1), 1, 7), "fiber rank 27 != 28 at G2E1(18, 0), d=7", False),
+        # live at d = 4 only
+        (((1, 2, 1), (), 1, 4), "fiber rank 15 != 16 at G2E1(18, 0), d=4", True),
+    ],
+)
+def test_a_dropped_cell_fails_rank_invariants_and_the_pass_alike(
+    points, weights, cell, message, in_pass
+):
+    # one corrupted cell list, read by `verify`'s rank check and by its pass
+    fp = points[156]
+    bad = fp._replace()
+    vars(bad)["cells"] = [c for c in fp.cells if c != cell]
+    assert len(bad.cells) == len(fp.cells) - 1
+    altered = points[:156] + [bad] + points[157:]
+    match = f"^{re.escape(message)}$"
+    with pytest.raises(StructuralError, match=match):
+        checks.rank_invariants(checks.Run(altered, weights, 1))
+    if in_pass:
+        with pytest.raises(StructuralError, match=match):
+            loc.degree_range(4, 6, weights, altered)
+    else:
+        assert loc.degree_range(4, 6, weights, altered)[0].degree == 38475
+
+
 def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights):
-    # 49 degrees, one schedule, and one template per distinct cell
+    # 49 degrees, one schedule, and one template per live cell: 353 of the
+    # 401 distinct cells have a monomial at some d = 5..53
     planned, templated = [], []
     schedule, template = loc.visit_schedule, loc._cell_template
 
@@ -195,7 +224,8 @@ def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights
     monkeypatch.setattr(loc, "_cell_template", templating)
     loc.degree_range(5, 53, weights, points)
     assert planned == [1]
-    assert len(templated) == len(set(templated)) == 401
+    assert len(templated) == len(set(templated)) == 353
+    assert all(loc._counts(cell, range(5, 54), 16) for cell in templated)
 
 
 def _count_cell_derivations(monkeypatch):
