@@ -15,37 +15,38 @@ subtorus acts trivially on P^3, every tangent character has coordinate sum
 sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
-The hot path, `_sum_chunk`, reads the staircase cells of each point's
-quartic system from `FixedPoint.cells`, derived once per point and process
-and shared with the 4t check and `checks.rank_invariants`.  The points of a
-chunk are built from few distinct cells.  What does not depend on d is
-done once per pass: the fiber ranks of every d are checked from one packed
+A pass reads the staircase cells of each point's quartic system from
+`FixedPoint.cells`, derived once per point and process and shared with the
+4t check and `checks.rank_invariants`.  The points are built from few
+distinct cells.  What does not depend on d is done once per pass, in the
+calling process: the fiber ranks of every d are checked from one packed
 count per distinct cell (`check_fiber_ranks`, the check of
 `checks.rank_invariants` too), the cells dead at every d are left out,
 each other one becomes a template of runs affine in d (`_cell_template`),
-and the visits are planned (`torus.visit_schedule`).  Each d then expands
-the templates into specialized weights and runs only Kronecker steps: e_16
-is `torus.shared_products`, the package's one Kronecker-packed product,
-shared between points.  Each point starts from the product of the cells it
-has in common with the point visited before it, and a long cell that the
-schedule applies more than once enters through its 16 elementary symmetric
-coefficients from its first application on, not weight by weight.
-The summands of a chunk are added as integers over the lcm of their
-tangent denominators, one Fraction per d.  The denominators of a pass over
-the points, in a sum, in `admissible_spec` or in `localization_self_test`,
-specialize each distinct tangent character once, through a table built in
-that call (`_tangent_denominators`): the 525 points have 8,400 tangent
-characters between them, but only 230 distinct ones.
+and the visits are planned (`torus.visit_schedule`).  The hot path,
+`_sum_chunk`, then expands the templates into specialized weights at each
+d and runs only Kronecker steps: e_16 is `torus.shared_products`, the
+package's one Kronecker-packed product, shared between points.  Each
+point starts from the product of the cells it has in common with the
+point visited before it, and a long cell that the schedule applies more
+than once enters through its 16 elementary symmetric coefficients from
+its first application on, not weight by weight.  The summands are added
+as integers over the lcm of the points' tangent denominators, one
+Fraction per d.  The denominators of a pass over the points, in a sum, in
+`admissible_spec` or in `localization_self_test`, specialize each
+distinct tangent character once, through a table built in that call
+(`_tangent_denominators`): the 525 points have 8,400 tangent characters
+between them, but only 230 distinct ones.
 
-With N workers, `_localize` runs one sum in at most N processes, and never
-in more than the CPUs this process may run on (`_usable_cpus`): on one CPU
-a second process cannot run at the same time, so a fork would only add its
-cost.  Each forked child inherits the points and the cells they have
-derived, sums its slice of them and sends back one pickled result or
-exception through a pipe; the parent sums the first slice itself, then
-reads and reaps every child, also when a slice raises.  Nothing outlives
-the sum, so no state is kept between calls, and the result is the same for
-any N.
+With N workers, `_localize` deals the degrees of a pass round robin,
+ds[i::n], to n = min(N, usable CPUs, len(ds)) processes (`_usable_cpus`):
+on one CPU a fork would only add its cost, and one degree never forks.
+Each forked child inherits the parent's plan, runs only the Kronecker
+steps of its degrees and sends back one pickled result, its numerators
+or an exception, through a pipe; the parent runs ds[::n] itself, then
+reads and reaps every child, also when a part raises.  Every check runs
+in the parent before any fork and nothing outlives the pass, so the
+result and the first error are the same for any N.
 """
 
 from __future__ import annotations
@@ -253,21 +254,13 @@ def _plan(points, ds, values):
     return live, visits, visit_schedule(seqs[p] for p in visits)
 
 
-def _sum_chunk(points, ds, spec):
-    """Bott sums of a run of points for each d, over the chunk's common denominator.
-
-    The pass is planned once (`_plan`).  Each d then only expands the live
-    cells' templates into weights and runs the schedule, one Kronecker pass
-    shared by the points (`torus.shared_products`).
-
-    The numerators are taken under spec shifted to a zero minimum (see the
-    module docstring); the denominators are equal under either spec.
+def _sum_chunk(bott, ds):
+    """The numerators over the common denominator of the pass bott, (scales,
+    plucker, live, visits, schedule) from `_localize`, at each d in ds: each
+    d only expands the live cells' templates into weights and runs the
+    schedule, one Kronecker pass shared by the points (`shared_products`).
     """
-    common, _, scales = _common_denominator(points, spec)
-    low = min(spec.values)
-    shifted = WeightSpec(v - low for v in spec.values)
-    live, visits, schedule = _plan(points, ds, shifted.values)
-    plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
+    scales, plucker, live, visits, schedule = bott
     sums = {}
     weights = [()] * len(live)
     for d in ds:
@@ -277,19 +270,18 @@ def _sum_chunk(points, ds, spec):
         acc = 0
         for p, (e16, e15) in zip(visits, shared_products(DIM, schedule, weights)):
             acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
-        sums[d] = Fraction(acc, common)
+        sums[d] = acc
     return sums
 
 
-def _fork_sum(points, ds, spec):
-    """Fork a child that sums points; (its pid, the read end of its pipe).
+def _fork_sum(bott, ds):
+    """Fork a child that runs bott at ds; (its pid, the read end of its pipe).
 
-    The child writes one pickled result, the sums or the exception they
-    raised, and leaves through os._exit: it never returns into the caller's
-    frames or flushes the caller's stdio.  It exits with status 0 only once
-    the whole result is written.
+    The child writes one pickled result, its numerators or their exception,
+    and leaves through os._exit, with status 0 only once the whole result is
+    written: it never returns into the caller's frames or flushes its stdio.
     """
-    import pickle  # only here: a sum with one worker need not load it
+    import pickle  # only here: a sum in one process need not load it
 
     read, write = os.pipe()
     try:
@@ -305,7 +297,7 @@ def _fork_sum(points, ds, spec):
     try:
         os.close(read)
         try:
-            result = _sum_chunk(points, ds, spec)
+            result = _sum_chunk(bott, ds)
         except Exception as exc:  # noqa: BLE001 - raised again in the parent
             result = exc
         with open(write, "wb") as pipe:
@@ -322,6 +314,21 @@ def _reap(pid, read):
     return data, os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
+def _result(ds, data, code):
+    """The numerators a child sent for its degrees ds; the exception it sent,
+    or a StructuralError when it left no whole result, is raised."""
+    import pickle
+
+    if code != 0:
+        raise StructuralError(
+            f"Bott-sum worker for d = {', '.join(map(str, ds))}: exit status {code}, no result"
+        )
+    result = pickle.loads(data)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
 def _usable_cpus():
     """The number of CPUs this process may run on: its affinity mask where the
     platform has one, else all of the machine's."""
@@ -333,36 +340,29 @@ def _usable_cpus():
 def _localize(points, ds, spec, workers):
     """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum).
 
-    The sums run in min(workers, usable CPUs) processes.  Whether workers > 1
-    needs os.fork is decided on the requested number, not on the machine.
+    The denominators, the plan and the Pluecker weights of the pass are
+    worked out once, here.  Whether workers > 1 needs os.fork is decided on
+    the requested number, not on the machine.
     """
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
-    workers = min(workers, _usable_cpus())
-    if workers <= 1 or len(points) < 2 * workers:
-        return _sum_chunk(points, ds, spec)
-    import pickle
-
-    chunk = (len(points) + workers - 1) // workers
+    ds = list(ds)
+    common, _, scales = _common_denominator(points, spec)
+    low = min(spec.values)
+    shifted = WeightSpec(v - low for v in spec.values)
+    plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
+    bott = (scales, plucker, *_plan(points, ds, shifted.values))
+    n = min(workers, _usable_cpus(), len(ds))
     children = []
     try:
-        for start in range(chunk, len(points), chunk):
-            stop = min(start + chunk, len(points))
-            children.append((start, stop, *_fork_sum(points[start:stop], ds, spec)))
-        totals = _sum_chunk(points[:chunk], ds, spec)
+        for i in range(1, n):
+            children.append((ds[i::n], *_fork_sum(bott, ds[i::n])))
+        sums = _sum_chunk(bott, ds[::n])
     finally:
-        parts = [(start, stop, *_reap(pid, read)) for start, stop, pid, read in children]
-    for start, stop, data, code in parts:
-        if code != 0:
-            raise StructuralError(
-                f"Bott-sum worker for points {start}:{stop}: exit status {code}, no result"
-            )
-        part = pickle.loads(data)
-        if isinstance(part, Exception):
-            raise part
-        for d, v in part.items():
-            totals[d] += v
-    return totals
+        parts = [(part, *_reap(pid, read)) for part, pid, read in children]
+    for part in parts:
+        sums.update(_result(*part))
+    return {d: Fraction(sums[d], common) for d in ds}
 
 
 def degree_range(dmin, dmax, spec, points, workers=1):

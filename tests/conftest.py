@@ -58,8 +58,24 @@ def weights():
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """The Bott sums see two usable CPUs, so workers=2 forks on any machine."""
+    """The Bott sums see two usable CPUs, so on any machine a pass over two
+    or more degrees with workers=2 forks one child, and a single degree none."""
     monkeypatch.setattr(loc, "_usable_cpus", lambda: 2)
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids os.fork returns to this process, in order."""
+    pids = []
+    real = os.fork
+
+    def counted():
+        pid = real()
+        pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
 
 
 @pytest.fixture

@@ -217,12 +217,15 @@ def test_negative_weights_take_the_equals_form(capsys, cache_path):
     assert expected in out
 
 
-def test_threads_flag_matches_single(capsys, two_cpus, cache_path):
-    _, out1, _ = run(capsys, "degree", "--d", "6", "--cache", str(cache_path))
-    _, out2, _ = run(
-        capsys, "degree", "--d", "6", "--cache", str(cache_path), "--threads", "2"
-    )
-    assert out1.splitlines()[0] == out2.splitlines()[0]
+def test_threads_flag_matches_single(capsys, two_cpus, forked, cache_path):
+    docs = []
+    for threads in ("1", "2"):
+        argv = ("formula", "--format", "json", "--threads", threads)
+        code, out, _ = run(capsys, *argv, "--cache", str(cache_path))
+        assert code == 0
+        docs.append({key: json.loads(out)[key] for key in ("nodes", "coefficients", "match")})
+    assert docs[1] == docs[0]
+    assert (docs[0]["match"], len(docs[0]["nodes"]), len(forked)) == (True, 49, 1)
 
 
 def test_verify_passes(capsys, cache_path, verify_checks):
@@ -254,21 +257,6 @@ def test_verify_with_two_workers_passes(cache_path, verify_checks):
     )
     expected = [f"PASS {name}" for name in verify_checks] + ["verify: ok"]
     assert (done.returncode, done.stdout.splitlines(), done.stderr) == (0, expected, "")
-
-
-@pytest.fixture
-def forked(monkeypatch):
-    """The pids os.fork returns to this process, in order."""
-    pids = []
-    real = os.fork
-
-    def counted():
-        pid = real()
-        pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", counted)
-    return pids
 
 
 def test_verify_with_two_workers_forks_two_children(capsys, two_cpus, forked, cache_path):
@@ -354,9 +342,16 @@ def test_the_points_are_frozen_until_main_returns(
 def test_threads_beyond_the_cpus_fork_one_child_for_two_cpus(
     capsys, two_cpus, forked, cache_path
 ):
-    argv = ("degree", "--d", "4", "--threads", "300", "--cache", str(cache_path))
+    argv = ("formula", "--dmax", "37", "--threads", "300", "--cache", str(cache_path))
     code, out, _ = run(capsys, *argv)
-    assert (code, out.splitlines()[0], len(forked)) == (0, "deg NL(W,4) = 38475", 1)
+    assert (code, len(forked)) == (0, 1)
+    assert out.splitlines()[0] == "interpolated at d=5..37 (33 nodes)"
+
+
+def test_one_degree_with_two_workers_forks_nothing(capsys, two_cpus, forked, cache_path):
+    argv = ("degree", "--d", "4", "--threads", "2", "--cache", str(cache_path))
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[0], forked) == (0, "deg NL(W,4) = 38475", [])
 
 
 def test_verify_on_one_cpu_forks_nothing(capsys, one_cpu, cache_path, verify_checks):
@@ -391,14 +386,17 @@ def test_a_failed_cache_write_is_an_error(monkeypatch, capsys, tmp_path, command
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"]])
+@pytest.mark.parametrize("command", [["formula", "--dmax", "37"], ["formula"]])
 def test_a_failed_fork_is_an_error(monkeypatch, capsys, two_cpus, cache_path, command):
+    calls = []
+
     def no_fork():
+        calls.append(1)
         raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
 
     monkeypatch.setattr(os, "fork", no_fork)
     code, out, err = run(capsys, *command, "--threads", "2", "--cache", str(cache_path))
-    assert (code, out) == (1, "")
+    assert (code, out, len(calls)) == (1, "", 1)
     assert err == f"error: cannot fork a Bott-sum worker: {os.strerror(errno.EAGAIN)}\n"
 
 

@@ -64,7 +64,7 @@ def test_contribution_numerator_against_subset_oracle(points, weights, unshared_
         brute += term
     summand = Fraction(brute, math.prod(specialize(c, weights) for c in fp.tangent))
     assert unshared_sum(5, weights, False, [fp]) == summand
-    assert loc._sum_chunk([fp], [5], weights)[5] == summand
+    assert loc._localize([fp], [5], weights, 1)[5] == summand
 
 
 def test_tangent_denominator_paper_factors(points, weights):
@@ -100,7 +100,7 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
 
 def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
-    loc._sum_chunk([fp], [7], weights)  # the true cell list passes the rank check
+    loc._localize([fp], [7], weights, 1)  # the true cell list passes the rank check
     cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
@@ -279,15 +279,34 @@ def _python(code, *args):
     )
 
 
-def test_forked_workers_match_one_worker(tmp_path, two_cpus, points, weights):
-    # freshly loaded points carry no cells: each forked worker derives those
-    # of its own slice, and they are lost with it
+def test_forked_workers_match_one_worker(tmp_path, two_cpus, forked, points, weights):
+    # freshly loaded points carry no cells: the parent derives them while it
+    # plans the pass, and the forked worker inherits them with the plan
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
     loaded = fx.load_cache(path)
     assert not any("cells" in vars(fp) for fp in loaded)
     multi = loc.degree_range(4, 6, weights, loaded, workers=2)
     assert multi == loc.degree_range(4, 6, weights, loaded, workers=1)
+    assert len(forked) == 1
+
+
+def test_a_pass_with_two_workers_plans_once(
+    monkeypatch, tmp_path, two_cpus, forked, points, weights
+):
+    # each plan appends the pid of its process to a file that a forked
+    # worker would write to as well
+    log = tmp_path / "plans"
+    real = loc._plan
+
+    def planning(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(loc, "_plan", planning)
+    assert loc.degree_range(4, 6, weights, points, workers=2)[0].degree == 38475
+    assert (log.read_text(), len(forked)) == (f"{os.getpid()}\n", 1)
 
 
 def _no_child_left():
@@ -302,21 +321,59 @@ def _broken(points, index):
     return points[:index] + [bad] + points[index + 1 :]
 
 
-def test_a_workers_error_reaches_the_caller(two_cpus, points, weights):
-    with pytest.raises(
-        StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at E2(11, 0), d=5')}$"
-    ):
-        loc.degree_nl(5, weights, _broken(points, 300), workers=2)
+def test_the_first_error_is_the_same_for_any_number_of_workers(
+    two_cpus, forked, points, weights
+):
+    # point 300 has fiber rank 4d + 1 at every d, point 19 loses a cell with
+    # monomials from d = 6 on: the pass names the first d and, at it, the
+    # first point, whether it runs in one process or two
+    altered = _broken(points, 300)
+    fp = altered[19]
+    bad = fp._replace()
+    vars(bad)["cells"] = [c for c in fp.cells if c != ((2, 3, 1), (0, 1), 1, 6)]
+    assert len(bad.cells) == len(fp.cells) - 1
+    altered[19] = bad
+    message = "fiber rank 17 != 16 at E2(11, 0), d=4"
+    for workers in (1, 2):
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            loc.degree_range(4, 8, weights, altered, workers)
     _no_child_left()
-    assert loc.degree_nl(4, weights, points, workers=2).degree == 38475
+    assert forked == []
 
 
-def test_an_error_in_the_callers_slice_leaves_no_child(two_cpus, points, weights):
-    with pytest.raises(
-        StructuralError, match=f"^{re.escape('fiber rank 21 != 20 at G2(36,), d=5')}$"
-    ):
-        loc.degree_nl(5, weights, _broken(points, 19), workers=2)
+def _failing_at(monkeypatch, failed):
+    """`_expand` raising StructuralError at the degree failed, in whichever
+    process runs that degree."""
+    real = loc._expand
+
+    def expand(template, d):
+        if d == failed:
+            raise StructuralError(f"no weights at d={d}")
+        return real(template, d)
+
+    monkeypatch.setattr(loc, "_expand", expand)
+
+
+def test_a_workers_error_reaches_the_caller(monkeypatch, two_cpus, forked, points, weights):
+    # the worker runs d = 5, 7 and the parent d = 4, 6
+    with monkeypatch.context() as patch:
+        _failing_at(patch, 5)
+        with pytest.raises(StructuralError, match="^no weights at d=5$"):
+            loc.degree_range(4, 7, weights, points, workers=2)
     _no_child_left()
+    assert len(forked) == 1
+    assert loc.degree_range(4, 7, weights, points, workers=2)[0].degree == 38475
+    assert len(forked) == 2
+
+
+def test_an_error_in_the_callers_slice_leaves_no_child(
+    monkeypatch, two_cpus, forked, points, weights
+):
+    _failing_at(monkeypatch, 6)
+    with pytest.raises(StructuralError, match="^no weights at d=6$"):
+        loc.degree_range(4, 7, weights, points, workers=2)
+    _no_child_left()
+    assert len(forked) == 1
 
 
 @pytest.mark.parametrize(
@@ -325,17 +382,18 @@ def test_an_error_in_the_callers_slice_leaves_no_child(two_cpus, points, weights
     ids=["killed", "unpicklable"],
 )
 def test_a_worker_without_a_result_is_a_structural_error(
-    monkeypatch, two_cpus, points, weights, status, child_sum
+    monkeypatch, two_cpus, forked, points, weights, status, child_sum
 ):
     parent = os.getpid()
     real = loc._sum_chunk
     monkeypatch.setattr(
         loc, "_sum_chunk", lambda *a: real(*a) if os.getpid() == parent else child_sum(*a)
     )
-    message = f"Bott-sum worker for points 263:525: exit status {status}, no result"
+    message = f"Bott-sum worker for d = 5, 7: exit status {status}, no result"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        loc.degree_nl(5, weights, points, workers=2)
+        loc.degree_range(4, 7, weights, points, workers=2)
     _no_child_left()
+    assert len(forked) == 1
 
 
 def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights):
@@ -345,16 +403,19 @@ def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
     code = (
-        "import json, sys\n"
+        "import json, os, sys\n"
         "from nlocus import fixpoints, localization, torus\n"
         "localization._usable_cpus = lambda: 2\n"
+        "forks = []\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
         "points = fixpoints.load_cache(sys.argv[1])\n"
         "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
         "print('before the sum')\n"
-        "print(localization.degree_nl(4, spec, points, workers=2).degree)\n"
+        "print(localization.degree_range(4, 6, spec, points, workers=2)[0].degree)\n"
+        "print(len(forks), 'fork')\n"
     )
     done = _python(code, str(path), json.dumps(list(weights.values)))
-    assert (done.stdout, done.stderr) == ("before the sum\n38475\n", "")
+    assert (done.stdout, done.stderr) == ("before the sum\n38475\n1 fork\n", "")
 
 
 @pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 1, 7, 23), (-7, 3, 11, 40)])
@@ -533,7 +594,8 @@ def test_inadmissible_spec_raises(points):
 
 
 def test_workers_bit_exact(two_cpus, points, weights):
-    # two chunks share only the cell prefixes inside each chunk
+    # each process runs its own degrees of the one plan, so the second one
+    # starts from the parent's cells, visits and schedule
     single = loc.degree_range(4, 8, weights, points, workers=1)
     multi = loc.degree_range(4, 8, weights, points, workers=2)
     assert [(r.d, r.degree) for r in single] == [(r.d, r.degree) for r in multi]
