@@ -9,8 +9,8 @@ runs them.
 
 `d4-target`, `d5-cross-check` and `spec-independence` read one Bott pass
 over d = 4..6 under the run's spec, `Run.degrees`, taken once per run;
-`spec-independence` takes one more under a second spec.  A `verify` thus
-takes two passes, one per spec.
+`spec-independence` takes one more under a second spec.  Both passes
+share one route, kept by `localization`.
 """
 
 from __future__ import annotations
@@ -257,7 +257,8 @@ def algebra_kernel(run):
     got = list(shared_products(loc.DIM, visit_schedule(seqs), weights))
     for i, seq in enumerate(seqs):
         values = [v for c in seq for v in weights[c]]
-        want = (elem_sym_dp(loc.DIM, values), elem_sym_dp(loc.DIM - 1, values))
+        *_, e15, e16 = elem_sym_coefficients(loc.DIM, values)
+        want = (e16, e15)
         if got[i] != want:
             raise AssertionError(
                 f"shared_products sequence {i} {seq} after {seqs[i - 1] if i else []}:"
@@ -266,13 +267,18 @@ def algebra_kernel(run):
     return checked
 
 
-def elem_sym_dp(k, values):
-    """k-th elementary symmetric function by truncated product accumulation."""
+def elem_sym_coefficients(k, values):
+    """e_0..e_k of values, by truncated product accumulation."""
     coeffs = [1] + [0] * k
     for v in values:
         for i in range(k, 0, -1):
             coeffs[i] += v * coeffs[i - 1]
-    return coeffs[k]
+    return coeffs
+
+
+def elem_sym_dp(k, values):
+    """e_k of values, by `elem_sym_coefficients`."""
+    return elem_sym_coefficients(k, values)[k]
 
 
 CHECKS = (

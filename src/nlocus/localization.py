@@ -18,12 +18,13 @@ fiber weight is non-negative; the caller's spec is the one reported.
 A pass reads the staircase cells of each point's quartic system from
 `FixedPoint.cells`, derived once per point and process and shared with the
 4t check and `checks.rank_invariants`.  The points are built from few
-distinct cells.  What does not depend on d is done once per pass, in the
-calling process: the fiber ranks of every d are checked from one packed
-count per distinct cell (`check_fiber_ranks`, the check of
-`checks.rank_invariants` too), the cells dead at every d are left out,
-each other one becomes a template of runs affine in d (`_cell_template`),
-and the visits are planned (`torus.visit_schedule`).  The hot path,
+distinct cells.  The route of a pass depends on the points' cells and ds
+only, and the last one is kept (`_route`): the fiber ranks of every d are
+checked from one packed count per distinct cell (`check_fiber_ranks`, the
+check of `checks.rank_invariants` too), the cells dead at every d are left
+out and the visits are planned (`torus.visit_schedule`).  Each pass makes
+each live cell a template of runs affine in d under its spec
+(`_cell_template`).  The hot path,
 `_sum_chunk`, then expands the templates into specialized weights at each
 d and runs only Kronecker steps: e_16 is `torus.shared_products`, the
 package's one Kronecker-packed product, shared between points.  Each
@@ -32,11 +33,10 @@ point visited before it, and a long cell that the schedule applies more
 than once enters through its 16 elementary symmetric coefficients from
 its first application on, not weight by weight.  The summands are added
 as integers over the lcm of the points' tangent denominators, one
-Fraction per d.  The denominators of a pass over the points, in a sum, in
-`admissible_spec` or in `localization_self_test`, specialize each
-distinct tangent character once, through a table built in that call
-(`_tangent_denominators`): the 525 points have 8,400 tangent characters
-between them, but only 230 distinct ones.
+Fraction per d.  The denominators specialize each distinct tangent
+character once (`_tangent_denominators`), and the last spec's are kept for
+`admissible_spec`, `localization_self_test` and the pass: the 525 points
+have 8,400 tangent characters between them, but only 230 distinct ones.
 
 With N workers, `_localize` deals the degrees of a pass round robin,
 ds[i::n], to n = min(N, usable CPUs, len(ds)) processes (`_usable_cpus`):
@@ -45,13 +45,14 @@ Each forked child inherits the parent's plan, runs only the Kronecker
 steps of its degrees and sends back one pickled result, its numerators
 or an exception, through a pipe; the parent runs ds[::n] itself, then
 reads and reaps every child, also when a part raises.  Every check runs
-in the parent before any fork and nothing outlives the pass, so the
-result and the first error are the same for any N.
+in the parent before any fork and a child keeps nothing, so the result
+and the first error are the same for any N.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import os
 import sys
 from collections import namedtuple
@@ -179,13 +180,7 @@ def _expand(template, d):
 
 
 class _TangentValues(dict):
-    """Tangent characters specialized under one spec, each on its first lookup."""
-
-    __slots__ = ("spec",)
-
-    def __init__(self, spec):
-        super().__init__()
-        self.spec = spec
+    """Tangent characters specialized under its spec, each on first lookup."""
 
     def __missing__(self, c):
         value = self[c] = specialize(c, self.spec)
@@ -193,15 +188,15 @@ class _TangentValues(dict):
 
 
 def _tangent_denominators(points, spec):
-    """Each point's Bott denominator: the product of its 16 tangent characters
-    specialized under spec.
-
-    The characters are specialized through one table built for this call,
-    so each distinct character is specialized once.  A character that
-    specializes to 0 is a zero Bott denominator: ValueError naming the spec,
-    the first point in list order with such a character and its first one.
+    """Each point's Bott denominator under spec, the product of its 16
+    tangent characters specialized through one table of the distinct ones,
+    as (common, dens, scales): common = lcm |den_p|, scales[p] = common /
+    den_p.  A character that specializes to 0 is a ValueError naming the
+    spec, the first point in list order with one, and that character.
     """
-    value = _TangentValues(spec).__getitem__
+    table = _TangentValues()
+    table.spec = spec
+    value = table.__getitem__
     dens = [math.prod(map(value, fp.tangent)) for fp in points]
     if 0 in dens:
         fp = points[dens.index(0)]
@@ -210,34 +205,43 @@ def _tangent_denominators(points, spec):
             f"weight spec {spec.values} is not admissible: tangent character"
             f" {c} at {fp.tag}{fp.provenance} specializes to 0"
         )
-    return dens
-
-
-def _common_denominator(points, spec):
-    """The lcm of the tangent denominators, and each point's factor into it.
-
-    Returns (common, dens, scales) with common = lcm |den_p| and
-    scales[p] = common / den_p, so that sum(num_p / den_p) is
-    sum(num_p * scales[p]) / common: one Fraction per sum.
-    """
-    dens = _tangent_denominators(points, spec)
     common = math.lcm(*dens)
     return common, dens, [common // den for den in dens]
 
 
-def _plan(points, ds, values):
-    """What a Bott pass over points does at every d in ds, worked out once:
-    (the templates of the live cells, the order of the visits, their
+def _kept(memo, key, parts, build, *args):
+    """build(*args), or the one value memo keeps for an equal key and the
+    same parts (`is`); it holds them, so no id is reused.  A raise keeps
+    nothing."""
+    if memo and memo[0] == key and len(memo[1]) == len(parts):
+        if all(map(operator.is_, memo[1], parts)):
+            return memo[2]
+    memo[:] = key, parts, build(*args)
+    return memo[2]
+
+
+_DENOMINATORS, _ROUTE = [], []  # the last `_common_denominator`, `_route`
+
+
+def _common_denominator(points, spec):
+    """`_tangent_denominators`, the last one kept for the same spec values
+    and `tangent` tuples (`_kept`): one table of characters per spec."""
+    parts = [fp.tangent for fp in points]
+    return _kept(_DENOMINATORS, spec.values, parts, _tangent_denominators, points, spec)
+
+
+def _route(points, ds):
+    """What a Bott pass over points at ds does under any spec: (the live
+    cells in their order, the order of the visits, their
     `torus.visit_schedule`).
 
     The fiber ranks are checked first (`check_fiber_ranks`).  A cell with no
     monomial at any d in ds, a count of 0, is dead: it is neither templated
-    nor fed to the pass.  Each live cell becomes its `_cell_template` under
-    values.  The live cells are numbered longest first (their count at
-    max(ds), ties by the cell), each point is the sorted list of its live
-    cells' numbers, and the points are visited in lexicographic order of
-    those lists, so that a point shares its longest cells with the point
-    before it.
+    nor fed to the pass.  The live cells are numbered longest first (their
+    count at max(ds), ties by the cell), each point is the sorted list of
+    its live cells' numbers, and the points are visited in lexicographic
+    order of those lists, so that a point shares its longest cells with the
+    point before it.
     """
     counts, field = check_fiber_ranks(points, ds)
     shift, mask = ds.index(max(ds)) * field, (1 << field) - 1
@@ -246,12 +250,11 @@ def _plan(points, ds, values):
         key=lambda cell: (-(counts[cell] >> shift & mask), cell),
     )
     number = {cell: n for n, cell in enumerate(cells)}
-    seqs = [sorted(number[c] for c in fp.cells if c in number) for fp in points]
-    live = [_cell_template(cell, values) for cell in cells]
+    seqs = [sorted(n for n in map(number.get, fp.cells) if n is not None) for fp in points]
     # freed before the schedule is built: the pass peaks there when ds is short
     del counts, number
     visits = sorted(range(len(points)), key=seqs.__getitem__)
-    return live, visits, visit_schedule(seqs[p] for p in visits)
+    return cells, visits, visit_schedule(seqs[p] for p in visits)
 
 
 def _sum_chunk(bott, ds):
@@ -346,12 +349,16 @@ def _localize(points, ds, spec, workers):
     """
     if workers > 1 and not hasattr(os, "fork"):
         raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
-    ds = list(ds)
+    ds = tuple(ds)
     common, _, scales = _common_denominator(points, spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
-    bott = (scales, plucker, *_plan(points, ds, shifted.values))
+    # the route is kept per point set and ds, the cell templates built per spec
+    parts = [fp.cells for fp in points]
+    cells, visits, schedule = _kept(_ROUTE, ds, parts, _route, points, ds)
+    live = [_cell_template(cell, shifted.values) for cell in cells]
+    bott = (scales, plucker, live, visits, schedule)
     n = min(workers, _usable_cpus(), len(ds))
     children = []
     try:
@@ -416,8 +423,8 @@ def admissible_spec(points, spec):
     """spec, once no tangent character of any point specializes to 0 under it.
 
     An inadmissible spec raises the ValueError of `_tangent_denominators`,
-    naming the spec, the first point at fault and its killed character; each
-    distinct character is specialized once.
+    naming the spec, the first point at fault and its killed character.
+    The denominators are kept for the sums under spec (`_common_denominator`).
     """
-    _tangent_denominators(points, spec)
+    _common_denominator(points, spec)
     return spec

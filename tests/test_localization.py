@@ -206,7 +206,7 @@ def test_a_dropped_cell_fails_rank_invariants_and_the_pass_alike(
         assert loc.degree_range(4, 6, weights, altered)[0].degree == 38475
 
 
-def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights):
+def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, nothing_kept, points, weights):
     # 49 degrees, one schedule, and one template per live cell: 353 of the
     # 401 distinct cells have a monomial at some d = 5..53
     planned, templated = [], []
@@ -226,6 +226,70 @@ def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights
     assert planned == [1]
     assert len(templated) == len(set(templated)) == 353
     assert all(loc._counts(cell, range(5, 54), 16) for cell in templated)
+
+
+def test_run_degrees_and_spec_independence_share_one_route(
+    monkeypatch, nothing_kept, points, weights
+):
+    # verify's two passes over d = 4..6, one per spec, check the ranks and
+    # plan the visits once between them; each builds its own templates
+    calls, templated = Counter(), []
+    for name in ("check_fiber_ranks", "visit_schedule"):
+
+        def counted(*args, real=getattr(loc, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(loc, name, counted)
+    template = loc._cell_template
+
+    def templating(cell, values):
+        templated.append((cell, values))
+        return template(cell, values)
+
+    monkeypatch.setattr(loc, "_cell_template", templating)
+    run = checks.Run(points, weights, 1)
+    assert checks.spec_independence(run) == [38475, *map(closed_form(), (5, 6))]
+    assert calls == {"check_fiber_ranks": 1, "visit_schedule": 1}
+    theirs, ours = templated[: len(templated) // 2], templated[len(templated) // 2 :]
+    assert [cell for cell, _ in theirs] == [cell for cell, _ in ours]
+    assert {values for _, values in ours} == {weights.values}
+
+
+def test_a_point_with_other_cells_gets_its_own_route(points, weights):
+    # the kept route of the true points does not serve a point whose cells
+    # were replaced: its dropped cell, first live at d = 7, fails the ranks
+    assert loc.degree_range(4, 8, weights, points)[0].degree == 38475
+    fp = points[156]
+    bad = fp._replace()
+    vars(bad)["cells"] = [c for c in fp.cells if c != ((3, 3, 1), (0, 1), 1, 7)]
+    assert len(bad.cells) == len(fp.cells) - 1
+    altered = points[:156] + [bad] + points[157:]
+    message = "fiber rank 27 != 28 at G2E1(18, 0), d=7"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        loc.degree_range(4, 8, weights, altered)
+
+
+def test_a_failed_route_or_spec_is_not_kept(nothing_kept, points, weights):
+    fp = points[156]
+    bad = fp._replace()
+    vars(bad)["cells"] = [c for c in fp.cells if c != ((1, 2, 1), (), 1, 4)]
+    altered = points[:156] + [bad] + points[157:]
+    message = "fiber rank 15 != 16 at G2E1(18, 0), d=4"
+    for _ in range(2):
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            loc.degree_range(4, 6, weights, altered)
+    assert loc._ROUTE == []
+    spec = WeightSpec((0, 1, 2, 3))
+    message = (
+        "weight spec (0, 1, 2, 3) is not admissible: tangent character"
+        " (1, -2, 1, 0) at G2(1,) specializes to 0"
+    )
+    for _ in range(2):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            loc.admissible_spec(points, spec)
+    # what the failed pass kept before its route failed, and nothing newer
+    assert loc._DENOMINATORS[0] == weights.values
 
 
 def _count_cell_derivations(monkeypatch):
@@ -292,21 +356,23 @@ def test_forked_workers_match_one_worker(tmp_path, two_cpus, forked, points, wei
 
 
 def test_a_pass_with_two_workers_plans_once(
-    monkeypatch, tmp_path, two_cpus, forked, points, weights
+    monkeypatch, tmp_path, nothing_kept, two_cpus, forked, points, weights
 ):
-    # each plan appends the pid of its process to a file that a forked
-    # worker would write to as well
+    # the route and each cell template append the pid of their process to a
+    # file that a forked worker would write to as well
     log = tmp_path / "plans"
-    real = loc._plan
+    for name in ("_route", "_cell_template"):
 
-    def planning(*args):
-        with open(log, "a") as f:
-            f.write(f"{os.getpid()}\n")
-        return real(*args)
+        def planning(*args, real=getattr(loc, name), name=name):
+            with open(log, "a") as f:
+                f.write(f"{name} {os.getpid()}\n")
+            return real(*args)
 
-    monkeypatch.setattr(loc, "_plan", planning)
+        monkeypatch.setattr(loc, name, planning)
     assert loc.degree_range(4, 6, weights, points, workers=2)[0].degree == 38475
-    assert (log.read_text(), len(forked)) == (f"{os.getpid()}\n", 1)
+    lines = Counter(log.read_text().splitlines())
+    assert set(lines) == {f"_route {os.getpid()}", f"_cell_template {os.getpid()}"}
+    assert (lines[f"_route {os.getpid()}"], len(forked)) == (1, 1)
 
 
 def _no_child_left():
@@ -637,20 +703,28 @@ def test_degree_result_json(points, weights):
     }
 
 
-def test_each_distinct_tangent_character_is_specialized_once(monkeypatch, points, weights):
-    # 8,400 tangent characters over the 525 points, 230 of them distinct
+def test_each_distinct_tangent_character_is_specialized_once(
+    monkeypatch, nothing_kept, points, weights
+):
+    # 8,400 tangent characters over the 525 points, 230 of them distinct:
+    # admissible_spec, localization_self_test and a pass under one spec
+    # specialize each once between them, 230 calls and not 690
     calls = Counter()
 
     def counted(c, spec):
-        calls[c, spec.values] += 1
+        if not sum(c):  # a tangent character, not a pencil row
+            calls[c, spec.values] += 1
         return specialize(c, spec)
 
     monkeypatch.setattr(loc, "specialize", counted)
     distinct = {c for fp in points for c in fp.tangent}
     assert len(distinct) == 230
-    assert loc.admissible_spec(points, weights) is weights
-    assert calls == {(c, weights.values): 1 for c in distinct}
-    calls.clear()
+    for spec in (weights, FALLBACK_WEIGHTS):
+        assert loc.admissible_spec(points, spec) is spec
+        assert loc.localization_self_test(points, spec) == 525
+        assert loc.degree_nl(4, spec, points).degree == 38475
+        assert calls == {(c, spec.values): 1 for c in distinct}
+        calls.clear()
     common, dens, _ = loc._common_denominator(points, weights)
     assert calls == {(c, weights.values): 1 for c in distinct}
     assert dens == [math.prod(specialize(c, weights) for c in fp.tangent) for fp in points]
