@@ -1,5 +1,5 @@
 import sys
 
-from .cli import main
+from .cli import run
 
-sys.exit(main())
+sys.exit(run())

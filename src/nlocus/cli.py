@@ -65,10 +65,13 @@ def _load_points(args):
 
     The points live until the command returns, so `gc.freeze` moves them to
     the permanent generation, where no later collection walks their tuples.
-    `main` gives them back to the collector when it returns.
+    `main` gives them back to the collector when it returns, unless its
+    caller had frozen objects (then nothing is frozen here); `run`, the
+    process entry, freezes them again for the interpreter's exit.
     """
     points = fx.load_or_enumerate(args.cache)
-    gc.freeze()
+    if args.owns_freeze:
+        gc.freeze()
     return points
 
 
@@ -151,7 +154,8 @@ def _divisor_text():
 
 def cmd_fixpoints(args):
     points = fx.enumerate_all()
-    gc.freeze()
+    if args.owns_freeze:
+        gc.freeze()
     fx.save_cache(points, args.cache)
     counts = fx.stratum_counts(points)
     if args.format == "json":
@@ -258,6 +262,8 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     _check_flags(args)
+    # objects a caller froze stay frozen: then main neither freezes nor thaws
+    args.owns_freeze = gc.get_freeze_count() == 0
     try:
         code = args.fn(args)
         sys.stdout.flush()
@@ -274,8 +280,18 @@ def main(argv=None):
         print(f"error: out of memory in nlocus {args.command}", file=sys.stderr)
         return 1
     finally:
-        gc.unfreeze()
+        if args.owns_freeze:
+            gc.unfreeze()
+
+
+def run():
+    """The process entry (`nlocus`, `python -m nlocus`, `python -m nlocus.cli`):
+    `main`, then everything left is frozen, so the interpreter's collection
+    at exit walks none of what the run built."""
+    code = main()
+    gc.freeze()
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

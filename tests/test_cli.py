@@ -313,6 +313,21 @@ def test_a_failed_pass_fails_each_check_that_reads_it(
     assert (code, out.splitlines(), len(calls)) == (1, [*expected, "verify: 3 failed"], 3)
 
 
+@pytest.fixture
+def freeze_counts(monkeypatch):
+    """The frozen-object count each time a command checks its weight spec,
+    with the points loaded."""
+    counts = []
+    real = loc.admissible_spec
+
+    def recording(points, spec):
+        counts.append(gc.get_freeze_count())
+        return real(points, spec)
+
+    monkeypatch.setattr(loc, "admissible_spec", recording)
+    return counts
+
+
 @pytest.mark.parametrize(
     "argv, status",
     [
@@ -323,20 +338,26 @@ def test_a_failed_pass_fails_each_check_that_reads_it(
     ids=["degree", "verify", "inadmissible"],
 )
 def test_the_points_are_frozen_until_main_returns(
-    monkeypatch, capsys, cache_path, argv, status
+    capsys, cache_path, freeze_counts, argv, status
 ):
-    frozen = []
-    real = loc.admissible_spec
-
-    def recording(points, spec):
-        frozen.append(gc.get_freeze_count())
-        return real(points, spec)
-
-    monkeypatch.setattr(loc, "admissible_spec", recording)
     code, _, _ = run(capsys, *argv, "--cache", str(cache_path))
     assert code == status
-    assert frozen and frozen[0] > 0
+    assert freeze_counts and freeze_counts[0] > 0
     assert gc.get_freeze_count() == 0
+
+
+def test_main_leaves_what_its_caller_froze_frozen(capsys, cache_path, freeze_counts):
+    """A caller's frozen objects stay frozen, and main freezes nothing on top."""
+    gc.freeze()
+    try:
+        before = gc.get_freeze_count()
+        code, _, _ = run(capsys, "degree", "--d", "6", "--cache", str(cache_path))
+        after = gc.get_freeze_count()
+    finally:
+        gc.unfreeze()
+    assert code == 0
+    assert 0 < after <= before
+    assert freeze_counts and freeze_counts[0] <= before
 
 
 def test_threads_beyond_the_cpus_fork_one_child_for_two_cpus(
@@ -596,6 +617,45 @@ def test_closed_stdout_exits_1_without_a_traceback(cache_path):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, "")
+
+
+@pytest.mark.parametrize("entry", ["run", "main"])
+def test_the_entry_leaves_the_collector_nothing_at_exit(cache_path, entry):
+    """After `run` the interpreter's final collection has nothing to walk;
+    after `main` alone it would walk all that the run built."""
+    done = _python(
+        "-c",
+        f"import gc; from nlocus.cli import {entry}; {entry}();"
+        " print(len(gc.get_objects()))",
+        *("degree", "--d", "6", "--cache", str(cache_path)),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    left = int(done.stdout.splitlines()[-1])
+    assert (left < 100) == (entry == "run"), left
+
+
+@pytest.mark.parametrize(
+    "argv, status, stderr",
+    [
+        (["degree", "--d", "4"], 0, ""),
+        (["degree", "--d", "3"], 2, "usage error: --d must be at least 4\n"),
+        (["degree", "--d", "5", "--weights", "0,1,2,3"], 1, "error: weight spec (0, 1, 2, 3)"),
+    ],
+    ids=["ok", "usage", "inadmissible"],
+)
+def test_python_m_nlocus_exits_with_the_commands_status(cache_path, argv, status, stderr):
+    """Through the process entry, under -X dev: the status and stderr of main,
+    and no warning from an exit that skips the final collection."""
+    done = _python(
+        *("-X", "dev", "-m", "nlocus", *argv, "--cache", str(cache_path)),
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == status
+    assert done.stderr.startswith(stderr)
+    assert len(done.stderr.splitlines()) == (status != 0)
 
 
 def test_benchmark_oracle_reads_a_fresh_cache(monkeypatch, capsys, cache_path):

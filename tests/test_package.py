@@ -31,6 +31,22 @@ def test_readme_library_snippet_runs():
     assert degree_nl(5, spec, points).degree == scope["closed_form"]()(5)
 
 
+def test_every_entry_runs_the_same_function():
+    """The console script, `python -m nlocus` and `python -m nlocus.cli` all
+    start `nlocus.cli.run`; pyproject.toml is read as text (no tomllib on 3.10)."""
+    script = re.search(
+        r'^\[project\.scripts\]\nnlocus = "nlocus\.cli:(\w+)"$',
+        (ROOT / "pyproject.toml").read_text(),
+        re.M,
+    ).group(1)
+    package_main = (ROOT / "src" / "nlocus" / "__main__.py").read_text()
+    assert f"from .cli import {script}\n" in package_main
+    assert f"sys.exit({script}())" in package_main
+    cli = (ROOT / "src" / "nlocus" / "cli.py").read_text()
+    assert cli.endswith(f'if __name__ == "__main__":\n    sys.exit({script}())\n')
+    assert script == "run"
+
+
 def _help(capsys, *argv):
     with pytest.raises(SystemExit) as done:
         main([*argv, "--help"])
