@@ -59,27 +59,11 @@ def _check_flags(args):
     args.cache = Path(args.cache)
 
 
-def _load_points(args):
-    """The fixed points of the cache (or of the cascade, written to it), out
-    of the collector's reach.
-
-    The points live until the command returns, so `gc.freeze` moves them to
-    the permanent generation, where no later collection walks their tuples.
-    `main` gives them back to the collector when it returns, unless its
-    caller had frozen objects (then nothing is frozen here); `run`, the
-    process entry, freezes them again for the interpreter's exit.
-    """
-    points = fx.load_or_enumerate(args.cache)
-    if args.owns_freeze:
-        gc.freeze()
-    return points
-
-
 def cmd_degree(args):
     if args.d < 4:
         _usage_error("--d must be at least 4")
     started = time.perf_counter()
-    points = _load_points(args)
+    points = fx.load_or_enumerate(args.cache)
     spec = loc.admissible_spec(points, args.weights)
     result = loc.degree_nl(args.d, spec, points, workers=args.threads)
     elapsed = time.perf_counter() - started
@@ -105,7 +89,7 @@ def cmd_formula(args):
             f" polynomial has degree {INTERPOLATION_DEGREE_BOUND}); increase --dmax"
         )
     started = time.perf_counter()
-    points = _load_points(args)
+    points = fx.load_or_enumerate(args.cache)
     spec = loc.admissible_spec(points, args.weights)
     results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=args.threads)
     fitted = interpolate([(r.d, r.degree) for r in results])
@@ -154,8 +138,6 @@ def _divisor_text():
 
 def cmd_fixpoints(args):
     points = fx.enumerate_all()
-    if args.owns_freeze:
-        gc.freeze()
     fx.save_cache(points, args.cache)
     counts = fx.stratum_counts(points)
     if args.format == "json":
@@ -171,7 +153,7 @@ def cmd_fixpoints(args):
 def cmd_verify(args):
     from . import checks  # only here: no other command loads checks or limits
 
-    points = _load_points(args)
+    points = fx.load_or_enumerate(args.cache)
     run = checks.Run(points, loc.admissible_spec(points, args.weights), args.threads)
     failures = 0
     for name, check in checks.CHECKS:
@@ -262,26 +244,25 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     _check_flags(args)
-    # objects a caller froze stay frozen: then main neither freezes nor thaws
-    args.owns_freeze = gc.get_freeze_count() == 0
-    try:
-        code = args.fn(args)
-        sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        # the reader of stdout has gone; send the unflushed rest to devnull so
-        # the interpreter's flush at exit does not fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except (ValueError, RuntimeError, OSError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError:
-        print(f"error: out of memory in nlocus {args.command}", file=sys.stderr)
-        return 1
-    finally:
-        if args.owns_freeze:
-            gc.unfreeze()
+    # the points live until the command returns, so no collection should walk
+    # their tuples: the cyclic collector is paused for the command, then left
+    # as the caller had it, and objects the caller froze stay frozen
+    with fx.collector_paused():
+        try:
+            code = args.fn(args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # the reader of stdout has gone; send the unflushed rest to devnull
+            # so the interpreter's flush at exit does not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except (ValueError, RuntimeError, OSError, OverflowError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError:
+            print(f"error: out of memory in nlocus {args.command}", file=sys.stderr)
+            return 1
 
 
 def run():

@@ -98,7 +98,10 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     """One Bott summand: stratum tag, tangent characters, quartic system.
 
     A namedtuple with an instance dict.  `tangent` is the sorted tuple of
-    the 16 tangent characters, repeats included.  `cells` is the staircase
+    the 16 tangent characters, repeats included.  Each row of `tangent`,
+    `quartics` and `pencil_chars` is an immutable 4-tuple, which points may
+    share: those of one `load_cache` hold one tuple per distinct row value,
+    those of the cascade share some of theirs.  `cells` is the staircase
     decomposition of the quartic system, derived by `ideals.quartic_cells`
     (the same cells as the general path `ideals.staircase_cells`) on first
     use and kept in the instance dict: it does not depend on d or on the
@@ -321,9 +324,9 @@ def e2_points(w, w_index):
 
 
 @contextlib.contextmanager
-def _collector_paused():
-    """Pause the cyclic collector for a block or a function that makes no
-    reference cycles, then leave it as it was, also when it raises."""
+def collector_paused():
+    """Pause the cyclic collector for a block or a function, then leave it
+    as it was, also when it raises.  It touches no frozen object."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -333,7 +336,7 @@ def _collector_paused():
             gc.enable()
 
 
-@_collector_paused()
+@collector_paused()
 def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
@@ -395,27 +398,30 @@ def point_to_json(fp):
     }
 
 
-def point_from_json(data):
-    """The FixedPoint of a cache record that `point_to_json` wrote."""
+def point_from_json(data, row):
+    """The FixedPoint of a cache record that `point_to_json` wrote, each of its
+    4-integer rows the tuple that `row` returns for the row's tuple: `tuple`
+    keeps each row as parsed, and `load_cache` passes a lookup that returns
+    one tuple per distinct value."""
     return FixedPoint(
         data["tag"],
-        *(tuple(map(tuple, data[key])) for key in ("tangent", "quartics", "pencil")),
+        *(tuple(map(row, map(tuple, data[key]))) for key in ("tangent", "quartics", "pencil")),
         tuple(data["provenance"]),
     )
 
 
-class _Texts(dict):
-    """JSON texts by value, each formed by `encode` on its first lookup."""
+class _Memo(dict):
+    """Values by key, each made by `make(key)` on the key's first lookup."""
 
-    __slots__ = ("encode",)
+    __slots__ = ("make",)
 
-    def __init__(self, encode):
+    def __init__(self, make):
         super().__init__()
-        self.encode = encode
+        self.make = make
 
-    def __missing__(self, value):
-        text = self[value] = self.encode(value)
-        return text
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
 
 
 def _ints_text(ints):
@@ -423,44 +429,61 @@ def _ints_text(ints):
     return f"[{','.join(map(str, ints))}]"
 
 
-def cache_bytes(points):
-    """The document {"counts", "points", "schema"} as JSON with sorted keys and
-    no spaces, each record the bytes of `json.dumps(point_to_json(fp),
-    sort_keys=True, separators=(",", ":"))`.
+_CHUNK_RECORDS = 64  # records per chunk of the cache file's bytes
+
+
+def _cache_chunks(points):
+    """The bytes of the document {"counts", "points", "schema"}, in chunks of
+    at most _CHUNK_RECORDS records each; `cache_bytes` describes the text.
 
     The records are built from fragments: the JSON text of each distinct
     4-integer row (a character or a monomial) and of each tag is formed once
     per call, that of each provenance once, and each record is formatted
     once, its five keys in sorted order.  `json.dumps` encodes only the
-    counts header and the tags.  The encoder holds at most two copies of the
-    file's text at a time; one `json.dumps` of the whole document would hold
-    some 60,000 small strings, about 3 MB, for a file of 240 KB.
+    counts header and the tags.
     """
-    row = _Texts(_ints_text).__getitem__
-    tag = _Texts(json.dumps).__getitem__
+    row = _Memo(_ints_text).__getitem__
+    tag = _Memo(json.dumps).__getitem__
 
     def rows(values):
         return f"[{','.join(map(row, values))}]"
 
-    records = ",".join(
-        [
-            f'{{"pencil":{rows(fp.pencil_chars)},"provenance":{_ints_text(fp.provenance)}'
-            f',"quartics":{rows(fp.quartics)},"tag":{tag(fp.tag)}'
-            f',"tangent":{rows(fp.tangent)}}}'
-            for fp in points
-        ]
-    ).encode()
     counts = json.dumps(
         dict(zip(STRATA, stratum_counts(points))), sort_keys=True, separators=(",", ":")
     )
-    head = f'{{"counts":{counts},"points":['.encode()
-    return b"".join([head, records, f'],"schema":{SCHEMA_VERSION}}}\n'.encode()])
+    yield f'{{"counts":{counts},"points":['.encode()
+    for start in range(0, len(points), _CHUNK_RECORDS):
+        if start:
+            yield b","
+        yield ",".join(
+            [
+                f'{{"pencil":{rows(fp.pencil_chars)},"provenance":{_ints_text(fp.provenance)}'
+                f',"quartics":{rows(fp.quartics)},"tag":{tag(fp.tag)}'
+                f',"tangent":{rows(fp.tangent)}}}'
+                for fp in points[start : start + _CHUNK_RECORDS]
+            ]
+        ).encode()
+    yield f'],"schema":{SCHEMA_VERSION}}}\n'.encode()
+
+
+def cache_bytes(points):
+    """The document {"counts", "points", "schema"} as JSON with sorted keys and
+    no spaces, each record the bytes of `json.dumps(point_to_json(fp),
+    sort_keys=True, separators=(",", ":"))`: the join of the chunks that
+    `save_cache` writes.
+
+    It holds at most two copies of the file's bytes at a time; one
+    `json.dumps` of the whole document would hold some 60,000 small
+    strings, about 3 MB, for a file of 240 KB.
+    """
+    return b"".join(_cache_chunks(points))
 
 
 def save_cache(points, path):
-    """Write the cache file atomically.
+    """Write the cache file atomically, chunk by chunk.
 
-    The bytes go to a temporary file in the same directory, which then
+    The chunks of `cache_bytes` go one at a time to a temporary file in the
+    same directory, so the whole document is never held; the file then
     replaces the cache, so a reader sees the old file or the new one and a
     writer killed midway leaves the old file as it was.  A failed write is
     an OSError naming the cache path.
@@ -469,7 +492,8 @@ def save_cache(points, path):
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(cache_bytes(points))
+        with tmp.open("wb") as f:
+            f.writelines(_cache_chunks(points))
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -480,14 +504,17 @@ def save_cache(points, path):
         raise
 
 
-@_collector_paused()
+@collector_paused()
 def load_cache(path):
     """Points from a cache file, or None when there is no file.
 
     A file loads, its records unchecked, only when its size and `zlib.crc32`
     equal `CACHE_FINGERPRINT`, those of the cascade's bytes.  CRC-32 guards
-    against stale, hand-edited and buggy files, not crafted ones.  Any other
-    file, including one of another schema, is a ValueError naming the path.
+    against stale, hand-edited and buggy files, not crafted ones.  The rows
+    of all the loaded points go through one table for the load, so the
+    19,425 rows of the cascade's points are 275 tuples, one per distinct
+    value.  Any other file, including one of another schema or one nested
+    too deeply for `json` to decode, is a ValueError naming the path.
     """
     where = f"fixed-point cache {path}"
     # the load makes some 40,000 tuples and short-lived lists and no
@@ -496,15 +523,18 @@ def load_cache(path):
         data = Path(path).read_bytes()
         if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
             # each record becomes its point as soon as it is parsed, so the
-            # lists of the whole document never exist at once
+            # lists of the whole document never exist at once; the first tuple
+            # of each row value is the one kept for it (the `tuple` of a tuple
+            # is that tuple), so the points share their rows
+            row = _Memo(tuple).__getitem__
             doc = json.loads(
-                data, object_hook=lambda obj: point_from_json(obj) if "tag" in obj else obj
+                data, object_hook=lambda obj: point_from_json(obj, row) if "tag" in obj else obj
             )
             return doc["points"]
         doc = json.loads(data)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ValueError(f"{where} is unreadable: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{where} is not a JSON object")

@@ -1,6 +1,7 @@
 import math
 import os
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,43 @@ from nlocus.torus import DEFAULT_WEIGHTS, WeightSpec, specialize
 def deformation_ideal(other, q, mp):
     """<x^other, x^q + t*x^mp> as an Ideal, the input of the saturation oracle."""
     return Ideal([Polynomial.monomial(other + (0,)), Polynomial({q + (0,): 1, mp + (1,): 1})])
+
+
+class _TornFile:
+    """A file open for writing that takes its first `keep` bytes, then raises
+    `error`, as a full disk or a killed writer leaves it."""
+
+    def __init__(self, file, keep, error):
+        self.file, self.keep, self.error = file, keep, error
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.file.close()
+
+    def write(self, data):
+        self.file.write(data[: self.keep])
+        self.keep -= len(data)
+        if self.keep < 0:
+            raise self.error
+        return len(data)
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.write(chunk)
+
+
+def tear_writes(monkeypatch, keep, error):
+    """Every file that `Path.open` opens for writing takes its first `keep`
+    bytes and then raises `error`; files opened for reading are untouched."""
+    real = Path.open
+
+    def torn_open(self, mode="r", *args, **kwargs):
+        file = real(self, mode, *args, **kwargs)
+        return _TornFile(file, keep, error) if "w" in mode else file
+
+    monkeypatch.setattr(Path, "open", torn_open)
 
 
 @pytest.fixture(scope="session")

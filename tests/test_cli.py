@@ -19,6 +19,8 @@ from nlocus import localization as loc
 from nlocus.cli import main
 from nlocus.formula import closed_form
 
+from conftest import tear_writes
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -172,7 +174,7 @@ def _read_corrupted(capsys, monkeypatch, tmp_path, points, corrupt, argv):
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: fixed-point cache {path}, record {index}: ")
-    altered = [fx.point_from_json(record) for record in doc["points"]]
+    altered = [fx.point_from_json(record, tuple) for record in doc["points"]]
     monkeypatch.setattr(fx, "load_or_enumerate", lambda path: altered)
     return path, doc["points"][index]
 
@@ -314,18 +316,18 @@ def test_a_failed_pass_fails_each_check_that_reads_it(
 
 
 @pytest.fixture
-def freeze_counts(monkeypatch):
-    """The frozen-object count each time a command checks its weight spec,
-    with the points loaded."""
-    counts = []
+def gc_states(monkeypatch):
+    """Whether the cyclic collector is enabled, and the frozen-object count,
+    each time a command checks a weight spec, with the points loaded."""
+    states = []
     real = loc.admissible_spec
 
     def recording(points, spec):
-        counts.append(gc.get_freeze_count())
+        states.append((gc.isenabled(), gc.get_freeze_count()))
         return real(points, spec)
 
     monkeypatch.setattr(loc, "admissible_spec", recording)
-    return counts
+    return states
 
 
 @pytest.mark.parametrize(
@@ -337,27 +339,36 @@ def freeze_counts(monkeypatch):
     ],
     ids=["degree", "verify", "inadmissible"],
 )
-def test_the_points_are_frozen_until_main_returns(
-    capsys, cache_path, freeze_counts, argv, status
-):
+def test_the_collector_is_paused_until_main_returns(capsys, cache_path, gc_states, argv, status):
+    """No collection walks the points while the command runs; main then leaves
+    the collector as its caller had it, and freezes nothing (a frozen object
+    that dies leaves the count)."""
+    enabled, frozen = gc.isenabled(), gc.get_freeze_count()
     code, _, _ = run(capsys, *argv, "--cache", str(cache_path))
     assert code == status
-    assert freeze_counts and freeze_counts[0] > 0
-    assert gc.get_freeze_count() == 0
+    assert gc_states and all(not on and count <= frozen for on, count in gc_states)
+    assert gc.isenabled() is enabled
+    assert gc.get_freeze_count() <= frozen
 
 
-def test_main_leaves_what_its_caller_froze_frozen(capsys, cache_path, freeze_counts):
-    """A caller's frozen objects stay frozen, and main freezes nothing on top."""
+def test_main_leaves_what_its_caller_froze_frozen(capsys, cache_path, gc_states):
+    """A caller's frozen objects stay frozen, main freezes nothing on top, and
+    a collector the caller paused stays paused."""
+    enabled = gc.isenabled()
     gc.freeze()
+    gc.disable()
     try:
         before = gc.get_freeze_count()
         code, _, _ = run(capsys, "degree", "--d", "6", "--cache", str(cache_path))
-        after = gc.get_freeze_count()
+        after = (gc.isenabled(), gc.get_freeze_count())
     finally:
         gc.unfreeze()
+        if enabled:
+            gc.enable()
     assert code == 0
-    assert 0 < after <= before
-    assert freeze_counts and freeze_counts[0] <= before
+    assert after[0] is False
+    assert 0 < after[1] <= before
+    assert gc_states and all(not on and count <= before for on, count in gc_states)
 
 
 def test_threads_beyond_the_cpus_fork_one_child_for_two_cpus(
@@ -393,12 +404,7 @@ def test_two_workers_without_fork_is_an_error(monkeypatch, capsys, one_cpu, cach
 
 @pytest.mark.parametrize("command", [["degree", "--d", "4"], ["formula"], ["fixpoints"]])
 def test_a_failed_cache_write_is_an_error(monkeypatch, capsys, tmp_path, command):
-    def full(self, data):
-        with self.open("wb") as f:
-            f.write(data[:4096])
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(Path, "write_bytes", full)
+    tear_writes(monkeypatch, 4096, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)))
     path = tmp_path / "fixpoints.json"
     code, out, err = run(capsys, *command, "--cache", str(path))
     assert (code, out) == (1, "")

@@ -26,7 +26,7 @@ from nlocus.limits import e1_limit
 from nlocus.poly import Polynomial, monomial_gcd, parse
 from nlocus.torus import char_add, char_sub
 
-from conftest import deformation_ideal
+from conftest import deformation_ideal, tear_writes
 
 # sha256 of cache_bytes(enumerate_all()); a serializer that changes the file
 # must update it and fixpoints.CACHE_FINGERPRINT
@@ -408,13 +408,7 @@ def test_save_cache_failing_midway_keeps_the_old_file(points, tmp_path, monkeypa
     fx.save_cache(points[:3], path)
     assert list(tmp_path.iterdir()) == [path]
     before = path.read_bytes()
-
-    def torn_write(self, data):
-        with self.open("wb") as f:
-            f.write(data[: len(data) // 2])
-        raise OSError("writer killed")
-
-    monkeypatch.setattr(Path, "write_bytes", torn_write)
+    tear_writes(monkeypatch, len(fx.cache_bytes(points)) // 2, OSError("writer killed"))
     with pytest.raises(OSError, match="writer killed"):
         fx.save_cache(points, path)
     assert path.read_bytes() == before
@@ -455,6 +449,7 @@ MALFORMED_CACHES = {
     "no-schema": '{"points":[]}',
     "points-not-list": f'{{{SCHEMA},"points":{{}}}}',
     "record-not-object": f'{{{SCHEMA},"points":[[]]}}',
+    "deeply-nested": "[" * 200_000,
 }
 
 
@@ -655,6 +650,32 @@ def test_a_cache_load_never_holds_the_whole_document_and_all_points(tmp_path, po
         tracemalloc.stop()
     assert loaded == points
     assert peak < document_size + size / 2, (peak, document_size, size)
+
+
+def test_loaded_points_share_one_tuple_per_distinct_row(tmp_path, points):
+    path = tmp_path / "cache.json"
+    fx.save_cache(points, path)
+    loaded = fx.load_cache(path)
+    assert loaded == points
+    rows = [row for fp in loaded for row in (*fp.tangent, *fp.quartics, *fp.pencil_chars)]
+    assert len(rows) == 525 * (16 + 19 + 2) == 19_425
+    assert len(set(rows)) == len({id(row) for row in rows}) == 275
+
+
+def test_save_cache_writes_chunk_by_chunk(tmp_path, points):
+    """The writer's peak of traced memory stays below half the file's size;
+    building the whole document first takes about twice the file's size."""
+    path = tmp_path / "cache.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fx.save_cache(points, path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    data = path.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
+    assert peak < len(data) / 2, (peak, len(data))
 
 
 @pytest.mark.parametrize("enabled", [True, False])
