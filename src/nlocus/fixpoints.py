@@ -35,6 +35,7 @@ e-strings of the deformed pencil (`limits.e1_limit`).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import gc
@@ -81,7 +82,8 @@ class ZPoint(namedtuple("ZPoint", "plane l1 l2 tangent_z normal pair_index")):
 
 
 class E1Record(namedtuple("E1Record", "direction_index direction limit_cubics tangent")):
-    """One exceptional direction over a ZPoint, with its limit cubic system."""
+    """One exceptional direction over a ZPoint, with its limit cubic system
+    and its 16 tangent characters as a sorted tuple (`torus.blowup_tangent`)."""
 
     __slots__ = ()
 
@@ -101,7 +103,9 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     the 16 tangent characters, repeats included.  Each row of `tangent`,
     `quartics` and `pencil_chars` is an immutable 4-tuple, which points may
     share: those of one `load_cache` hold one tuple per distinct row value,
-    those of the cascade share some of theirs.  `cells` is the staircase
+    and the points of the cascade over one centre share the rows they take
+    from it (its tangent and normal characters, and over a WPoint its 18
+    base quartics).  `cells` is the staircase
     decomposition of the quartic system, derived by `ideals.quartic_cells`
     (the same cells as the general path `ideals.staircase_cells`) on first
     use and kept in the instance dict: it does not depend on d or on the
@@ -115,11 +119,6 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     def cells(self):
         """The staircase cells of the quartic system, a tuple of shared cell objects."""
         return quartic_cells(self.quartics)
-
-
-def _sorted_chars(counter):
-    """The characters of a Counter, repeated by multiplicity, as a sorted tuple."""
-    return tuple(sorted(counter.elements()))
 
 
 def enumerate_pairs():
@@ -166,7 +165,7 @@ def split_strata(pairs):
             g2.append(
                 FixedPoint(
                     tag=G2,
-                    tangent=_sorted_chars(pair.tangent),
+                    tangent=tuple(sorted(pair.tangent.elements())),
                     quartics=quartics,
                     pencil_chars=(pair.q1, pair.q2),
                     provenance=(pair.index,),
@@ -195,12 +194,15 @@ def e1_points(z):
     l_o*m' = p*l1*l2*x^e in the flat limit at t = 0, next to the 7 distinct
     cubics p*{l1, l2}*{x0..x3}.  These 8 independent monomials span the
     8-dimensional limit, and none of them depends on which generator was
-    deformed.
+    deformed.  The ZPoint's tangent characters and sorted normal characters
+    are listed once; each record's tangent is built from them
+    (`torus.blowup_tangent`).
     """
     q1, q2 = char_add(z.plane, z.l1), char_add(z.plane, z.l2)
     pencil_cubics = _products((q1, q2), LINEARS)
+    base, normal = list(z.tangent_z.elements()), sorted(z.normal)
     records = []
-    for index, e in enumerate(sorted(z.normal)):
+    for index, e in enumerate(normal):
         if z.normal[e] != 1:
             raise StructuralError("normal character with multiplicity > 1 over Z")
         if not any(all(v >= 0 for v in char_add(e, q)) for q in (q1, q2)):
@@ -211,9 +213,9 @@ def e1_points(z):
                 f"limit cubic {render_monomial(extra)} of direction {e} is"
                 " already a cubic of the pencil"
             )
-        tangent = blowup_tangent(z.tangent_z, z.normal, e)
-        if tangent.total() != 16:
-            raise StructuralError(f"E1 tangent size {tangent.total()} != 16")
+        tangent = blowup_tangent(base, normal, e)
+        if len(tangent) != 16:
+            raise StructuralError(f"E1 tangent size {len(tangent)} != 16")
         records.append(
             E1Record(index, e, _sort_monos(pencil_cubics | {extra}), tangent)
         )
@@ -227,10 +229,10 @@ def classify_e1(record, z, z_index):
     (quadrics through a doublet), so a limit whose cubics share a plane is a
     WPoint over Z point z_index, and one whose cubics have no common factor
     is a G2E1 point, whose quartic system is the cubics times the linear
-    forms.  Those quartics span the degree-4 part of the cubics' ideal, so
-    `enumerate_all`'s 4t Hilbert check on the point also certifies the
-    limit; a system with a common plane is never 4t.  Any other common
-    factor is a StructuralError.
+    forms and whose tangent is the record's.  Those quartics span the
+    degree-4 part of the cubics' ideal, so `enumerate_all`'s 4t Hilbert
+    check on the point also certifies the limit; a system with a common
+    plane is never 4t.  Any other common factor is a StructuralError.
     """
     plane = functools.reduce(monomial_gcd, record.limit_cubics)
     if not any(plane):
@@ -242,7 +244,7 @@ def classify_e1(record, z, z_index):
             )
         return FixedPoint(
             tag=G2E1,
-            tangent=_sorted_chars(record.tangent),
+            tangent=record.tangent,
             quartics=quartics,
             pencil_chars=(char_add(z.plane, z.l1), char_add(z.plane, z.l2)),
             provenance=provenance,
@@ -273,9 +275,10 @@ def classify_e1(record, z, z_index):
     )
     if tangent_w.total() != 7:
         raise StructuralError(f"{where}: W tangent size {tangent_w.total()} != 7")
-    if not tangent_w <= record.tangent:
+    tangent = Counter(record.tangent)
+    if not tangent_w <= tangent:
         raise StructuralError(f"{where}: W tangent is not contained in the E1 tangent")
-    normal = record.tangent - tangent_w
+    normal = tangent - tangent_w
     return WPoint(
         plane=plane,
         line=line,
@@ -292,30 +295,35 @@ def e2_points(w, w_index):
 
     Each normal character e picks the quartic monomial g of character
     e + char(plane * line * doublet); the quartic system is the cubic system
-    times the linear forms plus g, of rank 19.
+    times the linear forms plus g, of rank 19.  The WPoint's tangent
+    characters, its sorted normal characters and its 18 base quartics in
+    grevlex order are listed once: each point's tangent is built from them
+    (`torus.blowup_tangent`), and its g is inserted into the sorted base.
     """
-    base = _products(w.cubic_system, LINEARS)
+    base = _sort_monos(_products(w.cubic_system, LINEARS))
     if len(base) != 18:
         raise StructuralError(f"W quartic base has rank {len(base)}, expected 18")
+    tangent_w, normal = list(w.tangent_w.elements()), sorted(w.normal)
     anchor = char_add(char_add(w.plane, w.line), w.doublet)
     pencil_chars = (char_add(w.plane, w.plane), char_add(w.plane, w.line))
     points = []
-    for index, e in enumerate(sorted(w.normal)):
+    for index, e in enumerate(normal):
         if w.normal[e] != 1:
             raise StructuralError("normal character with multiplicity > 1 over W")
         g = char_add(e, anchor)
         if any(v < 0 for v in g) or sum(g) != 4:
             raise StructuralError(f"direction {e} has no quartic presentation over W")
-        if g in base:
+        at = bisect.bisect_left(base, _GREVLEX_RANK[g], key=_GREVLEX_RANK.__getitem__)
+        if at < len(base) and base[at] == g:
             raise StructuralError(f"extra quartic {g} already in the cubic system")
-        tangent = blowup_tangent(w.tangent_w, w.normal, e)
-        if tangent.total() != 16:
-            raise StructuralError(f"E2 tangent size {tangent.total()} != 16")
+        tangent = blowup_tangent(tangent_w, normal, e)
+        if len(tangent) != 16:
+            raise StructuralError(f"E2 tangent size {len(tangent)} != 16")
         points.append(
             FixedPoint(
                 tag=E2,
-                tangent=_sorted_chars(tangent),
-                quartics=_sort_monos(base | {g}),
+                tangent=tangent,
+                quartics=(*base[:at], g, *base[at:]),
                 pencil_chars=pencil_chars,
                 provenance=(w_index, index),
             )

@@ -96,7 +96,9 @@ class Cell(namedtuple("Cell", "base free bound lower")):
 
     `hilbert_term` is kept in the instance dict on first use, so a cell
     shared between quartic systems (`quartic_cells`) gives its term once per
-    process.  Equality, hashing, order and repr are the tuple's.
+    process, and the term is derived once per shape (`_cell_term`): the 401
+    distinct cells of the fixed points have 52 shapes.  Equality, hashing,
+    order and repr are the tuple's.
     """
 
     __repr__ = tuple.__repr__
@@ -359,8 +361,11 @@ def _binomial_term(f, shift):
     return term + [0] * (3 - f)
 
 
+@functools.cache
 def _cell_term(f, lower, bound):
-    """3! times a cell's monomial count in degree d, for large d, as 4 coefficients."""
+    """3! times a cell's monomial count in degree d, for large d, as 4
+    coefficients; it depends only on the cell's shape (f free coordinates,
+    lower degree, x3 bound), and each shape's is kept."""
     term = _binomial_term(f, f - lower)
     if bound != math.inf:
         term = [a - b for a, b in zip(term, _binomial_term(f, f - lower - bound))]

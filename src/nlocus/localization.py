@@ -113,8 +113,9 @@ def _cell_template(cell, values):
 def _counts(cell, ds, field):
     """A staircase cell's numbers of degree-d monomials for the d in ds (the
     lengths of its `_cell_template` runs), packed into one integer: the count
-    at the i-th d in the bits from i*field up.  A cell with 3 free
-    coordinates, whose fiber grows as d^3, is a StructuralError."""
+    at the i-th d in the bits from i*field up.  They depend only on the
+    cell's shape (its number of free coordinates, lower and bound).  A cell
+    with 3 free coordinates, whose fiber grows as d^3, is a StructuralError."""
     _, free, bound, lower = cell
     if len(free) > 2:
         raise StructuralError(f"staircase cell {cell} has 3 free coordinates")
@@ -138,8 +139,9 @@ def check_fiber_ranks(points, ds):
     """Check the fiber rank 4d of every point at every d in ds; returns
     ({distinct cell: its packed `_counts`}, field).
 
-    Each distinct cell is counted once, in fields that no point's sum can
-    carry out of, and each point's cells are added in one sum.  A point
+    Each distinct cell shape is counted once (the 401 distinct cells of the
+    fixed points have 52), in fields that no point's sum can carry out of,
+    and each point's cells are added in one sum.  A point
     whose sum is not 4d in every field fails `_check_rank`, at the first d
     in ds at which any point fails and at the first such point.
     """
@@ -148,8 +150,14 @@ def check_fiber_ranks(points, ds):
     # of counts, over disjoint cells or not, reaches 2^field
     most = max([len(fp.cells) for fp in points] + [1])
     field = (most * math.comb(top + 3, 3)).bit_length()
-    cells = dict.fromkeys(cell for fp in points for cell in fp.cells)
-    counts = {cell: _counts(cell, ds, field) for cell in cells}
+    counts, by_shape = {}, {}
+    for cell in dict.fromkeys(cell for fp in points for cell in fp.cells):
+        _, free, bound, lower = cell
+        shape = len(free), lower, bound
+        n = by_shape.get(shape)
+        if n is None:
+            n = by_shape[shape] = _counts(cell, ds, field)
+        counts[cell] = n
     want = sum(4 * d << (i * field) for i, d in enumerate(ds))
     if any(sum(map(counts.__getitem__, fp.cells)) != want for fp in points):
         mask = (1 << field) - 1

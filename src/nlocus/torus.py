@@ -4,9 +4,12 @@ A character is an integer 4-vector: the weight with which the torus of P^3
 scales a one-dimensional eigenspace.  The character of a monomial is its
 exponent vector; the character of a ratio of monomials is the difference.
 A tangent space or bundle fiber is a multiset of characters: a fixed point
-carries the sorted tuple of its 16 tangent characters, repeats included,
-and the blow-up cascade does its multiset arithmetic with
-`collections.Counter`.
+carries the sorted tuple of its 16 tangent characters, repeats included.
+The blow-up cascade does its multiset arithmetic, containment and
+difference, with `collections.Counter` at the centres only (the pencils
+and the points of the two blow-up loci, from `grass_tangent`); each point
+over a centre gets its sorted tuple from the centre's characters in one
+list and one sort (`blowup_tangent`).
 
 Chern classes of a specialized multiset are elementary symmetric functions of
 its integer weights.  `shared_products` is the one routine that computes
@@ -29,6 +32,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+
+
+_ZERO = (0, 0, 0, 0)
 
 
 def char_add(a, b):
@@ -90,44 +96,49 @@ def specialize(c, spec):
     return c[0] * v[0] + c[1] * v[1] + c[2] * v[2] + c[3] * v[3]
 
 
+def _elements(bag):
+    """The characters of a multiset, repeats included, as a new list: a
+    Counter by multiplicity, any other iterable as it comes."""
+    return list(bag.elements() if isinstance(bag, Counter) else bag)
+
+
 def grass_tangent(sub, ambient):
     """Tangent characters of a Grassmannian at a coordinate subspace, as a Counter.
 
-    sub and ambient are multisets of characters (iterables or Counters).
-    Hom(sub, ambient/sub) decomposes into lines of character q - a for q
-    ranging over ambient minus sub and a over sub; the result has total
-    |sub| * (|ambient| - |sub|).
+    sub and ambient are multisets of characters (iterables, repeats
+    included, or Counters).  Hom(sub, ambient/sub) decomposes into lines of
+    character q - a for q ranging over ambient minus sub and a over sub; the
+    result has total |sub| * (|ambient| - |sub|).  The Counter is the only
+    one built.
     """
-    sub, ambient = Counter(sub), Counter(ambient)
-    if not sub <= ambient:
-        raise ValueError("sub is not contained in ambient")
-    out = Counter()
-    for q, kq in (ambient - sub).items():
-        for a, ka in sub.items():
-            out[char_sub(q, a)] += kq * ka
-    return out
+    sub, rest = _elements(sub), _elements(ambient)
+    for a in sub:
+        if a not in rest:
+            raise ValueError("sub is not contained in ambient")
+        rest.remove(a)
+    return Counter([char_sub(q, a) for q in rest for a in sub])
 
 
-def blowup_tangent(base, nml, e):
-    """Tangent characters at a fixed point of the exceptional divisor, as a Counter.
+def blowup_tangent(base, normal, e):
+    """Tangent characters at a fixed point of the exceptional divisor, as a
+    sorted tuple, repeats included.
 
-    base and nml are Counters of the base tangent and normal characters.
-    For the normal direction e, the fiber directions contribute n - e for
-    every other normal character n, the base tangent comes along, and e
-    itself is the normal direction of the exceptional divisor.  Total size
-    is preserved.
+    base and normal are iterables of the base tangent and normal characters,
+    repeats included.  For the normal direction e, the fiber directions
+    contribute n - e for every other normal character n (one copy of e is
+    the direction itself), the base tangent comes along, and e itself is the
+    normal direction of the exceptional divisor.  Total size is preserved.
+    The characters are gathered in one list and sorted once.
     """
-    if e not in nml:
-        raise ValueError(f"direction {e} is not a normal character")
-    out = Counter(base)
-    for n, k in nml.items():
-        if n == e:
-            k -= 1
-        if k > 0:
-            c = char_sub(n, e)
-            out[c] = out.get(c, 0) + k
-    out[e] = out.get(e, 0) + 1
-    return out
+    out = [char_sub(n, e) for n in normal]
+    try:
+        out.remove(_ZERO)  # e - e: one copy of e is the direction, not a fiber line
+    except ValueError:
+        raise ValueError(f"direction {e} is not a normal character") from None
+    out += base
+    out.append(e)
+    out.sort()
+    return tuple(out)
 
 
 def kronecker_width(k, s):

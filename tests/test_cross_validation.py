@@ -3,6 +3,7 @@ published generator shapes.  sympy is an optional test-only oracle; these
 tests skip when it is absent."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -131,7 +132,7 @@ def test_w_tangent_plus_normal_is_record_tangent(cascade):
         z = cascade.zs[zi]
         for w in cascade.ws:
             if w.provenance == (zi, record.direction_index):
-                assert w.tangent_w + w.normal == record.tangent
+                assert w.tangent_w + w.normal == Counter(record.tangent)
                 seen += 1
     assert seen == 36
 

@@ -91,8 +91,8 @@ def test_e1_record_census(cascade):
     assert len(cascade.records) == 216
     for _, record in cascade.records:
         assert len(record.limit_cubics) == 8
-        assert record.tangent.total() == 16
-        assert all(k > 0 for k in record.tangent.values())
+        assert Counter(record.tangent).total() == 16
+        assert all(k > 0 for k in Counter(record.tangent).values())
 
 
 def test_classification_census(cascade):
@@ -422,7 +422,47 @@ def test_tangent_multiset_totals(cascade):
         shifted = Counter(
             [char_sub(n, record.direction) for n in z.normal if n != record.direction]
         )
-        assert record.tangent == shifted + z.tangent_z + Counter([record.direction])
+        assert Counter(record.tangent) == shifted + z.tangent_z + Counter([record.direction])
+
+
+def _blown_up(base, normal, e):
+    """The tangent Counter at direction e over a centre: base + (normal - e) / e + e."""
+    fiber = normal - Counter([e])
+    return base + Counter([char_sub(n, e) for n in fiber.elements()]) + Counter([e])
+
+
+def test_g2e1_and_e2_tangents_are_the_blowup_formula(cascade):
+    for fp in cascade.g2e1:
+        z_index, index = fp.provenance
+        z = cascade.zs[z_index]
+        e = sorted(z.normal)[index]
+        assert Counter(fp.tangent) == _blown_up(z.tangent_z, z.normal, e)
+        assert fp.tangent == tuple(sorted(fp.tangent))
+    for fp in cascade.e2:
+        w_index, index = fp.provenance
+        w = cascade.ws[w_index]
+        e = sorted(w.normal)[index]
+        assert Counter(fp.tangent) == _blown_up(w.tangent_w, w.normal, e)
+        assert fp.tangent == tuple(sorted(fp.tangent))
+        # the extra quartic goes into the W base at its grevlex place
+        base = {char_add(c, x) for c in w.cubic_system for x in fx.LINEARS}
+        assert fp.quartics == fx._sort_monos(set(fp.quartics))
+        assert len(set(fp.quartics) - base) == 1 and base < set(fp.quartics)
+
+
+def test_enumeration_builds_counters_only_at_the_centres(monkeypatch):
+    """Multiset arithmetic with Counter is done at the 45 pencils, 24 Z
+    points and 36 W points; a Counter per fixed point would make 525 more."""
+    built = []
+    real = Counter.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Counter, "__init__", counted)
+    fx.enumerate_all()
+    assert 0 < len(built) < 525
 
 
 def test_load_cache_absent_file_is_none(tmp_path):

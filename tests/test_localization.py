@@ -52,6 +52,26 @@ def test_fiber_standard_monomials_counts(points):
         assert len(set(standard_monomials(fp.quartics, 6))) == 24
 
 
+def test_cell_counts_and_terms_depend_only_on_the_shape(points):
+    """check_fiber_ranks counts, and Cell.hilbert_term derives, once per cell
+    shape (free, lower, bound); each cascade cell's count over d = 4..60 and
+    its term are the ones of its own monomials."""
+    ds = list(range(4, 61))
+    counts, field = loc.check_fiber_ranks(points, ds)
+    cells = {cell for fp in points for cell in fp.cells}
+    assert set(counts) == cells
+    mask = (1 << field) - 1
+    for cell in cells:
+        assert counts[cell] == loc._counts(cell, ds, field)
+        for i, d in enumerate(ds):
+            runs = staircase_runs([cell], d)
+            assert counts[cell] >> (i * field) & mask == sum(n for _, _, n in runs)
+        # 3! times the count at d = 60, past every cell's lower + bound
+        assert 6 * (counts[cell] >> (ds.index(60) * field) & mask) == sum(
+            t * 60**i for i, t in enumerate(cell.hilbert_term)
+        )
+
+
 def test_contribution_numerator_against_subset_oracle(points, weights, unshared_sum):
     fp = _pencil_point(points)
     values = [specialize(c, weights) for c in standard_monomials(fp.quartics, 5)]
