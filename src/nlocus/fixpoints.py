@@ -40,18 +40,19 @@ import contextlib
 import functools
 import gc
 import json
+import math
 import os
 import zlib
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .ideals import cells_hilbert_numerator, quartic_cells
+from .ideals import cells_hilbert_numerator, kept_on_first_read, quartic_cell, quartic_cells
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
-SCHEMA_VERSION = 3  # the header 'schema' of the cache file, part of its fingerprint
+SCHEMA_VERSION = 4  # the header 'schema' of the cache file, part of its fingerprint
 # (size, zlib.crc32) of cache_bytes(enumerate_all()), the one file load_cache reads
-CACHE_FINGERPRINT = (240_168, 0x623F5966)
+CACHE_FINGERPRINT = (174_082, 0x6BCA6A1A)
 
 QUADRICS = [m[:4] for m in monomials_of_degree(2)]
 LINEARS = [m[:4] for m in monomials_of_degree(1)]
@@ -110,12 +111,14 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     (the same cells as the general path `ideals.staircase_cells`) on first
     use and kept in the instance dict: it does not depend on d or on the
     weight spec, so the 4t check, every Bott sum and
-    `checks.rank_invariants` read the one derivation.  It is not a field:
-    equality, hashing, repr and the cache file ignore it, and `_replace`
+    `checks.rank_invariants` read the one derivation.  A point of
+    `load_cache` is given its cells, the shared objects of
+    `ideals.quartic_cell`, as its record is read, and derives none.  It is
+    not a field: equality, hashing and repr ignore it, and `_replace`
     returns a point that derives its own.
     """
 
-    @functools.cached_property
+    @kept_on_first_read
     def cells(self):
         """The staircase cells of the quartic system, a tuple of shared cell objects."""
         return quartic_cells(self.quartics)
@@ -396,7 +399,8 @@ def euler_characteristic_oracle():
 
 
 def point_to_json(fp):
-    """The cache record of a fixed point: every monomial a list of 4 integers."""
+    """The JSON record of a fixed point that `nlocus fixpoints --format json`
+    prints: every monomial a list of 4 integers."""
     return {
         "tag": fp.tag,
         "tangent": fp.tangent,
@@ -406,68 +410,63 @@ def point_to_json(fp):
     }
 
 
-def point_from_json(data, row):
-    """The FixedPoint of a cache record that `point_to_json` wrote, each of its
-    4-integer rows the tuple that `row` returns for the row's tuple: `tuple`
-    keeps each row as parsed, and `load_cache` passes a lookup that returns
-    one tuple per distinct value."""
-    return FixedPoint(
-        data["tag"],
-        *(tuple(map(row, map(tuple, data[key]))) for key in ("tangent", "quartics", "pencil")),
-        tuple(data["provenance"]),
-    )
-
-
-class _Memo(dict):
-    """Values by key, each made by `make(key)` on the key's first lookup."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _ints_text(ints):
     """The JSON text of a tuple of integers."""
     return f"[{','.join(map(str, ints))}]"
 
 
-_CHUNK_RECORDS = 64  # records per chunk of the cache file's bytes
+def _cell_text(cell):
+    """The JSON text of a staircase cell in the cache file: [base, free, bound],
+    the bound null for a cell with no x3 bound."""
+    (i, j, k), free, bound, _ = cell
+    return f"[[{i},{j},{k}],{_ints_text(free)},{'null' if bound == math.inf else bound}]"
+
+
+_CHUNK_RECORDS = 16  # records per chunk of the cache file's bytes
 
 
 def _cache_chunks(points):
-    """The bytes of the document {"counts", "points", "schema"}, in chunks of
-    at most _CHUNK_RECORDS records each; `cache_bytes` describes the text.
+    """The bytes of the document {"counts", "distinct", "points", "schema"}: a
+    header chunk with the two tables, then chunks of at most _CHUNK_RECORDS
+    records each; `cache_bytes` describes the text.
 
-    The records are built from fragments: the JSON text of each distinct
-    4-integer row (a character or a monomial) and of each tag is formed once
-    per call, that of each provenance once, and each record is formatted
-    once, its five keys in sorted order.  `json.dumps` encodes only the
-    counts header and the tags.
+    One pass over the points gathers their distinct rows and cells.  After
+    the header, the JSON text of each table index is formed once, and each
+    record is formatted once from those fragments, its six keys in sorted
+    order; `json.dumps` encodes only the counts header and the tags.
     """
-    row = _Memo(_ints_text).__getitem__
-    tag = _Memo(json.dumps).__getitem__
-
-    def rows(values):
-        return f"[{','.join(map(row, values))}]"
-
+    rows, cells = set(), set()
+    for fp in points:
+        rows.update(fp.tangent, fp.quartics, fp.pencil_chars)
+        cells.update(fp.cells)
+    rows, cells = sorted(rows), sorted(cells)
     counts = json.dumps(
         dict(zip(STRATA, stratum_counts(points))), sort_keys=True, separators=(",", ":")
     )
-    yield f'{{"counts":{counts},"points":['.encode()
+    yield (
+        f'{{"counts":{counts},"distinct":{{"cells":[{",".join(map(_cell_text, cells))}]'
+        f',"rows":[{",".join(map(_ints_text, rows))}]}},"points":['
+    ).encode()
+    # one dict gives the text of each row's and each cell's index in its
+    # table (no row of integers equals a cell, whose base is a tuple), and
+    # only it is kept while the records are written
+    texts = list(map(str, range(max(len(rows), len(cells)))))
+    index = dict(zip(rows, texts))
+    index.update(zip(cells, texts))
+    del rows, cells, texts
+    index = index.__getitem__
+    tag = functools.cache(json.dumps)
+
     for start in range(0, len(points), _CHUNK_RECORDS):
         if start:
             yield b","
         yield ",".join(
             [
-                f'{{"pencil":{rows(fp.pencil_chars)},"provenance":{_ints_text(fp.provenance)}'
-                f',"quartics":{rows(fp.quartics)},"tag":{tag(fp.tag)}'
-                f',"tangent":{rows(fp.tangent)}}}'
+                f'{{"cells":[{",".join(map(index, fp.cells))}]'
+                f',"pencil":[{",".join(map(index, fp.pencil_chars))}]'
+                f',"provenance":{_ints_text(fp.provenance)}'
+                f',"quartics":[{",".join(map(index, fp.quartics))}],"tag":{tag(fp.tag)}'
+                f',"tangent":[{",".join(map(index, fp.tangent))}]}}'
                 for fp in points[start : start + _CHUNK_RECORDS]
             ]
         ).encode()
@@ -475,14 +474,22 @@ def _cache_chunks(points):
 
 
 def cache_bytes(points):
-    """The document {"counts", "points", "schema"} as JSON with sorted keys and
-    no spaces, each record the bytes of `json.dumps(point_to_json(fp),
-    sort_keys=True, separators=(",", ":"))`: the join of the chunks that
-    `save_cache` writes.
+    """The cache file of the points, the join of the chunks that `save_cache`
+    writes: the document {"counts", "distinct", "points", "schema"} as JSON
+    with sorted keys and no spaces.
+
+    "distinct" holds two sorted tables: "rows", the distinct 4-integer rows
+    of the points (tangent characters, quartic monomials and pencil rows),
+    and "cells", the distinct staircase cells of their `cells`, each
+    [base, free, bound] with a null bound for a cell with no x3 bound.  Each
+    record holds its point's "tag" and "provenance", and its "tangent",
+    "quartics", "pencil" and "cells" as lists of indices into those tables.
+    The tables come before the records, so a reader can build each point as
+    soon as its record is parsed.
 
     It holds at most two copies of the file's bytes at a time; one
-    `json.dumps` of the whole document would hold some 60,000 small
-    strings, about 3 MB, for a file of 240 KB.
+    `json.dumps` of the whole document would take about 18 times the file's
+    size.
     """
     return b"".join(_cache_chunks(points))
 
@@ -490,11 +497,12 @@ def cache_bytes(points):
 def save_cache(points, path):
     """Write the cache file atomically, chunk by chunk.
 
-    The chunks of `cache_bytes` go one at a time to a temporary file in the
-    same directory, so the whole document is never held; the file then
-    replaces the cache, so a reader sees the old file or the new one and a
-    writer killed midway leaves the old file as it was.  A failed write is
-    an OSError naming the cache path.
+    The header chunk, with the two tables, and then the chunks of
+    _CHUNK_RECORDS records of `cache_bytes` go one at a time to a temporary
+    file in the same directory, so the whole document is never held; the
+    file then replaces the cache, so a reader sees the old file or the new
+    one and a writer killed midway leaves the old file as it was.  A failed
+    write is an OSError naming the cache path.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
@@ -512,33 +520,62 @@ def save_cache(points, path):
         raise
 
 
+def _point_reader():
+    """The `json` object hook that makes each record of a cache file its point.
+
+    The file's "distinct" object, read before any record, gives the tables:
+    each row becomes one tuple, shared by every point that has it, and each
+    cell the shared object of `ideals.quartic_cell`.  A record, an object
+    with a "tag", becomes its FixedPoint with its rows and its cells taken
+    from them.  Any other object is returned as parsed.
+    """
+    row = cell = None
+
+    def read(obj):
+        nonlocal row, cell
+        if "tag" in obj:
+            fp = FixedPoint(
+                obj["tag"],
+                tuple(map(row, obj["tangent"])),
+                tuple(map(row, obj["quartics"])),
+                tuple(map(row, obj["pencil"])),
+                tuple(obj["provenance"]),
+            )
+            fp.cells = tuple(map(cell, obj["cells"]))
+            return fp
+        if "rows" in obj:
+            row = list(map(tuple, obj["rows"])).__getitem__
+            cell = [
+                quartic_cell(base, free, math.inf if bound is None else bound)
+                for base, free, bound in obj["cells"]
+            ].__getitem__
+        return obj
+
+    return read
+
+
 @collector_paused()
 def load_cache(path):
     """Points from a cache file, or None when there is no file.
 
     A file loads, its records unchecked, only when its size and `zlib.crc32`
     equal `CACHE_FINGERPRINT`, those of the cascade's bytes.  CRC-32 guards
-    against stale, hand-edited and buggy files, not crafted ones.  The rows
-    of all the loaded points go through one table for the load, so the
-    19,425 rows of the cascade's points are 275 tuples, one per distinct
-    value.  Any other file, including one of another schema or one nested
-    too deeply for `json` to decode, is a ValueError naming the path.
+    against stale, hand-edited and buggy files, not crafted ones.  Each
+    record becomes its point as soon as it is parsed (`_point_reader`), so
+    the lists of the whole document never exist at once.  The 19,425 rows
+    of the points are the 275 tuples of the file's row table, and their
+    13,617 cells the 401 shared cell objects of its cell table: a loaded
+    point derives no cells.  Any other file, including one of another schema
+    or one nested too deeply for `json` to decode, is a ValueError naming
+    the path.
     """
     where = f"fixed-point cache {path}"
-    # the load makes some 40,000 tuples and short-lived lists and no
+    # the load makes some 8,000 tuples, short-lived lists and dicts and no
     # reference cycles, so the cyclic collector is paused, then left as it was
     try:
         data = Path(path).read_bytes()
         if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
-            # each record becomes its point as soon as it is parsed, so the
-            # lists of the whole document never exist at once; the first tuple
-            # of each row value is the one kept for it (the `tuple` of a tuple
-            # is that tuple), so the points share their rows
-            row = _Memo(tuple).__getitem__
-            doc = json.loads(
-                data, object_hook=lambda obj: point_from_json(obj, row) if "tag" in obj else obj
-            )
-            return doc["points"]
+            return json.loads(data, object_hook=_point_reader())["points"]
         doc = json.loads(data)
     except FileNotFoundError:
         return None
@@ -564,13 +601,14 @@ def _first_key(got, want):
 
 
 def _mismatch(where, doc):
-    """The ValueError for a document other than the cascade's: it names the first
-    header key, or else the first record, that differs, with that record's first
-    differing key and the cascade's point, or else the first surplus or missing record."""
+    """The ValueError for a document other than the cascade's: it names the header
+    key 'schema' when that differs, or else the first header key, or else the first
+    record, that differs, with that record's first differing key and the cascade's
+    point, or else the first surplus or missing record."""
     expected = _cascade_document()
     records, cascade = doc.get("points"), expected["points"]
     header = dict(doc, points=cascade) if isinstance(records, list) else doc
-    key = _first_key(header, expected)
+    key = "schema" if doc.get("schema") != SCHEMA_VERSION else _first_key(header, expected)
     if key is not None:
         return ValueError(f"{where}: header {key!r} differs from the cascade's")
     for index, (got, want) in enumerate(zip(records, cascade)):

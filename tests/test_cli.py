@@ -162,10 +162,11 @@ def test_explicit_inadmissible_weights_fail_loudly(capsys, cache_path):
 def _read_corrupted(capsys, monkeypatch, tmp_path, points, corrupt, argv):
     """Make the CLI read the points of a corrupted cache file.
 
-    corrupt(doc) alters the cache document and returns the index of the
-    record it altered.  The file itself is a load error naming that record,
-    so `fixpoints.load_or_enumerate` is patched to return the altered points,
-    as a loader that took the file would.  Returns the path and the record.
+    corrupt(doc) alters the indices of one record of the cache document and
+    returns the record's index.  The file itself is a load error naming that
+    record, so `fixpoints.load_or_enumerate` is patched to return the altered
+    points, as a loader that took the file's rows and derived each point's
+    cells from its quartics would.  Returns the path and the record.
     """
     doc = json.loads(fx.cache_bytes(points))
     index = corrupt(doc)
@@ -174,14 +175,23 @@ def _read_corrupted(capsys, monkeypatch, tmp_path, points, corrupt, argv):
     code, out, err = run(capsys, *argv, "--cache", str(path))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: fixed-point cache {path}, record {index}: ")
-    altered = [fx.point_from_json(record, tuple) for record in doc["points"]]
+    rows = [tuple(row) for row in doc["distinct"]["rows"]]
+    altered = [
+        fx.FixedPoint(
+            record["tag"],
+            *(tuple(rows[i] for i in record[key]) for key in ("tangent", "quartics", "pencil")),
+            tuple(record["provenance"]),
+        )
+        for record in doc["points"]
+    ]
     monkeypatch.setattr(fx, "load_or_enumerate", lambda path: altered)
     return path, doc["points"][index]
 
 
 def _kill_the_default_spec(doc):
-    # (0, 5, -1, 0) specializes to 5 - 5 = 0 under the default 0,1,5,18
-    doc["points"][0]["tangent"][0] = [0, 5, -1, 0]
+    # the row (4, 0, 0, 0), the quartic x0^4, specializes to 0 under the
+    # default 0,1,5,18; it becomes the first tangent character of record 0
+    doc["points"][0]["tangent"][0] = doc["distinct"]["rows"].index([4, 0, 0, 0])
     return 0
 
 
@@ -197,7 +207,7 @@ def test_default_spec_killed_by_the_cache_is_an_error(
     assert out == ""
     point = f"{record['tag']}{tuple(record['provenance'])}"
     assert err.startswith("error: weight spec (0, 1, 5, 18) is not admissible")
-    assert f"(0, 5, -1, 0) at {point} specializes to 0" in err
+    assert f"(4, 0, 0, 0) at {point} specializes to 0" in err
 
 
 def test_bad_weights_syntax_is_usage_error(capsys, cache_path):
@@ -485,7 +495,8 @@ def test_verify_names_a_point_with_a_missing_tangent_character(
 )
 def test_malformed_cache_is_an_error_and_left_untouched(capsys, tmp_path, points, text):
     if text is None:  # the cascade's file, but for its schema
-        text = fx.cache_bytes(points).decode().replace('"schema":3}', '"schema":2}')
+        schema = f'"schema":{fx.SCHEMA_VERSION}}}'
+        text = fx.cache_bytes(points).decode().replace(schema, '"schema":3}')
     path = tmp_path / "broken.json"
     path.write_text(text)
     code, out, err = run(capsys, "degree", "--d", "4", "--cache", str(path))

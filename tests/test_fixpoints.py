@@ -4,6 +4,7 @@ import gc
 import hashlib
 import json
 import math
+import operator
 import random
 import re
 import tracemalloc
@@ -30,7 +31,10 @@ from conftest import deformation_ideal, tear_writes
 
 # sha256 of cache_bytes(enumerate_all()); a serializer that changes the file
 # must update it and fixpoints.CACHE_FINGERPRINT
-CACHE_SHA256 = "2a4eb76e6f62e264f924c439045f6544270b15ca3d64f31704f56c8bc31ba286"
+CACHE_SHA256 = "420a59c1bceb8a28fcc563d120d0ab508a7575ee8d9e23b26f647f8c8ffbd734"
+# sha256 of the schema-3 cache file, the records of `point_to_json` with every
+# row written out, which a loader of schema 4 must reject naming the schema
+SCHEMA_3_SHA256 = "2a4eb76e6f62e264f924c439045f6544270b15ca3d64f31704f56c8bc31ba286"
 
 
 def mono(text):
@@ -228,6 +232,8 @@ def test_cells_are_left_out_of_eq_repr_and_the_cache(points):
     assert repr(fresh) == repr(fp) and "cells" not in repr(fp)
     assert fx.point_to_json(fp) == fx.point_to_json(fresh)
     assert "cells" not in vars(fresh)  # none of the above derived them
+    # the cache file stores the cells, which the fresh point derives for it
+    assert fx.cache_bytes([fresh]) == fx.cache_bytes([fp])
     assert fresh.cells == fp.cells and vars(fresh)["cells"] is not vars(fp)["cells"]
 
 
@@ -395,7 +401,7 @@ def test_cache_round_trip_runs_without_parsing(monkeypatch, points, tmp_path):
 
 def test_cache_bytes_are_pinned(points):
     data = fx.cache_bytes(points)
-    assert len(data) == 240_168
+    assert len(data) == 174_082
     assert hashlib.sha256(data).hexdigest() == CACHE_SHA256
 
 
@@ -585,15 +591,15 @@ def test_load_cache_rejects_a_g2_e2_tag_swap(tmp_path, points):
 
 
 def test_load_cache_rejects_an_e2_data_swap(tmp_path, points):
-    # tags, provenances and the counts header are the cascade's; the data of
-    # records 300 and 301 are each other's
+    # tags, provenances, the counts header and the tables are the cascade's;
+    # the data of records 300 and 301 are each other's
     path, doc = _saved_doc(points, tmp_path)
     a, b = doc["points"][300], doc["points"][301]
     assert (a["tag"], b["tag"]) == ("E2", "E2")
-    for key in ("tangent", "quartics", "pencil"):
+    for key in ("tangent", "quartics", "pencil", "cells"):
         a[key], b[key] = b[key], a[key]
     path.write_bytes(_compact(doc) + b"\n")
-    message = f"{path}, record 300: 'quartics' differs from the cascade's E2(11, 0)"
+    message = f"{path}, record 300: 'cells' differs from the cascade's E2(11, 0)"
     with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
         fx.load_cache(path)
 
@@ -628,7 +634,10 @@ def test_a_cache_hit_enumerates_nothing(monkeypatch, points, tmp_path):
 
 def test_cache_bytes_encodes_record_by_record(points):
     """The encoder's peak of traced memory stays within 5 times the file's
-    size; one json.dumps of the whole document takes about 12 times."""
+    size; one json.dumps of the whole document takes about 18 times.  The
+    points' cells are derived first, as in `test_save_cache_writes_chunk_by_chunk`."""
+    for fp in points:
+        fp.cells
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -641,16 +650,40 @@ def test_cache_bytes_encodes_record_by_record(points):
 
 
 def _encoded_record_by_record(points):
-    """The cache document with each record a `json.dumps` of `point_to_json`:
-    the encoder `cache_bytes` replaced, kept as its oracle."""
+    """The cache document built value by value, each record a `json.dumps` of
+    its tag, its provenance and its rows' and cells' indices in the sorted
+    tables of the distinct rows and cells: the encoder `cache_bytes`
+    replaced, kept as its oracle."""
     compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+    rows = sorted({row for fp in points for row in fp.tangent + fp.quartics + fp.pencil_chars})
+    cells = sorted({cell for fp in points for cell in fp.cells})
+    row_at = {row: n for n, row in enumerate(rows)}
+    cell_at = {cell: n for n, cell in enumerate(cells)}
+    distinct = {
+        "cells": [[c.base, c.free, None if c.bound == math.inf else c.bound] for c in cells],
+        "rows": rows,
+    }
+    records = [
+        {
+            "cells": [cell_at[cell] for cell in fp.cells],
+            "pencil": [row_at[row] for row in fp.pencil_chars],
+            "provenance": fp.provenance,
+            "quartics": [row_at[row] for row in fp.quartics],
+            "tag": fp.tag,
+            "tangent": [row_at[row] for row in fp.tangent],
+        }
+        for fp in points
+    ]
     counts = compact(dict(zip(fx.STRATA, fx.stratum_counts(points))))
-    records = ",".join([compact(fx.point_to_json(fp)) for fp in points])
-    return f'{{"counts":{counts},"points":[{records}],"schema":{fx.SCHEMA_VERSION}}}\n'.encode()
+    return (
+        f'{{"counts":{counts},"distinct":{compact(distinct)}'
+        f',"points":[{",".join(map(compact, records))}],"schema":{fx.SCHEMA_VERSION}}}\n'
+    ).encode()
 
 
 # one point of each tag, with one- and two-entry provenances, zero, negative
-# and large entries, an empty tangent and rows shared between keys and points
+# and large entries, an empty tangent, an empty quartic system (one cell with
+# no x3 bound) and rows and cells shared between keys and points
 SYNTHETIC_POINTS = [
     fx.FixedPoint("G2", ((-1, 1, 0, 0), (0, 0, 0, 0)), ((4, 0, 0, 0),), ((2, 0, 0, 0),), (0,)),
     fx.FixedPoint(
@@ -660,7 +693,7 @@ SYNTHETIC_POINTS = [
         ((0, 0, 1, 1), (4, 0, 0, 0)),
         (23, 8),
     ),
-    fx.FixedPoint("E2", (), ((-1, 1, 0, 0),), ((0, 0, 0, 0), (0, 0, 0, 0)), (0, 0)),
+    fx.FixedPoint("E2", (), (), ((0, 0, 0, 0), (0, 0, 0, 0)), (0, 0)),
     fx.FixedPoint("G2", ((-1, 1, 0, 0),), ((4, 0, 0, 0),), ((2, 0, 0, 0),), (-3,)),
 ]
 
@@ -669,6 +702,16 @@ SYNTHETIC_POINTS = [
 def test_cache_bytes_are_the_record_by_record_encoding(points, which):
     some = {"cascade": points, "synthetic": SYNTHETIC_POINTS, "empty": []}[which]
     assert fx.cache_bytes(some) == _encoded_record_by_record(some)
+
+
+@pytest.mark.parametrize("which", ["cascade", "synthetic", "empty"])
+def test_the_point_reader_gives_back_the_points_and_their_shared_cells(points, which):
+    some = {"cascade": points, "synthetic": SYNTHETIC_POINTS, "empty": []}[which]
+    doc = json.loads(fx.cache_bytes(some), object_hook=fx._point_reader())
+    assert doc["points"] == some
+    for got, fp in zip(doc["points"], some):
+        assert got.cells == fp.cells == ideals.quartic_cells(fp.quartics)
+        assert all(map(operator.is_, got.cells, ideals.quartic_cells(fp.quartics)))
 
 
 def test_a_cache_load_never_holds_the_whole_document_and_all_points(tmp_path, points):
@@ -704,8 +747,12 @@ def test_loaded_points_share_one_tuple_per_distinct_row(tmp_path, points):
 
 def test_save_cache_writes_chunk_by_chunk(tmp_path, points):
     """The writer's peak of traced memory stays below half the file's size;
-    building the whole document first takes about twice the file's size."""
+    building the whole document first takes about twice the file's size.
+    The points' cells, which the file stores, are derived first: they stay
+    with the points, not with the writer."""
     path = tmp_path / "cache.json"
+    for fp in points:
+        fp.cells
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -782,6 +829,27 @@ def test_a_cache_of_another_schema_is_an_error_left_untouched(
 
 
 @pytest.mark.usefixtures("known_cascade")
+def test_a_schema_3_cache_is_an_error_naming_the_schema_left_untouched(tmp_path, points):
+    """A file of schema 3 writes every row of every record out, as
+    `point_to_json` gives it, and has no tables: it is rejected by its schema,
+    the one header key that tells the formats apart."""
+    doc = {
+        "counts": dict(zip(fx.STRATA, fx.stratum_counts(points))),
+        "points": [fx.point_to_json(fp) for fp in points],
+        "schema": 3,
+    }
+    data = _compact(doc) + b"\n"
+    assert len(data) == 240_168 and hashlib.sha256(data).hexdigest() == SCHEMA_3_SHA256
+    path = tmp_path / "cache.json"
+    path.write_bytes(data)
+    message = f"{path}: header 'schema' differs from the cascade's"
+    for load in (fx.load_cache, fx.load_or_enumerate):
+        with pytest.raises(ValueError, match=f"^fixed-point cache {re.escape(message)}$"):
+            load(path)
+    assert path.read_bytes() == data
+
+
+@pytest.mark.usefixtures("known_cascade")
 @pytest.mark.parametrize(
     "records, index",
     [(lambda r: [*r, 7], 525), (lambda r: [*r, {}], 525), (lambda r: r[:-1], 524)],
@@ -800,10 +868,10 @@ def test_load_cache_names_a_surplus_or_missing_record(
 
 def _corrupt_record(rng, record, other):
     """Change one field of a cache record in place, taking foreign values from
-    another record: its tag, its provenance, a row of its tangent, quartics or
-    pencil (dropped, repeated, moved or foreign), or one integer of a row.
-    Returns the key of the field and the kind of change, such as "row drop"."""
-    key = rng.choice(("tag", "provenance", "tangent", "quartics", "pencil"))
+    another record: its tag, its provenance, or an index of its cells,
+    tangent, quartics or pencil (dropped, repeated, moved, foreign or bumped).
+    Returns the key of the field and the kind of change, such as "index drop"."""
+    key = rng.choice(("tag", "provenance", "cells", "tangent", "quartics", "pencil"))
     value = record[key]
     if key == "tag":
         record[key] = rng.choice([*fx.STRATA, "X", 7])
@@ -820,48 +888,74 @@ def _corrupt_record(rng, record, other):
         kind = rng.choice(list(variants))
         record[key] = variants[kind]
         return key, f"provenance {kind}"
-    rows, i, j = [list(row) for row in value], *rng.sample(range(len(value)), 2)
-    kind = rng.choice(("drop", "repeat", "move", "foreign", "integer"))
+    indices, i, j = list(value), *rng.sample(range(len(value)), 2)
+    kind = rng.choice(("drop", "repeat", "move", "foreign", "bumped"))
     if kind == "drop":
-        del rows[i]
+        del indices[i]
     elif kind == "repeat":
-        rows[j] = rows[i]
+        indices[j] = indices[i]
     elif kind == "move":
-        rows.insert(j, rows.pop(i))
+        indices.insert(j, indices.pop(i))
     elif kind == "foreign":
-        rows[i] = rng.choice(other[key])
+        indices[i] = rng.choice(other[key])
     else:
-        rows[i][rng.randrange(4)] += rng.choice((-2, -1, 1, 2))
-    record[key] = rows
-    return key, f"row {kind}"
+        indices[i] += rng.choice((-2, -1, 1, 2))
+    record[key] = indices
+    return key, f"index {kind}"
+
+
+def _corrupt_table(rng, distinct):
+    """A copy of a cache file's tables with one entry changed: one integer of
+    a row, a row dropped, or the bound of a cell.  Returns it and the kind of
+    change, such as "row drop"."""
+    distinct = copy.deepcopy(distinct)
+    rows, cells = distinct["rows"], distinct["cells"]
+    kind = rng.choice(("row integer", "row drop", "cell bound"))
+    if kind == "row integer":
+        rng.choice(rows)[rng.randrange(4)] += rng.choice((-1, 1))
+    elif kind == "row drop":
+        del rows[rng.randrange(len(rows))]
+    else:
+        cell = rng.choice(cells)
+        cell[2] = rng.choice([b for b in (None, 1, 2, 3, 4) if b != cell[2]])
+    return distinct, kind
 
 
 @pytest.mark.usefixtures("known_cascade")
 def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_document):
-    """100 seeded one-field changes of the cascade's file, to tags,
-    provenances, rows, integers and the counts header: each is a load error
-    that names the path and the record and key, or the header key.  Every
-    kind of change is drawn at least once."""
+    """150 seeded one-field changes of the cascade's file, to tags,
+    provenances, the indices of the records, the counts header and the tables
+    of distinct rows and cells: each is a load error that names the path and
+    the record and key, or the header key.  Every kind of change is drawn at
+    least once."""
     data, doc = fx.cache_bytes(points), cascade_document
     texts = [_compact(record) for record in doc["points"]]
+    distinct = doc["distinct"]
 
-    def file_bytes(counts, texts):
+    def file_bytes(counts, distinct, texts):
         header = b"" if counts is None else b'"counts":' + _compact(counts) + b","
-        return b"{" + header + b'"points":[' + b",".join(texts) + b'],"schema":3}\n'
+        header += b'"distinct":' + _compact(distinct) + b","
+        return b"{" + header + b'"points":[' + b",".join(texts) + b'],"schema":4}\n'
 
-    assert file_bytes(doc["counts"], texts) == data
+    assert file_bytes(doc["counts"], distinct, texts) == data
     rng, path, wrong, cases = random.Random(23), tmp_path / "cache.json", [], 0
     drawn = set()
-    while cases < 100:
-        if rng.random() < 0.1:
+    while cases < 150:
+        draw = rng.random()
+        if draw < 0.08:
             tag = rng.choice(fx.STRATA)
             others = {k: v for k, v in doc["counts"].items() if k != tag}
             bumped = {**others, tag: doc["counts"][tag] + rng.choice((-1, 1))}
             forms = {"bumped": bumped, "short": others, "number": 525, "absent": None}
             form = rng.choice(list(forms))
-            path.write_bytes(file_bytes(forms[form], texts))
+            path.write_bytes(file_bytes(forms[form], distinct, texts))
             where = f"{path}: header 'counts' differs"
             drawn.add(f"header {form}")
+        elif draw < 0.16:
+            changed, kind = _corrupt_table(rng, distinct)
+            path.write_bytes(file_bytes(doc["counts"], changed, texts))
+            where = f"{path}: header 'distinct' differs"
+            drawn.add(f"table {kind}")
         else:
             index = rng.randrange(len(texts))
             record = copy.deepcopy(doc["points"][index])
@@ -869,7 +963,7 @@ def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_docum
             if record == doc["points"][index]:
                 continue  # equal rows moved or swapped in, the same tag, ...
             texts_now = [*texts[:index], _compact(record), *texts[index + 1 :]]
-            path.write_bytes(file_bytes(doc["counts"], texts_now))
+            path.write_bytes(file_bytes(doc["counts"], distinct, texts_now))
             where = f"{path}, record {index}: {key!r} differs"
             drawn |= {key, kind}
         cases += 1
@@ -884,7 +978,8 @@ def test_seeded_one_field_corruptions_never_load(tmp_path, points, cascade_docum
     provenances = ("bumped", "longer", "shorter", "out-of-range", "foreign")
     assert drawn == {
         *(f"header {form}" for form in ("bumped", "short", "number", "absent")),
-        *("tag", "provenance", "tangent", "quartics", "pencil"),
-        *(f"row {kind}" for kind in ("drop", "repeat", "move", "foreign", "integer")),
+        *(f"table {kind}" for kind in ("row integer", "row drop", "cell bound")),
+        *("tag", "provenance", "cells", "tangent", "quartics", "pencil"),
+        *(f"index {kind}" for kind in ("drop", "repeat", "move", "foreign", "bumped")),
         *(f"provenance {kind}" for kind in provenances),
     }

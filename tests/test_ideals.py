@@ -307,6 +307,36 @@ def test_quartic_cells_reject_a_monomial_that_is_not_a_quartic(m):
         ideals.quartic_cells([(0, 0, 0, 4), m])
 
 
+def test_quartic_cell_is_the_object_quartic_cells_gives(points):
+    for fp in points[::50]:
+        for cell in ideals.quartic_cells(fp.quartics):
+            assert ideals.quartic_cell(list(cell.base), list(cell.free), cell.bound) is cell
+    # a cell made first by quartic_cell is the one quartic_cells gives later
+    cell = ideals.quartic_cell((0, 0, 0), (0, 1, 2), math.inf)
+    assert cell == ((0, 0, 0), (0, 1, 2), math.inf, 0)
+    assert ideals.quartic_cells(()) == (cell,) and ideals.quartic_cells(())[0] is cell
+
+
+def test_kept_on_first_read_computes_once_and_keeps_the_value():
+    calls = []
+
+    class Thing:
+        @ideals.kept_on_first_read
+        def value(self):
+            """The value."""
+            calls.append(self)
+            return object()
+
+    thing, given = Thing(), Thing()
+    assert "value" not in vars(thing) and Thing.value.__doc__ == "The value."
+    value = thing.value
+    assert thing.value is value and vars(thing)["value"] is value and calls == [thing]
+    given.value = 7
+    assert given.value == 7 and calls == [thing]
+    for cls, name in ((ideals.Cell, "hilbert_term"), (fx.FixedPoint, "cells")):
+        assert isinstance(vars(cls)[name], ideals.kept_on_first_read)
+
+
 def test_set_t_zero():
     assert [render(g) for g in set_t_zero(ideal("x0 + t*x1")).generators] == ["x0"]
     assert [render(g) for g in set_t_zero(ideal("t*x0", "x1^2")).generators] == ["x1^2"]

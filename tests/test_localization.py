@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -125,7 +126,7 @@ def test_wrong_cell_list_fails_the_rank_check(points, weights):
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
         bad = fp._replace()
-        vars(bad)["cells"] = wrong  # where functools.cached_property keeps it
+        vars(bad)["cells"] = wrong  # where FixedPoint.cells keeps it
         altered = points[:200] + [bad] + points[201:]
         with pytest.raises(
             StructuralError,
@@ -312,22 +313,24 @@ def test_a_failed_route_or_spec_is_not_kept(nothing_kept, points, weights):
     assert loc._DENOMINATORS[0] == weights.values
 
 
-def _count_cell_derivations(monkeypatch):
-    """The list of quartic systems whose staircase cells are derived from now on.
+def _replace_quartic_cells(monkeypatch, replacement):
+    """Replace `quartic_cells` at every package attribute bound to it."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("nlocus"):
+            for key, value in list(vars(module).items()):
+                if value is quartic_cells:
+                    monkeypatch.setattr(module, key, replacement)
 
-    `quartic_cells` is replaced at every package attribute bound to it.
-    """
+
+def _count_cell_derivations(monkeypatch):
+    """The list of quartic systems whose staircase cells are derived from now on."""
     derived = []
 
     def counted(quartics):
         derived.append(quartics)
         return quartic_cells(quartics)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("nlocus"):
-            for key, value in list(vars(module).items()):
-                if value is quartic_cells:
-                    monkeypatch.setattr(module, key, counted)
+    _replace_quartic_cells(monkeypatch, counted)
     return derived
 
 
@@ -338,14 +341,24 @@ def test_sums_after_enumeration_derive_no_cells(monkeypatch, weights):
     assert derived == []
 
 
-def test_cells_are_derived_once_per_loaded_point(monkeypatch, tmp_path, points, weights):
+def test_a_cache_hit_derives_no_cells(monkeypatch, tmp_path, points, weights):
+    """The loaded points carry the file's cells, each the shared cell object
+    that `quartic_cells` gives, so the checks and the Bott sums derive none."""
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
+
+    def refuse(quartics):
+        raise AssertionError("staircase cells derived on a cache hit")
+
+    _replace_quartic_cells(monkeypatch, refuse)
     loaded = fx.load_cache(path)
-    derived = _count_cell_derivations(monkeypatch)
     checks.rank_invariants(checks.Run(loaded, weights, 1))
-    assert loc.degree_range(4, 6, weights, loaded) == loc.degree_range(4, 6, weights, loaded)
-    assert len(derived) == 525
+    assert loc.degree_range(4, 6, weights, loaded)[0].degree == 38475
+    monkeypatch.undo()
+    assert len(loaded) == 525
+    for fp in loaded:
+        derived = quartic_cells(fp.quartics)
+        assert fp.cells == derived and all(map(operator.is_, fp.cells, derived))
 
 
 def _python(code, *args):
@@ -364,12 +377,12 @@ def _python(code, *args):
 
 
 def test_forked_workers_match_one_worker(tmp_path, two_cpus, forked, points, weights):
-    # freshly loaded points carry no cells: the parent derives them while it
-    # plans the pass, and the forked worker inherits them with the plan
+    # freshly loaded points carry the file's cells, and the forked worker
+    # inherits them with the plan
     path = tmp_path / "fixpoints.json"
     fx.save_cache(points, path)
     loaded = fx.load_cache(path)
-    assert not any("cells" in vars(fp) for fp in loaded)
+    assert all("cells" in vars(fp) for fp in loaded)
     multi = loc.degree_range(4, 6, weights, loaded, workers=2)
     assert multi == loc.degree_range(4, 6, weights, loaded, workers=1)
     assert len(forked) == 1
