@@ -1,21 +1,20 @@
 """The acceptance checks, shared by `nlocus verify` and the test suite.
 
-Each check takes one `Run`, the points, spec and workers of a run, raises
-AssertionError (or the error of the layer it runs: a StructuralError, or
-the ValueError of an inadmissible spec) with a message naming the fixed
-point, d or weight spec at fault, and returns the value it verified so
-that tests can pin it.  CHECKS lists them in the order `nlocus verify`
-runs them.
+Each check takes the run's `localization.Bott`, its points, spec and
+workers, raises AssertionError (or the error of the layer it runs: a
+StructuralError, or the ValueError of an inadmissible spec) with a message
+naming the fixed point, d or weight spec at fault, and returns the value
+it verified so that tests can pin it.  CHECKS lists them in the order
+`nlocus verify` runs them.
 
-`d4-target`, `d5-cross-check` and `spec-independence` read one Bott pass
-over d = 4..6 under the run's spec, `Run.degrees`, taken once per run;
-`spec-independence` takes one more under a second spec.  Both passes
-share one route, kept by `localization`.
+`d4-target`, `d5-cross-check` and `spec-independence` read the run's one
+pass over d = 4..6, `Bott.degrees`; `spec-independence` takes one more
+under a second spec.  Both passes share one route, which reads the fiber
+rank count that `rank-invariants` takes over d = 4..10 once it has passed.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
@@ -38,33 +37,14 @@ from .torus import (
 QUARTIC_DEGREE = 38475  # deg NL(W,4)
 
 
-class Run:
-    """The points, spec and workers one run of the checks shares.
-
-    `degrees` is the run's one Bott pass, taken on first use and kept for
-    the life of the object.  A pass that raises is not kept: each check
-    that reads it raises the same error again.
-    """
-
-    def __init__(self, points, spec, workers):
-        self.points = points
-        self.spec = spec
-        self.workers = workers
-
-    @functools.cached_property
-    def degrees(self):
-        """The DegreeResults for d = 4, 5 and 6 under spec, in that order."""
-        return loc.degree_range(4, 6, self.spec, self.points, self.workers)
-
-
 def _require(ok, message):
     if not ok:
         raise AssertionError(message)
 
 
-def euler_census(run):
+def euler_census(bott):
     """The stratum counts, checked against the census and the blow-up Euler count."""
-    counts = fx.stratum_counts(run.points)
+    counts = fx.stratum_counts(bott.points)
     _require(counts == fx.CENSUS, f"counts {counts} != {fx.CENSUS}")
     _require(
         sum(counts) == fx.euler_characteristic_oracle(),
@@ -73,7 +53,7 @@ def euler_census(run):
     return counts
 
 
-def rank_invariants(run):
+def rank_invariants(bott):
     """16 tangent characters of degree 0, 2 pencil rows of degree 2, 19
     quartics of degree 4 and 4d standard monomials for d = 4..10 at every
     fixed point.
@@ -83,11 +63,11 @@ def rank_invariants(run):
     tangent weight and move each degree-d fiber weight by c*d.
 
     Every point's rows are checked first, so a row fault at any point is
-    reported before any rank fault.  The ranks are the Bott sums' own check,
-    `localization.check_fiber_ranks`, over d = 4..10: one count per distinct
-    cell, and a fault names the first failing d and its first point.
+    reported before any rank fault.  The ranks are the Bott sums' own count,
+    `Bott.ranks`, over d = 4..10: one count per distinct cell, kept for the
+    route, and a fault names the first failing d and its first point.
     """
-    for fp in run.points:
+    for fp in bott.points:
         if len(fp.tangent) != loc.DIM:
             raise AssertionError(
                 f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
@@ -106,10 +86,10 @@ def rank_invariants(run):
                 )
         if len(fp.quartics) != 19:
             raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
-    loc.check_fiber_ranks(run.points, range(4, 11))
+    bott.ranks(range(4, 11))
 
 
-def hilbert_oracles(run):
+def hilbert_oracles(bott):
     """hilbert_polynomial is 4t on the three orbit representatives."""
     # <x1^2, x2^2>, <x1*x2, x1^2, x2^3> and <x0^2, x0*x1, x0*x2^2, x1^4>
     for gens in (
@@ -124,25 +104,25 @@ def hilbert_oracles(run):
         )
 
 
-def localization_self_test(run):
+def localization_self_test(bott):
     """Bott's formula on c_16(T) and on 1: the sum of c_16(T)/c_16(T) over
     the fixed points is their number, and the sum of 1/c_16(T) is 0."""
-    total = loc.localization_self_test(run.points, run.spec)
-    count = len(run.points)
+    total = bott.self_test()
+    count = len(bott.points)
     _require(total == count, f"sum of ones = {total} != {count}")
     return total
 
 
-def d4_target(run):
+def d4_target(bott):
     """deg NL(W,4) is QUARTIC_DEGREE."""
-    degree = run.degrees[0].degree
+    degree = bott.degrees[0].degree
     _require(degree == QUARTIC_DEGREE, f"d=4 degree {degree} != {QUARTIC_DEGREE}")
     return degree
 
 
-def d5_cross_check(run):
+def d5_cross_check(bott):
     """deg NL(W,5) equals the published closed form at d = 5."""
-    degree = run.degrees[1].degree
+    degree = bott.degrees[1].degree
     expected = closed_form()(5)
     _require(degree == expected, f"d=5 degree {degree} != {expected}")
     return degree
@@ -163,24 +143,24 @@ def _alternate_spec(spec):
     return DEFAULT_WEIGHTS if parallel else FALLBACK_WEIGHTS
 
 
-def spec_independence(run):
+def spec_independence(bott):
     """The degrees for d = 4..6 are the same under a second admissible spec,
     one that is not an affine image of the run's (`_alternate_spec`).
 
     The second spec's pass comes first: an inadmissible second spec raises
-    the ValueError of `localization._tangent_denominators`, naming it, the
+    the ValueError of `localization.Bott.denominators`, naming it, the
     first point in list order that it kills and the character, whatever
     the run's own pass would do on such points.
     """
-    alternate = _alternate_spec(run.spec)
-    theirs = loc.degree_range(4, 6, alternate, run.points, run.workers)
-    for a, b in zip(run.degrees, theirs):
+    alternate = _alternate_spec(bott.spec)
+    theirs = bott.degree_range(4, 6, alternate)
+    for a, b in zip(bott.degrees, theirs):
         _require(
             a.degree == b.degree,
-            f"d={a.d}: {a.degree} under {run.spec.values} != {b.degree} under"
+            f"d={a.d}: {a.degree} under {bott.spec.values} != {b.degree} under"
             f" {alternate.values}",
         )
-    return [r.degree for r in run.degrees]
+    return [r.degree for r in bott.degrees]
 
 
 def _deformations(pencil, e):
@@ -194,7 +174,7 @@ def _deformations(pencil, e):
     return out
 
 
-def algebra_kernel(run):
+def algebra_kernel(bott):
     """The fiber staircase, the E1 flat limits by `e1_limit`, the Kronecker kernel.
 
     Every presentation of every E1 direction, taken to its flat limit by the

@@ -64,8 +64,7 @@ def cmd_degree(args):
         _usage_error("--d must be at least 4")
     started = time.perf_counter()
     points = fx.load_or_enumerate(args.cache)
-    spec = loc.admissible_spec(points, args.weights)
-    result = loc.degree_nl(args.d, spec, points, workers=args.threads)
+    result = loc.Bott(points, args.weights, args.threads).degree_range(args.d, args.d)[0]
     elapsed = time.perf_counter() - started
     if args.format == "json":
         doc = result.to_json()
@@ -90,8 +89,7 @@ def cmd_formula(args):
         )
     started = time.perf_counter()
     points = fx.load_or_enumerate(args.cache)
-    spec = loc.admissible_spec(points, args.weights)
-    results = loc.degree_range(args.dmin, args.dmax, spec, points, workers=args.threads)
+    results = loc.Bott(points, args.weights, args.threads).degree_range(args.dmin, args.dmax)
     fitted = interpolate([(r.d, r.degree) for r in results])
     target = closed_form()
     report = compare(fitted, target)
@@ -153,12 +151,11 @@ def cmd_fixpoints(args):
 def cmd_verify(args):
     from . import checks  # only here: no other command loads checks or limits
 
-    points = fx.load_or_enumerate(args.cache)
-    run = checks.Run(points, loc.admissible_spec(points, args.weights), args.threads)
+    bott = loc.Bott(fx.load_or_enumerate(args.cache), args.weights, args.threads)
     failures = 0
     for name, check in checks.CHECKS:
         try:
-            check(run)
+            check(bott)
         except Exception as exc:  # noqa: BLE001 - report and count any failure
             failures += 1
             print(f"FAIL {name}: {exc}")

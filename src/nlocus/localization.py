@@ -15,13 +15,17 @@ subtorus acts trivially on P^3, every tangent character has coordinate sum
 sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
-A pass reads the staircase cells of each point's quartic system from
-`FixedPoint.cells`, derived once per point and process and shared with the
-4t check and `checks.rank_invariants`.  The points are built from few
-distinct cells.  The route of a pass depends on the points' cells and ds
-only, and the last one is kept (`_route`): the fiber ranks of every d are
-checked from one packed count per distinct cell (`check_fiber_ranks`, the
-check of `checks.rank_invariants` too), the cells dead at every d are left
+A command builds one `Bott` from its loaded points, spec and workers.  It
+keeps what the command's sums share, each part once built without
+raising: the denominators of each spec, `verify`'s fiber-rank count, the
+route of each ds and the run's pass over d = 4..6.  A pass reads the
+staircase cells of each point's quartic system from `FixedPoint.cells`,
+derived once per point and process and shared with the 4t check and
+`checks.rank_invariants`.  The points are built from few distinct cells.
+The route of a pass depends on the points' cells and ds only
+(`Bott.route`): the fiber ranks of every d are checked from one packed
+count per distinct cell (`check_fiber_ranks`; `verify`'s route reads the
+count of `checks.rank_invariants`), the cells dead at every d are left
 out and the visits are planned (`torus.visit_schedule`).  Each pass makes
 each live cell a template of runs affine in d under its spec
 (`_cell_template`).  The hot path,
@@ -34,9 +38,8 @@ than once enters through its 16 elementary symmetric coefficients from
 its first application on, not weight by weight.  The summands are added
 as integers over the lcm of the points' tangent denominators, one
 Fraction per d.  The denominators specialize each distinct tangent
-character once (`_tangent_denominators`), and the last spec's are kept for
-`admissible_spec`, `localization_self_test` and the pass: the 525 points
-have 8,400 tangent characters between them, but only 230 distinct ones.
+character once: the 525 points have 8,400 tangent characters between
+them, but only 230 distinct ones.
 
 With N workers, `_localize` deals the degrees of a pass round robin,
 ds[i::n], to n = min(N, usable CPUs, len(ds)) processes (`_usable_cpus`):
@@ -52,13 +55,13 @@ and the first error are the same for any N.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
 
 from .fixpoints import StructuralError
+from .ideals import kept_on_first_read
 from .torus import WeightSpec, shared_products, specialize, visit_schedule
 
 DIM = 16  # dimension of the blown-up parameter space
@@ -195,83 +198,131 @@ class _TangentValues(dict):
         return value
 
 
-def _tangent_denominators(points, spec):
-    """Each point's Bott denominator under spec, the product of its 16
-    tangent characters specialized through one table of the distinct ones,
-    as (common, dens, scales): common = lcm |den_p|, scales[p] = common /
-    den_p.  A character that specializes to 0 is a ValueError naming the
-    spec, the first point in list order with one, and that character.
-    """
-    table = _TangentValues()
-    table.spec = spec
-    value = table.__getitem__
-    dens = [math.prod(map(value, fp.tangent)) for fp in points]
-    if 0 in dens:
-        fp = points[dens.index(0)]
-        c = next(c for c in fp.tangent if not value(c))
-        raise ValueError(
-            f"weight spec {spec.values} is not admissible: tangent character"
-            f" {c} at {fp.tag}{fp.provenance} specializes to 0"
+class Bott:
+    """The Bott sums of one command over its points, under its spec (checked
+    by `admissible_spec`) and workers."""
+
+    def __init__(self, points, spec, workers=1):
+        self.points, self.workers = points, workers
+        self._denominators, self._routes, self._ranks = {}, {}, None
+        self.spec = admissible_spec(self, spec)
+
+    def denominators(self, spec):
+        """Each point's Bott denominator under spec, built once per spec: the
+        product of its 16 tangent characters specialized through one table of
+        the distinct ones, as (common, dens, scales), common = lcm |den_p| and
+        scales[p] = common / den_p.  A character that specializes to 0 is a
+        ValueError naming the spec, the first point in list order with one,
+        and that character."""
+        if spec.values in self._denominators:
+            return self._denominators[spec.values]
+        table = _TangentValues()
+        table.spec = spec
+        value = table.__getitem__
+        dens = [math.prod(map(value, fp.tangent)) for fp in self.points]
+        if 0 in dens:
+            fp = self.points[dens.index(0)]
+            c = next(c for c in fp.tangent if not value(c))
+            raise ValueError(
+                f"weight spec {spec.values} is not admissible: tangent character"
+                f" {c} at {fp.tag}{fp.provenance} specializes to 0"
+            )
+        common = math.lcm(*dens)
+        kept = self._denominators[spec.values] = common, dens, [common // d for d in dens]
+        return kept
+
+    def ranks(self, ds):
+        """Check the fiber ranks at every d in ds (`check_fiber_ranks`), and
+        keep the count once it passes: the route of any ds it covers reads it."""
+        self._ranks = tuple(ds), *check_fiber_ranks(self.points, ds)
+
+    def route(self, ds):
+        """What a pass at ds does under any spec, built once per ds: (the live
+        cells in their order, the order of the visits, their
+        `torus.visit_schedule`).
+
+        The fiber ranks at ds are checked first, or read from the count kept
+        by `ranks`.  A cell with no monomial at any d in ds, a count of 0, is
+        dead: it is neither templated nor fed to the pass.  The live cells
+        are numbered longest first (their count at max(ds), ties by the
+        cell), each point is the sorted list of its live cells' numbers, and
+        the points are visited in lexicographic order of those lists, so
+        that a point shares its longest cells with the point before it.
+        """
+        if ds in self._routes:
+            return self._routes[ds]
+        if self._ranks and set(ds) <= set(self._ranks[0]):
+            counted, counts, field = self._ranks
+        else:
+            counted, (counts, field) = ds, check_fiber_ranks(self.points, ds)
+        mask = (1 << field) - 1
+        live = sum(mask << counted.index(d) * field for d in ds)
+        shift = counted.index(max(ds)) * field
+        cells = sorted(
+            (cell for cell, n in counts.items() if n & live),
+            key=lambda cell: (-(counts[cell] >> shift & mask), cell),
         )
-    common = math.lcm(*dens)
-    return common, dens, [common // den for den in dens]
+        at = {cell: n for n, cell in enumerate(cells)}.get
+        seqs = [sorted(n for n in map(at, fp.cells) if n is not None) for fp in self.points]
+        # freed before the schedule is built: the pass peaks there when ds is short
+        del counts, at
+        visits = sorted(range(len(seqs)), key=seqs.__getitem__)
+        kept = self._routes[ds] = cells, visits, visit_schedule(seqs[p] for p in visits)
+        return kept
+
+    def degree_range(self, dmin, dmax, spec=None):
+        """Checked DegreeResults for every d in dmin..dmax (d >= 4) under spec,
+        by default the run's, from one pass.  Every sum must be a non-negative
+        integer; at d = 4 the Pluecker-twisted sum must also be divisible by
+        4, and the degree is its quarter."""
+        if dmin < 4:
+            raise ValueError(f"degree_range needs dmin >= 4, got {dmin}")
+        if dmax < dmin:
+            raise ValueError(f"degree_range needs a non-empty range, got {dmin}..{dmax}")
+        spec = self.spec if spec is None else spec
+        ds = tuple(range(dmin, dmax + 1))
+        totals = _localize(self, ds, spec)
+        results = []
+        for d in ds:
+            degree, rest = divmod(totals[d], 4 if d == 4 else 1)
+            if rest or degree < 0:
+                raise StructuralError(
+                    f"localization sum for d={d} is {totals[d]}, not a non-negative"
+                    f" integer{' divisible by 4' if d == 4 else ''}"
+                )
+            results.append(DegreeResult(d, degree, spec, len(self.points)))
+        return results
+
+    @kept_on_first_read
+    def degrees(self):
+        """The run's one pass: the DegreeResults for d = 4, 5 and 6 under its spec."""
+        return self.degree_range(4, 6)
+
+    def self_test(self):
+        """Bott's formula on the classes c_16(T) and 1; returns the number of points.
+
+        The sum of c_16(T)/c_16(T) over the fixed points is their number, and
+        the sum of 1/c_16(T) is the integral of 1 over the 16-dimensional
+        space, which is 0.  Both sums run over the common denominator of the
+        Bott sums; a nonzero second sum raises StructuralError giving it.
+        """
+        common, dens, scales = self.denominators(self.spec)
+        vanishing = Fraction(sum(scales), common)
+        if vanishing:
+            raise StructuralError(
+                f"sum of 1/c_16(T) over {len(self.points)} fixed points is"
+                f" {vanishing}, not 0, under {self.spec.values}"
+            )
+        return Fraction(sum(s * den for s, den in zip(scales, dens)), common)
 
 
-def _kept(memo, key, parts, build, *args):
-    """build(*args), or the one value memo keeps for an equal key and the
-    same parts (`is`); it holds them, so no id is reused.  A raise keeps
-    nothing."""
-    if memo and memo[0] == key and len(memo[1]) == len(parts):
-        if all(map(operator.is_, memo[1], parts)):
-            return memo[2]
-    memo[:] = key, parts, build(*args)
-    return memo[2]
-
-
-_DENOMINATORS, _ROUTE = [], []  # the last `_common_denominator`, `_route`
-
-
-def _common_denominator(points, spec):
-    """`_tangent_denominators`, the last one kept for the same spec values
-    and `tangent` tuples (`_kept`): one table of characters per spec."""
-    parts = [fp.tangent for fp in points]
-    return _kept(_DENOMINATORS, spec.values, parts, _tangent_denominators, points, spec)
-
-
-def _route(points, ds):
-    """What a Bott pass over points at ds does under any spec: (the live
-    cells in their order, the order of the visits, their
-    `torus.visit_schedule`).
-
-    The fiber ranks are checked first (`check_fiber_ranks`).  A cell with no
-    monomial at any d in ds, a count of 0, is dead: it is neither templated
-    nor fed to the pass.  The live cells are numbered longest first (their
-    count at max(ds), ties by the cell), each point is the sorted list of
-    its live cells' numbers, and the points are visited in lexicographic
-    order of those lists, so that a point shares its longest cells with the
-    point before it.
-    """
-    counts, field = check_fiber_ranks(points, ds)
-    shift, mask = ds.index(max(ds)) * field, (1 << field) - 1
-    cells = sorted(
-        (cell for cell, n in counts.items() if n),
-        key=lambda cell: (-(counts[cell] >> shift & mask), cell),
-    )
-    number = {cell: n for n, cell in enumerate(cells)}
-    seqs = [sorted(n for n in map(number.get, fp.cells) if n is not None) for fp in points]
-    # freed before the schedule is built: the pass peaks there when ds is short
-    del counts, number
-    visits = sorted(range(len(points)), key=seqs.__getitem__)
-    return cells, visits, visit_schedule(seqs[p] for p in visits)
-
-
-def _sum_chunk(bott, ds):
-    """The numerators over the common denominator of the pass bott, (scales,
+def _sum_chunk(plan, ds):
+    """The numerators over the common denominator of the pass plan, (scales,
     plucker, live, visits, schedule) from `_localize`, at each d in ds: each
     d only expands the live cells' templates into weights and runs the
     schedule, one Kronecker pass shared by the points (`shared_products`).
     """
-    scales, plucker, live, visits, schedule = bott
+    scales, plucker, live, visits, schedule = plan
     sums = {}
     weights = [()] * len(live)
     for d in ds:
@@ -285,8 +336,8 @@ def _sum_chunk(bott, ds):
     return sums
 
 
-def _fork_sum(bott, ds):
-    """Fork a child that runs bott at ds; (its pid, the read end of its pipe).
+def _fork_sum(plan, ds):
+    """Fork a child that runs plan at ds; (its pid, the read end of its pipe).
 
     The child writes one pickled result, its numerators or their exception,
     and leaves through os._exit, with status 0 only once the whole result is
@@ -308,7 +359,7 @@ def _fork_sum(bott, ds):
     try:
         os.close(read)
         try:
-            result = _sum_chunk(bott, ds)
+            result = _sum_chunk(plan, ds)
         except Exception as exc:  # noqa: BLE001 - raised again in the parent
             result = exc
         with open(write, "wb") as pipe:
@@ -348,31 +399,28 @@ def _usable_cpus():
     return os.cpu_count() or 1
 
 
-def _localize(points, ds, spec, workers):
-    """Exact Bott sums for each degree in ds (4 means the Pluecker-twisted sum).
-
-    The denominators, the plan and the Pluecker weights of the pass are
-    worked out once, here.  Whether workers > 1 needs os.fork is decided on
-    the requested number, not on the machine.
-    """
-    if workers > 1 and not hasattr(os, "fork"):
-        raise ValueError(f"{workers} workers need os.fork, which this platform lacks")
+def _localize(bott, ds, spec):
+    """Exact Bott sums of bott's points under spec for each degree in ds (4
+    means the Pluecker-twisted sum), with bott's workers.  The cell
+    templates and the Pluecker weights of the pass are worked out once,
+    here.  Whether workers > 1 needs os.fork is decided on the requested
+    number, not on the machine."""
+    if bott.workers > 1 and not hasattr(os, "fork"):
+        raise ValueError(f"{bott.workers} workers need os.fork, which this platform lacks")
     ds = tuple(ds)
-    common, _, scales = _common_denominator(points, spec)
+    common, _, scales = bott.denominators(spec)
     low = min(spec.values)
     shifted = WeightSpec(v - low for v in spec.values)
-    plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in points]
-    # the route is kept per point set and ds, the cell templates built per spec
-    parts = [fp.cells for fp in points]
-    cells, visits, schedule = _kept(_ROUTE, ds, parts, _route, points, ds)
+    plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in bott.points]
+    cells, visits, schedule = bott.route(ds)
     live = [_cell_template(cell, shifted.values) for cell in cells]
-    bott = (scales, plucker, live, visits, schedule)
-    n = min(workers, _usable_cpus(), len(ds))
+    plan = (scales, plucker, live, visits, schedule)
+    n = min(bott.workers, _usable_cpus(), len(ds))
     children = []
     try:
         for i in range(1, n):
-            children.append((ds[i::n], *_fork_sum(bott, ds[i::n])))
-        sums = _sum_chunk(bott, ds[::n])
+            children.append((ds[i::n], *_fork_sum(plan, ds[i::n])))
+        sums = _sum_chunk(plan, ds[::n])
     finally:
         parts = [(part, *_reap(pid, read)) for part, pid, read in children]
     for part in parts:
@@ -381,27 +429,9 @@ def _localize(points, ds, spec, workers):
 
 
 def degree_range(dmin, dmax, spec, points, workers=1):
-    """Checked DegreeResults for every d in dmin..dmax (d >= 4), one localization pass.
-
-    Every sum must be a non-negative integer.  At d = 4 the Pluecker-twisted
-    sum must also be divisible by 4, and the degree is its quarter.
-    """
-    if dmin < 4:
-        raise ValueError(f"degree_range needs dmin >= 4, got {dmin}")
-    if dmax < dmin:
-        raise ValueError(f"degree_range needs a non-empty range, got {dmin}..{dmax}")
-    ds = list(range(dmin, dmax + 1))
-    totals = _localize(points, ds, spec, workers)
-    results = []
-    for d in ds:
-        degree, rest = divmod(totals[d], 4 if d == 4 else 1)
-        if rest or degree < 0:
-            raise StructuralError(
-                f"localization sum for d={d} is {totals[d]}, not a non-negative"
-                f" integer{' divisible by 4' if d == 4 else ''}"
-            )
-        results.append(DegreeResult(d, degree, spec, len(points)))
-    return results
+    """`Bott.degree_range` of a Bott of its own: the checked DegreeResults
+    for every d in dmin..dmax (d >= 4), one localization pass."""
+    return Bott(points, spec, workers).degree_range(dmin, dmax)
 
 
 def degree_nl(d, spec, points, workers=1):
@@ -410,29 +440,17 @@ def degree_nl(d, spec, points, workers=1):
 
 
 def localization_self_test(points, spec):
-    """Bott's formula on the classes c_16(T) and 1; returns the number of points.
+    """`Bott.self_test` of a Bott of its own; returns the number of points."""
+    return Bott(points, spec).self_test()
 
-    The sum of c_16(T)/c_16(T) over the fixed points is their number, and
-    the sum of 1/c_16(T) is the integral of 1 over the 16-dimensional space,
-    which is 0.  Both sums run over the common denominator of the Bott sums;
-    a nonzero second sum raises StructuralError giving it.
+
+def admissible_spec(bott, spec):
+    """spec, once no tangent character of any of bott's points specializes
+    to 0 under it.
+
+    An inadmissible spec raises the ValueError of `Bott.denominators`,
+    naming the spec, the first point at fault and its killed character;
+    bott keeps the denominators of an admissible one.
     """
-    common, dens, scales = _common_denominator(points, spec)
-    vanishing = Fraction(sum(scales), common)
-    if vanishing:
-        raise StructuralError(
-            f"sum of 1/c_16(T) over {len(points)} fixed points is {vanishing},"
-            f" not 0, under {spec.values}"
-        )
-    return Fraction(sum(s * den for s, den in zip(scales, dens)), common)
-
-
-def admissible_spec(points, spec):
-    """spec, once no tangent character of any point specializes to 0 under it.
-
-    An inadmissible spec raises the ValueError of `_tangent_denominators`,
-    naming the spec, the first point at fault and its killed character.
-    The denominators are kept for the sums under spec (`_common_denominator`).
-    """
-    _common_denominator(points, spec)
+    bott.denominators(spec)
     return spec

@@ -128,14 +128,6 @@ def one_cpu(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
 
 
-@pytest.fixture
-def nothing_kept(monkeypatch):
-    """The Bott sums start with no kept route and no kept denominators, so a
-    test that counts what they build does not depend on the tests before it."""
-    monkeypatch.setattr(loc, "_ROUTE", [])
-    monkeypatch.setattr(loc, "_DENOMINATORS", [])
-
-
 @pytest.fixture(scope="session")
 def saturation_limit():
     """The Buchberger route to an E1 flat limit, the oracle of `limits.e1_limit`.

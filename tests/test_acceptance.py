@@ -27,7 +27,7 @@ def report(n, text):
 
 
 def test_criterion_1_quartic_surface_headline(points, weights):
-    assert checks.d4_target(checks.Run(points, weights, 1)) == 38475
+    assert checks.d4_target(loc.Bott(points, weights)) == 38475
     report(1, "degree --d 4 returns exactly 38475")
 
 
@@ -39,7 +39,7 @@ def test_criterion_2_formula_reproduction(points, weights):
     target = closed_form()
     outcome = compare(fitted, target)
     assert outcome.equal, str(outcome)
-    assert checks.d5_cross_check(checks.Run(points, weights, 1)) == results[0].degree
+    assert checks.d5_cross_check(loc.Bott(points, weights)) == results[0].degree
     # leading inner coefficient and divisor, recovered from the fit itself
     inner = inner_polynomial(fitted)
     assert inner is not None
@@ -49,14 +49,14 @@ def test_criterion_2_formula_reproduction(points, weights):
 
 
 def test_criterion_3_fixed_point_census(points, weights):
-    counts = checks.euler_census(checks.Run(points, weights, 1))
+    counts = checks.euler_census(loc.Bott(points, weights))
     assert counts == (21, 180, 324)
     assert sum(counts) == 525 == fx.euler_characteristic_oracle() == 45 + 24 * 8 + 36 * 8
     report(3, "census (21, 180, 324), total 525, matches the Euler oracle")
 
 
 def test_criterion_4_rank_invariants(points, weights):
-    checks.rank_invariants(checks.Run(points, weights, 1))
+    checks.rank_invariants(loc.Bott(points, weights))
     report(
         4, "every quartic system has 19 independent quartics and fiber rank 4d, d=4..10"
     )
@@ -67,7 +67,7 @@ def test_rank_invariants_names_a_point_with_a_repeated_tangent_character(points,
     bad = fp._replace(tangent=tuple(sorted(fp.tangent + fp.tangent[:1])))
     message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(checks.Run([bad], weights, 1))
+        checks.rank_invariants(loc.Bott([bad], weights))
 
 
 @pytest.mark.parametrize(
@@ -87,7 +87,7 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
     bad = fp._replace(**{field: (row,) + rows[1:]})
     message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(checks.Run([bad], weights, 1))
+        checks.rank_invariants(loc.Bott([bad], weights))
 
 
 def _repeated_quartic(fp):
@@ -100,7 +100,7 @@ def test_rank_invariants_names_a_point_with_a_repeated_quartic(points, weights):
     altered = points[:300] + [_repeated_quartic(points[300])] + points[301:]
     message = "fiber rank 17 != 16 at E2(11, 0), d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(checks.Run(altered, weights, 1))
+        checks.rank_invariants(loc.Bott(altered, weights))
 
 
 def test_rank_invariants_reports_a_row_fault_before_any_rank_fault(points, weights):
@@ -111,7 +111,7 @@ def test_rank_invariants_reports_a_row_fault_before_any_rank_fault(points, weigh
     altered += [bad] + points[401:]
     message = f"{fp.tag}{fp.provenance}: 17 tangent characters != 16"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(checks.Run(altered, weights, 1))
+        checks.rank_invariants(loc.Bott(altered, weights))
 
 
 @pytest.mark.parametrize("first, second", [(300, 400), (400, 300)])
@@ -124,16 +124,16 @@ def test_rank_invariants_names_the_first_bad_point_in_list_order(
     fp = points[first]
     message = f"fiber rank 17 != 16 at {fp.tag}{fp.provenance}, d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(checks.Run(altered, weights, 1))
+        checks.rank_invariants(loc.Bott(altered, weights))
 
 
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):
-    checks.hilbert_oracles(checks.Run(points, weights, 1))
+    checks.hilbert_oracles(loc.Bott(points, weights))
     report(5, "hilbert_polynomial returns 4t on the three orbit representatives")
 
 
 def test_criterion_6_localization_self_test(points, weights, unshared_sum):
-    assert checks.localization_self_test(checks.Run(points, weights, 1)) == 525
+    assert checks.localization_self_test(loc.Bott(points, weights)) == 525
     raw = unshared_sum(4, weights, True)
     assert raw % 4 == 0
     assert raw == 153900
@@ -141,12 +141,12 @@ def test_criterion_6_localization_self_test(points, weights, unshared_sum):
 
 
 def test_criterion_7_spec_independence(points, weights):
-    assert checks.spec_independence(checks.Run(points, weights, 1))[0] == 38475
+    assert checks.spec_independence(loc.Bott(points, weights))[0] == 38475
     report(7, "degrees for d=4..6 agree for weight specs (0,1,5,18) and (0,1,7,23)")
 
 
 def test_criterion_8_algebra_kernel(points, weights):
-    assert checks.algebra_kernel(checks.Run(points, weights, 1)) == 252
+    assert checks.algebra_kernel(loc.Bott(points, weights)) == 252
     report(
         8,
         "20 standard monomials of <x0^2, x1^2> at d=5; e-string elimination gives"
@@ -172,12 +172,12 @@ def test_spec_independence_never_compares_an_affine_image(
     compared = []
     real = loc._localize
 
-    def recording(some, ds, spec, workers):
+    def recording(bott, ds, spec):
         compared.append((spec.values, list(ds)))
-        return real(some, ds, spec, workers)
+        return real(bott, ds, spec)
 
     monkeypatch.setattr(loc, "_localize", recording)
-    assert checks.spec_independence(checks.Run(points, WeightSpec(values), 1))[0] == 38475
+    assert checks.spec_independence(loc.Bott(points, WeightSpec(values)))[0] == 38475
     assert compared == [(alternate, [4, 5, 6]), (values, [4, 5, 6])]
 
 
@@ -187,9 +187,9 @@ def test_spec_independence_fails_on_inadmissible_alternate(points, weights):
     bad = list(points)
     fp = bad[200]
     bad[200] = fp._replace(tangent=tuple(sorted(fp.tangent + ((0, 7, -1, 0),))))
-    assert loc.admissible_spec(bad, weights) is weights
+    bott = loc.Bott(bad, weights)
     with pytest.raises(ValueError) as info:
-        checks.spec_independence(checks.Run(bad, weights, 1))
+        checks.spec_independence(bott)
     message = str(info.value)
     assert "(0, 1, 7, 23) is not admissible" in message
     assert f"(0, 7, -1, 0) at {fp.tag}{fp.provenance}" in message

@@ -105,9 +105,9 @@ def test_formula_text_output(capsys, cache_path, monkeypatch):
     # the closed form's values stand in for the Bott sums, which criterion 2 tests
     nodes = {d: closed_form()(d) for d in range(5, 54)}
     monkeypatch.setattr(
-        loc,
+        loc.Bott,
         "degree_range",
-        lambda dmin, dmax, *_, **__: [
+        lambda self, dmin, dmax, *_: [
             SimpleNamespace(d=d, degree=nodes[d]) for d in range(dmin, dmax + 1)
         ],
     )
@@ -289,9 +289,9 @@ def test_verify_takes_one_bott_pass_per_spec(
     passes = []
     real = loc._localize
 
-    def recording(points, ds, spec, workers):
+    def recording(bott, ds, spec):
         passes.append((spec.values, list(ds)))
-        return real(points, ds, spec, workers)
+        return real(bott, ds, spec)
 
     monkeypatch.setattr(loc, "_localize", recording)
     weights = "--weights=" + ",".join(map(str, values))
@@ -309,11 +309,11 @@ def test_a_failed_pass_fails_each_check_that_reads_it(
     calls = []
     real = loc._localize
 
-    def failing(points, ds, spec, workers):
+    def failing(bott, ds, spec):
         if spec == weights:
             calls.append(spec)
             raise fx.StructuralError(message)
-        return real(points, ds, spec, workers)
+        return real(bott, ds, spec)
 
     monkeypatch.setattr(loc, "_localize", failing)
     code, out, _ = run(capsys, "verify", "--cache", str(cache_path))
@@ -332,9 +332,9 @@ def gc_states(monkeypatch):
     states = []
     real = loc.admissible_spec
 
-    def recording(points, spec):
+    def recording(bott, spec):
         states.append((gc.isenabled(), gc.get_freeze_count()))
-        return real(points, spec)
+        return real(bott, spec)
 
     monkeypatch.setattr(loc, "admissible_spec", recording)
     return states
@@ -442,7 +442,7 @@ def test_running_out_of_memory_is_an_error_line(monkeypatch, capsys, cache_path,
     def exhausted(*args, **kwargs):
         raise MemoryError
 
-    monkeypatch.setattr(loc, "degree_range", exhausted)
+    monkeypatch.setattr(loc.Bott, "degree_range", exhausted)
     code, out, err = run(capsys, *command, "--cache", str(cache_path))
     assert (code, out) == (1, "")
     assert err == f"error: out of memory in nlocus {command[0]}\n"

@@ -7,6 +7,7 @@ import pytest
 
 from nlocus import checks, gbcore, ideals, limits, poly
 from nlocus import fixpoints as fx
+from nlocus import localization as loc
 from nlocus.formula import UnivariateRationalPoly
 from nlocus.ideals import (
     Ideal,
@@ -478,7 +479,7 @@ def test_algebra_kernel_runs_every_saturation(monkeypatch):
     monkeypatch.setattr(ideals, "saturate_t", counting("saturate_t", saturate))
     monkeypatch.setattr(gbcore, "groebner", counting("groebner", groebner))
     monkeypatch.setattr(checks, "e1_limit", counting("e1_limit", limit))
-    assert checks.algebra_kernel(checks.Run(None, None, 1)) == 252
+    assert checks.algebra_kernel(None) == 252
     assert calls == {"saturate_t": 0, "groebner": 0, "e1_limit": 252}
 
 
@@ -492,9 +493,9 @@ def test_every_check_runs_without_buchberger(monkeypatch, points, weights):
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(poly, "parse", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse)
-    run = checks.Run(points, weights, 1)
+    bott = loc.Bott(points, weights)
     for _, check in checks.CHECKS:
-        check(run)
+        check(bott)
 
 
 def _saturation_without(text):
@@ -561,7 +562,7 @@ def test_algebra_kernel_names_a_swapped_extra_cubic(monkeypatch):
         f" limit cubics {swapped} != e-string limit {a.limit_cubics}"
     )
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.algebra_kernel(checks.Run(None, None, 1))
+        checks.algebra_kernel(None)
 
 
 def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
@@ -578,7 +579,7 @@ def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
     monkeypatch.setattr(checks, "_deformations", lambda pair, e: [pencil])
     message = f"E1 direction {direction} over pair {z.pair_index}: {message}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.algebra_kernel(checks.Run(None, None, 1))
+        checks.algebra_kernel(None)
 
 
 def _echelon_lows(units, lows, pe):

@@ -17,6 +17,7 @@ from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus import torus
+from nlocus.cli import main
 from nlocus.fixpoints import G2, StructuralError
 from nlocus.ideals import quartic_cells, staircase_cells, staircase_runs, standard_monomials
 from nlocus.formula import closed_form
@@ -32,6 +33,11 @@ from nlocus.torus import (
 
 def mono(text):
     return parse(text).lm()
+
+
+def _sums(points, ds, spec):
+    """The raw Bott sums of one pass over points at ds under spec."""
+    return loc._localize(loc.Bott(points, spec), ds, spec)
 
 
 def _pencil_point(points):
@@ -85,7 +91,7 @@ def test_contribution_numerator_against_subset_oracle(points, weights, unshared_
         brute += term
     summand = Fraction(brute, math.prod(specialize(c, weights) for c in fp.tangent))
     assert unshared_sum(5, weights, False, [fp]) == summand
-    assert loc._localize([fp], [5], weights, 1)[5] == summand
+    assert _sums([fp], [5], weights)[5] == summand
 
 
 def test_tangent_denominator_paper_factors(points, weights):
@@ -97,7 +103,7 @@ def test_tangent_denominator_paper_factors(points, weights):
     prod = 1
     for v in values:
         prod *= v
-    _, dens, _ = loc._common_denominator([fp], weights)
+    _, dens, _ = loc.Bott([fp], weights).denominators(weights)
     assert dens == [prod]
 
 
@@ -112,16 +118,17 @@ def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weigh
     flipped = tuple(sorted(fp.tangent[1:] + (tuple(-e for e in c),)))
     bad = fp._replace(tangent=flipped)
     altered = points[:100] + [bad] + points[101:]
-    _, dens, _ = loc._common_denominator(altered, weights)
+    bott = loc.Bott(altered, weights)
+    _, dens, _ = bott.denominators(weights)
     expected = -2 * Fraction(1, math.prod(specialize(c, weights) for c in fp.tangent))
     assert sum(Fraction(1, den) for den in dens) == expected
     with pytest.raises(StructuralError, match=f"sum of 1/c_16.T. over 525 fixed points is {expected}, not 0"):
-        checks.localization_self_test(checks.Run(altered, weights, 1))
+        checks.localization_self_test(bott)
 
 
 def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
-    loc._localize([fp], [7], weights, 1)  # the true cell list passes the rank check
+    _sums([fp], [7], weights)  # the true cell list passes the rank check
     cells = fp.cells
     used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
@@ -211,23 +218,24 @@ def test_a_dropped_live_cell_names_the_point_and_its_first_failing_d(
 def test_a_dropped_cell_fails_rank_invariants_and_the_pass_alike(
     points, weights, cell, message, in_pass
 ):
-    # one corrupted cell list, read by `verify`'s rank check and by its pass
+    # one corrupted cell list, read by `verify`'s rank check and by its pass:
+    # the pass reuses no count that failed
     fp = points[156]
     bad = fp._replace()
     vars(bad)["cells"] = [c for c in fp.cells if c != cell]
     assert len(bad.cells) == len(fp.cells) - 1
-    altered = points[:156] + [bad] + points[157:]
+    bott = loc.Bott(points[:156] + [bad] + points[157:], weights)
     match = f"^{re.escape(message)}$"
     with pytest.raises(StructuralError, match=match):
-        checks.rank_invariants(checks.Run(altered, weights, 1))
+        checks.rank_invariants(bott)
     if in_pass:
         with pytest.raises(StructuralError, match=match):
-            loc.degree_range(4, 6, weights, altered)
+            checks.d4_target(bott)
     else:
-        assert loc.degree_range(4, 6, weights, altered)[0].degree == 38475
+        assert checks.d4_target(bott) == 38475
 
 
-def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, nothing_kept, points, weights):
+def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights):
     # 49 degrees, one schedule, and one template per live cell: 353 of the
     # 401 distinct cells have a monomial at some d = 5..53
     planned, templated = [], []
@@ -250,7 +258,7 @@ def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, nothing_kept, p
 
 
 def test_run_degrees_and_spec_independence_share_one_route(
-    monkeypatch, nothing_kept, points, weights
+    monkeypatch, capsys, tmp_path, two_cpus, points, weights
 ):
     # verify's two passes over d = 4..6, one per spec, check the ranks and
     # plan the visits once between them; each builds its own templates
@@ -269,17 +277,26 @@ def test_run_degrees_and_spec_independence_share_one_route(
         return template(cell, values)
 
     monkeypatch.setattr(loc, "_cell_template", templating)
-    run = checks.Run(points, weights, 1)
-    assert checks.spec_independence(run) == [38475, *map(closed_form(), (5, 6))]
+    bott = loc.Bott(points, weights)
+    assert checks.spec_independence(bott) == [38475, *map(closed_form(), (5, 6))]
     assert calls == {"check_fiber_ranks": 1, "visit_schedule": 1}
     theirs, ours = templated[: len(templated) // 2], templated[len(templated) // 2 :]
     assert [cell for cell, _ in theirs] == [cell for cell, _ in ours]
     assert {values for _, values in ours} == {weights.values}
+    # a whole `nlocus verify` counts the ranks once, with 1 worker or 2:
+    # `rank-invariants` counts them over d = 4..10, and the route reads that
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    for workers in (1, 2):
+        calls.clear()
+        assert main(["verify", "--threads", str(workers), "--cache", str(path)]) == 0
+        assert capsys.readouterr().out.endswith("\nverify: ok\n")
+        assert calls == {"check_fiber_ranks": 1, "visit_schedule": 1}, workers
 
 
 def test_a_point_with_other_cells_gets_its_own_route(points, weights):
-    # the kept route of the true points does not serve a point whose cells
-    # were replaced: its dropped cell, first live at d = 7, fails the ranks
+    # the route of the true points does not serve a point whose cells were
+    # replaced: its dropped cell, first live at d = 7, fails the ranks
     assert loc.degree_range(4, 8, weights, points)[0].degree == 38475
     fp = points[156]
     bad = fp._replace()
@@ -291,16 +308,16 @@ def test_a_point_with_other_cells_gets_its_own_route(points, weights):
         loc.degree_range(4, 8, weights, altered)
 
 
-def test_a_failed_route_or_spec_is_not_kept(nothing_kept, points, weights):
+def test_a_failed_route_or_spec_is_not_kept(points, weights):
     fp = points[156]
     bad = fp._replace()
     vars(bad)["cells"] = [c for c in fp.cells if c != ((1, 2, 1), (), 1, 4)]
-    altered = points[:156] + [bad] + points[157:]
+    bott = loc.Bott(points[:156] + [bad] + points[157:], weights)
     message = "fiber rank 15 != 16 at G2E1(18, 0), d=4"
     for _ in range(2):
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-            loc.degree_range(4, 6, weights, altered)
-    assert loc._ROUTE == []
+            bott.degrees
+    assert (bott._ranks, bott._routes, "degrees" in vars(bott)) == (None, {}, False)
     spec = WeightSpec((0, 1, 2, 3))
     message = (
         "weight spec (0, 1, 2, 3) is not admissible: tangent character"
@@ -308,9 +325,22 @@ def test_a_failed_route_or_spec_is_not_kept(nothing_kept, points, weights):
     )
     for _ in range(2):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            loc.admissible_spec(points, spec)
-    # what the failed pass kept before its route failed, and nothing newer
-    assert loc._DENOMINATORS[0] == weights.values
+            loc.admissible_spec(bott, spec)
+    # the run's spec, checked when the object was built, and nothing newer
+    assert list(bott._denominators) == [weights.values]
+
+
+def test_localization_keeps_no_module_level_state(points, weights):
+    # what a command's sums share lives in its Bott, so no pass leaves a
+    # list, dict or set in the module for a later one to read
+    assert checks.spec_independence(loc.Bott(points, weights))[0] == 38475
+    assert loc.degree_nl(4, weights, points).degree == 38475
+    kept = [
+        name
+        for name, value in vars(loc).items()
+        if not name.startswith("__") and isinstance(value, (list, dict, set))
+    ]
+    assert kept == []
 
 
 def _replace_quartic_cells(monkeypatch, replacement):
@@ -352,7 +382,7 @@ def test_a_cache_hit_derives_no_cells(monkeypatch, tmp_path, points, weights):
 
     _replace_quartic_cells(monkeypatch, refuse)
     loaded = fx.load_cache(path)
-    checks.rank_invariants(checks.Run(loaded, weights, 1))
+    checks.rank_invariants(loc.Bott(loaded, weights))
     assert loc.degree_range(4, 6, weights, loaded)[0].degree == 38475
     monkeypatch.undo()
     assert len(loaded) == 525
@@ -389,23 +419,23 @@ def test_forked_workers_match_one_worker(tmp_path, two_cpus, forked, points, wei
 
 
 def test_a_pass_with_two_workers_plans_once(
-    monkeypatch, tmp_path, nothing_kept, two_cpus, forked, points, weights
+    monkeypatch, tmp_path, two_cpus, forked, points, weights
 ):
     # the route and each cell template append the pid of their process to a
     # file that a forked worker would write to as well
     log = tmp_path / "plans"
-    for name in ("_route", "_cell_template"):
+    for owner, name in ((loc.Bott, "route"), (loc, "_cell_template")):
 
-        def planning(*args, real=getattr(loc, name), name=name):
+        def planning(*args, real=getattr(owner, name), name=name):
             with open(log, "a") as f:
                 f.write(f"{name} {os.getpid()}\n")
             return real(*args)
 
-        monkeypatch.setattr(loc, name, planning)
+        monkeypatch.setattr(owner, name, planning)
     assert loc.degree_range(4, 6, weights, points, workers=2)[0].degree == 38475
     lines = Counter(log.read_text().splitlines())
-    assert set(lines) == {f"_route {os.getpid()}", f"_cell_template {os.getpid()}"}
-    assert (lines[f"_route {os.getpid()}"], len(forked)) == (1, 1)
+    assert set(lines) == {f"route {os.getpid()}", f"_cell_template {os.getpid()}"}
+    assert (lines[f"route {os.getpid()}"], len(forked)) == (1, 1)
 
 
 def _no_child_left():
@@ -521,7 +551,7 @@ def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights
 def test_shared_pass_matches_an_unshared_oracle(points, unshared_sum, values):
     spec = WeightSpec(values)
     ds = range(4, 10)
-    totals = loc._localize(points, ds, spec, 1)
+    totals = _sums(points, ds, spec)
     assert totals == {d: unshared_sum(d, spec, d == 4) for d in ds}
 
 
@@ -601,7 +631,7 @@ def test_plucker_powers_integrate_to_the_degree_of_the_grassmannian(points, valu
     # of H^16 is its degree, the Catalan number C_8, and that of H^k, k < 16,
     # is 0 on the 16-dimensional space
     spec = WeightSpec(values)
-    common, _, scales = loc._common_denominator(points, spec)
+    common, _, scales = loc.Bott(points, spec).denominators(spec)
     h = [-sum(specialize(c, spec) for c in fp.pencil_chars) for fp in points]
 
     def integral(k):
@@ -620,7 +650,7 @@ def test_untwisted_sum_at_d4_is_the_closed_form_at_4(unshared_sum, values):
 
 def test_common_denominator_sum_is_exact(points, weights, unshared_sum):
     ds = range(4, 8)
-    totals = loc._localize(points, ds, weights, 1)
+    totals = _sums(points, ds, weights)
     for d in ds:
         assert totals[d] == unshared_sum(d, weights, d == 4)
     results = loc.degree_range(4, 7, weights, points)
@@ -656,7 +686,7 @@ def test_degree_range_rejects_an_empty_range(points, weights):
 def test_degree_nl_d4_headline(points, weights):
     result = loc.degree_nl(4, weights, points)
     assert result.degree == 38475
-    raw = loc._localize(points, [4], weights, 1)[4]
+    raw = _sums(points, [4], weights)[4]
     assert raw == 4 * 38475 == 153900
 
 
@@ -715,7 +745,8 @@ def test_usable_cpus_without_an_affinity_mask(monkeypatch):
 
 
 def test_admissible_spec_returns_the_spec_or_names_the_point(points, weights):
-    assert loc.admissible_spec(points, weights) is weights
+    bott = loc.Bott(points, weights)
+    assert bott.spec is loc.admissible_spec(bott, weights) is weights
     bad = WeightSpec((0, 1, 2, 3))
     fp = next(p for p in points if not check_generic(bad, [p.tangent]))
     with pytest.raises(
@@ -723,7 +754,7 @@ def test_admissible_spec_returns_the_spec_or_names_the_point(points, weights):
         match=re.escape("(0, 1, 2, 3) is not admissible: tangent character (")
         + rf"[-\d, ]+\) at {re.escape(f'{fp.tag}{fp.provenance}')} specializes to 0",
     ):
-        loc.admissible_spec(points, bad)
+        loc.admissible_spec(bott, bad)
 
 
 def test_degree_result_json(points, weights):
@@ -736,12 +767,10 @@ def test_degree_result_json(points, weights):
     }
 
 
-def test_each_distinct_tangent_character_is_specialized_once(
-    monkeypatch, nothing_kept, points, weights
-):
+def test_each_distinct_tangent_character_is_specialized_once(monkeypatch, points, weights):
     # 8,400 tangent characters over the 525 points, 230 of them distinct:
-    # admissible_spec, localization_self_test and a pass under one spec
-    # specialize each once between them, 230 calls and not 690
+    # the spec's check, the self test and a pass of one Bott specialize
+    # each once between them, 230 calls and not 690
     calls = Counter()
 
     def counted(c, spec):
@@ -753,12 +782,12 @@ def test_each_distinct_tangent_character_is_specialized_once(
     distinct = {c for fp in points for c in fp.tangent}
     assert len(distinct) == 230
     for spec in (weights, FALLBACK_WEIGHTS):
-        assert loc.admissible_spec(points, spec) is spec
-        assert loc.localization_self_test(points, spec) == 525
-        assert loc.degree_nl(4, spec, points).degree == 38475
+        bott = loc.Bott(points, spec)
+        assert bott.self_test() == 525
+        assert bott.degree_range(4, 4)[0].degree == 38475
         assert calls == {(c, spec.values): 1 for c in distinct}
         calls.clear()
-    common, dens, _ = loc._common_denominator(points, weights)
+    common, dens, _ = loc.Bott(points, weights).denominators(weights)
     assert calls == {(c, weights.values): 1 for c in distinct}
     assert dens == [math.prod(specialize(c, weights) for c in fp.tangent) for fp in points]
     assert common == math.lcm(*dens)
@@ -792,7 +821,7 @@ def test_an_inadmissible_spec_names_the_first_point_in_list_order(
     assert f" at {faulty[0].tag}{faulty[0].provenance} " in message
     pattern = f"^{re.escape(message)}$"
     for run in (
-        loc.admissible_spec,
+        loc.Bott,
         loc.localization_self_test,
         lambda pts, spec: loc.degree_nl(4, spec, pts),
     ):
@@ -805,10 +834,11 @@ def test_sums_under_alternating_specs_share_no_table(points):
     # next spec's sums wrong denominators
     cf = closed_form()
     want = {4: 4 * 38475, 5: cf(5), 6: cf(6), 7: cf(7)}
+    bott = loc.Bott(points, WeightSpec((0, 1, 5, 18)))
     for values in ((0, 1, 5, 18), (0, 1, 7, 23), (0, 1, 5, 18)):
         spec = WeightSpec(values)
-        assert loc._localize(points, range(4, 8), spec, 1) == want, values
-        assert [r.degree for r in loc.degree_range(4, 7, spec, points)] == [
+        assert loc._localize(bott, range(4, 8), spec) == want, values
+        assert [r.degree for r in bott.degree_range(4, 7, spec)] == [
             38475,
             *(want[d] for d in range(5, 8)),
         ]
