@@ -23,7 +23,7 @@ from . import fixpoints as fx
 from . import localization as loc
 from .formula import closed_form
 from .limits import e1_limit
-from .ideals import hilbert_polynomial, standard_monomials
+from .ideals import hilbert_polynomial, quartic_bits, quartics_of_bits, standard_monomials
 from .poly import render_monomial
 from .torus import (
     DEFAULT_WEIGHTS,
@@ -56,7 +56,7 @@ def euler_census(bott):
 def rank_invariants(bott):
     """16 tangent characters of degree 0, 2 pencil rows of degree 2, 19
     quartics of degree 4 and 4d standard monomials for d = 4..10 at every
-    fixed point.
+    fixed point, whose quartics hold every quartic multiple of its pencil.
 
     The degrees are what make the Bott sums spec-independent under the
     shift of `localization`: adding c to every weight must leave each
@@ -65,7 +65,8 @@ def rank_invariants(bott):
     Every point's rows are checked first, so a row fault at any point is
     reported before any rank fault.  The ranks are the Bott sums' own count,
     `Bott.ranks`, over d = 4..10: one count per distinct cell, kept for the
-    route, and a fault names the first failing d and its first point.
+    route, and a fault names the first failing d and its first point.  The
+    pencil check, last, names the first point and its largest missing quartic.
     """
     for fp in bott.points:
         if len(fp.tangent) != loc.DIM:
@@ -87,6 +88,17 @@ def rank_invariants(bott):
         if len(fp.quartics) != 19:
             raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
     bott.ranks(range(4, 11))
+    for fp in bott.points:
+        try:
+            missing = fx.quartic_span(fx.QUADRIC_MULTIPLES, fp.pencil_chars)
+            missing &= ~quartic_bits(fp.quartics)
+        except (KeyError, ValueError):  # a row of its degree with a negative exponent
+            raise AssertionError(f"{fp.tag}{fp.provenance}: a row is not a monomial") from None
+        if missing:
+            m = render_monomial(quartics_of_bits(missing)[0])
+            raise AssertionError(
+                f"{fp.tag}{fp.provenance}: pencil multiple {m} not in its quartics"
+            )
 
 
 def hilbert_oracles(bott):

@@ -26,27 +26,28 @@ lies on the second centre and gives a WPoint; one whose cubics have no
 common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
 computed on this path is the 4t check of each fixed point's quartics in
 `enumerate_all`, 3! times it in integers, read off the point's staircase
-cells, which `ideals.quartic_cells` derives from one table of the 35
-quartic monomials (`ideals.staircase_cells` is the general path and the
-reference).  No linear algebra and no Groebner basis is computed on this
-path; `nlocus verify` recomputes every limit exactly by the run rule on the
-e-strings of the deformed pencil (`limits.e1_limit`).
+cells.  A quartic system is one 35-bit set, the OR of tables of quadric and
+cubic monomials' quartic multiples, whose bit count is its rank and whose
+bits give its sorted quartics and cells.  No linear algebra and no Groebner
+basis is computed on this path; `nlocus verify` recomputes every limit
+exactly by the run rule on the e-strings of the deformed pencil (`limits.e1_limit`).
 """
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import functools
 import gc
 import json
 import math
+import operator
 import os
 import zlib
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .ideals import cells_hilbert_numerator, kept_on_first_read, quartic_cell, quartic_cells
+from .ideals import QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits, kept_on_first_read
+from .ideals import quartic_bits, quartic_cell, quartic_cells, quartics_of_bits
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
 
@@ -56,6 +57,10 @@ CACHE_FINGERPRINT = (174_082, 0x6BCA6A1A)
 
 QUADRICS = [m[:4] for m in monomials_of_degree(2)]
 LINEARS = [m[:4] for m in monomials_of_degree(1)]
+CUBICS = [m[:4] for m in monomials_of_degree(3)]
+# the quartic multiples of each quadric and cubic monomial, as 35-bit sets
+QUADRIC_MULTIPLES = {q: quartic_bits(char_add(q, r) for r in QUADRICS) for q in QUADRICS}
+CUBIC_MULTIPLES = {c: quartic_bits(char_add(c, x) for x in LINEARS) for c in CUBICS}
 
 G2, G2E1, E2 = "G2", "G2E1", "E2"
 STRATA = (G2, G2E1, E2)
@@ -104,18 +109,17 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     the 16 tangent characters, repeats included.  Each row of `tangent`,
     `quartics` and `pencil_chars` is an immutable 4-tuple, which points may
     share: those of one `load_cache` hold one tuple per distinct row value,
-    and the points of the cascade over one centre share the rows they take
-    from it (its tangent and normal characters, and over a WPoint its 18
-    base quartics).  `cells` is the staircase
-    decomposition of the quartic system, derived by `ideals.quartic_cells`
-    (the same cells as the general path `ideals.staircase_cells`) on first
-    use and kept in the instance dict: it does not depend on d or on the
-    weight spec, so the 4t check, every Bott sum and
-    `checks.rank_invariants` read the one derivation.  A point of
-    `load_cache` is given its cells, the shared objects of
-    `ideals.quartic_cell`, as its record is read, and derives none.  It is
-    not a field: equality, hashing and repr ignore it, and `_replace`
-    returns a point that derives its own.
+    the points of the cascade over one centre share its tangent and normal
+    characters, and the cascade's quartics are the tuples of
+    `ideals.QUARTICS`.  `cells` is the staircase decomposition of the
+    quartic system, the shared objects of `ideals.quartic_cell`, kept in the
+    instance dict: it does not depend on d or on the weight spec, so the 4t
+    check, every Bott sum and `checks.rank_invariants` read the one
+    derivation.  The cascade gives a G2E1 or E2 point the cells of its
+    quartic bit set (`ideals.cells_of_bits`), `load_cache` those of its
+    record; any other point, such as a G2 point or a `_replace`d one,
+    derives them by `ideals.quartic_cells` on first read.  It is not a
+    field: equality, hashing and repr ignore it.
     """
 
     @kept_on_first_read
@@ -137,9 +141,9 @@ def enumerate_pairs():
     return pairs
 
 
-def _products(monos, factors):
-    """The set of products m*f for m in monos and f in factors."""
-    return {char_add(m, f) for m in monos for f in factors}
+def quartic_span(multiples, monos):
+    """The 35-bit set of the multiples (a table above) of monos, not empty."""
+    return functools.reduce(operator.or_, map(multiples.__getitem__, monos))
 
 
 # grevlex rank of every cubic and quartic monomial, 0 for the largest (x0^4)
@@ -159,17 +163,17 @@ def split_strata(pairs):
     for pair in pairs:
         g = monomial_gcd(pair.q1, pair.q2)
         if not any(g):
-            quartics = _sort_monos(_products((pair.q1, pair.q2), QUADRICS))
-            if len(quartics) != 19:
+            bits = quartic_span(QUADRIC_MULTIPLES, (pair.q1, pair.q2))
+            if bits.bit_count() != 19:
                 raise StructuralError(
                     f"pencil ({render_monomial(pair.q1)}, {render_monomial(pair.q2)})"
-                    f" spans {len(quartics)} quartics, expected 19"
+                    f" spans {bits.bit_count()} quartics, expected 19"
                 )
             g2.append(
                 FixedPoint(
                     tag=G2,
                     tangent=tuple(sorted(pair.tangent.elements())),
-                    quartics=quartics,
+                    quartics=quartics_of_bits(bits),
                     pencil_chars=(pair.q1, pair.q2),
                     provenance=(pair.index,),
                 )
@@ -202,7 +206,7 @@ def e1_points(z):
     (`torus.blowup_tangent`).
     """
     q1, q2 = char_add(z.plane, z.l1), char_add(z.plane, z.l2)
-    pencil_cubics = _products((q1, q2), LINEARS)
+    pencil_cubics = {char_add(q, x) for q in (q1, q2) for x in LINEARS}
     base, normal = list(z.tangent_z.elements()), sorted(z.normal)
     records = []
     for index, e in enumerate(normal):
@@ -237,21 +241,23 @@ def classify_e1(record, z, z_index):
     check on the point also certifies the limit; a system with a common
     plane is never 4t.  Any other common factor is a StructuralError.
     """
-    plane = functools.reduce(monomial_gcd, record.limit_cubics)
+    plane = tuple(map(min, zip(*record.limit_cubics)))
     if not any(plane):
         provenance = (z_index, record.direction_index)
-        quartics = _sort_monos(_products(record.limit_cubics, LINEARS))
-        if len(quartics) != 19:
+        bits = quartic_span(CUBIC_MULTIPLES, record.limit_cubics)
+        if bits.bit_count() != 19:
             raise StructuralError(
-                f"G2E1{provenance} quartic system has rank {len(quartics)}, expected 19"
+                f"G2E1{provenance} quartic system has rank {bits.bit_count()}, expected 19"
             )
-        return FixedPoint(
+        fp = FixedPoint(
             tag=G2E1,
             tangent=record.tangent,
-            quartics=quartics,
+            quartics=quartics_of_bits(bits),
             pencil_chars=(char_add(z.plane, z.l1), char_add(z.plane, z.l2)),
             provenance=provenance,
         )
+        fp.cells = cells_of_bits(bits)
+        return fp
 
     where = f"E1 limit ({z_index}, {record.direction_index}), direction {record.direction}"
     if sum(plane) != 1:
@@ -299,13 +305,13 @@ def e2_points(w, w_index):
     Each normal character e picks the quartic monomial g of character
     e + char(plane * line * doublet); the quartic system is the cubic system
     times the linear forms plus g, of rank 19.  The WPoint's tangent
-    characters, its sorted normal characters and its 18 base quartics in
-    grevlex order are listed once: each point's tangent is built from them
-    (`torus.blowup_tangent`), and its g is inserted into the sorted base.
+    characters, its sorted normal characters and its 18 base quartics (a
+    35-bit set) are listed once: each point's tangent is built from them
+    (`torus.blowup_tangent`), its quartics and cells from the base and g.
     """
-    base = _sort_monos(_products(w.cubic_system, LINEARS))
-    if len(base) != 18:
-        raise StructuralError(f"W quartic base has rank {len(base)}, expected 18")
+    base = quartic_span(CUBIC_MULTIPLES, w.cubic_system)
+    if base.bit_count() != 18:
+        raise StructuralError(f"W quartic base has rank {base.bit_count()}, expected 18")
     tangent_w, normal = list(w.tangent_w.elements()), sorted(w.normal)
     anchor = char_add(char_add(w.plane, w.line), w.doublet)
     pencil_chars = (char_add(w.plane, w.plane), char_add(w.plane, w.line))
@@ -314,23 +320,23 @@ def e2_points(w, w_index):
         if w.normal[e] != 1:
             raise StructuralError("normal character with multiplicity > 1 over W")
         g = char_add(e, anchor)
-        if any(v < 0 for v in g) or sum(g) != 4:
+        bit = QUARTIC_BITS.get(g)
+        if bit is None:
             raise StructuralError(f"direction {e} has no quartic presentation over W")
-        at = bisect.bisect_left(base, _GREVLEX_RANK[g], key=_GREVLEX_RANK.__getitem__)
-        if at < len(base) and base[at] == g:
+        if base & bit:
             raise StructuralError(f"extra quartic {g} already in the cubic system")
         tangent = blowup_tangent(tangent_w, normal, e)
         if len(tangent) != 16:
             raise StructuralError(f"E2 tangent size {len(tangent)} != 16")
-        points.append(
-            FixedPoint(
-                tag=E2,
-                tangent=tangent,
-                quartics=(*base[:at], g, *base[at:]),
-                pencil_chars=pencil_chars,
-                provenance=(w_index, index),
-            )
+        fp = FixedPoint(
+            tag=E2,
+            tangent=tangent,
+            quartics=quartics_of_bits(base | bit),
+            pencil_chars=pencil_chars,
+            provenance=(w_index, index),
         )
+        fp.cells = cells_of_bits(base | bit)
+        points.append(fp)
     return points
 
 

@@ -7,11 +7,11 @@ the format of the fixed-point path; standard monomials and Hilbert
 polynomials are both read off one staircase decomposition of such an ideal
 (`staircase_cells`), with no Groebner basis and no `Polynomial`.
 `staircase_cells` is the general path, for any generators, and the
-reference.  A fixed point's generators are quartic monomials, and its cells
-(`fixpoints.FixedPoint.cells`) come from `quartic_cells`, which reads the
-same cells off one table of the 35 quartics, or, for a point of the cache
-file, from `quartic_cell`, which gives the same shared objects; a caller
-that holds the cells passes them to `cells_hilbert_numerator`,
+reference.  A fixed point's generators are quartic monomials, one 35-bit
+set (`quartic_bits`) whose bit order gives both its sorted quartics
+(`quartics_of_bits`) and its cells (`cells_of_bits`, one table of the 35
+quartics; `quartic_cell` gives a cache file's cells as the same objects).
+A caller that holds the cells passes them to `cells_hilbert_numerator`,
 `cells_hilbert_polynomial` or `staircase_runs` directly.
 
 The other ideals live in the fixed ring of poly.py and back the oracles.
@@ -209,14 +209,20 @@ def staircase_cells(lead_x):
     return cells
 
 
-# the 35 quartic monomials, x3-exponent non-increasing: bit n of a set of
-# quartics stands for _QUARTICS[n], so its highest bit is a least x3-exponent
-_QUARTICS = sorted((m[:4] for m in monomials_of_degree(4)), key=lambda m: -m[3])
-_QUARTIC_BITS = {m: 1 << n for n, m in enumerate(_QUARTICS)}
-_BOUNDS = (math.inf, *(m[3] for m in _QUARTICS))  # the x3 bound of a set, by bit_length
+# the 35 quartics in increasing grevlex order, x3-exponent non-increasing: bit
+# n of a set of quartics stands for QUARTICS[n], so its highest bit is a least
+# x3-exponent and its bits from the highest down are its quartics, sorted
+QUARTICS = tuple(m[:4] for m in reversed(monomials_of_degree(4)))
+QUARTIC_BITS = {m: 1 << n for n, m in enumerate(QUARTICS)}
+_BOUNDS = (math.inf, *(m[3] for m in QUARTICS))  # the x3 bound of a set, by bit_length
+# the quartics of x_v-exponent at least 1, 2, 3, 4, for v = 0, 1, 2
+_AT_LEAST = [
+    [sum(bit for m, bit in QUARTIC_BITS.items() if m[v] >= e) for e in range(1, 5)]
+    for v in range(3)
+]
 # the quartics dividing x0^i x1^j x2^k times a power of x3, by 25i + 5j + k
 _DIVIDES = [
-    sum(bit for m, bit in _QUARTIC_BITS.items() if m[0] <= i and m[1] <= j and m[2] <= k)
+    sum(bit for m, bit in QUARTIC_BITS.items() if m[0] <= i and m[1] <= j and m[2] <= k)
     for i, j, k in itertools.product(range(5), repeat=3)
 ]
 # one cell object per (grid index, at-cap flags, bound), shared across calls
@@ -236,24 +242,36 @@ def quartic_cell(base, free, bound):
     return cell
 
 
-def quartic_cells(quartics):
-    """tuple(staircase_cells(quartics)) for exponent 4-tuples of quartic monomials.
-
-    The quartics become a 35-bit set; a grid point's bound is read off the
-    highest bit the set shares with the point's `_DIVIDES` mask.  A point
-    with bound 0 ends its row, a row covered at its first point ends its
-    plane, and a plane covered at its first point ends the walk.  Equal
-    cells, within a call or across calls, are one object, the one that
-    `quartic_cell` gives.  A monomial that is not a quartic is a ValueError
-    naming it.
-    """
+def quartic_bits(quartics):
+    """The 35-bit set of exponent 4-tuples of quartic monomials: bit n stands
+    for QUARTICS[n].  A monomial that is not a quartic is a ValueError naming it."""
     bits = 0
     for m in quartics:
-        bit = _QUARTIC_BITS.get(m)
+        bit = QUARTIC_BITS.get(m)
         if bit is None:
             raise ValueError(f"not a quartic monomial: {m}")
         bits |= bit
-    c0, c1, c2, _ = map(max, zip(*quartics)) if quartics else (0, 0, 0, 0)
+    return bits
+
+
+def quartics_of_bits(bits):
+    """The quartics of a 35-bit set, largest first in grevlex."""
+    return tuple([m for m, bit in reversed(QUARTIC_BITS.items()) if bits & bit])
+
+
+def cells_of_bits(bits):
+    """tuple(staircase_cells(quartics)) for the 35-bit set of the quartics.
+
+    Its caps count the `_AT_LEAST` masks it meets, and a grid point's bound
+    is read off the highest bit it shares with the point's `_DIVIDES` mask.
+    A point with bound 0 ends its row, a row covered at its first point ends
+    its plane, and a plane covered at its first point ends the walk.  Equal
+    cells, in a call or across calls, are one object, `quartic_cell`'s.
+    """
+    c0, c1, c2 = [
+        (bits & m1 > 0) + (bits & m2 > 0) + (bits & m3 > 0) + (bits & m4 > 0)
+        for m1, m2, m3, m4 in _AT_LEAST
+    ]
     cells = []
     for i in range(c0 + 1):
         for j in range(c1 + 1):
@@ -273,6 +291,11 @@ def quartic_cells(quartics):
         if not (bound or j or k):
             break
     return tuple(cells)
+
+
+def quartic_cells(quartics):
+    """`cells_of_bits` of the `quartic_bits` of quartic exponent 4-tuples."""
+    return cells_of_bits(quartic_bits(quartics))
 
 
 def staircase_runs(cells, d):

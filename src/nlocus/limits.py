@@ -24,15 +24,13 @@ def _pack(m):
     return m[0] + 8 * m[1] + 64 * m[2] + 512 * m[3]
 
 
-def _unpack(p):
-    return p & 7, p >> 3 & 7, p >> 6 & 7, p >> 9
-
-
 # (d, the number of degree-d monomials, the packed multipliers of degree d - 2)
 _DEGREES = [
     (d, len(monomials_of_degree(d)), [_pack(m) for m in monomials_of_degree(d - 2)])
     for d in range(2, 6)
 ]
+# the exponent 4-tuple of each of the 121 packed monomials of degree 2..5
+_UNPACK = {_pack(m): m[:4] for d in range(2, 6) for m in monomials_of_degree(d)}
 
 
 def _pivots(units, lows, pe):
@@ -87,5 +85,5 @@ def e1_limit(other, q, mp):
         if n != 4 * d:
             pencil = f"<{render_monomial(other)}, {render_monomial(q)} + t*{render_monomial(mp)}>"
             raise AssertionError(f"{pencil}, d={d}: {n} standard monomials != {4 * d}")
-        limits[d] = frozenset(map(_unpack, pivots))
+        limits[d] = frozenset(map(_UNPACK.__getitem__, pivots))
     return limits

@@ -19,7 +19,8 @@ from nlocus.formula import (
     inner_polynomial,
     interpolate,
 )
-from nlocus.torus import WeightSpec
+from nlocus.poly import render_monomial
+from nlocus.torus import WeightSpec, char_add
 
 
 def report(n, text):
@@ -125,6 +126,38 @@ def test_rank_invariants_names_the_first_bad_point_in_list_order(
     message = f"fiber rank 17 != 16 at {fp.tag}{fp.provenance}, d=4"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
         checks.rank_invariants(loc.Bott(altered, weights))
+
+
+def test_rank_invariants_names_a_point_whose_quartics_miss_a_pencil_multiple(
+    points, weights
+):
+    # the pencils of G2(1,) and E2(11, 0) swapped: each point's limit ideal no
+    # longer contains its pencil, and the first one in list order is named
+    a, b = points[0], points[300]
+    pencil = {char_add(p, q) for p in b.pencil_chars for q in fx.QUADRICS}
+    missing = pencil - set(a.quartics)
+    assert missing and a.pencil_chars != b.pencil_chars
+    altered = [a._replace(pencil_chars=b.pencil_chars), *points[1:300]]
+    altered += [b._replace(pencil_chars=a.pencil_chars), *points[301:]]
+    quartic = render_monomial(fx._sort_monos(missing)[0])
+    message = f"{a.tag}{a.provenance}: pencil multiple {quartic} not in its quartics"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(loc.Bott(altered, weights))
+
+
+@pytest.mark.parametrize(
+    "field, row", [("pencil_chars", (3, -1, 0, 0)), ("quartics", (5, -1, 0, 0))]
+)
+def test_rank_invariants_names_a_point_with_a_row_that_is_not_a_monomial(
+    points, weights, field, row
+):
+    # the row has its degree, so only the pencil check, last, sees it
+    fp = points[0]
+    bad = fp._replace(**{field: (row, *getattr(fp, field)[1:])})
+    bad.cells = fp.cells
+    message = f"{fp.tag}{fp.provenance}: a row is not a monomial"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(loc.Bott([bad, *points[1:]], weights))
 
 
 def test_criterion_5_hilbert_polynomial_oracle(points, weights):

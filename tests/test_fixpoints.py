@@ -386,6 +386,66 @@ def test_limit_cubics_with_a_common_factor_of_degree_2_or_more_fail(
         fx.classify_e1(degenerate, cascade.zs[zi], zi)
 
 
+def _outside(bits):
+    """The bit of the largest quartic that is not in the 35-bit set bits."""
+    return next(bit for _, bit in reversed(ideals.QUARTIC_BITS.items()) if not bits & bit)
+
+
+def test_a_corrupted_multiples_table_fails_each_rank_check(monkeypatch, cascade):
+    """Each quartic system is the OR of the quadric or cubic multiples tables:
+    one more quartic in a table entry fails the G2 and G2E1 rank-19 checks
+    and the W rank-18 check, and the extra quartic of an E2 point put into
+    the W base fails as already there; each with its message."""
+    x0sq, x3_4 = mono("x0^2"), ideals.QUARTIC_BITS[mono("x3^4")]
+    monkeypatch.setitem(fx.QUADRIC_MULTIPLES, x0sq, fx.QUADRIC_MULTIPLES[x0sq] | x3_4)
+    message = "pencil (x0^2, x1^2) spans 20 quartics, expected 19"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.split_strata(cascade.pairs)
+    monkeypatch.undo()
+
+    zi, direction = cascade.g2e1[0].provenance
+    record = next(r for i, r in cascade.records if (i, r.direction_index) == (zi, direction))
+    c = record.limit_cubics[0]
+    system = fx.quartic_span(fx.CUBIC_MULTIPLES, record.limit_cubics)
+    monkeypatch.setitem(fx.CUBIC_MULTIPLES, c, fx.CUBIC_MULTIPLES[c] | _outside(system))
+    message = f"G2E1{(zi, direction)} quartic system has rank 20, expected 19"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.classify_e1(record, cascade.zs[zi], zi)
+    monkeypatch.undo()
+
+    w = cascade.ws[0]
+    base = fx.quartic_span(fx.CUBIC_MULTIPLES, w.cubic_system)
+    c = w.cubic_system[0]
+    monkeypatch.setitem(fx.CUBIC_MULTIPLES, c, fx.CUBIC_MULTIPLES[c] | _outside(base))
+    message = "W quartic base has rank 19, expected 18"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.e2_points(w, 0)
+    monkeypatch.undo()
+
+    # the first point's extra quartic g takes the place of a base quartic
+    # that only one cubic gives, so the base keeps rank 18
+    g = char_add(sorted(w.normal)[0], char_add(char_add(w.plane, w.line), w.doublet))
+    for c in w.cubic_system:
+        others = fx.quartic_span(fx.CUBIC_MULTIPLES, [x for x in w.cubic_system if x != c])
+        unique = fx.CUBIC_MULTIPLES[c] & ~others
+        if unique:
+            break
+    corrupted = fx.CUBIC_MULTIPLES[c] & ~(unique & -unique) | ideals.QUARTIC_BITS[g]
+    monkeypatch.setitem(fx.CUBIC_MULTIPLES, c, corrupted)
+    message = f"extra quartic {g} already in the cubic system"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.e2_points(w, 0)
+
+
+@pytest.mark.parametrize("e", [(-4, 0, 0, 4), (1, 0, 0, 0)])
+def test_a_w_direction_with_no_quartic_presentation_fails(cascade, e):
+    # g = e + char(plane * line * doublet) has a negative exponent or degree 5
+    w = cascade.ws[0]._replace(normal=Counter({e: 1}))
+    message = f"direction {e} has no quartic presentation over W"
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        fx.e2_points(w, 0)
+
+
 # -- cache -------------------------------------------------------------------
 
 

@@ -318,6 +318,23 @@ def test_quartic_cell_is_the_object_quartic_cells_gives(points):
     assert ideals.quartic_cells(()) == (cell,) and ideals.quartic_cells(())[0] is cell
 
 
+def test_the_quartic_bit_order_is_increasing_grevlex_with_x3_non_increasing():
+    # `cells_of_bits` reads a set's least x3-exponent off its highest bit,
+    # and `quartics_of_bits` reads the set from its highest bit down
+    quartics = [m[:4] for m in sorted(monomials_of_degree(4), key=mono_key)]
+    assert list(ideals.QUARTICS) == quartics and len(quartics) == 35
+    x3 = [m[3] for m in ideals.QUARTICS]
+    assert x3 == sorted(x3, reverse=True)
+
+
+def test_each_point_is_rebuilt_from_its_quartic_bits(points):
+    for fp in points:
+        bits = ideals.quartic_bits(fp.quartics)
+        assert bits.bit_count() == 19
+        assert ideals.quartics_of_bits(bits) == fp.quartics
+        assert ideals.cells_of_bits(bits) == fp.cells
+
+
 def test_kept_on_first_read_computes_once_and_keeps_the_value():
     calls = []
 
