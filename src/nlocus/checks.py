@@ -13,8 +13,6 @@ under a second spec.  Both passes share one route, which reads the fiber
 rank count that `rank-invariants` takes over d = 4..10 once it has passed.
 """
 
-from __future__ import annotations
-
 import itertools
 import math
 import random

@@ -13,11 +13,8 @@ other flag, such as `fixpoints --threads` or `verify --format` (verify
 prints text only), is argparse's usage error, exit status 2.
 """
 
-from __future__ import annotations
-
 import argparse
 import gc
-import json
 import os
 import sys
 import time
@@ -34,6 +31,14 @@ from .formula import (
     interpolate,
 )
 from .torus import DEFAULT_WEIGHTS, WeightSpec
+
+
+def _print_json(doc):
+    """Print doc as JSON with sorted keys; `json` is imported only here, so a
+    command with text output never loads it."""
+    import json
+
+    print(json.dumps(doc, sort_keys=True))
 
 
 def _usage_error(message):
@@ -69,7 +74,7 @@ def cmd_degree(args):
     if args.format == "json":
         doc = result.to_json()
         doc["elapsed"] = round(elapsed, 3)
-        print(json.dumps(doc, sort_keys=True))
+        _print_json(doc)
     else:
         print(f"deg NL(W,{result.d}) = {result.degree}")
         print(
@@ -95,17 +100,14 @@ def cmd_formula(args):
     report = compare(fitted, target)
     elapsed = time.perf_counter() - started
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "nodes": [[r.d, str(r.degree)] for r in results],
-                    "coefficients": [str(c) for c in fitted.coefficients],
-                    "degree": fitted.degree(),
-                    "match": report.equal,
-                    "elapsed": round(elapsed, 3),
-                },
-                sort_keys=True,
-            )
+        _print_json(
+            {
+                "nodes": [[r.d, str(r.degree)] for r in results],
+                "coefficients": [str(c) for c in fitted.coefficients],
+                "degree": fitted.degree(),
+                "match": report.equal,
+                "elapsed": round(elapsed, 3),
+            }
         )
     else:
         print(f"interpolated at d={args.dmin}..{args.dmax} ({len(results)} nodes)")
@@ -139,7 +141,7 @@ def cmd_fixpoints(args):
     fx.save_cache(points, args.cache)
     counts = fx.stratum_counts(points)
     if args.format == "json":
-        print(json.dumps([fx.point_to_json(p) for p in points], sort_keys=True))
+        _print_json([fx.point_to_json(p) for p in points])
     else:
         print(
             f"G2={counts[0]} G2E1={counts[1]} E2={counts[2]} total={sum(counts)}"

@@ -33,16 +33,12 @@ basis is computed on this path; `nlocus verify` recomputes every limit
 exactly by the run rule on the e-strings of the deformed pencil (`limits.e1_limit`).
 """
 
-from __future__ import annotations
-
 import contextlib
 import functools
 import gc
-import json
 import math
 import operator
 import os
-import zlib
 from collections import Counter, namedtuple
 from pathlib import Path
 
@@ -439,18 +435,20 @@ def _cache_chunks(points):
     One pass over the points gathers their distinct rows and cells.  After
     the header, the JSON text of each table index is formed once, and each
     record is formatted once from those fragments, its six keys in sorted
-    order; `json.dumps` encodes only the counts header and the tags.
+    order.  The counts header and the tags are formatted here too, so saving
+    a cache imports no `json`: a tag is a stratum name, whose JSON text is
+    the name in quotes.
     """
     rows, cells = set(), set()
     for fp in points:
         rows.update(fp.tangent, fp.quartics, fp.pencil_chars)
         cells.update(fp.cells)
     rows, cells = sorted(rows), sorted(cells)
-    counts = json.dumps(
-        dict(zip(STRATA, stratum_counts(points))), sort_keys=True, separators=(",", ":")
+    counts = ",".join(
+        f'"{name}":{count}' for name, count in sorted(zip(STRATA, stratum_counts(points)))
     )
     yield (
-        f'{{"counts":{counts},"distinct":{{"cells":[{",".join(map(_cell_text, cells))}]'
+        f'{{"counts":{{{counts}}},"distinct":{{"cells":[{",".join(map(_cell_text, cells))}]'
         f',"rows":[{",".join(map(_ints_text, rows))}]}},"points":['
     ).encode()
     # one dict gives the text of each row's and each cell's index in its
@@ -461,7 +459,6 @@ def _cache_chunks(points):
     index.update(zip(cells, texts))
     del rows, cells, texts
     index = index.__getitem__
-    tag = functools.cache(json.dumps)
 
     for start in range(0, len(points), _CHUNK_RECORDS):
         if start:
@@ -471,7 +468,7 @@ def _cache_chunks(points):
                 f'{{"cells":[{",".join(map(index, fp.cells))}]'
                 f',"pencil":[{",".join(map(index, fp.pencil_chars))}]'
                 f',"provenance":{_ints_text(fp.provenance)}'
-                f',"quartics":[{",".join(map(index, fp.quartics))}],"tag":{tag(fp.tag)}'
+                f',"quartics":[{",".join(map(index, fp.quartics))}],"tag":"{fp.tag}"'
                 f',"tangent":[{",".join(map(index, fp.tangent))}]}}'
                 for fp in points[start : start + _CHUNK_RECORDS]
             ]
@@ -580,6 +577,10 @@ def load_cache(path):
     # reference cycles, so the cyclic collector is paused, then left as it was
     try:
         data = Path(path).read_bytes()
+        # only a file to parse needs these, so a cold run imports neither
+        import json
+        import zlib
+
         if (len(data), zlib.crc32(data)) == CACHE_FINGERPRINT:
             return json.loads(data, object_hook=_point_reader())["points"]
         doc = json.loads(data)
@@ -594,6 +595,8 @@ def load_cache(path):
 
 def _cascade_document():
     """The document of `cache_bytes(enumerate_all())`, as `json` reads it back."""
+    import json
+
     return json.loads(cache_bytes(enumerate_all()))
 
 

@@ -7,8 +7,6 @@ form is binomial(d-2,3) times a degree-29 integer polynomial over
 2^27 * 3^9 * 5^2 * 7^2 * 11 * 13.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 from fractions import Fraction

@@ -15,10 +15,7 @@ whose leading terms are coprime is skipped, since its S-polynomial reduces
 to zero (Buchberger's first criterion).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from heapq import heappop, heappush
 
 from .poly import mono_div, mono_divides, mono_key, mono_mul
 
@@ -87,6 +84,8 @@ def _spoly(f, g, lcm):
 
 def groebner(gens, key):
     """Reduced Groebner basis (monic, inter-reduced, sorted by leading term)."""
+    from heapq import heappop, heappush  # only here: no command computes a basis
+
     lead = []
     for g in gens:
         g = {m: c for m, c in g.items() if c}

@@ -20,8 +20,6 @@ parameter t carries weight 0 in this grading; the pipeline's deformed
 pencils q + t*m' are exactly of this kind).
 """
 
-from __future__ import annotations
-
 import functools
 import itertools
 import math
@@ -220,10 +218,11 @@ _AT_LEAST = [
     [sum(bit for m, bit in QUARTIC_BITS.items() if m[v] >= e) for e in range(1, 5)]
     for v in range(3)
 ]
-# the quartics dividing x0^i x1^j x2^k times a power of x3, by 25i + 5j + k
+# the quartics dividing x0^i x1^j x2^k times a power of x3, by 25i + 5j + k:
+# none of x0-exponent above i, x1-exponent above j or x2-exponent above k
 _DIVIDES = [
-    sum(bit for m, bit in QUARTIC_BITS.items() if m[0] <= i and m[1] <= j and m[2] <= k)
-    for i, j, k in itertools.product(range(5), repeat=3)
+    ((1 << len(QUARTICS)) - 1) ^ (a0 | a1 | a2)
+    for a0, a1, a2 in itertools.product(*[(*masks, 0) for masks in _AT_LEAST])
 ]
 # one cell object per (grid index, at-cap flags, bound), shared across calls
 _QUARTIC_CELLS = {}

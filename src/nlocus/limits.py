@@ -13,8 +13,6 @@ limit, are every unit, every lower end of an edge, and the top of each run
 that holds a unit: exactly the t = 0 fibre of the saturation in t.
 """
 
-from __future__ import annotations
-
 from .poly import monomials_of_degree, render_monomial
 from .torus import char_sub
 

@@ -52,8 +52,6 @@ in the parent before any fork and a child keeps nothing, so the result
 and the first error are the same for any N.
 """
 
-from __future__ import annotations
-
 import math
 import os
 import sys

@@ -7,8 +7,7 @@ monomials to nonzero Fractions.  Everything is immutable and compared under
 one global graded reverse-lexicographic order with x0 > x1 > x2 > x3 > t.
 """
 
-from __future__ import annotations
-
+import functools
 import re
 from fractions import Fraction
 from operator import add, le, sub
@@ -191,17 +190,29 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # text form
 
-_SPACE = re.compile(r"\s*")
-_SIGN = re.compile(r"\s*([+-])")
-_FACTOR = re.compile(r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(x[0-3]|t)(?:\s*\^\s*(\d+))?)")
-_STAR = re.compile(r"\s*\*")
-_NAME = re.compile(r"[A-Za-z]\w*")
+
+@functools.cache
+def _matchers():
+    """The `match` methods of the parser's five patterns: space, sign, factor,
+    star and name.  They are compiled on the first `parse`, which no command
+    calls, so importing the package compiles none of them."""
+    return tuple(
+        re.compile(pattern).match
+        for pattern in (
+            r"\s*",
+            r"\s*([+-])",
+            r"\s*(?:(\d+)(?:\s*/\s*(\d+))?|(x[0-3]|t)(?:\s*\^\s*(\d+))?)",
+            r"\s*\*",
+            r"[A-Za-z]\w*",
+        )
+    )
 
 
 def _error(message, text, pos):
     """A ParseError at the first non-space character from pos on."""
-    pos = _SPACE.match(text, pos).end()
-    name = _NAME.match(text, pos)
+    space, *_, name_at = _matchers()
+    pos = space(text, pos).end()
+    name = name_at(text, pos)
     if name:
         return ParseError(f"unknown variable {name.group()!r}", pos)
     found = repr(text[pos]) if pos < len(text) else "the end"
@@ -227,13 +238,14 @@ def parse(text):
     x0..x3, t; '*' between factors is optional, '^' denotes powers.
     Any other text raises ParseError with the position of the fault.
     """
+    space, sign_at, factor_at, star_at, _ = _matchers()
     terms = {}
-    sign = _SIGN.match(text)
+    sign = sign_at(text)
     pos = sign.end() if sign else 0
     while True:
         coeff = Fraction(-1 if sign and sign.group(1) == "-" else 1)
         mono = [0] * 5
-        factor = _FACTOR.match(text, pos)
+        factor = factor_at(text, pos)
         if not factor:
             raise _error("expected a term", text, pos)
         while factor:
@@ -246,17 +258,17 @@ def parse(text):
                     raise ParseError("zero denominator", factor.start(2))
                 coeff *= Fraction(num, den)
             pos = factor.end()
-            star = _STAR.match(text, pos)
-            factor = _FACTOR.match(text, star.end() if star else pos)
+            star = star_at(text, pos)
+            factor = factor_at(text, star.end() if star else pos)
             if star and not factor:
                 raise _error("expected a factor after '*'", text, star.end())
         key = tuple(mono)
         terms[key] = terms.get(key, 0) + coeff
-        sign = _SIGN.match(text, pos)
+        sign = sign_at(text, pos)
         if not sign:
             break
         pos = sign.end()
-    if _SPACE.match(text, pos).end() < len(text):
+    if space(text, pos).end() < len(text):
         raise _error("expected '+', '-' or a factor", text, pos)
     return Polynomial(terms)
 

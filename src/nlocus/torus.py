@@ -28,8 +28,6 @@ cost of a repeated cell does not grow with d; the docstring of
 `shared_products` gives the rule and why it is exact.
 """
 
-from __future__ import annotations
-
 import math
 from collections import Counter
 

@@ -594,29 +594,37 @@ _LOADS = (
     "from nlocus.cli import main\n"
     "imported = set(sys.modules) - bare\n"
     "main(sys.argv[1:])\n"
-    "watched = ('dataclasses', 'inspect', 'nlocus.checks', 'nlocus.limits')\n"
+    "watched = ('__future__', 'dataclasses', 'heapq', 'inspect', 'json',"
+    " 'nlocus.checks', 'nlocus.limits')\n"
     "print([m for m in watched if m in imported],"
     " [m for m in watched if m in set(sys.modules) - bare])\n"
 )
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
-    [(["degree", "--d", "4"], []), (["verify"], ["nlocus.checks", "nlocus.limits"])],
-    ids=["degree", "verify"],
+    "argv, warm, loads",
+    [
+        # a cold run writes the cache without `json`; a warm one parses it
+        (["degree", "--d", "4"], False, []),
+        (["degree", "--d", "4"], True, ["json"]),
+        (["verify"], True, ["json", "nlocus.checks", "nlocus.limits"]),
+    ],
+    ids=["degree-cold", "degree", "verify"],
 )
-def test_a_command_imports_only_the_modules_it_runs(cache_path, argv, loads):
+def test_a_command_imports_only_the_modules_it_runs(cache_path, tmp_path, argv, warm, loads):
+    cache = cache_path if warm else tmp_path / "missing.json"
     done = _python(
         "-c",
         _LOADS,
         *argv,
         "--cache",
-        str(cache_path),
+        str(cache),
         capture_output=True,
         text=True,
         check=True,
     )
     assert done.stdout.splitlines()[-1] == f"[] {loads}"
+    assert cache.exists()
 
 
 def test_closed_stdout_exits_1_without_a_traceback(cache_path):

@@ -327,6 +327,16 @@ def test_the_quartic_bit_order_is_increasing_grevlex_with_x3_non_increasing():
     assert x3 == sorted(x3, reverse=True)
 
 
+def test_the_divides_masks_built_from_the_at_least_masks_are_their_definition():
+    # `_DIVIDES` is read off the `_AT_LEAST` masks; at each of the 125 grid
+    # points it must be the quartics with m0 <= i, m1 <= j and m2 <= k
+    grid = [(i, j, k) for i in range(5) for j in range(5) for k in range(5)]
+    assert len(ideals._DIVIDES) == len(grid) == 125
+    for i, j, k in grid:
+        want = {m for m in ideals.QUARTICS if m[0] <= i and m[1] <= j and m[2] <= k}
+        assert ideals._DIVIDES[25 * i + 5 * j + k] == ideals.quartic_bits(want), (i, j, k)
+
+
 def test_each_point_is_rebuilt_from_its_quartic_bits(points):
     for fp in points:
         bits = ideals.quartic_bits(fp.quartics)
