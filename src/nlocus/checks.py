@@ -7,15 +7,19 @@ naming the fixed point, d or weight spec at fault, and returns the value
 it verified so that tests can pin it.  CHECKS lists them in the order
 `nlocus verify` runs them.
 
-`d4-target`, `d5-cross-check` and `spec-independence` read the run's one
-pass over d = 4..6, `Bott.degrees`; `spec-independence` takes one more
-under a second spec.  Both passes share one route, which reads the fiber
-rank count that `rank-invariants` takes over d = 4..10 once it has passed.
+`localization-self-test` reads the run's denominators, `Bott.denominators`
+of its spec, and raises a StructuralError when the sum of 1/c_16(T) is
+not 0.  `d4-target`, `d5-cross-check` and `spec-independence` read
+the run's one pass over d = 4..6, `Bott.degrees`; `spec-independence`
+takes one more under a second spec.  Both passes share one route, which
+reads the fiber rank count that `rank-invariants` takes over d = 4..10
+once it has passed.
 """
 
 import itertools
 import math
 import random
+from fractions import Fraction
 
 from . import fixpoints as fx
 from . import localization as loc
@@ -115,12 +119,25 @@ def hilbert_oracles(bott):
 
 
 def localization_self_test(bott):
-    """Bott's formula on c_16(T) and on 1: the sum of c_16(T)/c_16(T) over
-    the fixed points is their number, and the sum of 1/c_16(T) is 0."""
-    total = bott.self_test()
-    count = len(bott.points)
-    _require(total == count, f"sum of ones = {total} != {count}")
-    return total
+    """Bott's formula on the class 1: the sum of 1/c_16(T) over the fixed
+    points is the integral of 1 over the 16-dimensional space, which is 0.
+    It runs over the common denominator of the Bott sums, as the sum of the
+    `Bott.denominators` scales; a nonzero sum raises StructuralError giving
+    it.  Returns the number of points.
+
+    Bott's formula on c_16(T) itself, the count of the points, holds by
+    construction and is not checked: scales[p] * dens[p] is the common
+    denominator at every point, so that sum is the number of points for
+    any tangent data.
+    """
+    common, _, scales = bott.denominators(bott.spec)
+    vanishing = Fraction(sum(scales), common)
+    if vanishing:
+        raise fx.StructuralError(
+            f"sum of 1/c_16(T) over {len(bott.points)} fixed points is"
+            f" {vanishing}, not 0, under {bott.spec.values}"
+        )
+    return len(bott.points)
 
 
 def d4_target(bott):

@@ -42,7 +42,7 @@ import os
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .ideals import QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits, kept_on_first_read
+from .ideals import QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits
 from .ideals import quartic_bits, quartic_cell, quartic_cells, quartics_of_bits
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
@@ -118,7 +118,7 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     field: equality, hashing and repr ignore it.
     """
 
-    @kept_on_first_read
+    @functools.cached_property
     def cells(self):
         """The staircase cells of the quartic system, a tuple of shared cell objects."""
         return quartic_cells(self.quartics)

@@ -1,23 +1,29 @@
-"""Homogeneous-ideal toolkit: reduced Groebner bases, normal forms,
-standard-monomial bases in a fixed degree, saturation with respect to t by
-one elimination Groebner basis, and Hilbert polynomials of monomial ideals.
+"""Monomial ideals in x0..x3 as staircase cells and quartic sets, and the
+Groebner toolkit that the tests hold them to.
 
-Monomial ideals in x0..x3 are given by their generators' exponent 4-tuples,
-the format of the fixed-point path; standard monomials and Hilbert
-polynomials are both read off one staircase decomposition of such an ideal
-(`staircase_cells`), with no Groebner basis and no `Polynomial`.
-`staircase_cells` is the general path, for any generators, and the
-reference.  A fixed point's generators are quartic monomials, one 35-bit
-set (`quartic_bits`) whose bit order gives both its sorted quartics
-(`quartics_of_bits`) and its cells (`cells_of_bits`, one table of the 35
-quartics; `quartic_cell` gives a cache file's cells as the same objects).
-A caller that holds the cells passes them to `cells_hilbert_numerator`,
-`cells_hilbert_polynomial` or `staircase_runs` directly.
+The commands run the first half.  A monomial ideal is given by its
+generators' exponent 4-tuples, the format of the fixed-point path;
+standard monomials and Hilbert polynomials are both read off one
+staircase decomposition of such an ideal (`staircase_cells`), with no
+Groebner basis and no `Polynomial`.  `staircase_cells` is the general
+path, for any generators, and the reference.  A fixed point's generators
+are quartic monomials, one 35-bit set (`quartic_bits`) whose bit order
+gives both its sorted quartics (`quartics_of_bits`) and its cells
+(`cells_of_bits`, one table of the 35 quartics; `quartic_cell` gives a
+cache file's cells as the same objects).  A caller that holds the cells
+passes them to `cells_hilbert_numerator`, `cells_hilbert_polynomial` or
+`staircase_runs` directly.
 
-The other ideals live in the fixed ring of poly.py and back the oracles.
-Their generators must be homogeneous in the x-variables (the deformation
-parameter t carries weight 0 in this grading; the pipeline's deformed
-pencils q + t*m' are exactly of this kind).
+The second half is the tests' oracle, which no command runs: `Ideal`
+over the `Polynomial` ring of poly.py, reduced Groebner bases
+(`reduce_gb`, through gbcore), normal forms, `kbase`, `set_t_zero` and
+saturation with respect to t by one elimination Groebner basis
+(`saturate_t`).  It stays in the package because
+`perfbench/traced_cli.TARGETS` names `saturate_t`, `reduce_gb`, `kbase`
+and `gbcore.groebner` (ROADMAP items 1 and 2).  Its generators must be
+homogeneous in the x-variables (the deformation parameter t carries
+weight 0 in this grading; the deformed pencils q + t*m' are exactly of
+this kind).
 """
 
 import functools
@@ -90,41 +96,19 @@ def normal_form(p, G):
     return Polynomial(gbcore.normal_form(p.terms, [g.terms for g in G.basis], mono_key))
 
 
-class kept_on_first_read:
-    """A method read as an attribute, its value kept in the instance dict on
-    the first read, where every later read finds it before the class.
-
-    `functools.cached_property` without its lock, which CPython 3.11 takes
-    on every first read: such a first read costs about 1.1 us, and one of
-    this descriptor about 0.5 us (CPython 3.11.7, x86-64).  The value may
-    also be set by assigning the attribute, which then is never computed.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.name = func.__name__
-        self.__doc__ = func.__doc__
-
-    def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class Cell(namedtuple("Cell", "base free bound lower")):
     """One staircase cell (see `staircase_cells`), a namedtuple with an instance dict.
 
-    `hilbert_term` is kept in the instance dict on first use, so a cell
-    shared between quartic systems (`quartic_cells`) gives its term once per
-    process, and the term is derived once per shape (`_cell_term`): the 401
-    distinct cells of the fixed points have 52 shapes.  Equality, hashing,
-    order and repr are the tuple's.
+    `hilbert_term` is a `functools.cached_property`, so a cell shared between
+    quartic systems (`quartic_cells`) gives its term once per process, and
+    the term is derived once per shape (`_cell_term`): the 401 distinct
+    cells of the fixed points have 52 shapes.  Equality, hashing, order and
+    repr are the tuple's.
     """
 
     __repr__ = tuple.__repr__
 
-    @kept_on_first_read
+    @functools.cached_property
     def hilbert_term(self):
         """3! times the cell's number of degree-d monomials for large d, as 4
         integer coefficients in d, low degree first."""

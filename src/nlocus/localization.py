@@ -15,10 +15,12 @@ subtorus acts trivially on P^3, every tangent character has coordinate sum
 sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
-A command builds one `Bott` from its loaded points, spec and workers.  It
-keeps what the command's sums share, each part once built without
-raising: the denominators of each spec, `verify`'s fiber-rank count, the
-route of each ds and the run's pass over d = 4..6.  A pass reads the
+A `Bott`, built from points, a spec and workers, is the one way into a
+Bott sum: a command builds one, and `degree_nl`, the library's call for
+one degree, builds its own.  It keeps what its sums share, each part once
+built without raising: the denominators of each spec (which `verify`'s
+self-test reads too), `verify`'s fiber-rank count, the route of each ds
+and the run's pass over d = 4..6.  A pass reads the
 staircase cells of each point's quartic system from `FixedPoint.cells`,
 derived once per point and process and shared with the 4t check and
 `checks.rank_invariants`.  The points are built from few distinct cells.
@@ -52,6 +54,7 @@ in the parent before any fork and a child keeps nothing, so the result
 and the first error are the same for any N.
 """
 
+import functools
 import math
 import os
 import sys
@@ -59,7 +62,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .fixpoints import StructuralError
-from .ideals import kept_on_first_read
 from .torus import WeightSpec, shared_products, specialize, visit_schedule
 
 DIM = 16  # dimension of the blown-up parameter space
@@ -291,27 +293,10 @@ class Bott:
             results.append(DegreeResult(d, degree, spec, len(self.points)))
         return results
 
-    @kept_on_first_read
+    @functools.cached_property
     def degrees(self):
         """The run's one pass: the DegreeResults for d = 4, 5 and 6 under its spec."""
         return self.degree_range(4, 6)
-
-    def self_test(self):
-        """Bott's formula on the classes c_16(T) and 1; returns the number of points.
-
-        The sum of c_16(T)/c_16(T) over the fixed points is their number, and
-        the sum of 1/c_16(T) is the integral of 1 over the 16-dimensional
-        space, which is 0.  Both sums run over the common denominator of the
-        Bott sums; a nonzero second sum raises StructuralError giving it.
-        """
-        common, dens, scales = self.denominators(self.spec)
-        vanishing = Fraction(sum(scales), common)
-        if vanishing:
-            raise StructuralError(
-                f"sum of 1/c_16(T) over {len(self.points)} fixed points is"
-                f" {vanishing}, not 0, under {self.spec.values}"
-            )
-        return Fraction(sum(s * den for s, den in zip(scales, dens)), common)
 
 
 def _sum_chunk(plan, ds):
@@ -426,20 +411,9 @@ def _localize(bott, ds, spec):
     return {d: Fraction(sums[d], common) for d in ds}
 
 
-def degree_range(dmin, dmax, spec, points, workers=1):
-    """`Bott.degree_range` of a Bott of its own: the checked DegreeResults
-    for every d in dmin..dmax (d >= 4), one localization pass."""
-    return Bott(points, spec, workers).degree_range(dmin, dmax)
-
-
 def degree_nl(d, spec, points, workers=1):
     """Degree of the locus of degree-d surfaces containing an elliptic quartic."""
-    return degree_range(d, d, spec, points, workers)[0]
-
-
-def localization_self_test(points, spec):
-    """`Bott.self_test` of a Bott of its own; returns the number of points."""
-    return Bott(points, spec).self_test()
+    return Bott(points, spec, workers).degree_range(d, d)[0]
 
 
 def admissible_spec(bott, spec):

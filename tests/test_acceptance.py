@@ -33,7 +33,7 @@ def test_criterion_1_quartic_surface_headline(points, weights):
 
 
 def test_criterion_2_formula_reproduction(points, weights):
-    results = loc.degree_range(5, 53, weights, points)
+    results = loc.Bott(points, weights).degree_range(5, 53)
     assert len(results) == 49  # over-determined: 33 nodes already suffice
     fitted = interpolate([(r.d, r.degree) for r in results])
     assert fitted.degree() == INTERPOLATION_DEGREE_BOUND
@@ -170,7 +170,7 @@ def test_criterion_6_localization_self_test(points, weights, unshared_sum):
     raw = unshared_sum(4, weights, True)
     assert raw % 4 == 0
     assert raw == 153900
-    report(6, "sum of ones over fixed points is 525; raw d=4 sum divisible by 4")
+    report(6, "sum of 1/c_16(T) over the 525 fixed points is 0; raw d=4 sum divisible by 4")
 
 
 def test_criterion_7_spec_independence(points, weights):

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import re
@@ -345,24 +346,29 @@ def test_each_point_is_rebuilt_from_its_quartic_bits(points):
         assert ideals.cells_of_bits(bits) == fp.cells
 
 
-def test_kept_on_first_read_computes_once_and_keeps_the_value():
-    calls = []
-
-    class Thing:
-        @ideals.kept_on_first_read
-        def value(self):
-            """The value."""
-            calls.append(self)
-            return object()
-
-    thing, given = Thing(), Thing()
-    assert "value" not in vars(thing) and Thing.value.__doc__ == "The value."
-    value = thing.value
-    assert thing.value is value and vars(thing)["value"] is value and calls == [thing]
-    given.value = 7
-    assert given.value == 7 and calls == [thing]
-    for cls, name in ((ideals.Cell, "hilbert_term"), (fx.FixedPoint, "cells")):
-        assert isinstance(vars(cls)[name], ideals.kept_on_first_read)
+def test_kept_values_are_cached_properties_that_keep_an_assigned_value(points, weights):
+    # the cascade and the loader assign a point's cells before its first
+    # read, and a first read that raises keeps nothing
+    kept = ((ideals.Cell, "hilbert_term"), (fx.FixedPoint, "cells"), (loc.Bott, "degrees"))
+    for cls, name in kept:
+        assert isinstance(vars(cls)[name], functools.cached_property), (cls, name)
+    fp = points[300]
+    given = fp._replace()
+    given.cells = wrong = fp.cells[:-1]
+    assert given.cells is wrong
+    cell = ideals.Cell((0, 0, 0), (), 1, 0)
+    cell.hilbert_term = (1, 2, 3, 4)
+    assert cell.hilbert_term == (1, 2, 3, 4)
+    bott = loc.Bott(points, weights)
+    bott.degrees = []
+    assert bott.degrees == []
+    bad = fp._replace(quartics=fp.quartics[:18] + ((5, 0, 0, 0),))
+    broken = ideals.Cell((0, 0, 0), (), None, 0)  # no bound to subtract
+    for obj, name, error in ((bad, "cells", ValueError), (broken, "hilbert_term", TypeError)):
+        for _ in range(2):
+            with pytest.raises(error):
+                getattr(obj, name)
+        assert name not in vars(obj)
 
 
 def test_set_t_zero():

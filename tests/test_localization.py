@@ -23,6 +23,7 @@ from nlocus.ideals import quartic_cells, staircase_cells, staircase_runs, standa
 from nlocus.formula import closed_form
 from nlocus.poly import parse
 from nlocus.torus import (
+    DEFAULT_WEIGHTS,
     FALLBACK_WEIGHTS,
     WeightSpec,
     check_generic,
@@ -108,7 +109,14 @@ def test_tangent_denominator_paper_factors(points, weights):
 
 
 def test_localization_self_test(points, weights):
-    assert loc.localization_self_test(points, weights) == 525
+    # a lost fixed point leaves its 1/c_16(T) out of the vanishing sum
+    assert checks.localization_self_test(loc.Bott(points, weights)) == 525
+    _, dens, _ = loc.Bott(points[:1], weights).denominators(weights)
+    rest = loc.Bott(points[1:], weights)
+    with pytest.raises(
+        StructuralError, match=f"over 524 fixed points is {Fraction(-1, dens[0])}, not 0"
+    ):
+        checks.localization_self_test(rest)
 
 
 def test_localization_self_test_fails_on_a_wrong_tangent_character(points, weights):
@@ -198,12 +206,12 @@ def test_a_dropped_live_cell_names_the_point_and_its_first_failing_d(
     d = 6 if dmin == 5 else 200
     message = f"fiber rank {rank} at {fp.tag}{fp.provenance}, d={d}"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        loc.degree_range(dmin, dmax, weights, altered)
+        loc.Bott(altered, weights).degree_range(dmin, dmax)
     # a later point that fails at an earlier d is named first
     if dmin == 5:
         message = "fiber rank 21 != 20 at E2(11, 0), d=5"
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-            loc.degree_range(dmin, dmax, weights, _broken(altered, 300))
+            loc.Bott(_broken(altered, 300), weights).degree_range(dmin, dmax)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +259,7 @@ def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights
 
     monkeypatch.setattr(loc, "visit_schedule", planning)
     monkeypatch.setattr(loc, "_cell_template", templating)
-    loc.degree_range(5, 53, weights, points)
+    loc.Bott(points, weights).degree_range(5, 53)
     assert planned == [1]
     assert len(templated) == len(set(templated)) == 353
     assert all(loc._counts(cell, range(5, 54), 16) for cell in templated)
@@ -297,7 +305,7 @@ def test_run_degrees_and_spec_independence_share_one_route(
 def test_a_point_with_other_cells_gets_its_own_route(points, weights):
     # the route of the true points does not serve a point whose cells were
     # replaced: its dropped cell, first live at d = 7, fails the ranks
-    assert loc.degree_range(4, 8, weights, points)[0].degree == 38475
+    assert loc.Bott(points, weights).degree_range(4, 8)[0].degree == 38475
     fp = points[156]
     bad = fp._replace()
     vars(bad)["cells"] = [c for c in fp.cells if c != ((3, 3, 1), (0, 1), 1, 7)]
@@ -305,7 +313,7 @@ def test_a_point_with_other_cells_gets_its_own_route(points, weights):
     altered = points[:156] + [bad] + points[157:]
     message = "fiber rank 27 != 28 at G2E1(18, 0), d=7"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        loc.degree_range(4, 8, weights, altered)
+        loc.Bott(altered, weights).degree_range(4, 8)
 
 
 def test_a_failed_route_or_spec_is_not_kept(points, weights):
@@ -383,7 +391,7 @@ def test_a_cache_hit_derives_no_cells(monkeypatch, tmp_path, points, weights):
     _replace_quartic_cells(monkeypatch, refuse)
     loaded = fx.load_cache(path)
     checks.rank_invariants(loc.Bott(loaded, weights))
-    assert loc.degree_range(4, 6, weights, loaded)[0].degree == 38475
+    assert loc.Bott(loaded, weights).degree_range(4, 6)[0].degree == 38475
     monkeypatch.undo()
     assert len(loaded) == 525
     for fp in loaded:
@@ -413,8 +421,8 @@ def test_forked_workers_match_one_worker(tmp_path, two_cpus, forked, points, wei
     fx.save_cache(points, path)
     loaded = fx.load_cache(path)
     assert all("cells" in vars(fp) for fp in loaded)
-    multi = loc.degree_range(4, 6, weights, loaded, workers=2)
-    assert multi == loc.degree_range(4, 6, weights, loaded, workers=1)
+    multi = loc.Bott(loaded, weights, 2).degree_range(4, 6)
+    assert multi == loc.Bott(loaded, weights, 1).degree_range(4, 6)
     assert len(forked) == 1
 
 
@@ -432,7 +440,7 @@ def test_a_pass_with_two_workers_plans_once(
             return real(*args)
 
         monkeypatch.setattr(owner, name, planning)
-    assert loc.degree_range(4, 6, weights, points, workers=2)[0].degree == 38475
+    assert loc.Bott(points, weights, 2).degree_range(4, 6)[0].degree == 38475
     lines = Counter(log.read_text().splitlines())
     assert set(lines) == {f"route {os.getpid()}", f"_cell_template {os.getpid()}"}
     assert (lines[f"route {os.getpid()}"], len(forked)) == (1, 1)
@@ -465,7 +473,7 @@ def test_the_first_error_is_the_same_for_any_number_of_workers(
     message = "fiber rank 17 != 16 at E2(11, 0), d=4"
     for workers in (1, 2):
         with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-            loc.degree_range(4, 8, weights, altered, workers)
+            loc.Bott(altered, weights, workers).degree_range(4, 8)
     _no_child_left()
     assert forked == []
 
@@ -488,10 +496,10 @@ def test_a_workers_error_reaches_the_caller(monkeypatch, two_cpus, forked, point
     with monkeypatch.context() as patch:
         _failing_at(patch, 5)
         with pytest.raises(StructuralError, match="^no weights at d=5$"):
-            loc.degree_range(4, 7, weights, points, workers=2)
+            loc.Bott(points, weights, 2).degree_range(4, 7)
     _no_child_left()
     assert len(forked) == 1
-    assert loc.degree_range(4, 7, weights, points, workers=2)[0].degree == 38475
+    assert loc.Bott(points, weights, 2).degree_range(4, 7)[0].degree == 38475
     assert len(forked) == 2
 
 
@@ -500,7 +508,7 @@ def test_an_error_in_the_callers_slice_leaves_no_child(
 ):
     _failing_at(monkeypatch, 6)
     with pytest.raises(StructuralError, match="^no weights at d=6$"):
-        loc.degree_range(4, 7, weights, points, workers=2)
+        loc.Bott(points, weights, 2).degree_range(4, 7)
     _no_child_left()
     assert len(forked) == 1
 
@@ -520,7 +528,7 @@ def test_a_worker_without_a_result_is_a_structural_error(
     )
     message = f"Bott-sum worker for d = 5, 7: exit status {status}, no result"
     with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
-        loc.degree_range(4, 7, weights, points, workers=2)
+        loc.Bott(points, weights, 2).degree_range(4, 7)
     _no_child_left()
     assert len(forked) == 1
 
@@ -540,7 +548,7 @@ def test_unflushed_stdout_is_written_once(monkeypatch, tmp_path, points, weights
         "points = fixpoints.load_cache(sys.argv[1])\n"
         "spec = torus.WeightSpec(json.loads(sys.argv[2]))\n"
         "print('before the sum')\n"
-        "print(localization.degree_range(4, 6, spec, points, workers=2)[0].degree)\n"
+        "print(localization.Bott(points, spec, 2).degree_range(4, 6)[0].degree)\n"
         "print(len(forks), 'fork')\n"
     )
     done = _python(code, str(path), json.dumps(list(weights.values)))
@@ -605,7 +613,7 @@ def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, value
 
     monkeypatch.setattr(torus, "_coefficients", counting_derive)
     monkeypatch.setattr(loc, "shared_products", counting)
-    results = loc.degree_range(5, 53, WeightSpec(values), points)
+    results = loc.Bott(points, WeightSpec(values)).degree_range(5, 53)
     assert [r.degree for r in results] == [closed_form()(d) for d in range(5, 54)]
     assert work == {
         "weight steps": 521_411,
@@ -653,7 +661,7 @@ def test_common_denominator_sum_is_exact(points, weights, unshared_sum):
     totals = _sums(points, ds, weights)
     for d in ds:
         assert totals[d] == unshared_sum(d, weights, d == 4)
-    results = loc.degree_range(4, 7, weights, points)
+    results = loc.Bott(points, weights).degree_range(4, 7)
     assert [r.degree for r in results] == [totals[4] / 4] + [totals[d] for d in ds[1:]]
 
 
@@ -661,7 +669,7 @@ def test_negative_weight_spec(points):
     spec = WeightSpec((-7, 3, 11, 40))
     assert check_generic(spec, [fp.tangent for fp in points])
     cf = closed_form()
-    assert [r.degree for r in loc.degree_range(4, 6, spec, points)] == [38475, cf(5), cf(6)]
+    assert [r.degree for r in loc.Bott(points, spec).degree_range(4, 6)] == [38475, cf(5), cf(6)]
 
 
 def test_degree_nl_matches_closed_form(points, weights):
@@ -680,7 +688,7 @@ def test_degree_nl_rejects_d3(points, weights):
 
 def test_degree_range_rejects_an_empty_range(points, weights):
     with pytest.raises(ValueError, match=r"non-empty range, got 6\.\.5"):
-        loc.degree_range(6, 5, weights, points)
+        loc.Bott(points, weights).degree_range(6, 5)
 
 
 def test_degree_nl_d4_headline(points, weights):
@@ -691,7 +699,7 @@ def test_degree_nl_d4_headline(points, weights):
 
 
 def test_degree_range_from_d4_matches_degree_nl(points, weights):
-    results = loc.degree_range(4, 6, weights, points)
+    results = loc.Bott(points, weights).degree_range(4, 6)
     assert results == [loc.degree_nl(d, weights, points) for d in (4, 5, 6)]
     assert results[0].degree == 38475
 
@@ -700,7 +708,7 @@ def test_degree_range_rejects_bad_sums(monkeypatch, weights):
     for d, total in ((4, Fraction(6)), (5, Fraction(1, 2)), (6, Fraction(-6))):
         monkeypatch.setattr(loc, "_localize", lambda *args: {d: total})
         with pytest.raises(StructuralError, match=f"d={d} is {total}, not a non-neg"):
-            loc.degree_range(d, d, weights, [])
+            loc.Bott([], weights).degree_range(d, d)
 
 
 def test_sum_independent_of_point_order(points, weights):
@@ -711,8 +719,8 @@ def test_sum_independent_of_point_order(points, weights):
 
 def test_spec_independence(points, weights):
     assert check_generic(FALLBACK_WEIGHTS, [fp.tangent for fp in points])
-    ours = loc.degree_range(4, 6, weights, points)
-    theirs = loc.degree_range(4, 6, FALLBACK_WEIGHTS, points)
+    ours = loc.Bott(points, weights).degree_range(4, 6)
+    theirs = loc.Bott(points, FALLBACK_WEIGHTS).degree_range(4, 6)
     assert [r.degree for r in ours] == [r.degree for r in theirs]
 
 
@@ -725,15 +733,15 @@ def test_inadmissible_spec_raises(points):
 def test_workers_bit_exact(two_cpus, points, weights):
     # each process runs its own degrees of the one plan, so the second one
     # starts from the parent's cells, visits and schedule
-    single = loc.degree_range(4, 8, weights, points, workers=1)
-    multi = loc.degree_range(4, 8, weights, points, workers=2)
+    single = loc.Bott(points, weights, 1).degree_range(4, 8)
+    multi = loc.Bott(points, weights, 2).degree_range(4, 8)
     assert [(r.d, r.degree) for r in single] == [(r.d, r.degree) for r in multi]
     assert multi[0].degree == 38475
 
 
 def test_one_usable_cpu_sums_in_process(one_cpu, points, weights):
-    single = loc.degree_range(4, 8, weights, points, workers=1)
-    assert loc.degree_range(4, 8, weights, points, workers=2) == single
+    single = loc.Bott(points, weights, 1).degree_range(4, 8)
+    assert loc.Bott(points, weights, 2).degree_range(4, 8) == single
 
 
 def test_usable_cpus_without_an_affinity_mask(monkeypatch):
@@ -781,16 +789,23 @@ def test_each_distinct_tangent_character_is_specialized_once(monkeypatch, points
     monkeypatch.setattr(loc, "specialize", counted)
     distinct = {c for fp in points for c in fp.tangent}
     assert len(distinct) == 230
-    for spec in (weights, FALLBACK_WEIGHTS):
+    # the default, the fallback and the benchmark's seed-1 spec
+    for spec in (DEFAULT_WEIGHTS, FALLBACK_WEIGHTS, WeightSpec((0, 3, 10, 11))):
         bott = loc.Bott(points, spec)
-        assert bott.self_test() == 525
+        assert checks.localization_self_test(bott) == 525
         assert bott.degree_range(4, 4)[0].degree == 38475
         assert calls == {(c, spec.values): 1 for c in distinct}
         calls.clear()
-    common, dens, _ = loc.Bott(points, weights).denominators(weights)
+        # scales[p] * dens[p] is the common denominator at every point, so
+        # the sum of c_16(T)/c_16(T) is the number of points for any data:
+        # the self test has nothing to check there
+        common, dens, scales = bott.denominators(spec)
+        assert common == math.lcm(*dens)
+        assert all(scale * den == common for scale, den in zip(scales, dens))
+        assert calls == {}
+    _, dens, _ = loc.Bott(points, weights).denominators(weights)
     assert calls == {(c, weights.values): 1 for c in distinct}
     assert dens == [math.prod(specialize(c, weights) for c in fp.tangent) for fp in points]
-    assert common == math.lcm(*dens)
 
 
 @pytest.mark.parametrize(
@@ -820,11 +835,7 @@ def test_an_inadmissible_spec_names_the_first_point_in_list_order(
     assert len(faulty) == at_fault
     assert f" at {faulty[0].tag}{faulty[0].provenance} " in message
     pattern = f"^{re.escape(message)}$"
-    for run in (
-        loc.Bott,
-        loc.localization_self_test,
-        lambda pts, spec: loc.degree_nl(4, spec, pts),
-    ):
+    for run in (loc.Bott, lambda pts, spec: loc.degree_nl(4, spec, pts)):
         with pytest.raises(ValueError, match=pattern):
             run(points, spec)
 
@@ -842,4 +853,4 @@ def test_sums_under_alternating_specs_share_no_table(points):
             38475,
             *(want[d] for d in range(5, 8)),
         ]
-        assert loc.localization_self_test(points, spec) == 525
+        assert checks.localization_self_test(loc.Bott(points, spec)) == 525
