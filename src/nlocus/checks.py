@@ -20,11 +20,12 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 from . import fixpoints as fx
 from . import localization as loc
 from .formula import closed_form
-from .limits import e1_limit
+from .limits import e1_limit, packed, unpack
 from .ideals import hilbert_polynomial, quartic_bits, quartics_of_bits, standard_monomials
 from .poly import render_monomial
 from .torus import (
@@ -55,47 +56,69 @@ def euler_census(bott):
     return counts
 
 
+# (the kind of row in a message, its FixedPoint field, the degree of every row)
+_ROW_KINDS = (
+    ("tangent character", "tangent", 0),
+    ("pencil row", "pencil_chars", 2),
+    ("quartic row", "quartics", 4),
+)
+
+
+def _row_fault(fp):
+    """The first row fault of fp, as a message, or None: a tangent count
+    other than 16, a row of the wrong degree, or a quartic count other than 19."""
+    if len(fp.tangent) != loc.DIM:
+        return f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters != {loc.DIM}"
+    for kind, field, degree in _ROW_KINDS:
+        rows = getattr(fp, field)
+        if any(map(degree.__ne__, map(sum, rows))):
+            row = next(row for row in rows if sum(row) != degree)
+            return f"{fp.tag}{fp.provenance}: {kind} {row} has degree {sum(row)} != {degree}"
+    if len(fp.quartics) != 19:
+        return f"{fp.tag}{fp.provenance}: rank != 19"
+    return None
+
+
 def rank_invariants(bott):
     """16 tangent characters of degree 0, 2 pencil rows of degree 2, 19
-    quartics of degree 4 and 4d standard monomials for d = 4..10 at every
-    fixed point, whose quartics hold every quartic multiple of its pencil.
+    distinct quartics of degree 4 and 4d standard monomials for d = 4..10
+    at every fixed point, whose quartics hold every quartic multiple of its
+    pencil.
 
     The degrees are what make the Bott sums spec-independent under the
     shift of `localization`: adding c to every weight must leave each
     tangent weight and move each degree-d fiber weight by c*d.
 
     Every point's rows are checked first, so a row fault at any point is
-    reported before any rank fault.  The ranks are the Bott sums' own count,
-    `Bott.ranks`, over d = 4..10: one count per distinct cell, kept for the
-    route, and a fault names the first failing d and its first point.  The
-    pencil check, last, names the first point and its largest missing quartic.
+    reported before any rank fault.  Each kind's degree is checked once
+    over the distinct rows of all the points (a loaded cache shares one
+    tuple per distinct row); only when that or a count fails are the points
+    walked in list order, so the fault named is the first point's.  The
+    ranks are the Bott sums' own count, `Bott.ranks`, over d = 4..10: one
+    count per distinct cell, kept for the route, and a fault names the
+    first failing d and its first point.  The certificate, last, reads each
+    point's quartic bit set: fewer than 19 bits, a repeated row at a point
+    whose cells were loaded rather than derived from its rows, is `rank !=
+    19`, and a pencil multiple missing from it names the first point and
+    its largest missing quartic.
     """
-    for fp in bott.points:
-        if len(fp.tangent) != loc.DIM:
-            raise AssertionError(
-                f"{fp.tag}{fp.provenance}: {len(fp.tangent)} tangent characters"
-                f" != {loc.DIM}"
-            )
-        for kind, rows, degree in (
-            ("tangent character", fp.tangent, 0),
-            ("pencil row", fp.pencil_chars, 2),
-            ("quartic row", fp.quartics, 4),
-        ):
-            if any(map(degree.__ne__, map(sum, rows))):
-                row = next(row for row in rows if sum(row) != degree)
-                raise AssertionError(
-                    f"{fp.tag}{fp.provenance}: {kind} {row} has degree"
-                    f" {sum(row)} != {degree}"
-                )
-        if len(fp.quartics) != 19:
-            raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
+    points = bott.points
+    counts_hold = all(len(fp.tangent) == loc.DIM and len(fp.quartics) == 19 for fp in points)
+    degrees_hold = all(
+        all(map(degree.__eq__, map(sum, set().union(*map(attrgetter(field), points)))))
+        for _, field, degree in _ROW_KINDS
+    )
+    if not (counts_hold and degrees_hold):
+        raise AssertionError(next(filter(None, map(_row_fault, points))))
     bott.ranks(range(4, 11))
-    for fp in bott.points:
+    for fp in points:
         try:
-            missing = fx.quartic_span(fx.QUADRIC_MULTIPLES, fp.pencil_chars)
-            missing &= ~quartic_bits(fp.quartics)
+            quartics = quartic_bits(fp.quartics)
+            missing = fx.quartic_span(fx.QUADRIC_MULTIPLES, fp.pencil_chars) & ~quartics
         except (KeyError, ValueError):  # a row of its degree with a negative exponent
             raise AssertionError(f"{fp.tag}{fp.provenance}: a row is not a monomial") from None
+        if quartics.bit_count() != 19:
+            raise AssertionError(f"{fp.tag}{fp.provenance}: rank != 19")
         if missing:
             m = render_monomial(quartics_of_bits(missing)[0])
             raise AssertionError(
@@ -225,15 +248,16 @@ def algebra_kernel(bott):
         pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
             where = f"E1 direction {record.direction} over pair {z.pair_index}"
+            want = packed(record.limit_cubics)
             for other, q, mp in _deformations((pair.q1, pair.q2), record.direction):
                 try:
                     cubics = e1_limit(other, q, mp)[3]
                 except AssertionError as exc:
                     raise AssertionError(f"{where}: {exc}") from None
-                if set(record.limit_cubics) != cubics:
+                if cubics != want:
                     raise AssertionError(
                         f"{where}, d=3: limit cubics {record.limit_cubics}"
-                        f" != e-string limit {fx._sort_monos(cubics)}"
+                        f" != e-string limit {fx._sort_monos(unpack(cubics))}"
                     )
                 checked += 1
     rng = random.Random(17)

@@ -29,6 +29,7 @@ this kind).
 import functools
 import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -228,13 +229,10 @@ def quartic_cell(base, free, bound):
 def quartic_bits(quartics):
     """The 35-bit set of exponent 4-tuples of quartic monomials: bit n stands
     for QUARTICS[n].  A monomial that is not a quartic is a ValueError naming it."""
-    bits = 0
-    for m in quartics:
-        bit = QUARTIC_BITS.get(m)
-        if bit is None:
-            raise ValueError(f"not a quartic monomial: {m}")
-        bits |= bit
-    return bits
+    try:
+        return functools.reduce(operator.or_, map(QUARTIC_BITS.__getitem__, quartics), 0)
+    except KeyError as exc:
+        raise ValueError(f"not a quartic monomial: {exc.args[0]}") from None
 
 
 def quartics_of_bits(bits):

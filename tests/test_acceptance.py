@@ -87,8 +87,55 @@ def test_rank_invariants_names_a_point_with_a_row_of_the_wrong_degree(
     row = (rows[0][0] + 1,) + rows[0][1:]
     bad = fp._replace(**{field: (row,) + rows[1:]})
     message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
+    # alone, and among the 524 good points, which fault nothing
+    for altered in ([bad], [*points[:300], bad, *points[301:]]):
+        with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+            checks.rank_invariants(loc.Bott(altered, weights))
+
+
+@pytest.mark.parametrize(
+    "field, kind, degree",
+    [
+        ("tangent", "tangent character", 0),
+        ("pencil_chars", "pencil row", 2),
+        ("quartics", "quartic row", 4),
+    ],
+)
+@pytest.mark.parametrize("first, second", [(150, 450), (300, 301)])
+def test_rank_invariants_names_the_first_point_of_a_shared_bad_row(
+    points, weights, field, kind, degree, first, second
+):
+    # one bad row tuple at two points, as a loaded cache shares it: the
+    # distinct rows hold it once, and the first point in list order is named
+    fp = points[first]
+    rows = getattr(fp, field)
+    row = (rows[0][0] + 1,) + rows[0][1:]
+    altered = list(points)
+    for i in (first, second):
+        altered[i] = points[i]._replace(**{field: (row,) + getattr(points[i], field)[1:]})
+    message = f"{fp.tag}{fp.provenance}: {kind} {row} has degree {degree + 1} != {degree}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
-        checks.rank_invariants(loc.Bott([bad], weights))
+        checks.rank_invariants(loc.Bott(altered, weights))
+
+
+def test_rank_invariants_names_a_loaded_point_with_a_repeated_quartic(
+    tmp_path, points, weights
+):
+    # G2E1(10, 7) of a loaded cache with quartic 1 replaced by quartic 0: 19
+    # rows of degree 4 and the loaded cells of its 19 distinct quartics, so
+    # its fiber ranks and pencil multiples pass, and only its quartic bit
+    # set, 18 bits, shows the rank
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    loaded = fx.load_cache(path)
+    i = next(i for i, fp in enumerate(loaded) if f"{fp.tag}{fp.provenance}" == "G2E1(10, 7)")
+    fp = loaded[i]
+    bad = fp._replace(quartics=fp.quartics[:1] + fp.quartics[:1] + fp.quartics[2:])
+    bad.cells = fp.cells
+    altered = [*loaded[:i], bad, *loaded[i + 1 :]]
+    message = "G2E1(10, 7): rank != 19"
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        checks.rank_invariants(loc.Bott(altered, weights))
 
 
 def _repeated_quartic(fp):

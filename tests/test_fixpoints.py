@@ -23,7 +23,7 @@ from nlocus.ideals import (
     staircase_cells,
     standard_monomials,
 )
-from nlocus.limits import e1_limit
+from nlocus.limits import e1_limit, unpack
 from nlocus.poly import Polynomial, monomial_gcd, parse
 from nlocus.torus import char_add, char_sub
 
@@ -250,7 +250,7 @@ def test_limit_cubics_match_matrix_oracle(cascade, saturation_limit):
     for zi, record in cascade.records:
         pair = cascade.pairs[cascade.zs[zi].pair_index]
         for other, q, mp in checks._deformations((pair.q1, pair.q2), record.direction):
-            limits = e1_limit(other, q, mp)
+            limits = {d: unpack(bits) for d, bits in e1_limit(other, q, mp).items()}
             assert limits == saturation_limit(other, q, mp), (record.direction, other, q)
             assert limits[3] == set(record.limit_cubics)
             checked += 1

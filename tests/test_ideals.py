@@ -543,6 +543,12 @@ def _saturation_without(text):
     return without
 
 
+def _unpacked(limit):
+    """An `e1_limit` result as {d: frozenset of exponent 4-tuples}, the
+    shape of the saturation oracle, through `limits.unpack`."""
+    return {d: limits.unpack(bits) for d, bits in limit.items()}
+
+
 # x0*x1 + t*x3^2 in the pencil <x0^2, x0*x1>
 E1_PENCIL = (2, 0, 0, 0), (1, 1, 0, 0), (0, 0, 0, 2)
 
@@ -552,7 +558,7 @@ def test_saturation_limit_needs_every_element_of_the_saturation(saturation_limit
     # the kind of element a Buchberger engine that skips a needed S-pair
     # loses.  Without it the t=0 limit keeps its 8 cubics but has 17
     # standard monomials of degree 4, where the flat limit has 16.
-    want = limits.e1_limit(*E1_PENCIL)
+    want = _unpacked(limits.e1_limit(*E1_PENCIL))
     assert saturation_limit(*E1_PENCIL) == want
     broken = saturation_limit(*E1_PENCIL, saturate=_saturation_without("x3^4"))
     assert broken[3] == want[3]
@@ -563,7 +569,7 @@ def test_saturation_limit_needs_every_element_of_the_saturation(saturation_limit
 def test_saturation_limit_checks_the_quadrics(saturation_limit):
     # without the pencil generator x0^2 the limit has 9 standard quadrics,
     # where the flat limit of a pencil has 8
-    want = limits.e1_limit(*E1_PENCIL)
+    want = _unpacked(limits.e1_limit(*E1_PENCIL))
     broken = saturation_limit(*E1_PENCIL, saturate=_saturation_without("x0^2"))
     assert want[2] - broken[2] == {(2, 0, 0, 0)} and broken[2] < want[2]
     assert len(monomials_of_degree(2)) - len(broken[2]) == 9
@@ -649,7 +655,11 @@ def _echelon_lows(units, lows, pe):
     ],
 )
 def test_run_rule_on_hand_built_runs(units, lows, pe, want):
-    got = limits._pivots(set(units), set(lows), pe)
+    # bit p + 32 stands for position p, so every position, and every top of
+    # an edge, is a non-negative bit
+    bits = [sum(1 << p + 32 for p in positions) for positions in (units, lows)]
+    got = limits._pivots(*bits, pe)
+    got = {p - 32 for p in range(got.bit_length()) if got >> p & 1}
     assert got == want == _echelon_lows(units, lows, pe)
 
 
@@ -678,7 +688,7 @@ def test_e1_limit_matches_saturation_beyond_the_cascade(saturation_limit):
         counts = {d: math.comb(d + 3, 3) - len(want[d]) for d in want}
         bad = [d for d, n in counts.items() if n != 4 * d]
         if not bad:
-            assert limits.e1_limit(*pencil) == want, pencil
+            assert _unpacked(limits.e1_limit(*pencil)) == want, pencil
         else:
             other, q, mp = map(render_monomial, pencil)
             message = (
