@@ -137,58 +137,16 @@ def staircase_cells(lead_x):
     Cells the ideal covers entirely are left out.  The list does not depend
     on the degree: it is derived once per ideal and expanded at each degree
     by staircase_runs.
-
-    The grid is walked row by row, a row being the points (i, j, *).  The
-    bounds never increase along a row, so a row ends at its first covered
-    point (bound 0), and a row whose first point is covered is covered
-    entirely.  A row after a covered row (i, j-1) or above a covered row
-    (i-1, j) is covered too and is skipped without being computed.
     """
     c0, c1, c2, _ = map(max, zip(*lead_x)) if lead_x else (0, 0, 0, 0)
-    # rows[i, j][k]: least x3-exponent of a generator at the grid point (i, j, k)
-    rows = {}
-    for g0, g1, g2, g3 in lead_x:
-        row = rows.get((g0, g1))
-        if row is None:
-            row = rows[g0, g1] = [math.inf] * (c2 + 1)
-        if g3 < row[g2]:
-            row[g2] = g3
-    uncovered = [math.inf] * (c2 + 1)
-    covered = [0] * (c2 + 1)
     cells = []
-    below = None  # the finished rows of plane i - 1
-    for i in range(c0 + 1):
-        plane = []
-        before = None  # the finished row (i, j - 1)
-        for j in range(c1 + 1):
-            under = below[j] if i else None
-            if (j and not before[0]) or (i and not under[0]):
-                plane.append(covered)
-                before = covered
-                continue
-            # the least x3-exponent of a generator dividing x0^i x1^j x2^k:
-            # minimized along k within the row, then against the finished
-            # rows (i, j-1) and (i-1, j)
-            row = rows.get((i, j))
-            if row is not None:
-                row = list(itertools.accumulate(row, min))
-                if j:
-                    row = list(map(min, before, row))
-                if i:
-                    row = list(map(min, under, row))
-            elif i and j:
-                row = list(map(min, before, under))
-            else:
-                row = before or under or uncovered
-            plane.append(row)
-            before = row
-            free, free_at_cap = _FREE[i == c0, j == c1, False], _FREE[i == c0, j == c1, True]
-            for k, bound in enumerate(row):
-                if not bound:
-                    break
-                free_k = free if k < c2 else free_at_cap
-                cells.append(Cell((i, j, k), free_k, bound, i + j + k))
-        below = plane
+    for i, j, k in itertools.product(range(c0 + 1), range(c1 + 1), range(c2 + 1)):
+        bound = min(
+            (g3 for g0, g1, g2, g3 in lead_x if g0 <= i and g1 <= j and g2 <= k),
+            default=math.inf,
+        )
+        if bound:
+            cells.append(Cell((i, j, k), _FREE[i == c0, j == c1, k == c2], bound, i + j + k))
     return cells
 
 

@@ -29,6 +29,7 @@ cost of a repeated cell does not grow with d; the docstring of
 """
 
 import math
+import operator
 from collections import Counter
 
 
@@ -56,7 +57,13 @@ class WeightSpec:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        values = tuple(int(v) for v in values)
+        ints = []
+        for v in values:
+            try:
+                ints.append(operator.index(v))
+            except TypeError:
+                raise ValueError(f"weight spec values must be integers, got {v!r}") from None
+        values = tuple(ints)
         if len(values) != 4:
             raise ValueError("weight spec needs exactly 4 values")
         if len(set(values)) != 4:

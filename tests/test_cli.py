@@ -15,6 +15,7 @@ import pytest
 
 from nlocus import checks
 from nlocus import fixpoints as fx
+from nlocus import ideals
 from nlocus import localization as loc
 from nlocus.cli import main
 from nlocus.formula import closed_form
@@ -298,6 +299,46 @@ def test_verify_takes_one_bott_pass_per_spec(
     code, out, _ = run(capsys, "verify", weights, "--cache", str(cache_path))
     assert (code, out.splitlines()[-1]) == (0, "verify: ok")
     assert passes == [(values, [4, 5, 6]), (alternate, [4, 5, 6])]
+
+
+@pytest.mark.parametrize(
+    "argv, warm",
+    [
+        (["degree", "--d", "4"], False),
+        (["formula", "--dmax", "37"], True),
+        (["fixpoints"], False),
+    ],
+    ids=["degree-cold", "formula", "fixpoints"],
+)
+def test_a_command_takes_its_cells_from_the_quartic_table(
+    monkeypatch, capsys, cache_path, tmp_path, argv, warm
+):
+    # every cell a command uses comes from `cells_of_bits`, which is why the
+    # general walk may be the plain, slower one
+    def general_walk(lead_x):
+        raise AssertionError(f"staircase_cells({lead_x!r}) on the path of {argv}")
+
+    monkeypatch.setattr(ideals, "staircase_cells", general_walk)
+    cache = cache_path if warm else tmp_path / "cold.json"
+    code, _, err = run(capsys, *argv, "--cache", str(cache))
+    assert (code, err) == (0, "")
+
+
+def test_verify_walks_four_small_ideals_with_the_general_staircase(
+    monkeypatch, capsys, cache_path
+):
+    # hilbert-oracles' three orbit representatives and algebra-kernel's <x0^2, x1^2>
+    sizes = []
+    walk = ideals.staircase_cells
+
+    def counted(lead_x):
+        sizes.append(len(lead_x))
+        return walk(lead_x)
+
+    monkeypatch.setattr(ideals, "staircase_cells", counted)
+    code, out, _ = run(capsys, "verify", "--cache", str(cache_path))
+    assert (code, out.splitlines()[-1]) == (0, "verify: ok")
+    assert len(sizes) == 4 and max(sizes) <= 4, sizes
 
 
 def test_a_failed_pass_fails_each_check_that_reads_it(
@@ -595,7 +636,7 @@ _LOADS = (
     "imported = set(sys.modules) - bare\n"
     "main(sys.argv[1:])\n"
     "watched = ('__future__', 'dataclasses', 'heapq', 'inspect', 'json',"
-    " 'nlocus.checks', 'nlocus.limits')\n"
+    " 'nlocus.checks', 'nlocus.limits', 'pickle')\n"
     "print([m for m in watched if m in imported],"
     " [m for m in watched if m in set(sys.modules) - bare])\n"
 )

@@ -303,6 +303,20 @@ def test_quartic_cells_are_the_staircase_cells_shared(points):
             assert shared.setdefault(cell, cell) is cell, (system, cell)
 
 
+def test_cells_of_bits_are_the_staircase_cells_on_random_quartic_sets():
+    # random sets reach covered rows and planes that no cascade system has;
+    # each is the AND of 1 to 4 uniform sets, so about 17, 9, 4 or 2 quartics
+    rng = random.Random(50)
+    sets = [0, (1 << 35) - 1]
+    for _ in range(1000):
+        uniform = [rng.getrandbits(35) for _ in range(rng.randint(1, 4))]
+        sets.append(functools.reduce(int.__and__, uniform))
+    for bits in sets:
+        # cells are tuples, so this compares every base, free, bound and lower
+        walked = tuple(ideals.staircase_cells(ideals.quartics_of_bits(bits)))
+        assert ideals.cells_of_bits(bits) == walked, bin(bits)
+
+
 @pytest.mark.parametrize("m", [(1, 1, 1, 0), (0, 0, 0, 5), (5, -1, 0, 0), (4, 0, 0, 0, 0)])
 def test_quartic_cells_reject_a_monomial_that_is_not_a_quartic(m):
     with pytest.raises(ValueError, match=re.escape(f"not a quartic monomial: {m}")):

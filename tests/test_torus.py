@@ -234,6 +234,15 @@ def test_weight_spec_rejects_duplicates():
         WeightSpec((0, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "values, bad", [((0, 1.9, 5, 18), "1.9"), (("0", "1", "5", "18"), "'0'")]
+)
+def test_weight_spec_rejects_a_value_that_is_not_an_integer(values, bad):
+    # neither truncated (1.9 is not 1) nor parsed from text
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+        WeightSpec(values)
+
+
 def test_elem_sym_small():
     assert elem_sym(0, [7, 8, 9]) == 1
     assert elem_sym(2, [1, 2, 3]) == 11
