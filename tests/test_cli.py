@@ -587,6 +587,30 @@ def test_traced_cli_targets_resolve(monkeypatch):
         )
 
 
+def test_a_cold_enumeration_calls_each_traced_cascade_stage(monkeypatch):
+    """The cascade stages that the benchmark's traced mode wraps run through
+    the `fixpoints` attributes that `traced_cli.install` replaces, as often as
+    CI's traced cold step records them: one `e1_points` per Z point, one
+    `classify_e1` per E1 record and one `e2_points` per W point."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    targets = importlib.import_module("traced_cli").TARGETS
+    traced = {attr for module, attr, _, _ in targets if module == "fixpoints"}
+    calls = dict.fromkeys(["e1_points", "classify_e1", "e2_points"], 0)
+    assert traced >= calls.keys()
+
+    def counted(name, stage):
+        def call(*args):
+            calls[name] += 1
+            return stage(*args)
+
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(fx, name, counted(name, getattr(fx, name)))
+    assert fx.stratum_counts(fx.enumerate_all()) == fx.CENSUS
+    assert calls == {"e1_points": 24, "classify_e1": 216, "e2_points": 36}
+
+
 def test_cli_import_loads_every_traced_module():
     """The benchmark's traced mode finds each module it wraps in sys.modules
     after `import nlocus.cli` alone; a lazy import would make that a KeyError."""

@@ -446,6 +446,114 @@ def test_a_w_direction_with_no_quartic_presentation_fails(cascade, e):
         fx.e2_points(w, 0)
 
 
+def _first_degenerate(cascade):
+    """The index of the Z point of the first E1 record that lands on W, the
+    record, and the place that a StructuralError on it names."""
+    zi, record = next(
+        (zi, r) for zi, r in cascade.records if any(_common_factor(r.limit_cubics))
+    )
+    return zi, record, f"E1 limit ({zi}, {record.direction_index}), direction {record.direction}"
+
+
+def _less_last(normal):
+    """A centre point's normal characters without the largest one."""
+    return normal - Counter([max(normal)])
+
+
+def _split_first_z_pair(cascade, **changes):
+    """Split the first pencil with a common plane, (x0^2, x0*x1), its fields changed."""
+    fx.split_strata([cascade.pairs[cascade.zs[0].pair_index]._replace(**changes)])
+
+
+def _classify_first_degenerate(cascade, z_changes=None, **changes):
+    zi, record, _ = _first_degenerate(cascade)
+    fx.classify_e1(record._replace(**changes), cascade.zs[zi]._replace(**z_changes or {}), zi)
+
+
+def _linears_doubled(cascade, monkeypatch):
+    monkeypatch.setattr(fx, "LINEARS", fx.LINEARS + fx.LINEARS[-1:])
+    _split_first_z_pair(cascade)
+
+
+def _quadrics_doubled(cascade, monkeypatch):
+    # x2^2 avoids the plane x0 and the line x1 of the first W point
+    monkeypatch.setattr(fx, "QUADRICS", fx.QUADRICS + [mono("x2^2")])
+    _classify_first_degenerate(cascade)
+
+
+def _z_normal_doubled(cascade, monkeypatch):
+    """The cascade as `enumerate_all` runs it, on pencils whose first pair with
+    a common plane has one of its normal characters twice in its tangent."""
+    z = cascade.zs[0]
+    pairs = list(cascade.pairs)
+    pair = pairs[z.pair_index]
+    pairs[z.pair_index] = pair._replace(tangent=pair.tangent + Counter([max(z.normal)]))
+    monkeypatch.setattr(fx, "enumerate_pairs", lambda: pairs)
+    fx.enumerate_all()
+
+
+def _w_normal_doubled(cascade, monkeypatch):
+    """Classify the first E1 record that lands on W, one of the W point's normal
+    characters twice in its tangent, and take the E2 points over it."""
+    zi, record, _ = _first_degenerate(cascade)
+    tangent = tuple(sorted(record.tangent + (max(cascade.ws[0].normal),)))
+    fx.e2_points(fx.classify_e1(record._replace(tangent=tangent), cascade.zs[zi], zi), 0)
+
+
+# each cascade StructuralError that the other tests do not reach: its message
+# (a callable of the place it names, for those that name the first E1 record
+# that lands on W) and the way to provoke it
+CASCADE_ERRORS = {
+    "pencil-square-factor": (
+        "distinct quadric monomials share a quadratic factor",
+        lambda c, mp: _split_first_z_pair(c, q2=c.pairs[c.zs[0].pair_index].q1),
+    ),
+    "z-tangent-size": ("Z tangent size 10 != 7", _linears_doubled),
+    "z-tangent-outside": (
+        "Z tangent is not contained in the pencil tangent",
+        lambda c, mp: _split_first_z_pair(c, tangent=Counter()),
+    ),
+    "z-normal-multiplicity": ("normal character with multiplicity > 1 over Z", _z_normal_doubled),
+    "e1-tangent-size": (
+        "E1 tangent size 15 != 16",
+        lambda c, mp: fx.e1_points(c.zs[0]._replace(normal=_less_last(c.zs[0].normal))),
+    ),
+    "w-tangent-size": (lambda where: f"{where}: W tangent size 8 != 7", _quadrics_doubled),
+    "w-tangent-outside": (
+        lambda where: f"{where}: W tangent is not contained in the E1 tangent",
+        lambda c, mp: _classify_first_degenerate(c, tangent=()),
+    ),
+    "w-normal-multiplicity": ("normal character with multiplicity > 1 over W", _w_normal_doubled),
+    "e2-tangent-size": (
+        "E2 tangent size 15 != 16",
+        lambda c, mp: fx.e2_points(c.ws[0]._replace(normal=_less_last(c.ws[0].normal)), 0),
+    ),
+    "plane-not-z": (
+        lambda where: f"{where}: common plane of the limit cubics is not the Z plane",
+        lambda c, mp: _classify_first_degenerate(c, {"plane": mono("x1")}),
+    ),
+    "outside-y": (
+        lambda where: f"{where}: degenerate limit over a ZPoint outside Y",
+        lambda c, mp: _classify_first_degenerate(c, {"l1": mono("x2")}),
+    ),
+    # the line becomes x2, so x1^2, x1*x3 and x3^2 all avoid it and the plane x0
+    "doublet-not-unique": (
+        lambda where: f"{where}: doublet is not unique:"
+        " [(0, 2, 0, 0), (0, 1, 0, 1), (0, 0, 0, 2)]",
+        lambda c, mp: _classify_first_degenerate(c, {"l1": mono("x2"), "l2": mono("x0")}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASCADE_ERRORS))
+def test_each_cascade_error_keeps_its_message(monkeypatch, cascade, case):
+    message, provoke = CASCADE_ERRORS[case]
+    if callable(message):
+        message = message(_first_degenerate(cascade)[2])
+    with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+        provoke(cascade, monkeypatch)
+
+
 # -- cache -------------------------------------------------------------------
 
 
