@@ -31,7 +31,6 @@ from .poly import render_monomial
 from .torus import (
     DEFAULT_WEIGHTS,
     FALLBACK_WEIGHTS,
-    char_add,
     elem_sym,
     shared_products,
     visit_schedule,
@@ -213,17 +212,6 @@ def spec_independence(bott):
     return [r.degree for r in bott.degrees]
 
 
-def _deformations(pencil, e):
-    """(other generator, q, m') for each pencil generator q that direction e
-    deforms to q + t*m', m' = q*x^e a genuine quadric monomial."""
-    out = []
-    for j, qj in enumerate(pencil):
-        shift = char_add(e, qj)
-        if all(v >= 0 for v in shift):
-            out.append((pencil[1 - j], qj, shift))
-    return out
-
-
 def algebra_kernel(bott):
     """The fiber staircase, the E1 flat limits by `e1_limit`, the Kronecker kernel.
 
@@ -249,7 +237,7 @@ def algebra_kernel(bott):
         for record in fx.e1_points(z):
             where = f"E1 direction {record.direction} over pair {z.pair_index}"
             want = packed(record.limit_cubics)
-            for other, q, mp in _deformations((pair.q1, pair.q2), record.direction):
+            for other, q, mp in fx._deformations((pair.q1, pair.q2), record.direction):
                 try:
                     cubics = e1_limit(other, q, mp)[3]
                 except AssertionError as exc:

@@ -2,7 +2,7 @@
 
 The parameter space starts as the Grassmannian of pencils of quadrics in P^3
 and is blown up twice: first along the locus Z of pencils with a fixed plane,
-then along the locus of degenerate cubic systems given by a plane and a
+then along the locus W of degenerate cubic systems given by a plane and a
 doublet.  Three strata of fixed points contribute to localization sums:
 
   G2    pencils of coprime quadric monomials                (21 points)
@@ -16,21 +16,27 @@ limiting pencil (the Pluecker weight data needed for the degree-4 count).
 Every monomial on this path, from the pencils to the cache file, is an
 exponent 4-tuple over x0..x3, which is also its torus character.
 
+Both blow-ups are one step.  At a point of the centre, Z or W, the tangent
+splits into 7 characters along the centre and 9 normal ones, each once
+(`_normal`); the point over normal direction e has the fibre (n - e), the
+characters along the centre and e as its tangent (`_fibre`).  Every fixed
+point is built from its quartic system, one 35-bit set, the OR of tables of
+quadric and cubic monomials' quartic multiples, whose bit count is its rank
+and whose bits give its sorted quartics and its cells (`_fixed_point`).
+
 The exceptional points over Z come from flat limits of deformed pencils.
 Deform q = p*l_q in the pencil <p*l1, p*l2> along a direction x^e to
 q + t*m', m' = q*x^e.  With the other generator p*l_o, the syzygy
 l_q*(p*l_o) - l_o*(q + t*m') = -t*l_o*m' puts l_o*m' = p*l1*l2*x^e in the
 flat limit, which is spanned by that cubic and the 7 cubics
 p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
-lies on the second centre and gives a WPoint; one whose cubics have no
-common factor is a G2E1 point (`classify_e1`).  The one Hilbert polynomial
-computed on this path is the 4t check of each fixed point's quartics in
-`enumerate_all`, 3! times it in integers, read off the point's staircase
-cells.  A quartic system is one 35-bit set, the OR of tables of quadric and
-cubic monomials' quartic multiples, whose bit count is its rank and whose
-bits give its sorted quartics and cells.  No linear algebra and no Groebner
-basis is computed on this path; `nlocus verify` recomputes every limit
-exactly by the run rule on the e-strings of the deformed pencil (`limits.e1_limit`).
+lies on W and gives a WPoint; one whose cubics have no common factor is a
+G2E1 point (`classify_e1`).  The one Hilbert polynomial computed on this
+path is the 4t check of each fixed point's quartics in `enumerate_all`, 3!
+times it in integers, read off the point's staircase cells.  No linear
+algebra and no Groebner basis is computed on this path; `nlocus verify`
+recomputes every limit exactly by the run rule on the e-strings of the
+deformed pencil (`limits.e1_limit`).
 """
 
 import contextlib
@@ -111,11 +117,10 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     quartic system, the shared objects of `ideals.quartic_cell`, kept in the
     instance dict: it does not depend on d or on the weight spec, so the 4t
     check, every Bott sum and `checks.rank_invariants` read the one
-    derivation.  The cascade gives a G2E1 or E2 point the cells of its
-    quartic bit set (`ideals.cells_of_bits`), `load_cache` those of its
-    record; any other point, such as a G2 point or a `_replace`d one,
-    derives them by `ideals.quartic_cells` on first read.  It is not a
-    field: equality, hashing and repr ignore it.
+    derivation.  The cascade gives every point the cells of its quartic bit
+    set (`_fixed_point`), `load_cache` those of its record; any other point,
+    such as a `_replace`d one, derives them by `ideals.quartic_cells` on
+    first read.  It is not a field: equality, hashing and repr ignore it.
     """
 
     @functools.cached_property
@@ -153,6 +158,52 @@ def _sort_monos(monos):
     return tuple(sorted(monos, key=_GREVLEX_RANK.__getitem__))
 
 
+def _fixed_point(tag, tangent, bits, pencil_chars, provenance):
+    """The FixedPoint of a 35-bit quartic set: its quartics are the set's in
+    grevlex order, and it keeps the set's staircase cells (`cells_of_bits`)."""
+    fp = FixedPoint(tag, tangent, quartics_of_bits(bits), pencil_chars, provenance)
+    fp.cells = cells_of_bits(bits)
+    return fp
+
+
+def _normal(along, tangent, centre, outer, where=""):
+    """The normal characters at a point of a blow-up centre: its tangent in
+    the space blown up (outer), less the 7 along the centre, each once."""
+    if along.total() != 7:
+        raise StructuralError(f"{where}{centre} tangent size {along.total()} != 7")
+    if not along <= tangent:
+        raise StructuralError(f"{where}{centre} tangent is not contained in the {outer} tangent")
+    normal = tangent - along
+    if normal.total() != len(normal):
+        raise StructuralError(f"normal character with multiplicity > 1 over {centre}")
+    return normal
+
+
+def _fibre(along, normal, stratum):
+    """Each normal direction e at a point of a blow-up centre, with its index
+    in sorted order and the tangent of the point over it (`blowup_tangent`).
+    A tangent of a size other than 16 fails once the caller has checked e,
+    so a check that names the direction comes first."""
+    along, directions = list(along.elements()), sorted(normal)
+    for index, e in enumerate(directions):
+        tangent = blowup_tangent(along, directions, e)
+        yield index, e, tangent
+        if len(tangent) != 16:
+            raise StructuralError(f"{stratum} tangent size {len(tangent)} != 16")
+
+
+def _deformations(pencil, e):
+    """(other generator, q, m') for each pencil generator q that direction e
+    deforms to q + t*m', m' = q*x^e a genuine quadric monomial: the
+    generators that admit e."""
+    out = []
+    for j, qj in enumerate(pencil):
+        shift = char_add(e, qj)
+        if all(v >= 0 for v in shift):
+            out.append((pencil[1 - j], qj, shift))
+    return out
+
+
 def split_strata(pairs):
     """Coprime pairs become G2 fixed points; pairs with a common plane, ZPoints."""
     g2, zs = [], []
@@ -165,25 +216,14 @@ def split_strata(pairs):
                     f"pencil ({render_monomial(pair.q1)}, {render_monomial(pair.q2)})"
                     f" spans {bits.bit_count()} quartics, expected 19"
                 )
-            g2.append(
-                FixedPoint(
-                    tag=G2,
-                    tangent=tuple(sorted(pair.tangent.elements())),
-                    quartics=quartics_of_bits(bits),
-                    pencil_chars=(pair.q1, pair.q2),
-                    provenance=(pair.index,),
-                )
-            )
+            tangent = tuple(sorted(pair.tangent.elements()))
+            g2.append(_fixed_point(G2, tangent, bits, (pair.q1, pair.q2), (pair.index,)))
         else:
             if sum(g) != 1:
                 raise StructuralError("distinct quadric monomials share a quadratic factor")
             l1, l2 = char_sub(pair.q1, g), char_sub(pair.q2, g)
             tangent_z = grass_tangent([l1, l2], LINEARS) + grass_tangent([g], LINEARS)
-            if tangent_z.total() != 7:
-                raise StructuralError(f"Z tangent size {tangent_z.total()} != 7")
-            if not tangent_z <= pair.tangent:
-                raise StructuralError("Z tangent is not contained in the pencil tangent")
-            normal = pair.tangent - tangent_z
+            normal = _normal(tangent_z, pair.tangent, "Z", "pencil")
             zs.append(ZPoint(g, l1, l2, tangent_z, normal, pair.index))
     return g2, zs
 
@@ -197,18 +237,13 @@ def e1_points(z):
     l_o*m' = p*l1*l2*x^e in the flat limit at t = 0, next to the 7 distinct
     cubics p*{l1, l2}*{x0..x3}.  These 8 independent monomials span the
     8-dimensional limit, and none of them depends on which generator was
-    deformed.  The ZPoint's tangent characters and sorted normal characters
-    are listed once; each record's tangent is built from them
-    (`torus.blowup_tangent`).
+    deformed.  Each record's tangent is the fibre's (`_fibre`).
     """
     q1, q2 = char_add(z.plane, z.l1), char_add(z.plane, z.l2)
     pencil_cubics = {char_add(q, x) for q in (q1, q2) for x in LINEARS}
-    base, normal = list(z.tangent_z.elements()), sorted(z.normal)
     records = []
-    for index, e in enumerate(normal):
-        if z.normal[e] != 1:
-            raise StructuralError("normal character with multiplicity > 1 over Z")
-        if not any(all(v >= 0 for v in char_add(e, q)) for q in (q1, q2)):
+    for index, e, tangent in _fibre(z.tangent_z, z.normal, "E1"):
+        if not _deformations((q1, q2), e):
             raise StructuralError(f"no pencil generator admits direction {e}")
         extra = char_add(char_add(q1, z.l2), e)
         if extra in pencil_cubics:
@@ -216,12 +251,7 @@ def e1_points(z):
                 f"limit cubic {render_monomial(extra)} of direction {e} is"
                 " already a cubic of the pencil"
             )
-        tangent = blowup_tangent(base, normal, e)
-        if len(tangent) != 16:
-            raise StructuralError(f"E1 tangent size {len(tangent)} != 16")
-        records.append(
-            E1Record(index, e, _sort_monos(pencil_cubics | {extra}), tangent)
-        )
+        records.append(E1Record(index, e, _sort_monos(pencil_cubics | {extra}), tangent))
     return records
 
 
@@ -238,24 +268,17 @@ def classify_e1(record, z, z_index):
     plane is never 4t.  Any other common factor is a StructuralError.
     """
     plane = tuple(map(min, zip(*record.limit_cubics)))
+    provenance = (z_index, record.direction_index)
     if not any(plane):
-        provenance = (z_index, record.direction_index)
         bits = quartic_span(CUBIC_MULTIPLES, record.limit_cubics)
         if bits.bit_count() != 19:
             raise StructuralError(
                 f"G2E1{provenance} quartic system has rank {bits.bit_count()}, expected 19"
             )
-        fp = FixedPoint(
-            tag=G2E1,
-            tangent=record.tangent,
-            quartics=quartics_of_bits(bits),
-            pencil_chars=(char_add(z.plane, z.l1), char_add(z.plane, z.l2)),
-            provenance=provenance,
-        )
-        fp.cells = cells_of_bits(bits)
-        return fp
+        pencil_chars = (char_add(z.plane, z.l1), char_add(z.plane, z.l2))
+        return _fixed_point(G2E1, record.tangent, bits, pencil_chars, provenance)
 
-    where = f"E1 limit ({z_index}, {record.direction_index}), direction {record.direction}"
+    where = f"E1 limit {provenance}, direction {record.direction}"
     if sum(plane) != 1:
         raise StructuralError(
             f"{where}: the limit cubics share {render_monomial(plane)},"
@@ -278,21 +301,8 @@ def classify_e1(record, z, z_index):
         + grass_tangent([line], [c for c in LINEARS if c != plane])
         + grass_tangent([doublet], doublet_ambient)
     )
-    if tangent_w.total() != 7:
-        raise StructuralError(f"{where}: W tangent size {tangent_w.total()} != 7")
-    tangent = Counter(record.tangent)
-    if not tangent_w <= tangent:
-        raise StructuralError(f"{where}: W tangent is not contained in the E1 tangent")
-    normal = tangent - tangent_w
-    return WPoint(
-        plane=plane,
-        line=line,
-        doublet=doublet,
-        tangent_w=tangent_w,
-        normal=normal,
-        cubic_system=record.limit_cubics,
-        provenance=(z_index, record.direction_index),
-    )
+    normal = _normal(tangent_w, Counter(record.tangent), "W", "E1", f"{where}: ")
+    return WPoint(plane, line, doublet, tangent_w, normal, record.limit_cubics, provenance)
 
 
 def e2_points(w, w_index):
@@ -300,39 +310,24 @@ def e2_points(w, w_index):
 
     Each normal character e picks the quartic monomial g of character
     e + char(plane * line * doublet); the quartic system is the cubic system
-    times the linear forms plus g, of rank 19.  The WPoint's tangent
-    characters, its sorted normal characters and its 18 base quartics (a
-    35-bit set) are listed once: each point's tangent is built from them
-    (`torus.blowup_tangent`), its quartics and cells from the base and g.
+    times the linear forms plus g, of rank 19.  The WPoint's 18 base
+    quartics (a 35-bit set) are listed once; each point's tangent is the
+    fibre's (`_fibre`), its quartics and cells those of the base and g.
     """
     base = quartic_span(CUBIC_MULTIPLES, w.cubic_system)
     if base.bit_count() != 18:
         raise StructuralError(f"W quartic base has rank {base.bit_count()}, expected 18")
-    tangent_w, normal = list(w.tangent_w.elements()), sorted(w.normal)
     anchor = char_add(char_add(w.plane, w.line), w.doublet)
     pencil_chars = (char_add(w.plane, w.plane), char_add(w.plane, w.line))
     points = []
-    for index, e in enumerate(normal):
-        if w.normal[e] != 1:
-            raise StructuralError("normal character with multiplicity > 1 over W")
+    for index, e, tangent in _fibre(w.tangent_w, w.normal, "E2"):
         g = char_add(e, anchor)
         bit = QUARTIC_BITS.get(g)
         if bit is None:
             raise StructuralError(f"direction {e} has no quartic presentation over W")
         if base & bit:
             raise StructuralError(f"extra quartic {g} already in the cubic system")
-        tangent = blowup_tangent(tangent_w, normal, e)
-        if len(tangent) != 16:
-            raise StructuralError(f"E2 tangent size {len(tangent)} != 16")
-        fp = FixedPoint(
-            tag=E2,
-            tangent=tangent,
-            quartics=quartics_of_bits(base | bit),
-            pencil_chars=pencil_chars,
-            provenance=(w_index, index),
-        )
-        fp.cells = cells_of_bits(base | bit)
-        points.append(fp)
+        points.append(_fixed_point(E2, tangent, base | bit, pencil_chars, (w_index, index)))
     return points
 
 

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import pytest
 
-from nlocus import checks
 from nlocus import fixpoints as fx
 from nlocus import gbcore, ideals
 from nlocus.ideals import (
@@ -249,7 +248,7 @@ def test_limit_cubics_match_matrix_oracle(cascade, saturation_limit):
     checked = 0
     for zi, record in cascade.records:
         pair = cascade.pairs[cascade.zs[zi].pair_index]
-        for other, q, mp in checks._deformations((pair.q1, pair.q2), record.direction):
+        for other, q, mp in fx._deformations((pair.q1, pair.q2), record.direction):
             limits = {d: unpack(bits) for d, bits in e1_limit(other, q, mp).items()}
             assert limits == saturation_limit(other, q, mp), (record.direction, other, q)
             assert limits[3] == set(record.limit_cubics)
@@ -288,7 +287,7 @@ def test_e1_direction_extra_cubic_already_in_the_pencil(cascade):
 
 
 def test_deformation_ideal_is_the_deformed_pencil():
-    ((other, q, mp),) = checks._deformations((mono("x0^2"), mono("x0*x1")), (-1, -1, 2, 0))
+    ((other, q, mp),) = fx._deformations((mono("x0^2"), mono("x0*x1")), (-1, -1, 2, 0))
     assert (other, q, mp) == (mono("x0^2"), mono("x0*x1"), mono("x2^2"))
     gens = deformation_ideal(other, q, mp)
     assert list(gens) == [parse("x0^2"), parse("x0*x1 + t*x2^2")]

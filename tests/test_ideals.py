@@ -421,7 +421,7 @@ def e1_deformation_ideals():
     for z in zs:
         pair = pairs[z.pair_index]
         for e in sorted(z.normal):
-            out.append(cubic_multiples(*checks._deformations((pair.q1, pair.q2), e)[0]))
+            out.append(cubic_multiples(*fx._deformations((pair.q1, pair.q2), e)[0]))
     return out
 
 
@@ -629,7 +629,7 @@ def test_e1_limit_of_a_pencil_with_a_common_factor(monkeypatch):
     # in criterion 8 the failure also names the direction and its pair
     z = _first_z()
     direction = fx.e1_points(z)[0].direction
-    monkeypatch.setattr(checks, "_deformations", lambda pair, e: [pencil])
+    monkeypatch.setattr(fx, "_deformations", lambda pair, e: [pencil])
     message = f"E1 direction {direction} over pair {z.pair_index}: {message}"
     with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
         checks.algebra_kernel(None)
@@ -689,7 +689,7 @@ def test_e1_limit_matches_saturation_beyond_the_cascade(saturation_limit):
         presentation
         for z in zs
         for record in fx.e1_points(z)
-        for presentation in checks._deformations(
+        for presentation in fx._deformations(
             (pairs[z.pair_index].q1, pairs[z.pair_index].q2), record.direction
         )
     }
@@ -725,7 +725,7 @@ def all_deformation_ideals():
     for z in zs:
         pair = pairs[z.pair_index]
         for record in fx.e1_points(z):
-            for presentation in checks._deformations((pair.q1, pair.q2), record.direction):
+            for presentation in fx._deformations((pair.q1, pair.q2), record.direction):
                 out.append(cubic_multiples(*presentation))
     return out
 
