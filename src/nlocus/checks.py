@@ -27,7 +27,7 @@ from . import localization as loc
 from .formula import closed_form
 from .limits import e1_limit, packed, unpack
 from .ideals import hilbert_polynomial, quartic_bits, quartics_of_bits, standard_monomials
-from .poly import render_monomial
+from .poly import monomial_gcd, render_monomial
 from .torus import (
     DEFAULT_WEIGHTS,
     FALLBACK_WEIGHTS,
@@ -230,7 +230,8 @@ def algebra_kernel(bott):
         "standard_monomials(<x0^2, x1^2>, 5) != 20",
     )
     pairs = fx.enumerate_pairs()
-    _, zs = fx.split_strata(pairs)
+    # only the pairs with a common plane, so that no G2 point is built
+    _, zs = fx.split_strata([pair for pair in pairs if any(monomial_gcd(pair.q1, pair.q2))])
     checked = 0
     for z in zs:
         pair = pairs[z.pair_index]
@@ -252,7 +253,7 @@ def algebra_kernel(bott):
     for n in range(1, 13):
         values = [rng.randint(0, 9) for _ in range(n)]
         for k in range(n + 1):
-            brute = sum(math.prod(c) for c in itertools.combinations(values, k))
+            brute = sum(map(math.prod, itertools.combinations(values, k)))
             got = elem_sym(k, values)
             if got != brute:
                 raise AssertionError(f"elem_sym({k}, {values}) = {got} != {brute}")
@@ -273,9 +274,10 @@ def algebra_kernel(bott):
     weights = [[rng.randint(0, 1000) for _ in range(n)] for n in (40, 30, 30, 50)]
     weights += [[977] * 100, [977] * 100]
     seqs = [[0, 1, 2], [0, 1, 3], [0, 2], [4], [4, 5], [5, 4]]
-    got = list(shared_products(loc.DIM, visit_schedule(seqs), weights))
-    for i, seq in enumerate(seqs):
-        values = [v for c in seq for v in weights[c]]
+    concatenated = [[v for c in seq for v in weights[c]] for seq in seqs]
+    largest = max(map(sum, concatenated))
+    got = list(shared_products(loc.DIM, visit_schedule(seqs), weights, largest))
+    for i, (seq, values) in enumerate(zip(seqs, concatenated)):
         *_, e15, e16 = elem_sym_coefficients(loc.DIM, values)
         want = (e16, e15)
         if got[i] != want:
@@ -287,11 +289,11 @@ def algebra_kernel(bott):
 
 
 def elem_sym_coefficients(k, values):
-    """e_0..e_k of values, by truncated product accumulation."""
+    """e_0..e_k of values, by truncated product accumulation: each value
+    takes e_i to e_i + v*e_(i-1) for every i at once."""
     coeffs = [1] + [0] * k
     for v in values:
-        for i in range(k, 0, -1):
-            coeffs[i] += v * coeffs[i - 1]
+        coeffs = [c + v * below for c, below in zip(coeffs, [0, *coeffs])]
     return coeffs
 
 

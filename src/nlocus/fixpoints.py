@@ -48,7 +48,7 @@ import os
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .ideals import QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits
+from .ideals import CELLS, QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits
 from .ideals import quartic_bits, quartic_cell, quartic_cells, quartics_of_bits
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
@@ -114,18 +114,22 @@ class FixedPoint(namedtuple("FixedPoint", "tag tangent quartics pencil_chars pro
     the points of the cascade over one centre share its tangent and normal
     characters, and the cascade's quartics are the tuples of
     `ideals.QUARTICS`.  `cells` is the staircase decomposition of the
-    quartic system, the shared objects of `ideals.quartic_cell`, kept in the
-    instance dict: it does not depend on d or on the weight spec, so the 4t
-    check, every Bott sum and `checks.rank_invariants` read the one
-    derivation.  The cascade gives every point the cells of its quartic bit
-    set (`_fixed_point`), `load_cache` those of its record; any other point,
-    such as a `_replace`d one, derives them by `ideals.quartic_cells` on
-    first read.  It is not a field: equality, hashing and repr ignore it.
+    quartic system as one tuple of cell numbers, `ideals.CELLS[n]` the cell
+    of number n, kept in the instance dict: it does not depend on d or on
+    the weight spec, so the 4t check, every Bott sum, the cache writer and
+    `checks.rank_invariants` read the one derivation, and each of them
+    indexes lists by number.  The cascade gives every point the numbers of
+    its quartic bit set (`_fixed_point`), `load_cache` those of its record;
+    any other point, such as a `_replace`d one, derives them by
+    `ideals.quartic_cells` on first read.  The numbers hold only inside the
+    process that made them.  It is not a field: equality, hashing and repr
+    ignore it.
     """
 
     @functools.cached_property
     def cells(self):
-        """The staircase cells of the quartic system, a tuple of shared cell objects."""
+        """The staircase cells of the quartic system, a tuple of their numbers
+        in `ideals.CELLS`."""
         return quartic_cells(self.quartics)
 
 
@@ -160,7 +164,8 @@ def _sort_monos(monos):
 
 def _fixed_point(tag, tangent, bits, pencil_chars, provenance):
     """The FixedPoint of a 35-bit quartic set: its quartics are the set's in
-    grevlex order, and it keeps the set's staircase cells (`cells_of_bits`)."""
+    grevlex order, and it keeps the numbers of the set's staircase cells
+    (`cells_of_bits`)."""
     fp = FixedPoint(tag, tangent, quartics_of_bits(bits), pencil_chars, provenance)
     fp.cells = cells_of_bits(bits)
     return fp
@@ -351,7 +356,8 @@ def enumerate_all():
     Each point's quartic system is checked to cut out a curve with Hilbert
     polynomial 4t, read off the point's `cells`, which the points keep for
     the Bott sums: 3! times it is added up in integers from the terms the
-    shared cells keep (`ideals.cells_hilbert_numerator`), with no Fraction.
+    cells of `ideals.CELLS` keep, read by number
+    (`ideals.cells_hilbert_numerator`), with no Fraction.
     The cascade makes no reference cycles (a collection after it finds
     nothing unreachable), so it runs with the cyclic collector paused.
     """
@@ -371,8 +377,9 @@ def enumerate_all():
     counts = stratum_counts(points)
     if counts != CENSUS:
         raise StructuralError(f"stratum counts {counts} != {CENSUS}")
+    cell = CELLS.__getitem__
     for fp in points:
-        if cells_hilbert_numerator(fp.cells) != (0, 24, 0, 0):  # 3! * 4t
+        if cells_hilbert_numerator(map(cell, fp.cells)) != (0, 24, 0, 0):  # 3! * 4t
             raise StructuralError(
                 f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
             )
@@ -427,40 +434,44 @@ def _cache_chunks(points):
     header chunk with the two tables, then chunks of at most _CHUNK_RECORDS
     records each; `cache_bytes` describes the text.
 
-    One pass over the points gathers their distinct rows and cells.  After
-    the header, the JSON text of each table index is formed once, and each
-    record is formatted once from those fragments, its six keys in sorted
-    order.  The counts header and the tags are formatted here too, so saving
-    a cache imports no `json`: a tag is a stratum name, whose JSON text is
-    the name in quotes.
+    One pass over the points gathers their distinct rows and cell numbers;
+    the cell table is sorted by the cells' values, `ideals.CELLS[n]`, so
+    the bytes do not depend on the numbers.  After the header, the JSON
+    text of each table index is formed once, and each record is formatted
+    once from those fragments, its six keys in sorted order: a row's text
+    is looked up by the row, a cell's by its number.  The counts header and
+    the tags are formatted here too, so saving a cache imports no `json`: a
+    tag is a stratum name, whose JSON text is the name in quotes.
     """
-    rows, cells = set(), set()
+    rows = set()
     for fp in points:
         rows.update(fp.tangent, fp.quartics, fp.pencil_chars)
-        cells.update(fp.cells)
-    rows, cells = sorted(rows), sorted(cells)
+    rows = sorted(rows)
+    cells = sorted(set().union(*[fp.cells for fp in points]), key=CELLS.__getitem__)
+    table = ",".join([_cell_text(CELLS[n]) for n in cells])
     counts = ",".join(
         f'"{name}":{count}' for name, count in sorted(zip(STRATA, stratum_counts(points)))
     )
     yield (
-        f'{{"counts":{{{counts}}},"distinct":{{"cells":[{",".join(map(_cell_text, cells))}]'
+        f'{{"counts":{{{counts}}},"distinct":{{"cells":[{table}]'
         f',"rows":[{",".join(map(_ints_text, rows))}]}},"points":['
     ).encode()
-    # one dict gives the text of each row's and each cell's index in its
-    # table (no row of integers equals a cell, whose base is a tuple), and
-    # only it is kept while the records are written
+    # the text of each row's index in its table, by row, and of each cell's,
+    # by number: only these are kept while the records are written
     texts = list(map(str, range(max(len(rows), len(cells)))))
-    index = dict(zip(rows, texts))
-    index.update(zip(cells, texts))
+    index = dict(zip(rows, texts)).__getitem__
+    at = [None] * len(CELLS)
+    for n, text in zip(cells, texts):
+        at[n] = text
     del rows, cells, texts
-    index = index.__getitem__
+    at = at.__getitem__
 
     for start in range(0, len(points), _CHUNK_RECORDS):
         if start:
             yield b","
         yield ",".join(
             [
-                f'{{"cells":[{",".join(map(index, fp.cells))}]'
+                f'{{"cells":[{",".join(map(at, fp.cells))}]'
                 f',"pencil":[{",".join(map(index, fp.pencil_chars))}]'
                 f',"provenance":{_ints_text(fp.provenance)}'
                 f',"quartics":[{",".join(map(index, fp.quartics))}],"tag":"{fp.tag}"'
@@ -478,12 +489,12 @@ def cache_bytes(points):
 
     "distinct" holds two sorted tables: "rows", the distinct 4-integer rows
     of the points (tangent characters, quartic monomials and pencil rows),
-    and "cells", the distinct staircase cells of their `cells`, each
-    [base, free, bound] with a null bound for a cell with no x3 bound.  Each
-    record holds its point's "tag" and "provenance", and its "tangent",
-    "quartics", "pencil" and "cells" as lists of indices into those tables.
-    The tables come before the records, so a reader can build each point as
-    soon as its record is parsed.
+    and "cells", the distinct staircase cells that their `cells` number,
+    each [base, free, bound] with a null bound for a cell with no x3 bound.
+    Each record holds its point's "tag" and "provenance", and its
+    "tangent", "quartics", "pencil" and "cells" as lists of indices into
+    those tables.  The tables come before the records, so a reader can
+    build each point as soon as its record is parsed.
 
     It holds at most two copies of the file's bytes at a time; one
     `json.dumps` of the whole document would take about 18 times the file's
@@ -523,8 +534,8 @@ def _point_reader():
 
     The file's "distinct" object, read before any record, gives the tables:
     each row becomes one tuple, shared by every point that has it, and each
-    cell the shared object of `ideals.quartic_cell`.  A record, an object
-    with a "tag", becomes its FixedPoint with its rows and its cells taken
+    cell its number, `ideals.quartic_cell`.  A record, an object with a
+    "tag", becomes its FixedPoint with its rows and its cell numbers taken
     from them.  Any other object is returned as parsed.
     """
     row = cell = None
@@ -562,7 +573,7 @@ def load_cache(path):
     record becomes its point as soon as it is parsed (`_point_reader`), so
     the lists of the whole document never exist at once.  The 19,425 rows
     of the points are the 275 tuples of the file's row table, and their
-    13,617 cells the 401 shared cell objects of its cell table: a loaded
+    13,617 cells the numbers of the 401 cells of its cell table: a loaded
     point derives no cells.  Any other file, including one of another schema
     or one nested too deeply for `json` to decode, is a ValueError naming
     the path.

@@ -9,10 +9,15 @@ Groebner basis and no `Polynomial`.  `staircase_cells` is the general
 path, for any generators, and the reference.  A fixed point's generators
 are quartic monomials, one 35-bit set (`quartic_bits`) whose bit order
 gives both its sorted quartics (`quartics_of_bits`) and its cells
-(`cells_of_bits`, one table of the 35 quartics; `quartic_cell` gives a
-cache file's cells as the same objects).  A caller that holds the cells
-passes them to `cells_hilbert_numerator`, `cells_hilbert_polynomial` or
-`staircase_runs` directly.
+(`cells_of_bits`, one table of the 35 quartics).  Those cells are
+numbers: every distinct cell has one, the first time the process sees it,
+and `CELLS[n]` is the one `Cell` of number n (`quartic_cell` numbers a
+cache file's cells the same way).  So a fixed point keeps its cells as
+one tuple of small integers, and a walk over them indexes lists by
+number instead of hashing cells; the numbers exist only inside one
+process, and every order of cells compares the `Cell` values.  A caller
+that holds `Cell` objects passes them to `cells_hilbert_numerator`,
+`cells_hilbert_polynomial` or `staircase_runs` directly.
 
 The second half is the tests' oracle, which no command runs: `Ideal`
 over the `Polynomial` ring of poly.py, reduced Groebner bases
@@ -100,11 +105,11 @@ def normal_form(p, G):
 class Cell(namedtuple("Cell", "base free bound lower")):
     """One staircase cell (see `staircase_cells`), a namedtuple with an instance dict.
 
-    `hilbert_term` is a `functools.cached_property`, so a cell shared between
-    quartic systems (`quartic_cells`) gives its term once per process, and
-    the term is derived once per shape (`_cell_term`): the 401 distinct
-    cells of the fixed points have 52 shapes.  Equality, hashing, order and
-    repr are the tuple's.
+    `hilbert_term` is a `functools.cached_property`, so a cell of `CELLS`,
+    shared by every quartic system that has it, gives its term once per
+    process, and the term is derived once per shape (`_cell_term`): the
+    401 distinct cells of the fixed points have 52 shapes.  Equality,
+    hashing, order and repr are the tuple's.
     """
 
     __repr__ = tuple.__repr__
@@ -167,21 +172,31 @@ _DIVIDES = [
     ((1 << len(QUARTICS)) - 1) ^ (a0 | a1 | a2)
     for a0, a1, a2 in itertools.product(*[(*masks, 0) for masks in _AT_LEAST])
 ]
-# one cell object per (grid index, at-cap flags, bound), shared across calls
-_QUARTIC_CELLS = {}
+# every staircase cell numbered in this process: CELLS[n] is the one `Cell` of
+# number n, numbered the first time the process sees it (`quartic_cell`)
+CELLS = []
+# the number of each cell of CELLS, by (grid index, at-cap flags, bound)
+_NUMBERS = {}
+
+
+def _number(key, base):
+    """The number of the cell of key, the tuple (25i + 5j + k, i, j and k at
+    their caps, bound) of base (i, j, k), numbering a new one."""
+    n = _NUMBERS.get(key)
+    if n is None:
+        i, j, k = base
+        n = _NUMBERS[key] = len(CELLS)
+        CELLS.append(Cell((i, j, k), _FREE[key[1:4]], key[4], i + j + k))
+    return n
 
 
 def quartic_cell(base, free, bound):
-    """The one `Cell` object (base, free, bound, sum(base)) of `quartic_cells`:
-    the same object that `quartic_cells` gives, before or after, for a cell
-    with these values.  base is an (i, j, k) sequence inside the 5 x 5 x 5
-    grid and free a sequence of distinct coordinates among 0, 1, 2."""
+    """The number of the `Cell` (base, free, bound, sum(base)) in `CELLS`:
+    the number that `cells_of_bits` gives, before or after, for a cell with
+    these values.  base is an (i, j, k) sequence inside the 5 x 5 x 5 grid
+    and free a sequence of distinct coordinates among 0, 1, 2."""
     i, j, k = base
-    key = (25 * i + 5 * j + k, 0 in free, 1 in free, 2 in free, bound)
-    cell = _QUARTIC_CELLS.get(key)
-    if cell is None:
-        cell = _QUARTIC_CELLS[key] = Cell((i, j, k), _FREE[key[1:4]], bound, i + j + k)
-    return cell
+    return _number((25 * i + 5 * j + k, 0 in free, 1 in free, 2 in free, bound), base)
 
 
 def quartic_bits(quartics):
@@ -199,19 +214,20 @@ def quartics_of_bits(bits):
 
 
 def cells_of_bits(bits):
-    """tuple(staircase_cells(quartics)) for the 35-bit set of the quartics.
+    """The numbers in `CELLS` of staircase_cells(quartics), for the 35-bit set
+    of the quartics, as a tuple in the order of `staircase_cells`.
 
     Its caps count the `_AT_LEAST` masks it meets, and a grid point's bound
     is read off the highest bit it shares with the point's `_DIVIDES` mask.
     A point with bound 0 ends its row, a row covered at its first point ends
     its plane, and a plane covered at its first point ends the walk.  Equal
-    cells, in a call or across calls, are one object, `quartic_cell`'s.
+    cells, in a call or across calls, have one number, `quartic_cell`'s.
     """
     c0, c1, c2 = [
         (bits & m1 > 0) + (bits & m2 > 0) + (bits & m3 > 0) + (bits & m4 > 0)
         for m1, m2, m3, m4 in _AT_LEAST
     ]
-    cells = []
+    numbers = []
     for i in range(c0 + 1):
         for j in range(c1 + 1):
             for k in range(c2 + 1):
@@ -220,20 +236,18 @@ def cells_of_bits(bits):
                 if not bound:
                     break
                 key = (index, i == c0, j == c1, k == c2, bound)
-                cell = _QUARTIC_CELLS.get(key)
-                if cell is None:
-                    free = _FREE[key[1:4]]
-                    cell = _QUARTIC_CELLS[key] = Cell((i, j, k), free, bound, i + j + k)
-                cells.append(cell)
+                n = _NUMBERS.get(key)
+                numbers.append(_number(key, (i, j, k)) if n is None else n)
             if not (bound or k):
                 break
         if not (bound or j or k):
             break
-    return tuple(cells)
+    return tuple(numbers)
 
 
 def quartic_cells(quartics):
-    """`cells_of_bits` of the `quartic_bits` of quartic exponent 4-tuples."""
+    """`cells_of_bits` of the `quartic_bits` of quartic exponent 4-tuples: the
+    numbers of their staircase cells in `CELLS`."""
     return cells_of_bits(quartic_bits(quartics))
 
 

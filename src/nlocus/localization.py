@@ -23,7 +23,9 @@ self-test reads too), `verify`'s fiber-rank count, the route of each ds
 and the run's pass over d = 4..6.  A pass reads the
 staircase cells of each point's quartic system from `FixedPoint.cells`,
 derived once per point and process and shared with the 4t check and
-`checks.rank_invariants`.  The points are built from few distinct cells.
+`checks.rank_invariants`: a tuple of cell numbers, `ideals.CELLS[n]` the
+cell of number n.  The points are built from few distinct cells, and
+every walk over a point's cells here indexes a list by those numbers.
 The route of a pass depends on the points' cells and ds only
 (`Bott.route`): the fiber ranks of every d are checked from one packed
 count per distinct cell (`check_fiber_ranks`; `verify`'s route reads the
@@ -33,7 +35,10 @@ each live cell a template of runs affine in d under its spec
 (`_cell_template`).  The hot path,
 `_sum_chunk`, then expands the templates into specialized weights at each
 d and runs only Kronecker steps: e_16 is `torus.shared_products`, the
-package's one Kronecker-packed product, shared between points.  Each
+package's one Kronecker-packed product, shared between points.  Its
+width comes from a bound known before any weight: a point has 4d fiber
+weights, checked by the route, each at most d times the largest shifted
+value.  Each
 point starts from the product of the cells it has in common with the
 point visited before it, and a long cell that the schedule applies more
 than once enters through its 16 elementary symmetric coefficients from
@@ -55,12 +60,14 @@ and the first error are the same for any N.
 """
 
 import functools
+import itertools
 import math
 import os
 import sys
 from collections import namedtuple
 from fractions import Fraction
 
+from . import ideals
 from .fixpoints import StructuralError
 from .torus import WeightSpec, shared_products, specialize, visit_schedule
 
@@ -140,34 +147,38 @@ def _counts(cell, ds, field):
 
 def check_fiber_ranks(points, ds):
     """Check the fiber rank 4d of every point at every d in ds; returns
-    ({distinct cell: its packed `_counts`}, field).
+    (counts, field): counts[n] is the packed `_counts` of the cell of
+    number n, `ideals.CELLS[n]`, and 0 for a number that no point has.
 
     Each distinct cell shape is counted once (the 401 distinct cells of the
     fixed points have 52), in fields that no point's sum can carry out of,
-    and each point's cells are added in one sum.  A point
-    whose sum is not 4d in every field fails `_check_rank`, at the first d
-    in ds at which any point fails and at the first such point.
+    and each point's cells are added in one sum of the list indexed by
+    their numbers.  A point whose sum is not 4d in every field fails
+    `_check_rank`, at the first d in ds at which any point fails and at the
+    first such point.
     """
     top = max(ds)
     # a cell has at most C(d + 3, 3) degree-d monomials, so no point's sum
     # of counts, over disjoint cells or not, reaches 2^field
     most = max([len(fp.cells) for fp in points] + [1])
     field = (most * math.comb(top + 3, 3)).bit_length()
-    counts, by_shape = {}, {}
-    for cell in dict.fromkeys(cell for fp in points for cell in fp.cells):
+    cells = ideals.CELLS
+    counts, by_shape = [0] * len(cells), {}
+    for n in dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points)):
+        cell = cells[n]
         _, free, bound, lower = cell
         shape = len(free), lower, bound
-        n = by_shape.get(shape)
-        if n is None:
-            n = by_shape[shape] = _counts(cell, ds, field)
-        counts[cell] = n
+        packed = by_shape.get(shape)
+        if packed is None:
+            packed = by_shape[shape] = _counts(cell, ds, field)
+        counts[n] = packed
     want = sum(4 * d << (i * field) for i, d in enumerate(ds))
-    if any(sum(map(counts.__getitem__, fp.cells)) != want for fp in points):
+    count = counts.__getitem__
+    if any(sum(map(count, fp.cells)) != want for fp in points):
         mask = (1 << field) - 1
         for i, d in enumerate(ds):
             for fp in points:
-                rank = sum(map(counts.__getitem__, fp.cells))
-                _check_rank(fp, d, rank >> (i * field) & mask)
+                _check_rank(fp, d, sum(map(count, fp.cells)) >> (i * field) & mask)
     return counts, field
 
 
@@ -237,17 +248,18 @@ class Bott:
         self._ranks = tuple(ds), *check_fiber_ranks(self.points, ds)
 
     def route(self, ds):
-        """What a pass at ds does under any spec, built once per ds: (the live
-        cells in their order, the order of the visits, their
-        `torus.visit_schedule`).
+        """What a pass at ds does under any spec, built once per ds: (the
+        numbers of the live cells in their order, the order of the visits,
+        their `torus.visit_schedule`).
 
         The fiber ranks at ds are checked first, or read from the count kept
         by `ranks`.  A cell with no monomial at any d in ds, a count of 0, is
         dead: it is neither templated nor fed to the pass.  The live cells
-        are numbered longest first (their count at max(ds), ties by the
-        cell), each point is the sorted list of its live cells' numbers, and
-        the points are visited in lexicographic order of those lists, so
-        that a point shares its longest cells with the point before it.
+        are ranked longest first (their count at max(ds), ties by the cell's
+        value, `ideals.CELLS[n]`), each point is the sorted list of its live
+        cells' ranks, read from a list indexed by cell number, and the
+        points are visited in lexicographic order of those lists, so that a
+        point shares its longest cells with the point before it.
         """
         if ds in self._routes:
             return self._routes[ds]
@@ -258,14 +270,18 @@ class Bott:
         mask = (1 << field) - 1
         live = sum(mask << counted.index(d) * field for d in ds)
         shift = counted.index(max(ds)) * field
+        value = ideals.CELLS.__getitem__
         cells = sorted(
-            (cell for cell, n in counts.items() if n & live),
-            key=lambda cell: (-(counts[cell] >> shift & mask), cell),
+            (n for n, count in enumerate(counts) if count & live),
+            key=lambda n: (-(counts[n] >> shift & mask), value(n)),
         )
-        at = {cell: n for n, cell in enumerate(cells)}.get
-        seqs = [sorted(n for n in map(at, fp.cells) if n is not None) for fp in self.points]
+        ranks = [None] * len(counts)
+        for r, n in enumerate(cells):
+            ranks[n] = r
+        at = ranks.__getitem__
+        seqs = [sorted(r for r in map(at, fp.cells) if r is not None) for fp in self.points]
         # freed before the schedule is built: the pass peaks there when ds is short
-        del counts, at
+        del counts, ranks, at
         visits = sorted(range(len(seqs)), key=seqs.__getitem__)
         kept = self._routes[ds] = cells, visits, visit_schedule(seqs[p] for p in visits)
         return kept
@@ -301,11 +317,15 @@ class Bott:
 
 def _sum_chunk(plan, ds):
     """The numerators over the common denominator of the pass plan, (scales,
-    plucker, live, visits, schedule) from `_localize`, at each d in ds: each
-    d only expands the live cells' templates into weights and runs the
+    plucker, live, visits, schedule, top) from `_localize`, at each d in ds:
+    each d only expands the live cells' templates into weights and runs the
     schedule, one Kronecker pass shared by the points (`shared_products`).
+
+    The pass's bound on a point's weight sum is 4*d*d*top, top the largest
+    shifted weight: the route has checked that each point has 4d fiber
+    weights at d, and each is a degree-d monomial's, at most d*top.
     """
-    scales, plucker, live, visits, schedule = plan
+    scales, plucker, live, visits, schedule, top = plan
     sums = {}
     weights = [()] * len(live)
     for d in ds:
@@ -313,7 +333,8 @@ def _sum_chunk(plan, ds):
         for c, template in enumerate(live):
             weights[c] = _expand(template, d)
         acc = 0
-        for p, (e16, e15) in zip(visits, shared_products(DIM, schedule, weights)):
+        products = shared_products(DIM, schedule, weights, 4 * d * d * top)
+        for p, (e16, e15) in zip(visits, products):
             acc += (e16 if d > 4 else plucker[p] * e15) * scales[p]
         sums[d] = acc
     return sums
@@ -396,8 +417,8 @@ def _localize(bott, ds, spec):
     shifted = WeightSpec(v - low for v in spec.values)
     plucker = [-sum(specialize(c, shifted) for c in fp.pencil_chars) for fp in bott.points]
     cells, visits, schedule = bott.route(ds)
-    live = [_cell_template(cell, shifted.values) for cell in cells]
-    plan = (scales, plucker, live, visits, schedule)
+    live = [_cell_template(ideals.CELLS[n], shifted.values) for n in cells]
+    plan = (scales, plucker, live, visits, schedule, max(shifted.values))
     n = min(bott.workers, _usable_cpus(), len(ds))
     children = []
     try:

@@ -17,7 +17,10 @@ them: Kronecker substitution, one big-integer product (Harvey, "Faster
 polynomial multiplication via multipoint Kronecker substitution", JSC 2009),
 over many multisets that share prefixes.  The Bott sums (`localization`)
 pass it every fixed point's fiber at once, shifted to non-negative weights,
-and `elem_sym` is its one-multiset case.  The order of the visits, what
+and `elem_sym` is its one-multiset case.  The caller bounds every
+multiset's weight sum, which sets the Kronecker width: the Bott sums know
+theirs before any weight is read (4d weights of a degree-d monomial each),
+and `elem_sym` passes its values' sum.  The order of the visits, what
 each visit shares with the one before and which lists are applied more
 than once do not depend on the weights: `visit_schedule` works them out
 once, and every call with that schedule runs only Kronecker steps.  A
@@ -203,7 +206,7 @@ def visit_schedule(seqs):
     return steps, tuple(sorted(repeated))
 
 
-def shared_products(k, schedule, weights):
+def shared_products(k, schedule, weights, largest):
     """(e_k, e_(k-1)) of each visited sequence's weights, sharing common prefixes.
 
     A generator: the pairs come in the order of the visits, each as soon as
@@ -221,9 +224,11 @@ def shared_products(k, schedule, weights):
     A stack keeps the product after each index of the sequence before, so
     visit i starts from the product of the prefix its step shares and
     applies only its tail.  One width serves every sequence,
-    `kronecker_width` of the largest sum: every stack state packs e_0..e_k
-    of a sub-multiset of some sequence, whose sum is at most the largest,
-    so no digit reaches 2^W.
+    `kronecker_width(k, largest)`, where largest is the caller's bound on
+    every visited sequence's weight sum, which this call does not scan
+    for: every stack state packs e_0..e_k of a sub-multiset of some
+    sequence, whose sum is at most largest, so no digit reaches 2^W.  A
+    bound below some sequence's sum breaks that and its results.
 
     A list of more than k weights that the schedule applies more than once
     (one of its repeated indices) is applied, from its first application
@@ -238,17 +243,6 @@ def shared_products(k, schedule, weights):
     applied once costs no derivation.
     """
     steps, repeated = schedule
-    totals = [sum(w) for w in weights]
-    sums = [0]
-    largest = 0
-    for n, tail in steps:
-        del sums[n + 1 :]
-        s = sums[n]
-        for c in tail:
-            s += totals[c]
-            sums.append(s)
-        if s > largest:
-            largest = s
     width = kronecker_width(k, largest)
     mask = (1 << width) - 1
     coeffs = [None] * len(weights)
@@ -276,15 +270,16 @@ def shared_products(k, schedule, weights):
 def elem_sym(k, values):
     """k-th elementary symmetric function of the non-negative integers in values.
 
-    `shared_products` of a one-step schedule that applies values once.  A
-    negative value breaks its width bound and raises ValueError.
+    `shared_products` of a one-step schedule that applies values once,
+    bounded by their sum.  A negative value breaks that bound and raises
+    ValueError.
     """
     n = len(values)
     if k < 0 or k > n:
         raise ValueError(f"elementary symmetric index {k} out of range 0..{n}")
     if values and min(values) < 0:
         raise ValueError(f"elem_sym needs non-negative values, got {min(values)}")
-    return next(shared_products(k, ([(0, (0,))], ()), [values]))[0]
+    return next(shared_products(k, ([(0, (0,))], ()), [values], sum(values)))[0]
 
 
 def check_generic(spec, tangent_bags):

@@ -202,10 +202,10 @@ def test_every_fixed_point_hilbert_and_kbase(points):
 
 def test_points_keep_their_staircase_cells_shared(points):
     for fp in points:
-        assert list(fp.cells) == staircase_cells(fp.quartics)
+        assert [ideals.CELLS[n] for n in fp.cells] == staircase_cells(fp.quartics)
     # 13,617 cells, one object for each of the 401 distinct ones
     assert sum(len(fp.cells) for fp in points) == 13617
-    assert len({id(cell) for fp in points for cell in fp.cells}) <= 401
+    assert len({id(ideals.CELLS[n]) for fp in points for n in fp.cells}) <= 401
 
 
 # sha256 of the repr of the staircase cells of the 216 E1 limit cubic systems
@@ -823,7 +823,7 @@ def _encoded_record_by_record(points):
     replaced, kept as its oracle."""
     compact = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
     rows = sorted({row for fp in points for row in fp.tangent + fp.quartics + fp.pencil_chars})
-    cells = sorted({cell for fp in points for cell in fp.cells})
+    cells = sorted({ideals.CELLS[n] for fp in points for n in fp.cells})
     row_at = {row: n for n, row in enumerate(rows)}
     cell_at = {cell: n for n, cell in enumerate(cells)}
     distinct = {
@@ -832,7 +832,7 @@ def _encoded_record_by_record(points):
     }
     records = [
         {
-            "cells": [cell_at[cell] for cell in fp.cells],
+            "cells": [cell_at[ideals.CELLS[n]] for n in fp.cells],
             "pencil": [row_at[row] for row in fp.pencil_chars],
             "provenance": fp.provenance,
             "quartics": [row_at[row] for row in fp.quartics],

@@ -297,7 +297,7 @@ def test_quartic_cells_are_the_staircase_cells_shared(points):
     systems += [rng.sample(quartics, rng.randint(1, 35)) for _ in range(200)]
     shared = {}
     for system in systems:
-        cells = ideals.quartic_cells(system)
+        cells = tuple(ideals.CELLS[n] for n in ideals.quartic_cells(system))
         assert cells == tuple(ideals.staircase_cells(system)), system
         for cell in cells:
             assert shared.setdefault(cell, cell) is cell, (system, cell)
@@ -314,7 +314,8 @@ def test_cells_of_bits_are_the_staircase_cells_on_random_quartic_sets():
     for bits in sets:
         # cells are tuples, so this compares every base, free, bound and lower
         walked = tuple(ideals.staircase_cells(ideals.quartics_of_bits(bits)))
-        assert ideals.cells_of_bits(bits) == walked, bin(bits)
+        numbered = tuple(ideals.CELLS[n] for n in ideals.cells_of_bits(bits))
+        assert numbered == walked, bin(bits)
 
 
 @pytest.mark.parametrize("m", [(1, 1, 1, 0), (0, 0, 0, 5), (5, -1, 0, 0), (4, 0, 0, 0, 0)])
@@ -324,13 +325,16 @@ def test_quartic_cells_reject_a_monomial_that_is_not_a_quartic(m):
 
 
 def test_quartic_cell_is_the_object_quartic_cells_gives(points):
+    # both give cell numbers: one number, and one object CELLS[n], per cell
     for fp in points[::50]:
-        for cell in ideals.quartic_cells(fp.quartics):
-            assert ideals.quartic_cell(list(cell.base), list(cell.free), cell.bound) is cell
+        for n in ideals.quartic_cells(fp.quartics):
+            cell = ideals.CELLS[n]
+            assert ideals.quartic_cell(list(cell.base), list(cell.free), cell.bound) == n
     # a cell made first by quartic_cell is the one quartic_cells gives later
-    cell = ideals.quartic_cell((0, 0, 0), (0, 1, 2), math.inf)
+    n = ideals.quartic_cell((0, 0, 0), (0, 1, 2), math.inf)
+    cell = ideals.CELLS[n]
     assert cell == ((0, 0, 0), (0, 1, 2), math.inf, 0)
-    assert ideals.quartic_cells(()) == (cell,) and ideals.quartic_cells(())[0] is cell
+    assert ideals.quartic_cells(()) == (n,) and ideals.CELLS[ideals.quartic_cells(())[0]] is cell
 
 
 def test_the_quartic_bit_order_is_increasing_grevlex_with_x3_non_increasing():
@@ -528,6 +532,23 @@ def test_algebra_kernel_runs_every_saturation(monkeypatch):
     monkeypatch.setattr(checks, "e1_limit", counting("e1_limit", limit))
     assert checks.algebra_kernel(None) == 252
     assert calls == {"saturate_t": 0, "groebner": 0, "e1_limit": 252}
+
+
+def test_algebra_kernel_builds_no_fixed_point(monkeypatch):
+    """Criterion 8 splits only the pairs with a common plane, for their Z
+    points: it builds none of the 21 G2 points that the full split does."""
+    built = []
+    fixed_point = fx._fixed_point
+
+    def counted(*args):
+        built.append(args[0])
+        return fixed_point(*args)
+
+    monkeypatch.setattr(fx, "_fixed_point", counted)
+    assert checks.algebra_kernel(None) == 252
+    assert built == []
+    fx.split_strata(fx.enumerate_pairs())
+    assert built == [fx.G2] * 21
 
 
 def test_every_check_runs_without_buchberger(monkeypatch, points, weights):
@@ -963,9 +984,10 @@ def _six_times(hp):
 
 def test_integer_hilbert_terms_on_the_cascade(points):
     for fp in points:
-        got = cells_hilbert_numerator(fp.cells)
+        cells = [ideals.CELLS[n] for n in fp.cells]
+        got = cells_hilbert_numerator(cells)
         assert all(type(c) is int for c in got)
-        assert got == _six_times(cells_hilbert_polynomial(fp.cells)) == (0, 24, 0, 0)
+        assert got == _six_times(cells_hilbert_polynomial(cells)) == (0, 24, 0, 0)
         assert got == _six_times(series_hilbert_polynomial(fp.quartics)), fp.provenance
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from nlocus import checks
+from nlocus import checks, ideals
 from nlocus import fixpoints as fx
 from nlocus import localization as loc
 from nlocus import torus
@@ -66,16 +66,19 @@ def test_cell_counts_and_terms_depend_only_on_the_shape(points):
     its term are the ones of its own monomials."""
     ds = list(range(4, 61))
     counts, field = loc.check_fiber_ranks(points, ds)
-    cells = {cell for fp in points for cell in fp.cells}
-    assert set(counts) == cells
+    numbers = {n for fp in points for n in fp.cells}
+    # a list by cell number, 0 at every number that no point has
+    assert len(counts) > max(numbers)
+    assert not any(count for n, count in enumerate(counts) if n not in numbers)
     mask = (1 << field) - 1
-    for cell in cells:
-        assert counts[cell] == loc._counts(cell, ds, field)
+    for number in numbers:
+        cell = ideals.CELLS[number]
+        assert counts[number] == loc._counts(cell, ds, field)
         for i, d in enumerate(ds):
             runs = staircase_runs([cell], d)
-            assert counts[cell] >> (i * field) & mask == sum(n for _, _, n in runs)
+            assert counts[number] >> (i * field) & mask == sum(n for _, _, n in runs)
         # 3! times the count at d = 60, past every cell's lower + bound
-        assert 6 * (counts[cell] >> (ds.index(60) * field) & mask) == sum(
+        assert 6 * (counts[number] >> (ds.index(60) * field) & mask) == sum(
             t * 60**i for i, t in enumerate(cell.hilbert_term)
         )
 
@@ -138,7 +141,7 @@ def test_wrong_cell_list_fails_the_rank_check(points, weights):
     fp = points[200]
     _sums([fp], [7], weights)  # the true cell list passes the rank check
     cells = fp.cells
-    used = next(i for i, cell in enumerate(cells) if staircase_runs([cell], 7))
+    used = next(i for i, n in enumerate(cells) if staircase_runs([ideals.CELLS[n]], 7))
     for wrong in (cells[:used] + cells[used + 1 :], cells + cells[used : used + 1]):
         bad = fp._replace()
         vars(bad)["cells"] = wrong  # where FixedPoint.cells keeps it
@@ -164,7 +167,7 @@ def test_cell_templates_are_the_specialized_staircase_runs(points):
     # every distinct cell of the points, and the cells of three other
     # monomial ideals, among them 2-free cells of unbounded x3, at d = 4..60
     spec = WeightSpec((0, 3, 11, 47))
-    cells = {cell for fp in points for cell in fp.cells}
+    cells = {ideals.CELLS[n] for fp in points for n in fp.cells}
     for lead_x in (
         [(0, 0, 2, 0)],
         [(1, 0, 0, 0), (0, 1, 0, 0)],
@@ -187,7 +190,7 @@ def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weight
     with pytest.raises(StructuralError, match=message):
         loc._counts(cube, [5], 0)
     bad = points[40]._replace()
-    vars(bad)["cells"] = [*points[40].cells, cube]
+    vars(bad)["cells"] = [*points[40].cells, ideals.quartic_cell(cube.base, cube.free, cube.bound)]
     with pytest.raises(StructuralError, match=message):
         loc.degree_nl(5, weights, points[:40] + [bad])
 
@@ -200,7 +203,7 @@ def test_a_dropped_live_cell_names_the_point_and_its_first_failing_d(
     fp = points[3]
     cell = ((1, 3, 2), (1, 2), 1, 6)
     bad = fp._replace()
-    vars(bad)["cells"] = [c for c in fp.cells if c != cell]
+    vars(bad)["cells"] = [n for n in fp.cells if ideals.CELLS[n] != cell]
     assert len(bad.cells) == len(fp.cells) - 1
     altered = points[:3] + [bad] + points[4:]
     d = 6 if dmin == 5 else 200
@@ -230,7 +233,7 @@ def test_a_dropped_cell_fails_rank_invariants_and_the_pass_alike(
     # the pass reuses no count that failed
     fp = points[156]
     bad = fp._replace()
-    vars(bad)["cells"] = [c for c in fp.cells if c != cell]
+    vars(bad)["cells"] = [n for n in fp.cells if ideals.CELLS[n] != cell]
     assert len(bad.cells) == len(fp.cells) - 1
     bott = loc.Bott(points[:156] + [bad] + points[157:], weights)
     match = f"^{re.escape(message)}$"
@@ -308,7 +311,7 @@ def test_a_point_with_other_cells_gets_its_own_route(points, weights):
     assert loc.Bott(points, weights).degree_range(4, 8)[0].degree == 38475
     fp = points[156]
     bad = fp._replace()
-    vars(bad)["cells"] = [c for c in fp.cells if c != ((3, 3, 1), (0, 1), 1, 7)]
+    vars(bad)["cells"] = [n for n in fp.cells if ideals.CELLS[n] != ((3, 3, 1), (0, 1), 1, 7)]
     assert len(bad.cells) == len(fp.cells) - 1
     altered = points[:156] + [bad] + points[157:]
     message = "fiber rank 27 != 28 at G2E1(18, 0), d=7"
@@ -319,7 +322,7 @@ def test_a_point_with_other_cells_gets_its_own_route(points, weights):
 def test_a_failed_route_or_spec_is_not_kept(points, weights):
     fp = points[156]
     bad = fp._replace()
-    vars(bad)["cells"] = [c for c in fp.cells if c != ((1, 2, 1), (), 1, 4)]
+    vars(bad)["cells"] = [n for n in fp.cells if ideals.CELLS[n] != ((1, 2, 1), (), 1, 4)]
     bott = loc.Bott(points[:156] + [bad] + points[157:], weights)
     message = "fiber rank 15 != 16 at G2E1(18, 0), d=4"
     for _ in range(2):
@@ -399,6 +402,52 @@ def test_a_cache_hit_derives_no_cells(monkeypatch, tmp_path, points, weights):
         assert fp.cells == derived and all(map(operator.is_, fp.cells, derived))
 
 
+def test_warm_ranks_routes_passes_and_saves_hash_no_cell(monkeypatch, tmp_path, points, weights):
+    """Loaded points keep their cells as numbers, so the rank count, the
+    route, `verify`'s two passes and the cache writer index lists by number
+    and hash no `Cell`."""
+    path = tmp_path / "fixpoints.json"
+    fx.save_cache(points, path)
+    loaded = fx.load_cache(path)
+    hashed = []
+
+    def counting(cell):
+        hashed.append(cell)
+        return tuple.__hash__(cell)
+
+    monkeypatch.setattr(ideals.Cell, "__hash__", counting)
+    cell = ideals.Cell((0, 0, 0), (), 1, 0)
+    assert {cell: 0} and hashed == [cell]  # the count sees a hash
+    hashed.clear()
+    bott = loc.Bott(loaded, weights)
+    bott.ranks(range(4, 11))
+    bott.route((4, 5, 6))
+    assert checks.spec_independence(bott) == [38475, *map(closed_form(), (5, 6))]
+    fx.save_cache(loaded, tmp_path / "again.json")
+    assert hashed == []
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize("values", [(0, 1, 5, 18), (0, 3, 10, 11), (0, 1, 7, 1000)])
+def test_each_fiber_weight_sum_is_within_the_pass_bound(points, values):
+    # `_sum_chunk` sets the Kronecker width from 4*d*d*max(shifted) and
+    # scans no weight: each point has 4d fiber weights, each at most d*max
+    shifted = tuple(v - min(values) for v in values)
+    numbers = sorted({n for fp in points for n in fp.cells})
+    templates = [None] * len(ideals.CELLS)
+    for n in numbers:
+        templates[n] = loc._cell_template(ideals.CELLS[n], shifted)
+    for d in range(4, 61):
+        lengths, sums = [0] * len(templates), [0] * len(templates)
+        for n in numbers:
+            weights = loc._expand(templates[n], d)
+            lengths[n], sums[n] = len(weights), sum(weights)
+        bound = 4 * d * d * max(shifted)
+        for fp in points:
+            assert sum(lengths[n] for n in fp.cells) == 4 * d
+            assert 0 <= sum(sums[n] for n in fp.cells) <= bound, (fp.tag, fp.provenance, d)
+
+
 def _python(code, *args):
     """Run code in a fresh interpreter with this checkout's package on its path."""
     path_list = [str(Path(__file__).resolve().parents[1] / "src")]
@@ -467,7 +516,7 @@ def test_the_first_error_is_the_same_for_any_number_of_workers(
     altered = _broken(points, 300)
     fp = altered[19]
     bad = fp._replace()
-    vars(bad)["cells"] = [c for c in fp.cells if c != ((2, 3, 1), (0, 1), 1, 6)]
+    vars(bad)["cells"] = [n for n in fp.cells if ideals.CELLS[n] != ((2, 3, 1), (0, 1), 1, 6)]
     assert len(bad.cells) == len(fp.cells) - 1
     altered[19] = bad
     message = "fiber rank 17 != 16 at E2(11, 0), d=4"
@@ -568,7 +617,8 @@ def test_shared_products_width_covers_a_larger_later_sum():
     # sum, so a width derived from the first sequence alone overflows
     weights = [list(range(20)), [3, 1, 4, 1], [10**6 + k for k in range(16)]]
     seqs = [[0, 1], [0, 2]]
-    got = shared_products(16, torus.visit_schedule(seqs), weights)
+    largest = sum(weights[0]) + sum(weights[2])
+    got = shared_products(16, torus.visit_schedule(seqs), weights, largest)
     for (e16, e15), seq in zip(got, seqs):
         values = [v for c in seq for v in weights[c]]
         assert e16 == checks.elem_sym_dp(16, values)
@@ -607,9 +657,9 @@ def test_formula_sums_take_the_pinned_kronecker_steps(monkeypatch, points, value
         work["weight steps"] = steps
         return [Coefficient(c) for c in coeffs]
 
-    def counting(k, schedule, weights):
+    def counting(k, schedule, weights, largest):
         work["cells fed"] += sum(n + len(tail) for n, tail in schedule[0])
-        return shared_products(k, schedule, [[Weight(v) for v in w] for w in weights])
+        return shared_products(k, schedule, [[Weight(v) for v in w] for w in weights], largest)
 
     monkeypatch.setattr(torus, "_coefficients", counting_derive)
     monkeypatch.setattr(loc, "shared_products", counting)

@@ -345,6 +345,12 @@ def test_elem_sym_values_near_ten_to_the_thirty():
         assert elem_sym(k, values) == elem_sym_dp(k, values), k
 
 
+def _largest(seqs, weights):
+    """The largest weight sum of a sequence of seqs: the bound that the
+    callers of shared_products pass."""
+    return max(sum(sum(weights[c]) for c in seq) for seq in seqs)
+
+
 def _shared_against_dp(monkeypatch, seqs, weights, k=16):
     """shared_products of seqs against elem_sym_dp of each concatenation;
     returns the lengths of the lists it derived coefficients of, in order."""
@@ -357,7 +363,7 @@ def _shared_against_dp(monkeypatch, seqs, weights, k=16):
 
     with monkeypatch.context() as m:
         m.setattr(torus, "_coefficients", recording)
-        got = list(shared_products(k, visit_schedule(seqs), weights))
+        got = list(shared_products(k, visit_schedule(seqs), weights, _largest(seqs, weights)))
     for (ek, ek1), seq in zip(got, seqs):
         values = [v for c in seq for v in weights[c]]
         assert (ek, ek1) == (elem_sym_dp(k, values), elem_sym_dp(k - 1, values)), seq
@@ -410,7 +416,7 @@ def _weight_steps_of(monkeypatch, seqs, weights, long_cell):
     with monkeypatch.context() as m:
         # the derivation at the list's own width is not a weight step
         m.setattr(torus, "_coefficients", lambda k, values: derive(k, [*map(int, values)]))
-        got = list(shared_products(16, visit_schedule(seqs), counted))
+        got = list(shared_products(16, visit_schedule(seqs), counted, _largest(seqs, weights)))
     for (e16, e15), seq in zip(got, seqs):
         values = [v for c in seq for v in weights[c]]
         assert (e16, e15) == (elem_sym_dp(16, values), elem_sym_dp(15, values)), seq
@@ -438,7 +444,7 @@ def test_a_repeated_long_cell_at_the_width_edge_in_sequences_not_adjacent(monkey
     assert _shared_against_dp(monkeypatch, seqs, weights) == [100, 100]
     for long_cell in (0, 1):
         assert _weight_steps_of(monkeypatch, seqs, weights, long_cell) == 0
-    e16 = list(shared_products(16, visit_schedule(seqs), weights))[2][0]
+    e16 = list(shared_products(16, visit_schedule(seqs), weights, _largest(seqs, weights)))[2][0]
     assert e16.bit_length() == kronecker_width(16, 200 * 977)
 
 
@@ -447,7 +453,8 @@ def test_shared_products_coefficients_at_the_width_edge(monkeypatch):
     # copies of 977 put e_16 in the top bit of the width
     weights = [[977] * 100, [977] * 100]
     assert _shared_against_dp(monkeypatch, [[0, 1], [1, 0]], weights) == [100, 100]
-    e16 = list(shared_products(16, visit_schedule([[0, 1], [1, 0]]), weights))[1][0]
+    seqs = [[0, 1], [1, 0]]
+    e16 = list(shared_products(16, visit_schedule(seqs), weights, _largest(seqs, weights)))[1][0]
     assert e16.bit_length() == kronecker_width(16, 200 * 977)
 
 
