@@ -290,10 +290,11 @@ def algebra_kernel(bott):
 
 def elem_sym_coefficients(k, values):
     """e_0..e_k of values, by truncated product accumulation: each value
-    takes e_i to e_i + v*e_(i-1) for every i at once."""
+    takes e_i to e_i + v*e_(i-1), in place from i = k down."""
     coeffs = [1] + [0] * k
     for v in values:
-        coeffs = [c + v * below for c, below in zip(coeffs, [0, *coeffs])]
+        for i in range(k, 0, -1):
+            coeffs[i] += v * coeffs[i - 1]
     return coeffs
 
 

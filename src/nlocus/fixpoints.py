@@ -32,8 +32,8 @@ flat limit, which is spanned by that cubic and the 7 cubics
 p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
 lies on W and gives a WPoint; one whose cubics have no common factor is a
 G2E1 point (`classify_e1`).  The one Hilbert polynomial computed on this
-path is the 4t check of each fixed point's quartics in `enumerate_all`, 3!
-times it in integers, read off the point's staircase cells.  No linear
+path is the 4t check of each fixed point's quartics in `enumerate_all`,
+read off the point's staircase cells in integers (`check_4t`).  No linear
 algebra and no Groebner basis is computed on this path; `nlocus verify`
 recomputes every limit exactly by the run rule on the e-strings of the
 deformed pencil (`limits.e1_limit`).
@@ -42,13 +42,14 @@ deformed pencil (`limits.e1_limit`).
 import contextlib
 import functools
 import gc
+import itertools
 import math
 import operator
 import os
 from collections import Counter, namedtuple
 from pathlib import Path
 
-from .ideals import CELLS, QUARTIC_BITS, cells_hilbert_numerator, cells_of_bits
+from .ideals import CELLS, QUARTIC_BITS, cells_of_bits, packed_counts, polynomial_from
 from .ideals import quartic_bits, quartic_cell, quartic_cells, quartics_of_bits
 from .poly import monomial_gcd, monomials_of_degree, render_monomial
 from .torus import blowup_tangent, char_add, char_sub, grass_tangent
@@ -269,8 +270,8 @@ def classify_e1(record, z, z_index):
     is a G2E1 point, whose quartic system is the cubics times the linear
     forms and whose tangent is the record's.  Those quartics span the
     degree-4 part of the cubics' ideal, so `enumerate_all`'s 4t Hilbert
-    check on the point also certifies the limit; a system with a common
-    plane is never 4t.  Any other common factor is a StructuralError.
+    check on the point (`check_4t`) also certifies the limit; a system with
+    a common plane is never 4t.  Any other common factor is a StructuralError.
     """
     plane = tuple(map(min, zip(*record.limit_cubics)))
     provenance = (z_index, record.direction_index)
@@ -354,10 +355,8 @@ def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
     Each point's quartic system is checked to cut out a curve with Hilbert
-    polynomial 4t, read off the point's `cells`, which the points keep for
-    the Bott sums: 3! times it is added up in integers from the terms the
-    cells of `ideals.CELLS` keep, read by number
-    (`ideals.cells_hilbert_numerator`), with no Fraction.
+    polynomial 4t (`check_4t`), read off the point's `cells`, which the
+    points keep for the Bott sums, in integers.
     The cascade makes no reference cycles (a collection after it finds
     nothing unreachable), so it runs with the cyclic collector paused.
     """
@@ -377,13 +376,28 @@ def enumerate_all():
     counts = stratum_counts(points)
     if counts != CENSUS:
         raise StructuralError(f"stratum counts {counts} != {CENSUS}")
-    cell = CELLS.__getitem__
+    check_4t(points)
+    return points
+
+
+def check_4t(points):
+    """Check that each point's quartic system has Hilbert polynomial 4t: 4d
+    monomials in its cells (`ideals.packed_counts`) at four degrees from
+    `ideals.polynomial_from` of the points' distinct cells, past which every
+    cell's count is a polynomial in d.  The first point that fails is a
+    StructuralError naming it."""
+    numbers = dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points))
+    start = polynomial_from(map(CELLS.__getitem__, numbers))
+    ds = range(start, start + 4)
+    most = max(map(len, (fp.cells for fp in points)), default=1)
+    counts, field = packed_counts(numbers, ds, most)
+    want = sum(4 * d << (i * field) for i, d in enumerate(ds))
+    count = counts.__getitem__
     for fp in points:
-        if cells_hilbert_numerator(map(cell, fp.cells)) != (0, 24, 0, 0):  # 3! * 4t
+        if sum(map(count, fp.cells)) != want:
             raise StructuralError(
                 f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
             )
-    return points
 
 
 def stratum_counts(points):

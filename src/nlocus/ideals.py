@@ -5,7 +5,8 @@ The commands run the first half.  A monomial ideal is given by its
 generators' exponent 4-tuples, the format of the fixed-point path;
 standard monomials and Hilbert polynomials are both read off one
 staircase decomposition of such an ideal (`staircase_cells`), with no
-Groebner basis and no `Polynomial`.  `staircase_cells` is the general
+Groebner basis and no `Polynomial`: `staircase_runs` expands a cell and
+`monomial_counts` counts it.  `staircase_cells` is the general
 path, for any generators, and the reference.  A fixed point's generators
 are quartic monomials, one 35-bit set (`quartic_bits`) whose bit order
 gives both its sorted quartics (`quartics_of_bits`) and its cells
@@ -16,8 +17,8 @@ cache file's cells the same way).  So a fixed point keeps its cells as
 one tuple of small integers, and a walk over them indexes lists by
 number instead of hashing cells; the numbers exist only inside one
 process, and every order of cells compares the `Cell` values.  A caller
-that holds `Cell` objects passes them to `cells_hilbert_numerator`,
-`cells_hilbert_polynomial` or `staircase_runs` directly.
+that holds `Cell` objects passes them to `monomial_counts`,
+`polynomial_from` or `staircase_runs` directly.
 
 The second half is the tests' oracle, which no command runs: `Ideal`
 over the `Polynomial` ring of poly.py, reduced Groebner bases
@@ -39,7 +40,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import gbcore
-from .formula import UnivariateRationalPoly
+from .formula import interpolate
 from .poly import Polynomial, mono_key, monomials_of_degree
 
 
@@ -103,22 +104,11 @@ def normal_form(p, G):
 
 
 class Cell(namedtuple("Cell", "base free bound lower")):
-    """One staircase cell (see `staircase_cells`), a namedtuple with an instance dict.
+    """One staircase cell (see `staircase_cells`): a namedtuple with the
+    tuple's repr and no instance dict."""
 
-    `hilbert_term` is a `functools.cached_property`, so a cell of `CELLS`,
-    shared by every quartic system that has it, gives its term once per
-    process, and the term is derived once per shape (`_cell_term`): the
-    401 distinct cells of the fixed points have 52 shapes.  Equality,
-    hashing, order and repr are the tuple's.
-    """
-
+    __slots__ = ()
     __repr__ = tuple.__repr__
-
-    @functools.cached_property
-    def hilbert_term(self):
-        """3! times the cell's number of degree-d monomials for large d, as 4
-        integer coefficients in d, low degree first."""
-        return _cell_term(len(self.free), self.lower, self.bound)
 
 
 # the free coordinates of a cell, by which of (i, j, k) sit at their cap
@@ -348,65 +338,70 @@ def saturate_t(I):
 
 
 # ---------------------------------------------------------------------------
-# Hilbert polynomials of monomial quotients
+# Monomial counts and Hilbert polynomials of monomial quotients
+
+
+def monomial_counts(cell, ds):
+    """A staircase cell's numbers of degree-d monomials, for the d in ds:
+    with f free coordinates and t = d - lower, C(t + f, f) - C(t - bound +
+    f, f), the second term only when t >= bound, and 0 when t < 0.  It
+    depends only on the cell's shape (f, lower, bound)."""
+    _, free, bound, lower = cell
+    f = len(free)
+    comb = math.comb
+    return [
+        0 if (t := d - lower) < 0
+        else comb(t + f, f) if t < bound
+        else comb(t + f, f) - comb(t - bound + f, f)
+        for d in ds
+    ]
+
+
+def polynomial_from(cells):
+    """A degree from which every cell's `monomial_counts` are a polynomial in
+    d of degree at most 3: the largest lower + bound, or lower for an
+    unbounded cell (0 for no cells)."""
+    return max(
+        (lower + bound if bound != math.inf else lower for _, _, bound, lower in cells),
+        default=0,
+    )
+
+
+def packed_counts(numbers, ds, most):
+    """(counts, field): counts[n] packs the `monomial_counts` at ds of the
+    cell `CELLS[n]` for each given number n, the i-th in the bits from
+    i*field up, and is 0 for any other n; each shape is counted once.  A
+    cell has at most C(d + 3, 3) degree-d monomials, so no sum of at most
+    `most` counts carries out of a field."""
+    field = (max(most, 1) * math.comb(max(ds) + 3, 3)).bit_length()
+    counts, by_shape = [0] * len(CELLS), {}
+    for n in numbers:
+        cell = CELLS[n]
+        _, free, bound, lower = cell
+        shape = len(free), lower, bound
+        packed = by_shape.get(shape)
+        if packed is None:
+            packed = 0
+            for count in reversed(monomial_counts(cell, ds)):
+                packed = packed << field | count
+            by_shape[shape] = packed
+        counts[n] = packed
+    return counts, field
 
 
 def hilbert_polynomial(lead_x):
     """Hilbert polynomial of S/<lead_x> for exponent 4-tuples lead_x, in d.
 
-    The generators need not be minimal: a redundant one at most splits the
-    staircase cells more finely.
+    The staircase cells hold each monomial outside <lead_x> once, so their
+    total `monomial_counts` is the Hilbert function; it is interpolated at
+    four degrees from `polynomial_from` on.  The generators need not be
+    minimal: a redundant one at most splits the cells more finely.
     """
     for m in lead_x:
         if len(m) != 4 or min(m) < 0:
             raise ValueError(f"not an exponent 4-tuple over x0..x3: {m}")
-    return cells_hilbert_polynomial(staircase_cells(lead_x))
-
-
-def _binomial_term(f, shift):
-    """3! * C(d + shift, f) as 4 coefficients in d, low degree first.
-
-    C(d + shift, f) = (d + shift)(d + shift - 1)...(d + shift - f + 1) / f!.
-    """
-    term = [6 // math.factorial(f)]
-    for i in range(f):
-        term = [(shift - i) * a + b for a, b in zip(term + [0], [0] + term)]
-    return term + [0] * (3 - f)
-
-
-@functools.cache
-def _cell_term(f, lower, bound):
-    """3! times a cell's monomial count in degree d, for large d, as 4
-    coefficients; it depends only on the cell's shape (f free coordinates,
-    lower degree, x3 bound), and each shape's is kept."""
-    term = _binomial_term(f, f - lower)
-    if bound != math.inf:
-        term = [a - b for a, b in zip(term, _binomial_term(f, f - lower - bound))]
-    return tuple(term)
-
-
-def cells_hilbert_numerator(cells):
-    """3! times the Hilbert polynomial, in d, of S/<lead_x> from the staircase
-    cells of lead_x, as 4 integer coefficients, low degree first.
-
-    The cells are a Stanley decomposition of S/<lead_x>.  A cell with f free
-    coordinates, lower degree l and x3 bound b holds
-    C(d - l + f, f) - C(d - l - b + f, f) monomials of degree d for large d
-    (no second term when b is math.inf), a polynomial in d; 3! times it has
-    integer coefficients.  Each cell's term is `Cell.hilbert_term`, kept on
-    the cell, and the terms are added as integers.
-    """
-    a0 = a1 = a2 = a3 = 0
-    for cell in cells:
-        t0, t1, t2, t3 = cell.hilbert_term
-        a0 += t0
-        a1 += t1
-        a2 += t2
-        a3 += t3
-    return a0, a1, a2, a3
-
-
-def cells_hilbert_polynomial(cells):
-    """Hilbert polynomial, in d, of S/<lead_x> from the staircase cells of lead_x:
-    `cells_hilbert_numerator` divided by 3!."""
-    return UnivariateRationalPoly([Fraction(c, 6) for c in cells_hilbert_numerator(cells)])
+    cells = staircase_cells(lead_x)
+    start = polynomial_from(cells)
+    ds = range(start, start + 4)
+    rows = [monomial_counts(cell, ds) for cell in cells]
+    return interpolate(zip(ds, map(sum, zip([0] * 4, *rows))))  # 0 with no cells

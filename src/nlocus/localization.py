@@ -28,8 +28,9 @@ cell of number n.  The points are built from few distinct cells, and
 every walk over a point's cells here indexes a list by those numbers.
 The route of a pass depends on the points' cells and ds only
 (`Bott.route`): the fiber ranks of every d are checked from one packed
-count per distinct cell (`check_fiber_ranks`; `verify`'s route reads the
-count of `checks.rank_invariants`), the cells dead at every d are left
+count per distinct cell (`check_fiber_ranks`, `ideals.packed_counts`;
+`verify`'s route reads the count of `checks.rank_invariants`), the cells
+dead at every d are left
 out and the visits are planned (`torus.visit_schedule`).  Each pass makes
 each live cell a template of runs affine in d under its spec
 (`_cell_template`).  The hot path,
@@ -120,58 +121,25 @@ def _cell_template(cell, values):
     return len(free), lower, bound, i * w0 + j * w1 + k * w2 - lower * b, b, g, s
 
 
-def _counts(cell, ds, field):
-    """A staircase cell's numbers of degree-d monomials for the d in ds (the
-    lengths of its `_cell_template` runs), packed into one integer: the count
-    at the i-th d in the bits from i*field up.  They depend only on the
-    cell's shape (its number of free coordinates, lower and bound).  A cell
-    with 3 free coordinates, whose fiber grows as d^3, is a StructuralError."""
-    _, free, bound, lower = cell
-    if len(free) > 2:
-        raise StructuralError(f"staircase cell {cell} has 3 free coordinates")
-    out = 0
-    for i, d in enumerate(ds):
-        t = d - lower
-        hi = t if t < bound else bound - 1
-        if hi < 0:
-            continue
-        if not free:
-            n = 1 if hi == t else 0
-        elif len(free) == 1:
-            n = hi + 1
-        else:
-            n = (hi + 1) * (2 * t + 2 - hi) // 2  # the runs of t + 1 - m, m <= hi
-        out |= n << (i * field)
-    return out
-
-
 def check_fiber_ranks(points, ds):
     """Check the fiber rank 4d of every point at every d in ds; returns
-    (counts, field): counts[n] is the packed `_counts` of the cell of
-    number n, `ideals.CELLS[n]`, and 0 for a number that no point has.
+    the `ideals.packed_counts` (counts, field) of the points' cells at ds.
 
-    Each distinct cell shape is counted once (the 401 distinct cells of the
-    fixed points have 52), in fields that no point's sum can carry out of,
+    A cell with 3 free coordinates, whose fiber grows as d^3, is a
+    StructuralError before any rank is compared.  Each distinct cell shape
+    is counted once (the 401 distinct cells of the fixed points have 52),
     and each point's cells are added in one sum of the list indexed by
     their numbers.  A point whose sum is not 4d in every field fails
     `_check_rank`, at the first d in ds at which any point fails and at the
     first such point.
     """
-    top = max(ds)
-    # a cell has at most C(d + 3, 3) degree-d monomials, so no point's sum
-    # of counts, over disjoint cells or not, reaches 2^field
-    most = max([len(fp.cells) for fp in points] + [1])
-    field = (most * math.comb(top + 3, 3)).bit_length()
     cells = ideals.CELLS
-    counts, by_shape = [0] * len(cells), {}
-    for n in dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points)):
-        cell = cells[n]
-        _, free, bound, lower = cell
-        shape = len(free), lower, bound
-        packed = by_shape.get(shape)
-        if packed is None:
-            packed = by_shape[shape] = _counts(cell, ds, field)
-        counts[n] = packed
+    numbers = dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points))
+    for n in numbers:
+        if len(cells[n].free) > 2:
+            raise StructuralError(f"staircase cell {cells[n]} has 3 free coordinates")
+    most = max(map(len, (fp.cells for fp in points)), default=1)
+    counts, field = ideals.packed_counts(numbers, ds, most)
     want = sum(4 * d << (i * field) for i, d in enumerate(ds))
     count = counts.__getitem__
     if any(sum(map(count, fp.cells)) != want for fp in points):

@@ -16,12 +16,7 @@ import pytest
 
 from nlocus import fixpoints as fx
 from nlocus import gbcore, ideals
-from nlocus.ideals import (
-    cells_hilbert_numerator,
-    hilbert_polynomial,
-    staircase_cells,
-    standard_monomials,
-)
+from nlocus.ideals import hilbert_polynomial, packed_counts, staircase_cells, standard_monomials
 from nlocus.limits import e1_limit, unpack
 from nlocus.poly import Polynomial, monomial_gcd, parse
 from nlocus.torus import char_add, char_sub
@@ -308,22 +303,23 @@ def test_enumeration_runs_without_buchberger(monkeypatch):
 
     hilbert_calls = Counter()
 
-    def counted_cells_hilbert(cells):
+    def counted_packed_counts(numbers, ds, most):
         hilbert_calls["cells"] += 1
-        return cells_hilbert_numerator(cells)
+        return packed_counts(numbers, ds, most)
 
     monkeypatch.setattr(gbcore, "groebner", refuse)
     monkeypatch.setattr(Polynomial, "__init__", refuse_polynomial)
     monkeypatch.setattr(ideals, "hilbert_polynomial", refuse_hilbert)
-    monkeypatch.setattr(ideals, "UnivariateRationalPoly", refuse_rational)
-    monkeypatch.setattr(fx, "cells_hilbert_numerator", counted_cells_hilbert)
+    monkeypatch.setattr(ideals, "interpolate", refuse_rational)
+    monkeypatch.setattr(fx, "packed_counts", counted_packed_counts)
     points = fx.enumerate_all()
-    # one 4t check per fixed point, in integers, read off the cells the point
-    # keeps; the E1 limits are classified by their common plane, with no
-    # Hilbert polynomial of their own
+    # one 4t check for all the fixed points, in integers, read off the cells
+    # the points keep; the E1 limits are classified by their common plane,
+    # with no Hilbert polynomial of their own
     assert not hasattr(fx, "hilbert_polynomial")
     assert not hasattr(fx, "UnivariateRationalPoly")
-    assert hilbert_calls == {"cells": 525}
+    assert not hasattr(fx, "interpolate")
+    assert hilbert_calls == {"cells": 1}
     assert fx.stratum_counts(points) == (21, 180, 324)
     assert hashlib.sha256(fx.cache_bytes(points)).hexdigest() == CACHE_SHA256
 
@@ -366,6 +362,29 @@ def test_a_g2e1_limit_that_is_not_4t_fails_naming_its_point(monkeypatch, cascade
     message = f"fixed point G2E1{(zi, direction)} fails the 4t Hilbert check"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
         fx.enumerate_all()
+
+
+def test_the_4t_check_reads_past_every_cell(points):
+    """The 4t check's degrees are derived from the cells: a cell at base
+    (4, 4, 4) with no free coordinate and bound 1 holds one monomial, in
+    degree 12 only, and leaves a point's Hilbert polynomial 4t; unbounded,
+    it adds one monomial in every degree from 12 on, and the point fails."""
+    fp = points[300]
+    fx.check_4t(points)
+    for bound, counts in ((1, [1] + [0] * 48), (math.inf, [1] * 49)):
+        extra = ideals.quartic_cell((4, 4, 4), (), bound)
+        cell = ideals.CELLS[extra]
+        assert ideals.monomial_counts(cell, range(61)) == [0] * 12 + counts
+        assert ideals.polynomial_from([cell]) == 12 + (bound if bound != math.inf else 0)
+        given = fp._replace()
+        given.cells = (*fp.cells, extra)
+        tampered = points[:300] + [given] + points[301:]
+        if bound == math.inf:
+            message = f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
+            with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
+                fx.check_4t(tampered)
+        else:
+            fx.check_4t(tampered)
 
 
 @pytest.mark.parametrize(

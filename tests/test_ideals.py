@@ -12,8 +12,6 @@ from nlocus import localization as loc
 from nlocus.formula import UnivariateRationalPoly
 from nlocus.ideals import (
     Ideal,
-    cells_hilbert_numerator,
-    cells_hilbert_polynomial,
     hilbert_polynomial,
     kbase,
     normal_form,
@@ -367,26 +365,21 @@ def test_each_point_is_rebuilt_from_its_quartic_bits(points):
 def test_kept_values_are_cached_properties_that_keep_an_assigned_value(points, weights):
     # the cascade and the loader assign a point's cells before its first
     # read, and a first read that raises keeps nothing
-    kept = ((ideals.Cell, "hilbert_term"), (fx.FixedPoint, "cells"), (loc.Bott, "degrees"))
+    kept = ((fx.FixedPoint, "cells"), (loc.Bott, "degrees"))
     for cls, name in kept:
         assert isinstance(vars(cls)[name], functools.cached_property), (cls, name)
     fp = points[300]
     given = fp._replace()
     given.cells = wrong = fp.cells[:-1]
     assert given.cells is wrong
-    cell = ideals.Cell((0, 0, 0), (), 1, 0)
-    cell.hilbert_term = (1, 2, 3, 4)
-    assert cell.hilbert_term == (1, 2, 3, 4)
     bott = loc.Bott(points, weights)
     bott.degrees = []
     assert bott.degrees == []
     bad = fp._replace(quartics=fp.quartics[:18] + ((5, 0, 0, 0),))
-    broken = ideals.Cell((0, 0, 0), (), None, 0)  # no bound to subtract
-    for obj, name, error in ((bad, "cells", ValueError), (broken, "hilbert_term", TypeError)):
-        for _ in range(2):
-            with pytest.raises(error):
-                getattr(obj, name)
-        assert name not in vars(obj)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bad.cells
+    assert "cells" not in vars(bad)
 
 
 def test_set_t_zero():
@@ -975,27 +968,16 @@ def test_hilbert_polynomial_matches_series_oracle_on_random_ideals():
         assert hilbert_polynomial(lead_x) == series_hilbert_polynomial(lead_x), lead_x
 
 
-def _six_times(hp):
-    """3! times the coefficients of a Hilbert polynomial, 4 of them, low degree first."""
-    coeffs = [6 * c for c in hp.coefficients] + [0] * (4 - len(hp.coefficients))
-    assert all(c.denominator == 1 for c in map(Fraction, coeffs)), hp
-    return tuple(map(int, coeffs))
-
-
-def test_integer_hilbert_terms_on_the_cascade(points):
-    for fp in points:
-        cells = [ideals.CELLS[n] for n in fp.cells]
-        got = cells_hilbert_numerator(cells)
-        assert all(type(c) is int for c in got)
-        assert got == _six_times(cells_hilbert_polynomial(cells)) == (0, 24, 0, 0)
-        assert got == _six_times(series_hilbert_polynomial(fp.quartics)), fp.provenance
-
-
-def test_integer_hilbert_terms_on_random_ideals():
+def test_monomial_count_is_the_size_of_the_expansion(points):
+    # every cascade cell and every cell of the random ideals, among them
+    # 3-free and unbounded cells, at every d in 0..60
+    cells = {ideals.CELLS[n] for fp in points for n in fp.cells}
     for lead_x in _random_monomial_ideals(300, seed=35):
-        cells = ideals.staircase_cells(lead_x)
-        got = cells_hilbert_numerator(cells)
-        assert all(type(c) is int for c in got)
-        assert got == _six_times(cells_hilbert_polynomial(cells)), lead_x
-        if lead_x:
-            assert got == _six_times(series_hilbert_polynomial(lead_x)), lead_x
+        cells.update(ideals.staircase_cells(lead_x))
+    assert any(len(cell.free) == 3 and cell.bound == math.inf for cell in cells)
+    assert any(len(cell.free) == 3 and cell.bound != math.inf for cell in cells)
+    assert any(cell.bound == math.inf and len(cell.free) < 3 for cell in cells)
+    for cell in cells:
+        assert not hasattr(cell, "__dict__")
+        want = [sum(n for _, _, n in ideals.staircase_runs([cell], d)) for d in range(61)]
+        assert ideals.monomial_counts(cell, range(61)) == want, cell

@@ -19,7 +19,8 @@ from nlocus import localization as loc
 from nlocus import torus
 from nlocus.cli import main
 from nlocus.fixpoints import G2, StructuralError
-from nlocus.ideals import quartic_cells, staircase_cells, staircase_runs, standard_monomials
+from nlocus.ideals import monomial_counts, quartic_cells, staircase_cells, staircase_runs
+from nlocus.ideals import standard_monomials
 from nlocus.formula import closed_form
 from nlocus.poly import parse
 from nlocus.torus import (
@@ -60,12 +61,21 @@ def test_fiber_standard_monomials_counts(points):
         assert len(set(standard_monomials(fp.quartics, 6))) == 24
 
 
-def test_cell_counts_and_terms_depend_only_on_the_shape(points):
-    """check_fiber_ranks counts, and Cell.hilbert_term derives, once per cell
-    shape (free, lower, bound); each cascade cell's count over d = 4..60 and
-    its term are the ones of its own monomials."""
+def test_cell_counts_depend_only_on_the_shape(monkeypatch, points):
+    """check_fiber_ranks counts once per cell shape (free, lower, bound);
+    each cascade cell's count over d = 4..60 is the one of its own monomials."""
     ds = list(range(4, 61))
+    counted = []
+
+    def counting(cell, ds):
+        counted.append(cell)
+        return monomial_counts(cell, ds)
+
+    monkeypatch.setattr(ideals, "monomial_counts", counting)
     counts, field = loc.check_fiber_ranks(points, ds)
+    monkeypatch.undo()
+    # the 401 distinct cells of the points have 52 shapes
+    assert len(counted) == len({(len(free), lower, bound) for _, free, bound, lower in counted}) == 52
     numbers = {n for fp in points for n in fp.cells}
     # a list by cell number, 0 at every number that no point has
     assert len(counts) > max(numbers)
@@ -73,14 +83,10 @@ def test_cell_counts_and_terms_depend_only_on_the_shape(points):
     mask = (1 << field) - 1
     for number in numbers:
         cell = ideals.CELLS[number]
-        assert counts[number] == loc._counts(cell, ds, field)
-        for i, d in enumerate(ds):
+        assert counts[number] >> (len(ds) * field) == 0
+        for i, (d, count) in enumerate(zip(ds, monomial_counts(cell, ds))):
             runs = staircase_runs([cell], d)
-            assert counts[number] >> (i * field) & mask == sum(n for _, _, n in runs)
-        # 3! times the count at d = 60, past every cell's lower + bound
-        assert 6 * (counts[number] >> (ds.index(60) * field) & mask) == sum(
-            t * 60**i for i, t in enumerate(cell.hilbert_term)
-        )
+            assert counts[number] >> (i * field) & mask == count == sum(n for _, _, n in runs)
 
 
 def test_contribution_numerator_against_subset_oracle(points, weights, unshared_sum):
@@ -180,17 +186,17 @@ def test_cell_templates_are_the_specialized_staircase_runs(points):
         for d in range(4, 61):
             want = _staircase_weights(cell, d, spec)
             assert loc._expand(template, d) == want, (cell, d)
-            assert loc._counts(cell, [d], 0) == len(want), (cell, d)
+            assert monomial_counts(cell, [d]) == [len(want)], (cell, d)
 
 
 def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weights):
     # its fiber grows as d^3, so it has no template of runs affine in d
     (cube,) = staircase_cells([(0, 0, 0, 1)])
     message = f"^{re.escape(f'staircase cell {cube} has 3 free coordinates')}$"
-    with pytest.raises(StructuralError, match=message):
-        loc._counts(cube, [5], 0)
     bad = points[40]._replace()
     vars(bad)["cells"] = [*points[40].cells, ideals.quartic_cell(cube.base, cube.free, cube.bound)]
+    with pytest.raises(StructuralError, match=message):
+        loc.check_fiber_ranks([bad], [5])
     with pytest.raises(StructuralError, match=message):
         loc.degree_nl(5, weights, points[:40] + [bad])
 
@@ -265,7 +271,7 @@ def test_a_pass_plans_its_visits_and_templates_once(monkeypatch, points, weights
     loc.Bott(points, weights).degree_range(5, 53)
     assert planned == [1]
     assert len(templated) == len(set(templated)) == 353
-    assert all(loc._counts(cell, range(5, 54), 16) for cell in templated)
+    assert all(any(monomial_counts(cell, range(5, 54))) for cell in templated)
 
 
 def test_run_degrees_and_spec_independence_share_one_route(
