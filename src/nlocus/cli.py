@@ -18,7 +18,6 @@ import gc
 import os
 import sys
 import time
-from pathlib import Path
 
 from . import fixpoints as fx
 from . import localization as loc
@@ -47,8 +46,9 @@ def _usage_error(message):
 
 
 def _check_flags(args):
-    """Turn --weights into a WeightSpec and --cache into a Path, for the flags
-    the command has; a bad flag is a usage error naming it."""
+    """Turn --weights into a WeightSpec, for the flags the command has, and
+    check the others; a bad flag is a usage error naming it.  --cache is
+    handed on as given."""
     for flag in ("d", "dmax"):
         if flag in args and getattr(args, flag) > loc.MAX_D:
             _usage_error(f"--{flag} must be at most {loc.MAX_D} (sys.maxsize // 4)")
@@ -61,7 +61,6 @@ def _check_flags(args):
         _usage_error(f"bad threads {args.threads!r}: expected an integer >= 1")
     if not args.cache:
         _usage_error(f"bad cache {args.cache!r}: expected a non-empty path string")
-    args.cache = Path(args.cache)
 
 
 def cmd_degree(args):
@@ -69,7 +68,7 @@ def cmd_degree(args):
         _usage_error("--d must be at least 4")
     started = time.perf_counter()
     points = fx.load_or_enumerate(args.cache)
-    result = loc.Bott(points, args.weights, args.threads).degree_range(args.d, args.d)[0]
+    result = loc.degree_nl(args.d, args.weights, points, args.threads)
     elapsed = time.perf_counter() - started
     if args.format == "json":
         doc = result.to_json()

@@ -32,8 +32,10 @@ flat limit, which is spanned by that cubic and the 7 cubics
 p*{l1, l2}*{x0..x3} (`e1_points`).  A limit whose 8 cubics share a plane
 lies on W and gives a WPoint; one whose cubics have no common factor is a
 G2E1 point (`classify_e1`).  The one Hilbert polynomial computed on this
-path is the 4t check of each fixed point's quartics in `enumerate_all`,
-read off the point's staircase cells in integers (`check_4t`).  No linear
+path is the 4t check of each fixed point's quartics in `enumerate_all`:
+fiber rank 4d at four degrees past every cell's regularity (`check_4t`),
+read off the point's staircase cells in integers by `check_fiber_ranks`,
+the package's one rank check, which every Bott sum runs too.  No linear
 algebra and no Groebner basis is computed on this path; `nlocus verify`
 recomputes every limit exactly by the run rule on the e-strings of the
 deformed pencil (`limits.e1_limit`).
@@ -270,8 +272,9 @@ def classify_e1(record, z, z_index):
     is a G2E1 point, whose quartic system is the cubics times the linear
     forms and whose tangent is the record's.  Those quartics span the
     degree-4 part of the cubics' ideal, so `enumerate_all`'s 4t Hilbert
-    check on the point (`check_4t`) also certifies the limit; a system with
-    a common plane is never 4t.  Any other common factor is a StructuralError.
+    check on the point (`check_4t`, its fiber rank 4d at d = 9..12) also
+    certifies the limit; a system with a common plane is never 4t.  Any
+    other common factor is a StructuralError.
     """
     plane = tuple(map(min, zip(*record.limit_cubics)))
     provenance = (z_index, record.direction_index)
@@ -355,8 +358,9 @@ def enumerate_all():
     """All fixed points, in deterministic order G2, G2E1, E2.
 
     Each point's quartic system is checked to cut out a curve with Hilbert
-    polynomial 4t (`check_4t`), read off the point's `cells`, which the
-    points keep for the Bott sums, in integers.
+    polynomial 4t (`check_4t`): its fiber rank is 4d at d = 9..12, read off
+    the point's `cells`, which the points keep for the Bott sums, in
+    integers.
     The cascade makes no reference cycles (a collection after it finds
     nothing unreachable), so it runs with the cyclic collector paused.
     """
@@ -381,23 +385,44 @@ def enumerate_all():
 
 
 def check_4t(points):
-    """Check that each point's quartic system has Hilbert polynomial 4t: 4d
-    monomials in its cells (`ideals.packed_counts`) at four degrees from
+    """Check that each point's quartic system has Hilbert polynomial 4t: its
+    fiber rank is 4d (`check_fiber_ranks`) at the four degrees D..D+3, D from
     `ideals.polynomial_from` of the points' distinct cells, past which every
-    cell's count is a polynomial in d.  The first point that fails is a
-    StructuralError naming it."""
+    cell's count is a polynomial in d of degree at most 3."""
+    start = polynomial_from(map(CELLS.__getitem__, set().union(*[fp.cells for fp in points])))
+    check_fiber_ranks(points, range(start, start + 4))
+
+
+def check_fiber_ranks(points, ds):
+    """Check the fiber rank 4d of every point at every d in ds; returns
+    the `ideals.packed_counts` (counts, field) of the points' cells at ds.
+
+    A cell with 3 free coordinates, whose fiber grows as d^3, is a
+    StructuralError before any rank is compared.  Each distinct cell shape
+    is counted once (the 401 distinct cells of the fixed points have 52),
+    and each point's cells are added in one sum of the list indexed by
+    their numbers.  A rank other than 4d means the 4-regularity of the
+    point's limit ideal failed: a StructuralError naming the first d in ds
+    at which any point fails and the first point failing there.
+    """
     numbers = dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points))
-    start = polynomial_from(map(CELLS.__getitem__, numbers))
-    ds = range(start, start + 4)
+    for n in numbers:
+        if len(CELLS[n].free) > 2:
+            raise StructuralError(f"staircase cell {CELLS[n]} has 3 free coordinates")
     most = max(map(len, (fp.cells for fp in points)), default=1)
     counts, field = packed_counts(numbers, ds, most)
     want = sum(4 * d << (i * field) for i, d in enumerate(ds))
     count = counts.__getitem__
-    for fp in points:
-        if sum(map(count, fp.cells)) != want:
-            raise StructuralError(
-                f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
-            )
+    if any(sum(map(count, fp.cells)) != want for fp in points):
+        mask = (1 << field) - 1
+        for i, d in enumerate(ds):
+            for fp in points:
+                rank = sum(map(count, fp.cells)) >> (i * field) & mask
+                if rank != 4 * d:
+                    raise StructuralError(
+                        f"fiber rank {rank} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
+                    )
+    return counts, field
 
 
 def stratum_counts(points):

@@ -16,8 +16,8 @@ sums are therefore taken under the spec shifted to a zero minimum, so every
 fiber weight is non-negative; the caller's spec is the one reported.
 
 A `Bott`, built from points, a spec and workers, is the one way into a
-Bott sum: a command builds one, and `degree_nl`, the library's call for
-one degree, builds its own.  It keeps what its sums share, each part once
+Bott sum: a command builds one, `degree` through `degree_nl`, the
+library's call for one degree.  It keeps what its sums share, each part once
 built without raising: the denominators of each spec (which `verify`'s
 self-test reads too), `verify`'s fiber-rank count, the route of each ds
 and the run's pass over d = 4..6.  A pass reads the
@@ -28,7 +28,8 @@ cell of number n.  The points are built from few distinct cells, and
 every walk over a point's cells here indexes a list by those numbers.
 The route of a pass depends on the points' cells and ds only
 (`Bott.route`): the fiber ranks of every d are checked from one packed
-count per distinct cell (`check_fiber_ranks`, `ideals.packed_counts`;
+count per distinct cell (`fixpoints.check_fiber_ranks`, the one rank
+check, which the cascade's 4t check runs at d = 9..12;
 `verify`'s route reads the count of `checks.rank_invariants`), the cells
 dead at every d are left
 out and the visits are planned (`torus.visit_schedule`).  Each pass makes
@@ -61,7 +62,6 @@ and the first error are the same for any N.
 """
 
 import functools
-import itertools
 import math
 import os
 import sys
@@ -69,7 +69,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import ideals
-from .fixpoints import StructuralError
+from .fixpoints import StructuralError, check_fiber_ranks
 from .torus import WeightSpec, shared_products, specialize, visit_schedule
 
 DIM = 16  # dimension of the blown-up parameter space
@@ -92,18 +92,6 @@ class DegreeResult(namedtuple("DegreeResult", "d degree spec fixpoint_count")):
         }
 
 
-def _check_rank(fp, d, rank):
-    """The fiber of the quotient bundle has rank 4d at every fixed point.
-
-    Another rank means the 4-regularity of the limit ideal failed, which is
-    a structural bug.
-    """
-    if rank != 4 * d:
-        raise StructuralError(
-            f"fiber rank {rank} != {4 * d} at {fp.tag}{fp.provenance}, d={d}"
-        )
-
-
 def _cell_template(cell, values):
     """One staircase cell's degree-d weights under values, as runs affine in d.
 
@@ -119,35 +107,6 @@ def _cell_template(cell, values):
     g = w3 - b
     s = values[free[0]] - b if len(free) == 2 else g
     return len(free), lower, bound, i * w0 + j * w1 + k * w2 - lower * b, b, g, s
-
-
-def check_fiber_ranks(points, ds):
-    """Check the fiber rank 4d of every point at every d in ds; returns
-    the `ideals.packed_counts` (counts, field) of the points' cells at ds.
-
-    A cell with 3 free coordinates, whose fiber grows as d^3, is a
-    StructuralError before any rank is compared.  Each distinct cell shape
-    is counted once (the 401 distinct cells of the fixed points have 52),
-    and each point's cells are added in one sum of the list indexed by
-    their numbers.  A point whose sum is not 4d in every field fails
-    `_check_rank`, at the first d in ds at which any point fails and at the
-    first such point.
-    """
-    cells = ideals.CELLS
-    numbers = dict.fromkeys(itertools.chain.from_iterable(fp.cells for fp in points))
-    for n in numbers:
-        if len(cells[n].free) > 2:
-            raise StructuralError(f"staircase cell {cells[n]} has 3 free coordinates")
-    most = max(map(len, (fp.cells for fp in points)), default=1)
-    counts, field = ideals.packed_counts(numbers, ds, most)
-    want = sum(4 * d << (i * field) for i, d in enumerate(ds))
-    count = counts.__getitem__
-    if any(sum(map(count, fp.cells)) != want for fp in points):
-        mask = (1 << field) - 1
-        for i, d in enumerate(ds):
-            for fp in points:
-                _check_rank(fp, d, sum(map(count, fp.cells)) >> (i * field) & mask)
-    return counts, field
 
 
 def _expand(template, d):
@@ -211,8 +170,8 @@ class Bott:
         return kept
 
     def ranks(self, ds):
-        """Check the fiber ranks at every d in ds (`check_fiber_ranks`), and
-        keep the count once it passes: the route of any ds it covers reads it."""
+        """Check the fiber ranks at every d in ds (`fixpoints.check_fiber_ranks`),
+        and keep the count once it passes: the route of any ds it covers reads it."""
         self._ranks = tuple(ds), *check_fiber_ranks(self.points, ds)
 
     def route(self, ds):
@@ -220,8 +179,9 @@ class Bott:
         numbers of the live cells in their order, the order of the visits,
         their `torus.visit_schedule`).
 
-        The fiber ranks at ds are checked first, or read from the count kept
-        by `ranks`.  A cell with no monomial at any d in ds, a count of 0, is
+        The fiber ranks at ds are checked first by
+        `fixpoints.check_fiber_ranks`, or read from the count kept by
+        `ranks`.  A cell with no monomial at any d in ds, a count of 0, is
         dead: it is neither templated nor fed to the pass.  The live cells
         are ranked longest first (their count at max(ds), ties by the cell's
         value, `ideals.CELLS[n]`), each point is the sorted list of its live

@@ -464,6 +464,22 @@ def test_a_failed_cache_write_is_an_error(monkeypatch, capsys, tmp_path, command
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["fixpoints"], ["degree", "--d", "4"], ["formula"]])
+def test_a_cache_under_a_regular_file_is_an_error(capsys, tmp_path, command):
+    # unwritable for every user, root included; the path is named as given
+    parent = tmp_path / "file"
+    parent.write_bytes(b"")
+    path = f"{parent}/f.json"
+    code, out, err = run(capsys, *command, "--cache", path)
+    assert (code, out) == (1, "")
+    if command == ["fixpoints"]:
+        reason = f"cannot be written: {os.strerror(errno.EEXIST)}"
+    else:
+        reason = f"is unreadable: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {path!r}"
+    assert err == f"error: fixed-point cache {path} {reason}\n"
+    assert list(tmp_path.iterdir()) == [parent] and parent.read_bytes() == b""
+
+
 @pytest.mark.parametrize("command", [["formula", "--dmax", "37"], ["formula"]])
 def test_a_failed_fork_is_an_error(monkeypatch, capsys, two_cpus, cache_path, command):
     calls = []

@@ -359,7 +359,7 @@ def test_a_g2e1_limit_that_is_not_4t_fails_naming_its_point(monkeypatch, cascade
         return records
 
     monkeypatch.setattr(fx, "e1_points", mutated)
-    message = f"fixed point G2E1{(zi, direction)} fails the 4t Hilbert check"
+    message = f"fiber rank 31 != 36 at G2E1{(zi, direction)}, d=9"
     with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
         fx.enumerate_all()
 
@@ -380,7 +380,7 @@ def test_the_4t_check_reads_past_every_cell(points):
         given.cells = (*fp.cells, extra)
         tampered = points[:300] + [given] + points[301:]
         if bound == math.inf:
-            message = f"fixed point {fp.tag}{fp.provenance} fails the 4t Hilbert check"
+            message = "fiber rank 49 != 48 at E2(11, 0), d=12"
             with pytest.raises(fx.StructuralError, match=f"^{re.escape(message)}$"):
                 fx.check_4t(tampered)
         else:

@@ -199,6 +199,48 @@ def test_a_cell_with_three_free_coordinates_is_a_structural_error(points, weight
         loc.check_fiber_ranks([bad], [5])
     with pytest.raises(StructuralError, match=message):
         loc.degree_nl(5, weights, points[:40] + [bad])
+    with pytest.raises(StructuralError, match=message):
+        fx.check_4t(points[:40] + [bad])
+
+
+def test_the_4t_check_is_the_fiber_rank_check_at_d_9_to_12(monkeypatch, points):
+    # one rank check serves the cascade and every Bott pass
+    assert loc.check_fiber_ranks is fx.check_fiber_ranks
+    calls, real = [], fx.check_fiber_ranks
+
+    def recording(points, ds):
+        calls.append(ds)
+        return real(points, ds)
+
+    monkeypatch.setattr(fx, "check_fiber_ranks", recording)
+    fx.check_4t(points)
+    assert calls == [range(9, 13)]
+
+
+@pytest.mark.parametrize("check", ["check_4t", "pass"])
+def test_a_later_point_failing_at_an_earlier_d_is_named_first(points, weights, check):
+    # point 19 swaps its cell ((2, 0, 0), (0,), inf, 2), 8 monomials at d = 9
+    # and 9 at d = 10, for a bounded one with 8 from d = 9 on, so it fails at
+    # d = 10 only; point 300, given a repeated quartic, fails at every d
+    def run(points):
+        if check == "check_4t":
+            fx.check_4t(points)
+        else:
+            loc.Bott(points, weights).degree_range(9, 12)
+
+    fp = points[19]
+    unbounded, bounded = ((2, 0, 0), (0,), math.inf, 2), ideals.quartic_cell((1, 0, 0), (0,), 8)
+    assert monomial_counts(unbounded, [9, 10]) == [8, 9]
+    assert monomial_counts(ideals.CELLS[bounded], [9, 10]) == [8, 8]
+    bad = fp._replace()
+    vars(bad)["cells"] = [bounded if ideals.CELLS[n] == unbounded else n for n in fp.cells]
+    altered = points[:19] + [bad] + points[20:]
+    message = f"fiber rank 39 != 40 at {fp.tag}{fp.provenance}, d=10"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        run(altered)
+    message = "fiber rank 37 != 36 at E2(11, 0), d=9"
+    with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+        run(_broken(altered, 300))
 
 
 @pytest.mark.parametrize("dmin, dmax, rank", [(5, 53, "23 != 24"), (200, 200, "605 != 800")])
